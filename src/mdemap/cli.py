@@ -28,10 +28,9 @@ from .evaluation import (DEFAULT_RADII_KM, DEFAULT_THRESHOLDS_M,
 from .field import ALL_TIME, FieldAccumulator, TimeWindow
 from .fusion import combine, find_local_peaks, normalize
 from .ingest import extract_movements, parse_points
-from .mesh import AreaOfInterest, mesh_center
+from .mesh import (AreaOfInterest, DEFAULT_AOI, mesh_center,
+                   STANDARD_SCALES_M)
 from .synth import SynthConfig, default_sites, generate
-
-DEFAULT_SCALES = (100, 1000, 2000, 4000)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -192,7 +191,7 @@ def _outdir(args, cfg) -> Path:
 
 def cmd_synth(args) -> int:
     cfg = _load_config(args.config)
-    aoi = _setting(args, cfg, "aoi", "139.3,140.0,35.5,35.85", _parse_aoi)
+    aoi = _setting(args, cfg, "aoi", DEFAULT_AOI, _parse_aoi)
     hubs, corridors = default_sites(aoi)
     config = SynthConfig(
         aoi=aoi, hubs=hubs, corridors=corridors,
@@ -218,8 +217,8 @@ def cmd_synth(args) -> int:
 
 def cmd_compute(args) -> int:
     cfg = _load_config(args.config)
-    aoi = _setting(args, cfg, "aoi", "139.3,140.0,35.5,35.85", _parse_aoi)
-    scales = _setting(args, cfg, "scales", DEFAULT_SCALES, _parse_scales)
+    aoi = _setting(args, cfg, "aoi", DEFAULT_AOI, _parse_aoi)
+    scales = _setting(args, cfg, "scales", STANDARD_SCALES_M, _parse_scales)
     window_spec = _setting(args, cfg, "window", "all")
     min_disp = _setting(args, cfg, "min_displacement", 10.0, float)
     max_gap = _setting(args, cfg, "max_gap", 1800.0, float)
@@ -281,7 +280,7 @@ def cmd_compute(args) -> int:
 
 def cmd_combine(args) -> int:
     cfg = _load_config(args.config)
-    aoi = _setting(args, cfg, "aoi", "139.3,140.0,35.5,35.85", _parse_aoi)
+    aoi = _setting(args, cfg, "aoi", DEFAULT_AOI, _parse_aoi)
     mode = _setting(args, cfg, "mode", "mean")
     floor = _setting(args, cfg, "percentile_floor", 90.0, float)
     out = _outdir(args, cfg)
@@ -309,7 +308,7 @@ def cmd_combine(args) -> int:
 
 def cmd_evaluate(args) -> int:
     cfg = _load_config(args.config)
-    aoi = _setting(args, cfg, "aoi", "139.3,140.0,35.5,35.85", _parse_aoi)
+    aoi = _setting(args, cfg, "aoi", DEFAULT_AOI, _parse_aoi)
     k_over = _setting(args, cfg, "top_k", {}, _parse_top_k)
     radii = _setting(args, cfg, "radii", DEFAULT_RADII_KM, _parse_radii)
     out = _outdir(args, cfg)
@@ -343,7 +342,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_export(args) -> int:
     cfg = _load_config(args.config)
-    aoi = _setting(args, cfg, "aoi", "139.3,140.0,35.5,35.85", _parse_aoi)
+    aoi = _setting(args, cfg, "aoi", DEFAULT_AOI, _parse_aoi)
     out = _outdir(args, cfg)
     with open(args.table, "r", encoding="utf-8") as f:
         header = f.readline().strip().split(",")

@@ -27,12 +27,11 @@ from . import kernels
 from .errors import (EmptyHistogramError, InvalidAngleError, InvalidScaleError,
                      ConfigError)
 from .ingest import MovementBatch, MovementVector
-from .mesh import AreaOfInterest, GeoPoint, MeshId, project_arrays
+from .kernels import N_BINS
+from .mesh import AreaOfInterest, GeoPoint, MeshId, project_arrays, TWO_PI
 
-N_BINS = 100
-BIN_WIDTH = 2.0 * math.pi / N_BINS
+BIN_WIDTH = TWO_PI / N_BINS
 MAX_ENTROPY = math.log(N_BINS)
-TWO_PI = 2.0 * math.pi
 
 
 def bin_of(theta: float) -> int:

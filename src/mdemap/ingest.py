@@ -19,9 +19,7 @@ from typing import Iterable, Iterator, NamedTuple
 import numpy as np
 
 from .errors import ConfigError, PointParseError, UndefinedDirectionError
-from .mesh import AreaOfInterest, GeoPoint, project_arrays
-
-TWO_PI = 2.0 * math.pi
+from .mesh import AreaOfInterest, GeoPoint, project_arrays, TWO_PI
 
 
 class TrajectoryPoint(NamedTuple):

@@ -1,50 +1,112 @@
-"""Kernel backend selection.
+"""The numpy kernels of the method.
 
-The compiled extension (``mdemap._ckernels``) is preferred when it was
-built; otherwise the numpy fallback (``mdemap._kernels_py``) is used.
-Set ``MDEMAP_KERNELS=python`` or ``MDEMAP_KERNELS=c`` to force one, or
-call :func:`set_backend` at runtime (used by tests and the benchmark).
+Direction binning, (mesh, bin) counting, count merging, per-mesh
+entropy and nearest-station haversine distance. Callers reach them as
+``kernels.<name>``, so tracing tools can wrap them by name.
 """
 
 from __future__ import annotations
 
-import os
+import numpy as np
 
-from . import _kernels_py
+from .errors import InvalidAngleError
+from .mesh import EARTH_RADIUS_M, TWO_PI
 
-_BACKENDS = {"python": _kernels_py}
-try:
-    from . import _ckernels
+# Read by the benchmark's provenance record (perfbench/run.py).
+BACKEND = "python"
 
-    _BACKENDS["c"] = _ckernels
-except ImportError:
-    pass
-
-_FUNCTIONS = ("direction_bins", "count_mesh_bins", "group_counts",
-              "field_entropy", "min_haversine_m")
-
-BACKEND = ""
+N_BINS = 100
 
 
-def available_backends() -> tuple[str, ...]:
-    return tuple(sorted(_BACKENDS))
+def direction_bins(theta):
+    """Map angles (radians, any real) to direction bin indices 0..99.
+
+    Angles are reduced mod 2*pi; bin i covers [i*pi/50, (i+1)*pi/50).
+    """
+    theta = np.ascontiguousarray(theta, dtype=np.float64)
+    if theta.size and not np.all(np.isfinite(theta)):
+        raise InvalidAngleError("non-finite direction angle")
+    t = np.mod(theta, TWO_PI)
+    idx = ((t / TWO_PI) * N_BINS).astype(np.int64)
+    np.minimum(idx, N_BINS - 1, out=idx)
+    return idx
 
 
-def set_backend(name: str) -> None:
-    """Rebind the module-level kernel functions to the named backend."""
-    global BACKEND
-    if name not in _BACKENDS:
-        raise ValueError(
-            f"kernel backend {name!r} not available (have {available_backends()})")
-    impl = _BACKENDS[name]
-    g = globals()
-    for fn in _FUNCTIONS:
-        g[fn] = getattr(impl, fn)
-    BACKEND = name
+def count_mesh_bins(mesh_idx, bins):
+    """Count occurrences of (mesh, bin) pairs.
+
+    Returns (keys, counts) with key = mesh * 100 + bin, keys strictly
+    ascending. Merging chunked outputs and re-grouping reproduces the
+    unchunked result exactly.
+    """
+    mesh_idx = np.ascontiguousarray(mesh_idx, dtype=np.int64)
+    bins = np.ascontiguousarray(bins, dtype=np.int64)
+    keys = mesh_idx * N_BINS + bins
+    if keys.size == 0:
+        return keys, keys.copy()
+    keys = np.sort(keys)
+    starts = np.concatenate(([0], np.flatnonzero(np.diff(keys)) + 1))
+    counts = np.diff(np.append(starts, keys.size))
+    return keys[starts], counts.astype(np.int64)
 
 
-_env = os.environ.get("MDEMAP_KERNELS")
-if _env:
-    set_backend(_env)
-else:
-    set_backend("c" if "c" in _BACKENDS else "python")
+def group_counts(keys, counts):
+    """Sum counts of duplicate keys; input need not be sorted."""
+    keys = np.ascontiguousarray(keys, dtype=np.int64)
+    counts = np.ascontiguousarray(counts, dtype=np.int64)
+    if keys.size == 0:
+        return keys, counts
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    counts = counts[order]
+    starts = np.concatenate(([0], np.flatnonzero(np.diff(keys)) + 1))
+    return keys[starts], np.add.reduceat(counts, starts)
+
+
+def field_entropy(keys, counts, min_samples):
+    """Per-mesh Shannon entropy from sorted (mesh*100+bin, count) pairs.
+
+    Returns (mesh_ids, totals, entropy) with entropy NaN where the mesh
+    total is below ``min_samples``. Each mesh sums its p*log(p) terms
+    from 0.0 in bin order, one occupied bin per step for all meshes at
+    once. Field files write every entropy with ``repr``, so this order
+    is part of the output: ``np.add.reduceat`` sums in another order and
+    changes the last bits of most meshes with many occupied bins.
+    """
+    keys = np.ascontiguousarray(keys, dtype=np.int64)
+    counts = np.ascontiguousarray(counts, dtype=np.int64)
+    if keys.size == 0:
+        return (keys, counts,
+                np.empty(0, dtype=np.float64))
+    mesh = keys // N_BINS
+    starts = np.concatenate(([0], np.flatnonzero(np.diff(mesh)) + 1))
+    lens = np.diff(np.append(starts, mesh.size))
+    totals = np.add.reduceat(counts, starts)
+    p = counts / np.repeat(totals, lens)
+    plogp = p * np.log(p)
+    s = np.zeros(starts.size, dtype=np.float64)
+    for j in range(int(lens.max())):
+        sel = np.flatnonzero(lens > j)
+        s[sel] += plogp[starts[sel] + j]
+    h = -s + 0.0
+    h[totals < min_samples] = np.nan
+    return mesh[starts], totals, h
+
+
+def min_haversine_m(lat_a, lon_a, lat_b, lon_b, radius_m=EARTH_RADIUS_M):
+    """For each point in A, the distance to its nearest point in B (meters).
+
+    The minimum is taken over the haversine parameter h, which is
+    monotone in distance, so the arcsine runs once per row of A.
+    """
+    la = np.radians(np.ascontiguousarray(lat_a, dtype=np.float64))[:, None]
+    lb = np.radians(np.ascontiguousarray(lat_b, dtype=np.float64))[None, :]
+    oa = np.radians(np.ascontiguousarray(lon_a, dtype=np.float64))[:, None]
+    ob = np.radians(np.ascontiguousarray(lon_b, dtype=np.float64))[None, :]
+    if lb.size == 0:
+        return np.full(la.shape[0], np.inf)
+    sdp = np.sin((lb - la) / 2.0)
+    sdl = np.sin((ob - oa) / 2.0)
+    h = sdp * sdp + np.cos(la) * np.cos(lb) * sdl * sdl
+    hmin = np.minimum(h.min(axis=1), 1.0)
+    return 2.0 * radius_m * np.arcsin(np.sqrt(hmin))

@@ -20,6 +20,7 @@ import numpy as np
 from .errors import ConfigError, InvalidScaleError, OutOfAreaError
 
 EARTH_RADIUS_M = 6_371_000.0
+TWO_PI = 2.0 * math.pi
 
 # Arc length of one degree at mean Earth radius, ~111194.9 m. Shared with
 # the haversine distance below so projected and great-circle lengths agree.

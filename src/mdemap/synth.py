@@ -29,9 +29,8 @@ from .errors import ConfigError
 from .evaluation import Station
 from .ingest import TrajectoryPoint
 from .mesh import (AreaOfInterest, DEFAULT_AOI, GeoPoint, LocalCoord,
-                   inverse_project, project)
+                   inverse_project, project, TWO_PI)
 
-TWO_PI = 2.0 * math.pi
 _T0 = 1_600_000_000  # first fix timestamp, UTC seconds
 _DT = 60.0           # seconds between fixes
 _STEP_MIN_M = 15.0   # corridor step lengths, uniform draw

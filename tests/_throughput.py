@@ -13,12 +13,13 @@ import time
 
 import numpy as np
 
-from mdemap import DEFAULT_AOI, FieldAccumulator, MovementBatch
+from mdemap import (AreaOfInterest, DEFAULT_AOI, FieldAccumulator,
+                    MovementBatch)
 from mdemap.mesh import METERS_PER_DEGREE
 
 
-def big_batch(n: int, seed: int) -> MovementBatch:
-    aoi = DEFAULT_AOI
+def uniform_batch(n: int, aoi: AreaOfInterest, seed: int) -> MovementBatch:
+    """Uniform random vectors over the AOI, in column form."""
     rng = np.random.default_rng(seed)
     x = rng.uniform(0.0, aoi.width_m, n)
     y = rng.uniform(0.0, aoi.height_m, n)
@@ -35,7 +36,7 @@ def big_batch(n: int, seed: int) -> MovementBatch:
 
 def main() -> None:
     n = int(sys.argv[1]) if len(sys.argv) > 1 else 1_000_000
-    batch = big_batch(n, seed=2)
+    batch = uniform_batch(n, DEFAULT_AOI, seed=2)
     t0 = time.perf_counter()
     defined = 0
     for scale in (100, 1000, 2000, 4000):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mdemap import (AreaOfInterest, GeoPoint, MovementVector, kernels)
+from mdemap import AreaOfInterest, MovementVector
 from mdemap.mesh import inverse_project, LocalCoord
 
 
@@ -9,14 +9,6 @@ from mdemap.mesh import inverse_project, LocalCoord
 def small_aoi():
     # ~4.5 km x ~3.3 km, enough for a few meshes at every standard scale
     return AreaOfInterest.from_bounds(139.3, 139.35, 35.5, 35.53)
-
-
-@pytest.fixture(params=sorted(kernels.available_backends()))
-def backend(request):
-    previous = kernels.BACKEND
-    kernels.set_backend(request.param)
-    yield request.param
-    kernels.set_backend(previous)
 
 
 def make_vectors(rng, n, aoi, t_lo=0.0, t_hi=1000.0):

@@ -26,6 +26,8 @@ from mdemap import (ALL_TIME, AreaOfInterest, DEFAULT_AOI, DirectionHistogram,
 from mdemap.evaluation import DEFAULT_TOP_K
 from mdemap.io import write_stations_csv
 
+from _throughput import uniform_batch
+
 # pinned tolerances and budgets
 ENTROPY_TOL = 1e-12          # criteria 1-3: per-mesh entropy agreement
 UNIT_ORACLE_TOL = 1e-6       # criterion 1: {75,25} two-bin value
@@ -46,24 +48,6 @@ def _verdict(num: int, label: str, checks: dict) -> None:
     print(f"[criterion {num}] {'PASS' if ok else 'FAIL'}: {label}")
     assert ok, f"criterion {num} ({label}) failed: " + ", ".join(
         name for name, good in checks.items() if not good)
-
-
-def _batch(n: int, aoi: AreaOfInterest, seed: int):
-    """Uniform random vectors over the AOI, in column form."""
-    from mdemap import MovementBatch
-    from mdemap.mesh import METERS_PER_DEGREE
-    rng = np.random.default_rng(seed)
-    x = rng.uniform(0.0, aoi.width_m, n)
-    y = rng.uniform(0.0, aoi.height_m, n)
-    sw = aoi.south_west
-    lat = sw.lat + y / METERS_PER_DEGREE
-    lon = sw.lon + x / (METERS_PER_DEGREE
-                        * math.cos(math.radians(aoi.mid_lat)))
-    theta = rng.uniform(0.0, 2.0 * math.pi, n)
-    users = np.tile(np.array([f"u{i:02d}" for i in range(50)], dtype=object),
-                    n // 50 + 1)[:n]
-    return MovementBatch(aoi, users, rng.uniform(0.0, 1e5, n), lat, lon,
-                         x, y, theta, np.full(n, 25.0), np.full(n, 60.0))
 
 
 def _entropies(field: MdeField) -> np.ndarray:
@@ -92,7 +76,7 @@ def test_criterion_1_entropy_units():
 
 def test_criterion_2_rotation_invariance():
     t0 = time.perf_counter()
-    batch = _batch(10_000, SMALL_AOI, seed=20)
+    batch = uniform_batch(10_000, SMALL_AOI, seed=20)
     base = _entropies(compute_field(batch, SMALL_AOI, 100, min_samples=1))
     width = math.pi / 50.0
     worst = 0.0
@@ -110,7 +94,7 @@ def test_criterion_2_rotation_invariance():
 
 
 def test_criterion_3_nesting_and_mixture():
-    batch = _batch(200_000, SMALL_AOI, seed=30)
+    batch = uniform_batch(200_000, SMALL_AOI, seed=30)
     accs = {}
     for scale in (100, 1000, 2000, 4000):
         acc = FieldAccumulator(SMALL_AOI, scale, min_samples=1)
@@ -144,7 +128,7 @@ def test_criterion_3_nesting_and_mixture():
 
 
 def test_criterion_4_chunk_parity():
-    batch = _batch(1_000_000, DEFAULT_AOI, seed=40)
+    batch = uniform_batch(1_000_000, DEFAULT_AOI, seed=40)
     rng = random.Random(41)
     checks = {}
     for scale in (100, 4000):

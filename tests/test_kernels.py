@@ -1,4 +1,4 @@
-"""Backend registry and bit parity between the C and Python kernels."""
+"""Values of the numpy kernels and the summation order of field_entropy."""
 
 import math
 
@@ -6,28 +6,6 @@ import numpy as np
 import pytest
 
 from mdemap import kernels
-
-py = pytest.importorskip("mdemap._kernels_py")
-try:
-    from mdemap import _ckernels as ck
-except ImportError:
-    ck = None
-
-needs_c = pytest.mark.skipif(ck is None, reason="compiled kernels not built")
-
-
-def test_python_backend_always_available():
-    assert "python" in kernels.available_backends()
-
-
-def test_set_backend_rejects_unknown():
-    with pytest.raises(ValueError):
-        kernels.set_backend("fortran")
-
-
-def test_set_backend_switches(backend):
-    assert kernels.BACKEND == backend
-    assert kernels.direction_bins is not None
 
 
 def _random_thetas(rng, n):
@@ -38,42 +16,14 @@ def _random_thetas(rng, n):
     return t
 
 
-@needs_c
-def test_direction_bins_parity():
-    rng = np.random.default_rng(100)
-    t = _random_thetas(rng, 50_000)
-    assert np.array_equal(ck.direction_bins(t), py.direction_bins(t))
-
-
-@needs_c
-def test_direction_bins_range(backend):
+def test_direction_bins_range():
     rng = np.random.default_rng(101)
     b = kernels.direction_bins(_random_thetas(rng, 20_000))
     assert b.dtype == np.int64
     assert b.min() >= 0 and b.max() <= 99
 
 
-@needs_c
-def test_count_mesh_bins_parity():
-    rng = np.random.default_rng(102)
-    mesh = rng.integers(0, 5000, 80_000)
-    bins = rng.integers(0, 100, 80_000)
-    ka, ca = ck.count_mesh_bins(mesh, bins)
-    kb, cb = py.count_mesh_bins(mesh, bins)
-    assert np.array_equal(ka, kb) and np.array_equal(ca, cb)
-
-
-@needs_c
-def test_group_counts_parity():
-    rng = np.random.default_rng(103)
-    keys = np.sort(rng.integers(0, 3000, 40_000))
-    cnt = rng.integers(1, 50, 40_000)
-    ka, ca = ck.group_counts(keys, cnt)
-    kb, cb = py.group_counts(keys, cnt)
-    assert np.array_equal(ka, kb) and np.array_equal(ca, cb)
-
-
-def test_group_counts_merges_duplicates(backend):
+def test_group_counts_merges_duplicates():
     keys = np.array([5, 5, 9, 9, 9, 12], dtype=np.int64)
     cnt = np.array([1, 2, 3, 4, 5, 6], dtype=np.int64)
     k, c = kernels.group_counts(keys, cnt)
@@ -81,31 +31,7 @@ def test_group_counts_merges_duplicates(backend):
     assert c.tolist() == [3, 12, 6]
 
 
-@needs_c
-def test_field_entropy_parity():
-    rng = np.random.default_rng(104)
-    # segment lengths from 1 to 100 occupied bins, counts spanning decades
-    keys = []
-    counts = []
-    mesh = 0
-    while len(keys) < 60_000:
-        k = int(rng.integers(1, 101))
-        b = np.sort(rng.choice(100, k, replace=False))
-        keys.extend(mesh * 100 + b)
-        counts.extend(rng.integers(1, 10_000, k).tolist())
-        mesh += 1
-    keys = np.asarray(keys, dtype=np.int64)
-    counts = np.asarray(counts, dtype=np.int64)
-    for ms in (1, 30, 500):
-        ma, ta, ha = ck.field_entropy(keys, counts, ms)
-        mb, tb, hb = py.field_entropy(keys, counts, ms)
-        assert len(ha) == len(hb) == mesh
-        assert np.array_equal(ma, mb) and np.array_equal(ta, tb)
-        same = (ha == hb) | (np.isnan(ha) & np.isnan(hb))
-        assert same.all()
-
-
-def test_field_entropy_values(backend):
+def test_field_entropy_values():
     keys = np.array([0, 207, 250], dtype=np.int64)
     counts = np.array([40, 75, 25], dtype=np.int64)
     mesh, totals, h = kernels.field_entropy(keys, counts, 30)
@@ -121,20 +47,35 @@ def test_field_entropy_values(backend):
     assert np.isnan(hn[0])
 
 
-@needs_c
-def test_min_haversine_parity():
-    rng = np.random.default_rng(105)
-    qla = rng.uniform(35.0, 36.0, 500)
-    qlo = rng.uniform(139.0, 140.0, 500)
-    rla = rng.uniform(35.0, 36.0, 700)
-    rlo = rng.uniform(139.0, 140.0, 700)
-    a = ck.min_haversine_m(qla, qlo, rla, rlo, 6_371_000.0)
-    b = py.min_haversine_m(qla, qlo, rla, rlo, 6_371_000.0)
-    assert np.array_equal(np.asarray(a), np.asarray(b))
+def test_field_entropy_sums_in_bin_order():
+    # Field files write entropies with repr, so the summation order is
+    # part of the output: each mesh adds its p*log(p) terms from 0.0 in
+    # bin order. Meshes hold 1 to 100 occupied bins, counts span decades.
+    rng = np.random.default_rng(104)
+    keys = []
+    counts = []
+    mesh = 0
+    while len(keys) < 60_000:
+        k = int(rng.integers(1, 101))
+        b = np.sort(rng.choice(100, k, replace=False))
+        keys.extend(mesh * 100 + b)
+        counts.extend(rng.integers(1, 10_000, k).tolist())
+        mesh += 1
+    keys = np.asarray(keys, dtype=np.int64)
+    counts = np.asarray(counts, dtype=np.int64)
+    ids, totals, h = kernels.field_entropy(keys, counts, 1)
+    assert ids.tolist() == list(range(mesh))
+    seg = np.repeat(np.arange(mesh), np.bincount(keys // 100))
+    assert np.array_equal(totals, np.bincount(seg, weights=counts))
+    p = counts / totals[seg]
+    terms = (p * np.log(p)).tolist()
+    want = [0.0] * mesh
+    for i, term in zip(seg.tolist(), terms):
+        want[i] += term
+    assert np.array_equal(h, -np.array(want) + 0.0)
 
 
-@needs_c
-def test_min_haversine_value(backend):
+def test_min_haversine_value():
     from mdemap import GeoPoint, geo_distance
     d = kernels.min_haversine_m(
         np.array([35.5]), np.array([139.5]),
@@ -142,20 +83,3 @@ def test_min_haversine_value(backend):
     want = min(geo_distance(GeoPoint(35.5, 139.5), GeoPoint(35.6, 139.4)),
                geo_distance(GeoPoint(35.5, 139.5), GeoPoint(35.9, 139.9)))
     assert np.asarray(d)[0] == pytest.approx(want, rel=1e-12)
-
-
-@needs_c
-def test_field_build_bit_parity_across_backends(small_aoi):
-    # the round trip that matters: same vectors, both backends, same field
-    from mdemap import compute_field
-    from conftest import make_vectors
-    rng = np.random.default_rng(106)
-    vecs = make_vectors(rng, 30_000, small_aoi)
-    fields = {}
-    for name in ("c", "python"):
-        kernels.set_backend(name)
-        try:
-            fields[name] = compute_field(vecs, small_aoi, 100, min_samples=5)
-        finally:
-            kernels.set_backend("c" if ck is not None else "python")
-    assert fields["c"] == fields["python"]
