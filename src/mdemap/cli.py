@@ -25,7 +25,7 @@ from .errors import ConfigError, EmptyFieldError, MdemapError, PointParseError
 from .evaluation import (DEFAULT_RADII_KM, DEFAULT_THRESHOLDS_M,
                          DEFAULT_TOP_K, default_x_values, precision_curve,
                          recall_curve, top_k)
-from .field import ALL_TIME, FieldAccumulator, TimeWindow
+from .field import ALL_TIME, TimeWindow, compute_fields
 from .fusion import combine, find_local_peaks, normalize
 from .ingest import extract_movements, parse_points
 from .mesh import (AreaOfInterest, DEFAULT_AOI, mesh_center,
@@ -107,22 +107,46 @@ def _setting(args, cfg: dict, key: str, default, convert=None):
     return convert(v) if convert else v
 
 
+# Most time windows one compute run may make, per scale.
+MAX_WINDOWS = 100_000
+
+
 def _windows(spec, t: np.ndarray) -> list[TimeWindow]:
     if spec in (None, "all"):
         return [ALL_TIME]
-    width = float(spec)
-    if width <= 0:
+    try:
+        width = float(spec)
+    except ValueError:
+        width = math.nan
+    if not (math.isfinite(width) and width > 0):
         raise ConfigError("--window must be 'all' or a positive length in s")
     if t.size == 0:
         return [ALL_TIME]
-    first = math.floor(float(t.min()) / width) * width
+    k = float(t.min()) / width
+    if not math.isfinite(k):
+        raise ConfigError(f"--window {spec} is too short for the timestamps")
+    start = math.floor(k) * width
     last = float(t.max())
     out = []
-    start = first
     while start <= last:
-        out.append(TimeWindow(start, start + width))
-        start += width
+        end = start + width
+        if end == start:
+            raise ConfigError(f"--window {spec} is below the float resolution "
+                              f"of the timestamps near {start!r}")
+        if len(out) == MAX_WINDOWS:
+            raise ConfigError(f"--window {spec} makes more than MAX_WINDOWS = "
+                              f"{MAX_WINDOWS} windows")
+        out.append(TimeWindow(start, end))
+        start = end
     return out
+
+
+def _window_name(scale: int, w: TimeWindow) -> str:
+    """Field file name; integral window starts keep their integer form."""
+    if w == ALL_TIME:
+        return f"mde_{scale}m.csv"
+    start = int(w.start) if w.start.is_integer() else repr(w.start)
+    return f"mde_{scale}m_w{start}.csv"
 
 
 def _shared_flags(p: argparse.ArgumentParser) -> None:
@@ -232,27 +256,20 @@ def cmd_compute(args) -> int:
     batch, stats = extract_movements(parsed, aoi, min_displacement=min_disp,
                                      max_gap=max_gap, source=direction)
     windows = _windows(window_spec, batch.t)
+    # each out-of-area vector counts once, however many windows there are
+    fields, dropped_out_of_area = compute_fields(batch, aoi, scales, windows,
+                                                 min_samples)
     files: dict[str, dict] = {}
-    dropped_out_of_area = 0
-    for scale in scales:
-        # windows partition the batch, so summing one scale's drops
-        # counts each out-of-area vector exactly once
-        scale_dropped = 0
-        for w in windows:
-            acc = FieldAccumulator(aoi, scale, w, min_samples)
-            acc.add(batch)
-            field = acc.finish()
-            scale_dropped += field.dropped_out_of_area
-            name = f"mde_{scale}m.csv" if w == ALL_TIME \
-                else f"mde_{scale}m_w{int(w.start)}.csv"
-            mio.write_field_csv(field, out / name)
-            files[name] = {
-                "scale_m": scale,
-                "window": "all" if w == ALL_TIME else [w.start, w.end],
-                "meshes": len(field.entries),
-                "meshes_defined": field.n_defined,
-            }
-        dropped_out_of_area = scale_dropped
+    for field in fields:
+        w = field.window
+        name = _window_name(field.scale_m, w)
+        mio.write_field_csv(field, out / name)
+        files[name] = {
+            "scale_m": field.scale_m,
+            "window": "all" if w == ALL_TIME else [w.start, w.end],
+            "meshes": field.count.size,
+            "meshes_defined": field.n_defined,
+        }
     mio.write_summary({
         "command": "compute",
         "points_read": len(parsed), "points_skipped": parsed.skipped,

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
+from itertools import chain
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -130,6 +131,64 @@ class MdeField:
         return sum(1 for _ in self.defined())
 
 
+@dataclass(eq=False)
+class FieldColumns:
+    """One scale's field in one time window as columns in (row, col) order.
+
+    ``entropy`` is NaN where the mesh is undefined. The windowed build
+    returns fields in this form and the field writer reads it directly.
+    """
+
+    scale_m: int
+    window: TimeWindow
+    aoi: AreaOfInterest
+    col: np.ndarray
+    row: np.ndarray
+    count: np.ndarray
+    entropy: np.ndarray
+
+    @property
+    def n_defined(self) -> int:
+        return int(np.count_nonzero(~np.isnan(self.entropy)))
+
+    @classmethod
+    def from_field(cls, field: MdeField) -> "FieldColumns":
+        n = len(field.entries)
+        mesh = np.fromiter(chain.from_iterable(field.entries), dtype=np.int64,
+                           count=3 * n).reshape(n, 3)
+        if (mesh[:, 0] != field.scale_m).any():
+            raise InvalidScaleError(
+                f"field of scale {field.scale_m} holds meshes of another scale")
+        entries = field.entries.values()
+        count = np.fromiter((e.count for e in entries), dtype=np.int64,
+                            count=n)
+        entropy = np.fromiter(
+            (math.nan if e.entropy is None else e.entropy for e in entries),
+            dtype=np.float64, count=n)
+        order = np.lexsort((mesh[:, 1], mesh[:, 2]))
+        return cls(field.scale_m, field.window, field.aoi, mesh[order, 1],
+                   mesh[order, 2], count[order], entropy[order])
+
+    def to_field(self, dropped_out_of_area: int = 0) -> MdeField:
+        s = self.scale_m
+        entries = {MeshId(s, c, r): MeshEntry(n, None if math.isnan(h) else h)
+                   for c, r, n, h in zip(self.col.tolist(), self.row.tolist(),
+                                         self.count.tolist(),
+                                         self.entropy.tolist())}
+        return MdeField(s, self.window, self.aoi, entries,
+                        dropped_out_of_area=dropped_out_of_area)
+
+
+def _check_setup(scale_m: int, windows, min_samples: int) -> None:
+    if scale_m <= 0:
+        raise InvalidScaleError(f"mesh scale must be positive, got {scale_m}")
+    if min_samples < 1:
+        raise ConfigError(f"min_samples must be >= 1, got {min_samples}")
+    for w in windows:
+        if not w.start < w.end:
+            raise ConfigError(f"empty time window {w!r}")
+
+
 def _movement_arrays(movements, aoi: AreaOfInterest):
     """(x, y, theta, t, n_out_of_area) for a batch or any MovementVector iterable."""
     x = y = None
@@ -157,6 +216,43 @@ def _movement_arrays(movements, aoi: AreaOfInterest):
     return x, y, theta, t, dropped
 
 
+def _windowed_arrays(movements, aoi: AreaOfInterest,
+                     windows: tuple[TimeWindow, ...]):
+    """(x, y, theta, window index, n_out_of_area) of the kept vectors.
+
+    A vector is kept when its origin lies in ``aoi`` and its time in a
+    window, ``start <= t < end``; ``windows`` are sorted and disjoint.
+    ``ALL_TIME`` alone keeps every in-area vector.
+    """
+    x, y, theta, t, dropped = _movement_arrays(movements, aoi)
+    if windows == (ALL_TIME,):
+        return x, y, theta, np.zeros(x.size, dtype=np.int64), dropped
+    starts = np.array([w.start for w in windows], dtype=np.float64)
+    ends = np.array([w.end for w in windows], dtype=np.float64)
+    if (starts[1:] < ends[:-1]).any():
+        raise ConfigError("time windows must be sorted and disjoint")
+    # the last window with start <= t; -1 before the first, and NaN
+    # sorts after every start, so t < end then fails
+    widx = np.searchsorted(starts, t, side="right") - 1
+    keep = (widx >= 0) & (t < ends[np.maximum(widx, 0)])
+    if not keep.all():
+        x, y, theta, widx = x[keep], y[keep], theta[keep], widx[keep]
+    return x, y, theta, widx, dropped
+
+
+def _mesh_index(x, y, scale_m: int, ncols: int) -> np.ndarray:
+    """Flat grid index row * ncols + col of each local coordinate."""
+    col = (x // scale_m).astype(np.int64)
+    row = (y // scale_m).astype(np.int64)
+    return row * ncols + col
+
+
+def _columns(scale_m, window, aoi, ncols, mesh_flat, totals,
+             ent) -> FieldColumns:
+    row, col = np.divmod(mesh_flat, ncols)
+    return FieldColumns(scale_m, window, aoi, col, row, totals, ent)
+
+
 class FieldAccumulator:
     """Streaming accumulator of per-mesh direction histograms for one scale.
 
@@ -167,12 +263,7 @@ class FieldAccumulator:
 
     def __init__(self, aoi: AreaOfInterest, scale_m: int,
                  window: TimeWindow = ALL_TIME, min_samples: int = 30):
-        if scale_m <= 0:
-            raise InvalidScaleError(f"mesh scale must be positive, got {scale_m}")
-        if min_samples < 1:
-            raise ConfigError(f"min_samples must be >= 1, got {min_samples}")
-        if not window.start < window.end:
-            raise ConfigError(f"empty time window {window!r}")
+        _check_setup(scale_m, (window,), min_samples)
         self.aoi = aoi
         self.scale_m = int(scale_m)
         self.window = window
@@ -183,16 +274,12 @@ class FieldAccumulator:
         self._counts: list[np.ndarray] = []
 
     def add(self, movements) -> None:
-        x, y, theta, t, dropped = _movement_arrays(movements, self.aoi)
+        x, y, theta, _, dropped = _windowed_arrays(movements, self.aoi,
+                                                   (self.window,))
         self.dropped_out_of_area += dropped
-        if self.window != ALL_TIME:
-            m = (t >= self.window.start) & (t < self.window.end)
-            x, y, theta = x[m], y[m], theta[m]
         if x.size == 0:
             return
-        col = (x // self.scale_m).astype(np.int64)
-        row = (y // self.scale_m).astype(np.int64)
-        flat = row * self._ncols + col
+        flat = _mesh_index(x, y, self.scale_m, self._ncols)
         bins = kernels.direction_bins(theta)
         keys, counts = kernels.count_mesh_bins(flat, bins)
         self._keys.append(keys)
@@ -232,13 +319,9 @@ class FieldAccumulator:
         keys, counts = self._merged()
         mesh_flat, totals, ent = kernels.field_entropy(
             keys, counts, self.min_samples)
-        entries: dict[MeshId, MeshEntry] = {}
-        ncols = self._ncols
-        for f, n, h in zip(mesh_flat.tolist(), totals.tolist(), ent.tolist()):
-            mid = MeshId(self.scale_m, f % ncols, f // ncols)
-            entries[mid] = MeshEntry(n, None if math.isnan(h) else h)
-        return MdeField(self.scale_m, self.window, self.aoi, entries,
-                        dropped_out_of_area=self.dropped_out_of_area)
+        cols = _columns(self.scale_m, self.window, self.aoi, self._ncols,
+                        mesh_flat, totals, ent)
+        return cols.to_field(self.dropped_out_of_area)
 
 
 def compute_field(movements, aoi: AreaOfInterest, scale_m: int,
@@ -248,3 +331,40 @@ def compute_field(movements, aoi: AreaOfInterest, scale_m: int,
     acc = FieldAccumulator(aoi, scale_m, window, min_samples)
     acc.add(movements)
     return acc.finish()
+
+
+def compute_fields(movements, aoi: AreaOfInterest, scales,
+                   windows=(ALL_TIME,), min_samples: int = 30,
+                   ) -> tuple[list[FieldColumns], int]:
+    """Every (scale, window) field of ``movements`` in one pass per scale.
+
+    ``windows`` are sorted and disjoint. The window index is one more
+    key dimension, (window, mesh, bin), so each scale takes one count
+    and one entropy call over the whole input. Returns the fields in
+    scale-major order, each bit for bit what ``compute_field`` gives
+    for that scale and window, and the number of out-of-area vectors,
+    each counted once.
+    """
+    scales, windows = tuple(scales), tuple(windows)
+    for scale in scales:
+        _check_setup(scale, windows, min_samples)
+    x, y, theta, widx, dropped = _windowed_arrays(movements, aoi, windows)
+    bins = kernels.direction_bins(theta)
+    out: list[FieldColumns] = []
+    for scale in scales:
+        ncols, nrows = aoi.grid_shape(scale)
+        ncells = ncols * nrows
+        if len(windows) * ncells * N_BINS > np.iinfo(np.int64).max:
+            raise ConfigError(
+                f"{len(windows)} windows x {ncells} meshes at {scale} m "
+                "overflow the int64 (window, mesh, bin) key")
+        flat = widx * ncells + _mesh_index(x, y, scale, ncols)
+        keys, counts = kernels.count_mesh_bins(flat, bins)
+        mesh, totals, ent = kernels.field_entropy(keys, counts, min_samples)
+        w_of, mesh_flat = np.divmod(mesh, ncells)
+        cuts = np.searchsorted(w_of, np.arange(len(windows) + 1))
+        for i, w in enumerate(windows):
+            sl = slice(cuts[i], cuts[i + 1])
+            out.append(_columns(scale, w, aoi, ncols, mesh_flat[sl],
+                                totals[sl], ent[sl]))
+    return out, dropped

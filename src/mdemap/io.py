@@ -10,15 +10,19 @@ from __future__ import annotations
 import csv
 import json
 import math
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import PointParseError
 from .evaluation import (PrecisionCurve, RecallCurve, Station, check_stations)
-from .field import (ALL_TIME, MAX_ENTROPY, MdeField, MeshEntry, TimeWindow)
+from .field import (ALL_TIME, MAX_ENTROPY, FieldColumns, MdeField, MeshEntry,
+                    TimeWindow)
 from .fusion import CombinedMap
 from .ingest import TrajectoryPoint
-from .mesh import AreaOfInterest, GeoPoint, MeshId, mesh_center, mesh_corners
+from .mesh import AreaOfInterest, GeoPoint, MeshId, mesh_centers, mesh_corners
 
 FIELD_HEADER = ("scale_m", "col", "row", "center_lat", "center_lon",
                 "count", "entropy_nats", "entropy_norm")
@@ -34,17 +38,41 @@ def _sorted_meshes(meshes: Iterable[MeshId]) -> list[MeshId]:
     return sorted(meshes, key=lambda m: (m.scale_m, m.row, m.col))
 
 
-def write_field_csv(field: MdeField, path) -> None:
+def _reprs(values: np.ndarray) -> list[str]:
+    """``repr`` of every value, formatted once per distinct value."""
+    distinct, inverse = np.unique(values, return_inverse=True)
+    text = [repr(v) for v in distinct.tolist()]
+    return [text[i] for i in inverse.tolist()]
+
+
+def _write_mesh_rows(path, header, aoi: AreaOfInterest, scale_m, col, row,
+                     tails: list[str]) -> None:
+    """One row per mesh, ``scale_m,col,row,center_lat,center_lon,<tail>``.
+
+    Rows keep the order given and end in ``\\r\\n``, as the csv module's
+    default dialect writes them; no field needs quoting. A center
+    coordinate depends on one grid index only, so few are distinct.
+    """
+    lat, lon = mesh_centers(scale_m, col, row, aoi)
+    scale = np.broadcast_to(scale_m, np.shape(col)).tolist()
     with open(path, "w", encoding="utf-8", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(FIELD_HEADER)
-        for m in _sorted_meshes(field.entries):
-            e = field.entries[m]
-            c = mesh_center(m, field.aoi)
-            h = "" if e.entropy is None else _fmt(e.entropy)
-            hn = "" if e.entropy is None else _fmt(e.entropy / MAX_ENTROPY)
-            w.writerow((m.scale_m, m.col, m.row, _fmt(c.lat), _fmt(c.lon),
-                        e.count, h, hn))
+        f.write(",".join(header) + "\r\n")
+        f.writelines([
+            f"{s},{c},{r},{la},{lo},{t}\r\n"
+            for s, c, r, la, lo, t in zip(scale, col.tolist(), row.tolist(),
+                                          _reprs(lat), _reprs(lon), tails)])
+
+
+def write_field_csv(field: MdeField | FieldColumns, path) -> None:
+    """Rows sorted by (row, col); undefined meshes leave entropy empty."""
+    if isinstance(field, MdeField):
+        field = FieldColumns.from_field(field)
+    norm = field.entropy / MAX_ENTROPY
+    tails = [f"{n},," if math.isnan(h) else f"{n},{h!r},{hn!r}"
+             for n, h, hn in zip(field.count.tolist(), field.entropy.tolist(),
+                                 norm.tolist())]
+    _write_mesh_rows(path, FIELD_HEADER, field.aoi, field.scale_m,
+                     field.col, field.row, tails)
 
 
 def read_field_csv(path, aoi: AreaOfInterest,
@@ -75,13 +103,15 @@ def read_field_csv(path, aoi: AreaOfInterest,
 
 def write_combined_csv(cmap: CombinedMap, path) -> None:
     """Field schema plus a score column; count/entropy stay empty."""
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(FIELD_HEADER + ("score",))
-        for m in _sorted_meshes(cmap.scores):
-            c = mesh_center(m, cmap.aoi)
-            w.writerow((m.scale_m, m.col, m.row, _fmt(c.lat), _fmt(c.lon),
-                        "", "", "", _fmt(cmap.scores[m])))
+    n = len(cmap.scores)
+    mesh = np.fromiter(chain.from_iterable(cmap.scores), dtype=np.int64,
+                       count=3 * n).reshape(n, 3)
+    scores = np.fromiter(cmap.scores.values(), dtype=np.float64, count=n)
+    order = np.lexsort((mesh[:, 1], mesh[:, 2], mesh[:, 0]))
+    mesh = mesh[order]
+    _write_mesh_rows(path, FIELD_HEADER + ("score",), cmap.aoi, mesh[:, 0],
+                     mesh[:, 1], mesh[:, 2],
+                     [f",,,{v!r}" for v in scores[order].tolist()])
 
 
 def read_combined_csv(path, aoi: AreaOfInterest) -> CombinedMap:

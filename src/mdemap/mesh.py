@@ -155,6 +155,20 @@ def mesh_center(m: MeshId, aoi: AreaOfInterest) -> GeoPoint:
     return inverse_project(c, aoi)
 
 
+def mesh_centers(scale_m, col, row,
+                 aoi: AreaOfInterest) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized :func:`mesh_center`: (lat, lon) arrays, bit for bit equal.
+
+    ``scale_m`` is one scale or an array of them, one per mesh.
+    """
+    s = np.asarray(scale_m, dtype=np.float64)
+    col = np.asarray(col, dtype=np.float64)
+    row = np.asarray(row, dtype=np.float64)
+    lat = aoi.south_west.lat + ((row + 0.5) * s) / METERS_PER_DEGREE
+    lon = aoi.south_west.lon + ((col + 0.5) * s) / aoi.meters_per_degree_lon
+    return lat, lon
+
+
 def mesh_corners(m: MeshId, aoi: AreaOfInterest) -> list[GeoPoint]:
     """Corners in ring order sw, se, ne, nw (not closed)."""
     s = m.scale_m

@@ -6,9 +6,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from mdemap.cli import main
+from mdemap import ConfigError
+from mdemap.cli import MAX_WINDOWS, _windows, main
 
 AOI = "139.3,140.0,35.5,35.85"
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -205,3 +207,85 @@ def test_installed_console_script():
                           text=True)
     assert proc.returncode == 0, proc.stderr
     assert all(cmd in proc.stdout for cmd in SUBCOMMANDS)
+
+
+def _write_points(path, rows):
+    path.write_text("user_id,timestamp,lat,lon\n"
+                    + "".join(f"{u},{t!r},{lat!r},{lon!r}\n"
+                              for u, t, lat, lon in rows))
+
+
+@pytest.mark.parametrize("window, n_windows", [("all", 1), ("300", 3),
+                                               ("60", 9)])
+def test_out_of_area_counted_once(tmp_path, window, n_windows):
+    # nine 60 s steps ending at +60..+540 s, each walked once inside the
+    # area and once 0.2 degrees south of it
+    rows = []
+    for i in range(1, 10):
+        t0 = 1_600_000_000 + 60 * (i - 1)
+        for tag, lat in (("in", 35.6), ("out", 35.3)):
+            rows += [(f"{tag}{i}", t0, lat, 139.5),
+                     (f"{tag}{i}", t0 + 60, lat + 0.001, 139.5)]
+    pts = tmp_path / "points.csv"
+    _write_points(pts, rows)
+    assert main(["compute", str(pts), "--aoi", AOI, "--scales", "1000",
+                 "--window", window, "--min-samples", "1",
+                 "--out", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "compute_summary.json").read_text())
+    assert summary["vectors"] == 18
+    assert len(summary["files"]) == n_windows
+    assert summary["dropped"]["out_of_area"] == 9
+    counts = [int(line.split(",")[5]) for name in summary["files"]
+              for line in (tmp_path / name).read_text().splitlines()[1:]]
+    assert sum(counts) == 9
+
+
+def test_window_below_timestamp_resolution(tmp_path):
+    # half an ulp of 1714953600.0 is 1.2e-7 s, so start + 1e-7 == start
+    with pytest.raises(ConfigError, match="float resolution"):
+        _windows("1e-7", np.array([1714953600.0, 1714953660.0]))
+    # t / width overflows to inf before any window is made
+    with pytest.raises(ConfigError, match="too short"):
+        _windows("1e-300", np.array([1714953600.0]))
+    pts = tmp_path / "points.csv"
+    _write_points(pts, [("u", 1714953600, 35.6, 139.5),
+                        ("u", 1714953660, 35.601, 139.5)])
+    assert main(["compute", str(pts), "--window", "1e-7",
+                 "--out", str(tmp_path)]) == 1
+    assert not list(tmp_path.glob("mde_*.csv"))
+
+
+def test_window_count_is_bounded(tmp_path):
+    assert len(_windows("1", np.array([0.0, MAX_WINDOWS - 1.0]))) \
+        == MAX_WINDOWS
+    with pytest.raises(ConfigError, match="MAX_WINDOWS = 100000"):
+        _windows("1", np.array([0.0, float(MAX_WINDOWS)]))
+    pts = tmp_path / "points.csv"
+    _write_points(pts, [("a", 0, 35.6, 139.5), ("a", 60, 35.601, 139.5),
+                        ("b", 200_000, 35.6, 139.5),
+                        ("b", 200_060, 35.601, 139.5)])
+    assert main(["compute", str(pts), "--window", "1",
+                 "--out", str(tmp_path)]) == 1
+    assert not list(tmp_path.glob("mde_*.csv"))
+
+
+@pytest.mark.parametrize("spec", ["0", "-5", "inf", "nan", "soon"])
+def test_window_spec_must_be_a_positive_length(tmp_path, spec):
+    with pytest.raises(ConfigError):
+        _windows(spec, np.array([0.0]))
+
+
+def test_fractional_window_names_are_unique(pipeline, tmp_path):
+    assert main(["compute", str(pipeline / "points.csv"), "--aoi", AOI,
+                 "--scales", "2000,4000", "--window", "0.5",
+                 "--out", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "compute_summary.json").read_text())
+    # vector times span +60..+540 s: (540 - 60) / 0.5 + 1 windows per scale
+    n_windows = 961
+    written = sorted(p.name for p in tmp_path.glob("mde_*.csv"))
+    assert len(written) == len(summary["files"]) == 2 * n_windows
+    assert written == sorted(summary["files"])
+    assert "mde_4000m_w1600000060.csv" in written
+    assert "mde_4000m_w1600000060.5.csv" in written
+    starts = {meta["window"][0] for meta in summary["files"].values()}
+    assert len(starts) == n_windows

@@ -4,12 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from mdemap import (ALL_TIME, DirectionHistogram, EmptyHistogramError,
-                    FieldAccumulator, InvalidAngleError, MAX_ENTROPY,
-                    MeshEntry, MovementVector, N_BINS, TimeWindow, bin_of,
-                    compute_field, entropy, entropy_norm, ConfigError,
-                    GeoPoint, MeshId)
+from mdemap import (ALL_TIME, AreaOfInterest, DirectionHistogram,
+                    EmptyHistogramError, FieldAccumulator, FieldColumns,
+                    InvalidAngleError, InvalidScaleError, MAX_ENTROPY,
+                    MdeField, MeshEntry, MovementVector, N_BINS, TimeWindow,
+                    bin_of, compute_field, compute_fields, entropy,
+                    entropy_norm, ConfigError, GeoPoint, MeshId)
 from mdemap.mesh import inverse_project, LocalCoord
 
 from conftest import make_vectors
@@ -273,3 +275,120 @@ def test_grouping_inequality_parent_vs_children(small_aoi):
         acc[1] += e.count * e.entropy
     for p, (n, s) in mix.items():
         assert cf.entries[p].entropy >= s / n - 1e-12
+
+
+# -- one-pass build of every (scale, window) field --------------------------
+
+PROP_AOI = AreaOfInterest.from_bounds(139.3, 139.35, 35.5, 35.53)
+PROP_SCALES = (100, 1000)
+
+
+def _bits(field):
+    """Entries with entropies as hex, so equality is bit for bit."""
+    return {m: (e.count, None if e.entropy is None else e.entropy.hex())
+            for m, e in field.entries.items()}
+
+
+def _grid_windows(start, width, n):
+    """``n`` windows built by repeated addition, as ``compute`` builds them."""
+    out = []
+    for _ in range(n):
+        out.append(TimeWindow(start, start + width))
+        start += width
+    return out
+
+
+@st.composite
+def _windowed_input(draw):
+    if draw(st.booleans()):
+        windows = [ALL_TIME]
+        times = st.floats(-1e3, 1e3)
+    else:
+        windows = _grid_windows(draw(st.integers(-5, 5)) * 0.7,
+                                draw(st.sampled_from([0.3, 1.0, 2.5, 60.0])),
+                                draw(st.integers(1, 6)))
+        edges = sorted({w.start for w in windows} | {w.end for w in windows})
+        lo, hi = edges[0], edges[-1]
+        times = st.one_of(st.sampled_from(edges),
+                          st.floats(lo - 1.0, hi + 1.0))
+    vectors = []
+    # few positions and directions, so meshes collect several vectors
+    for _ in range(draw(st.integers(0, 60))):
+        theta = draw(st.sampled_from([0.1, 1.0, 2.0, 3.0, 4.5, 6.2]))
+        t = draw(times)
+        if draw(st.integers(0, 5)) == 0:
+            origin = GeoPoint(35.49, 139.31)          # south of the area
+        else:
+            x = draw(st.sampled_from([10.0, 150.0, 1050.0, 2990.0]))
+            y = draw(st.sampled_from([20.0, 250.0, 1999.0]))
+            origin = inverse_project(LocalCoord(x, y), PROP_AOI)
+        vectors.append(MovementVector("u", t, origin, theta, 25.0, 60.0))
+    return vectors, windows
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_windowed_input(), min_samples=st.integers(1, 4))
+def test_compute_fields_equals_per_window_accumulators(case, min_samples):
+    vectors, windows = case
+    fields, dropped = compute_fields(vectors, PROP_AOI, PROP_SCALES, windows,
+                                     min_samples)
+    assert [(f.scale_m, f.window) for f in fields] == \
+        [(s, w) for s in PROP_SCALES for w in windows]
+    for cols in fields:
+        acc = FieldAccumulator(PROP_AOI, cols.scale_m, cols.window,
+                               min_samples)
+        acc.add(vectors)
+        want = acc.finish()
+        assert dropped == acc.dropped_out_of_area
+        got = cols.to_field()
+        assert _bits(got) == _bits(want)
+        # the same field from the window's vectors picked one by one
+        picked = [v for v in vectors if cols.window.contains(v.t)]
+        assert _bits(got) == _bits(compute_field(
+            picked, PROP_AOI, cols.scale_m, min_samples=min_samples))
+        assert cols.count.size == len(want.entries)
+        assert cols.n_defined == want.n_defined
+        order = list(zip(cols.row.tolist(), cols.col.tolist()))
+        assert order == sorted(set(order))
+
+
+def test_compute_fields_counts_out_of_area_once(small_aoi):
+    inside = [_vec(small_aoi, 50.0, 50.0, 0.0, t=float(t)) for t in range(9)]
+    outside = [MovementVector("u", float(t), GeoPoint(35.49, 139.31), 0.0,
+                              25.0, 60.0) for t in range(9)]
+    windows = _grid_windows(0.0, 3.0, 3) + _grid_windows(100.0, 1.0, 2)
+    fields, dropped = compute_fields(inside + outside, small_aoi, (100,),
+                                     windows, min_samples=1)
+    assert dropped == 9
+    assert [f.count.size for f in fields] == [1, 1, 1, 0, 0]
+    assert [f.count.tolist() for f in fields[:3]] == [[3], [3], [3]]
+
+
+def test_compute_fields_validation(small_aoi):
+    with pytest.raises(ConfigError, match="sorted and disjoint"):
+        compute_fields([], small_aoi, (100,),
+                       [TimeWindow(10.0, 20.0), TimeWindow(0.0, 10.0)])
+    with pytest.raises(ConfigError):
+        compute_fields([], small_aoi, (100,), [TimeWindow(5.0, 5.0)])
+    with pytest.raises(ConfigError):
+        compute_fields([], small_aoi, (100,), min_samples=0)
+    with pytest.raises(InvalidScaleError):
+        compute_fields([], small_aoi, (100, 0))
+    # 1 m meshes over the whole globe: 8e14 cells x 100 bins x 200 windows
+    # does not fit the int64 (window, mesh, bin) key
+    world = AreaOfInterest.from_bounds(-180.0, 180.0, -90.0, 90.0)
+    with pytest.raises(ConfigError, match="overflow"):
+        compute_fields([], world, (1,), _grid_windows(0.0, 1.0, 200))
+
+
+def test_field_columns_round_trip(small_aoi):
+    rng = np.random.default_rng(5)
+    field = compute_field(make_vectors(rng, 3000, small_aoi), small_aoi, 100,
+                          min_samples=4)
+    assert 0 < field.n_defined < len(field.entries)
+    cols = FieldColumns.from_field(field)
+    assert _bits(cols.to_field()) == _bits(field)
+    bad = MdeField(100, ALL_TIME, small_aoi,
+                   {MeshId(1000, 0, 0): MeshEntry(3, None)})
+    with pytest.raises(InvalidScaleError):
+        FieldColumns.from_field(bad)

@@ -1,14 +1,19 @@
 """CSV, GeoJSON, and summary round trips."""
 
+import csv
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from mdemap import (ALL_TIME, CombinedMap, GeoPoint, MdeField, MeshEntry,
-                    MeshId, PointParseError, PrecisionCurve, RecallCurve,
-                    Station, TimeWindow, TrajectoryPoint, parse_points)
+from mdemap import (ALL_TIME, CombinedMap, DEFAULT_AOI, GeoPoint, MAX_ENTROPY,
+                    MdeField, MeshEntry, MeshId, PointParseError,
+                    PrecisionCurve, RecallCurve, Station, TimeWindow,
+                    TrajectoryPoint, combine, compute_fields, mesh_center,
+                    normalize, parse_points)
+from mdemap.io import FIELD_HEADER
 from mdemap.io import (combined_geojson, field_geojson, read_combined_csv,
                        read_field_csv, read_stations_csv, write_combined_csv,
                        write_field_csv, write_geojson, write_points_csv,
@@ -179,3 +184,85 @@ def test_write_read_is_byte_stable(small_aoi, tmp_path):
     write_field_csv(f, p1)
     write_field_csv(read_field_csv(p1, small_aoi), p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+# -- golden bytes: the array writers against a per-row reference --------------
+
+def _reference_rows(path, header, meshes, aoi, tail):
+    """The per-row writer: csv.writer and one mesh_center call per mesh."""
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(header)
+        for m in sorted(meshes, key=lambda m: (m.scale_m, m.row, m.col)):
+            c = mesh_center(m, aoi)
+            w.writerow((m.scale_m, m.col, m.row, repr(float(c.lat)),
+                        repr(float(c.lon))) + tail(m))
+
+
+def _reference_field_csv(field, path):
+    def tail(m):
+        e = field.entries[m]
+        if e.entropy is None:
+            return e.count, "", ""
+        return (e.count, repr(float(e.entropy)),
+                repr(float(e.entropy / MAX_ENTROPY)))
+    _reference_rows(path, FIELD_HEADER, field.entries, field.aoi, tail)
+
+
+def _reference_combined_csv(cmap, path):
+    _reference_rows(path, FIELD_HEADER + ("score",), cmap.scores, cmap.aoi,
+                    lambda m: ("", "", "", repr(float(cmap.scores[m]))))
+
+
+def _same_bytes(tmp_path, write, reference, obj):
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    write(obj, got)
+    reference(obj, want)
+    assert got.read_bytes() == want.read_bytes()
+
+
+_meshes = st.tuples(st.integers(0, 700), st.integers(0, 400))
+
+
+@settings(max_examples=60, deadline=None)
+@given(entries=st.dictionaries(
+    _meshes,
+    st.tuples(st.integers(1, 10**6),
+              st.none() | st.floats(0.0, MAX_ENTROPY)),
+    max_size=40))
+def test_field_csv_matches_reference_bytes(tmp_path_factory, entries):
+    field = MdeField(100, ALL_TIME, DEFAULT_AOI,
+                     {MeshId(100, c, r): MeshEntry(n, h)
+                      for (c, r), (n, h) in entries.items()})
+    _same_bytes(tmp_path_factory.mktemp("field"), write_field_csv,
+                _reference_field_csv, field)
+
+
+@settings(max_examples=60, deadline=None)
+@given(scores=st.dictionaries(
+    st.tuples(st.sampled_from([100, 1000]), st.integers(0, 700),
+              st.integers(0, 400)),
+    st.floats(0.0, 1.0), max_size=40))
+def test_combined_csv_matches_reference_bytes(tmp_path_factory, scores):
+    cmap = CombinedMap(100, DEFAULT_AOI,
+                       {MeshId(*k): v for k, v in scores.items()}, (100,))
+    _same_bytes(tmp_path_factory.mktemp("combined"), write_combined_csv,
+                _reference_combined_csv, cmap)
+
+
+def test_computed_outputs_match_reference_bytes(tmp_path):
+    from _throughput import uniform_batch
+
+    batch = uniform_batch(60_000, DEFAULT_AOI, 3)
+    windows = [TimeWindow(0.0, 5e4), TimeWindow(5e4, 1e5)]
+    fields, _ = compute_fields(batch, DEFAULT_AOI, (1000, 2000), windows, 20)
+    assert all(f.count.size and f.n_defined for f in fields)
+    for cols in fields:
+        field = cols.to_field()
+        got = tmp_path / "columns.csv"
+        write_field_csv(cols, got)
+        _same_bytes(tmp_path, write_field_csv, _reference_field_csv, field)
+        assert got.read_bytes() == (tmp_path / "want.csv").read_bytes()
+    cmap = combine([normalize(f.to_field()) for f in fields[::2]], 1000)
+    assert len(cmap.scores) > 1000
+    _same_bytes(tmp_path, write_combined_csv, _reference_combined_csv, cmap)

@@ -4,11 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from mdemap import (AreaOfInterest, DEFAULT_AOI, GeoPoint, LocalCoord,
                     MeshId, METERS_PER_DEGREE, ConfigError, InvalidScaleError,
                     OutOfAreaError, geo_distance, inverse_project,
-                    mesh_center, mesh_corners, mesh_of, parent_of, project)
+                    mesh_center, mesh_centers, mesh_corners, mesh_of,
+                    parent_of, project)
 from mdemap.mesh import project_arrays
 
 # frozen oracle values, 50-digit arithmetic on the R=6,371,000 m sphere
@@ -149,3 +151,18 @@ def test_contains_is_closed_on_boundary():
     assert DEFAULT_AOI.contains(GeoPoint(35.5, 139.3))
     assert DEFAULT_AOI.contains(GeoPoint(35.85, 140.0))
     assert not DEFAULT_AOI.contains(GeoPoint(35.85000001, 140.0))
+
+
+@given(scale=st.sampled_from([1, 7, 100, 1000, 4000]),
+       cells=st.lists(st.tuples(st.integers(0, 70_000),
+                                st.integers(0, 40_000)), max_size=30),
+       west=st.floats(-180.0, 179.0), south=st.floats(-90.0, 89.0))
+def test_mesh_centers_equal_mesh_center_bits(scale, cells, west, south):
+    aoi = AreaOfInterest.from_bounds(west, west + 1.0, south, south + 1.0)
+    col_row = np.array(cells, dtype=np.int64).reshape(-1, 2)
+    want = [mesh_center(MeshId(scale, c, r), aoi) for c, r in cells]
+    per_mesh = np.full(len(cells), scale, dtype=np.int64)
+    for s in (scale, per_mesh):
+        lat, lon = mesh_centers(s, col_row[:, 0], col_row[:, 1], aoi)
+        assert [x.hex() for x in lat.tolist()] == [c.lat.hex() for c in want]
+        assert [x.hex() for x in lon.tolist()] == [c.lon.hex() for c in want]
