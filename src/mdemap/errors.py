@@ -36,9 +36,11 @@ class EmptyFieldError(MdemapError):
 class PointParseError(MdemapError):
     """A trajectory input could not be parsed.
 
-    ``line_no`` is the 1-based line of the offending record when known.
+    ``line_no`` is the 1-based line of the offending record when known;
+    the message then starts with it.
     """
 
     def __init__(self, message, line_no=None):
-        super().__init__(message)
+        super().__init__(message if line_no is None
+                         else f"line {line_no}: {message}")
         self.line_no = line_no

@@ -11,8 +11,9 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from itertools import chain, compress, repeat
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
@@ -60,26 +61,79 @@ def direction_of(dx: float, dy: float) -> float:
 # -- point file parsing -------------------------------------------------
 
 _REQUIRED = ("user_id", "timestamp", "lat", "lon")
+# Characters of CSV text read per block; a block ends at a line end.
+_BLOCK_CHARS = 1 << 20
+_COLUMNS = ("user_id", "t", "lat", "lon", "heading", "speed")
 
 
-@dataclass
+@dataclass(eq=False)
 class ParseResult:
-    """Points in file order plus the count of malformed rows skipped."""
+    """Point columns in file order, plus the count of malformed rows skipped.
 
-    points: list[TrajectoryPoint]
+    ``heading`` and ``speed`` are NaN where a point has none. ``points``
+    (and iteration and ``==``) give the same data as a list of
+    ``TrajectoryPoint``, built on first use.
+    """
+
+    user_id: np.ndarray          # object array of str
+    t: np.ndarray
+    lat: np.ndarray
+    lon: np.ndarray
+    heading: np.ndarray
+    speed: np.ndarray
     skipped: int = 0
+    _points: list | None = field(default=None, init=False, repr=False)
+
+    @classmethod
+    def from_points(cls, points: Iterable[TrajectoryPoint],
+                    skipped: int = 0) -> "ParseResult":
+        """The columns of trajectory points; None becomes NaN."""
+        pts = list(points)
+        if not pts:
+            return cls(np.empty(0, dtype=object), *np.empty((5, 0)), skipped)
+        user, t, pos, heading, speed = zip(*pts)
+        lat, lon = zip(*pos)
+        return cls(np.array(user, dtype=object),
+                   *(np.array(c, dtype=np.float64)
+                     for c in (t, lat, lon, heading, speed)), skipped)
+
+    @property
+    def points(self) -> list[TrajectoryPoint]:
+        if self._points is None:
+            self._points = [
+                TrajectoryPoint(u, t, GeoPoint(la, lo), _absent(h),
+                                _absent(s))
+                for u, t, la, lo, h, s in zip(
+                    self.user_id.tolist(), self.t.tolist(),
+                    self.lat.tolist(), self.lon.tolist(),
+                    self.heading.tolist(), self.speed.tolist())]
+        return self._points
 
     def __iter__(self) -> Iterator[TrajectoryPoint]:
         return iter(self.points)
 
     def __len__(self) -> int:
-        return len(self.points)
+        return int(self.t.size)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ParseResult):
+            return NotImplemented
+        return (self.points, self.skipped) == (other.points, other.skipped)
+
+
+def _absent(v: float) -> float | None:
+    return None if math.isnan(v) else v
+
+
+def _number(raw, name: str) -> float:
+    """``float(raw)``, refusing JSON booleans (``float(True)`` is 1.0)."""
+    if isinstance(raw, bool):
+        raise ValueError(f"{name} {raw!r} is not a number")
+    return float(raw)
 
 
 def _parse_timestamp(raw) -> float:
-    if isinstance(raw, (int, float)):
-        t = float(raw)
-    else:
+    if isinstance(raw, str):
         text = raw.strip()
         try:
             t = float(text)
@@ -90,19 +144,24 @@ def _parse_timestamp(raw) -> float:
             if dt.tzinfo is None:
                 dt = dt.replace(tzinfo=timezone.utc)
             t = dt.timestamp()
+    elif isinstance(raw, (int, float)):
+        t = _number(raw, "timestamp")
+    else:
+        raise TypeError(f"timestamp {raw!r} is not a number or a string")
     if not math.isfinite(t):
         raise ValueError(f"non-finite timestamp {raw!r}")
     return t
 
 
 def _build_point(rec: dict, line_no: int) -> TrajectoryPoint:
+    """The one rule for a valid row: raises PointParseError otherwise."""
     try:
         user = rec["user_id"]
         if user is None or str(user) == "":
             raise ValueError("empty user_id")
         t = _parse_timestamp(rec["timestamp"])
-        lat = float(rec["lat"])
-        lon = float(rec["lon"])
+        lat = _number(rec["lat"], "lat")
+        lon = _number(rec["lon"], "lon")
         if not (-90.0 <= lat <= 90.0):
             raise ValueError(f"latitude {lat} out of range")
         if not (-180.0 <= lon <= 180.0):
@@ -111,17 +170,17 @@ def _build_point(rec: dict, line_no: int) -> TrajectoryPoint:
         if heading in (None, ""):
             heading = None
         else:
-            heading = float(heading)
+            heading = _number(heading, "heading")
             if not (0.0 <= heading < TWO_PI):
                 raise ValueError(f"heading {heading} outside [0, 2*pi)")
         speed = rec.get("speed")
         if speed in (None, ""):
             speed = None
         else:
-            speed = float(speed)
+            speed = _number(speed, "speed")
             if not (math.isfinite(speed) and speed >= 0.0):
                 raise ValueError(f"bad speed {speed}")
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise PointParseError(str(exc), line_no=line_no) from exc
     return TrajectoryPoint(str(user), t, GeoPoint(lat, lon), heading, speed)
 
@@ -140,7 +199,7 @@ def _open_text(source):
 
 
 def parse_points(source, fmt: str = "csv", strict: bool = False) -> ParseResult:
-    """Parse a points file (CSV or NDJSON) into trajectory points.
+    """Parse a points file (CSV or NDJSON) into point columns.
 
     Malformed rows are skipped and counted; with ``strict`` the first one
     raises instead, carrying its line number. A header missing required
@@ -158,23 +217,220 @@ def parse_points(source, fmt: str = "csv", strict: bool = False) -> ParseResult:
             stream.close()
 
 
+def _check_header(names) -> None:
+    missing = [c for c in _REQUIRED if c not in names]
+    if missing:
+        raise PointParseError(
+            f"header missing columns {', '.join(missing)}", line_no=1)
+
+
 def _parse_csv(stream, strict: bool) -> ParseResult:
-    reader = csv.DictReader(stream)
-    if reader.fieldnames is not None:
-        missing = [c for c in _REQUIRED if c not in reader.fieldnames]
-        if missing:
-            raise PointParseError(
-                f"header missing columns {', '.join(missing)}", line_no=1)
-    points: list[TrajectoryPoint] = []
+    """Blocks of plain lines are split in bulk (``_parse_block``).
+
+    From the first block holding a quote, a bare CR or a line longer than
+    the csv module's field limit, ``csv.DictReader`` reads the rest of the
+    stream row by row, as it reads every row of such files.
+    """
+    parts: list[ParseResult] = []
+    names = None
+    line_no = 0                 # lines before the current block
+    lines = stream.readlines(_BLOCK_CHARS)
+    while lines and _plain(lines):
+        if names is None:
+            names = next(csv.reader(lines[:1]), [])
+            _check_header(names)
+            line_no, lines = 1, lines[1:]
+        parts.append(_parse_block(lines, names, line_no, strict))
+        line_no += len(lines)
+        lines = stream.readlines(_BLOCK_CHARS)
+    if lines:
+        reader = csv.DictReader(chain(lines, stream), names)
+        if reader.fieldnames is not None:
+            _check_header(reader.fieldnames)
+        points: list[TrajectoryPoint] = []
+        skipped = 0
+        for rec in reader:
+            try:
+                points.append(_build_point(rec, line_no + reader.line_num))
+            except PointParseError:
+                if strict:
+                    raise
+                skipped += 1
+        parts.append(ParseResult.from_points(points, skipped))
+    return _concat(parts)
+
+
+def _plain(lines: list[str]) -> bool:
+    """Whether commas and line ends alone split these lines as csv would."""
+    text = "".join(lines)
+    # "\r" in text is a fast scan; counting "\r\n" is not
+    return ('"' not in text
+            and ("\r" not in text or text.count("\r") == text.count("\r\n"))
+            and max(map(len, lines)) <= csv.field_size_limit())
+
+
+def _parse_block(lines: list[str], names: list[str], line_no: int,
+                 strict: bool) -> ParseResult:
+    """Rows of plain lines; the first is line ``line_no + 1`` of the file.
+
+    Lines with one field per header name are split into columns, converted
+    with ``float`` and range-checked in bulk. Any other line, and any row
+    the bulk checks refuse, goes through ``_build_point``.
+    """
+    k = len(names)
+    col = {name: i for i, name in enumerate(names)}   # last duplicate wins
+    full = np.fromiter(map(str.count, lines, repeat(",")), np.int64,
+                       len(lines)) == k - 1
+    rows = "".join(compress(lines, full.tolist()))
+    if "\r" in rows:
+        rows = rows.replace("\r\n", "\n")
+    if rows and not rows.endswith("\n"):
+        rows += "\n"
+    cells = rows.replace("\n", ",").split(",")
+    cells.pop()                 # after the last line end
+    n = len(cells) // k
+
+    # each column is converted only on the rows still valid, so a block
+    # whose timestamps all need _build_point costs little more here
+    user = cells[col["user_id"]::k]
+    t = _timestamps(cells[col["timestamp"]::k])
+    ok = (np.fromiter(map(len, user), np.int64, n) > 0) & np.isfinite(t)
+    lat = _floats_at(cells[col["lat"]::k], ok)
+    lon = _floats_at(cells[col["lon"]::k], ok)
+    ok &= (lat >= -90.0) & (lat <= 90.0) & (lon >= -180.0) & (lon <= 180.0)
+    optional = []
+    for name in ("heading", "speed"):
+        v = np.full(n, np.nan)
+        if name in col:             # an empty cell means "absent"
+            text = cells[col[name]::k]
+            given = np.fromiter(map(len, text), np.int64, n) > 0
+            v = _floats_at(text, ok & given)
+            ok &= ~given | ((v >= 0.0) & (v < TWO_PI) if name == "heading"
+                            else np.isfinite(v) & (v >= 0.0))
+        optional.append(v)
+
+    at = np.flatnonzero(full)
+    keep = np.zeros(len(lines), dtype=bool)
+    keep[at[ok]] = True
+    columns = [np.empty(len(lines), dtype=object),
+               *np.full((5, len(lines)), np.nan)]
+    for column, values in zip(columns, (user, t, lat, lon, *optional)):
+        column[at] = values
     skipped = 0
-    for rec in reader:
+    found, points = [], []
+    for i in np.flatnonzero(~keep).tolist():
+        line = lines[i].rstrip("\r\n")
+        if not line:                # a blank line is no row
+            continue
+        row = line.split(",")           # a plain line: as csv.reader splits
+        rec = dict(zip(names, row))     # and as csv.DictReader maps it
+        if len(row) > k:
+            rec[None] = row[k:]
+        elif len(row) < k:
+            rec.update(dict.fromkeys(names[len(row):]))
         try:
-            points.append(_build_point(rec, reader.line_num))
+            points.append(_build_point(rec, line_no + i + 1))
         except PointParseError:
             if strict:
                 raise
             skipped += 1
-    return ParseResult(points, skipped)
+            continue
+        found.append(i)
+    if found:
+        found = np.array(found)
+        keep[found] = True
+        fixed = ParseResult.from_points(points)
+        for column, name in zip(columns, _COLUMNS):
+            column[found] = getattr(fixed, name)
+    return ParseResult(*(c[keep] for c in columns), skipped)
+
+
+def _float_or_nan(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        return math.nan
+
+
+def _floats_at(text: list[str], rows: np.ndarray) -> np.ndarray:
+    """``float`` of the cells in ``rows``, bit for bit; NaN elsewhere.
+
+    A cell that ``float`` refuses is NaN too.
+    """
+    cells = list(compress(text, rows.tolist()))
+    v = np.full(len(text), np.nan)
+    try:
+        v[rows] = np.fromiter(map(float, cells), np.float64, len(cells))
+    except ValueError:
+        v[rows] = np.fromiter(map(_float_or_nan, cells), np.float64,
+                              len(cells))
+    return v
+
+
+def _timestamps(text: list[str]) -> np.ndarray:
+    """Seconds of each timestamp cell; NaN where ``_build_point`` must decide.
+
+    ``_parse_timestamp`` tries ``float`` first, and ``float`` never accepts
+    ':'. So cells without one go through ``float``; cells with one are
+    converted in bulk when they have the 20 characters of
+    ``YYYY-MM-DDTHH:MM:SSZ``, and left to ``_build_point`` otherwise.
+    """
+    n = len(text)
+    clock = np.fromiter(map(str.__contains__, text, repeat(":")), bool, n)
+    t = _floats_at(text, ~clock)
+    iso = clock & (np.fromiter(map(len, text), np.int64, n) == 20)
+    if iso.any():
+        t[iso] = _utc_seconds(list(compress(text, iso.tolist())))
+    return t
+
+
+# Positions of the digits and of the separators in YYYY-MM-DDTHH:MM:SSZ
+_DIGITS = [0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15, 17, 18]
+_SEPARATORS = [4, 7, 10, 13, 16, 19]
+_SEPARATOR_CHARS = np.frombuffer(b"--T::Z", np.uint8)
+_MONTH_DAYS = np.array([31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
+
+
+def _utc_seconds(text: list[str]) -> np.ndarray:
+    """Unix seconds of 20-character ``YYYY-MM-DDTHH:MM:SSZ`` strings.
+
+    NaN where the shape or the calendar is wrong: a year 0, a month or a
+    day out of range, an hour past 23, a minute or second past 59, all
+    of which ``datetime.fromisoformat`` refuses too.
+    """
+    n = len(text)
+    c = np.frombuffer("".join(text).encode("ascii", "replace"),
+                      np.uint8).reshape(n, 20)
+    ok = ((c[:, _DIGITS] - ord("0") <= 9).all(axis=1)
+          & (c[:, _SEPARATORS] == _SEPARATOR_CHARS).all(axis=1))
+    d = c.astype(np.int64) - ord("0")
+
+    def number(i, j):
+        return d[:, i:j] @ 10 ** np.arange(j - i - 1, -1, -1)
+
+    year, month, day = number(0, 4), number(5, 7), number(8, 10)
+    hour, minute, second = number(11, 13), number(14, 16), number(17, 19)
+    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
+    month_days = _MONTH_DAYS[np.clip(month - 1, 0, 11)] + (leap & (month == 2))
+    ok &= ((year >= 1) & (month >= 1) & (month <= 12) & (day >= 1)
+           & (day <= month_days) & (hour <= 23) & (minute <= 59)
+           & (second <= 59))
+    # days from 1970-01-01 in the proleptic Gregorian calendar, counting
+    # years from March so that the leap day ends a year
+    y = year - (month <= 2)
+    era = y // 400
+    yoe = y - 400 * era
+    doy = (153 * ((month + 9) % 12) + 2) // 5 + day - 1
+    days = 146097 * era + 365 * yoe + yoe // 4 - yoe // 100 + doy - 719468
+    seconds = 86400 * days + 3600 * hour + 60 * minute + second
+    return np.where(ok, seconds.astype(np.float64), np.nan)
+
+
+def _concat(parts: list[ParseResult]) -> ParseResult:
+    if not parts:
+        return ParseResult.from_points([])
+    return ParseResult(*(np.concatenate([getattr(p, c) for p in parts])
+                         for c in _COLUMNS), sum(p.skipped for p in parts))
 
 
 def _parse_ndjson(stream, strict: bool) -> ParseResult:
@@ -195,7 +451,7 @@ def _parse_ndjson(stream, strict: bool) -> ParseResult:
             if strict:
                 raise
             skipped += 1
-    return ParseResult(points, skipped)
+    return ParseResult.from_points(points, skipped)
 
 
 # -- movement extraction ------------------------------------------------
@@ -281,7 +537,9 @@ def extract_movements(points, aoi: AreaOfInterest,
                       ) -> tuple[MovementBatch, ExtractionStats]:
     """Derive movement vectors from trajectory points.
 
-    Points may arrive unsorted; they are grouped by user and sorted by
+    ``points`` is a ``ParseResult``, read as columns, or any iterable of
+    ``TrajectoryPoint``, turned into the same columns first. Points may
+    arrive unsorted; they are grouped by user and sorted by
     time, and an exact duplicate (user, t) keeps the first occurrence.
     In ``consecutive`` mode each adjacent fix pair of one user becomes a
     vector when its duration is at most ``max_gap`` and its projected
@@ -293,16 +551,14 @@ def extract_movements(points, aoi: AreaOfInterest,
         raise ConfigError(f"unknown direction source {source!r}")
     if min_displacement < 0 or max_gap <= 0:
         raise ConfigError("min_displacement must be >= 0 and max_gap > 0")
-    pts = points.points if isinstance(points, ParseResult) else list(points)
-    stats = ExtractionStats(n_points=len(pts))
-    if not pts:
+    cols = (points if isinstance(points, ParseResult)
+            else ParseResult.from_points(points))
+    stats = ExtractionStats(n_points=len(cols))
+    if not len(cols):
         return _empty_batch(aoi), stats
 
-    user = np.asarray([p.user_id for p in pts], dtype=object)
-    t = np.asarray([p.t for p in pts], dtype=np.float64)
-    lat = np.asarray([p.pos.lat for p in pts], dtype=np.float64)
-    lon = np.asarray([p.pos.lon for p in pts], dtype=np.float64)
-    uniq, codes = np.unique(user.astype(str), return_inverse=True)
+    t = cols.t
+    uniq, codes = np.unique(cols.user_id.astype(str), return_inverse=True)
     stats.n_users = int(uniq.size)
     # stable (user, t) order: ties keep input order, so dedup keeps the first
     order = np.lexsort((np.arange(t.size), t, codes))
@@ -312,18 +568,14 @@ def extract_movements(points, aoi: AreaOfInterest,
     stats.dropped_duplicate = int(dup.sum())
     keep = order[~dup]
     codes, t = codes[~dup], t[~dup]
-    lat, lon, user = lat[keep], lon[keep], user[keep]
+    lat, lon, user = cols.lat[keep], cols.lon[keep], cols.user_id[keep]
 
     if source == "heading":
-        heading = np.asarray(
-            [pts[i].heading if pts[i].heading is not None else np.nan
-             for i in keep], dtype=np.float64)
-        speed = np.asarray(
-            [pts[i].speed if pts[i].speed is not None else 0.0
-             for i in keep], dtype=np.float64)
+        heading, speed = cols.heading[keep], cols.speed[keep]
         has = ~np.isnan(heading)
         stats.dropped_no_heading = int((~has).sum())
-        disp = np.maximum(speed[has], min_displacement)
+        disp = np.maximum(np.where(np.isnan(speed[has]), 0.0, speed[has]),
+                          min_displacement)
         batch = _finish_batch(aoi, user[has], t[has], lat[has], lon[has],
                               heading[has], disp,
                               np.ones(int(has.sum()), dtype=np.float64))

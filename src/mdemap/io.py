@@ -28,6 +28,9 @@ FIELD_HEADER = ("scale_m", "col", "row", "center_lat", "center_lon",
                 "count", "entropy_nats", "entropy_norm")
 STATION_HEADER = ("name", "lat", "lon", "rank")
 CURVE_HEADER = ("x", "value")
+# Relative slack above ln 100 for an entropy read back: the sum of 100
+# equal p*log(p) terms may round past it.
+ENTROPY_SLACK = 1e-12
 
 
 def _fmt(v: float) -> str:
@@ -85,9 +88,15 @@ def read_field_csv(path, aoi: AreaOfInterest,
             try:
                 m = MeshId(int(rec["scale_m"]), int(rec["col"]),
                            int(rec["row"]))
+                count = int(rec["count"])
                 raw = rec["entropy_nats"]
                 h = None if raw in (None, "") else float(raw)
-                entries[m] = MeshEntry(int(rec["count"]), h)
+                if count < 0:
+                    raise ValueError(f"negative count {count}")
+                if h is not None and not (
+                        0.0 <= h <= MAX_ENTROPY * (1 + ENTROPY_SLACK)):
+                    raise ValueError(f"entropy {h!r} outside [0, ln 100]")
+                entries[m] = MeshEntry(count, h)
             except (KeyError, TypeError, ValueError) as exc:
                 raise PointParseError(str(exc),
                                       line_no=reader.line_num) from exc
@@ -124,7 +133,10 @@ def read_combined_csv(path, aoi: AreaOfInterest) -> CombinedMap:
             try:
                 m = MeshId(int(rec["scale_m"]), int(rec["col"]),
                            int(rec["row"]))
-                scores[m] = float(rec["score"])
+                score = float(rec["score"])
+                if not math.isfinite(score):
+                    raise ValueError(f"non-finite score {score!r}")
+                scores[m] = score
             except (KeyError, TypeError, ValueError) as exc:
                 raise PointParseError(str(exc),
                                       line_no=reader.line_num) from exc

@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from mdemap import AreaOfInterest, MovementVector
 from mdemap.mesh import inverse_project, LocalCoord
+
+# Per-example deadlines fail at random on a loaded machine; every property
+# test runs without one.
+settings.register_profile("mdemap", deadline=None)
+settings.load_profile("mdemap")
 
 
 @pytest.fixture

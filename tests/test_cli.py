@@ -289,3 +289,30 @@ def test_fractional_window_names_are_unique(pipeline, tmp_path):
     assert "mde_4000m_w1600000060.5.csv" in written
     starts = {meta["window"][0] for meta in summary["files"].values()}
     assert len(starts) == n_windows
+
+
+@pytest.mark.parametrize("row", ["u1", "   "])
+def test_rows_without_a_timestamp(tmp_path, capsys, row):
+    pts = tmp_path / "points.csv"
+    pts.write_text("user_id,timestamp,lat,lon\n"
+                   "u,0,35.51,139.45\n"
+                   f"{row}\n"
+                   "u,60,35.512,139.45\n")
+    assert main(["compute", str(pts), "--strict",
+                 "--out", str(tmp_path)]) == 3
+    assert "line 3: " in capsys.readouterr().err
+    assert main(["compute", str(pts), "--min-samples", "1",
+                 "--out", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "compute_summary.json").read_text())
+    assert summary["points_skipped"] == 1 and summary["vectors"] == 1
+
+
+def test_combine_refuses_nan_entropy(tmp_path):
+    field = tmp_path / "mde_100m.csv"
+    field.write_text("scale_m,col,row,center_lat,center_lon,count,"
+                     "entropy_nats,entropy_norm\n"
+                     "100,0,0,35.5,139.3,40,nan,nan\n"
+                     "100,1,0,35.5,139.3,40,1.5,0.3\n"
+                     "100,2,0,35.5,139.3,40,2.5,0.5\n")
+    assert main(["combine", str(field), "--out", str(tmp_path)]) == 3
+    assert not (tmp_path / "combined.csv").exists()

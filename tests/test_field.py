@@ -326,7 +326,7 @@ def _windowed_input(draw):
     return vectors, windows
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(case=_windowed_input(), min_samples=st.integers(1, 4))
 def test_compute_fields_equals_per_window_accumulators(case, min_samples):
     vectors, windows = case

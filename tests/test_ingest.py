@@ -1,16 +1,23 @@
 """Point parsing and movement extraction."""
 
+import csv
 import io
 import json
 import math
 import random
+from datetime import datetime
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from mdemap import (ConfigError, GeoPoint, MovementBatch, PointParseError,
-                    TrajectoryPoint, UndefinedDirectionError, direction_of,
-                    extract_movements, parse_points)
+from mdemap import (ConfigError, DEFAULT_AOI, GeoPoint, MovementBatch,
+                    ParseResult, PointParseError, TrajectoryPoint,
+                    UndefinedDirectionError, direction_of, extract_movements,
+                    ingest, parse_points)
+from mdemap.ingest import _build_point, _parse_timestamp, _utc_seconds
+from mdemap.io import write_points_csv
 from mdemap.mesh import inverse_project, LocalCoord
 
 CSV_HEADER = "user_id,timestamp,lat,lon\n"
@@ -290,3 +297,330 @@ def test_thetas_always_in_range(small_aoi):
     th = batch.theta
     assert ((th >= 0.0) & (th < 2 * math.pi)).all()
     assert (batch.displacement >= 10.0).all()
+
+
+# -- point columns ---------------------------------------------------------
+
+
+def test_parse_result_holds_columns():
+    src = ("user_id,timestamp,lat,lon,heading,speed\n"
+           "a,0,35.5,139.4,3.14,1.5\n"
+           "b,bad,35.5,139.4,,\n"
+           "b,2020-09-13T12:26:40Z,35.6,139.5,,2.0\n")
+    got = parse_points(io.StringIO(src))
+    assert len(got) == 2 and got.skipped == 1
+    assert got.user_id.tolist() == ["a", "b"]
+    assert got.t.tolist() == [0.0, 1_600_000_000.0]
+    assert got.lat.tolist() == [35.5, 35.6]
+    assert got.lon.tolist() == [139.4, 139.5]
+    assert got.heading[0] == 3.14 and np.isnan(got.heading[1])
+    assert got.speed.tolist() == [1.5, 2.0]
+    assert got.points[1] == TrajectoryPoint(
+        "b", 1_600_000_000.0, GeoPoint(35.6, 139.5), None, 2.0)
+    assert got == ParseResult.from_points(got.points, skipped=1)
+    assert got != ParseResult.from_points(got.points)
+
+
+def test_extract_reads_columns_like_points(tmp_path):
+    rng = random.Random(8)
+    pts = [TrajectoryPoint(f"u{k % 7}", 60.0 * (k // 7),
+                           GeoPoint(35.5 + rng.uniform(0, 0.3),
+                                    139.3 + rng.uniform(0, 0.6)),
+                           rng.choice([None, rng.uniform(0, 6)]),
+                           rng.choice([None, rng.uniform(0, 40)]))
+           for k in range(300)]
+    write_points_csv(pts, tmp_path / "p.csv")
+    parsed = parse_points(tmp_path / "p.csv")
+    for source in ("consecutive", "heading"):
+        a, sa = extract_movements(parsed, DEFAULT_AOI, source=source)
+        b, sb = extract_movements(pts, DEFAULT_AOI, source=source)
+        assert sa == sb and sa.n_vectors > 0
+        assert list(a) == list(b)
+
+
+@pytest.mark.parametrize("fmt, src, line", [
+    ("csv", "user_id,timestamp,lat,lon\nu,0,35.5,139.4\nu1\n", 3),
+    ("csv", "user_id,timestamp,lat,lon\n   \nu,0,35.5,139.4\n", 2),
+    ("ndjson", '{"user_id": "u", "timestamp": 0, "lat": 35.5, "lon": 139.4}\n'
+               '{"user_id": "u", "timestamp": null, "lat": 35.5, "lon": 1}\n',
+     2),
+    ("ndjson", '{"user_id": "u", "timestamp": [1], "lat": 35.5, "lon": 1}\n',
+     1),
+])
+def test_rows_without_a_timestamp_are_skipped(fmt, src, line):
+    got = parse_points(io.StringIO(src), fmt=fmt)
+    assert got.skipped == 1
+    with pytest.raises(PointParseError) as err:
+        parse_points(io.StringIO(src), fmt=fmt, strict=True)
+    assert err.value.line_no == line
+    assert str(err.value).startswith(f"line {line}: ")
+
+
+@pytest.mark.parametrize("key", ["timestamp", "lat", "lon", "heading",
+                                 "speed"])
+def test_ndjson_booleans_are_not_numbers(key):
+    rec = {"user_id": "u", "timestamp": 5, "lat": 35.5, "lon": 139.4,
+           "heading": 1.0, "speed": 1.0}
+    assert len(parse_points(io.StringIO(json.dumps(rec)), fmt="ndjson")) == 1
+    rec[key] = True
+    got = parse_points(io.StringIO(json.dumps(rec)), fmt="ndjson")
+    assert len(got) == 0 and got.skipped == 1
+
+
+def test_huge_json_integers_are_skipped():
+    src = json.dumps({"user_id": "u", "timestamp": 10 ** 400, "lat": 35.5,
+                      "lon": 139.4})
+    assert parse_points(io.StringIO(src), fmt="ndjson").skipped == 1
+
+
+def test_quoted_block_hands_over_to_csv_module():
+    src = ("user_id,timestamp,lat,lon\n"
+           "a,0,35.5,139.4\n"
+           '"b,\n2",60,35.5,139.4\n'
+           "c,bad,35.5,139.4\n")
+    with mock.patch.object(ingest, "_BLOCK_CHARS", 1):
+        got = parse_points(io.StringIO(src, newline=""))
+        assert got.user_id.tolist() == ["a", "b,\n2"] and got.skipped == 1
+        with pytest.raises(PointParseError) as err:
+            parse_points(io.StringIO(src, newline=""), strict=True)
+    assert err.value.line_no == 5
+
+
+_DATES = st.datetimes(min_value=datetime(1, 1, 1),
+                      max_value=datetime(9999, 12, 31, 23, 59, 59))
+
+
+def _iso(d: datetime, tail: str = "Z") -> str:
+    return (f"{d.year:04d}-{d.month:02d}-{d.day:02d}T"
+            f"{d.hour:02d}:{d.minute:02d}:{d.second:02d}{tail}")
+
+
+@settings(max_examples=300)
+@given(text=st.one_of(
+    _DATES.map(_iso),
+    st.text("0123456789-T:Z", min_size=20, max_size=20),
+    st.tuples(_DATES.map(_iso), st.integers(0, 19),
+              st.sampled_from("0123456789-T:Zz t9é")).map(
+        lambda a: a[0][:a[1]] + a[2] + a[0][a[1] + 1:])))
+def test_utc_seconds_match_fromisoformat(text):
+    got = _utc_seconds([text])[0]
+    try:
+        want = _parse_timestamp(text)
+    except ValueError:
+        want = math.nan
+    if not math.isnan(got):
+        assert got.hex() == want.hex()
+    elif text[10] == "T" and text[19] == "Z":
+        assert math.isnan(want)      # canonical shape: refused by both
+
+
+@pytest.mark.parametrize("text", [
+    "2024-02-29T23:59:59Z", "2000-02-29T00:00:00Z", "0001-01-01T00:00:00Z",
+    "9999-12-31T23:59:59Z", "1970-01-01T00:00:00Z", "1969-12-31T23:59:59Z",
+    "2023-02-29T00:00:00Z", "2100-02-29T00:00:00Z", "0000-01-01T00:00:00Z",
+    "2024-04-31T00:00:00Z", "2024-00-10T00:00:00Z", "2024-13-01T00:00:00Z",
+    "2024-01-00T00:00:00Z", "2024-01-01T24:00:00Z", "2024-01-01T23:60:00Z",
+    "2024-01-01T23:59:60Z", "2024-01-01t00:00:00Z", "2024-01-01T00:00:00z",
+    "2024-01-01 00:00:00Z", "2024-01-01T00:00:0.Z", "+024-01-01T00:00:00Z"])
+def test_utc_seconds_calendar_edges(text):
+    got = _utc_seconds([text])[0]
+    if text[10] == "T" and text[19] == "Z" and "+" not in text:
+        try:
+            want = _parse_timestamp(text)
+        except ValueError:
+            want = math.nan
+        assert got.hex() == want.hex()
+    else:                           # left to _parse_timestamp row by row
+        assert math.isnan(got)
+
+
+# -- the columnar parse against the row-by-row reference -------------------
+
+def _reference(text: str, strict: bool = False):
+    """The parse before columns: csv.DictReader and _build_point per row."""
+    reader = csv.DictReader(io.StringIO(text, newline=""))
+    points, skipped = [], 0
+    for rec in reader:
+        try:
+            points.append(_build_point(rec, reader.line_num))
+        except PointParseError:
+            if strict:
+                raise
+            skipped += 1
+    return points, skipped
+
+
+def _hex(v) -> str:
+    return "nan" if v is None else float(v).hex()
+
+
+def _point_rows(points):
+    return [(p.user_id, _hex(p.t), _hex(p.pos.lat), _hex(p.pos.lon),
+             _hex(p.heading), _hex(p.speed)) for p in points]
+
+
+def _column_rows(result: ParseResult):
+    return [(u, *map(_hex, rest)) for u, *rest in zip(
+        result.user_id.tolist(), result.t.tolist(), result.lat.tolist(),
+        result.lon.tolist(), result.heading.tolist(), result.speed.tolist())]
+
+
+def _numbers(lo, hi):
+    return st.one_of(st.floats(lo, hi).map(repr),
+                     st.integers(math.ceil(lo), math.floor(hi)).map(str))
+
+
+_VALID = {
+    "user_id": st.text("abcé09_ ", min_size=1, max_size=5),
+    "timestamp": st.one_of(
+        st.integers(-10 ** 10, 10 ** 10).map(str),
+        st.floats(-1e12, 1e12).map(repr), _DATES.map(_iso),
+        _DATES.map(lambda d: _iso(d, ".5Z")),
+        _DATES.map(lambda d: _iso(d, "+09:00"))),
+    "lat": _numbers(-90, 90),
+    "lon": _numbers(-180, 180),
+    "heading": st.just("") | st.floats(
+        0, 2 * math.pi, exclude_max=True).map(repr),
+    "speed": st.just("") | _numbers(0, 1e3),
+}
+
+
+def _outside(lo, hi):
+    return (st.floats(max_value=lo, exclude_max=True, allow_infinity=False)
+            | st.floats(min_value=hi, exclude_min=True, allow_infinity=False)
+            ).map(repr)
+
+
+# Cells each column refuses: out of range, non-finite or not a number
+_BAD = {
+    "user_id": st.just(""),
+    "timestamp": st.sampled_from([
+        "nan", "inf", "soon", "", "2023-02-29T00:00:00Z",
+        "0000-01-01T00:00:00Z", "2024-01-01T24:00:00Z",
+        "2024-13-01T00:00:00Z", "2024-01-01T00:60:00Z"]),
+    "lat": _outside(-90, 90) | st.sampled_from(["nan", "north", ""]),
+    "lon": _outside(-180, 180) | st.sampled_from(["nan", "-inf", ""]),
+    "heading": _outside(0, 2 * math.pi) | st.sampled_from(["nan", "inf"]),
+    "speed": st.floats(max_value=-1e-300, allow_infinity=False).map(repr)
+    | st.sampled_from(["nan", "inf"]),
+}
+# Valid numbers in unusual spellings, and the range edges
+_ODD = st.sampled_from([
+    "1_0", " 35.5 ", "1e1", "+3", "-0.0", "0", "90", "-90.0", "180.0",
+    "-180", repr(math.nextafter(2 * math.pi, 0)), "2024-01-01t00:00:00z",
+    "2024-01-01 00:00:00Z"])
+
+
+@st.composite
+def _points_file(draw):
+    """A points CSV text mixing valid and malformed rows.
+
+    Returns the text and its number of data rows: every record but blank
+    lines, a quoted line break staying inside its record.
+    """
+    names = ["user_id", "timestamp", "lat", "lon"]
+    if draw(st.booleans()):
+        names += ["heading", "speed"]
+    names = draw(st.permutations(names))
+    if draw(st.booleans()):         # a duplicate name: the last one wins
+        names = names + [draw(st.sampled_from(names))]
+    ends = st.sampled_from(["\n"] * 6 + ["\r\n"] * 3 + ["\r"])
+    text = ",".join(names) + draw(ends)
+    rows = 0
+    for _ in range(draw(st.integers(0, 25))):
+        kind = draw(st.sampled_from(["row"] * 4 + ["bad"] * 4 + [
+            "odd", "odd", "short", "long", "blank", "space", "quoted"]))
+        cells = [draw(_VALID[n]) for n in names]
+        i = draw(st.integers(0, len(cells) - 1))
+        if kind == "bad":
+            cells[i] = draw(_BAD[names[i]])
+        elif kind == "odd":
+            cells[i] = draw(_ODD)
+        elif kind == "short":
+            cells = cells[:max(i, 1)]
+        elif kind == "long":
+            cells.append("x")
+        elif kind == "quoted":
+            cells[i] = '"' + draw(st.sampled_from(
+                [cells[i], "a,b", "a\nb", 'a""b'])) + '"'
+        record = {"blank": "", "space": "  "}.get(kind, ",".join(cells))
+        rows += record != ""
+        text += record + draw(ends)
+    if text.endswith("\n") and not text.endswith("\r\n") and draw(
+            st.booleans()):
+        text = text[:-1]            # no line end after the last record
+    return text, rows
+
+
+@settings(max_examples=200)
+@given(case=_points_file(), block=st.integers(1, 80))
+def test_parse_equals_row_reference(case, block):
+    text, rows = case
+    with mock.patch.object(ingest, "_BLOCK_CHARS", block):
+        got = parse_points(io.StringIO(text, newline=""))
+        points, skipped = _reference(text)
+        assert got.skipped + len(got) == rows
+        assert got.skipped == skipped
+        assert _column_rows(got) == _point_rows(points)
+        try:
+            _reference(text, strict=True)
+        except PointParseError as want:
+            with pytest.raises(PointParseError) as err:
+                parse_points(io.StringIO(text, newline=""), strict=True)
+            assert err.value.line_no == want.line_no
+        else:
+            assert parse_points(io.StringIO(text, newline=""),
+                                strict=True) == got
+
+
+@pytest.mark.parametrize("name, cell", [
+    ("user_id", ""), ("user_id", " "), ("timestamp", "inf"),
+    ("timestamp", "-1e308"), ("timestamp", "1_600_000_000"),
+    ("lat", "90"), ("lat", "-90.0"), ("lat", "90.00000000000001"),
+    ("lat", "-1e400"), ("lon", "180"), ("lon", "-180.5"), ("lon", "nan"),
+    ("heading", "0"), ("heading", "-0.0"), ("heading", "-1e-300"),
+    ("heading", repr(2 * math.pi)), ("heading", repr(math.nextafter(
+        2 * math.pi, 0))), ("heading", ""), ("speed", "0"), ("speed", "-0.0"),
+    ("speed", "-1e-300"), ("speed", "1e308"), ("speed", "inf"),
+    ("speed", "")])
+def test_bulk_checks_match_build_point(name, cell):
+    row = {"user_id": "u", "timestamp": "2020-01-01T00:00:00Z",
+           "lat": "35.5", "lon": "139.4", "heading": "1.0", "speed": "2.0"}
+    row[name] = cell
+    text = ",".join(row) + "\n" + ",".join(row.values()) + "\n"
+    got = parse_points(io.StringIO(text, newline=""))
+    points, skipped = _reference(text)
+    assert got.skipped == skipped
+    assert _column_rows(got) == _point_rows(points)
+
+
+def test_overlong_field_fails_as_in_the_csv_module():
+    text = (CSV_HEADER + "a,0,35.5,139.4\n"
+            + "u" * (csv.field_size_limit() + 1) + ",0,35.5,139.4\n")
+    with pytest.raises(csv.Error):
+        _reference(text)
+    with pytest.raises(csv.Error):
+        parse_points(io.StringIO(text, newline=""))
+
+
+_POINTS = st.lists(st.builds(
+    TrajectoryPoint,
+    st.text(min_size=1, max_size=6).filter(lambda u: u.strip("\r\n") == u),
+    st.one_of(st.integers(-10 ** 12, 10 ** 12).map(float),
+              st.floats(-1e12, 1e12)),
+    st.builds(GeoPoint, st.floats(-90, 90), st.floats(-180, 180)),
+    st.none() | st.floats(0, 2 * math.pi, exclude_max=True),
+    st.none() | st.floats(0, 1e9)), max_size=30)
+
+
+@settings(max_examples=200)
+@given(points=_POINTS, block=st.integers(1, 80))
+def test_written_points_parse_back(tmp_path_factory, points, block):
+    path = tmp_path_factory.mktemp("points") / "points.csv"
+    write_points_csv(points, path)
+    with mock.patch.object(ingest, "_BLOCK_CHARS", block):
+        got = parse_points(path)
+    assert got.skipped == 0 and got.points == points
+    # bit for bit, but a time of -0.0 s is written as the integer 0
+    assert _column_rows(got) == _point_rows(
+        [p._replace(t=p.t + 0.0) for p in points])

@@ -3,6 +3,8 @@
 import csv
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from mdemap import (ALL_TIME, CombinedMap, DEFAULT_AOI, GeoPoint, MAX_ENTROPY,
                     PrecisionCurve, RecallCurve, Station, TimeWindow,
                     TrajectoryPoint, combine, compute_fields, mesh_center,
                     normalize, parse_points)
-from mdemap.io import FIELD_HEADER
+from mdemap.io import ENTROPY_SLACK, FIELD_HEADER, STATION_HEADER
 from mdemap.io import (combined_geojson, field_geojson, read_combined_csv,
                        read_field_csv, read_stations_csv, write_combined_csv,
                        write_field_csv, write_geojson, write_points_csv,
@@ -224,7 +226,7 @@ def _same_bytes(tmp_path, write, reference, obj):
 _meshes = st.tuples(st.integers(0, 700), st.integers(0, 400))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(entries=st.dictionaries(
     _meshes,
     st.tuples(st.integers(1, 10**6),
@@ -238,7 +240,7 @@ def test_field_csv_matches_reference_bytes(tmp_path_factory, entries):
                 _reference_field_csv, field)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(scores=st.dictionaries(
     st.tuples(st.sampled_from([100, 1000]), st.integers(0, 700),
               st.integers(0, 400)),
@@ -266,3 +268,56 @@ def test_computed_outputs_match_reference_bytes(tmp_path):
     cmap = combine([normalize(f.to_field()) for f in fields[::2]], 1000)
     assert len(cmap.scores) > 1000
     _same_bytes(tmp_path, write_combined_csv, _reference_combined_csv, cmap)
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+@pytest.mark.parametrize("name, header", [("field CSV", FIELD_HEADER),
+                                          ("stations CSV", STATION_HEADER)])
+def test_readme_file_formats_match_headers(name, header):
+    documented = re.search(rf"\*\*{name}\*\* — `([^`]*)`",
+                           README.read_text(encoding="utf-8"))
+    assert documented is not None, f"README lists no {name} columns"
+    assert documented.group(1) == ",".join(header)
+
+
+_MAX_READ = MAX_ENTROPY * (1 + ENTROPY_SLACK)
+
+
+@pytest.mark.parametrize("count, entropy", [
+    ("5", "nan"), ("5", "inf"), ("5", "-inf"), ("5", "-0.25"),
+    ("5", repr(MAX_ENTROPY * (1 + 3 * ENTROPY_SLACK))), ("-1", "1.5"),
+    ("-1", "")])
+def test_field_csv_rejects_bad_values(small_aoi, tmp_path, count, entropy):
+    p = tmp_path / "field.csv"
+    write_field_csv(_field(small_aoi), p)
+    lines = p.read_text().splitlines()
+    row = lines[2].split(",")
+    row[5], row[6] = count, entropy
+    lines[2] = ",".join(row)
+    p.write_text("\n".join(lines) + "\n")
+    with pytest.raises(PointParseError) as err:
+        read_field_csv(p, small_aoi)
+    assert err.value.line_no == 3
+
+
+@pytest.mark.parametrize("entropy", ["0.0", repr(MAX_ENTROPY), repr(_MAX_READ),
+                                     ""])
+def test_field_csv_accepts_entropy_bounds(small_aoi, tmp_path, entropy):
+    p = tmp_path / "field.csv"
+    p.write_text(",".join(FIELD_HEADER)
+                 + f"\n100,0,0,35.5,139.3,40,{entropy},\n")
+    (entry,) = read_field_csv(p, small_aoi).entries.values()
+    assert entry.entropy == (float(entropy) if entropy else None)
+
+
+@pytest.mark.parametrize("score", ["nan", "inf", "-inf"])
+def test_combined_csv_rejects_non_finite_scores(small_aoi, tmp_path, score):
+    p = tmp_path / "combined.csv"
+    p.write_text(",".join(FIELD_HEADER) + ",score\n"
+                 "100,0,0,35.5,139.3,,,,0.5\n"
+                 f"100,1,0,35.5,139.3,,,,{score}\n")
+    with pytest.raises(PointParseError) as err:
+        read_combined_csv(p, small_aoi)
+    assert err.value.line_no == 3
