@@ -10,12 +10,10 @@ from .mesh import (AreaOfInterest, DEFAULT_AOI, EARTH_RADIUS_M, GeoPoint,
 from .ingest import (ExtractionStats, MovementBatch, MovementVector,
                      ParseResult, TrajectoryPoint, direction_of,
                      extract_movements, parse_points)
-from .field import (ALL_TIME, BIN_WIDTH, DirectionHistogram, FieldAccumulator,
-                    FieldColumns, MAX_ENTROPY, MdeField, MeshEntry, N_BINS,
-                    TimeWindow, bin_of, compute_field, compute_fields, entropy,
-                    entropy_norm)
-from .fusion import (CombinedMap, NormalizedLayer, combine, find_local_peaks,
-                     normalize)
+from .field import (ALL_TIME, BIN_WIDTH, FieldAccumulator, MAX_ENTROPY,
+                    MdeField, MeshEntry, N_BINS, TimeWindow, compute_field,
+                    compute_fields, entropy_norm)
+from .fusion import CombinedMap, combine, find_local_peaks, normalize
 from .evaluation import (DEFAULT_RADII_KM, DEFAULT_THRESHOLDS_M,
                          DEFAULT_TOP_K, PrecisionCurve, RecallCurve, Station,
                          TopKSelection, check_stations, default_x_values,
@@ -27,21 +25,21 @@ from . import kernels
 __version__ = "0.1.0"
 
 __all__ = [
-    "AreaOfInterest", "ALL_TIME", "BIN_WIDTH", "CombinedMap", "ConfigError",
-    "Corridor", "DEFAULT_AOI", "DEFAULT_RADII_KM", "DEFAULT_THRESHOLDS_M",
-    "DEFAULT_TOP_K", "DirectionHistogram", "EARTH_RADIUS_M", "EmptyFieldError",
-    "EmptyHistogramError", "ExtractionStats", "FieldAccumulator",
-    "FieldColumns", "GeoPoint", "GroundTruth", "Hub", "InvalidAngleError",
-    "InvalidScaleError", "LocalCoord", "MAX_ENTROPY", "MdeField",
-    "MdemapError", "MeshEntry", "MeshId", "METERS_PER_DEGREE", "MovementBatch",
-    "MovementVector", "N_BINS", "NormalizedLayer", "OutOfAreaError",
+    "AreaOfInterest", "ALL_TIME", "BIN_WIDTH", "CombinedMap",
+    "ConfigError", "Corridor", "DEFAULT_AOI", "DEFAULT_RADII_KM",
+    "DEFAULT_THRESHOLDS_M", "DEFAULT_TOP_K", "EARTH_RADIUS_M",
+    "EmptyFieldError", "EmptyHistogramError", "ExtractionStats",
+    "FieldAccumulator", "GeoPoint", "GroundTruth", "Hub",
+    "InvalidAngleError", "InvalidScaleError", "LocalCoord", "MAX_ENTROPY",
+    "MdeField", "MdemapError", "MeshEntry", "MeshId", "METERS_PER_DEGREE",
+    "MovementBatch", "MovementVector", "N_BINS", "OutOfAreaError",
     "ParseResult", "PointParseError", "PrecisionCurve", "RecallCurve",
     "STANDARD_SCALES_M", "Station", "SynthConfig", "TimeWindow",
-    "TopKSelection", "TrajectoryPoint", "UndefinedDirectionError", "bin_of",
+    "TopKSelection", "TrajectoryPoint", "UndefinedDirectionError",
     "check_stations", "combine", "compute_field", "compute_fields",
     "default_config", "default_sites", "default_x_values", "direction_of",
-    "entropy", "entropy_norm", "extract_movements", "find_local_peaks",
-    "generate", "geo_distance", "inverse_project", "kernels", "mesh_center",
+    "entropy_norm", "extract_movements", "find_local_peaks", "generate",
+    "geo_distance", "inverse_project", "kernels", "mesh_center",
     "mesh_centers", "mesh_corners", "mesh_of", "normalize", "parent_of",
     "parse_points", "precision_curve", "project", "recall_curve", "top_k",
 ]

@@ -28,7 +28,7 @@ from .evaluation import (DEFAULT_RADII_KM, DEFAULT_THRESHOLDS_M,
 from .field import ALL_TIME, TimeWindow, compute_fields
 from .fusion import combine, find_local_peaks, normalize
 from .ingest import extract_movements, parse_points
-from .mesh import (AreaOfInterest, DEFAULT_AOI, mesh_center,
+from .mesh import (AreaOfInterest, DEFAULT_AOI, mesh_centers,
                    STANDARD_SCALES_M)
 from .synth import SynthConfig, default_sites, generate
 
@@ -295,24 +295,39 @@ def cmd_compute(args) -> int:
     return 0
 
 
+def _read_fields(paths, aoi: AreaOfInterest) -> list:
+    """Field files of distinct scales; a repeated scale is a usage error."""
+    fields, first = [], {}
+    for path in paths:
+        field = mio.read_field_csv(path, aoi)
+        if field.scale_m in first:
+            raise ConfigError(f"{path} and {first[field.scale_m]} are both "
+                              f"{field.scale_m} m fields")
+        first[field.scale_m] = path
+        fields.append(field)
+    return fields
+
+
 def cmd_combine(args) -> int:
     cfg = _load_config(args.config)
     aoi = _setting(args, cfg, "aoi", DEFAULT_AOI, _parse_aoi)
     mode = _setting(args, cfg, "mode", "mean")
     floor = _setting(args, cfg, "percentile_floor", 90.0, float)
     out = _outdir(args, cfg)
-    fields = [mio.read_field_csv(p, aoi) for p in args.fields]
+    fields = _read_fields(args.fields, aoi)
     layers = [normalize(f) for f in fields]
     base = min(f.scale_m for f in fields)
     cmap = combine(layers, base, mode=mode)
     mio.write_combined_csv(cmap, out / "combined.csv")
     peaks = find_local_peaks(cmap, percentile_floor=floor)
+    col, row = cmap.col[peaks], cmap.row[peaks]
+    lat, lon = mesh_centers(base, col, row, aoi)
     with open(out / "peaks.csv", "w", encoding="utf-8", newline="") as f:
         f.write("scale_m,col,row,center_lat,center_lon,score\n")
-        for m in peaks:
-            c = mesh_center(m, aoi)
-            f.write(f"{m.scale_m},{m.col},{m.row},{c.lat!r},{c.lon!r},"
-                    f"{cmap.scores[m]!r}\n")
+        f.writelines(f"{base},{c},{r},{la!r},{lo!r},{v!r}\n"
+                     for c, r, la, lo, v in zip(
+                         col.tolist(), row.tolist(), lat.tolist(),
+                         lon.tolist(), cmap.scores[peaks].tolist()))
     mio.write_summary({
         "command": "combine", "mode": mode, "base_scale_m": base,
         "contributing_scales": sorted(f.scale_m for f in fields),
@@ -332,8 +347,7 @@ def cmd_evaluate(args) -> int:
     stations = mio.read_stations_csv(args.stations)
     files: list[str] = []
     k_used: dict[str, int] = {}
-    for path in args.fields:
-        field = mio.read_field_csv(path, aoi)
+    for field in _read_fields(args.fields, aoi):
         k = k_over.get(field.scale_m,
                        DEFAULT_TOP_K.get(field.scale_m, 50))
         k_used[str(field.scale_m)] = k

@@ -16,7 +16,7 @@ import numpy as np
 from . import kernels
 from .errors import ConfigError, EmptyFieldError
 from .field import MdeField
-from .mesh import GeoPoint, MeshId, mesh_center
+from .mesh import GeoPoint, mesh_centers
 
 DEFAULT_TOP_K = {100: 300, 1000: 60, 2000: 60, 4000: 50}
 DEFAULT_THRESHOLDS_M = (100.0, 300.0, 1000.0, 2000.0)
@@ -30,10 +30,15 @@ class Station(NamedTuple):
 
 
 class TopKSelection(NamedTuple):
+    """The selected meshes as columns, best first, with their centers."""
+
     scale_m: int
     k: int
-    meshes: list[tuple[MeshId, float]]
-    centers: list[GeoPoint]
+    col: np.ndarray
+    row: np.ndarray
+    entropy: np.ndarray
+    lat: np.ndarray
+    lon: np.ndarray
 
 
 class RecallCurve(NamedTuple):
@@ -70,14 +75,16 @@ def top_k(field: MdeField, k: int) -> TopKSelection:
     """The k highest-entropy defined meshes, ties broken by (row, col)."""
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
-    defined = [(m, e.entropy) for m, e in field.defined()]
-    if not defined:
+    defined = np.flatnonzero(~np.isnan(field.entropy))
+    if defined.size == 0:
         raise EmptyFieldError(
             f"no defined meshes at scale {field.scale_m} m")
-    defined.sort(key=lambda it: (-it[1], it[0].row, it[0].col))
-    picked = defined[:k]
-    centers = [mesh_center(m, field.aoi) for m, _ in picked]
-    return TopKSelection(field.scale_m, k, picked, centers)
+    col, row, ent = (field.col[defined], field.row[defined],
+                     field.entropy[defined])
+    picked = np.lexsort((col, row, -ent))[:k]
+    col, row = col[picked], row[picked]
+    lat, lon = mesh_centers(field.scale_m, col, row, field.aoi)
+    return TopKSelection(field.scale_m, k, col, row, ent[picked], lat, lon)
 
 
 def _station_arrays(stations: Sequence[Station]):
@@ -86,19 +93,12 @@ def _station_arrays(stations: Sequence[Station]):
     return lat, lon
 
 
-def _center_arrays(centers: Sequence[GeoPoint]):
-    lat = np.array([c.lat for c in centers], dtype=np.float64)
-    lon = np.array([c.lon for c in centers], dtype=np.float64)
-    return lat, lon
-
-
 def recall_curve(sel: TopKSelection, stations: Sequence[Station],
                  radii_km: Sequence[float] = DEFAULT_RADII_KM) -> RecallCurve:
     """Stations within x km of the nearest top-K mesh center, per x."""
     check_stations(stations)
     s_lat, s_lon = _station_arrays(stations)
-    c_lat, c_lon = _center_arrays(sel.centers)
-    nearest = kernels.min_haversine_m(s_lat, s_lon, c_lat, c_lon)
+    nearest = kernels.min_haversine_m(s_lat, s_lon, sel.lat, sel.lon)
     counts = tuple(int((nearest <= r * 1000.0).sum()) for r in radii_km)
     return RecallCurve(sel.scale_m, tuple(float(r) for r in radii_km), counts)
 
@@ -119,8 +119,7 @@ def precision_curve(field: MdeField, stations: Sequence[Station],
         raise ConfigError("x values must be >= 1")
     s_lat, s_lon = _station_arrays(stations)
     sel = top_k(field, max(x_values))
-    c_lat, c_lon = _center_arrays(sel.centers)
-    nearest = kernels.min_haversine_m(c_lat, c_lon, s_lat, s_lon)
+    nearest = kernels.min_haversine_m(sel.lat, sel.lon, s_lat, s_lon)
     curves = []
     for x in x_values:
         n = min(x, nearest.size)

@@ -18,74 +18,22 @@ bit for bit regardless of chunk boundaries.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
-from itertools import chain
-from typing import Iterable, Iterator, NamedTuple
+from dataclasses import dataclass
+from functools import cached_property
+from itertools import repeat
+from types import MappingProxyType
+from typing import Iterator, Mapping, NamedTuple
 
 import numpy as np
 
 from . import kernels
-from .errors import (EmptyHistogramError, InvalidAngleError, InvalidScaleError,
-                     ConfigError)
-from .ingest import MovementBatch, MovementVector
+from .errors import ConfigError, InvalidScaleError
+from .ingest import MovementBatch
 from .kernels import N_BINS
-from .mesh import AreaOfInterest, GeoPoint, MeshId, project_arrays, TWO_PI
+from .mesh import AreaOfInterest, MeshId, project_arrays, TWO_PI
 
 BIN_WIDTH = TWO_PI / N_BINS
 MAX_ENTROPY = math.log(N_BINS)
-
-
-def bin_of(theta: float) -> int:
-    """Direction bin 0..99 of an angle in radians (reduced mod 2*pi)."""
-    if not math.isfinite(theta):
-        raise InvalidAngleError(f"non-finite angle {theta!r}")
-    t = math.fmod(theta, TWO_PI)
-    if t < 0.0:
-        t += TWO_PI
-    return min(int((t / TWO_PI) * N_BINS), N_BINS - 1)
-
-
-@dataclass
-class DirectionHistogram:
-    """Counts over the 100 direction bins; bin i covers [i*pi/50, (i+1)*pi/50)."""
-
-    counts: np.ndarray = dc_field(
-        default_factory=lambda: np.zeros(N_BINS, dtype=np.int64))
-
-    def __post_init__(self):
-        self.counts = np.asarray(self.counts, dtype=np.int64)
-        if self.counts.shape != (N_BINS,):
-            raise ConfigError(f"histogram needs {N_BINS} bins")
-        if (self.counts < 0).any():
-            raise ConfigError("negative bin count")
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-    def add(self, theta: float, weight: int = 1) -> None:
-        self.counts[bin_of(theta)] += weight
-
-    def merge(self, other: "DirectionHistogram") -> "DirectionHistogram":
-        return DirectionHistogram(self.counts + other.counts)
-
-    @classmethod
-    def from_thetas(cls, thetas) -> "DirectionHistogram":
-        bins = kernels.direction_bins(np.asarray(thetas, dtype=np.float64))
-        return cls(np.bincount(bins, minlength=N_BINS).astype(np.int64))
-
-
-def entropy(h: DirectionHistogram) -> float:
-    """Shannon entropy of the direction distribution, in nats."""
-    total = h.total
-    if total == 0:
-        raise EmptyHistogramError("entropy of an empty histogram")
-    s = 0.0
-    for c in h.counts:
-        if c:
-            p = c / total
-            s += p * math.log(p)
-    return -s + 0.0
 
 
 def entropy_norm(h_nats: float) -> float:
@@ -111,32 +59,13 @@ class MeshEntry(NamedTuple):
     entropy: float | None
 
 
-@dataclass
-class MdeField:
-    """Per-mesh entropy values for one scale and one time window."""
-
-    scale_m: int
-    window: TimeWindow
-    aoi: AreaOfInterest
-    entries: dict[MeshId, MeshEntry]
-    dropped_out_of_area: int = dc_field(default=0, compare=False)
-
-    def defined(self) -> Iterator[tuple[MeshId, MeshEntry]]:
-        for m, e in self.entries.items():
-            if e.entropy is not None:
-                yield m, e
-
-    @property
-    def n_defined(self) -> int:
-        return sum(1 for _ in self.defined())
-
-
 @dataclass(eq=False)
-class FieldColumns:
-    """One scale's field in one time window as columns in (row, col) order.
+class MdeField:
+    """One scale's field in one time window, as columns in (row, col) order.
 
-    ``entropy`` is NaN where the mesh is undefined. The windowed build
-    returns fields in this form and the field writer reads it directly.
+    ``entropy`` is NaN where the mesh is undefined. Two fields are equal
+    when scale, window, area and columns match bit for bit;
+    ``dropped_out_of_area`` is not compared.
     """
 
     scale_m: int
@@ -146,37 +75,41 @@ class FieldColumns:
     row: np.ndarray
     count: np.ndarray
     entropy: np.ndarray
+    dropped_out_of_area: int = 0
+
+    def __eq__(self, other):
+        if not isinstance(other, MdeField):
+            return NotImplemented
+        return ((self.scale_m, self.window, self.aoi)
+                == (other.scale_m, other.window, other.aoi)
+                and all(a.shape == b.shape and a.tobytes() == b.tobytes()
+                        for a, b in ((self.col, other.col),
+                                     (self.row, other.row),
+                                     (self.count, other.count),
+                                     (self.entropy, other.entropy))))
 
     @property
     def n_defined(self) -> int:
         return int(np.count_nonzero(~np.isnan(self.entropy)))
 
-    @classmethod
-    def from_field(cls, field: MdeField) -> "FieldColumns":
-        n = len(field.entries)
-        mesh = np.fromiter(chain.from_iterable(field.entries), dtype=np.int64,
-                           count=3 * n).reshape(n, 3)
-        if (mesh[:, 0] != field.scale_m).any():
-            raise InvalidScaleError(
-                f"field of scale {field.scale_m} holds meshes of another scale")
-        entries = field.entries.values()
-        count = np.fromiter((e.count for e in entries), dtype=np.int64,
-                            count=n)
-        entropy = np.fromiter(
-            (math.nan if e.entropy is None else e.entropy for e in entries),
-            dtype=np.float64, count=n)
-        order = np.lexsort((mesh[:, 1], mesh[:, 2]))
-        return cls(field.scale_m, field.window, field.aoi, mesh[order, 1],
-                   mesh[order, 2], count[order], entropy[order])
+    @cached_property
+    def entries(self) -> Mapping[MeshId, MeshEntry]:
+        """Read-only per-mesh view, ``entropy=None`` where undefined.
 
-    def to_field(self, dropped_out_of_area: int = 0) -> MdeField:
-        s = self.scale_m
-        entries = {MeshId(s, c, r): MeshEntry(n, None if math.isnan(h) else h)
-                   for c, r, n, h in zip(self.col.tolist(), self.row.tolist(),
-                                         self.count.tolist(),
-                                         self.entropy.tolist())}
-        return MdeField(s, self.window, self.aoi, entries,
-                        dropped_out_of_area=dropped_out_of_area)
+        Built on first access; later changes to the columns do not
+        reach it.
+        """
+        ent = self.entropy.astype(object)
+        ent[np.isnan(self.entropy)] = None
+        return MappingProxyType(dict(zip(
+            map(MeshId, repeat(self.scale_m), self.col.tolist(),
+                self.row.tolist()),
+            map(MeshEntry, self.count.tolist(), ent.tolist()))))
+
+    def defined(self) -> Iterator[tuple[MeshId, MeshEntry]]:
+        """The defined meshes of :attr:`entries`, in (row, col) order."""
+        return ((m, e) for m, e in self.entries.items()
+                if e.entropy is not None)
 
 
 def _check_setup(scale_m: int, windows, min_samples: int) -> None:
@@ -247,10 +180,10 @@ def _mesh_index(x, y, scale_m: int, ncols: int) -> np.ndarray:
     return row * ncols + col
 
 
-def _columns(scale_m, window, aoi, ncols, mesh_flat, totals,
-             ent) -> FieldColumns:
+def _field(scale_m, window, aoi, ncols, mesh_flat, totals, ent,
+           dropped=0) -> MdeField:
     row, col = np.divmod(mesh_flat, ncols)
-    return FieldColumns(scale_m, window, aoi, col, row, totals, ent)
+    return MdeField(scale_m, window, aoi, col, row, totals, ent, dropped)
 
 
 class FieldAccumulator:
@@ -301,27 +234,12 @@ class FieldAccumulator:
         counts = np.concatenate(self._counts)
         return kernels.group_counts(keys, counts)
 
-    def histograms(self) -> dict[MeshId, np.ndarray]:
-        """Merged per-mesh histograms (100-bin int64 arrays)."""
-        keys, counts = self._merged()
-        out: dict[MeshId, np.ndarray] = {}
-        for k, c in zip(keys.tolist(), counts.tolist()):
-            mesh_flat, b = divmod(k, N_BINS)
-            mid = MeshId(self.scale_m, mesh_flat % self._ncols,
-                         mesh_flat // self._ncols)
-            h = out.get(mid)
-            if h is None:
-                h = out[mid] = np.zeros(N_BINS, dtype=np.int64)
-            h[b] = c
-        return out
-
     def finish(self) -> MdeField:
         keys, counts = self._merged()
         mesh_flat, totals, ent = kernels.field_entropy(
             keys, counts, self.min_samples)
-        cols = _columns(self.scale_m, self.window, self.aoi, self._ncols,
-                        mesh_flat, totals, ent)
-        return cols.to_field(self.dropped_out_of_area)
+        return _field(self.scale_m, self.window, self.aoi, self._ncols,
+                      mesh_flat, totals, ent, self.dropped_out_of_area)
 
 
 def compute_field(movements, aoi: AreaOfInterest, scale_m: int,
@@ -335,7 +253,7 @@ def compute_field(movements, aoi: AreaOfInterest, scale_m: int,
 
 def compute_fields(movements, aoi: AreaOfInterest, scales,
                    windows=(ALL_TIME,), min_samples: int = 30,
-                   ) -> tuple[list[FieldColumns], int]:
+                   ) -> tuple[list[MdeField], int]:
     """Every (scale, window) field of ``movements`` in one pass per scale.
 
     ``windows`` are sorted and disjoint. The window index is one more
@@ -343,14 +261,14 @@ def compute_fields(movements, aoi: AreaOfInterest, scales,
     and one entropy call over the whole input. Returns the fields in
     scale-major order, each bit for bit what ``compute_field`` gives
     for that scale and window, and the number of out-of-area vectors,
-    each counted once.
+    each counted once; the fields' own ``dropped_out_of_area`` stay 0.
     """
     scales, windows = tuple(scales), tuple(windows)
     for scale in scales:
         _check_setup(scale, windows, min_samples)
     x, y, theta, widx, dropped = _windowed_arrays(movements, aoi, windows)
     bins = kernels.direction_bins(theta)
-    out: list[FieldColumns] = []
+    out: list[MdeField] = []
     for scale in scales:
         ncols, nrows = aoi.grid_shape(scale)
         ncells = ncols * nrows
@@ -365,6 +283,6 @@ def compute_fields(movements, aoi: AreaOfInterest, scales,
         cuts = np.searchsorted(w_of, np.arange(len(windows) + 1))
         for i, w in enumerate(windows):
             sl = slice(cuts[i], cuts[i + 1])
-            out.append(_columns(scale, w, aoi, ncols, mesh_flat[sl],
-                                totals[sl], ent[sl]))
+            out.append(_field(scale, w, aoi, ncols, mesh_flat[sl],
+                              totals[sl], ent[sl]))
     return out, dropped

@@ -8,85 +8,65 @@ the normalized values of its defined ancestors across layers.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, EmptyFieldError, InvalidScaleError
 from .field import MdeField
-from .mesh import AreaOfInterest, MeshId
+from .mesh import AreaOfInterest
 
 _ROW_SHIFT = 32  # packed grid key: (row << 32) | col
+_COL_MASK = (1 << _ROW_SHIFT) - 1
 
 
-@dataclass
-class NormalizedLayer:
-    """One scale's defined entropies rescaled to [0, 1]."""
-
-    scale_m: int
-    aoi: AreaOfInterest
-    values: dict[MeshId, float]
-
-
-@dataclass
+@dataclass(eq=False)
 class CombinedMap:
-    """Fused scores on the finest participating grid."""
+    """Scores on one mesh grid, as columns in (row, col) order.
+
+    A normalized layer is the one-layer map of a single scale.
+    """
 
     base_scale_m: int
     aoi: AreaOfInterest
-    scores: dict[MeshId, float]
+    col: np.ndarray
+    row: np.ndarray
+    scores: np.ndarray
     contributing_scales: tuple[int, ...]
 
 
-def normalize(field: MdeField) -> NormalizedLayer:
+def normalize(field: MdeField) -> CombinedMap:
     """Min-max rescale a field's defined entropies; all-equal maps to 0.5."""
-    defined = [(m, e.entropy) for m, e in field.defined()]
-    if not defined:
+    defined = ~np.isnan(field.entropy)
+    if not defined.any():
         raise EmptyFieldError(
             f"no defined meshes at scale {field.scale_m} m")
-    ent = np.array([h for _, h in defined], dtype=np.float64)
-    lo, hi = float(ent.min()), float(ent.max())
+    ent = field.entropy[defined]
+    lo, hi = ent.min(), ent.max()
     if hi > lo:
         scaled = (ent - lo) / (hi - lo)
     else:
         scaled = np.full(ent.size, 0.5)
-    return NormalizedLayer(field.scale_m, field.aoi,
-                           {m: float(v) for (m, _), v in zip(defined, scaled)})
+    return CombinedMap(field.scale_m, field.aoi, field.col[defined],
+                       field.row[defined], scaled, (field.scale_m,))
 
 
-def _expand_to_base(layer: NormalizedLayer, base_scale_m: int,
+def _expand_to_base(layer: CombinedMap, base_scale_m: int,
                     ncols: int, nrows: int):
-    """Packed base-grid keys plus values for one layer's defined meshes."""
-    f = layer.scale_m // base_scale_m
-    n = len(layer.values)
-    cols = np.empty(n, dtype=np.int64)
-    rows = np.empty(n, dtype=np.int64)
-    vals = np.empty(n, dtype=np.float64)
-    for i, (m, v) in enumerate(layer.values.items()):
-        cols[i], rows[i], vals[i] = m.col, m.row, v
-    if f == 1:
-        inside = (cols < ncols) & (rows < nrows)
-        return (rows[inside] << _ROW_SHIFT) | cols[inside], vals[inside]
-    keys_out, vals_out = [], []
+    """Packed base-grid keys plus scores of every base mesh a layer covers."""
+    f = layer.base_scale_m // base_scale_m
     off = np.arange(f, dtype=np.int64)
-    for c0, r0, v in zip((cols * f).tolist(), (rows * f).tolist(),
-                         vals.tolist()):
-        # coarse edge meshes overhang the base grid; clip descendants
-        cs = c0 + off[off < ncols - c0]
-        rs = r0 + off[off < nrows - r0]
-        if cs.size == 0 or rs.size == 0:
-            continue
-        kk = ((rs[:, None] << _ROW_SHIFT) | cs[None, :]).ravel()
-        keys_out.append(kk)
-        vals_out.append(np.full(kk.size, v))
-    if not keys_out:
-        z = np.empty(0, dtype=np.int64)
-        return z, np.empty(0, dtype=np.float64)
-    return np.concatenate(keys_out), np.concatenate(vals_out)
+    # (mesh, row offset, col offset) blocks of descendants
+    cols = (layer.col * f)[:, None, None] + off[None, None, :]
+    rows = (layer.row * f)[:, None, None] + off[None, :, None]
+    # coarse edge meshes overhang the base grid; clip descendants
+    inside = (cols < ncols) & (rows < nrows)
+    rows, cols = np.broadcast_arrays(rows, cols)
+    vals = np.broadcast_to(layer.scores[:, None, None], inside.shape)
+    return (rows[inside] << _ROW_SHIFT) | cols[inside], vals[inside]
 
 
-def combine(layers: list[NormalizedLayer], base_scale_m: int,
+def combine(layers: list[CombinedMap], base_scale_m: int,
             mode: str = "mean") -> CombinedMap:
     """Fuse normalized layers onto the ``base_scale_m`` grid.
 
@@ -102,79 +82,58 @@ def combine(layers: list[NormalizedLayer], base_scale_m: int,
     for layer in layers:
         if layer.aoi != aoi:
             raise ConfigError("layers cover different areas")
-        if layer.scale_m < base_scale_m or layer.scale_m % base_scale_m:
+        scale = layer.base_scale_m
+        if scale < base_scale_m or scale % base_scale_m:
             raise InvalidScaleError(
-                f"scale {layer.scale_m} does not nest with base {base_scale_m}")
+                f"scale {scale} does not nest with base {base_scale_m}")
     ncols, nrows = aoi.grid_shape(base_scale_m)
     parts = [_expand_to_base(layer, base_scale_m, ncols, nrows)
              for layer in layers]
     keys = np.concatenate([k for k, _ in parts])
     vals = np.concatenate([v for _, v in parts])
-    if keys.size == 0:
-        return CombinedMap(base_scale_m, aoi, {},
-                           tuple(l.scale_m for l in layers))
+    # a stable sort keeps each mesh's values in layer order
     order = np.argsort(keys, kind="stable")
     keys, vals = keys[order], vals[order]
-    starts = np.concatenate(
-        ([0], np.flatnonzero(keys[1:] != keys[:-1]) + 1))
+    starts = np.flatnonzero(np.diff(keys, prepend=keys[:1] - 1))
     uniq = keys[starts]
     if mode == "max":
         agg = np.maximum.reduceat(vals, starts)
     else:
-        lens = np.diff(np.concatenate((starts, [keys.size])))
+        lens = np.diff(np.append(starts, keys.size))
         agg = np.add.reduceat(vals, starts) / lens
-    scores = {
-        MeshId(base_scale_m, int(k & ((1 << _ROW_SHIFT) - 1)),
-               int(k >> _ROW_SHIFT)): float(v)
-        for k, v in zip(uniq.tolist(), agg.tolist())}
-    return CombinedMap(base_scale_m, aoi, scores,
-                       tuple(l.scale_m for l in layers))
+    return CombinedMap(base_scale_m, aoi, uniq & _COL_MASK,
+                       uniq >> _ROW_SHIFT, agg,
+                       tuple(l.base_scale_m for l in layers))
 
 
-def _score_dict(obj) -> dict[MeshId, float]:
-    if isinstance(obj, CombinedMap):
-        return obj.scores
-    if isinstance(obj, NormalizedLayer):
-        return obj.values
-    return obj
+def find_local_peaks(heat: CombinedMap,
+                     percentile_floor: float = 90.0) -> np.ndarray:
+    """Meshes strictly above all scored 8-neighbours, at or above the floor.
 
-
-def find_local_peaks(heat, percentile_floor: float = 90.0) -> list[MeshId]:
-    """Meshes strictly above all defined 8-neighbors and above the floor.
-
-    The floor is the ``percentile_floor``-th percentile of all defined
-    scores. Result is sorted by descending score, ties by (row, col).
+    The floor is the ``percentile_floor``-th percentile of all scores.
+    Returns indices into ``heat``'s columns, sorted by descending score,
+    ties by (row, col).
     """
     if not 0.0 <= percentile_floor <= 100.0:
         raise ConfigError("percentile_floor must be in [0, 100]")
-    scores = _score_dict(heat)
-    if not scores:
+    n = heat.scores.size
+    if n == 0:
         raise EmptyFieldError("empty map has no peaks")
-    n = len(scores)
-    keys = np.empty(n, dtype=np.int64)
-    vals = np.empty(n, dtype=np.float64)
-    meshes = list(scores.keys())
-    scale = meshes[0].scale_m
-    for i, m in enumerate(meshes):
-        keys[i] = (np.int64(m.row) << _ROW_SHIFT) | m.col
-        vals[i] = scores[m]
+    keys = (heat.row << _ROW_SHIFT) | heat.col
     order = np.argsort(keys, kind="stable")
-    keys, vals = keys[order], vals[order]
+    keys, vals = keys[order], heat.scores[order]
     floor = np.percentile(vals, percentile_floor)
     ok = vals >= floor
     for dr in (-1, 0, 1):
         for dc in (-1, 0, 1):
             if dr == 0 and dc == 0:
                 continue
-            nk = keys + (np.int64(dr) << _ROW_SHIFT) + dc
+            nk = keys + (dr << _ROW_SHIFT) + dc
             idx = np.searchsorted(keys, nk)
             idx[idx == n] = 0
             hit = keys[idx] == nk
             beaten = hit & (vals[idx] >= vals)
             ok &= ~beaten
-    picked = np.flatnonzero(ok)
-    picked = picked[np.lexsort((keys[picked] & ((1 << _ROW_SHIFT) - 1),
-                                keys[picked] >> _ROW_SHIFT,
-                                -vals[picked]))]
-    return [MeshId(scale, int(keys[i] & ((1 << _ROW_SHIFT) - 1)),
-                   int(keys[i] >> _ROW_SHIFT)) for i in picked]
+    picked = order[ok]
+    return picked[np.lexsort((heat.col[picked], heat.row[picked],
+                              -heat.scores[picked]))]

@@ -10,16 +10,13 @@ from __future__ import annotations
 import csv
 import json
 import math
-from itertools import chain
-from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import PointParseError
 from .evaluation import (PrecisionCurve, RecallCurve, Station, check_stations)
-from .field import (ALL_TIME, MAX_ENTROPY, FieldColumns, MdeField, MeshEntry,
-                    TimeWindow)
+from .field import ALL_TIME, MAX_ENTROPY, MdeField, TimeWindow
 from .fusion import CombinedMap
 from .ingest import TrajectoryPoint
 from .mesh import AreaOfInterest, GeoPoint, MeshId, mesh_centers, mesh_corners
@@ -35,10 +32,6 @@ ENTROPY_SLACK = 1e-12
 
 def _fmt(v: float) -> str:
     return repr(float(v))
-
-
-def _sorted_meshes(meshes: Iterable[MeshId]) -> list[MeshId]:
-    return sorted(meshes, key=lambda m: (m.scale_m, m.row, m.col))
 
 
 def _reprs(values: np.ndarray) -> list[str]:
@@ -66,10 +59,8 @@ def _write_mesh_rows(path, header, aoi: AreaOfInterest, scale_m, col, row,
                                           _reprs(lat), _reprs(lon), tails)])
 
 
-def write_field_csv(field: MdeField | FieldColumns, path) -> None:
-    """Rows sorted by (row, col); undefined meshes leave entropy empty."""
-    if isinstance(field, MdeField):
-        field = FieldColumns.from_field(field)
+def write_field_csv(field: MdeField, path) -> None:
+    """Rows in the field's (row, col) order; undefined meshes leave entropy empty."""
     norm = field.entropy / MAX_ENTROPY
     tails = [f"{n},," if math.isnan(h) else f"{n},{h!r},{hn!r}"
              for n, h, hn in zip(field.count.tolist(), field.entropy.tolist(),
@@ -78,72 +69,109 @@ def write_field_csv(field: MdeField | FieldColumns, path) -> None:
                      field.col, field.row, tails)
 
 
+def _mesh_rows(path, columns: tuple[str, ...], kind: str):
+    """Yield (line number, scale, col, row, other ``columns`` as str).
+
+    Rows of more than one scale are a ``PointParseError`` naming the line.
+    """
+    with open(path, "r", encoding="utf-8", newline="") as f:
+        reader = csv.reader(f)
+        header = next(reader, [])
+        names = ("scale_m", "col", "row") + columns
+        missing = [c for c in names if c not in header]
+        if missing:
+            raise PointParseError(f"{kind} file has no {missing[0]} column",
+                                  line_no=1)
+        pos = [header.index(c) for c in names]
+        scale = None
+        for rec in reader:
+            if not rec:
+                continue
+            line = reader.line_num
+            try:
+                s, c, r, *rest = [rec[i] for i in pos]
+                s, c, r = int(s), int(c), int(r)
+            except (IndexError, ValueError) as exc:
+                raise PointParseError(str(exc), line_no=line) from exc
+            if scale is None:
+                scale = s
+            elif s != scale:
+                raise PointParseError(f"mixed scales in one {kind} file",
+                                      line_no=line)
+            yield line, s, c, r, rest
+    if scale is None:
+        raise PointParseError(f"{kind} file has no rows")
+
+
+def _grid_order(lines: list, col: list, row: list, *values: np.ndarray):
+    """``col``, ``row`` and ``values`` as arrays in (row, col) order.
+
+    A mesh on two rows is a ``PointParseError`` naming the first line
+    that repeats an earlier one.
+    """
+    c = np.array(col, dtype=np.int64)
+    r = np.array(row, dtype=np.int64)
+    order = np.lexsort((c, r))
+    c, r = c[order], r[order]
+    # the sort is stable, so the later row of a pair sorts second
+    later = order[1:][(c[1:] == c[:-1]) & (r[1:] == r[:-1])]
+    if later.size:
+        i = int(later.min())
+        raise PointParseError(f"repeated mesh col {col[i]}, row {row[i]}",
+                              line_no=lines[i])
+    return [c, r, *(v[order] for v in values)]
+
+
 def read_field_csv(path, aoi: AreaOfInterest,
                    window: TimeWindow = ALL_TIME) -> MdeField:
-    entries: dict[MeshId, MeshEntry] = {}
-    scale = None
-    with open(path, "r", encoding="utf-8", newline="") as f:
-        reader = csv.DictReader(f)
-        for rec in reader:
-            try:
-                m = MeshId(int(rec["scale_m"]), int(rec["col"]),
-                           int(rec["row"]))
-                count = int(rec["count"])
-                raw = rec["entropy_nats"]
-                h = None if raw in (None, "") else float(raw)
-                if count < 0:
-                    raise ValueError(f"negative count {count}")
-                if h is not None and not (
-                        0.0 <= h <= MAX_ENTROPY * (1 + ENTROPY_SLACK)):
+    lines, col, row, count, ent = [], [], [], [], []
+    for line, scale, c, r, (n, h) in _mesh_rows(
+            path, ("count", "entropy_nats"), "field"):
+        try:
+            n = int(n)
+            if n < 0:
+                raise ValueError(f"negative count {n}")
+            if h:
+                h = float(h)
+                if not 0.0 <= h <= MAX_ENTROPY * (1 + ENTROPY_SLACK):
                     raise ValueError(f"entropy {h!r} outside [0, ln 100]")
-                entries[m] = MeshEntry(count, h)
-            except (KeyError, TypeError, ValueError) as exc:
-                raise PointParseError(str(exc),
-                                      line_no=reader.line_num) from exc
-            if scale is None:
-                scale = m.scale_m
-            elif scale != m.scale_m:
-                raise PointParseError("mixed scales in one field file",
-                                      line_no=reader.line_num)
-    if scale is None:
-        raise PointParseError("field file has no rows")
-    return MdeField(scale, window, aoi, entries)
+            else:
+                h = math.nan
+        except ValueError as exc:
+            raise PointParseError(str(exc), line_no=line) from exc
+        lines.append(line)
+        col.append(c)
+        row.append(r)
+        count.append(n)
+        ent.append(h)
+    return MdeField(scale, window, aoi, *_grid_order(
+        lines, col, row, np.array(count, dtype=np.int64),
+        np.array(ent, dtype=np.float64)))
 
 
 def write_combined_csv(cmap: CombinedMap, path) -> None:
     """Field schema plus a score column; count/entropy stay empty."""
-    n = len(cmap.scores)
-    mesh = np.fromiter(chain.from_iterable(cmap.scores), dtype=np.int64,
-                       count=3 * n).reshape(n, 3)
-    scores = np.fromiter(cmap.scores.values(), dtype=np.float64, count=n)
-    order = np.lexsort((mesh[:, 1], mesh[:, 2], mesh[:, 0]))
-    mesh = mesh[order]
-    _write_mesh_rows(path, FIELD_HEADER + ("score",), cmap.aoi, mesh[:, 0],
-                     mesh[:, 1], mesh[:, 2],
-                     [f",,,{v!r}" for v in scores[order].tolist()])
+    _write_mesh_rows(path, FIELD_HEADER + ("score",), cmap.aoi,
+                     cmap.base_scale_m, cmap.col, cmap.row,
+                     [f",,,{v!r}" for v in cmap.scores.tolist()])
 
 
 def read_combined_csv(path, aoi: AreaOfInterest) -> CombinedMap:
     """Rebuild a combined map; contributing scales live in the summary."""
-    scores: dict[MeshId, float] = {}
-    scale = None
-    with open(path, "r", encoding="utf-8", newline="") as f:
-        reader = csv.DictReader(f)
-        for rec in reader:
-            try:
-                m = MeshId(int(rec["scale_m"]), int(rec["col"]),
-                           int(rec["row"]))
-                score = float(rec["score"])
-                if not math.isfinite(score):
-                    raise ValueError(f"non-finite score {score!r}")
-                scores[m] = score
-            except (KeyError, TypeError, ValueError) as exc:
-                raise PointParseError(str(exc),
-                                      line_no=reader.line_num) from exc
-            scale = m.scale_m
-    if scale is None:
-        raise PointParseError("combined file has no rows")
-    return CombinedMap(scale, aoi, scores, ())
+    lines, col, row, scores = [], [], [], []
+    for line, scale, c, r, (v,) in _mesh_rows(path, ("score",), "combined"):
+        try:
+            v = float(v)
+            if not math.isfinite(v):
+                raise ValueError(f"non-finite score {v!r}")
+        except ValueError as exc:
+            raise PointParseError(str(exc), line_no=line) from exc
+        lines.append(line)
+        col.append(c)
+        row.append(r)
+        scores.append(v)
+    return CombinedMap(scale, aoi, *_grid_order(
+        lines, col, row, np.array(scores, dtype=np.float64)), ())
 
 
 def write_stations_csv(stations: Sequence[Station], path) -> None:
@@ -208,36 +236,35 @@ def write_points_csv(points: Iterable[TrajectoryPoint], path) -> None:
             w.writerow(row)
 
 
-def _ring(m: MeshId, aoi: AreaOfInterest) -> list[list[float]]:
-    sw, se, ne, nw = mesh_corners(m, aoi)
-    ring = [[p.lon, p.lat] for p in (sw, se, ne, nw)]
-    ring.append(ring[0])
-    return ring
+def _geojson(aoi: AreaOfInterest, props: Iterable[dict]) -> dict:
+    """One polygon feature per mesh; ``props`` holds scale_m, col and row."""
+    features = []
+    for p in props:
+        sw, se, ne, nw = mesh_corners(
+            MeshId(p["scale_m"], p["col"], p["row"]), aoi)
+        ring = [[q.lon, q.lat] for q in (sw, se, ne, nw, sw)]
+        features.append({"type": "Feature", "properties": p,
+                         "geometry": {"type": "Polygon",
+                                      "coordinates": [ring]}})
+    return {"type": "FeatureCollection", "features": features}
 
 
 def field_geojson(field: MdeField) -> dict:
-    features = []
-    for m in _sorted_meshes(field.entries):
-        e = field.entries[m]
-        props = {"scale_m": m.scale_m, "col": m.col, "row": m.row,
-                 "count": e.count, "entropy_nats": e.entropy,
-                 "entropy_norm": None if e.entropy is None
-                 else e.entropy / MAX_ENTROPY}
-        features.append({"type": "Feature", "properties": props,
-                         "geometry": {"type": "Polygon",
-                                      "coordinates": [_ring(m, field.aoi)]}})
-    return {"type": "FeatureCollection", "features": features}
+    s = field.scale_m
+    return _geojson(field.aoi, (
+        {"scale_m": s, "col": c, "row": r, "count": n,
+         "entropy_nats": None if math.isnan(h) else h,
+         "entropy_norm": None if math.isnan(h) else h / MAX_ENTROPY}
+        for c, r, n, h in zip(field.col.tolist(), field.row.tolist(),
+                              field.count.tolist(), field.entropy.tolist())))
 
 
 def combined_geojson(cmap: CombinedMap) -> dict:
-    features = []
-    for m in _sorted_meshes(cmap.scores):
-        props = {"scale_m": m.scale_m, "col": m.col, "row": m.row,
-                 "score": cmap.scores[m]}
-        features.append({"type": "Feature", "properties": props,
-                         "geometry": {"type": "Polygon",
-                                      "coordinates": [_ring(m, cmap.aoi)]}})
-    return {"type": "FeatureCollection", "features": features}
+    s = cmap.base_scale_m
+    return _geojson(cmap.aoi, (
+        {"scale_m": s, "col": c, "row": r, "score": v}
+        for c, r, v in zip(cmap.col.tolist(), cmap.row.tolist(),
+                           cmap.scores.tolist())))
 
 
 def write_geojson(obj: dict, path) -> None:

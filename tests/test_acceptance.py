@@ -17,16 +17,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mdemap import (ALL_TIME, AreaOfInterest, DEFAULT_AOI, DirectionHistogram,
-                    FieldAccumulator, MdeField, MeshEntry, MeshId, Station,
-                    bin_of, compute_field, default_config, entropy,
+from mdemap import (AreaOfInterest, DEFAULT_AOI, FieldAccumulator, GeoPoint,
+                    MdeField, MeshId, Station, compute_field, default_config,
                     extract_movements, find_local_peaks, generate,
                     geo_distance, mesh_center, mesh_of, parent_of,
                     precision_curve, project, recall_curve, top_k)
 from mdemap.evaluation import DEFAULT_TOP_K
 from mdemap.io import write_stations_csv
 
+from _oracles import DirectionHistogram, entropy, histograms
 from _throughput import uniform_batch
+from conftest import field_of, map_of
 
 # pinned tolerances and budgets
 ENTROPY_TOL = 1e-12          # criteria 1-3: per-mesh entropy agreement
@@ -100,7 +101,7 @@ def test_criterion_3_nesting_and_mixture():
         acc = FieldAccumulator(SMALL_AOI, scale, min_samples=1)
         acc.add(batch)
         accs[scale] = acc
-    hists = {s: a.histograms() for s, a in accs.items()}
+    hists = {s: histograms(a) for s, a in accs.items()}
     fields = {s: a.finish() for s, a in accs.items()}
     sums_exact = True
     mixture_ok = True
@@ -169,9 +170,9 @@ def test_criterion_5_evaluation_oracle():
         cells = set()
         while len(cells) < n_mesh:
             cells.add((rng.randrange(0, 45), rng.randrange(0, 28)))
-        field = MdeField(100, ALL_TIME, SMALL_AOI, {
-            MeshId(100, c, r): MeshEntry(40, float(h))
-            for (c, r), h in zip(cells, nprng.uniform(0, 4.6, n_mesh))})
+        field = field_of(100, SMALL_AOI, {
+            cr: (40, float(h))
+            for cr, h in zip(cells, nprng.uniform(0, 4.6, n_mesh))})
         stations = [
             Station(f"s{i}", mesh_center(MeshId(
                 100, rng.randrange(0, 45), rng.randrange(0, 28)), SMALL_AOI),
@@ -181,7 +182,9 @@ def test_criterion_5_evaluation_oracle():
         radii = tuple(sorted(rng.uniform(0.05, 8.0) for _ in range(5)))
         sel = top_k(field, k)
         got = recall_curve(sel, stations, radii)
-        dmin = [min(geo_distance(s.pos, c) for c in sel.centers)
+        centers = [GeoPoint(*ll) for ll in zip(sel.lat.tolist(),
+                                               sel.lon.tolist())]
+        dmin = [min(geo_distance(s.pos, c) for c in centers)
                 for s in stations]
         want = [sum(1 for d in dmin if d <= r * 1000.0) for r in radii]
         recall_exact &= list(got.counts) == want
@@ -189,7 +192,9 @@ def test_criterion_5_evaluation_oracle():
 
         xs = tuple(sorted({rng.randrange(1, n_mesh + 2) for _ in range(3)}))
         curves = precision_curve(field, stations, x_values=xs)
-        ordered = top_k(field, max(xs)).centers
+        best = top_k(field, max(xs))
+        ordered = [GeoPoint(*ll) for ll in zip(best.lat.tolist(),
+                                               best.lon.tolist())]
         for cur in curves:
             head = ordered[:cur.x]
             for d, pct in zip(cur.thresholds_m, cur.percentages):
@@ -222,7 +227,8 @@ def test_criterion_6_synthetic_end_to_end():
 
     hub_meshes = {mesh_of(project(h, cfg.aoi), 100)
                   for h in truth.hub_positions}
-    top8 = {m for m, _ in sel.meshes[:8]}
+    top8 = {MeshId(100, c, r)
+            for c, r in zip(sel.col[:8].tolist(), sel.row[:8].tolist())}
     p300 = curves[16].percentages[1]  # 300 m threshold
     _verdict(6, "default synthetic pipeline, pinned values", {
         "n_points": len(points) == 1_000_000,
@@ -248,10 +254,12 @@ def test_criterion_7_peak_oracle():
         for _ in range(rng.integers(0, 6)):  # exact ties
             a, b = rng.integers(0, n, 2), rng.integers(0, n, 2)
             vals[a[0], a[1]] = vals[b[0], b[1]]
-        scores = {MeshId(100, c, r): float(vals[r, c])
-                  for r in range(n) for c in range(n)}
+        heat = map_of(100, SMALL_AOI, {(c, r): float(vals[r, c])
+                                       for r in range(n) for c in range(n)})
         floor = float(rng.choice([0.0, 50.0, 90.0, 100.0]))
-        got = find_local_peaks(scores, percentile_floor=floor)
+        idx = find_local_peaks(heat, percentile_floor=floor)
+        got = [MeshId(100, c, r) for c, r in zip(heat.col[idx].tolist(),
+                                                 heat.row[idx].tolist())]
         cut = np.percentile(vals.ravel(), floor)
         want = []
         for r in range(n):

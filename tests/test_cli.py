@@ -316,3 +316,36 @@ def test_combine_refuses_nan_entropy(tmp_path):
                      "100,2,0,35.5,139.3,40,2.5,0.5\n")
     assert main(["combine", str(field), "--out", str(tmp_path)]) == 3
     assert not (tmp_path / "combined.csv").exists()
+
+
+def test_inputs_of_one_scale_are_refused(pipeline, tmp_path):
+    twin = tmp_path / "mde_100m_copy.csv"
+    shutil.copy(pipeline / "mde_100m.csv", twin)
+    out = tmp_path / "out"
+    assert main(["combine", str(pipeline / "mde_100m.csv"), str(twin),
+                 "--aoi", AOI, "--out", str(out)]) == 1
+    assert main(["evaluate", str(pipeline / "mde_100m.csv"),
+                 str(pipeline / "mde_1000m.csv"), str(twin),
+                 "--stations", str(pipeline / "stations.csv"),
+                 "--aoi", AOI, "--out", str(out)]) == 1
+    assert not list(out.glob("*.csv"))
+
+
+def test_repeated_meshes_and_mixed_scales_exit_3(pipeline, tmp_path, capsys):
+    rows = (pipeline / "mde_1000m.csv").read_text().splitlines(True)
+    field = tmp_path / "mde_1000m.csv"
+    field.write_text("".join(rows + rows[1:2]))
+    assert main(["combine", str(field), "--aoi", AOI,
+                 "--out", str(tmp_path)]) == 3
+    assert f"line {len(rows) + 1}: repeated mesh" in capsys.readouterr().err
+    assert main(["combine", str(pipeline / "mde_100m.csv"),
+                 str(pipeline / "mde_1000m.csv"), "--aoi", AOI,
+                 "--out", str(tmp_path)]) == 0
+    combined = (tmp_path / "combined.csv").read_text().splitlines(True)
+    row = combined[1].split(",")
+    row[0] = "1000"
+    (tmp_path / "combined.csv").write_text(
+        "".join(combined + [",".join(row)]))
+    assert main(["export", str(tmp_path / "combined.csv"), "--aoi", AOI,
+                 "--out", str(tmp_path)]) == 3
+    assert f"line {len(combined) + 1}: mixed scales" in capsys.readouterr().err

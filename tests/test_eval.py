@@ -6,19 +6,29 @@ import random
 import numpy as np
 import pytest
 
-from mdemap import (ALL_TIME, ConfigError, EmptyFieldError, GeoPoint,
-                    MdeField, MeshEntry, MeshId, Station, check_stations,
-                    default_x_values, geo_distance, mesh_center,
-                    precision_curve, recall_curve, top_k)
+from mdemap import (ConfigError, EmptyFieldError, GeoPoint, MeshId, Station,
+                    check_stations, default_x_values, geo_distance,
+                    mesh_center, precision_curve, recall_curve, top_k)
 from mdemap.evaluation import (DEFAULT_RADII_KM, DEFAULT_THRESHOLDS_M,
                                DEFAULT_TOP_K)
 from mdemap.mesh import METERS_PER_DEGREE
 
+from conftest import field_of
+
 
 def _field(aoi, ent, scale=100):
-    entries = {MeshId(scale, c, r): MeshEntry(40, h)
-               for (c, r), h in ent.items()}
-    return MdeField(scale, ALL_TIME, aoi, entries)
+    return field_of(scale, aoi, {cr: (40, h) for cr, h in ent.items()})
+
+
+def _meshes(sel):
+    """The selection as ``[(MeshId, entropy)]``, best first."""
+    return [(MeshId(sel.scale_m, c, r), h) for c, r, h in zip(
+        sel.col.tolist(), sel.row.tolist(), sel.entropy.tolist())]
+
+
+def _centers(sel):
+    return [GeoPoint(la, lo) for la, lo in zip(sel.lat.tolist(),
+                                               sel.lon.tolist())]
 
 
 def _north_of(p, meters):
@@ -55,23 +65,22 @@ def test_check_stations():
 def test_top_k_clamps(small_aoi):
     f = _field(small_aoi, {(0, 0): 2.0, (1, 0): 3.0, (2, 0): 1.0})
     sel = top_k(f, 5)
-    assert [m.col for m, _ in sel.meshes] == [1, 0, 2]
-    assert len(sel.centers) == 3 and sel.k == 5
+    assert [m.col for m, _ in _meshes(sel)] == [1, 0, 2]
+    assert len(sel.lat) == len(sel.lon) == 3 and sel.k == 5
 
 
 def test_top_k_order_and_ties(small_aoi):
     f = _field(small_aoi, {(0, 0): 2.0, (1, 0): 3.0, (2, 0): 1.0})
     sel = top_k(f, 2)
-    assert [(m.col, h) for m, h in sel.meshes] == [(1, 3.0), (0, 2.0)]
+    assert [(m.col, h) for m, h in _meshes(sel)] == [(1, 3.0), (0, 2.0)]
     tied = _field(small_aoi, {(5, 2): 1.5, (1, 7): 1.5, (3, 2): 1.5})
-    order = [(m.row, m.col) for m, _ in top_k(tied, 3).meshes]
+    order = [(m.row, m.col) for m, _ in _meshes(top_k(tied, 3))]
     assert order == [(2, 3), (2, 5), (7, 1)]
 
 
 def test_top_k_skips_undefined(small_aoi):
-    f = _field(small_aoi, {(0, 0): 2.0})
-    f.entries[MeshId(100, 9, 9)] = MeshEntry(3, None)
-    assert len(top_k(f, 10).meshes) == 1
+    f = field_of(100, small_aoi, {(0, 0): (40, 2.0), (9, 9): (3, None)})
+    assert len(_meshes(top_k(f, 10))) == 1
 
 
 def test_top_k_errors(small_aoi):
@@ -85,13 +94,13 @@ def test_top_k_errors(small_aoi):
 def test_top_k_centers_match_mesh_center(small_aoi):
     f = _field(small_aoi, {(3, 4): 2.0, (6, 1): 1.0})
     sel = top_k(f, 2)
-    for (m, _), c in zip(sel.meshes, sel.centers):
+    for (m, _), c in zip(_meshes(sel), _centers(sel)):
         assert c == mesh_center(m, small_aoi)
 
 
 def test_recall_known_distances(small_aoi):
     f = _field(small_aoi, {(10, 10): 2.0})
-    (center,) = top_k(f, 1).centers
+    (center,) = _centers(top_k(f, 1))
     stations = [Station("s1", _north_of(center, 400.0), 1),
                 Station("s2", _north_of(center, 1200.0), 2),
                 Station("s3", _north_of(center, 5000.0), 3)]
@@ -104,7 +113,7 @@ def test_recall_stations_on_centers(small_aoi):
     f = _field(small_aoi, {(2, 2): 2.0, (8, 8): 1.0})
     sel = top_k(f, 2)
     stations = [Station(f"s{i}", c, i + 1)
-                for i, c in enumerate(sel.centers)]
+                for i, c in enumerate(_centers(sel))]
     curve = recall_curve(sel, stations, radii_km=(0.001, 5.0))
     assert curve.counts == (2, 2)
 
@@ -151,7 +160,7 @@ def test_recall_growing_k_never_loses(small_aoi):
 
 def test_precision_station_on_center(small_aoi):
     f = _field(small_aoi, {(4, 4): 2.0})
-    (center,) = top_k(f, 1).centers
+    (center,) = _centers(top_k(f, 1))
     curves = precision_curve(f, [Station("s", center, 1)], x_values=(1,))
     (c,) = curves
     assert c.percentages == (100.0, 100.0, 100.0, 100.0)
@@ -168,7 +177,7 @@ def test_precision_all_far(small_aoi):
 def test_precision_denominator_is_selection_size(small_aoi):
     # second mesh ~4 km away, beyond every threshold
     f = _field(small_aoi, {(4, 4): 2.0, (40, 25): 1.0})
-    (center, _) = top_k(f, 2).centers
+    (center, _) = _centers(top_k(f, 2))
     stations = [Station("s", center, 1)]
     (c,) = precision_curve(f, stations, x_values=(10,))
     # only 2 meshes exist; one sits on the station
@@ -221,19 +230,19 @@ def test_oracle_equivalence_random_instances(small_aoi):
 
         dist = {(i, m): geo_distance(s.pos, mesh_center(m, small_aoi))
                 for i, s in enumerate(stations)
-                for m, _ in sel.meshes}
+                for m, _ in _meshes(sel)}
         want = []
         for r in radii:
             hit = 0
             for i in range(n_sta):
-                if min(dist[(i, m)] for m, _ in sel.meshes) <= r * 1000.0:
+                if min(dist[(i, m)] for m, _ in _meshes(sel)) <= r * 1000.0:
                     hit += 1
             want.append(hit)
         assert list(got.counts) == want, f"recall mismatch, trial {trial}"
 
         xs = sorted({rng.randrange(1, n_mesh + 2) for _ in range(3)})
         curves = precision_curve(f, stations, x_values=xs)
-        ordered = [m for m, _ in top_k(f, max(xs)).meshes]
+        ordered = [m for m, _ in _meshes(top_k(f, max(xs)))]
         for c in curves:
             head = ordered[:c.x]
             for d, pct in zip(c.thresholds_m, c.percentages):

@@ -6,15 +6,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mdemap import (ALL_TIME, AreaOfInterest, DirectionHistogram,
-                    EmptyHistogramError, FieldAccumulator, FieldColumns,
-                    InvalidAngleError, InvalidScaleError, MAX_ENTROPY,
-                    MdeField, MeshEntry, MovementVector, N_BINS, TimeWindow,
-                    bin_of, compute_field, compute_fields, entropy,
-                    entropy_norm, ConfigError, GeoPoint, MeshId)
-from mdemap.mesh import inverse_project, LocalCoord
+from mdemap import (ALL_TIME, AreaOfInterest, EmptyHistogramError,
+                    FieldAccumulator, InvalidAngleError, InvalidScaleError,
+                    MAX_ENTROPY, MeshEntry, MovementBatch, MovementVector,
+                    N_BINS, STANDARD_SCALES_M, TimeWindow, compute_field,
+                    compute_fields, entropy_norm, ConfigError, GeoPoint,
+                    MeshId, parent_of)
+from mdemap.mesh import inverse_project, LocalCoord, METERS_PER_DEGREE
 
-from conftest import make_vectors
+from _oracles import DirectionHistogram, bin_of, entropy, histograms
+from conftest import field_of, make_vectors
 
 # frozen oracle: -(0.75 ln 0.75 + 0.25 ln 0.25), 50-digit arithmetic
 H_75_25 = 0.5623351446188083
@@ -227,7 +228,7 @@ def test_histograms_match_brute_force(small_aoi):
     vecs = make_vectors(rng, 4000, small_aoi)
     acc = FieldAccumulator(small_aoi, 1000)
     acc.add(vecs)
-    got = acc.histograms()
+    got = histograms(acc)
     want: dict = {}
     from mdemap import mesh_of, project
     for v in vecs:
@@ -238,30 +239,57 @@ def test_histograms_match_brute_force(small_aoi):
         assert np.array_equal(got[m], want[m])
 
 
-def test_parent_histogram_is_sum_of_children(small_aoi):
-    rng = np.random.default_rng(77)
-    vecs = make_vectors(rng, 6000, small_aoi)
-    fine = FieldAccumulator(small_aoi, 100)
-    coarse = FieldAccumulator(small_aoi, 1000)
-    fine.add(vecs)
-    coarse.add(vecs)
-    from mdemap import parent_of
-    fine_h = fine.histograms()
-    coarse_h = coarse.histograms()
-    rolled: dict = {}
-    for m, h in fine_h.items():
-        p = parent_of(m, 1000)
-        rolled[p] = rolled.get(p, 0) + h
-    assert set(rolled) == set(coarse_h)
-    for m in rolled:
-        assert np.array_equal(rolled[m], coarse_h[m])
+NESTING_PAIRS = [(f, c) for i, f in enumerate(STANDARD_SCALES_M)
+                 for c in STANDARD_SCALES_M[i + 1:]]
+# 13 x 9 km: several coarse meshes at 4000 m, 130 x 90 at 100 m
+NEST_AOI = AreaOfInterest.from_bounds(139.3, 139.444, 35.5, 35.581)
+
+
+@st.composite
+def _nesting_input(draw):
+    """Local coordinates bunched at, just below and just above mesh edges."""
+    n = draw(st.integers(0, 400))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    step = draw(st.sampled_from([100.0, 1000.0, 2000.0, 4000.0]))
+
+    def near_edges(extent):
+        v = rng.choice(np.arange(0.0, extent, step), n)
+        v = np.where(rng.random(n) < 0.3, np.nextafter(v, -1.0), v)
+        v = v + rng.choice([-1e-9, 0.0, 0.0, 1e-9, 0.5, 99.9], n)
+        return np.clip(v, 0.0, extent)
+
+    x, y = near_edges(NEST_AOI.width_m), near_edges(NEST_AOI.height_m)
+    sw = NEST_AOI.south_west
+    return MovementBatch(
+        NEST_AOI, np.full(n, "u", dtype=object), np.zeros(n),
+        sw.lat + y / METERS_PER_DEGREE,
+        sw.lon + x / NEST_AOI.meters_per_degree_lon, x, y,
+        rng.uniform(0.0, 2.0 * math.pi, n), np.full(n, 25.0),
+        np.full(n, 60.0))
+
+
+@settings(max_examples=40)
+@given(vecs=_nesting_input())
+def test_parent_histogram_is_sum_of_children(vecs):
+    hists = {}
+    for scale in STANDARD_SCALES_M:
+        acc = FieldAccumulator(NEST_AOI, scale)
+        acc.add(vecs)
+        hists[scale] = histograms(acc)
+    for fine_m, coarse_m in NESTING_PAIRS:
+        rolled: dict = {}
+        for m, h in hists[fine_m].items():
+            p = parent_of(m, coarse_m)
+            rolled[p] = rolled.get(p, 0) + h
+        assert set(rolled) == set(hists[coarse_m]), (fine_m, coarse_m)
+        for m in rolled:
+            assert np.array_equal(rolled[m], hists[coarse_m][m])
 
 
 def test_grouping_inequality_parent_vs_children(small_aoi):
     # pooling directions cannot lose entropy vs the count-weighted mean
     rng = np.random.default_rng(123)
     vecs = make_vectors(rng, 8000, small_aoi)
-    from mdemap import parent_of
     fine = FieldAccumulator(small_aoi, 100, min_samples=1)
     fine.add(vecs)
     coarse = FieldAccumulator(small_aoi, 1000, min_samples=1)
@@ -334,21 +362,21 @@ def test_compute_fields_equals_per_window_accumulators(case, min_samples):
                                      min_samples)
     assert [(f.scale_m, f.window) for f in fields] == \
         [(s, w) for s in PROP_SCALES for w in windows]
-    for cols in fields:
-        acc = FieldAccumulator(PROP_AOI, cols.scale_m, cols.window,
+    for got in fields:
+        acc = FieldAccumulator(PROP_AOI, got.scale_m, got.window,
                                min_samples)
         acc.add(vectors)
         want = acc.finish()
         assert dropped == acc.dropped_out_of_area
-        got = cols.to_field()
+        assert got == want
         assert _bits(got) == _bits(want)
         # the same field from the window's vectors picked one by one
-        picked = [v for v in vectors if cols.window.contains(v.t)]
+        picked = [v for v in vectors if got.window.contains(v.t)]
         assert _bits(got) == _bits(compute_field(
-            picked, PROP_AOI, cols.scale_m, min_samples=min_samples))
-        assert cols.count.size == len(want.entries)
-        assert cols.n_defined == want.n_defined
-        order = list(zip(cols.row.tolist(), cols.col.tolist()))
+            picked, PROP_AOI, got.scale_m, min_samples=min_samples))
+        assert got.count.size == len(want.entries)
+        assert got.n_defined == want.n_defined
+        order = list(zip(got.row.tolist(), got.col.tolist()))
         assert order == sorted(set(order))
 
 
@@ -381,14 +409,27 @@ def test_compute_fields_validation(small_aoi):
         compute_fields([], world, (1,), _grid_windows(0.0, 1.0, 200))
 
 
-def test_field_columns_round_trip(small_aoi):
+def test_entries_view_matches_columns(small_aoi):
     rng = np.random.default_rng(5)
     field = compute_field(make_vectors(rng, 3000, small_aoi), small_aoi, 100,
                           min_samples=4)
     assert 0 < field.n_defined < len(field.entries)
-    cols = FieldColumns.from_field(field)
-    assert _bits(cols.to_field()) == _bits(field)
-    bad = MdeField(100, ALL_TIME, small_aoi,
-                   {MeshId(1000, 0, 0): MeshEntry(3, None)})
-    with pytest.raises(InvalidScaleError):
-        FieldColumns.from_field(bad)
+    assert list(field.entries) == [
+        MeshId(100, c, r) for c, r in zip(field.col.tolist(),
+                                          field.row.tolist())]
+    for (m, e), n, h in zip(field.entries.items(), field.count.tolist(),
+                            field.entropy.tolist()):
+        assert type(e.count) is int and e.count == n
+        assert (e.entropy is None) if math.isnan(h) else (
+            type(e.entropy) is float and e.entropy.hex() == h.hex())
+    assert list(field.defined()) == [
+        (m, e) for m, e in field.entries.items() if e.entropy is not None]
+    assert sum(1 for _ in field.defined()) == field.n_defined
+    with pytest.raises(TypeError):
+        field.entries[MeshId(100, 0, 0)] = MeshEntry(1, None)
+    # a field built from the same rows compares equal, bit for bit
+    same = field_of(100, small_aoi, {(m.col, m.row): e
+                                     for m, e in field.entries.items()})
+    assert same == field and same.entries == field.entries
+    same.entropy[np.flatnonzero(~np.isnan(same.entropy))[0]] += 1e-15
+    assert same != field

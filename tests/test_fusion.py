@@ -3,43 +3,47 @@
 import numpy as np
 import pytest
 
-from mdemap import (ALL_TIME, CombinedMap, ConfigError, EmptyFieldError,
-                    InvalidScaleError, MdeField, MeshEntry, MeshId,
-                    NormalizedLayer, combine, find_local_peaks, normalize)
+from mdemap import (CombinedMap, ConfigError, EmptyFieldError,
+                    InvalidScaleError, MeshId, combine, find_local_peaks,
+                    normalize)
+
+from conftest import field_of, map_of, scores_of
 
 
 def _field(aoi, scale, ent, count=50):
-    entries = {MeshId(scale, c, r): MeshEntry(count, h)
-               for (c, r), h in ent.items()}
-    return MdeField(scale, ALL_TIME, aoi, entries)
+    return field_of(scale, aoi, {cr: (count, h) for cr, h in ent.items()})
+
+
+def _layer(aoi, scale, values):
+    return map_of(scale, aoi, {(m.col, m.row): v for m, v in values.items()})
 
 
 def test_normalize_spreads_to_unit_interval(small_aoi):
     f = _field(small_aoi, 100, {(0, 0): 2.0, (1, 0): 3.0, (2, 0): 4.0})
     layer = normalize(f)
-    assert layer.scale_m == 100
-    got = {m.col: v for m, v in layer.values.items()}
+    assert layer.base_scale_m == 100
+    assert layer.contributing_scales == (100,)
+    got = {m.col: v for m, v in scores_of(layer).items()}
     assert got == {0: 0.0, 1: 0.5, 2: 1.0}
 
 
 def test_normalize_all_equal_is_half(small_aoi):
     f = _field(small_aoi, 100, {(0, 0): 1.7, (1, 0): 1.7})
-    assert set(normalize(f).values.values()) == {0.5}
+    assert set(normalize(f).scores.tolist()) == {0.5}
     single = _field(small_aoi, 100, {(4, 2): 3.3})
-    assert list(normalize(single).values.values()) == [0.5]
+    assert normalize(single).scores.tolist() == [0.5]
 
 
 def test_normalize_skips_undefined(small_aoi):
-    f = _field(small_aoi, 100, {(0, 0): 1.0, (1, 0): 2.0})
-    f.entries[MeshId(100, 2, 0)] = MeshEntry(5, None)
+    f = field_of(100, small_aoi, {(0, 0): (50, 1.0), (1, 0): (50, 2.0),
+                                  (2, 0): (5, None)})
     layer = normalize(f)
-    assert MeshId(100, 2, 0) not in layer.values
-    assert len(layer.values) == 2
+    assert MeshId(100, 2, 0) not in scores_of(layer)
+    assert len(layer.scores) == 2
 
 
 def test_normalize_empty_raises(small_aoi):
-    f = MdeField(100, ALL_TIME, small_aoi,
-                 {MeshId(100, 0, 0): MeshEntry(3, None)})
+    f = field_of(100, small_aoi, {(0, 0): (3, None)})
     with pytest.raises(EmptyFieldError):
         normalize(f)
 
@@ -50,49 +54,51 @@ def test_normalize_affine_invariance(small_aoi):
            for c, r, h in zip(rng.integers(0, 30, 40),
                               rng.integers(0, 20, 40),
                               rng.uniform(0.5, 4.0, 40))}
-    base = normalize(_field(small_aoi, 100, ent))
-    shifted = normalize(_field(
-        small_aoi, 100, {k: 2.5 * h + 1.0 for k, h in ent.items()}))
-    for m, v in base.values.items():
-        assert shifted.values[m] == pytest.approx(v, abs=1e-12)
+    base = scores_of(normalize(_field(small_aoi, 100, ent)))
+    shifted = scores_of(normalize(_field(
+        small_aoi, 100, {k: 2.5 * h + 1.0 for k, h in ent.items()})))
+    for m, v in base.items():
+        assert shifted[m] == pytest.approx(v, abs=1e-12)
     # and ranks survive
-    order = sorted(base.values, key=base.values.get)
-    assert order == sorted(shifted.values, key=shifted.values.get)
+    order = sorted(base, key=base.get)
+    assert order == sorted(shifted, key=shifted.get)
 
 
 def test_combine_single_layer_identity(small_aoi):
-    layer = NormalizedLayer(100, small_aoi,
-                            {MeshId(100, 3, 4): 0.25, MeshId(100, 5, 6): 1.0})
+    layer = _layer(small_aoi, 100,
+                   {MeshId(100, 3, 4): 0.25, MeshId(100, 5, 6): 1.0})
     combined = combine([layer], 100)
     assert combined.base_scale_m == 100
     assert combined.contributing_scales == (100,)
-    assert combined.scores == layer.values
+    for name in ("col", "row", "scores"):
+        got, want = getattr(combined, name), getattr(layer, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_combine_mean_and_max(small_aoi):
-    fine = NormalizedLayer(100, small_aoi, {MeshId(100, 0, 0): 0.2})
-    coarse = NormalizedLayer(1000, small_aoi, {MeshId(1000, 0, 0): 0.6})
-    mean = combine([fine, coarse], 100)
-    assert mean.scores[MeshId(100, 0, 0)] == pytest.approx(0.4, abs=1e-15)
-    mx = combine([fine, coarse], 100, mode="max")
-    assert mx.scores[MeshId(100, 0, 0)] == pytest.approx(0.6, abs=1e-15)
+    fine = _layer(small_aoi, 100, {MeshId(100, 0, 0): 0.2})
+    coarse = _layer(small_aoi, 1000, {MeshId(1000, 0, 0): 0.6})
+    mean = scores_of(combine([fine, coarse], 100))
+    assert mean[MeshId(100, 0, 0)] == pytest.approx(0.4, abs=1e-15)
+    mx = scores_of(combine([fine, coarse], 100, mode="max"))
+    assert mx[MeshId(100, 0, 0)] == pytest.approx(0.6, abs=1e-15)
     # children of the coarse mesh without a fine value get the coarse value
-    assert mean.scores[MeshId(100, 7, 3)] == pytest.approx(0.6, abs=1e-15)
-    assert len(mean.scores) == 100
+    assert mean[MeshId(100, 7, 3)] == pytest.approx(0.6, abs=1e-15)
+    assert len(mean) == 100
 
 
 def test_combine_skips_undefined_ancestors(small_aoi):
-    fine = NormalizedLayer(100, small_aoi, {MeshId(100, 42, 7): 0.9})
-    coarse = NormalizedLayer(1000, small_aoi, {MeshId(1000, 0, 0): 0.1})
-    combined = combine([fine, coarse], 100)
+    fine = _layer(small_aoi, 100, {MeshId(100, 42, 7): 0.9})
+    coarse = _layer(small_aoi, 1000, {MeshId(1000, 0, 0): 0.1})
+    combined = scores_of(combine([fine, coarse], 100))
     # the fine mesh sits outside the one defined coarse mesh
-    assert combined.scores[MeshId(100, 42, 7)] == pytest.approx(0.9)
-    assert len(combined.scores) == 101
+    assert combined[MeshId(100, 42, 7)] == pytest.approx(0.9)
+    assert len(combined) == 101
 
 
 def test_combine_rejects_non_nesting(small_aoi):
-    a = NormalizedLayer(100, small_aoi, {MeshId(100, 0, 0): 0.5})
-    b = NormalizedLayer(250, small_aoi, {MeshId(250, 0, 0): 0.5})
+    a = _layer(small_aoi, 100, {MeshId(100, 0, 0): 0.5})
+    b = _layer(small_aoi, 250, {MeshId(250, 0, 0): 0.5})
     with pytest.raises(InvalidScaleError):
         combine([a, b], 100)
     with pytest.raises(InvalidScaleError):
@@ -102,8 +108,8 @@ def test_combine_rejects_non_nesting(small_aoi):
 def test_combine_rejects_mixed_aois(small_aoi):
     from mdemap import AreaOfInterest
     other = AreaOfInterest.from_bounds(139.3, 139.4, 35.5, 35.55)
-    a = NormalizedLayer(100, small_aoi, {MeshId(100, 0, 0): 0.5})
-    b = NormalizedLayer(100, other, {MeshId(100, 0, 0): 0.5})
+    a = _layer(small_aoi, 100, {MeshId(100, 0, 0): 0.5})
+    b = _layer(other, 100, {MeshId(100, 0, 0): 0.5})
     with pytest.raises(ConfigError):
         combine([a, b], 100)
     with pytest.raises(ConfigError):
@@ -115,11 +121,9 @@ def test_combine_rejects_mixed_aois(small_aoi):
 def test_combine_clips_overhanging_coarse_meshes(small_aoi):
     ncols, nrows = small_aoi.grid_shape(100)
     ccols, crows = small_aoi.grid_shape(1000)
-    corner = NormalizedLayer(
-        1000, small_aoi, {MeshId(1000, ccols - 1, crows - 1): 0.8})
+    corner = _layer(small_aoi, 1000, {MeshId(1000, ccols - 1, crows - 1): 0.8})
     combined = combine([corner], 100)
-    for m in combined.scores:
-        assert m.col < ncols and m.row < nrows
+    assert (combined.col < ncols).all() and (combined.row < nrows).all()
     expect = (ncols - 10 * (ccols - 1)) * (nrows - 10 * (crows - 1))
     assert len(combined.scores) == expect
 
@@ -131,42 +135,50 @@ def test_combine_matches_brute_force(small_aoi):
         nc, nr = small_aoi.grid_shape(scale)
         picks = {(int(rng.integers(0, nc)), int(rng.integers(0, nr)))
                  for _ in range(60)}
-        layers.append(NormalizedLayer(
-            scale, small_aoi,
+        layers.append(_layer(
+            small_aoi, scale,
             {MeshId(scale, c, r): float(rng.uniform(0, 1))
              for c, r in picks}))
-    combined = combine(layers, 100)
+    cmap = combine(layers, 100)
+    combined = scores_of(cmap)
     nc, nr = small_aoi.grid_shape(100)
     want = {}
     for layer in layers:
-        f = layer.scale_m // 100
-        for m, v in layer.values.items():
+        f = layer.base_scale_m // 100
+        for m, v in scores_of(layer).items():
             for rr in range(m.row * f, min((m.row + 1) * f, nr)):
                 for cc in range(m.col * f, min((m.col + 1) * f, nc)):
                     want.setdefault(MeshId(100, cc, rr), []).append(v)
-    assert set(combined.scores) == set(want)
+    assert set(combined) == set(want)
+    assert list(zip(cmap.row.tolist(), cmap.col.tolist())) == sorted(
+        (m.row, m.col) for m in want)
     for m, vs in want.items():
-        assert combined.scores[m] == pytest.approx(
+        assert combined[m] == pytest.approx(
             sum(vs) / len(vs), abs=1e-12)
 
 
 def _as_map(small_aoi, grid, scale=100):
-    scores = {MeshId(scale, c, r): float(v)
-              for (c, r), v in grid.items()}
-    return CombinedMap(scale, small_aoi, scores, (scale,))
+    return map_of(scale, small_aoi, grid)
+
+
+def _peaks(cmap, **kw):
+    """``find_local_peaks`` as a list of ``MeshId``."""
+    idx = find_local_peaks(cmap, **kw)
+    return [MeshId(cmap.base_scale_m, c, r)
+            for c, r in zip(cmap.col[idx].tolist(), cmap.row[idx].tolist())]
 
 
 def test_single_mesh_is_a_peak(small_aoi):
-    peaks = find_local_peaks(_as_map(small_aoi, {(4, 4): 0.3}))
+    peaks = _peaks(_as_map(small_aoi, {(4, 4): 0.3}))
     assert peaks == [MeshId(100, 4, 4)]
 
 
 def test_plateau_has_no_peak(small_aoi):
     grid = {(0, 0): 0.9, (1, 0): 0.9}
-    assert find_local_peaks(_as_map(small_aoi, grid),
+    assert _peaks(_as_map(small_aoi, grid),
                             percentile_floor=0.0) == []
     grid = {(0, 0): 0.9, (1, 1): 0.9}  # diagonal neighbors tie too
-    assert find_local_peaks(_as_map(small_aoi, grid),
+    assert _peaks(_as_map(small_aoi, grid),
                             percentile_floor=0.0) == []
 
 
@@ -176,10 +188,10 @@ def test_peak_requires_strict_majority_over_neighbors(small_aoi):
         for dr in (-1, 0, 1):
             if (dc, dr) != (0, 0):
                 grid[(1 + dc, 1 + dr)] = 0.2
-    peaks = find_local_peaks(_as_map(small_aoi, grid), percentile_floor=0.0)
+    peaks = _peaks(_as_map(small_aoi, grid), percentile_floor=0.0)
     assert MeshId(100, 1, 1) in peaks
     grid[(2, 2)] = 0.95  # now the corner wins instead
-    peaks = find_local_peaks(_as_map(small_aoi, grid), percentile_floor=0.0)
+    peaks = _peaks(_as_map(small_aoi, grid), percentile_floor=0.0)
     assert MeshId(100, 1, 1) not in peaks
     assert MeshId(100, 2, 2) in peaks
 
@@ -189,25 +201,25 @@ def test_percentile_floor_prunes_minor_peaks(small_aoi):
     grid[(2, 2)] = 0.3   # a local peak, but a weak one
     grid[(7, 7)] = 0.9
     # 99th pct of the 100 values interpolates between 0.3 and 0.9
-    strict = find_local_peaks(_as_map(small_aoi, grid), percentile_floor=99.0)
+    strict = _peaks(_as_map(small_aoi, grid), percentile_floor=99.0)
     assert strict == [MeshId(100, 7, 7)]
-    loose = find_local_peaks(_as_map(small_aoi, grid), percentile_floor=0.0)
+    loose = _peaks(_as_map(small_aoi, grid), percentile_floor=0.0)
     assert set(loose) == {MeshId(100, 7, 7), MeshId(100, 2, 2)}
     assert loose[0] == MeshId(100, 7, 7)  # descending score order
 
 
 def test_peaks_sorted_by_score_then_row_col(small_aoi):
     grid = {(0, 0): 0.5, (5, 0): 0.5, (0, 5): 0.5, (9, 9): 0.7}
-    peaks = find_local_peaks(_as_map(small_aoi, grid), percentile_floor=0.0)
+    peaks = _peaks(_as_map(small_aoi, grid), percentile_floor=0.0)
     assert peaks == [MeshId(100, 9, 9), MeshId(100, 0, 0),
                      MeshId(100, 5, 0), MeshId(100, 0, 5)]
 
 
 def test_peaks_validation(small_aoi):
     with pytest.raises(EmptyFieldError):
-        find_local_peaks(CombinedMap(100, small_aoi, {}, (100,)))
+        find_local_peaks(_as_map(small_aoi, {}))
     with pytest.raises(ConfigError):
-        find_local_peaks(_as_map(small_aoi, {(0, 0): 1.0}),
+        _peaks(_as_map(small_aoi, {(0, 0): 1.0}),
                          percentile_floor=101.0)
 
 
@@ -226,8 +238,7 @@ def test_peaks_match_brute_force_on_random_grids(small_aoi):
         grid = {(c, r): vals[r, c] for r in range(n) for c in range(n)
                 if not np.isnan(vals[r, c])}
         floor = float(rng.choice([0.0, 50.0, 90.0]))
-        got = find_local_peaks(_as_map(small_aoi, grid),
-                               percentile_floor=floor)
+        got = _peaks(_as_map(small_aoi, grid), percentile_floor=floor)
         all_vals = np.array(sorted(grid.values()))
         cut = np.percentile(all_vals, floor)
         want = []
@@ -248,7 +259,18 @@ def test_peaks_match_brute_force_on_random_grids(small_aoi):
         assert got == want, f"trial {trial}"
 
 
-def test_peaks_accept_normalized_layer_and_dict(small_aoi):
-    layer = NormalizedLayer(100, small_aoi, {MeshId(100, 2, 2): 1.0})
-    assert find_local_peaks(layer) == [MeshId(100, 2, 2)]
-    assert find_local_peaks({MeshId(100, 1, 1): 0.4}) == [MeshId(100, 1, 1)]
+def test_peaks_index_the_map_in_any_row_order(small_aoi):
+    grid = {(c, r): float((7 * c + 3 * r) % 11) for c in range(9)
+            for r in range(6)}
+    cmap = _as_map(small_aoi, grid)
+    want = _peaks(cmap, percentile_floor=0.0)
+    assert len(want) > 1
+    flip = np.arange(cmap.scores.size)[::-1]
+    shuffled = CombinedMap(100, small_aoi, cmap.col[flip], cmap.row[flip],
+                           cmap.scores[flip], (100,))
+    assert _peaks(shuffled, percentile_floor=0.0) == want
+
+
+def test_peaks_of_a_normalized_layer(small_aoi):
+    layer = normalize(_field(small_aoi, 100, {(2, 2): 3.0, (3, 2): 1.0}))
+    assert _peaks(layer) == [MeshId(100, 2, 2)]

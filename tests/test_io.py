@@ -8,13 +8,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from mdemap import (ALL_TIME, CombinedMap, DEFAULT_AOI, GeoPoint, MAX_ENTROPY,
-                    MdeField, MeshEntry, MeshId, PointParseError,
-                    PrecisionCurve, RecallCurve, Station, TimeWindow,
-                    TrajectoryPoint, combine, compute_fields, mesh_center,
-                    normalize, parse_points)
+from mdemap import (ALL_TIME, DEFAULT_AOI, GeoPoint, MAX_ENTROPY,
+                    PointParseError, PrecisionCurve, RecallCurve,
+                    STANDARD_SCALES_M, Station, TimeWindow, TrajectoryPoint,
+                    combine, compute_fields, mesh_center, normalize,
+                    parse_points)
 from mdemap.io import ENTROPY_SLACK, FIELD_HEADER, STATION_HEADER
 from mdemap.io import (combined_geojson, field_geojson, read_combined_csv,
                        read_field_csv, read_stations_csv, write_combined_csv,
@@ -22,23 +22,44 @@ from mdemap.io import (combined_geojson, field_geojson, read_combined_csv,
                        write_precision_csv, write_recall_csv,
                        write_stations_csv, write_summary)
 
+from conftest import field_of, map_of, scores_of
+
 
 def _field(aoi):
-    entries = {
-        MeshId(100, 3, 7): MeshEntry(120, 2.345678901234567),
-        MeshId(100, 0, 0): MeshEntry(31, 4.605170185988091),
-        MeshId(100, 9, 2): MeshEntry(12, None),
-    }
-    return MdeField(100, ALL_TIME, aoi, entries, dropped_out_of_area=5)
+    return field_of(100, aoi, {(3, 7): (120, 2.345678901234567),
+                               (0, 0): (31, 4.605170185988091),
+                               (9, 2): (12, None)})
 
 
-def test_field_csv_round_trip(small_aoi, tmp_path):
-    f = _field(small_aoi)
-    p = tmp_path / "field.csv"
-    write_field_csv(f, p)
-    back = read_field_csv(p, small_aoi)
-    assert back.entries == f.entries
-    assert back.scale_m == 100
+def _round_trip(tmp, write, read, obj):
+    """``read(write(obj))``, checking that writing it again gives the same bytes."""
+    one, two = tmp / "one.csv", tmp / "two.csv"
+    write(obj, one)
+    back = read(one, obj.aoi)
+    write(back, two)
+    assert one.read_bytes() == two.read_bytes()
+    return back
+
+
+_cells = st.tuples(st.integers(0, 700), st.integers(0, 400))
+_entropies = st.none() | st.sampled_from([0.0, MAX_ENTROPY]) | st.floats(
+    0.0, MAX_ENTROPY)
+
+
+@settings(max_examples=60)
+@given(scale=st.sampled_from(STANDARD_SCALES_M),
+       entries=st.dictionaries(_cells, st.tuples(st.integers(0, 10**6),
+                                                 _entropies),
+                               min_size=1, max_size=40))
+@example(scale=100, entries={(0, 0): (1, None)})
+@example(scale=100, entries={(5, 3): (30, 0.0)})
+@example(scale=4000, entries={(0, 0): (100, MAX_ENTROPY)})
+def test_field_csv_round_trip(tmp_path_factory, scale, entries):
+    field = field_of(scale, DEFAULT_AOI, entries)
+    back = _round_trip(tmp_path_factory.mktemp("field"), write_field_csv,
+                       read_field_csv, field)
+    assert back == field
+    assert back.entries == field.entries
     assert back.window == ALL_TIME
 
 
@@ -68,16 +89,24 @@ def test_field_csv_rejects_bad_files(small_aoi, tmp_path):
         read_field_csv(p, small_aoi)
 
 
-def test_combined_csv_round_trip(small_aoi, tmp_path):
-    cmap = CombinedMap(100, small_aoi,
-                       {MeshId(100, 1, 1): 0.123456789012345,
-                        MeshId(100, 2, 5): 1.0}, (100, 1000))
-    p = tmp_path / "combined.csv"
-    write_combined_csv(cmap, p)
-    back = read_combined_csv(p, small_aoi)
-    assert back.scores == cmap.scores
-    assert back.base_scale_m == 100
-    header = p.read_text().splitlines()[0]
+@settings(max_examples=60)
+@given(scale=st.sampled_from(STANDARD_SCALES_M),
+       scores=st.dictionaries(
+           _cells, st.sampled_from([0.0, 1.0]) | st.floats(
+               allow_nan=False, allow_infinity=False),
+           min_size=1, max_size=40))
+@example(scale=100, scores={(1, 1): 0.123456789012345, (2, 5): 1.0})
+@example(scale=1000, scores={(0, 0): 0.0})
+def test_combined_csv_round_trip(tmp_path_factory, scale, scores):
+    cmap = map_of(scale, DEFAULT_AOI, scores)
+    tmp = tmp_path_factory.mktemp("combined")
+    back = _round_trip(tmp, write_combined_csv, read_combined_csv, cmap)
+    assert back.base_scale_m == scale
+    for name in ("col", "row", "scores"):
+        got, want = getattr(back, name), getattr(cmap, name)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+    header = (tmp / "one.csv").read_text().splitlines()[0]
     assert header.endswith(",score")
 
 
@@ -167,8 +196,7 @@ def test_field_geojson_rings(small_aoi, tmp_path):
 
 
 def test_combined_geojson(small_aoi):
-    cmap = CombinedMap(100, small_aoi, {MeshId(100, 0, 0): 0.5}, (100,))
-    gj = combined_geojson(cmap)
+    gj = combined_geojson(map_of(100, small_aoi, {(0, 0): 0.5}))
     assert gj["features"][0]["properties"]["score"] == 0.5
 
 
@@ -212,8 +240,9 @@ def _reference_field_csv(field, path):
 
 
 def _reference_combined_csv(cmap, path):
-    _reference_rows(path, FIELD_HEADER + ("score",), cmap.scores, cmap.aoi,
-                    lambda m: ("", "", "", repr(float(cmap.scores[m]))))
+    scores = scores_of(cmap)
+    _reference_rows(path, FIELD_HEADER + ("score",), scores, cmap.aoi,
+                    lambda m: ("", "", "", repr(float(scores[m]))))
 
 
 def _same_bytes(tmp_path, write, reference, obj):
@@ -223,33 +252,25 @@ def _same_bytes(tmp_path, write, reference, obj):
     assert got.read_bytes() == want.read_bytes()
 
 
-_meshes = st.tuples(st.integers(0, 700), st.integers(0, 400))
-
-
 @settings(max_examples=60)
 @given(entries=st.dictionaries(
-    _meshes,
+    _cells,
     st.tuples(st.integers(1, 10**6),
               st.none() | st.floats(0.0, MAX_ENTROPY)),
     max_size=40))
 def test_field_csv_matches_reference_bytes(tmp_path_factory, entries):
-    field = MdeField(100, ALL_TIME, DEFAULT_AOI,
-                     {MeshId(100, c, r): MeshEntry(n, h)
-                      for (c, r), (n, h) in entries.items()})
+    field = field_of(100, DEFAULT_AOI, entries)
     _same_bytes(tmp_path_factory.mktemp("field"), write_field_csv,
                 _reference_field_csv, field)
 
 
 @settings(max_examples=60)
-@given(scores=st.dictionaries(
-    st.tuples(st.sampled_from([100, 1000]), st.integers(0, 700),
-              st.integers(0, 400)),
-    st.floats(0.0, 1.0), max_size=40))
-def test_combined_csv_matches_reference_bytes(tmp_path_factory, scores):
-    cmap = CombinedMap(100, DEFAULT_AOI,
-                       {MeshId(*k): v for k, v in scores.items()}, (100,))
+@given(scale=st.sampled_from([100, 1000]),
+       scores=st.dictionaries(_cells, st.floats(0.0, 1.0), max_size=40))
+def test_combined_csv_matches_reference_bytes(tmp_path_factory, scale,
+                                              scores):
     _same_bytes(tmp_path_factory.mktemp("combined"), write_combined_csv,
-                _reference_combined_csv, cmap)
+                _reference_combined_csv, map_of(scale, DEFAULT_AOI, scores))
 
 
 def test_computed_outputs_match_reference_bytes(tmp_path):
@@ -259,13 +280,9 @@ def test_computed_outputs_match_reference_bytes(tmp_path):
     windows = [TimeWindow(0.0, 5e4), TimeWindow(5e4, 1e5)]
     fields, _ = compute_fields(batch, DEFAULT_AOI, (1000, 2000), windows, 20)
     assert all(f.count.size and f.n_defined for f in fields)
-    for cols in fields:
-        field = cols.to_field()
-        got = tmp_path / "columns.csv"
-        write_field_csv(cols, got)
+    for field in fields:
         _same_bytes(tmp_path, write_field_csv, _reference_field_csv, field)
-        assert got.read_bytes() == (tmp_path / "want.csv").read_bytes()
-    cmap = combine([normalize(f.to_field()) for f in fields[::2]], 1000)
+    cmap = combine([normalize(f) for f in fields[::2]], 1000)
     assert len(cmap.scores) > 1000
     _same_bytes(tmp_path, write_combined_csv, _reference_combined_csv, cmap)
 
@@ -321,3 +338,42 @@ def test_combined_csv_rejects_non_finite_scores(small_aoi, tmp_path, score):
     with pytest.raises(PointParseError) as err:
         read_combined_csv(p, small_aoi)
     assert err.value.line_no == 3
+
+
+_COMBINED_HEADER = ",".join(FIELD_HEADER) + ",score\n"
+_FIELD_HEADER = ",".join(FIELD_HEADER) + "\n"
+
+
+@pytest.mark.parametrize("reader, header, tail, last, message", [
+    pytest.param(read_field_csv, _FIELD_HEADER, "40,1.5,0.3", "100,5,0",
+                 "repeated mesh", id="field-repeat"),
+    pytest.param(read_field_csv, _FIELD_HEADER, "40,1.5,0.3", "1000,0,0",
+                 "mixed scales", id="field-mixed"),
+    pytest.param(read_combined_csv, _COMBINED_HEADER, ",,,0.5", "100,5,0",
+                 "repeated mesh", id="combined-repeat"),
+    pytest.param(read_combined_csv, _COMBINED_HEADER, ",,,0.5", "1000,0,0",
+                 "mixed scales", id="combined-mixed")])
+def test_mesh_csv_refuses_repeats_and_mixed_scales(
+        small_aoi, tmp_path, reader, header, tail, last, message):
+    # line 4 is the first to repeat or mix; line 5 repeats too
+    p = tmp_path / "table.csv"
+    p.write_text(header + "".join(
+        f"{mesh},35.5,139.3,{tail}\n"
+        for mesh in ("100,5,0", "100,1,0", last, "100,1,0")))
+    with pytest.raises(PointParseError, match=f"^line 4: {message}") as err:
+        reader(p, small_aoi)
+    assert err.value.line_no == 4
+
+
+def test_readers_sort_rows_into_grid_order(small_aoi, tmp_path):
+    p = tmp_path / "field.csv"
+    p.write_text(_FIELD_HEADER + "100,5,1,35.5,139.3,40,1.5,\n"
+                 "100,0,1,35.5,139.3,40,,\n100,9,0,35.5,139.3,40,0.5,\n")
+    field = read_field_csv(p, small_aoi)
+    assert field.row.tolist() == [0, 1, 1] and field.col.tolist() == [9, 0, 5]
+    assert field.count.dtype == np.int64
+    p.write_text(_COMBINED_HEADER + "100,5,1,35.5,139.3,,,,0.25\n"
+                 "100,9,0,35.5,139.3,,,,0.75\n")
+    cmap = read_combined_csv(p, small_aoi)
+    assert list(zip(cmap.col.tolist(), cmap.scores.tolist())) == [
+        (9, 0.75), (5, 0.25)]
