@@ -377,15 +377,15 @@ def cmd_export(args) -> int:
     out = _outdir(args, cfg)
     with open(args.table, "r", encoding="utf-8") as f:
         header = f.readline().strip().split(",")
-    if "score" in header:
-        gj = mio.combined_geojson(mio.read_combined_csv(args.table, aoi))
-    else:
-        gj = mio.field_geojson(mio.read_field_csv(args.table, aoi))
+    read, geojson = ((mio.read_combined_csv, mio.combined_geojson)
+                     if "score" in header else
+                     (mio.read_field_csv, mio.field_geojson))
+    table = read(args.table, aoi)
     name = Path(args.table).stem + ".geojson"
-    mio.write_geojson(gj, out / name)
+    mio.write_geojson(geojson(table), out / name)
     mio.write_summary({
         "command": "export", "source": Path(args.table).name,
-        "features": len(gj["features"]), "files": [name],
+        "features": table.col.size, "files": [name],
     }, out / "export_summary.json")
     return 0
 

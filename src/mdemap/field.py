@@ -124,18 +124,13 @@ def _check_setup(scale_m: int, windows, min_samples: int) -> None:
 
 def _movement_arrays(movements, aoi: AreaOfInterest):
     """(x, y, theta, t, n_out_of_area) for a batch or any MovementVector iterable."""
+    if not isinstance(movements, MovementBatch):
+        movements = MovementBatch.from_vectors(movements, aoi)
+    lat, lon = movements.origin_lat, movements.origin_lon
+    theta, t = movements.theta, movements.t
     x = y = None
-    if isinstance(movements, MovementBatch):
-        lat, lon = movements.origin_lat, movements.origin_lon
-        theta, t = movements.theta, movements.t
-        if movements.aoi == aoi:
-            x, y = movements.x, movements.y
-    else:
-        vecs = list(movements)
-        lat = np.array([v.origin.lat for v in vecs], dtype=np.float64)
-        lon = np.array([v.origin.lon for v in vecs], dtype=np.float64)
-        theta = np.array([v.theta for v in vecs], dtype=np.float64)
-        t = np.array([v.t for v in vecs], dtype=np.float64)
+    if movements.aoi == aoi:
+        x, y = movements.x, movements.y
     sw, ne = aoi.south_west, aoi.north_east
     inside = ((lat >= sw.lat) & (lat <= ne.lat)
               & (lon >= sw.lon) & (lon <= ne.lon))

@@ -558,8 +558,13 @@ def extract_movements(points, aoi: AreaOfInterest,
         return _empty_batch(aoi), stats
 
     t = cols.t
-    uniq, codes = np.unique(cols.user_id.astype(str), return_inverse=True)
-    stats.n_users = int(uniq.size)
+    # codes in sorted id order; a dict keeps each id whole, where a
+    # fixed-width str array pads every id to the longest and drops
+    # trailing NULs
+    ids = cols.user_id.tolist()
+    code_of = {u: i for i, u in enumerate(sorted(set(ids)))}
+    codes = np.fromiter(map(code_of.__getitem__, ids), np.int64, len(ids))
+    stats.n_users = len(code_of)
     # stable (user, t) order: ties keep input order, so dedup keeps the first
     order = np.lexsort((np.arange(t.size), t, codes))
     codes, t = codes[order], t[order]

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from itertools import repeat
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -18,8 +19,8 @@ from .errors import PointParseError
 from .evaluation import (PrecisionCurve, RecallCurve, Station, check_stations)
 from .field import ALL_TIME, MAX_ENTROPY, MdeField, TimeWindow
 from .fusion import CombinedMap
-from .ingest import TrajectoryPoint
-from .mesh import AreaOfInterest, GeoPoint, MeshId, mesh_centers, mesh_corners
+from .ingest import ParseResult, TrajectoryPoint
+from .mesh import AreaOfInterest, GeoPoint, mesh_centers, mesh_corners
 
 FIELD_HEADER = ("scale_m", "col", "row", "center_lat", "center_lon",
                 "count", "entropy_nats", "entropy_norm")
@@ -59,20 +60,26 @@ def _write_mesh_rows(path, header, aoi: AreaOfInterest, scale_m, col, row,
                                           _reprs(lat), _reprs(lon), tails)])
 
 
+def _texts(values: np.ndarray, undefined: str) -> list[str]:
+    """``repr`` of every value, ``undefined`` for NaN."""
+    return [undefined if math.isnan(v) else repr(v) for v in values.tolist()]
+
+
 def write_field_csv(field: MdeField, path) -> None:
     """Rows in the field's (row, col) order; undefined meshes leave entropy empty."""
-    norm = field.entropy / MAX_ENTROPY
-    tails = [f"{n},," if math.isnan(h) else f"{n},{h!r},{hn!r}"
-             for n, h, hn in zip(field.count.tolist(), field.entropy.tolist(),
-                                 norm.tolist())]
+    tails = [f"{n},{h},{hn}" for n, h, hn in zip(
+        field.count.tolist(), _texts(field.entropy, ""),
+        _texts(field.entropy / MAX_ENTROPY, ""))]
     _write_mesh_rows(path, FIELD_HEADER, field.aoi, field.scale_m,
                      field.col, field.row, tails)
 
 
-def _mesh_rows(path, columns: tuple[str, ...], kind: str):
+def _mesh_rows(path, aoi: AreaOfInterest, columns: tuple[str, ...],
+               kind: str):
     """Yield (line number, scale, col, row, other ``columns`` as str).
 
-    Rows of more than one scale are a ``PointParseError`` naming the line.
+    Rows of more than one scale, and meshes outside the grid that
+    ``aoi.grid_shape`` gives, are a ``PointParseError`` naming the line.
     """
     with open(path, "r", encoding="utf-8", newline="") as f:
         reader = csv.reader(f)
@@ -94,10 +101,18 @@ def _mesh_rows(path, columns: tuple[str, ...], kind: str):
             except (IndexError, ValueError) as exc:
                 raise PointParseError(str(exc), line_no=line) from exc
             if scale is None:
+                if s <= 0:
+                    raise PointParseError(f"mesh scale {s} is not positive",
+                                          line_no=line)
                 scale = s
+                ncols, nrows = aoi.grid_shape(s)
             elif s != scale:
                 raise PointParseError(f"mixed scales in one {kind} file",
                                       line_no=line)
+            if not (0 <= c < ncols and 0 <= r < nrows):
+                raise PointParseError(
+                    f"mesh col {c}, row {r} outside the {ncols} x {nrows} "
+                    f"grid of {s} m meshes", line_no=line)
             yield line, s, c, r, rest
     if scale is None:
         raise PointParseError(f"{kind} file has no rows")
@@ -126,7 +141,7 @@ def read_field_csv(path, aoi: AreaOfInterest,
                    window: TimeWindow = ALL_TIME) -> MdeField:
     lines, col, row, count, ent = [], [], [], [], []
     for line, scale, c, r, (n, h) in _mesh_rows(
-            path, ("count", "entropy_nats"), "field"):
+            path, aoi, ("count", "entropy_nats"), "field"):
         try:
             n = int(n)
             if n < 0:
@@ -159,7 +174,8 @@ def write_combined_csv(cmap: CombinedMap, path) -> None:
 def read_combined_csv(path, aoi: AreaOfInterest) -> CombinedMap:
     """Rebuild a combined map; contributing scales live in the summary."""
     lines, col, row, scores = [], [], [], []
-    for line, scale, c, r, (v,) in _mesh_rows(path, ("score",), "combined"):
+    for line, scale, c, r, (v,) in _mesh_rows(path, aoi, ("score",),
+                                                "combined"):
         try:
             v = float(v)
             if not math.isfinite(v):
@@ -219,57 +235,56 @@ def write_precision_csv(curves: Sequence[PrecisionCurve], threshold_m: float,
             w.writerow((cur.x, _fmt(cur.percentages[i])))
 
 
-def write_points_csv(points: Iterable[TrajectoryPoint], path) -> None:
+def write_points_csv(points: ParseResult | Iterable[TrajectoryPoint],
+                     path) -> None:
     """Standard points file; heading/speed columns only when any point has them."""
-    points = list(points)
-    extras = any(p.heading is not None or p.speed is not None for p in points)
+    cols = (points if isinstance(points, ParseResult)
+            else ParseResult.from_points(points))
+    columns = [cols.user_id.tolist(),
+               map(lambda t: int(t) if t.is_integer() else t, cols.t.tolist()),
+               cols.lat.tolist(), cols.lon.tolist()]
+    if not (np.isnan(cols.heading).all() and np.isnan(cols.speed).all()):
+        columns += [_texts(cols.heading, ""), _texts(cols.speed, "")]
     with open(path, "w", encoding="utf-8", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(("user_id", "timestamp", "lat", "lon")
-                   + (("heading", "speed") if extras else ()))
-        for p in points:
-            t = int(p.t) if float(p.t).is_integer() else _fmt(p.t)
-            row = [p.user_id, t, _fmt(p.pos.lat), _fmt(p.pos.lon)]
-            if extras:
-                row.append("" if p.heading is None else _fmt(p.heading))
-                row.append("" if p.speed is None else _fmt(p.speed))
-            w.writerow(row)
+        w = csv.writer(f)     # writes floats as repr
+        w.writerow(("user_id", "timestamp", "lat", "lon", "heading",
+                    "speed")[:len(columns)])
+        w.writerows(zip(*columns))
 
 
-def _geojson(aoi: AreaOfInterest, props: Iterable[dict]) -> dict:
-    """One polygon feature per mesh; ``props`` holds scale_m, col and row."""
-    features = []
-    for p in props:
-        sw, se, ne, nw = mesh_corners(
-            MeshId(p["scale_m"], p["col"], p["row"]), aoi)
-        ring = [[q.lon, q.lat] for q in (sw, se, ne, nw, sw)]
-        features.append({"type": "Feature", "properties": p,
-                         "geometry": {"type": "Polygon",
-                                      "coordinates": [ring]}})
-    return {"type": "FeatureCollection", "features": features}
+def _geojson(table, scale_m: int, **values: list[str]) -> str:
+    """A polygon per mesh of ``table``, as compact ``json.dumps`` with sorted
+    keys writes it; ``values`` holds the JSON text of the other properties."""
+    values.update(col=table.col.tolist(), row=table.row.tolist(),
+                  scale_m=repeat(scale_m))
+    keys = sorted(values)
+    props = map(",".join(f'"{k}":{{}}' for k in keys).format,
+                *(values[k] for k in keys))
+    south, north, west, east = (_reprs(e) for e in mesh_corners(
+        scale_m, table.col, table.row, table.aoi))
+    features = ",".join([
+        f'{{"geometry":{{"coordinates":[[[{w},{s}],[{e},{s}],[{e},{n}],'
+        f'[{w},{n}],[{w},{s}]]],"type":"Polygon"}},"properties":{{{p}}},'
+        f'"type":"Feature"}}'
+        for s, n, w, e, p in zip(south, north, west, east, props)])
+    return f'{{"features":[{features}],"type":"FeatureCollection"}}'
 
 
-def field_geojson(field: MdeField) -> dict:
-    s = field.scale_m
-    return _geojson(field.aoi, (
-        {"scale_m": s, "col": c, "row": r, "count": n,
-         "entropy_nats": None if math.isnan(h) else h,
-         "entropy_norm": None if math.isnan(h) else h / MAX_ENTROPY}
-        for c, r, n, h in zip(field.col.tolist(), field.row.tolist(),
-                              field.count.tolist(), field.entropy.tolist())))
+def field_geojson(field: MdeField) -> str:
+    """GeoJSON text of a field; undefined entropies are ``null``."""
+    return _geojson(field, field.scale_m, count=field.count.tolist(),
+                    entropy_nats=_texts(field.entropy, "null"),
+                    entropy_norm=_texts(field.entropy / MAX_ENTROPY, "null"))
 
 
-def combined_geojson(cmap: CombinedMap) -> dict:
-    s = cmap.base_scale_m
-    return _geojson(cmap.aoi, (
-        {"scale_m": s, "col": c, "row": r, "score": v}
-        for c, r, v in zip(cmap.col.tolist(), cmap.row.tolist(),
-                           cmap.scores.tolist())))
+def combined_geojson(cmap: CombinedMap) -> str:
+    return _geojson(cmap, cmap.base_scale_m,
+                    score=_texts(cmap.scores, "null"))
 
 
-def write_geojson(obj: dict, path) -> None:
+def write_geojson(text: str, path) -> None:
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(obj, f, sort_keys=True, separators=(",", ":"))
+        f.write(text)
         f.write("\n")
 
 

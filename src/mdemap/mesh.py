@@ -126,6 +126,7 @@ def project_arrays(lat: np.ndarray, lon: np.ndarray,
 
 
 def inverse_project(c: LocalCoord, aoi: AreaOfInterest) -> GeoPoint:
+    """Inverse of :func:`project`; ``c`` may hold arrays of coordinates."""
     lat = aoi.south_west.lat + c.y / METERS_PER_DEGREE
     lon = aoi.south_west.lon + c.x / aoi.meters_per_degree_lon
     return GeoPoint(lat, lon)
@@ -162,19 +163,19 @@ def mesh_centers(scale_m, col, row,
     ``scale_m`` is one scale or an array of them, one per mesh.
     """
     s = np.asarray(scale_m, dtype=np.float64)
-    col = np.asarray(col, dtype=np.float64)
-    row = np.asarray(row, dtype=np.float64)
-    lat = aoi.south_west.lat + ((row + 0.5) * s) / METERS_PER_DEGREE
-    lon = aoi.south_west.lon + ((col + 0.5) * s) / aoi.meters_per_degree_lon
-    return lat, lon
+    return inverse_project(LocalCoord((np.asarray(col, np.float64) + 0.5) * s,
+                                      (np.asarray(row, np.float64) + 0.5) * s),
+                           aoi)
 
 
-def mesh_corners(m: MeshId, aoi: AreaOfInterest) -> list[GeoPoint]:
-    """Corners in ring order sw, se, ne, nw (not closed)."""
-    s = m.scale_m
-    x0, y0 = m.col * s, m.row * s
-    return [inverse_project(LocalCoord(x, y), aoi)
-            for x, y in ((x0, y0), (x0 + s, y0), (x0 + s, y0 + s), (x0, y0 + s))]
+def mesh_corners(scale_m, col, row, aoi: AreaOfInterest) -> tuple:
+    """Vectorized corners, bit for bit: (south, north, west, east) arrays."""
+    s = np.asarray(scale_m, dtype=np.float64)
+    sw = LocalCoord(np.asarray(col, np.float64) * s,
+                    np.asarray(row, np.float64) * s)
+    south, west = inverse_project(sw, aoi)
+    north, east = inverse_project(LocalCoord(sw.x + s, sw.y + s), aoi)
+    return south, north, west, east
 
 
 def geo_distance(a: GeoPoint, b: GeoPoint) -> float:

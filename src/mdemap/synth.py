@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .evaluation import Station
-from .ingest import TrajectoryPoint
+from .ingest import ParseResult
 from .mesh import (AreaOfInterest, DEFAULT_AOI, GeoPoint, LocalCoord,
                    inverse_project, project, TWO_PI)
 
@@ -155,30 +155,28 @@ def _user_positions(rng, cfg: SynthConfig, site, site_xy) -> tuple:
     return x, y
 
 
-def generate(config: SynthConfig) -> tuple[list[TrajectoryPoint], GroundTruth]:
-    """All users' fixes sorted by (user_id, t), plus the planted truth."""
+def generate(config: SynthConfig) -> tuple[ParseResult, GroundTruth]:
+    """Every user's fixes as columns sorted by (user_id, t), and the truth."""
     cfg = config
     sites = list(cfg.hubs) + list(cfg.corridors)
     site_xy = [project(s.center, cfg.aoi) for s in sites]
     sw, ne = cfg.aoi.south_west, cfg.aoi.north_east
     width = max(len(str(max(cfg.n_users - 1, 0))), 1)
-    f = cfg.fixes_per_user
-    times = [_T0 + _DT * k for k in range(f)]
-    points: list[TrajectoryPoint] = []
-    for u in range(cfg.n_users):
+    n, f = cfg.n_users, cfg.fixes_per_user
+    bg, bg_lat, bg_lon, x, y = np.empty((5, n, f))
+    for u in range(n):
         rng = np.random.Generator(
             np.random.PCG64(np.random.SeedSequence(cfg.seed, spawn_key=(u,))))
-        is_bg = rng.random(f) < cfg.background_rate
-        bg_lat = rng.uniform(sw.lat, ne.lat, f)
-        bg_lon = rng.uniform(sw.lon, ne.lon, f)
+        bg[u] = rng.random(f)
+        bg_lat[u] = rng.uniform(sw.lat, ne.lat, f)
+        bg_lon[u] = rng.uniform(sw.lon, ne.lon, f)
         s = u % len(sites)
-        x, y = _user_positions(rng, cfg, sites[s], site_xy[s])
-        uid = f"u{u:0{width}d}"
-        for k in range(f):
-            if is_bg[k]:
-                pos = GeoPoint(float(bg_lat[k]), float(bg_lon[k]))
-            else:
-                pos = inverse_project(LocalCoord(float(x[k]), float(y[k])),
-                                      cfg.aoi)
-            points.append(TrajectoryPoint(uid, times[k], pos))
+        x[u], y[u] = _user_positions(rng, cfg, sites[s], site_xy[s])
+    lat, lon = inverse_project(LocalCoord(x, y), cfg.aoi)
+    bg = bg < cfg.background_rate
+    users = np.array([f"u{u:0{width}d}" for u in range(n)], dtype=object)
+    points = ParseResult(
+        np.repeat(users, f), np.tile(_T0 + _DT * np.arange(f), n),
+        np.where(bg, bg_lat, lat).ravel(), np.where(bg, bg_lon, lon).ravel(),
+        *np.full((2, n * f), np.nan))
     return points, GroundTruth(tuple(h.center for h in cfg.hubs))

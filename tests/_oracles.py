@@ -10,8 +10,9 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from mdemap import (ConfigError, EmptyHistogramError, InvalidAngleError,
-                    MeshId, N_BINS, kernels)
+from mdemap import (AreaOfInterest, ConfigError, EmptyHistogramError,
+                    GeoPoint, InvalidAngleError, LocalCoord, MeshId, N_BINS,
+                    inverse_project, kernels)
 from mdemap.mesh import TWO_PI
 
 
@@ -81,3 +82,12 @@ def histograms(acc) -> dict[MeshId, np.ndarray]:
             h = out[mid] = np.zeros(N_BINS, dtype=np.int64)
         h[b] = c
     return out
+
+
+def mesh_corners(m: MeshId, aoi: AreaOfInterest) -> list[GeoPoint]:
+    """Corners in ring order sw, se, ne, nw (not closed), one
+    ``inverse_project`` each."""
+    s = m.scale_m
+    x0, y0 = m.col * s, m.row * s
+    return [inverse_project(LocalCoord(x, y), aoi) for x, y in (
+        (x0, y0), (x0 + s, y0), (x0 + s, y0 + s), (x0, y0 + s))]

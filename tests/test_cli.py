@@ -1,6 +1,7 @@
 """End-to-end command-line pipeline."""
 
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mdemap import ConfigError
+from mdemap import ConfigError, DEFAULT_AOI
 from mdemap.cli import MAX_WINDOWS, _windows, main
 
 AOI = "139.3,140.0,35.5,35.85"
@@ -200,6 +201,18 @@ def test_console_script(tmp_path):
     assert all(cmd in help_proc.stdout for cmd in SUBCOMMANDS)
 
 
+def test_benchmark_tracer_finds_every_name():
+    # perfbench/tracing.py wraps mdemap functions by name; a renamed one
+    # makes install() fail
+    root = PYPROJECT.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(root / "src"), str(root / "perfbench")]))
+    install = "import tracing; tracing.Tracer('t').install()"
+    proc = subprocess.run([sys.executable, "-c", install],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+
+
 @pytest.mark.skipif(shutil.which("mdemap") is None,
                     reason="mdemap console script not installed")
 def test_installed_console_script():
@@ -349,3 +362,22 @@ def test_repeated_meshes_and_mixed_scales_exit_3(pipeline, tmp_path, capsys):
     assert main(["export", str(tmp_path / "combined.csv"), "--aoi", AOI,
                  "--out", str(tmp_path)]) == 3
     assert f"line {len(combined) + 1}: mixed scales" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["combine", "export"])
+@pytest.mark.parametrize("index, value", [
+    (1, "-1"), (1, "ncols"), (1, str(10**20)), (2, "nrows")])
+def test_meshes_outside_the_grid_exit_3(pipeline, tmp_path, capsys, command,
+                                        index, value):
+    ncols, nrows = DEFAULT_AOI.grid_shape(1000)
+    value = {"ncols": str(ncols), "nrows": str(nrows)}.get(value, value)
+    rows = (pipeline / "mde_1000m.csv").read_text().splitlines(True)
+    cells = rows[2].split(",")
+    cells[index] = value
+    field = tmp_path / "mde_1000m.csv"
+    field.write_text("".join(rows[:2] + [",".join(cells)] + rows[3:]))
+    assert main([command, str(field), "--aoi", AOI,
+                 "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert "line 3: mesh col" in err and "outside the" in err
+    assert not any((tmp_path / "out").iterdir())

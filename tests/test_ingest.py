@@ -5,6 +5,7 @@ import io
 import json
 import math
 import random
+import tracemalloc
 from datetime import datetime
 from unittest import mock
 
@@ -262,6 +263,41 @@ def test_extract_empty(small_aoi):
     batch, stats = extract_movements([], small_aoi)
     assert len(batch) == 0 and stats.n_points == 0
     assert isinstance(batch, MovementBatch)
+
+
+def test_user_ids_are_compared_whole(small_aoi):
+    # a fixed-width str array strips trailing NULs, merging these two
+    pts = [_fix(small_aoi, u, 60 * k, 500.0, 100.0 + 50.0 * k)
+           for u in ("a", "a\x00") for k in range(40)]
+    batch, stats = extract_movements(pts, small_aoi)
+    assert stats.n_users == 2 and stats.n_vectors == 78
+    assert sorted(set(batch.user_id.tolist())) == ["a", "a\x00"]
+
+
+def _extraction_peak(user_id, aoi) -> int:
+    """tracemalloc peak of extracting 4,000 fixes of 40 users, the first
+    user's id replaced by ``user_id``."""
+    n = 4000
+    ids = np.array([f"u{i // 100:02d}" for i in range(n)], dtype=object)
+    ids[ids == "u00"] = user_id
+    k = np.arange(n) % 100
+    lat, lon = inverse_project(LocalCoord(500.0, 100.0 + 20.0 * k), aoi)
+    cols = ParseResult(ids, 60.0 * k, lat, np.full(n, lon),
+                       *np.full((2, n), np.nan))
+    tracemalloc.start()
+    try:
+        _, stats = extract_movements(cols, aoi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stats.n_users == 40
+    return peak
+
+
+def test_long_user_id_costs_no_more_memory(small_aoi):
+    # a fixed-width str array spends 4 bytes x the longest id on every row
+    assert _extraction_peak("x" * 5000, small_aoi) <= 2 * _extraction_peak(
+        "u00", small_aoi)
 
 
 def test_batch_round_trip(small_aoi):

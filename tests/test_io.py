@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mdemap import (ALL_TIME, DEFAULT_AOI, GeoPoint, MAX_ENTROPY,
-                    PointParseError, PrecisionCurve, RecallCurve,
+from mdemap import (ALL_TIME, DEFAULT_AOI, GeoPoint, MAX_ENTROPY, MeshId,
+                    ParseResult, PointParseError, PrecisionCurve, RecallCurve,
                     STANDARD_SCALES_M, Station, TimeWindow, TrajectoryPoint,
                     combine, compute_fields, mesh_center, normalize,
                     parse_points)
@@ -22,6 +22,7 @@ from mdemap.io import (combined_geojson, field_geojson, read_combined_csv,
                        write_precision_csv, write_recall_csv,
                        write_stations_csv, write_summary)
 
+import _oracles as oracles
 from conftest import field_of, map_of, scores_of
 
 
@@ -46,15 +47,25 @@ _entropies = st.none() | st.sampled_from([0.0, MAX_ENTROPY]) | st.floats(
     0.0, MAX_ENTROPY)
 
 
+def _in_grid(values):
+    """(scale, {(col, row): value}) with cells inside the grid of that
+    scale over DEFAULT_AOI; the readers refuse a mesh outside it."""
+    def tables(scale):
+        ncols, nrows = DEFAULT_AOI.grid_shape(scale)
+        cells = st.tuples(st.integers(0, ncols - 1), st.integers(0, nrows - 1))
+        return st.tuples(st.just(scale), st.dictionaries(
+            cells, values, min_size=1, max_size=40))
+    return st.sampled_from(STANDARD_SCALES_M).flatmap(tables)
+
+
 @settings(max_examples=60)
-@given(scale=st.sampled_from(STANDARD_SCALES_M),
-       entries=st.dictionaries(_cells, st.tuples(st.integers(0, 10**6),
-                                                 _entropies),
-                               min_size=1, max_size=40))
-@example(scale=100, entries={(0, 0): (1, None)})
-@example(scale=100, entries={(5, 3): (30, 0.0)})
-@example(scale=4000, entries={(0, 0): (100, MAX_ENTROPY)})
-def test_field_csv_round_trip(tmp_path_factory, scale, entries):
+@given(table=_in_grid(st.tuples(st.integers(0, 10**6), _entropies)))
+@example(table=(100, {(0, 0): (1, None)}))
+@example(table=(100, {(5, 3): (30, 0.0)}))
+@example(table=(4000, {(0, 0): (100, MAX_ENTROPY)}))
+@example(table=(100, {(632, 389): (7, 1.5)}))
+def test_field_csv_round_trip(tmp_path_factory, table):
+    scale, entries = table
     field = field_of(scale, DEFAULT_AOI, entries)
     back = _round_trip(tmp_path_factory.mktemp("field"), write_field_csv,
                        read_field_csv, field)
@@ -90,14 +101,13 @@ def test_field_csv_rejects_bad_files(small_aoi, tmp_path):
 
 
 @settings(max_examples=60)
-@given(scale=st.sampled_from(STANDARD_SCALES_M),
-       scores=st.dictionaries(
-           _cells, st.sampled_from([0.0, 1.0]) | st.floats(
-               allow_nan=False, allow_infinity=False),
-           min_size=1, max_size=40))
-@example(scale=100, scores={(1, 1): 0.123456789012345, (2, 5): 1.0})
-@example(scale=1000, scores={(0, 0): 0.0})
-def test_combined_csv_round_trip(tmp_path_factory, scale, scores):
+@given(table=_in_grid(st.sampled_from([0.0, 1.0]) | st.floats(
+    allow_nan=False, allow_infinity=False)))
+@example(table=(100, {(1, 1): 0.123456789012345, (2, 5): 1.0}))
+@example(table=(1000, {(0, 0): 0.0}))
+@example(table=(4000, {(15, 9): 0.5}))
+def test_combined_csv_round_trip(tmp_path_factory, table):
+    scale, scores = table
     cmap = map_of(scale, DEFAULT_AOI, scores)
     tmp = tmp_path_factory.mktemp("combined")
     back = _round_trip(tmp, write_combined_csv, read_combined_csv, cmap)
@@ -175,10 +185,12 @@ def test_points_csv_heading_speed(tmp_path):
 
 
 def test_field_geojson_rings(small_aoi, tmp_path):
-    gj = field_geojson(_field(small_aoi))
+    text = field_geojson(_field(small_aoi))
+    gj = json.loads(text)
     assert gj["type"] == "FeatureCollection"
     assert len(gj["features"]) == 3
     feat = gj["features"][0]
+    assert feat["type"] == "Feature" and feat["geometry"]["type"] == "Polygon"
     ring = feat["geometry"]["coordinates"][0]
     assert len(ring) == 5 and ring[0] == ring[-1]
     lons = [c[0] for c in ring[:4]]
@@ -186,18 +198,25 @@ def test_field_geojson_rings(small_aoi, tmp_path):
     # 100 m square in degrees
     assert max(lats) - min(lats) == pytest.approx(100 / 111194.92664455873,
                                                   rel=1e-9)
-    assert feat["properties"]["count"] == 31
+    assert feat["properties"] == {
+        "scale_m": 100, "col": 0, "row": 0, "count": 31,
+        "entropy_nats": 4.605170185988091,
+        "entropy_norm": 4.605170185988091 / MAX_ENTROPY}
     undef = [f for f in gj["features"]
              if f["properties"]["entropy_nats"] is None]
     assert len(undef) == 1
+    assert undef[0]["properties"]["entropy_norm"] is None
     p = tmp_path / "field.geojson"
-    write_geojson(gj, p)
-    assert json.loads(p.read_text()) == gj
+    write_geojson(text, p)
+    assert p.read_text() == text + "\n"
 
 
 def test_combined_geojson(small_aoi):
-    gj = combined_geojson(map_of(100, small_aoi, {(0, 0): 0.5}))
-    assert gj["features"][0]["properties"]["score"] == 0.5
+    gj = json.loads(combined_geojson(map_of(100, small_aoi, {(0, 0): 0.5})))
+    (feat,) = gj["features"]
+    assert feat["properties"] == {"scale_m": 100, "col": 0, "row": 0,
+                                  "score": 0.5}
+    assert feat["geometry"]["coordinates"][0][0] == [139.3, 35.5]
 
 
 def test_summary_is_stable(tmp_path):
@@ -285,6 +304,131 @@ def test_computed_outputs_match_reference_bytes(tmp_path):
     cmap = combine([normalize(f) for f in fields[::2]], 1000)
     assert len(cmap.scores) > 1000
     _same_bytes(tmp_path, write_combined_csv, _reference_combined_csv, cmap)
+
+
+def _reference_points_csv(points, path):
+    """The per-point writer: one csv row built per TrajectoryPoint."""
+    points = list(points)
+    extras = any(p.heading is not None or p.speed is not None for p in points)
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(("user_id", "timestamp", "lat", "lon")
+                   + (("heading", "speed") if extras else ()))
+        for p in points:
+            t = int(p.t) if float(p.t).is_integer() else repr(float(p.t))
+            row = [p.user_id, t, repr(float(p.pos.lat)),
+                   repr(float(p.pos.lon))]
+            if extras:
+                row.append("" if p.heading is None else repr(float(p.heading)))
+                row.append("" if p.speed is None else repr(float(p.speed)))
+            w.writerow(row)
+
+
+def _reference_geojson(aoi, props, path):
+    """The dict writer: a dict per feature, encoded by json.dump."""
+    features = []
+    for p in props:
+        sw, se, ne, nw = oracles.mesh_corners(
+            MeshId(p["scale_m"], p["col"], p["row"]), aoi)
+        ring = [[q.lon, q.lat] for q in (sw, se, ne, nw, sw)]
+        features.append({"type": "Feature", "properties": p,
+                         "geometry": {"type": "Polygon",
+                                      "coordinates": [ring]}})
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump({"type": "FeatureCollection", "features": features}, f,
+                  sort_keys=True, separators=(",", ":"))
+        f.write("\n")
+
+
+def _reference_field_geojson(field, path):
+    s = field.scale_m
+    _reference_geojson(field.aoi, [
+        {"scale_m": s, "col": m.col, "row": m.row, "count": e.count,
+         "entropy_nats": e.entropy, "entropy_norm":
+             None if e.entropy is None else e.entropy / MAX_ENTROPY}
+        for m, e in field.entries.items()], path)
+
+
+def _reference_combined_geojson(cmap, path):
+    _reference_geojson(cmap.aoi, [
+        {"scale_m": m.scale_m, "col": m.col, "row": m.row, "score": v}
+        for m, v in scores_of(cmap).items()], path)
+
+
+_ids = st.text(min_size=1, max_size=6) | st.sampled_from(
+    ["a,b", 'say "hi"', "two\nlines", "cr\r", ",", '"', "\n"])
+_times = st.sampled_from([0.0, -0.0, 1.5, -2.25, 1e300]) | st.floats()
+_POINTS = st.lists(st.builds(
+    TrajectoryPoint, _ids, _times, st.builds(GeoPoint, st.floats(),
+                                             st.floats()),
+    st.none() | st.floats(allow_nan=False),
+    st.none() | st.floats(allow_nan=False)), max_size=30)
+
+
+@settings(max_examples=200)
+@given(points=_POINTS)
+@example(points=[])
+@example(points=[TrajectoryPoint("a,\"b\"\n", -0.0, GeoPoint(-0.0, 1.5))])
+@example(points=[TrajectoryPoint("u", 1.5, GeoPoint(35.5, 139.4), 0.0),
+                 TrajectoryPoint("u", 2.0, GeoPoint(35.5, 139.4), None, 0.0)])
+def test_points_csv_matches_reference_bytes(tmp_path_factory, points):
+    tmp = tmp_path_factory.mktemp("points")
+    _same_bytes(tmp, write_points_csv, _reference_points_csv, points)
+    _same_bytes(tmp, write_points_csv, _reference_points_csv,
+                ParseResult.from_points(points))
+
+
+def _same_geojson(tmp, text, reference, table):
+    got, want = tmp / "got.geojson", tmp / "want.geojson"
+    write_geojson(text, got)
+    reference(table, want)
+    assert got.read_bytes() == want.read_bytes()
+
+
+@settings(max_examples=60)
+@given(scale=st.sampled_from(STANDARD_SCALES_M),
+       entries=st.dictionaries(_cells, st.tuples(st.integers(0, 10**6),
+                                                 _entropies), max_size=40))
+@example(scale=100, entries={})
+@example(scale=100, entries={(0, 0): (1, None)})
+@example(scale=4000, entries={(3, 2): (100, MAX_ENTROPY), (0, 0): (9, 0.0)})
+def test_field_geojson_matches_reference_bytes(tmp_path_factory, scale,
+                                               entries):
+    field = field_of(scale, DEFAULT_AOI, entries)
+    _same_geojson(tmp_path_factory.mktemp("geojson"), field_geojson(field),
+                  _reference_field_geojson, field)
+
+
+@settings(max_examples=60)
+@given(scale=st.sampled_from(STANDARD_SCALES_M),
+       scores=st.dictionaries(_cells, st.sampled_from([0.0, -0.0, 1.0])
+                              | st.floats(allow_nan=False,
+                                          allow_infinity=False),
+                              max_size=40))
+@example(scale=100, scores={})
+@example(scale=1000, scores={(7, 4): 0.5})
+def test_combined_geojson_matches_reference_bytes(tmp_path_factory, scale,
+                                                  scores):
+    cmap = map_of(scale, DEFAULT_AOI, scores)
+    _same_geojson(tmp_path_factory.mktemp("geojson"), combined_geojson(cmap),
+                  _reference_combined_geojson, cmap)
+
+
+def test_computed_geojson_matches_reference_bytes(tmp_path):
+    from _throughput import uniform_batch
+
+    batch = uniform_batch(60_000, DEFAULT_AOI, 5)
+    fields, _ = compute_fields(batch, DEFAULT_AOI, (1000, 2000), [ALL_TIME],
+                               25)
+    assert all(f.n_defined for f in fields)
+    assert any(f.n_defined < f.count.size for f in fields)
+    for field in fields:
+        _same_geojson(tmp_path, field_geojson(field),
+                      _reference_field_geojson, field)
+    cmap = combine([normalize(f) for f in fields], 1000)
+    assert len(cmap.scores) > 1000
+    _same_geojson(tmp_path, combined_geojson(cmap),
+                  _reference_combined_geojson, cmap)
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -377,3 +521,21 @@ def test_readers_sort_rows_into_grid_order(small_aoi, tmp_path):
     cmap = read_combined_csv(p, small_aoi)
     assert list(zip(cmap.col.tolist(), cmap.scores.tolist())) == [
         (9, 0.75), (5, 0.25)]
+
+
+@pytest.mark.parametrize("reader, tail", [(read_field_csv, "40,1.5,0.3"),
+                                          (read_combined_csv, ",,,0.5")])
+@pytest.mark.parametrize("col, row", [
+    (-1, 0), ("ncols", 0), (10**20, 0), (0, -1), (0, "nrows"), (0, 10**20)])
+def test_readers_refuse_meshes_outside_the_grid(small_aoi, tmp_path, reader,
+                                                tail, col, row):
+    ncols, nrows = small_aoi.grid_shape(100)
+    col = ncols if col == "ncols" else col
+    row = nrows if row == "nrows" else row
+    header = _COMBINED_HEADER if reader is read_combined_csv else _FIELD_HEADER
+    p = tmp_path / "table.csv"
+    p.write_text(header + f"100,{ncols - 1},{nrows - 1},35.5,139.3,{tail}\n"
+                 f"100,{col},{row},35.5,139.3,{tail}\n")
+    with pytest.raises(PointParseError,
+                       match=f"^line 3: mesh col {col}, row {row} outside"):
+        reader(p, small_aoi)

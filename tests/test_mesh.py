@@ -13,6 +13,8 @@ from mdemap import (AreaOfInterest, DEFAULT_AOI, GeoPoint, LocalCoord,
                     parent_of, project)
 from mdemap.mesh import project_arrays
 
+import _oracles as oracles
+
 # frozen oracle values, 50-digit arithmetic on the R=6,371,000 m sphere
 EW_SPAN_M = 63367.72784198471      # haversine (35.5,139.3)-(35.5,140.0)
 NS_SPAN_M = 38918.224325595555     # haversine (35.5,139.3)-(35.85,139.3)
@@ -100,10 +102,12 @@ def test_mesh_center_and_corners():
     c = mesh_center(m, DEFAULT_AOI)
     assert c.lat == pytest.approx(35.51798643211838, abs=1e-12)
     assert c.lon == pytest.approx(139.32214156007055, abs=1e-12)
-    sw, se, ne, nw = mesh_corners(m, DEFAULT_AOI)
-    assert sw == GeoPoint(35.5, 139.3)
-    assert se.lat == sw.lat and nw.lon == sw.lon
-    assert ne.lat > sw.lat and ne.lon > sw.lon
+    south, north, west, east = mesh_corners(4000, [0], [0], DEFAULT_AOI)
+    assert (south[0], west[0]) == (35.5, 139.3)
+    assert north[0] > south[0] and east[0] > west[0]
+    # the center lies midway between the edges
+    assert c.lat == pytest.approx((south[0] + north[0]) / 2, abs=1e-12)
+    assert c.lon == pytest.approx((west[0] + east[0]) / 2, abs=1e-12)
     # center is the corner midpoint in local coordinates
     mid = project(c, DEFAULT_AOI)
     assert mid.x == pytest.approx(2000.0, abs=1e-9)
@@ -166,3 +170,21 @@ def test_mesh_centers_equal_mesh_center_bits(scale, cells, west, south):
         lat, lon = mesh_centers(s, col_row[:, 0], col_row[:, 1], aoi)
         assert [x.hex() for x in lat.tolist()] == [c.lat.hex() for c in want]
         assert [x.hex() for x in lon.tolist()] == [c.lon.hex() for c in want]
+
+
+@given(scale=st.sampled_from([1, 7, 100, 1000, 4000]),
+       cells=st.lists(st.tuples(st.integers(0, 70_000),
+                                st.integers(0, 40_000)), max_size=30),
+       west=st.floats(-180.0, 179.0), south=st.floats(-90.0, 89.0))
+def test_mesh_corners_equal_inverse_project_bits(scale, cells, west, south):
+    aoi = AreaOfInterest.from_bounds(west, west + 1.0, south, south + 1.0)
+    col_row = np.array(cells, dtype=np.int64).reshape(-1, 2)
+    want = [oracles.mesh_corners(MeshId(scale, c, r), aoi) for c, r in cells]
+    per_mesh = np.full(len(cells), scale, dtype=np.int64)
+    for s in (scale, per_mesh):
+        edges = mesh_corners(s, col_row[:, 0], col_row[:, 1], aoi)
+        got = [[(lo, we), (lo, ea), (hi, ea), (hi, we)]
+               for lo, hi, we, ea in zip(*([v.hex() for v in a.tolist()]
+                                           for a in edges))]
+        assert got == [[(p.lat.hex(), p.lon.hex()) for p in ring]
+                       for ring in want]

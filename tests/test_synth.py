@@ -1,14 +1,17 @@
 """Synthetic trace generator: determinism and planted structure."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from mdemap import (ConfigError, DEFAULT_AOI, GeoPoint, Hub, Corridor,
-                    SynthConfig, compute_field, default_config, default_sites,
-                    extract_movements, generate, geo_distance, mesh_of,
-                    project)
+                    LocalCoord, SynthConfig, TrajectoryPoint, compute_field,
+                    default_config, default_sites, extract_movements,
+                    generate, geo_distance, inverse_project, mesh_of, project)
+from mdemap.synth import _DT, _T0, _user_positions
 
 LN2 = math.log(2.0)
 
@@ -181,3 +184,56 @@ def test_users_round_robin_sites(small_aoi):
     near_hub = {p.user_id for p in pts
                 if geo_distance(p.pos, hub.center) <= 50.0}
     assert len(near_hub) == 5  # even user indices
+
+
+def _reference_generate(cfg):
+    """The per-fix loop: one inverse_project and TrajectoryPoint per fix."""
+    sites = list(cfg.hubs) + list(cfg.corridors)
+    site_xy = [project(s.center, cfg.aoi) for s in sites]
+    sw, ne = cfg.aoi.south_west, cfg.aoi.north_east
+    width = max(len(str(max(cfg.n_users - 1, 0))), 1)
+    f = cfg.fixes_per_user
+    times = [_T0 + _DT * k for k in range(f)]
+    points = []
+    for u in range(cfg.n_users):
+        rng = np.random.Generator(
+            np.random.PCG64(np.random.SeedSequence(cfg.seed, spawn_key=(u,))))
+        is_bg = rng.random(f) < cfg.background_rate
+        bg_lat = rng.uniform(sw.lat, ne.lat, f)
+        bg_lon = rng.uniform(sw.lon, ne.lon, f)
+        s = u % len(sites)
+        x, y = _user_positions(rng, cfg, sites[s], site_xy[s])
+        uid = f"u{u:0{width}d}"
+        for k in range(f):
+            if is_bg[k]:
+                pos = GeoPoint(float(bg_lat[k]), float(bg_lon[k]))
+            else:
+                pos = inverse_project(LocalCoord(float(x[k]), float(y[k])),
+                                      cfg.aoi)
+            points.append(TrajectoryPoint(uid, times[k], pos))
+    return points
+
+
+@settings(max_examples=40)
+@given(n_users=st.integers(0, 40), fixes=st.integers(1, 25),
+       background_rate=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+       sigma=st.sampled_from([0.0]) | st.floats(0.0, 1.0),
+       seed=st.integers(0, 2**64 - 1))
+@example(n_users=0, fixes=1, background_rate=0.0, sigma=0.0, seed=0)
+@example(n_users=11, fixes=20, background_rate=0.05, sigma=0.05, seed=7)
+def test_generate_matches_per_fix_reference(n_users, fixes, background_rate,
+                                            sigma, seed):
+    cfg = replace(default_config(seed, n_users, fixes),
+                  background_rate=background_rate, noise_sigma=sigma)
+    got, _ = generate(cfg)
+    want = _reference_generate(cfg)
+    assert got.user_id.tolist() == [p.user_id for p in want]
+    for name, values in (("t", [p.t for p in want]),
+                         ("lat", [p.pos.lat for p in want]),
+                         ("lon", [p.pos.lon for p in want])):
+        column = getattr(got, name)
+        assert column.dtype == np.float64
+        assert [v.hex() for v in column.tolist()] == \
+            [float(v).hex() for v in values]
+    assert np.isnan(got.heading).all() and np.isnan(got.speed).all()
+    assert got.skipped == 0 and got.points == want
