@@ -16,6 +16,7 @@ import argparse
 import json
 import math
 import sys
+from contextlib import closing
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,8 @@ from .evaluation import (DEFAULT_RADII_KM, DEFAULT_THRESHOLDS_M,
                          recall_curve, top_k)
 from .field import ALL_TIME, TimeWindow, compute_fields
 from .fusion import combine, find_local_peaks, normalize
-from .ingest import extract_movements, parse_points
+from .ingest import (ExtractionStats, MovementBatch, extract_movements,
+                     parse_points, point_blocks, user_groups)
 from .mesh import (AreaOfInterest, DEFAULT_AOI, mesh_centers,
                    STANDARD_SCALES_M)
 from .synth import SynthConfig, default_sites, generate
@@ -239,6 +241,55 @@ def cmd_synth(args) -> int:
     return 0
 
 
+# The MovementBatch columns that compute_fields reads.
+_FIELD_COLUMNS = ("t", "origin_lat", "origin_lon", "x", "y", "theta")
+
+
+def _movements(path, aoi: AreaOfInterest, fmt: str, strict: bool,
+               **extract) -> tuple[MovementBatch, ExtractionStats, int]:
+    """(batch, stats, points skipped) of a points file.
+
+    The file is read in whole-user groups when its users come in
+    ascending id order, holding only the vector columns the field build
+    reads; otherwise it is read whole. Both give the same vectors in the
+    same order, and the same counts.
+    """
+    streamed = _streamed_movements(path, aoi, fmt, strict, extract)
+    if streamed is not None:
+        return streamed
+    parsed = parse_points(path, fmt=fmt, strict=strict)
+    return (*extract_movements(parsed, aoi, **extract), parsed.skipped)
+
+
+def _streamed_movements(path, aoi, fmt, strict, extract):
+    """``_movements`` by whole-user groups; None at the first group whose
+    smallest user id is not above the previous group's largest."""
+    stats, skipped, last = ExtractionStats(), 0, None
+    kept = {c: [np.empty(0)] for c in _FIELD_COLUMNS}
+    with closing(point_blocks(path, fmt, strict)) as blocks:
+        for group in user_groups(blocks):
+            skipped += group.skipped
+            if not len(group):
+                continue
+            ids = set(group.user_id.tolist())
+            if last is not None and min(ids) <= last:
+                return None
+            last = max(ids)
+            batch, group_stats = extract_movements(group, aoi, **extract)
+            stats += group_stats
+            for c in _FIELD_COLUMNS:
+                kept[c].append(getattr(batch, c))
+    # one column at a time, each freeing its parts
+    columns = {c: np.concatenate(kept.pop(c)) for c in _FIELD_COLUMNS}
+    # user ids, displacements and durations are not kept: zero-stride
+    # placeholders hold their place
+    n = columns["t"].size
+    unused = np.broadcast_to(np.nan, n)
+    return (MovementBatch(aoi, np.broadcast_to(np.array(None), n),
+                          displacement=unused, duration=unused, **columns),
+            stats, skipped)
+
+
 def cmd_compute(args) -> int:
     cfg = _load_config(args.config)
     aoi = _setting(args, cfg, "aoi", DEFAULT_AOI, _parse_aoi)
@@ -252,9 +303,9 @@ def cmd_compute(args) -> int:
     strict = bool(_setting(args, cfg, "strict", False))
     out = _outdir(args, cfg)
 
-    parsed = parse_points(args.points, fmt=fmt, strict=strict)
-    batch, stats = extract_movements(parsed, aoi, min_displacement=min_disp,
-                                     max_gap=max_gap, source=direction)
+    batch, stats, skipped = _movements(
+        args.points, aoi, fmt, strict, min_displacement=min_disp,
+        max_gap=max_gap, source=direction)
     windows = _windows(window_spec, batch.t)
     # each out-of-area vector counts once, however many windows there are
     fields, dropped_out_of_area = compute_fields(batch, aoi, scales, windows,
@@ -272,7 +323,7 @@ def cmd_compute(args) -> int:
         }
     mio.write_summary({
         "command": "compute",
-        "points_read": len(parsed), "points_skipped": parsed.skipped,
+        "points_read": stats.n_points, "points_skipped": skipped,
         "users": stats.n_users, "vectors": stats.n_vectors,
         "dropped": {
             "duplicate": stats.dropped_duplicate, "gap": stats.dropped_gap,
@@ -289,7 +340,7 @@ def cmd_compute(args) -> int:
         },
         "files": files,
     }, out / "compute_summary.json")
-    if len(parsed) == 0 or stats.n_vectors == 0:
+    if stats.n_points == 0 or stats.n_vectors == 0:
         print("no movement vectors extracted", file=sys.stderr)
         return 3
     return 0

@@ -11,7 +11,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from itertools import chain, compress, repeat
 from pathlib import Path
@@ -115,6 +115,11 @@ class ParseResult:
     def __len__(self) -> int:
         return int(self.t.size)
 
+    def take(self, rows: np.ndarray, skipped: int) -> "ParseResult":
+        """The ``rows`` (a mask or indices) of the columns, with ``skipped``."""
+        return ParseResult(*(getattr(self, c)[rows] for c in _COLUMNS),
+                           skipped)
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, ParseResult):
             return NotImplemented
@@ -203,15 +208,26 @@ def parse_points(source, fmt: str = "csv", strict: bool = False) -> ParseResult:
 
     Malformed rows are skipped and counted; with ``strict`` the first one
     raises instead, carrying its line number. A header missing required
-    columns is structural and always raises.
+    columns is structural and always raises. The columns are those of
+    :func:`point_blocks`, concatenated.
+    """
+    return _concat(list(point_blocks(source, fmt, strict)))
+
+
+def point_blocks(source, fmt: str = "csv",
+                 strict: bool = False) -> Iterator[ParseResult]:
+    """The rows of a points file as a ``ParseResult`` per block of lines.
+
+    A block holds the rows of about ``_BLOCK_CHARS`` characters of text,
+    in file order, and the count of malformed rows among them. Rules and
+    errors are those of :func:`parse_points`.
     """
     if fmt not in ("csv", "ndjson"):
         raise ConfigError(f"unknown points format {fmt!r}")
     stream, owned = _open_text(source)
     try:
-        if fmt == "csv":
-            return _parse_csv(stream, strict)
-        return _parse_ndjson(stream, strict)
+        yield from (_parse_csv if fmt == "csv" else _parse_ndjson)(stream,
+                                                                  strict)
     finally:
         if owned:
             stream.close()
@@ -224,14 +240,14 @@ def _check_header(names) -> None:
             f"header missing columns {', '.join(missing)}", line_no=1)
 
 
-def _parse_csv(stream, strict: bool) -> ParseResult:
+def _parse_csv(stream, strict: bool) -> Iterator[ParseResult]:
     """Blocks of plain lines are split in bulk (``_parse_block``).
 
     From the first block holding a quote, a bare CR or a line longer than
     the csv module's field limit, ``csv.DictReader`` reads the rest of the
-    stream row by row, as it reads every row of such files.
+    stream row by row, as it reads every row of such files; its rows are
+    cut into blocks of about ``_BLOCK_CHARS`` characters too.
     """
-    parts: list[ParseResult] = []
     names = None
     line_no = 0                 # lines before the current block
     lines = stream.readlines(_BLOCK_CHARS)
@@ -240,11 +256,12 @@ def _parse_csv(stream, strict: bool) -> ParseResult:
             names = next(csv.reader(lines[:1]), [])
             _check_header(names)
             line_no, lines = 1, lines[1:]
-        parts.append(_parse_block(lines, names, line_no, strict))
+        yield _parse_block(lines, names, line_no, strict)
         line_no += len(lines)
         lines = stream.readlines(_BLOCK_CHARS)
     if lines:
-        reader = csv.DictReader(chain(lines, stream), names)
+        chars = [0]             # characters the reader has taken
+        reader = csv.DictReader(_counted(chain(lines, stream), chars), names)
         if reader.fieldnames is not None:
             _check_header(reader.fieldnames)
         points: list[TrajectoryPoint] = []
@@ -256,8 +273,16 @@ def _parse_csv(stream, strict: bool) -> ParseResult:
                 if strict:
                     raise
                 skipped += 1
-        parts.append(ParseResult.from_points(points, skipped))
-    return _concat(parts)
+            if chars[0] >= _BLOCK_CHARS:
+                yield ParseResult.from_points(points, skipped)
+                points, skipped, chars[0] = [], 0, 0
+        yield ParseResult.from_points(points, skipped)
+
+
+def _counted(lines: Iterable[str], chars: list[int]) -> Iterator[str]:
+    for line in lines:
+        chars[0] += len(line)
+        yield line
 
 
 def _plain(lines: list[str]) -> bool:
@@ -373,41 +398,57 @@ def _timestamps(text: list[str]) -> np.ndarray:
     ``_parse_timestamp`` tries ``float`` first, and ``float`` never accepts
     ':'. So cells without one go through ``float``; cells with one are
     converted in bulk when they have the 20 characters of
-    ``YYYY-MM-DDTHH:MM:SSZ``, and left to ``_build_point`` otherwise.
+    ``YYYY-MM-DDTHH:MM:SSZ`` or the 25 of ``YYYY-MM-DDTHH:MM:SS+HH:MM``
+    (or ``-HH:MM``), and left to ``_build_point`` otherwise.
     """
     n = len(text)
     clock = np.fromiter(map(str.__contains__, text, repeat(":")), bool, n)
     t = _floats_at(text, ~clock)
-    iso = clock & (np.fromiter(map(len, text), np.int64, n) == 20)
-    if iso.any():
-        t[iso] = _utc_seconds(list(compress(text, iso.tolist())))
+    size = np.fromiter(map(len, text), np.int64, n)
+    for width in (20, 25):
+        iso = clock & (size == width)
+        if iso.any():
+            t[iso] = _utc_seconds(list(compress(text, iso.tolist())))
     return t
 
 
-# Positions of the digits and of the separators in YYYY-MM-DDTHH:MM:SSZ
+# Positions of the digits and of the separators in YYYY-MM-DDTHH:MM:SS
 _DIGITS = [0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15, 17, 18]
-_SEPARATORS = [4, 7, 10, 13, 16, 19]
-_SEPARATOR_CHARS = np.frombuffer(b"--T::Z", np.uint8)
+_SEPARATORS = [4, 7, 10, 13, 16]
+_SEPARATOR_CHARS = np.frombuffer(b"--T::", np.uint8)
 _MONTH_DAYS = np.array([31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
 
 
 def _utc_seconds(text: list[str]) -> np.ndarray:
-    """Unix seconds of 20-character ``YYYY-MM-DDTHH:MM:SSZ`` strings.
+    """Unix seconds of ``YYYY-MM-DDTHH:MM:SSZ`` (20 characters) or
+    ``YYYY-MM-DDTHH:MM:SS±HH:MM`` (25) strings, all of one length.
 
     NaN where the shape or the calendar is wrong: a year 0, a month or a
-    day out of range, an hour past 23, a minute or second past 59, all
-    of which ``datetime.fromisoformat`` refuses too.
+    day out of range, an hour past 23, a minute or second past 59, or an
+    offset of 24 h or more, all of which ``datetime.fromisoformat``
+    refuses too. It takes any two-digit offset minute below that bound,
+    and so does this.
     """
-    n = len(text)
+    n, width = len(text), len(text[0])
     c = np.frombuffer("".join(text).encode("ascii", "replace"),
-                      np.uint8).reshape(n, 20)
-    ok = ((c[:, _DIGITS] - ord("0") <= 9).all(axis=1)
-          & (c[:, _SEPARATORS] == _SEPARATOR_CHARS).all(axis=1))
+                      np.uint8).reshape(n, width)
     d = c.astype(np.int64) - ord("0")
 
     def number(i, j):
         return d[:, i:j] @ 10 ** np.arange(j - i - 1, -1, -1)
 
+    ok = ((c[:, _DIGITS] - ord("0") <= 9).all(axis=1)
+          & (c[:, _SEPARATORS] == _SEPARATOR_CHARS).all(axis=1))
+    if width == 20:
+        ok &= c[:, 19] == ord("Z")
+        offset = 0
+    else:
+        ok &= (((c[:, 19] == ord("+")) | (c[:, 19] == ord("-")))
+               & (c[:, [20, 21, 23, 24]] - ord("0") <= 9).all(axis=1)
+               & (c[:, 22] == ord(":")))
+        offset = 3600 * number(20, 22) + 60 * number(23, 25)
+        ok &= offset < 86400
+        offset = np.where(c[:, 19] == ord("-"), -offset, offset)
     year, month, day = number(0, 4), number(5, 7), number(8, 10)
     hour, minute, second = number(11, 13), number(14, 16), number(17, 19)
     leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
@@ -422,7 +463,7 @@ def _utc_seconds(text: list[str]) -> np.ndarray:
     yoe = y - 400 * era
     doy = (153 * ((month + 9) % 12) + 2) // 5 + day - 1
     days = 146097 * era + 365 * yoe + yoe // 4 - yoe // 100 + doy - 719468
-    seconds = 86400 * days + 3600 * hour + 60 * minute + second
+    seconds = 86400 * days + 3600 * hour + 60 * minute + second - offset
     return np.where(ok, seconds.astype(np.float64), np.nan)
 
 
@@ -433,25 +474,54 @@ def _concat(parts: list[ParseResult]) -> ParseResult:
                          for c in _COLUMNS), sum(p.skipped for p in parts))
 
 
-def _parse_ndjson(stream, strict: bool) -> ParseResult:
-    points: list[TrajectoryPoint] = []
-    skipped = 0
-    for line_no, line in enumerate(stream, start=1):
-        if not line.strip():
-            continue
-        try:
+def _parse_ndjson(stream, strict: bool) -> Iterator[ParseResult]:
+    line_no = 0
+    while lines := stream.readlines(_BLOCK_CHARS):
+        points: list[TrajectoryPoint] = []
+        skipped = 0
+        for line_no, line in enumerate(lines, start=line_no + 1):
+            if not line.strip():
+                continue
             try:
-                rec = json.loads(line)
-                if not isinstance(rec, dict):
-                    raise ValueError("line is not a JSON object")
-            except ValueError as exc:
-                raise PointParseError(str(exc), line_no=line_no) from exc
-            points.append(_build_point(rec, line_no))
-        except PointParseError:
-            if strict:
-                raise
-            skipped += 1
-    return ParseResult.from_points(points, skipped)
+                try:
+                    rec = json.loads(line)
+                    if not isinstance(rec, dict):
+                        raise ValueError("line is not a JSON object")
+                except ValueError as exc:
+                    raise PointParseError(str(exc), line_no=line_no) from exc
+                points.append(_build_point(rec, line_no))
+            except PointParseError:
+                if strict:
+                    raise
+                skipped += 1
+        yield ParseResult.from_points(points, skipped)
+
+
+def user_groups(blocks: Iterable[ParseResult]) -> Iterator[ParseResult]:
+    """Point blocks regrouped so that a user's adjacent rows stay together.
+
+    The rows of the user a block ends in carry over to the next block, so
+    a user whose rows are contiguous in the file is whole in one group;
+    a user spanning many blocks is carried until its rows end. Rows keep
+    their file order within each user, and every block's skipped count
+    goes to the group that takes its rows.
+    """
+    carry: list[ParseResult] = []
+    carried = None              # the one user of the carried rows
+    for block in blocks:
+        carry.append(block)
+        if not len(block):
+            continue
+        last = block.user_id[-1]
+        if carried in (None, last) and (block.user_id == last).all():
+            carried = last
+            continue
+        rows = _concat(carry)
+        tail = rows.user_id == last
+        carry, carried = [rows.take(tail, 0)], last
+        yield rows.take(~tail, rows.skipped)
+    if carry:
+        yield _concat(carry)
 
 
 # -- movement extraction ------------------------------------------------
@@ -471,6 +541,13 @@ class ExtractionStats:
     def dropped(self) -> int:
         return (self.dropped_duplicate + self.dropped_gap
                 + self.dropped_short + self.dropped_no_heading)
+
+    def __iadd__(self, other: "ExtractionStats") -> "ExtractionStats":
+        """Counts of two extractions over disjoint sets of users."""
+        for f in fields(self):
+            setattr(self, f.name, getattr(self, f.name)
+                    + getattr(other, f.name))
+        return self
 
 
 @dataclass

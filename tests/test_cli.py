@@ -10,8 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mdemap import ConfigError, DEFAULT_AOI
-from mdemap.cli import MAX_WINDOWS, _windows, main
+from mdemap import ConfigError, DEFAULT_AOI, mesh_centers
+from mdemap.cli import MAX_WINDOWS, _parse_aoi, _windows, main
 
 AOI = "139.3,140.0,35.5,35.85"
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -320,14 +320,17 @@ def test_rows_without_a_timestamp(tmp_path, capsys, row):
     assert summary["points_skipped"] == 1 and summary["vectors"] == 1
 
 
-def test_combine_refuses_nan_entropy(tmp_path):
+def test_combine_refuses_nan_entropy(tmp_path, capsys):
     field = tmp_path / "mde_100m.csv"
+    lat, lon = (c.tolist() for c in mesh_centers(100, np.arange(3),
+                                                 np.zeros(3), DEFAULT_AOI))
     field.write_text("scale_m,col,row,center_lat,center_lon,count,"
                      "entropy_nats,entropy_norm\n"
-                     "100,0,0,35.5,139.3,40,nan,nan\n"
-                     "100,1,0,35.5,139.3,40,1.5,0.3\n"
-                     "100,2,0,35.5,139.3,40,2.5,0.5\n")
+                     f"100,0,0,{lat[0]!r},{lon[0]!r},40,nan,nan\n"
+                     f"100,1,0,{lat[1]!r},{lon[1]!r},40,1.5,0.3\n"
+                     f"100,2,0,{lat[2]!r},{lon[2]!r},40,2.5,0.5\n")
     assert main(["combine", str(field), "--out", str(tmp_path)]) == 3
+    assert "line 2: entropy nan outside" in capsys.readouterr().err
     assert not (tmp_path / "combined.csv").exists()
 
 
@@ -381,3 +384,37 @@ def test_meshes_outside_the_grid_exit_3(pipeline, tmp_path, capsys, command,
     err = capsys.readouterr().err
     assert "line 3: mesh col" in err and "outside the" in err
     assert not any((tmp_path / "out").iterdir())
+
+
+# The default area moved 0.1 degrees east: the same size, so every mesh
+# of a field written for the default area is inside its grid.
+SHIFTED_AOI = "139.4,140.1,35.5,35.85"
+
+
+@pytest.mark.parametrize("command", ["combine", "evaluate", "export"])
+def test_fields_of_another_area_exit_3(pipeline, tmp_path, capsys, command):
+    assert DEFAULT_AOI.grid_shape(1000) == _parse_aoi(SHIFTED_AOI).grid_shape(
+        1000)
+    extra = {"combine": [str(pipeline / "mde_100m.csv")],
+             "evaluate": ["--stations", str(pipeline / "stations.csv")],
+             "export": []}[command]
+    assert main([command, str(pipeline / "mde_1000m.csv"), *extra,
+                 "--aoi", SHIFTED_AOI, "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    first = (pipeline / "mde_1000m.csv").read_text().splitlines()[1]
+    col, row = first.split(",")[1:3]
+    lat, lon = mesh_centers(1000, int(col), int(row),
+                            _parse_aoi(SHIFTED_AOI))
+    assert f"line 2: mesh col {col}, row {row} is centered at" in err
+    assert f"puts its center at {float(lat)!r}, {float(lon)!r}" in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_combined_map_of_another_area_exits_3(pipeline, tmp_path):
+    assert main(["combine", str(pipeline / "mde_100m.csv"),
+                 str(pipeline / "mde_1000m.csv"), "--aoi", AOI,
+                 "--out", str(tmp_path)]) == 0
+    out = tmp_path / "out"
+    assert main(["export", str(tmp_path / "combined.csv"),
+                 "--aoi", SHIFTED_AOI, "--out", str(out)]) == 3
+    assert not list(out.iterdir())

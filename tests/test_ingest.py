@@ -5,19 +5,21 @@ import io
 import json
 import math
 import random
+import re
 import tracemalloc
 from datetime import datetime
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mdemap import (ConfigError, DEFAULT_AOI, GeoPoint, MovementBatch,
                     ParseResult, PointParseError, TrajectoryPoint,
                     UndefinedDirectionError, direction_of, extract_movements,
                     ingest, parse_points)
-from mdemap.ingest import _build_point, _parse_timestamp, _utc_seconds
+from mdemap.ingest import (_build_point, _parse_timestamp, _timestamps,
+                           _utc_seconds)
 from mdemap.io import write_points_csv
 from mdemap.mesh import inverse_project, LocalCoord
 
@@ -468,6 +470,43 @@ def test_utc_seconds_calendar_edges(text):
         assert got.hex() == want.hex()
     else:                           # left to _parse_timestamp row by row
         assert math.isnan(got)
+
+
+_OFFSETS = st.tuples(st.sampled_from("+-"), st.integers(0, 29),
+                     st.integers(0, 99)).map(
+    lambda o: f"{o[0]}{o[1]:02d}:{o[2]:02d}")
+_OFFSET_SHAPE = re.compile(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d[+-]\d\d:\d\d",
+                           re.ASCII)
+
+
+@settings(max_examples=300)
+@given(text=st.one_of(
+    st.tuples(_DATES, _OFFSETS).map(lambda a: _iso(*a)),
+    st.text("0123456789-+T:Z", min_size=25, max_size=25),
+    st.tuples(_DATES, _OFFSETS, st.integers(0, 24),
+              st.sampled_from("0123456789-+T:Zz t9é")).map(
+        lambda a: (lambda s: s[:a[2]] + a[3] + s[a[2] + 1:])(_iso(a[0], a[1])))))
+@example(text="2024-01-01T00:00:00-00:00")
+@example(text="2024-01-01T00:00:00+23:59")
+@example(text="2024-01-01T00:00:00-23:59")
+@example(text="2024-01-01T00:00:00+24:00")
+@example(text="2024-01-01T00:00:00-24:00")
+@example(text="2024-01-01T00:00:00+23:60")
+@example(text="2024-01-01T00:00:00+00:60")
+@example(text="2024-01-01T24:00:00+00:00")
+@example(text="2024-01-01T23:60:00+00:00")
+@example(text="0001-01-01T00:00:00+01:00")
+@example(text="9999-12-31T23:59:59-23:59")
+def test_offset_timestamps_match_parse_timestamp(text):
+    got = _timestamps([text])[0]
+    try:
+        want = _parse_timestamp(text)
+    except ValueError:
+        want = math.nan
+    if _OFFSET_SHAPE.fullmatch(text):   # converted in bulk, NaN included
+        assert got.hex() == want.hex()
+    elif not math.isnan(got):
+        assert got.hex() == want.hex()
 
 
 # -- the columnar parse against the row-by-row reference -------------------

@@ -5,16 +5,18 @@ import json
 import math
 import re
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mdemap import (ALL_TIME, DEFAULT_AOI, GeoPoint, MAX_ENTROPY, MeshId,
-                    ParseResult, PointParseError, PrecisionCurve, RecallCurve,
-                    STANDARD_SCALES_M, Station, TimeWindow, TrajectoryPoint,
-                    combine, compute_fields, mesh_center, normalize,
-                    parse_points)
+from mdemap import (ALL_TIME, AreaOfInterest, DEFAULT_AOI, GeoPoint,
+                    MAX_ENTROPY, MeshId, ParseResult, PointParseError,
+                    PrecisionCurve, RecallCurve, STANDARD_SCALES_M, Station,
+                    TimeWindow, TrajectoryPoint, combine, compute_fields,
+                    mesh_center, normalize, parse_points)
+from mdemap import io as mio
 from mdemap.io import ENTROPY_SLACK, FIELD_HEADER, STATION_HEADER
 from mdemap.io import (combined_geojson, field_geojson, read_combined_csv,
                        read_field_csv, read_stations_csv, write_combined_csv,
@@ -30,6 +32,12 @@ def _field(aoi):
     return field_of(100, aoi, {(3, 7): (120, 2.345678901234567),
                                (0, 0): (31, 4.605170185988091),
                                (9, 2): (12, None)})
+
+
+def _mesh(scale, col, row, aoi):
+    """``scale_m,col,row,center_lat,center_lon`` cells of a mesh of ``aoi``."""
+    lat, lon = mesh_center(MeshId(scale, col, row), aoi)
+    return f"{scale},{col},{row},{lat!r},{lon!r}"
 
 
 def _round_trip(tmp, write, read, obj):
@@ -91,12 +99,13 @@ def test_field_csv_layout(small_aoi, tmp_path):
 
 def test_field_csv_rejects_bad_files(small_aoi, tmp_path):
     p = tmp_path / "bad.csv"
-    p.write_text("scale_m,col,row,count,entropy_nats\n100,0,0,5,1.0\n"
-                 "1000,0,0,5,1.0\n")
-    with pytest.raises(PointParseError):
+    header = "scale_m,col,row,center_lat,center_lon,count,entropy_nats\n"
+    p.write_text(header + f"{_mesh(100, 0, 0, small_aoi)},5,1.0\n"
+                 f"{_mesh(1000, 0, 0, small_aoi)},5,1.0\n")
+    with pytest.raises(PointParseError, match="mixed scales"):
         read_field_csv(p, small_aoi)
-    p.write_text("scale_m,col,row,count,entropy_nats\n")
-    with pytest.raises(PointParseError):
+    p.write_text(header)
+    with pytest.raises(PointParseError, match="no rows"):
         read_field_csv(p, small_aoi)
 
 
@@ -185,7 +194,7 @@ def test_points_csv_heading_speed(tmp_path):
 
 
 def test_field_geojson_rings(small_aoi, tmp_path):
-    text = field_geojson(_field(small_aoi))
+    text = "".join(field_geojson(_field(small_aoi)))
     gj = json.loads(text)
     assert gj["type"] == "FeatureCollection"
     assert len(gj["features"]) == 3
@@ -207,12 +216,13 @@ def test_field_geojson_rings(small_aoi, tmp_path):
     assert len(undef) == 1
     assert undef[0]["properties"]["entropy_norm"] is None
     p = tmp_path / "field.geojson"
-    write_geojson(text, p)
+    write_geojson(field_geojson(_field(small_aoi)), p)
     assert p.read_text() == text + "\n"
 
 
 def test_combined_geojson(small_aoi):
-    gj = json.loads(combined_geojson(map_of(100, small_aoi, {(0, 0): 0.5})))
+    gj = json.loads("".join(combined_geojson(
+        map_of(100, small_aoi, {(0, 0): 0.5}))))
     (feat,) = gj["features"]
     assert feat["properties"] == {"scale_m": 100, "col": 0, "row": 0,
                                   "score": 0.5}
@@ -265,10 +275,14 @@ def _reference_combined_csv(cmap, path):
 
 
 def _same_bytes(tmp_path, write, reference, obj):
+    """The writer's bytes equal the reference's, written in chunks of 3
+    rows as well as in chunks of the default size."""
     got, want = tmp_path / "got.csv", tmp_path / "want.csv"
-    write(obj, got)
     reference(obj, want)
-    assert got.read_bytes() == want.read_bytes()
+    for rows in (3, mio._CHUNK_ROWS):
+        with mock.patch.object(mio, "_CHUNK_ROWS", rows):
+            write(obj, got)
+        assert got.read_bytes() == want.read_bytes()
 
 
 @settings(max_examples=60)
@@ -378,11 +392,10 @@ def test_points_csv_matches_reference_bytes(tmp_path_factory, points):
                 ParseResult.from_points(points))
 
 
-def _same_geojson(tmp, text, reference, table):
-    got, want = tmp / "got.geojson", tmp / "want.geojson"
-    write_geojson(text, got)
-    reference(table, want)
-    assert got.read_bytes() == want.read_bytes()
+def _same_geojson(tmp, build, reference, table):
+    """``_same_bytes`` for the GeoJSON of ``table`` that ``build`` gives."""
+    _same_bytes(tmp, lambda t, path: write_geojson(build(t), path),
+                reference, table)
 
 
 @settings(max_examples=60)
@@ -395,7 +408,7 @@ def _same_geojson(tmp, text, reference, table):
 def test_field_geojson_matches_reference_bytes(tmp_path_factory, scale,
                                                entries):
     field = field_of(scale, DEFAULT_AOI, entries)
-    _same_geojson(tmp_path_factory.mktemp("geojson"), field_geojson(field),
+    _same_geojson(tmp_path_factory.mktemp("geojson"), field_geojson,
                   _reference_field_geojson, field)
 
 
@@ -410,7 +423,7 @@ def test_field_geojson_matches_reference_bytes(tmp_path_factory, scale,
 def test_combined_geojson_matches_reference_bytes(tmp_path_factory, scale,
                                                   scores):
     cmap = map_of(scale, DEFAULT_AOI, scores)
-    _same_geojson(tmp_path_factory.mktemp("geojson"), combined_geojson(cmap),
+    _same_geojson(tmp_path_factory.mktemp("geojson"), combined_geojson,
                   _reference_combined_geojson, cmap)
 
 
@@ -423,12 +436,12 @@ def test_computed_geojson_matches_reference_bytes(tmp_path):
     assert all(f.n_defined for f in fields)
     assert any(f.n_defined < f.count.size for f in fields)
     for field in fields:
-        _same_geojson(tmp_path, field_geojson(field),
-                      _reference_field_geojson, field)
+        _same_geojson(tmp_path, field_geojson, _reference_field_geojson,
+                      field)
     cmap = combine([normalize(f) for f in fields], 1000)
     assert len(cmap.scores) > 1000
-    _same_geojson(tmp_path, combined_geojson(cmap),
-                  _reference_combined_geojson, cmap)
+    _same_geojson(tmp_path, combined_geojson, _reference_combined_geojson,
+                  cmap)
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -468,7 +481,7 @@ def test_field_csv_rejects_bad_values(small_aoi, tmp_path, count, entropy):
 def test_field_csv_accepts_entropy_bounds(small_aoi, tmp_path, entropy):
     p = tmp_path / "field.csv"
     p.write_text(",".join(FIELD_HEADER)
-                 + f"\n100,0,0,35.5,139.3,40,{entropy},\n")
+                 + f"\n{_mesh(100, 0, 0, small_aoi)},40,{entropy},\n")
     (entry,) = read_field_csv(p, small_aoi).entries.values()
     assert entry.entropy == (float(entropy) if entropy else None)
 
@@ -477,8 +490,8 @@ def test_field_csv_accepts_entropy_bounds(small_aoi, tmp_path, entropy):
 def test_combined_csv_rejects_non_finite_scores(small_aoi, tmp_path, score):
     p = tmp_path / "combined.csv"
     p.write_text(",".join(FIELD_HEADER) + ",score\n"
-                 "100,0,0,35.5,139.3,,,,0.5\n"
-                 f"100,1,0,35.5,139.3,,,,{score}\n")
+                 f"{_mesh(100, 0, 0, small_aoi)},,,,0.5\n"
+                 f"{_mesh(100, 1, 0, small_aoi)},,,,{score}\n")
     with pytest.raises(PointParseError) as err:
         read_combined_csv(p, small_aoi)
     assert err.value.line_no == 3
@@ -489,21 +502,21 @@ _FIELD_HEADER = ",".join(FIELD_HEADER) + "\n"
 
 
 @pytest.mark.parametrize("reader, header, tail, last, message", [
-    pytest.param(read_field_csv, _FIELD_HEADER, "40,1.5,0.3", "100,5,0",
+    pytest.param(read_field_csv, _FIELD_HEADER, "40,1.5,0.3", (100, 5, 0),
                  "repeated mesh", id="field-repeat"),
-    pytest.param(read_field_csv, _FIELD_HEADER, "40,1.5,0.3", "1000,0,0",
+    pytest.param(read_field_csv, _FIELD_HEADER, "40,1.5,0.3", (1000, 0, 0),
                  "mixed scales", id="field-mixed"),
-    pytest.param(read_combined_csv, _COMBINED_HEADER, ",,,0.5", "100,5,0",
+    pytest.param(read_combined_csv, _COMBINED_HEADER, ",,,0.5", (100, 5, 0),
                  "repeated mesh", id="combined-repeat"),
-    pytest.param(read_combined_csv, _COMBINED_HEADER, ",,,0.5", "1000,0,0",
+    pytest.param(read_combined_csv, _COMBINED_HEADER, ",,,0.5", (1000, 0, 0),
                  "mixed scales", id="combined-mixed")])
 def test_mesh_csv_refuses_repeats_and_mixed_scales(
         small_aoi, tmp_path, reader, header, tail, last, message):
     # line 4 is the first to repeat or mix; line 5 repeats too
     p = tmp_path / "table.csv"
     p.write_text(header + "".join(
-        f"{mesh},35.5,139.3,{tail}\n"
-        for mesh in ("100,5,0", "100,1,0", last, "100,1,0")))
+        f"{_mesh(*mesh, small_aoi)},{tail}\n"
+        for mesh in ((100, 5, 0), (100, 1, 0), last, (100, 1, 0))))
     with pytest.raises(PointParseError, match=f"^line 4: {message}") as err:
         reader(p, small_aoi)
     assert err.value.line_no == 4
@@ -511,13 +524,14 @@ def test_mesh_csv_refuses_repeats_and_mixed_scales(
 
 def test_readers_sort_rows_into_grid_order(small_aoi, tmp_path):
     p = tmp_path / "field.csv"
-    p.write_text(_FIELD_HEADER + "100,5,1,35.5,139.3,40,1.5,\n"
-                 "100,0,1,35.5,139.3,40,,\n100,9,0,35.5,139.3,40,0.5,\n")
+    p.write_text(_FIELD_HEADER + f"{_mesh(100, 5, 1, small_aoi)},40,1.5,\n"
+                 f"{_mesh(100, 0, 1, small_aoi)},40,,\n"
+                 f"{_mesh(100, 9, 0, small_aoi)},40,0.5,\n")
     field = read_field_csv(p, small_aoi)
     assert field.row.tolist() == [0, 1, 1] and field.col.tolist() == [9, 0, 5]
     assert field.count.dtype == np.int64
-    p.write_text(_COMBINED_HEADER + "100,5,1,35.5,139.3,,,,0.25\n"
-                 "100,9,0,35.5,139.3,,,,0.75\n")
+    p.write_text(_COMBINED_HEADER + f"{_mesh(100, 5, 1, small_aoi)},,,,0.25\n"
+                 f"{_mesh(100, 9, 0, small_aoi)},,,,0.75\n")
     cmap = read_combined_csv(p, small_aoi)
     assert list(zip(cmap.col.tolist(), cmap.scores.tolist())) == [
         (9, 0.75), (5, 0.25)]
@@ -534,8 +548,54 @@ def test_readers_refuse_meshes_outside_the_grid(small_aoi, tmp_path, reader,
     row = nrows if row == "nrows" else row
     header = _COMBINED_HEADER if reader is read_combined_csv else _FIELD_HEADER
     p = tmp_path / "table.csv"
-    p.write_text(header + f"100,{ncols - 1},{nrows - 1},35.5,139.3,{tail}\n"
-                 f"100,{col},{row},35.5,139.3,{tail}\n")
+    p.write_text(header + f"{_mesh(100, ncols - 1, nrows - 1, small_aoi)},"
+                 f"{tail}\n{_mesh(100, col, row, small_aoi)},{tail}\n")
     with pytest.raises(PointParseError,
                        match=f"^line 3: mesh col {col}, row {row} outside"):
         reader(p, small_aoi)
+
+
+@pytest.mark.parametrize("write, read, table", [
+    (write_field_csv, read_field_csv, lambda aoi: _field(aoi)),
+    (write_combined_csv, read_combined_csv,
+     lambda aoi: map_of(100, aoi, {(3, 7): 0.25, (0, 0): 0.5, (9, 2): 1.0}))])
+@pytest.mark.parametrize("lat, lon, refused", [
+    (0.0, 0.0, False), (0.9e-9, -0.9e-9, False), (1.5e-9, 0.0, True),
+    (0.0, -2e-9, True), (0.1, 0.0, True), ("nan", 0.0, True),
+    ("north", 0.0, True)])
+def test_readers_compare_centers_with_the_area(small_aoi, tmp_path, write,
+                                               read, table, lat, lon,
+                                               refused):
+    p = tmp_path / "table.csv"
+    write(table(small_aoi), p)
+    lines = p.read_text().splitlines()
+    cells = lines[2].split(",")
+    cells[3] = lat if isinstance(lat, str) else repr(float(cells[3]) + lat)
+    cells[4] = repr(float(cells[4]) + lon)
+    lines[2] = ",".join(cells)
+    p.write_text("\n".join(lines) + "\n")
+    if not refused:
+        back = read(p, small_aoi)
+        assert back.col.tolist() == table(small_aoi).col.tolist()
+        return
+    with pytest.raises(PointParseError, match="^line 3: ") as err:
+        read(p, small_aoi)
+    if lat != "north":
+        c, r = cells[1:3]
+        want = mesh_center(MeshId(100, int(c), int(r)), small_aoi)
+        assert (f"mesh col {c}, row {r} is centered at" in str(err.value)
+                and f"puts its center at {want.lat!r}, {want.lon!r}"
+                in str(err.value))
+
+
+def test_readers_refuse_a_shifted_area(small_aoi, tmp_path):
+    # the same size 0.01 degrees east: every mesh is inside its grid
+    shifted = AreaOfInterest.from_bounds(139.31, 139.36, 35.5, 35.53)
+    assert shifted.grid_shape(100) == small_aoi.grid_shape(100)
+    p = tmp_path / "field.csv"
+    write_field_csv(_field(small_aoi), p)
+    with pytest.raises(PointParseError, match="^line 2: mesh col 0, row 0 "):
+        read_field_csv(p, shifted)
+    write_combined_csv(map_of(100, small_aoi, {(5, 5): 1.0}), p)
+    with pytest.raises(PointParseError, match="^line 2: mesh col 5, row 5 "):
+        read_combined_csv(p, shifted)

@@ -1,0 +1,205 @@
+"""Streamed `compute`: whole-user groups give the whole-file outputs, in
+memory that does not grow with the file beyond the kept vector columns."""
+
+import contextlib
+import csv
+import io
+import json
+import tracemalloc
+from datetime import datetime, timedelta, timezone
+from unittest import mock
+
+import pytest
+from hypothesis import event, example, given, settings, strategies as st
+
+from mdemap import cli, ingest, parse_points, synth
+from mdemap.cli import main
+from mdemap.io import write_points_csv
+
+AOI = "139.3,139.35,35.5,35.53"
+T0 = 1_600_000_000
+_STEPS = st.sampled_from([0.0, 0.0001, -0.0002, 0.0005, -0.0008, 0.02])
+_BAD = {"csv": ["{u},soon,35.51,139.31", "{u},60", ",60,35.51,139.31",
+                "{u},60,95,139.31", "", "   "],
+        "ndjson": ["{{", '{{"user_id": "{u}", "timestamp": null}}', "[1]",
+                   "", '{{"user_id": "{u}", "timestamp": 60, "lat": 95, '
+                   '"lon": 139.31}}']}
+
+
+def _stamp(t: int, form: str) -> str | int:
+    if form == "seconds":
+        return t
+    d = datetime.fromtimestamp(t, timezone.utc)
+    if form == "Z":
+        return d.strftime("%Y-%m-%dT%H:%M:%SZ")
+    return (d + timedelta(hours=9)).strftime("%Y-%m-%dT%H:%M:%S+09:00")
+
+
+@st.composite
+def _walks(draw):
+    """Each user's fixes as (user, t, lat, lon), users in ascending order;
+    steps of 0 s are duplicates and steps past 1800 s gaps."""
+    users = sorted(draw(st.sets(st.text("ab,", min_size=1, max_size=3),
+                                min_size=1, max_size=5)))
+    rows = []
+    for u in users:
+        t = T0 + draw(st.integers(0, 3000))
+        lat = draw(st.floats(35.505, 35.525))
+        lon = draw(st.floats(139.305, 139.345))
+        for _ in range(draw(st.integers(0, 40))):
+            rows.append((u, t, lat, lon))
+            t += draw(st.sampled_from([0, 30, 60, 61, 2000]))
+            lat += draw(_STEPS)
+            lon += draw(_STEPS)
+    return rows
+
+
+def _render(rows, fmt: str, form: str, bad) -> str:
+    """A points file of ``rows``; ``bad`` holds (position, kind) of the
+    malformed lines put between them."""
+    lines = []
+    for u, t, lat, lon in rows:
+        if fmt == "ndjson":
+            lines.append(json.dumps({"user_id": u, "timestamp": _stamp(t, form),
+                                     "lat": lat, "lon": lon}))
+        else:
+            text = io.StringIO()
+            csv.writer(text, lineterminator="").writerow(
+                (u, _stamp(t, form), repr(lat), repr(lon)))
+            lines.append(text.getvalue())
+    for at, kind in sorted(bad, reverse=True):
+        user = rows[min(at, len(rows) - 1)][0] if rows else "u"
+        kinds = _BAD[fmt]
+        lines.insert(min(at, len(lines)),
+                     kinds[kind % len(kinds)].format(u=user))
+    head = [] if fmt == "ndjson" else ["user_id,timestamp,lat,lon"]
+    return "\n".join(head + lines) + "\n"
+
+
+def _compute(path, out, flags, whole=False):
+    """(exit code, stderr, output files, whether the file was read whole)."""
+    err = io.StringIO()
+    skip_streaming = (mock.patch.object(cli, "_streamed_movements",
+                                        return_value=None)
+                      if whole else contextlib.nullcontext())
+    with skip_streaming, contextlib.redirect_stderr(err), mock.patch.object(
+            cli, "parse_points", wraps=parse_points) as read_whole:
+        code = main(["compute", str(path), "--aoi", AOI, "--scales",
+                     "100,1000", "--min-samples", "2", "--out", str(out),
+                     *flags])
+    files = {p.name: p.read_bytes() for p in sorted(out.glob("*"))}
+    return code, err.getvalue(), files, read_whole.called
+
+
+def _both_paths(tmp, text, fmt, flags, block):
+    path = tmp / f"points.{fmt}"
+    path.write_text(text, encoding="utf-8", newline="")
+    flags = [*flags, "--format", fmt]
+    with mock.patch.object(ingest, "_BLOCK_CHARS", block):
+        streamed = _compute(path, tmp / "streamed", flags)
+        whole = _compute(path, tmp / "whole", flags, whole=True)
+    assert whole[3]
+    assert streamed[:3] == whole[:3]
+    return streamed
+
+
+# One user of 40 fixes spans many 60-character blocks; the malformed
+# lines sit on block edges.
+_LONG_WALK = [("a", T0 + 60 * i, 35.51 + 0.0005 * i, 139.31) for i in range(40)]
+
+
+@settings(max_examples=50)
+@given(rows=_walks(), fmt=st.sampled_from(["csv", "ndjson"]),
+       form=st.sampled_from(["seconds", "Z", "+09:00"]),
+       bad=st.lists(st.tuples(st.integers(0, 200), st.integers(0, 5)),
+                    max_size=6),
+       window=st.sampled_from([None, "900", "1234.5"]),
+       strict=st.booleans(), shuffle=st.randoms(use_true_random=False),
+       shuffled=st.booleans(), block=st.integers(40, 400))
+@example(rows=_LONG_WALK, fmt="csv", form="Z", bad=[(3, 0), (17, 2)],
+         window=None, strict=False, shuffle=None, shuffled=False, block=60)
+@example(rows=_LONG_WALK, fmt="csv", form="seconds", bad=[(17, 3)],
+         window="900", strict=True, shuffle=None, shuffled=False, block=60)
+@example(rows=_LONG_WALK + [("b", T0, 35.52, 139.32)] * 3, fmt="ndjson",
+         form="+09:00", bad=[(40, 1)], window=None, strict=False,
+         shuffle=None, shuffled=False, block=60)
+def test_streamed_compute_equals_whole_file(tmp_path_factory, rows, fmt,
+                                            form, bad, window, strict,
+                                            shuffle, shuffled, block):
+    if shuffled:
+        shuffle.shuffle(rows)
+    flags = (["--window", window] if window else []) + (
+        ["--strict"] if strict else [])
+    code, err, files, read_whole = _both_paths(
+        tmp_path_factory.mktemp("stream"), _render(rows, fmt, form, bad),
+        fmt, flags, block)
+    event(f"exit {code}, {'whole file' if read_whole else 'streamed'}")
+    if not shuffled:
+        # users come in ascending order: no fallback to the whole file
+        assert not read_whole
+    kinds = _BAD[fmt]
+    if strict and any(kinds[k % len(kinds)] for _, k in bad):
+        assert code == 3 and "line " in err
+
+
+def test_users_out_of_order_read_the_whole_file(tmp_path):
+    rows = ([("b", T0 + 60 * i, 35.51 + 0.0005 * i, 139.31) for i in range(30)]
+            + [("a", T0 + 60 * i, 35.52, 139.31 + 0.0005 * i)
+               for i in range(30)])
+    code, _, files, read_whole = _both_paths(
+        tmp_path, _render(rows, "csv", "seconds", []), "csv", [], 200)
+    assert code == 0 and read_whole
+    summary = json.loads(files["compute_summary.json"])
+    assert summary["users"] == 2 and summary["vectors"] == 58
+
+
+def test_heading_direction_streams_too(tmp_path):
+    rows = [f"{u},{T0 + 60 * i},{35.51 + 0.0003 * i!r},139.31,"
+            f"{'' if i % 7 == 3 else repr(0.1 * i)},{i % 4}"
+            for u in ("a", "b", "c") for i in range(25)]
+    rows.insert(30, "b,60,north,139.31,,")      # malformed
+    text = "user_id,timestamp,lat,lon,heading,speed\n" + "\n".join(rows)
+    code, _, files, read_whole = _both_paths(
+        tmp_path, text + "\n", "csv", ["--direction", "heading"], 120)
+    assert code == 0 and not read_whole
+    summary = json.loads(files["compute_summary.json"])
+    assert summary["points_skipped"] == 1 and summary["vectors"] > 0
+
+
+def _peak(run) -> int:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def cities(tmp_path_factory):
+    """Synthetic cities of 2,000 and 8,000 users, 20 fixes each."""
+    root = tmp_path_factory.mktemp("cities")
+    for users in (2000, 8000):
+        assert main(["synth", "--users", str(users), "--seed", "3",
+                     "--out", str(root / str(users))]) == 0
+    return root
+
+
+def test_compute_memory_grows_by_the_kept_vectors(cities):
+    # whole-file reading grew by about 281 B per point; streaming keeps
+    # six float64 columns per vector and about 43 B per point in all
+    peaks = {users: _peak(lambda: main([
+        "compute", str(cities / str(users) / "points.csv"),
+        "--out", str(cities / str(users))])) for users in (2000, 8000)}
+    per_point = (peaks[8000] - peaks[2000]) / ((8000 - 2000) * 20)
+    assert per_point <= 100
+
+
+def test_points_writer_memory_does_not_grow(tmp_path):
+    peaks = {}
+    for users in (2000, 8000):
+        points, _ = synth.generate(synth.default_config(3, users))
+        peaks[users] = _peak(lambda: write_points_csv(
+            points, tmp_path / "points.csv"))
+    per_point = (peaks[8000] - peaks[2000]) / ((8000 - 2000) * 20)
+    assert per_point <= 10
