@@ -2,13 +2,12 @@
 
 from .errors import (ConfigError, EmptyFieldError, EmptyHistogramError,
                      InvalidAngleError, InvalidScaleError, MdemapError,
-                     OutOfAreaError, PointParseError, UndefinedDirectionError)
+                     OutOfAreaError, PointParseError)
 from .mesh import (AreaOfInterest, DEFAULT_AOI, EARTH_RADIUS_M, GeoPoint,
                    LocalCoord, MeshId, METERS_PER_DEGREE, STANDARD_SCALES_M,
                    geo_distance, inverse_project, mesh_center, mesh_centers,
                    mesh_corners, mesh_of, parent_of, project)
-from .ingest import (ExtractionStats, MovementBatch, MovementVector,
-                     ParseResult, TrajectoryPoint, direction_of,
+from .ingest import (ExtractionStats, MovementBatch, ParseResult,
                      extract_movements, parse_points)
 from .field import (ALL_TIME, BIN_WIDTH, FieldAccumulator, MAX_ENTROPY,
                     MdeField, MeshEntry, N_BINS, TimeWindow, compute_field,
@@ -32,14 +31,13 @@ __all__ = [
     "FieldAccumulator", "GeoPoint", "GroundTruth", "Hub",
     "InvalidAngleError", "InvalidScaleError", "LocalCoord", "MAX_ENTROPY",
     "MdeField", "MdemapError", "MeshEntry", "MeshId", "METERS_PER_DEGREE",
-    "MovementBatch", "MovementVector", "N_BINS", "OutOfAreaError",
-    "ParseResult", "PointParseError", "PrecisionCurve", "RecallCurve",
-    "STANDARD_SCALES_M", "Station", "SynthConfig", "TimeWindow",
-    "TopKSelection", "TrajectoryPoint", "UndefinedDirectionError",
+    "MovementBatch", "N_BINS", "OutOfAreaError", "ParseResult",
+    "PointParseError", "PrecisionCurve", "RecallCurve", "STANDARD_SCALES_M",
+    "Station", "SynthConfig", "TimeWindow", "TopKSelection",
     "check_stations", "combine", "compute_field", "compute_fields",
-    "default_config", "default_sites", "default_x_values", "direction_of",
-    "entropy_norm", "extract_movements", "find_local_peaks", "generate",
-    "geo_distance", "inverse_project", "kernels", "mesh_center",
-    "mesh_centers", "mesh_corners", "mesh_of", "normalize", "parent_of",
-    "parse_points", "precision_curve", "project", "recall_curve", "top_k",
+    "default_config", "default_sites", "default_x_values", "entropy_norm",
+    "extract_movements", "find_local_peaks", "generate", "geo_distance",
+    "inverse_project", "kernels", "mesh_center", "mesh_centers",
+    "mesh_corners", "mesh_of", "normalize", "parent_of", "parse_points",
+    "precision_curve", "project", "recall_curve", "top_k",
 ]

@@ -93,7 +93,7 @@ def _load_config(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as f:
             cfg = json.load(f)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"bad config file {path}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
@@ -104,9 +104,12 @@ def _setting(args, cfg: dict, key: str, default, convert=None):
     v = getattr(args, key, None)
     if v is None:
         v = cfg.get(key, default)
-    if v is None:
-        return None
-    return convert(v) if convert else v
+    if v is None or convert is None:
+        return v
+    try:
+        return convert(v)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"bad {key} {v!r}: {exc}") from exc
 
 
 # Most time windows one compute run may make, per scale.
@@ -454,7 +457,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"mdemap: i/o error: {exc}", file=sys.stderr)
         return 2
-    except MdemapError as exc:
+    except (MdemapError, UnicodeDecodeError) as exc:
         print(f"mdemap: data error: {exc}", file=sys.stderr)
         return 3
 

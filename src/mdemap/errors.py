@@ -17,10 +17,6 @@ class InvalidScaleError(MdemapError):
     """Mesh scale is non-positive or a scale pair does not nest."""
 
 
-class UndefinedDirectionError(MdemapError):
-    """Direction requested for a zero displacement."""
-
-
 class InvalidAngleError(MdemapError):
     """Non-finite angle passed to direction binning."""
 

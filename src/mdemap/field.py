@@ -47,9 +47,6 @@ class TimeWindow(NamedTuple):
     start: float = -math.inf
     end: float = math.inf
 
-    def contains(self, t: float) -> bool:
-        return self.start <= t < self.end
-
 
 ALL_TIME = TimeWindow()
 
@@ -122,10 +119,8 @@ def _check_setup(scale_m: int, windows, min_samples: int) -> None:
             raise ConfigError(f"empty time window {w!r}")
 
 
-def _movement_arrays(movements, aoi: AreaOfInterest):
-    """(x, y, theta, t, n_out_of_area) for a batch or any MovementVector iterable."""
-    if not isinstance(movements, MovementBatch):
-        movements = MovementBatch.from_vectors(movements, aoi)
+def _movement_arrays(movements: MovementBatch, aoi: AreaOfInterest):
+    """(x, y, theta, t, n_out_of_area) of a batch's vectors."""
     lat, lon = movements.origin_lat, movements.origin_lon
     theta, t = movements.theta, movements.t
     x = y = None
@@ -144,7 +139,7 @@ def _movement_arrays(movements, aoi: AreaOfInterest):
     return x, y, theta, t, dropped
 
 
-def _windowed_arrays(movements, aoi: AreaOfInterest,
+def _windowed_arrays(movements: MovementBatch, aoi: AreaOfInterest,
                      windows: tuple[TimeWindow, ...]):
     """(x, y, theta, window index, n_out_of_area) of the kept vectors.
 
@@ -201,7 +196,7 @@ class FieldAccumulator:
         self._keys: list[np.ndarray] = []
         self._counts: list[np.ndarray] = []
 
-    def add(self, movements) -> None:
+    def add(self, movements: MovementBatch) -> None:
         x, y, theta, _, dropped = _windowed_arrays(movements, self.aoi,
                                                    (self.window,))
         self.dropped_out_of_area += dropped
@@ -237,8 +232,8 @@ class FieldAccumulator:
                       mesh_flat, totals, ent, self.dropped_out_of_area)
 
 
-def compute_field(movements, aoi: AreaOfInterest, scale_m: int,
-                  window: TimeWindow = ALL_TIME,
+def compute_field(movements: MovementBatch, aoi: AreaOfInterest,
+                  scale_m: int, window: TimeWindow = ALL_TIME,
                   min_samples: int = 30) -> MdeField:
     """Accumulate movements into one scale's moving direction entropy field."""
     acc = FieldAccumulator(aoi, scale_m, window, min_samples)
@@ -246,7 +241,7 @@ def compute_field(movements, aoi: AreaOfInterest, scale_m: int,
     return acc.finish()
 
 
-def compute_fields(movements, aoi: AreaOfInterest, scales,
+def compute_fields(movements: MovementBatch, aoi: AreaOfInterest, scales,
                    windows=(ALL_TIME,), min_samples: int = 30,
                    ) -> tuple[list[MdeField], int]:
     """Every (scale, window) field of ``movements`` in one pass per scale.

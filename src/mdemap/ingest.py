@@ -11,51 +11,16 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from itertools import chain, compress, repeat
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import ConfigError, PointParseError, UndefinedDirectionError
-from .mesh import AreaOfInterest, GeoPoint, project_arrays, TWO_PI
-
-
-class TrajectoryPoint(NamedTuple):
-    """One GPS fix; heading (radians, same convention) and speed are optional."""
-
-    user_id: str
-    t: float
-    pos: GeoPoint
-    heading: float | None = None
-    speed: float | None = None
-
-
-class MovementVector(NamedTuple):
-    """One displacement event, timestamped at the later fix."""
-
-    user_id: str
-    t: float
-    origin: GeoPoint
-    theta: float
-    displacement: float
-    duration: float
-
-
-def direction_of(dx: float, dy: float) -> float:
-    """Angle of a local displacement (meters east, meters north).
-
-    theta = (-atan2(dx, dy)) mod 2*pi: anticlockwise from north.
-    """
-    if dx == 0.0 and dy == 0.0:
-        raise UndefinedDirectionError("zero displacement has no direction")
-    theta = math.fmod(-math.atan2(dx, dy), TWO_PI)
-    if theta < 0.0:
-        theta += TWO_PI
-    # adding 2*pi to a tiny negative can round to exactly 2*pi
-    return 0.0 if theta >= TWO_PI else theta
+from .errors import ConfigError, PointParseError
+from .mesh import AreaOfInterest, project_arrays, TWO_PI
 
 
 # -- point file parsing -------------------------------------------------
@@ -70,9 +35,9 @@ _COLUMNS = ("user_id", "t", "lat", "lon", "heading", "speed")
 class ParseResult:
     """Point columns in file order, plus the count of malformed rows skipped.
 
-    ``heading`` and ``speed`` are NaN where a point has none. ``points``
-    (and iteration and ``==``) give the same data as a list of
-    ``TrajectoryPoint``, built on first use.
+    ``heading`` and ``speed`` are NaN where a point has none. Two results
+    are equal when their columns hold equal values, NaN equal to NaN, and
+    their skipped counts match.
     """
 
     user_id: np.ndarray          # object array of str
@@ -82,35 +47,6 @@ class ParseResult:
     heading: np.ndarray
     speed: np.ndarray
     skipped: int = 0
-    _points: list | None = field(default=None, init=False, repr=False)
-
-    @classmethod
-    def from_points(cls, points: Iterable[TrajectoryPoint],
-                    skipped: int = 0) -> "ParseResult":
-        """The columns of trajectory points; None becomes NaN."""
-        pts = list(points)
-        if not pts:
-            return cls(np.empty(0, dtype=object), *np.empty((5, 0)), skipped)
-        user, t, pos, heading, speed = zip(*pts)
-        lat, lon = zip(*pos)
-        return cls(np.array(user, dtype=object),
-                   *(np.array(c, dtype=np.float64)
-                     for c in (t, lat, lon, heading, speed)), skipped)
-
-    @property
-    def points(self) -> list[TrajectoryPoint]:
-        if self._points is None:
-            self._points = [
-                TrajectoryPoint(u, t, GeoPoint(la, lo), _absent(h),
-                                _absent(s))
-                for u, t, la, lo, h, s in zip(
-                    self.user_id.tolist(), self.t.tolist(),
-                    self.lat.tolist(), self.lon.tolist(),
-                    self.heading.tolist(), self.speed.tolist())]
-        return self._points
-
-    def __iter__(self) -> Iterator[TrajectoryPoint]:
-        return iter(self.points)
 
     def __len__(self) -> int:
         return int(self.t.size)
@@ -123,11 +59,17 @@ class ParseResult:
     def __eq__(self, other) -> bool:
         if not isinstance(other, ParseResult):
             return NotImplemented
-        return (self.points, self.skipped) == (other.points, other.skipped)
+        return (self.skipped == other.skipped
+                and self.user_id.tolist() == other.user_id.tolist()
+                and all(np.array_equal(getattr(self, c), getattr(other, c),
+                                       equal_nan=True) for c in _COLUMNS[1:]))
 
 
-def _absent(v: float) -> float | None:
-    return None if math.isnan(v) else v
+def _columns(rows: list[tuple], skipped: int = 0) -> ParseResult:
+    """The columns of ``_build_point`` rows."""
+    user, *numbers = zip(*rows) if rows else [()] * 6
+    return ParseResult(np.array(user, dtype=object),
+                       *np.array(numbers, dtype=np.float64), skipped)
 
 
 def _number(raw, name: str) -> float:
@@ -158,8 +100,12 @@ def _parse_timestamp(raw) -> float:
     return t
 
 
-def _build_point(rec: dict, line_no: int) -> TrajectoryPoint:
-    """The one rule for a valid row: raises PointParseError otherwise."""
+def _build_point(rec: dict, line_no: int) -> tuple:
+    """The one rule for a valid row: raises PointParseError otherwise.
+
+    Returns ``(user_id, t, lat, lon, heading, speed)``, with NaN for an
+    absent heading or speed.
+    """
     try:
         user = rec["user_id"]
         if user is None or str(user) == "":
@@ -173,21 +119,21 @@ def _build_point(rec: dict, line_no: int) -> TrajectoryPoint:
             raise ValueError(f"longitude {lon} out of range")
         heading = rec.get("heading")
         if heading in (None, ""):
-            heading = None
+            heading = math.nan
         else:
             heading = _number(heading, "heading")
             if not (0.0 <= heading < TWO_PI):
                 raise ValueError(f"heading {heading} outside [0, 2*pi)")
         speed = rec.get("speed")
         if speed in (None, ""):
-            speed = None
+            speed = math.nan
         else:
             speed = _number(speed, "speed")
             if not (math.isfinite(speed) and speed >= 0.0):
                 raise ValueError(f"bad speed {speed}")
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise PointParseError(str(exc), line_no=line_no) from exc
-    return TrajectoryPoint(str(user), t, GeoPoint(lat, lon), heading, speed)
+    return str(user), t, lat, lon, heading, speed
 
 
 def _open_text(source):
@@ -264,19 +210,19 @@ def _parse_csv(stream, strict: bool) -> Iterator[ParseResult]:
         reader = csv.DictReader(_counted(chain(lines, stream), chars), names)
         if reader.fieldnames is not None:
             _check_header(reader.fieldnames)
-        points: list[TrajectoryPoint] = []
+        rows: list[tuple] = []
         skipped = 0
         for rec in reader:
             try:
-                points.append(_build_point(rec, line_no + reader.line_num))
+                rows.append(_build_point(rec, line_no + reader.line_num))
             except PointParseError:
                 if strict:
                     raise
                 skipped += 1
             if chars[0] >= _BLOCK_CHARS:
-                yield ParseResult.from_points(points, skipped)
-                points, skipped, chars[0] = [], 0, 0
-        yield ParseResult.from_points(points, skipped)
+                yield _columns(rows, skipped)
+                rows, skipped, chars[0] = [], 0, 0
+        yield _columns(rows, skipped)
 
 
 def _counted(lines: Iterable[str], chars: list[int]) -> Iterator[str]:
@@ -364,7 +310,7 @@ def _parse_block(lines: list[str], names: list[str], line_no: int,
     if found:
         found = np.array(found)
         keep[found] = True
-        fixed = ParseResult.from_points(points)
+        fixed = _columns(points)
         for column, name in zip(columns, _COLUMNS):
             column[found] = getattr(fixed, name)
     return ParseResult(*(c[keep] for c in columns), skipped)
@@ -469,7 +415,7 @@ def _utc_seconds(text: list[str]) -> np.ndarray:
 
 def _concat(parts: list[ParseResult]) -> ParseResult:
     if not parts:
-        return ParseResult.from_points([])
+        return _columns([])
     return ParseResult(*(np.concatenate([getattr(p, c) for p in parts])
                          for c in _COLUMNS), sum(p.skipped for p in parts))
 
@@ -477,7 +423,7 @@ def _concat(parts: list[ParseResult]) -> ParseResult:
 def _parse_ndjson(stream, strict: bool) -> Iterator[ParseResult]:
     line_no = 0
     while lines := stream.readlines(_BLOCK_CHARS):
-        points: list[TrajectoryPoint] = []
+        rows: list[tuple] = []
         skipped = 0
         for line_no, line in enumerate(lines, start=line_no + 1):
             if not line.strip():
@@ -489,12 +435,12 @@ def _parse_ndjson(stream, strict: bool) -> Iterator[ParseResult]:
                         raise ValueError("line is not a JSON object")
                 except ValueError as exc:
                     raise PointParseError(str(exc), line_no=line_no) from exc
-                points.append(_build_point(rec, line_no))
+                rows.append(_build_point(rec, line_no))
             except PointParseError:
                 if strict:
                     raise
                 skipped += 1
-        yield ParseResult.from_points(points, skipped)
+        yield _columns(rows, skipped)
 
 
 def user_groups(blocks: Iterable[ParseResult]) -> Iterator[ParseResult]:
@@ -552,10 +498,10 @@ class ExtractionStats:
 
 @dataclass
 class MovementBatch:
-    """Movement vectors in column form, ordered by (user_id, t).
+    """Movement vectors as columns, ordered by (user_id, t).
 
-    Iterating yields MovementVector tuples; the arrays are the working
-    representation for field accumulation. ``x``/``y`` are the origins
+    A vector is timestamped at the later of its two fixes (in
+    ``heading`` mode, at its one fix). ``x``/``y`` are the origins
     projected into ``aoi`` local coordinates (out-of-area origins simply
     land outside the grid and are dropped later, at accumulation).
     """
@@ -574,49 +520,19 @@ class MovementBatch:
     def __len__(self) -> int:
         return int(self.t.size)
 
-    def __getitem__(self, i: int) -> MovementVector:
-        return MovementVector(
-            str(self.user_id[i]), float(self.t[i]),
-            GeoPoint(float(self.origin_lat[i]), float(self.origin_lon[i])),
-            float(self.theta[i]), float(self.displacement[i]),
-            float(self.duration[i]))
-
-    def __iter__(self) -> Iterator[MovementVector]:
-        for i in range(len(self)):
-            yield self[i]
-
-    @classmethod
-    def from_vectors(cls, vectors: Iterable[MovementVector],
-                     aoi: AreaOfInterest) -> "MovementBatch":
-        vecs = list(vectors)
-        user = np.asarray([v.user_id for v in vecs], dtype=object)
-        t = np.asarray([v.t for v in vecs], dtype=np.float64)
-        lat = np.asarray([v.origin.lat for v in vecs], dtype=np.float64)
-        lon = np.asarray([v.origin.lon for v in vecs], dtype=np.float64)
-        theta = np.asarray([v.theta for v in vecs], dtype=np.float64)
-        disp = np.asarray([v.displacement for v in vecs], dtype=np.float64)
-        dur = np.asarray([v.duration for v in vecs], dtype=np.float64)
-        x, y = project_arrays(lat, lon, aoi)
-        return cls(aoi, user, t, lat, lon, x, y, theta, disp, dur)
-
 
 def _empty_batch(aoi: AreaOfInterest) -> MovementBatch:
-    f = np.empty(0, dtype=np.float64)
-    return MovementBatch(aoi, np.empty(0, dtype=object), f, f.copy(),
-                         f.copy(), f.copy(), f.copy(), f.copy(), f.copy(),
-                         f.copy())
+    return MovementBatch(aoi, np.empty(0, dtype=object), *np.empty((8, 0)))
 
 
-def extract_movements(points, aoi: AreaOfInterest,
+def extract_movements(points: ParseResult, aoi: AreaOfInterest,
                       min_displacement: float = 10.0,
                       max_gap: float = 1800.0,
                       source: str = "consecutive",
                       ) -> tuple[MovementBatch, ExtractionStats]:
-    """Derive movement vectors from trajectory points.
+    """Derive movement vectors from the point columns of ``points``.
 
-    ``points`` is a ``ParseResult``, read as columns, or any iterable of
-    ``TrajectoryPoint``, turned into the same columns first. Points may
-    arrive unsorted; they are grouped by user and sorted by
+    Points may arrive unsorted; they are grouped by user and sorted by
     time, and an exact duplicate (user, t) keeps the first occurrence.
     In ``consecutive`` mode each adjacent fix pair of one user becomes a
     vector when its duration is at most ``max_gap`` and its projected
@@ -628,17 +544,15 @@ def extract_movements(points, aoi: AreaOfInterest,
         raise ConfigError(f"unknown direction source {source!r}")
     if min_displacement < 0 or max_gap <= 0:
         raise ConfigError("min_displacement must be >= 0 and max_gap > 0")
-    cols = (points if isinstance(points, ParseResult)
-            else ParseResult.from_points(points))
-    stats = ExtractionStats(n_points=len(cols))
-    if not len(cols):
+    stats = ExtractionStats(n_points=len(points))
+    if not len(points):
         return _empty_batch(aoi), stats
 
-    t = cols.t
+    t = points.t
     # codes in sorted id order; a dict keeps each id whole, where a
     # fixed-width str array pads every id to the longest and drops
     # trailing NULs
-    ids = cols.user_id.tolist()
+    ids = points.user_id.tolist()
     code_of = {u: i for i, u in enumerate(sorted(set(ids)))}
     codes = np.fromiter(map(code_of.__getitem__, ids), np.int64, len(ids))
     stats.n_users = len(code_of)
@@ -650,10 +564,10 @@ def extract_movements(points, aoi: AreaOfInterest,
     stats.dropped_duplicate = int(dup.sum())
     keep = order[~dup]
     codes, t = codes[~dup], t[~dup]
-    lat, lon, user = cols.lat[keep], cols.lon[keep], cols.user_id[keep]
+    lat, lon, user = points.lat[keep], points.lon[keep], points.user_id[keep]
 
     if source == "heading":
-        heading, speed = cols.heading[keep], cols.speed[keep]
+        heading, speed = points.heading[keep], points.speed[keep]
         has = ~np.isnan(heading)
         stats.dropped_no_heading = int((~has).sum())
         disp = np.maximum(np.where(np.isnan(speed[has]), 0.0, speed[has]),

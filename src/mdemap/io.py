@@ -19,7 +19,7 @@ from .errors import PointParseError
 from .evaluation import (PrecisionCurve, RecallCurve, Station, check_stations)
 from .field import ALL_TIME, MAX_ENTROPY, MdeField, TimeWindow
 from .fusion import CombinedMap
-from .ingest import ParseResult, TrajectoryPoint
+from .ingest import ParseResult
 from .mesh import (AreaOfInterest, GeoPoint, MeshId, mesh_center, mesh_centers,
                    mesh_corners)
 
@@ -204,8 +204,8 @@ def read_field_csv(path, aoi: AreaOfInterest,
             path, aoi, ("count", "entropy_nats"), "field"):
         try:
             n = int(n)
-            if n < 0:
-                raise ValueError(f"negative count {n}")
+            if not 0 <= n < 2**63:          # the range of int64 counts
+                raise ValueError(f"count {n} outside [0, 2**63)")
             if h:
                 h = float(h)
                 if not 0.0 <= h <= MAX_ENTROPY * (1 + ENTROPY_SLACK):
@@ -310,28 +310,27 @@ def _times_text(t: np.ndarray) -> list[str]:
     return [text[i] for i in inverse.tolist()]
 
 
-def write_points_csv(points: ParseResult | Iterable[TrajectoryPoint],
-                     path) -> None:
+def write_points_csv(points: ParseResult, path) -> None:
     """Standard points file; heading/speed columns only when any point has them.
 
     Bytes are those of ``csv.writer``: ids quoted where needed, integral
     times as ints, floats with ``repr``, absent heading/speed empty.
     """
-    cols = (points if isinstance(points, ParseResult)
-            else ParseResult.from_points(points))
-    extras = not (np.isnan(cols.heading).all() and np.isnan(cols.speed).all())
+    extras = not (np.isnan(points.heading).all()
+                  and np.isnan(points.speed).all())
     names = ("user_id", "timestamp", "lat", "lon", "heading", "speed")
     with open(path, "w", encoding="utf-8", newline="") as f:
         f.write(",".join(names[:6 if extras else 4]) + "\r\n")
-        for sl in _chunks(len(cols)):
-            ids = cols.user_id[sl].tolist()
+        for sl in _chunks(len(points)):
+            ids = points.user_id[sl].tolist()
             text = {u: _csv_text(u) for u in set(ids)}
-            tails = (map(",{},{}".format, _texts(cols.heading[sl], ""),
-                         _texts(cols.speed[sl], "")) if extras else repeat(""))
+            tails = (map(",{},{}".format, _texts(points.heading[sl], ""),
+                         _texts(points.speed[sl], ""))
+                     if extras else repeat(""))
             f.write("".join([
                 f"{u},{t},{la!r},{lo!r}{x}\r\n" for u, t, la, lo, x in zip(
-                    map(text.__getitem__, ids), _times_text(cols.t[sl]),
-                    cols.lat[sl].tolist(), cols.lon[sl].tolist(), tails)]))
+                    map(text.__getitem__, ids), _times_text(points.t[sl]),
+                    points.lat[sl].tolist(), points.lon[sl].tolist(), tails)]))
 
 
 def _geojson(table, scale_m: int, **values) -> Iterator[str]:

@@ -1,8 +1,8 @@
 """Scalar reference implementations the tests check the kernels against.
 
-These are the per-angle, per-histogram and per-mesh forms of the method:
-slow and plain, so that the columnar code in ``mdemap`` has something
-independent to agree with.
+These are the per-displacement, per-angle, per-histogram and per-mesh
+forms of the method: slow and plain, so that the columnar code in
+``mdemap`` has something independent to agree with.
 """
 
 import math
@@ -14,6 +14,20 @@ from mdemap import (AreaOfInterest, ConfigError, EmptyHistogramError,
                     GeoPoint, InvalidAngleError, LocalCoord, MeshId, N_BINS,
                     inverse_project, kernels)
 from mdemap.mesh import TWO_PI
+
+
+def direction_of(dx: float, dy: float) -> float:
+    """Angle of a local displacement (meters east, meters north).
+
+    theta = (-atan2(dx, dy)) mod 2*pi: radians anticlockwise from north.
+    """
+    if dx == 0.0 and dy == 0.0:
+        raise ValueError("zero displacement has no direction")
+    theta = math.fmod(-math.atan2(dx, dy), TWO_PI)
+    if theta < 0.0:
+        theta += TWO_PI
+    # adding 2*pi to a tiny negative can round to exactly 2*pi
+    return 0.0 if theta >= TWO_PI else theta
 
 
 def bin_of(theta: float) -> int:

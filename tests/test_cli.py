@@ -418,3 +418,73 @@ def test_combined_map_of_another_area_exits_3(pipeline, tmp_path):
     assert main(["export", str(tmp_path / "combined.csv"),
                  "--aoi", SHIFTED_AOI, "--out", str(out)]) == 3
     assert not list(out.iterdir())
+
+
+@pytest.mark.parametrize("command", ["combine", "export"])
+def test_count_above_int64_exits_3(pipeline, tmp_path, capsys, command):
+    rows = (pipeline / "mde_1000m.csv").read_text().splitlines(True)
+    cells = rows[1].split(",")
+    cells[5] = str(2**63)
+    field = tmp_path / "mde_1000m.csv"
+    field.write_text(rows[0] + ",".join(cells))
+    assert main([command, str(field), "--aoi", AOI,
+                 "--out", str(tmp_path / "out")]) == 3
+    assert f"line 2: count {2**63} outside" in capsys.readouterr().err
+    assert not any((tmp_path / "out").iterdir())
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["synth", "--aoi", "a,b,c,d"], None),
+    (["compute", "points.csv", "--scales", "abc"], None),
+    (["compute", "points.csv", "--scales", "100,1.5"], None),
+    (["evaluate", "mde_100m.csv", "--stations", "s.csv", "--top-k", "100=x"],
+     None),
+    (["evaluate", "mde_100m.csv", "--stations", "s.csv", "--radii", "x"],
+     None),
+    (["synth"], {"users": "many"}),
+    (["synth"], {"fixes": [20]}),
+    (["synth"], {"seed": float("inf")})], ids=[
+        "aoi", "scales-text", "scales-fraction", "top-k", "radii",
+        "config-text", "config-list", "config-infinity"])
+def test_unreadable_settings_are_config_errors(tmp_path, capsys, argv,
+                                               config):
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        argv = argv + ["--config", str(tmp_path / "cfg.json")]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("mdemap: config error: ") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_file_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
+    (tmp_path / "cfg.json").write_bytes(b'{"users": "\xff"}')
+    assert main(["synth", "--config", str(tmp_path / "cfg.json"),
+                 "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith("mdemap: config error: ")
+
+
+@pytest.mark.parametrize("command", ["compute-csv", "compute-ndjson",
+                                     "evaluate", "export"])
+def test_input_that_is_not_utf8_is_a_data_error(pipeline, tmp_path, capsys,
+                                                command):
+    bad = tmp_path / "input"
+    if command == "compute-csv":
+        bad.write_bytes(b"user_id,timestamp,lat,lon\nu,0,35.51,139.45\n"
+                        b"u\xff,60,35.512,139.45\n")
+        argv = ["compute", str(bad)]
+    elif command == "compute-ndjson":
+        bad.write_bytes(b'{"user_id": "u\xff", "timestamp": 0, "lat": 35.51,'
+                        b' "lon": 139.45}\n')
+        argv = ["compute", str(bad), "--format", "ndjson"]
+    elif command == "evaluate":
+        bad.write_bytes((pipeline / "stations.csv").read_bytes() + b"\xff\n")
+        argv = ["evaluate", str(pipeline / "mde_1000m.csv"),
+                "--stations", str(bad)]
+    else:
+        bad.write_bytes((pipeline / "mde_1000m.csv").read_bytes() + b"\xff\n")
+        argv = ["export", str(bad)]
+    assert main(argv + ["--aoi", AOI, "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("mdemap: data error: ") and "utf-8" in err
+    assert not any((tmp_path / "out").iterdir())

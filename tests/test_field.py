@@ -1,5 +1,6 @@
 """Direction binning, entropy, and field accumulation."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,14 +9,14 @@ from hypothesis import given, settings, strategies as st
 
 from mdemap import (ALL_TIME, AreaOfInterest, EmptyHistogramError,
                     FieldAccumulator, InvalidAngleError, InvalidScaleError,
-                    MAX_ENTROPY, MeshEntry, MovementBatch, MovementVector,
-                    N_BINS, STANDARD_SCALES_M, TimeWindow, compute_field,
+                    MAX_ENTROPY, MeshEntry, MovementBatch, N_BINS,
+                    STANDARD_SCALES_M, TimeWindow, compute_field,
                     compute_fields, entropy_norm, ConfigError, GeoPoint,
                     MeshId, parent_of)
 from mdemap.mesh import inverse_project, LocalCoord, METERS_PER_DEGREE
 
 from _oracles import DirectionHistogram, bin_of, entropy, histograms
-from conftest import field_of, make_vectors
+from conftest import batch_at, concat, field_of, make_vectors, take, vectors
 
 # frozen oracle: -(0.75 ln 0.75 + 0.25 ln 0.25), 50-digit arithmetic
 H_75_25 = 0.5623351446188083
@@ -99,27 +100,26 @@ def test_histogram_rejects_bad_shapes():
         DirectionHistogram(np.full(100, -1, dtype=np.int64))
 
 
-def test_time_window_half_open():
-    w = TimeWindow(10.0, 20.0)
-    assert w.contains(10.0) and w.contains(19.999)
-    assert not w.contains(20.0) and not w.contains(9.999)
-    assert ALL_TIME.contains(-1e18) and ALL_TIME.contains(1e18)
-
-
-def _vec(aoi, x, y, theta, t=0.0):
-    origin = inverse_project(LocalCoord(x, y), aoi)
-    return MovementVector("u", t, origin, theta, 25.0, 60.0)
+def test_time_window_half_open(small_aoi):
+    # a window keeps the vectors with start <= t < end
+    times = [9.999, 10.0, 19.999, 20.0]
+    vecs = vectors(small_aoi, 50.0, 50.0, 0.0, times)
+    f = compute_field(vecs, small_aoi, 100, TimeWindow(10.0, 20.0), 1)
+    assert f.count.tolist() == [2]
+    f = compute_field(vectors(small_aoi, 50.0, 50.0, 0.0, [-1e18, 1e18]),
+                      small_aoi, 100, ALL_TIME, 1)
+    assert f.count.tolist() == [2]
 
 
 def test_compute_field_zero_movements(small_aoi):
-    f = compute_field([], small_aoi, 100)
+    f = compute_field(vectors(small_aoi, [], [], []), small_aoi, 100)
     assert f.entries == {}
     assert f.n_defined == 0
 
 
 def test_compute_field_uniform_mesh_hits_ln100(small_aoi):
     w = 2 * math.pi / 100
-    vecs = [_vec(small_aoi, 150.0, 150.0, (i + 0.5) * w) for i in range(100)]
+    vecs = vectors(small_aoi, 150.0, 150.0, (np.arange(100) + 0.5) * w)
     f = compute_field(vecs, small_aoi, 100, min_samples=30)
     m = MeshId(100, 1, 1)
     assert set(f.entries) == {m}
@@ -128,21 +128,20 @@ def test_compute_field_uniform_mesh_hits_ln100(small_aoi):
 
 
 def test_min_samples_boundary(small_aoi):
-    vecs = [_vec(small_aoi, 50.0, 50.0, 0.1 * i) for i in range(29)]
+    vecs = vectors(small_aoi, 50.0, 50.0, 0.1 * np.arange(29))
     f29 = compute_field(vecs, small_aoi, 100, min_samples=30)
     assert f29.entries[MeshId(100, 0, 0)] == MeshEntry(29, None)
     assert f29.n_defined == 0
-    f29b = compute_field(vecs + [_vec(small_aoi, 50.0, 50.0, 1.0)],
+    f29b = compute_field(concat(vecs, vectors(small_aoi, 50.0, 50.0, 1.0)),
                          small_aoi, 100, min_samples=30)
     e = f29b.entries[MeshId(100, 0, 0)]
     assert e.count == 30 and e.entropy is not None
 
 
 def test_window_filters_by_origin_time(small_aoi):
-    inside = [_vec(small_aoi, 50.0, 50.0, 0.0, t=100.0 + i) for i in range(40)]
-    outside = [_vec(small_aoi, 50.0, 50.0, math.pi, t=500.0 + i)
-               for i in range(40)]
-    f = compute_field(inside + outside, small_aoi, 100,
+    inside = vectors(small_aoi, 50.0, 50.0, 0.0, 100.0 + np.arange(40))
+    outside = vectors(small_aoi, 50.0, 50.0, math.pi, 500.0 + np.arange(40))
+    f = compute_field(concat(inside, outside), small_aoi, 100,
                       window=TimeWindow(100.0, 200.0), min_samples=30)
     e = f.entries[MeshId(100, 0, 0)]
     assert e.count == 40
@@ -150,11 +149,8 @@ def test_window_filters_by_origin_time(small_aoi):
 
 
 def test_out_of_area_dropped_and_counted(small_aoi):
-    vecs = [_vec(small_aoi, 50.0, 50.0, 0.0) for _ in range(35)]
-    vecs.append(MovementVector("u", 0.0, GeoPoint(35.49, 139.31), 0.0,
-                               25.0, 60.0))
-    vecs.append(MovementVector("u", 0.0, GeoPoint(35.51, 139.40), 0.0,
-                               25.0, 60.0))
+    vecs = concat(vectors(small_aoi, np.full(35, 50.0), 50.0, 0.0),
+                  batch_at(small_aoi, [35.49, 35.51], [139.31, 139.40], 0.0))
     f = compute_field(vecs, small_aoi, 100)
     assert f.dropped_out_of_area == 2
     assert f.entries[MeshId(100, 0, 0)].count == 35
@@ -166,8 +162,8 @@ def test_rotation_invariance_small(small_aoi):
     base = compute_field(vecs, small_aoi, 100)
     w = 2 * math.pi / 100
     for k in (1, 17, 99):
-        rot = [v._replace(theta=(v.theta + k * w) % (2 * math.pi))
-               for v in vecs]
+        rot = dataclasses.replace(
+            vecs, theta=np.mod(vecs.theta + k * w, 2 * math.pi))
         f = compute_field(rot, small_aoi, 100)
         assert set(f.entries) == set(base.entries)
         for m, e in base.entries.items():
@@ -189,7 +185,7 @@ def test_chunk_parity_small(small_aoi):
         bounds = sorted(rng.integers(0, len(vecs), n_chunks - 1).tolist())
         prev = 0
         for b in bounds + [len(vecs)]:
-            acc.add(vecs[prev:b])
+            acc.add(take(vecs, slice(prev, b)))
             prev = b
         assert acc.finish() == ref
 
@@ -201,8 +197,8 @@ def test_merge_accumulators(small_aoi):
     whole.add(vecs)
     a = FieldAccumulator(small_aoi, 1000)
     b = FieldAccumulator(small_aoi, 1000)
-    a.add(vecs[:1000])
-    b.add(vecs[1000:])
+    a.add(take(vecs, slice(None, 1000)))
+    b.add(take(vecs, slice(1000, None)))
     a.merge(b)
     assert a.finish() == whole.finish()
 
@@ -231,9 +227,10 @@ def test_histograms_match_brute_force(small_aoi):
     got = histograms(acc)
     want: dict = {}
     from mdemap import mesh_of, project
-    for v in vecs:
-        m = mesh_of(project(v.origin, small_aoi), 1000)
-        want.setdefault(m, np.zeros(100, dtype=np.int64))[bin_of(v.theta)] += 1
+    for lat, lon, theta in zip(vecs.origin_lat.tolist(),
+                               vecs.origin_lon.tolist(), vecs.theta.tolist()):
+        m = mesh_of(project(GeoPoint(lat, lon), small_aoi), 1000)
+        want.setdefault(m, np.zeros(100, dtype=np.int64))[bin_of(theta)] += 1
     assert set(got) == set(want)
     for m in want:
         assert np.array_equal(got[m], want[m])
@@ -339,7 +336,7 @@ def _windowed_input(draw):
         lo, hi = edges[0], edges[-1]
         times = st.one_of(st.sampled_from(edges),
                           st.floats(lo - 1.0, hi + 1.0))
-    vectors = []
+    rows = []
     # few positions and directions, so meshes collect several vectors
     for _ in range(draw(st.integers(0, 60))):
         theta = draw(st.sampled_from([0.1, 1.0, 2.0, 3.0, 4.5, 6.2]))
@@ -350,28 +347,30 @@ def _windowed_input(draw):
             x = draw(st.sampled_from([10.0, 150.0, 1050.0, 2990.0]))
             y = draw(st.sampled_from([20.0, 250.0, 1999.0]))
             origin = inverse_project(LocalCoord(x, y), PROP_AOI)
-        vectors.append(MovementVector("u", t, origin, theta, 25.0, 60.0))
-    return vectors, windows
+        rows.append((*origin, theta, t))
+    lat, lon, theta, t = (list(c) for c in zip(*rows)) if rows else [[]] * 4
+    return batch_at(PROP_AOI, lat, lon, theta, t), windows
 
 
 @settings(max_examples=150)
 @given(case=_windowed_input(), min_samples=st.integers(1, 4))
 def test_compute_fields_equals_per_window_accumulators(case, min_samples):
-    vectors, windows = case
-    fields, dropped = compute_fields(vectors, PROP_AOI, PROP_SCALES, windows,
+    vecs, windows = case
+    fields, dropped = compute_fields(vecs, PROP_AOI, PROP_SCALES, windows,
                                      min_samples)
     assert [(f.scale_m, f.window) for f in fields] == \
         [(s, w) for s in PROP_SCALES for w in windows]
     for got in fields:
         acc = FieldAccumulator(PROP_AOI, got.scale_m, got.window,
                                min_samples)
-        acc.add(vectors)
+        acc.add(vecs)
         want = acc.finish()
         assert dropped == acc.dropped_out_of_area
         assert got == want
         assert _bits(got) == _bits(want)
         # the same field from the window's vectors picked one by one
-        picked = [v for v in vectors if got.window.contains(v.t)]
+        w = got.window
+        picked = take(vecs, [w.start <= t < w.end for t in vecs.t.tolist()])
         assert _bits(got) == _bits(compute_field(
             picked, PROP_AOI, got.scale_m, min_samples=min_samples))
         assert got.count.size == len(want.entries)
@@ -381,11 +380,11 @@ def test_compute_fields_equals_per_window_accumulators(case, min_samples):
 
 
 def test_compute_fields_counts_out_of_area_once(small_aoi):
-    inside = [_vec(small_aoi, 50.0, 50.0, 0.0, t=float(t)) for t in range(9)]
-    outside = [MovementVector("u", float(t), GeoPoint(35.49, 139.31), 0.0,
-                              25.0, 60.0) for t in range(9)]
+    inside = vectors(small_aoi, 50.0, 50.0, 0.0, np.arange(9.0))
+    outside = batch_at(small_aoi, 35.49, 139.31, 0.0, np.arange(9.0))
     windows = _grid_windows(0.0, 3.0, 3) + _grid_windows(100.0, 1.0, 2)
-    fields, dropped = compute_fields(inside + outside, small_aoi, (100,),
+    fields, dropped = compute_fields(concat(inside, outside), small_aoi,
+                                     (100,),
                                      windows, min_samples=1)
     assert dropped == 9
     assert [f.count.size for f in fields] == [1, 1, 1, 0, 0]
@@ -393,20 +392,22 @@ def test_compute_fields_counts_out_of_area_once(small_aoi):
 
 
 def test_compute_fields_validation(small_aoi):
+    none = vectors(small_aoi, [], [], [])
     with pytest.raises(ConfigError, match="sorted and disjoint"):
-        compute_fields([], small_aoi, (100,),
+        compute_fields(none, small_aoi, (100,),
                        [TimeWindow(10.0, 20.0), TimeWindow(0.0, 10.0)])
     with pytest.raises(ConfigError):
-        compute_fields([], small_aoi, (100,), [TimeWindow(5.0, 5.0)])
+        compute_fields(none, small_aoi, (100,), [TimeWindow(5.0, 5.0)])
     with pytest.raises(ConfigError):
-        compute_fields([], small_aoi, (100,), min_samples=0)
+        compute_fields(none, small_aoi, (100,), min_samples=0)
     with pytest.raises(InvalidScaleError):
-        compute_fields([], small_aoi, (100, 0))
+        compute_fields(none, small_aoi, (100, 0))
     # 1 m meshes over the whole globe: 8e14 cells x 100 bins x 200 windows
     # does not fit the int64 (window, mesh, bin) key
     world = AreaOfInterest.from_bounds(-180.0, 180.0, -90.0, 90.0)
     with pytest.raises(ConfigError, match="overflow"):
-        compute_fields([], world, (1,), _grid_windows(0.0, 1.0, 200))
+        compute_fields(batch_at(world, [], [], []), world, (1,),
+                       _grid_windows(0.0, 1.0, 200))
 
 
 def test_entries_view_matches_columns(small_aoi):

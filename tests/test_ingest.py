@@ -14,40 +14,81 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mdemap import (ConfigError, DEFAULT_AOI, GeoPoint, MovementBatch,
-                    ParseResult, PointParseError, TrajectoryPoint,
-                    UndefinedDirectionError, direction_of, extract_movements,
-                    ingest, parse_points)
+from mdemap import (ConfigError, DEFAULT_AOI, MovementBatch, ParseResult,
+                    PointParseError, extract_movements, ingest, parse_points)
 from mdemap.ingest import (_build_point, _parse_timestamp, _timestamps,
                            _utc_seconds)
 from mdemap.io import write_points_csv
-from mdemap.mesh import inverse_project, LocalCoord
+from mdemap.mesh import inverse_project, LocalCoord, project_arrays
+
+from _oracles import direction_of
+from conftest import fixes, points_of, same_batch
 
 CSV_HEADER = "user_id,timestamp,lat,lon\n"
 
 
-def test_direction_of_cardinals():
-    assert direction_of(0.0, 1.0) == 0.0
-    assert direction_of(0.0, -1.0) == math.pi
-    assert direction_of(1.0, 0.0) == 3 * math.pi / 2
-    assert direction_of(-1.0, 0.0) == math.pi / 2
+def _direction(aoi, points):
+    """The one vector's theta from two fixes, and the oracle's angle of the
+    displacement between their projections."""
+    batch, _ = extract_movements(points, aoi, min_displacement=0.0)
+    x, y = project_arrays(points.lat, points.lon, aoi)
+    (theta,) = batch.theta.tolist()
+    return theta, direction_of(x[1] - x[0], y[1] - y[0])
 
 
-def test_direction_of_diagonal():
-    assert direction_of(1.0, 1.0) == pytest.approx(7 * math.pi / 4, abs=1e-15)
-    assert direction_of(-1.0, 1.0) == pytest.approx(math.pi / 4, abs=1e-15)
+def _step(lat, lon, dlat=0.0, dlon=0.0):
+    """Two fixes of one user a minute apart, the second moved by dlat/dlon."""
+    return points_of([("u", 0.0, lat, lon), ("u", 60.0, lat + dlat,
+                                              lon + dlon)])
 
 
-def test_direction_of_zero_raises():
-    with pytest.raises(UndefinedDirectionError):
+def test_direction_of_cardinals(small_aoi):
+    # one coordinate changes, so the other displacement is exactly zero
+    for dlat, dlon, want in ((1e-3, 0.0, 0.0), (-1e-3, 0.0, math.pi),
+                             (0.0, 1e-3, 3 * math.pi / 2),
+                             (0.0, -1e-3, math.pi / 2)):
+        theta, oracle = _direction(small_aoi, _step(35.51, 139.32, dlat,
+                                                    dlon))
+        assert theta == oracle == want
+
+
+def test_direction_of_diagonal(small_aoi):
+    for dx, want in ((100.0, 7 * math.pi / 4), (-100.0, math.pi / 4)):
+        pts = fixes(small_aoi, [("u", 0, 500.0, 500.0),
+                                ("u", 60, 500.0 + dx, 600.0)])
+        theta, oracle = _direction(small_aoi, pts)
+        assert theta == pytest.approx(oracle, abs=1e-12)
+        assert theta == pytest.approx(want, abs=1e-9)
+
+
+def test_direction_of_zero_raises(small_aoi):
+    # zero displacement has no direction: the oracle refuses it, and
+    # extraction drops it whatever the displacement floor
+    with pytest.raises(ValueError):
         direction_of(0.0, 0.0)
+    batch, stats = extract_movements(_step(35.51, 139.32), small_aoi,
+                                     min_displacement=0.0)
+    assert len(batch) == 0 and stats.dropped_short == 1
 
 
-def test_direction_of_range():
-    rng = random.Random(5)
-    for _ in range(2000):
-        th = direction_of(rng.uniform(-9, 9), rng.uniform(-9, 9))
-        assert 0.0 <= th < 2 * math.pi
+@settings(max_examples=300)
+@given(x=st.floats(0.0, 60_000.0), y=st.floats(0.0, 38_000.0),
+       dx=st.floats(-3000.0, 3000.0), dy=st.floats(-3000.0, 3000.0))
+@example(x=500.0, y=500.0, dx=0.0, dy=0.0)
+@example(x=500.0, y=500.0, dx=1e-300, dy=-1e-300)
+@example(x=500.0, y=500.0, dx=-1e-9, dy=1000.0)
+@example(x=500.0, y=500.0, dx=0.0, dy=-5.0)
+def test_direction_of_range(x, y, dx, dy):
+    pts = fixes(DEFAULT_AOI, [("u", 0, x, y), ("u", 60, x + dx, y + dy)])
+    px, py = project_arrays(pts.lat, pts.lon, DEFAULT_AOI)
+    if px[1] == px[0] and py[1] == py[0]:
+        batch, stats = extract_movements(pts, DEFAULT_AOI,
+                                         min_displacement=0.0)
+        assert len(batch) == 0 and stats.dropped_short == 1
+        return
+    theta, oracle = _direction(DEFAULT_AOI, pts)
+    assert 0.0 <= theta < 2 * math.pi
+    assert theta == pytest.approx(oracle, abs=1e-12)
 
 
 def test_parse_empty_csv():
@@ -58,9 +99,7 @@ def test_parse_empty_csv():
 def test_parse_one_row():
     src = CSV_HEADER + "alice,1700000000,35.51,139.45\n"
     got = parse_points(io.StringIO(src))
-    (p,) = got
-    assert p == TrajectoryPoint("alice", 1_700_000_000.0,
-                                GeoPoint(35.51, 139.45))
+    assert got == points_of([("alice", 1_700_000_000.0, 35.51, 139.45)])
 
 
 def test_parse_rfc3339_timestamps():
@@ -68,16 +107,16 @@ def test_parse_rfc3339_timestamps():
            + "a,2020-09-13T12:26:40Z,35.5,139.4\n"
            + "a,2020-09-13T21:26:40+09:00,35.5,139.4\n")
     got = parse_points(io.StringIO(src))
-    assert [p.t for p in got] == [1_600_000_000.0, 1_600_000_000.0]
+    assert got.t.tolist() == [1_600_000_000.0, 1_600_000_000.0]
 
 
 def test_parse_heading_speed_columns():
     src = ("user_id,timestamp,lat,lon,heading,speed\n"
            "a,0,35.5,139.4,3.14,1.5\n"
            "b,0,35.5,139.4,,\n")
-    pts = parse_points(io.StringIO(src)).points
-    assert pts[0].heading == 3.14 and pts[0].speed == 1.5
-    assert pts[1].heading is None and pts[1].speed is None
+    got = parse_points(io.StringIO(src))
+    assert got.heading[0] == 3.14 and got.speed[0] == 1.5
+    assert np.isnan(got.heading[1]) and np.isnan(got.speed[1])
 
 
 def test_parse_skips_bad_rows_leniently():
@@ -118,7 +157,7 @@ def test_parse_ndjson():
     src = "\n".join(json.dumps(x) for x in lines) + "\n\n"
     got = parse_points(io.StringIO(src), fmt="ndjson")
     assert len(got) == 2 and got.skipped == 0
-    assert got.points[1].t == 1_600_000_000.0
+    assert got.t[1] == 1_600_000_000.0
 
 
 def test_parse_ndjson_bad_line_strict():
@@ -134,143 +173,136 @@ def test_parse_unknown_format():
         parse_points(io.StringIO(""), fmt="parquet")
 
 
-def _fix(aoi, user, t, x, y, **kw):
-    pos = inverse_project(LocalCoord(x, y), aoi)
-    return TrajectoryPoint(user, float(t), pos, **kw)
-
-
 def test_extract_simple_north_pair(small_aoi):
-    pts = [_fix(small_aoi, "u", 0, 500.0, 500.0),
-           _fix(small_aoi, "u", 60, 500.0, 600.0)]
+    pts = fixes(small_aoi, [("u", 0, 500.0, 500.0), ("u", 60, 500.0, 600.0)])
     batch, stats = extract_movements(pts, small_aoi)
-    (v,) = list(batch)
-    assert v.theta == pytest.approx(0.0, abs=1e-9)
-    assert v.displacement == pytest.approx(100.0, rel=1e-6)
-    assert v.duration == 60.0
-    assert v.t == 60.0
+    assert len(batch) == 1
+    assert batch.theta[0] == pytest.approx(0.0, abs=1e-9)
+    assert batch.displacement[0] == pytest.approx(100.0, rel=1e-6)
+    assert batch.duration[0] == 60.0
+    assert batch.t[0] == 60.0
     assert stats.n_vectors == 1 and stats.dropped == 0
     # origin is the earlier fix
-    assert (v.origin.lat, v.origin.lon) == pytest.approx(
-        (pts[0].pos.lat, pts[0].pos.lon), abs=1e-12)
+    assert (batch.origin_lat[0], batch.origin_lon[0]) == pytest.approx(
+        (pts.lat[0], pts.lon[0]), abs=1e-12)
 
 
 def test_extract_short_displacement_dropped(small_aoi):
-    pts = [_fix(small_aoi, "u", 0, 500.0, 500.0),
-           _fix(small_aoi, "u", 60, 500.0, 505.0)]
+    pts = fixes(small_aoi, [("u", 0, 500.0, 500.0), ("u", 60, 500.0, 505.0)])
     batch, stats = extract_movements(pts, small_aoi, min_displacement=10.0)
     assert len(batch) == 0 and stats.dropped_short == 1
 
 
 def test_extract_gap_dropped(small_aoi):
-    pts = [_fix(small_aoi, "u", 0, 500.0, 500.0),
-           _fix(small_aoi, "u", 7200, 500.0, 700.0)]
+    pts = fixes(small_aoi, [("u", 0, 500.0, 500.0),
+                            ("u", 7200, 500.0, 700.0)])
     batch, stats = extract_movements(pts, small_aoi, max_gap=1800.0)
     assert len(batch) == 0 and stats.dropped_gap == 1
 
 
 def test_extract_three_fixes_two_vectors(small_aoi):
-    pts = [_fix(small_aoi, "u", 0, 500.0, 500.0),
-           _fix(small_aoi, "u", 60, 500.0, 600.0),
-           _fix(small_aoi, "u", 120, 600.0, 600.0)]
+    pts = fixes(small_aoi, [("u", 0, 500.0, 500.0), ("u", 60, 500.0, 600.0),
+                            ("u", 120, 600.0, 600.0)])
     batch, stats = extract_movements(pts, small_aoi)
     assert stats.n_vectors == 2
-    assert batch[0].theta == pytest.approx(0.0, abs=1e-9)
-    assert batch[1].theta == pytest.approx(3 * math.pi / 2, abs=1e-9)
+    assert batch.theta[0] == pytest.approx(0.0, abs=1e-9)
+    assert batch.theta[1] == pytest.approx(3 * math.pi / 2, abs=1e-9)
 
 
 def test_extract_zero_displacement_dropped_even_without_floor(small_aoi):
-    pts = [_fix(small_aoi, "u", 0, 500.0, 500.0),
-           _fix(small_aoi, "u", 60, 500.0, 500.0)]
+    pts = fixes(small_aoi, [("u", 0, 500.0, 500.0), ("u", 60, 500.0, 500.0)])
     batch, stats = extract_movements(pts, small_aoi, min_displacement=0.0)
     assert len(batch) == 0 and stats.dropped_short == 1
 
 
 def test_extract_duplicate_keeps_first(small_aoi):
-    pts = [_fix(small_aoi, "u", 0, 500.0, 500.0),
-           _fix(small_aoi, "u", 0, 900.0, 900.0),   # same (user, t): dropped
-           _fix(small_aoi, "u", 60, 500.0, 600.0)]
+    pts = fixes(small_aoi, [
+        ("u", 0, 500.0, 500.0),
+        ("u", 0, 900.0, 900.0),     # same (user, t): dropped
+        ("u", 60, 500.0, 600.0)])
     batch, stats = extract_movements(pts, small_aoi)
     assert stats.dropped_duplicate == 1
-    (v,) = list(batch)
-    assert v.theta == pytest.approx(0.0, abs=1e-9)
+    assert len(batch) == 1
+    assert batch.theta[0] == pytest.approx(0.0, abs=1e-9)
 
 
 def test_extract_order_independence(small_aoi):
     rng = random.Random(99)
-    pts = []
+    rows = []
     for u in range(12):
         x, y = rng.uniform(200, 4000), rng.uniform(200, 2000)
         for k in range(15):
             x += rng.uniform(-80, 80)
             y += rng.uniform(-80, 80)
-            pts.append(_fix(small_aoi, f"user{u:02d}", 60 * k, x, y))
+            rows.append((f"user{u:02d}", 60 * k, x, y))
+    pts = fixes(small_aoi, rows)
     ref, ref_stats = extract_movements(pts, small_aoi)
-    shuffled = pts[:]
-    rng.shuffle(shuffled)
-    got, got_stats = extract_movements(shuffled, small_aoi)
+    order = list(range(len(pts)))
+    rng.shuffle(order)
+    got, got_stats = extract_movements(pts.take(order, 0), small_aoi)
     assert got_stats == ref_stats
-    assert list(got) == list(ref)
+    assert same_batch(got, ref)
 
 
 def test_extract_output_sorted_by_user_then_time(small_aoi):
     rng = random.Random(41)
-    pts = []
+    rows = []
     for u in ("b", "a", "c"):
         for k in range(8):
-            pts.append(_fix(small_aoi, u, 60 * k,
-                            1000 + 50 * k + rng.uniform(0, 20),
-                            1000 + 50 * k))
-    rng.shuffle(pts)
-    batch, _ = extract_movements(pts, small_aoi)
-    keys = [(v.user_id, v.t) for v in batch]
-    assert keys == sorted(keys)
+            rows.append((u, 60 * k, 1000 + 50 * k + rng.uniform(0, 20),
+                         1000 + 50 * k))
+    rng.shuffle(rows)
+    batch, _ = extract_movements(fixes(small_aoi, rows), small_aoi)
+    keys = list(zip(batch.user_id.tolist(), batch.t.tolist()))
+    assert len(keys) > 0 and keys == sorted(keys)
 
 
 def test_extract_vector_count_bound(small_aoi):
     rng = random.Random(17)
-    pts = []
+    rows = []
     per_user = {}
     for u in range(9):
         n = rng.randrange(1, 12)
         per_user[u] = n
         for k in range(n):
-            pts.append(_fix(small_aoi, str(u), 60 * k,
-                            rng.uniform(0, 5000), rng.uniform(0, 2500)))
-    _, stats = extract_movements(pts, small_aoi)
+            rows.append((str(u), 60 * k, rng.uniform(0, 5000),
+                         rng.uniform(0, 2500)))
+    _, stats = extract_movements(fixes(small_aoi, rows), small_aoi)
     assert stats.n_vectors <= sum(n - 1 for n in per_user.values())
 
 
 def test_extract_heading_mode(small_aoi):
-    pts = [_fix(small_aoi, "u", 0, 500.0, 500.0, heading=math.pi, speed=21.0),
-           _fix(small_aoi, "u", 60, 500.0, 600.0),  # no heading: dropped
-           _fix(small_aoi, "u", 120, 500.0, 700.0, heading=0.25)]
+    pts = fixes(small_aoi, [
+        ("u", 0, 500.0, 500.0, math.pi, 21.0),
+        ("u", 60, 500.0, 600.0),            # no heading: dropped
+        ("u", 120, 500.0, 700.0, 0.25)])
     batch, stats = extract_movements(pts, small_aoi, source="heading")
     assert stats.n_vectors == 2 and stats.dropped_no_heading == 1
-    assert batch[0].theta == math.pi
-    assert batch[0].displacement == 21.0       # speed * 1 s
-    assert batch[1].displacement == 10.0       # floor when speed missing
-    assert batch[0].duration == 1.0
+    assert batch.theta[0] == math.pi
+    assert batch.displacement[0] == 21.0       # speed * 1 s
+    assert batch.displacement[1] == 10.0       # floor when speed missing
+    assert batch.duration[0] == 1.0
 
 
 def test_extract_bad_arguments(small_aoi):
     with pytest.raises(ConfigError):
-        extract_movements([], small_aoi, source="imu")
+        extract_movements(points_of([]), small_aoi, source="imu")
     with pytest.raises(ConfigError):
-        extract_movements([], small_aoi, max_gap=0.0)
+        extract_movements(points_of([]), small_aoi, max_gap=0.0)
     with pytest.raises(ConfigError):
-        extract_movements([], small_aoi, min_displacement=-1.0)
+        extract_movements(points_of([]), small_aoi, min_displacement=-1.0)
 
 
 def test_extract_empty(small_aoi):
-    batch, stats = extract_movements([], small_aoi)
+    batch, stats = extract_movements(points_of([]), small_aoi)
     assert len(batch) == 0 and stats.n_points == 0
     assert isinstance(batch, MovementBatch)
 
 
 def test_user_ids_are_compared_whole(small_aoi):
     # a fixed-width str array strips trailing NULs, merging these two
-    pts = [_fix(small_aoi, u, 60 * k, 500.0, 100.0 + 50.0 * k)
-           for u in ("a", "a\x00") for k in range(40)]
+    pts = fixes(small_aoi, [(u, 60 * k, 500.0, 100.0 + 50.0 * k)
+                            for u in ("a", "a\x00") for k in range(40)])
     batch, stats = extract_movements(pts, small_aoi)
     assert stats.n_users == 2 and stats.n_vectors == 78
     assert sorted(set(batch.user_id.tolist())) == ["a", "a\x00"]
@@ -302,38 +334,20 @@ def test_long_user_id_costs_no_more_memory(small_aoi):
         "u00", small_aoi)
 
 
-def test_batch_round_trip(small_aoi):
-    rng = random.Random(3)
-    pts = []
-    for u in range(5):
-        for k in range(6):
-            pts.append(_fix(small_aoi, str(u), 60 * k,
-                            rng.uniform(100, 4000), rng.uniform(100, 2000)))
-    batch, _ = extract_movements(pts, small_aoi)
-    again = MovementBatch.from_vectors(list(batch), small_aoi)
-    assert len(again) == len(batch)
-    for a, b in zip(again, batch):
-        assert a.user_id == b.user_id and a.t == b.t
-        assert a.theta == b.theta and a.displacement == b.displacement
-        assert a.origin.lat == pytest.approx(b.origin.lat, abs=1e-12)
-
-
-def test_thetas_always_in_range(small_aoi):
+def test_thetas_always_in_range():
     rng = np.random.default_rng(2718)
-    pts = []
+    rows = []
     for u in range(40):
         x = rng.uniform(100, 60000)
         y = rng.uniform(100, 30000)
         for k in range(20):
             x += rng.uniform(-300, 300)
             y += rng.uniform(-300, 300)
-            pts.append(_fix(small_aoi, f"u{u}", 30 * k,
-                            float(np.clip(x, 0, 60000)),
-                            float(np.clip(y, 0, 30000))))
-    from mdemap import DEFAULT_AOI
-    batch, _ = extract_movements(pts, DEFAULT_AOI)
+            rows.append((f"u{u}", 30 * k, float(np.clip(x, 0, 60000)),
+                         float(np.clip(y, 0, 30000))))
+    batch, _ = extract_movements(fixes(DEFAULT_AOI, rows), DEFAULT_AOI)
     th = batch.theta
-    assert ((th >= 0.0) & (th < 2 * math.pi)).all()
+    assert len(batch) > 0 and ((th >= 0.0) & (th < 2 * math.pi)).all()
     assert (batch.displacement >= 10.0).all()
 
 
@@ -353,27 +367,36 @@ def test_parse_result_holds_columns():
     assert got.lon.tolist() == [139.4, 139.5]
     assert got.heading[0] == 3.14 and np.isnan(got.heading[1])
     assert got.speed.tolist() == [1.5, 2.0]
-    assert got.points[1] == TrajectoryPoint(
-        "b", 1_600_000_000.0, GeoPoint(35.6, 139.5), None, 2.0)
-    assert got == ParseResult.from_points(got.points, skipped=1)
-    assert got != ParseResult.from_points(got.points)
+    rows = [("a", 0.0, 35.5, 139.4, 3.14, 1.5),
+            ("b", 1_600_000_000.0, 35.6, 139.5, None, 2.0)]
+    # equal by value, NaN equal to NaN, skipped counts included
+    assert got == points_of(rows, skipped=1)
+    assert got != points_of(rows)
+    assert got != points_of(rows[:1], skipped=1)
+    assert points_of([("a", -0.0, 35.5, 139.4)]) == points_of(
+        [("a", 0.0, 35.5, 139.4)])
+    assert points_of([("a", 0.0, 35.5, 139.4, None)]) != points_of(
+        [("a", 0.0, 35.5, 139.4, 0.0)])
+    assert points_of([("a", 0.0, 35.5, 139.4)]) != points_of(
+        [("b", 0.0, 35.5, 139.4)])
 
 
 def test_extract_reads_columns_like_points(tmp_path):
+    # the columns written to a file and parsed back give the same vectors
     rng = random.Random(8)
-    pts = [TrajectoryPoint(f"u{k % 7}", 60.0 * (k // 7),
-                           GeoPoint(35.5 + rng.uniform(0, 0.3),
-                                    139.3 + rng.uniform(0, 0.6)),
-                           rng.choice([None, rng.uniform(0, 6)]),
-                           rng.choice([None, rng.uniform(0, 40)]))
-           for k in range(300)]
+    pts = points_of([(f"u{k % 7}", 60.0 * (k // 7),
+                      35.5 + rng.uniform(0, 0.3), 139.3 + rng.uniform(0, 0.6),
+                      rng.choice([None, rng.uniform(0, 6)]),
+                      rng.choice([None, rng.uniform(0, 40)]))
+                     for k in range(300)])
     write_points_csv(pts, tmp_path / "p.csv")
     parsed = parse_points(tmp_path / "p.csv")
+    assert parsed == pts
     for source in ("consecutive", "heading"):
         a, sa = extract_movements(parsed, DEFAULT_AOI, source=source)
         b, sb = extract_movements(pts, DEFAULT_AOI, source=source)
         assert sa == sb and sa.n_vectors > 0
-        assert list(a) == list(b)
+        assert same_batch(a, b)
 
 
 @pytest.mark.parametrize("fmt, src, line", [
@@ -512,7 +535,8 @@ def test_offset_timestamps_match_parse_timestamp(text):
 # -- the columnar parse against the row-by-row reference -------------------
 
 def _reference(text: str, strict: bool = False):
-    """The parse before columns: csv.DictReader and _build_point per row."""
+    """The parse before columns: csv.DictReader and _build_point per row,
+    as ``(rows, skipped)``."""
     reader = csv.DictReader(io.StringIO(text, newline=""))
     points, skipped = [], 0
     for rec in reader:
@@ -526,18 +550,18 @@ def _reference(text: str, strict: bool = False):
 
 
 def _hex(v) -> str:
-    return "nan" if v is None else float(v).hex()
+    return "nan" if v is None or math.isnan(v) else float(v).hex()
 
 
-def _point_rows(points):
-    return [(p.user_id, _hex(p.t), _hex(p.pos.lat), _hex(p.pos.lon),
-             _hex(p.heading), _hex(p.speed)) for p in points]
+def _point_rows(rows):
+    """``(user_id, t, lat, lon, heading, speed)`` rows, numbers as hex."""
+    return [(u, *map(_hex, rest)) for u, *rest in rows]
 
 
 def _column_rows(result: ParseResult):
-    return [(u, *map(_hex, rest)) for u, *rest in zip(
+    return _point_rows(zip(
         result.user_id.tolist(), result.t.tolist(), result.lat.tolist(),
-        result.lon.tolist(), result.heading.tolist(), result.speed.tolist())]
+        result.lon.tolist(), result.heading.tolist(), result.speed.tolist()))
 
 
 def _numbers(lo, hi):
@@ -678,24 +702,25 @@ def test_overlong_field_fails_as_in_the_csv_module():
         parse_points(io.StringIO(text, newline=""))
 
 
-_POINTS = st.lists(st.builds(
-    TrajectoryPoint,
+_POINTS = st.lists(st.tuples(
     st.text(min_size=1, max_size=6).filter(lambda u: u.strip("\r\n") == u),
     st.one_of(st.integers(-10 ** 12, 10 ** 12).map(float),
               st.floats(-1e12, 1e12)),
-    st.builds(GeoPoint, st.floats(-90, 90), st.floats(-180, 180)),
+    st.floats(-90, 90), st.floats(-180, 180),
     st.none() | st.floats(0, 2 * math.pi, exclude_max=True),
     st.none() | st.floats(0, 1e9)), max_size=30)
 
 
 @settings(max_examples=200)
-@given(points=_POINTS, block=st.integers(1, 80))
-def test_written_points_parse_back(tmp_path_factory, points, block):
+@given(rows=_POINTS, block=st.integers(1, 80))
+@example(rows=[("u", -0.0, -0.0, 1.5, None, None)], block=80)
+def test_written_points_parse_back(tmp_path_factory, rows, block):
     path = tmp_path_factory.mktemp("points") / "points.csv"
+    points = points_of(rows)
     write_points_csv(points, path)
     with mock.patch.object(ingest, "_BLOCK_CHARS", block):
         got = parse_points(path)
-    assert got.skipped == 0 and got.points == points
+    assert got.skipped == 0 and got == points
     # bit for bit, but a time of -0.0 s is written as the integer 0
     assert _column_rows(got) == _point_rows(
-        [p._replace(t=p.t + 0.0) for p in points])
+        [(u, t + 0.0, *rest) for u, t, *rest in rows])

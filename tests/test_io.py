@@ -11,11 +11,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import mdemap
 from mdemap import (ALL_TIME, AreaOfInterest, DEFAULT_AOI, GeoPoint,
-                    MAX_ENTROPY, MeshId, ParseResult, PointParseError,
-                    PrecisionCurve, RecallCurve, STANDARD_SCALES_M, Station,
-                    TimeWindow, TrajectoryPoint, combine, compute_fields,
-                    mesh_center, normalize, parse_points)
+                    MAX_ENTROPY, MeshId, PointParseError, PrecisionCurve,
+                    RecallCurve, STANDARD_SCALES_M, Station, TimeWindow,
+                    combine, compute_fields, mesh_center, normalize,
+                    parse_points)
+from mdemap.cli import main
 from mdemap import io as mio
 from mdemap.io import ENTROPY_SLACK, FIELD_HEADER, STATION_HEADER
 from mdemap.io import (combined_geojson, field_geojson, read_combined_csv,
@@ -25,7 +27,7 @@ from mdemap.io import (combined_geojson, field_geojson, read_combined_csv,
                        write_stations_csv, write_summary)
 
 import _oracles as oracles
-from conftest import field_of, map_of, scores_of
+from conftest import field_of, map_of, points_of, scores_of
 
 
 def _field(aoi):
@@ -169,28 +171,27 @@ def test_precision_csv_pulls_one_threshold(tmp_path):
 
 
 def test_points_csv_round_trip(small_aoi, tmp_path):
-    pts = [TrajectoryPoint("u0", 1_600_000_000.0, GeoPoint(35.51, 139.32)),
-           TrajectoryPoint("u1", 1_600_000_060.5, GeoPoint(35.52, 139.33))]
+    pts = points_of([("u0", 1_600_000_000.0, 35.51, 139.32),
+                     ("u1", 1_600_000_060.5, 35.52, 139.33)])
     p = tmp_path / "points.csv"
     write_points_csv(pts, p)
     lines = p.read_text().splitlines()
     assert lines[0] == "user_id,timestamp,lat,lon"
     assert lines[1].startswith("u0,1600000000,")  # integral t written as int
     back = parse_points(p)
-    assert back.points == pts and back.skipped == 0
+    assert back == pts and back.skipped == 0
 
 
 def test_points_csv_heading_speed(tmp_path):
-    pts = [TrajectoryPoint("u", 0.0, GeoPoint(35.5, 139.4),
-                           heading=1.25, speed=3.0),
-           TrajectoryPoint("u", 60.0, GeoPoint(35.5, 139.4))]
+    pts = points_of([("u", 0.0, 35.5, 139.4, 1.25, 3.0),
+                     ("u", 60.0, 35.5, 139.4)])
     p = tmp_path / "points.csv"
     write_points_csv(pts, p)
     assert p.read_text().splitlines()[0] == \
         "user_id,timestamp,lat,lon,heading,speed"
-    back = parse_points(p).points
-    assert back[0].heading == 1.25 and back[0].speed == 3.0
-    assert back[1].heading is None and back[1].speed is None
+    back = parse_points(p)
+    assert back.heading[0] == 1.25 and back.speed[0] == 3.0
+    assert np.isnan(back.heading[1]) and np.isnan(back.speed[1])
 
 
 def test_field_geojson_rings(small_aoi, tmp_path):
@@ -321,20 +322,22 @@ def test_computed_outputs_match_reference_bytes(tmp_path):
 
 
 def _reference_points_csv(points, path):
-    """The per-point writer: one csv row built per TrajectoryPoint."""
-    points = list(points)
-    extras = any(p.heading is not None or p.speed is not None for p in points)
+    """The per-point writer: one csv row built per point."""
+    rows = list(zip(points.user_id.tolist(), points.t.tolist(),
+                    points.lat.tolist(), points.lon.tolist(),
+                    points.heading.tolist(), points.speed.tolist()))
+    extras = any(not (math.isnan(h) and math.isnan(s))
+                 for *_, h, s in rows)
     with open(path, "w", encoding="utf-8", newline="") as f:
         w = csv.writer(f)
         w.writerow(("user_id", "timestamp", "lat", "lon")
                    + (("heading", "speed") if extras else ()))
-        for p in points:
-            t = int(p.t) if float(p.t).is_integer() else repr(float(p.t))
-            row = [p.user_id, t, repr(float(p.pos.lat)),
-                   repr(float(p.pos.lon))]
+        for user, t, lat, lon, heading, speed in rows:
+            t = int(t) if t.is_integer() else repr(t)
+            row = [user, t, repr(lat), repr(lon)]
             if extras:
-                row.append("" if p.heading is None else repr(float(p.heading)))
-                row.append("" if p.speed is None else repr(float(p.speed)))
+                row.append("" if math.isnan(heading) else repr(heading))
+                row.append("" if math.isnan(speed) else repr(speed))
             w.writerow(row)
 
 
@@ -372,24 +375,21 @@ def _reference_combined_geojson(cmap, path):
 _ids = st.text(min_size=1, max_size=6) | st.sampled_from(
     ["a,b", 'say "hi"', "two\nlines", "cr\r", ",", '"', "\n"])
 _times = st.sampled_from([0.0, -0.0, 1.5, -2.25, 1e300]) | st.floats()
-_POINTS = st.lists(st.builds(
-    TrajectoryPoint, _ids, _times, st.builds(GeoPoint, st.floats(),
-                                             st.floats()),
+_POINTS = st.lists(st.tuples(
+    _ids, _times, st.floats(), st.floats(),
     st.none() | st.floats(allow_nan=False),
     st.none() | st.floats(allow_nan=False)), max_size=30)
 
 
 @settings(max_examples=200)
-@given(points=_POINTS)
-@example(points=[])
-@example(points=[TrajectoryPoint("a,\"b\"\n", -0.0, GeoPoint(-0.0, 1.5))])
-@example(points=[TrajectoryPoint("u", 1.5, GeoPoint(35.5, 139.4), 0.0),
-                 TrajectoryPoint("u", 2.0, GeoPoint(35.5, 139.4), None, 0.0)])
-def test_points_csv_matches_reference_bytes(tmp_path_factory, points):
-    tmp = tmp_path_factory.mktemp("points")
-    _same_bytes(tmp, write_points_csv, _reference_points_csv, points)
-    _same_bytes(tmp, write_points_csv, _reference_points_csv,
-                ParseResult.from_points(points))
+@given(rows=_POINTS)
+@example(rows=[])
+@example(rows=[("a,\"b\"\n", -0.0, -0.0, 1.5)])
+@example(rows=[("u", 1.5, 35.5, 139.4, 0.0), ("u", 2.0, 35.5, 139.4, None,
+                                               0.0)])
+def test_points_csv_matches_reference_bytes(tmp_path_factory, rows):
+    _same_bytes(tmp_path_factory.mktemp("points"), write_points_csv,
+                _reference_points_csv, points_of(rows))
 
 
 def _same_geojson(tmp, build, reference, table):
@@ -447,6 +447,19 @@ def test_computed_geojson_matches_reference_bytes(tmp_path):
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
+def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
+    block = re.search(r"## Library use\n\n```python\n(.*?)```",
+                      README.read_text(encoding="utf-8"), re.DOTALL)
+    assert block is not None, "README has no Library use example"
+    assert main(["synth", "--users", "400", "--fixes", "20",
+                 "--out", str(tmp_path / "demo")]) == 0
+    monkeypatch.chdir(tmp_path)
+    exec(compile(block.group(1), "README.md", "exec"), {})
+    assert capsys.readouterr().out
+    assert len(set(mdemap.__all__)) == len(mdemap.__all__)
+    assert [n for n in mdemap.__all__ if not hasattr(mdemap, n)] == []
+
+
 @pytest.mark.parametrize("name, header", [("field CSV", FIELD_HEADER),
                                           ("stations CSV", STATION_HEADER)])
 def test_readme_file_formats_match_headers(name, header):
@@ -462,7 +475,7 @@ _MAX_READ = MAX_ENTROPY * (1 + ENTROPY_SLACK)
 @pytest.mark.parametrize("count, entropy", [
     ("5", "nan"), ("5", "inf"), ("5", "-inf"), ("5", "-0.25"),
     ("5", repr(MAX_ENTROPY * (1 + 3 * ENTROPY_SLACK))), ("-1", "1.5"),
-    ("-1", "")])
+    ("-1", ""), (str(2**63), "1.5"), (str(2**63), "")])
 def test_field_csv_rejects_bad_values(small_aoi, tmp_path, count, entropy):
     p = tmp_path / "field.csv"
     write_field_csv(_field(small_aoi), p)

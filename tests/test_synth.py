@@ -8,12 +8,19 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mdemap import (ConfigError, DEFAULT_AOI, GeoPoint, Hub, Corridor,
-                    LocalCoord, SynthConfig, TrajectoryPoint, compute_field,
-                    default_config, default_sites, extract_movements,
-                    generate, geo_distance, inverse_project, mesh_of, project)
+                    LocalCoord, SynthConfig, compute_field, default_config,
+                    default_sites, extract_movements, generate, geo_distance,
+                    inverse_project, mesh_of, project)
 from mdemap.synth import _DT, _T0, _user_positions
 
+from conftest import points_of
+
 LN2 = math.log(2.0)
+
+
+def _positions(points):
+    """Each point's position as a ``GeoPoint``."""
+    return list(map(GeoPoint, points.lat.tolist(), points.lon.tolist()))
 
 
 def _one_site_config(small_aoi, site, **kw):
@@ -41,8 +48,8 @@ def test_hub_fixes_stay_in_disc(small_aoi):
     hub = Hub(GeoPoint(35.515, 139.325), 45.0)
     pts, truth = generate(_one_site_config(small_aoi, hub))
     assert truth.hub_positions == (hub.center,)
-    for p in pts:
-        assert geo_distance(p.pos, hub.center) <= 45.0 + 1e-6
+    for pos in _positions(pts):
+        assert geo_distance(pos, hub.center) <= 45.0 + 1e-6
 
 
 def test_timestamps_and_user_ids(small_aoi):
@@ -50,8 +57,8 @@ def test_timestamps_and_user_ids(small_aoi):
     pts, _ = generate(_one_site_config(small_aoi, hub, n_users=12))
     assert len(pts) == 12 * 20
     by_user: dict = {}
-    for p in pts:
-        by_user.setdefault(p.user_id, []).append(p.t)
+    for user, t in zip(pts.user_id.tolist(), pts.t.tolist()):
+        by_user.setdefault(user, []).append(t)
     assert len(by_user) == 12
     for ts in by_user.values():
         assert ts == [1_600_000_000.0 + 60.0 * k for k in range(20)]
@@ -64,7 +71,7 @@ def test_sorted_by_user_then_time(small_aoi):
     cfg = _one_site_config(small_aoi, Hub(GeoPoint(35.515, 139.325), 45.0),
                            n_users=7, background_rate=0.2)
     pts, _ = generate(cfg)
-    keys = [(p.user_id, p.t) for p in pts]
+    keys = list(zip(pts.user_id.tolist(), pts.t.tolist()))
     assert keys == sorted(keys)
 
 
@@ -116,7 +123,8 @@ def test_background_rate_adds_scatter(small_aoi):
     hub = Hub(GeoPoint(35.515, 139.325), 45.0)
     pts, _ = generate(_one_site_config(small_aoi, hub, n_users=200,
                                        background_rate=0.3))
-    outside = sum(1 for p in pts if geo_distance(p.pos, hub.center) > 50.0)
+    outside = sum(1 for pos in _positions(pts)
+                  if geo_distance(pos, hub.center) > 50.0)
     frac = outside / len(pts)
     assert 0.25 < frac < 0.35
 
@@ -181,13 +189,14 @@ def test_users_round_robin_sites(small_aoi):
     cfg = SynthConfig(aoi=small_aoi, n_users=10, fixes_per_user=8,
                       hubs=(hub,), corridors=(cor,), background_rate=0.0)
     pts, _ = generate(cfg)
-    near_hub = {p.user_id for p in pts
-                if geo_distance(p.pos, hub.center) <= 50.0}
+    near_hub = {user for user, pos in zip(pts.user_id.tolist(),
+                                          _positions(pts))
+                if geo_distance(pos, hub.center) <= 50.0}
     assert len(near_hub) == 5  # even user indices
 
 
 def _reference_generate(cfg):
-    """The per-fix loop: one inverse_project and TrajectoryPoint per fix."""
+    """The per-fix loop: one inverse_project and row per fix."""
     sites = list(cfg.hubs) + list(cfg.corridors)
     site_xy = [project(s.center, cfg.aoi) for s in sites]
     sw, ne = cfg.aoi.south_west, cfg.aoi.north_east
@@ -210,7 +219,7 @@ def _reference_generate(cfg):
             else:
                 pos = inverse_project(LocalCoord(float(x[k]), float(y[k])),
                                       cfg.aoi)
-            points.append(TrajectoryPoint(uid, times[k], pos))
+            points.append((uid, times[k], *pos))
     return points
 
 
@@ -227,13 +236,11 @@ def test_generate_matches_per_fix_reference(n_users, fixes, background_rate,
                   background_rate=background_rate, noise_sigma=sigma)
     got, _ = generate(cfg)
     want = _reference_generate(cfg)
-    assert got.user_id.tolist() == [p.user_id for p in want]
-    for name, values in (("t", [p.t for p in want]),
-                         ("lat", [p.pos.lat for p in want]),
-                         ("lon", [p.pos.lon for p in want])):
+    assert got.user_id.tolist() == [u for u, *_ in want]
+    for i, name in enumerate(("t", "lat", "lon"), start=1):
         column = getattr(got, name)
         assert column.dtype == np.float64
         assert [v.hex() for v in column.tolist()] == \
-            [float(v).hex() for v in values]
+            [float(row[i]).hex() for row in want]
     assert np.isnan(got.heading).all() and np.isnan(got.speed).all()
-    assert got.skipped == 0 and got.points == want
+    assert got.skipped == 0 and got == points_of(want)
