@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io as mio
-from .errors import ConfigError, EmptyFieldError, MdemapError, PointParseError
+from .errors import ConfigError, MdemapError
 from .evaluation import (DEFAULT_RADII_KM, DEFAULT_THRESHOLDS_M,
                          DEFAULT_TOP_K, default_x_values, precision_curve,
                          recall_curve, top_k)
@@ -82,8 +82,8 @@ def _parse_radii(text) -> tuple[float, ...]:
     items = str(text).split(",") if not isinstance(text, (list, tuple)) \
         else text
     radii = tuple(float(r) for r in items)
-    if not radii or any(r <= 0 for r in radii):
-        raise ConfigError("--radii needs positive km values")
+    if not radii or not all(0 < r < math.inf for r in radii):
+        raise ConfigError("--radii needs finite positive km values")
     return radii
 
 
@@ -107,9 +107,12 @@ def _setting(args, cfg: dict, key: str, default, convert=None):
     if v is None or convert is None:
         return v
     try:
-        return convert(v)
+        converted = convert(v)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad {key} {v!r}: {exc}") from exc
+    if isinstance(converted, float) and not math.isfinite(converted):
+        raise ConfigError(f"bad {key} {v!r}: not a finite number")
+    return converted
 
 
 # Most time windows one compute run may make, per scale.

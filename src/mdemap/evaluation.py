@@ -97,6 +97,8 @@ def recall_curve(sel: TopKSelection, stations: Sequence[Station],
                  radii_km: Sequence[float] = DEFAULT_RADII_KM) -> RecallCurve:
     """Stations within x km of the nearest top-K mesh center, per x."""
     check_stations(stations)
+    if not all(0 < r < math.inf for r in radii_km):     # NaN fails too
+        raise ConfigError(f"radii must be finite and > 0 km, got {radii_km}")
     s_lat, s_lon = _station_arrays(stations)
     nearest = kernels.min_haversine_m(s_lat, s_lon, sel.lat, sel.lon)
     counts = tuple(int((nearest <= r * 1000.0).sum()) for r in radii_km)

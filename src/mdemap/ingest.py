@@ -240,6 +240,20 @@ def _plain(lines: list[str]) -> bool:
             and max(map(len, lines)) <= csv.field_size_limit())
 
 
+def _split(lines: list[str], k: int) -> tuple[np.ndarray, list[str]]:
+    """Which lines have ``k`` fields, and their cells as csv splits them."""
+    full = np.fromiter(map(str.count, lines, repeat(",")), np.int64,
+                       len(lines)) == k - 1
+    rows = "".join(compress(lines, full.tolist()))
+    if "\r" in rows:
+        rows = rows.replace("\r\n", "\n")
+    if rows and not rows.endswith("\n"):
+        rows += "\n"
+    cells = rows.replace("\n", ",").split(",")
+    cells.pop()                 # after the last line end
+    return full, cells
+
+
 def _parse_block(lines: list[str], names: list[str], line_no: int,
                  strict: bool) -> ParseResult:
     """Rows of plain lines; the first is line ``line_no + 1`` of the file.
@@ -250,15 +264,7 @@ def _parse_block(lines: list[str], names: list[str], line_no: int,
     """
     k = len(names)
     col = {name: i for i, name in enumerate(names)}   # last duplicate wins
-    full = np.fromiter(map(str.count, lines, repeat(",")), np.int64,
-                       len(lines)) == k - 1
-    rows = "".join(compress(lines, full.tolist()))
-    if "\r" in rows:
-        rows = rows.replace("\r\n", "\n")
-    if rows and not rows.endswith("\n"):
-        rows += "\n"
-    cells = rows.replace("\n", ",").split(",")
-    cells.pop()                 # after the last line end
+    full, cells = _split(lines, k)
     n = len(cells) // k
 
     # each column is converted only on the rows still valid, so a block
@@ -542,8 +548,8 @@ def extract_movements(points: ParseResult, aoi: AreaOfInterest,
     """
     if source not in ("consecutive", "heading"):
         raise ConfigError(f"unknown direction source {source!r}")
-    if min_displacement < 0 or max_gap <= 0:
-        raise ConfigError("min_displacement must be >= 0 and max_gap > 0")
+    if not (0 <= min_displacement < math.inf and 0 < max_gap < math.inf):
+        raise ConfigError("need finite min_displacement >= 0 and max_gap > 0")
     stats = ExtractionStats(n_points=len(points))
     if not len(points):
         return _empty_batch(aoi), stats

@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -19,9 +19,8 @@ from .errors import PointParseError
 from .evaluation import (PrecisionCurve, RecallCurve, Station, check_stations)
 from .field import ALL_TIME, MAX_ENTROPY, MdeField, TimeWindow
 from .fusion import CombinedMap
-from .ingest import ParseResult
-from .mesh import (AreaOfInterest, GeoPoint, MeshId, mesh_center, mesh_centers,
-                   mesh_corners)
+from .ingest import _BLOCK_CHARS, ParseResult, _floats_at, _plain, _split
+from .mesh import AreaOfInterest, GeoPoint, mesh_centers, mesh_corners
 
 FIELD_HEADER = ("scale_m", "col", "row", "center_lat", "center_lon",
                 "count", "entropy_nats", "entropy_norm")
@@ -30,6 +29,7 @@ CURVE_HEADER = ("x", "value")
 # Relative slack above ln 100 for an entropy read back: the sum of 100
 # equal p*log(p) terms may round past it.
 ENTROPY_SLACK = 1e-12
+_MAX_READ = MAX_ENTROPY * (1 + ENTROPY_SLACK)
 
 
 def _fmt(v: float) -> str:
@@ -47,19 +47,13 @@ def _chunks(n: int) -> Iterator[slice]:
     return (slice(i, i + _CHUNK_ROWS) for i in range(0, n, _CHUNK_ROWS))
 
 
-def _per_line(values, index: np.ndarray):
-    """``repr`` of one value per grid line, looked up by mesh.
-
-    ``values(lines)`` gives the coordinate of each grid line in
-    ``lines``; it is called once, for the lines that ``index`` holds, and
-    the result maps an ``index`` slice to the texts of its meshes.
-    """
-    lo = int(index.min()) if index.size else 0
-    present = np.zeros(int(index.max()) - lo + 1 if index.size else 0, bool)
-    present[index - lo] = True
-    text = [repr(v) for v in values(np.flatnonzero(present) + lo).tolist()]
-    at = np.cumsum(present) - 1     # where each line's text is in ``text``
-    return lambda sl: [text[i] for i in at[index[sl] - lo].tolist()]
+def _distinct_texts(values: np.ndarray, text=repr) -> np.ndarray:
+    """``text(v)`` of each float64 value as an object array, made once per
+    bit pattern (-0.0, 0.0 and NaN keep their own): mesh centers, edges and
+    combined scores repeat along grid lines and over coarse meshes."""
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    return np.array([text(v) for v in bits.view(np.float64).tolist()],
+                    dtype=object)[inverse]
 
 
 def _write_mesh_rows(path, header, aoi: AreaOfInterest, scale_m, col, row,
@@ -68,18 +62,17 @@ def _write_mesh_rows(path, header, aoi: AreaOfInterest, scale_m, col, row,
 
     ``tails(sl)`` gives the tail texts of the meshes in slice ``sl``.
     Rows keep the order given and end in ``\\r\\n``, as the csv module's
-    default dialect writes them; no field needs quoting. A center's
-    latitude depends on the row alone and its longitude on the column.
+    default dialect writes them; no field needs quoting.
     """
-    lat = _per_line(lambda r: mesh_centers(scale_m, 0, r, aoi)[0], row)
-    lon = _per_line(lambda c: mesh_centers(scale_m, c, 0, aoi)[1], col)
+    lat, lon = map(_distinct_texts, mesh_centers(scale_m, col, row, aoi))
     with open(path, "w", encoding="utf-8", newline="") as f:
         f.write(",".join(header) + "\r\n")
         for sl in _chunks(col.size):
             f.write("".join([
                 f"{scale_m},{c},{r},{la},{lo},{t}\r\n"
                 for c, r, la, lo, t in zip(col[sl].tolist(), row[sl].tolist(),
-                                           lat(sl), lon(sl), tails(sl))]))
+                                           lat[sl].tolist(), lon[sl].tolist(),
+                                           tails(sl))]))
 
 
 def _texts(values: np.ndarray, undefined: str) -> list[str]:
@@ -89,173 +82,188 @@ def _texts(values: np.ndarray, undefined: str) -> list[str]:
 
 def write_field_csv(field: MdeField, path) -> None:
     """Rows in the field's (row, col) order; undefined meshes leave entropy empty."""
-    def tails(sl):
-        h = field.entropy[sl]
-        return map("{},{},{}".format, field.count[sl].tolist(), _texts(h, ""),
-                   _texts(h / MAX_ENTROPY, ""))
-    _write_mesh_rows(path, FIELD_HEADER, field.aoi, field.scale_m,
-                     field.col, field.row, tails)
+    n, h = field.count, field.entropy
+    _write_mesh_rows(path, FIELD_HEADER, field.aoi, field.scale_m, field.col,
+                     field.row, lambda sl: map(
+                         "{},{},{}".format, n[sl].tolist(), _texts(h[sl], ""),
+                         _texts(h[sl] / MAX_ENTROPY, "")))
 
 
-class _CenterText(dict):
-    """``repr`` of one center coordinate per grid line, made on first use."""
+def _field_values(n: str, h: str) -> tuple[int, float]:
+    n = int(n)
+    if not 0 <= n < 2**63:          # the range of int64 counts
+        raise ValueError(f"count {n} outside [0, 2**63)")
+    if not h:
+        return n, math.nan
+    if not 0.0 <= (h := float(h)) <= _MAX_READ:
+        raise ValueError(f"entropy {h!r} outside [0, ln 100]")
+    return n, h
 
-    def __init__(self, coordinate):
-        super().__init__()
-        self.coordinate = coordinate
 
-    def __missing__(self, line: int) -> str:
-        text = self[line] = repr(self.coordinate(line))
-        return text
+def _field_bulk(ok: np.ndarray, n: list, h: list) -> tuple:
+    n = np.array(n, dtype=np.int64)
+    given = np.fromiter(map(len, h), np.int64, len(h)) > 0
+    h = _floats_at(h, given)        # NaN where empty or refused
+    ok &= (n >= 0) & (~given | ((h >= 0.0) & (h <= _MAX_READ)))
+    return n, h
 
 
-def _mesh_rows(path, aoi: AreaOfInterest, columns: tuple[str, ...],
-               kind: str):
-    """Yield (line number, scale, col, row, other ``columns`` as str).
+def _score(v: str) -> tuple[float]:
+    if not math.isfinite(v := float(v)):
+        raise ValueError(f"non-finite score {v!r}")
+    return (v,)
 
-    Rows of more than one scale, meshes outside the grid that
-    ``aoi.grid_shape`` gives, and centers further than
-    ``CENTER_TOLERANCE_DEG`` from where ``aoi`` puts them (a file written
-    for another area) are a ``PointParseError`` naming the line.
-    """
-    with open(path, "r", encoding="utf-8", newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, [])
-        names = ("scale_m", "col", "row", "center_lat", "center_lon") + columns
-        missing = [c for c in names if c not in header]
-        if missing:
-            raise PointParseError(f"{kind} file has no {missing[0]} column",
-                                  line_no=1)
-        pos = [header.index(c) for c in names]
-        scale = None
-        for rec in reader:
-            if not rec:
-                continue
-            line = reader.line_num
-            try:
-                s, c, r, la, lo, *rest = [rec[i] for i in pos]
-                s, c, r = int(s), int(c), int(r)
-            except (IndexError, ValueError) as exc:
-                raise PointParseError(str(exc), line_no=line) from exc
-            if scale is None:
+
+def _score_bulk(ok: np.ndarray, v: list) -> tuple:
+    v = _floats_at(v, np.ones(len(v), dtype=bool))
+    ok &= np.isfinite(v)
+    return (v,)
+
+
+# Value columns, per-row rule and bulk check (it clears ``ok``) by kind.
+_KINDS = {"field": (("count", "entropy_nats"), _field_values, _field_bulk),
+          "combined": (("score",), _score, _score_bulk)}
+
+
+class _MeshRows:
+    """A mesh CSV's per-row rule, the one that words its errors (mixed
+    scales, meshes outside ``aoi``'s grid, centers off ``aoi``'s, bad
+    values), and the bulk checks, which pass only rows the rule accepts."""
+
+    def __init__(self, header: list, aoi: AreaOfInterest, kind: str):
+        columns, self.values, self.bulk = _KINDS[kind]
+        for name in FIELD_HEADER[:5] + columns:
+            if name not in header:
+                raise PointParseError(f"{kind} file has no {name} column",
+                                      line_no=1)
+        self.pos = [header.index(c) for c in FIELD_HEADER[:5] + columns]
+        self.k, self.aoi, self.kind, self.scale = len(header), aoi, kind, None
+
+    def __call__(self, rec: list, line: int) -> tuple:
+        """(line, col, row, *values) of one record's cells."""
+        try:
+            s, c, r, la, lo, *rest = [rec[i] for i in self.pos]
+            s, c, r = int(s), int(c), int(r)
+            if self.scale is None:
                 if s <= 0:
-                    raise PointParseError(f"mesh scale {s} is not positive",
-                                          line_no=line)
-                scale = s
-                ncols, nrows = aoi.grid_shape(s)
-                # the text mdemap writes for each row's latitude and each
-                # column's longitude
-                lat_text = _CenterText(
-                    lambda r: mesh_center(MeshId(scale, 0, r), aoi).lat)
-                lon_text = _CenterText(
-                    lambda c: mesh_center(MeshId(scale, c, 0), aoi).lon)
-            elif s != scale:
-                raise PointParseError(f"mixed scales in one {kind} file",
-                                      line_no=line)
+                    raise ValueError(f"mesh scale {s} is not positive")
+                self.scale, self.shape = s, self.aoi.grid_shape(s)
+            elif s != self.scale:
+                raise ValueError(f"mixed scales in one {self.kind} file")
+            ncols, nrows = self.shape
             if not (0 <= c < ncols and 0 <= r < nrows):
-                raise PointParseError(
-                    f"mesh col {c}, row {r} outside the {ncols} x {nrows} "
-                    f"grid of {s} m meshes", line_no=line)
-            if la != lat_text[r] or lo != lon_text[c]:
-                _check_center(line, c, r, la, lo, float(lat_text[r]),
-                              float(lon_text[c]))
-            yield line, s, c, r, rest
-    if scale is None:
+                raise ValueError(f"mesh col {c}, row {r} outside the {ncols} "
+                                 f"x {nrows} grid of {s} m meshes")
+            want_lat, want_lon = map(float, mesh_centers(s, c, r, self.aoi))
+            la, lo = float(la), float(lo)
+            if not (abs(la - want_lat) <= CENTER_TOLERANCE_DEG
+                    and abs(lo - want_lon) <= CENTER_TOLERANCE_DEG):
+                raise ValueError(
+                    f"mesh col {c}, row {r} is centered at {la!r}, {lo!r}; "
+                    f"the given area of interest puts its center at "
+                    f"{want_lat!r}, {want_lon!r}")
+            return (line, c, r, *self.values(*rest))
+        except (IndexError, ValueError) as exc:
+            raise PointParseError(str(exc), line_no=line) from exc
+
+    def take(self, line: str, line_no: int, rows: list) -> None:
+        """Add the row of a plain line to ``rows``; a blank line has none."""
+        if line := line.rstrip("\r\n"):
+            rows.append(self(line.split(","), line_no))
+
+    def block(self, lines: list[str], line_no: int, rows: list):
+        """Columns (line, col, row, *values) of the plain lines from line
+        ``line_no + 1`` that pass the bulk checks, or None; the rule takes
+        the others, and the first row."""
+        while self.scale is None and lines:     # the first row sets it
+            line_no, (first, *lines) = line_no + 1, lines
+            self.take(first, line_no, rows)
+        if not lines:
+            return None
+        full, cells = _split(lines, self.k)
+        text = [cells[i::self.k] for i in self.pos]
+        try:
+            s, c, r = (np.array(t, dtype=np.int64) for t in text[:3])
+            (ncols, nrows), scale = self.shape, self.scale
+            ok = (s == scale) & (c >= 0) & (c < ncols) & (r >= 0) & (r < nrows)
+            c, r = np.where(ok, c, 0), np.where(ok, r, 0)
+            # the center texts mdemap writes
+            for want, got in zip(mesh_centers(scale, c, r, self.aoi),
+                                 text[3:5]):
+                ok &= _distinct_texts(want) == np.array(got, dtype=object)
+            part = [v[ok] for v in (line_no + 1 + np.flatnonzero(full), c, r,
+                                    *self.bulk(ok, *text[5:]))]
+        except (ValueError, OverflowError):
+            part = None             # the rule takes every row
+        keep = np.zeros(len(lines), dtype=bool)
+        keep[part[0] - line_no - 1 if part else []] = True
+        for i in np.flatnonzero(~keep).tolist():
+            self.take(lines[i], line_no + i + 1, rows)
+        return part
+
+
+def _read_mesh_csv(path, aoi: AreaOfInterest, kind: str):
+    """(scale, [col, row, *values]) of a mesh CSV, in (row, col) order.
+
+    From the first block that is not plain, the rule takes every row that
+    ``csv.reader`` reads. The first line repeating a mesh is refused."""
+    parts, rows, rule, line_no = [], [], None, 0
+    with open(path, "r", encoding="utf-8", newline="") as f:
+        lines = f.readlines(_BLOCK_CHARS)
+        while lines and _plain(lines):
+            if rule is None:
+                rule = _MeshRows(next(csv.reader(lines[:1]), []), aoi, kind)
+                line_no, lines = 1, lines[1:]
+            parts.append(rule.block(lines, line_no, rows))
+            line_no += len(lines)
+            lines = f.readlines(_BLOCK_CHARS)
+        reader = csv.reader(chain(lines, f))
+        rule = rule or _MeshRows(next(reader, []), aoi, kind)
+        rows += [rule(rec, line_no + reader.line_num) for rec in reader if rec]
+    if rule.scale is None:
         raise PointParseError(f"{kind} file has no rows")
-
-
-def _check_center(line: int, col: int, row: int, lat: str, lon: str,
-                  want_lat: float, want_lon: float) -> None:
-    try:
-        la, lo = float(lat), float(lon)
-    except ValueError as exc:
-        raise PointParseError(str(exc), line_no=line) from exc
-    if not (abs(la - want_lat) <= CENTER_TOLERANCE_DEG
-            and abs(lo - want_lon) <= CENTER_TOLERANCE_DEG):
-        raise PointParseError(
-            f"mesh col {col}, row {row} is centered at {la!r}, {lo!r}; the "
-            f"given area of interest puts its center at {want_lat!r}, "
-            f"{want_lon!r}", line_no=line)
-
-
-def _grid_order(lines: list, col: list, row: list, *values: np.ndarray):
-    """``col``, ``row`` and ``values`` as arrays in (row, col) order.
-
-    A mesh on two rows is a ``PointParseError`` naming the first line
-    that repeats an earlier one.
-    """
-    c = np.array(col, dtype=np.int64)
-    r = np.array(row, dtype=np.int64)
-    order = np.lexsort((c, r))
-    c, r = c[order], r[order]
-    # the sort is stable, so the later row of a pair sorts second
+    # the first row went through the rule, so ``rows`` sets the dtypes
+    parts.append([np.array(c) for c in zip(*rows)])
+    line, col, row, *values = map(np.concatenate, zip(*filter(None, parts)))
+    order = np.lexsort((line, col, row))
+    c, r = col[order], row[order]
     later = order[1:][(c[1:] == c[:-1]) & (r[1:] == r[:-1])]
     if later.size:
-        i = int(later.min())
+        i = later[np.argmin(line[later])]
         raise PointParseError(f"repeated mesh col {col[i]}, row {row[i]}",
-                              line_no=lines[i])
-    return [c, r, *(v[order] for v in values)]
+                              line_no=int(line[i]))
+    return rule.scale, [c, r, *(v[order] for v in values)]
 
 
 def read_field_csv(path, aoi: AreaOfInterest,
                    window: TimeWindow = ALL_TIME) -> MdeField:
-    lines, col, row, count, ent = [], [], [], [], []
-    for line, scale, c, r, (n, h) in _mesh_rows(
-            path, aoi, ("count", "entropy_nats"), "field"):
-        try:
-            n = int(n)
-            if not 0 <= n < 2**63:          # the range of int64 counts
-                raise ValueError(f"count {n} outside [0, 2**63)")
-            if h:
-                h = float(h)
-                if not 0.0 <= h <= MAX_ENTROPY * (1 + ENTROPY_SLACK):
-                    raise ValueError(f"entropy {h!r} outside [0, ln 100]")
-            else:
-                h = math.nan
-        except ValueError as exc:
-            raise PointParseError(str(exc), line_no=line) from exc
-        lines.append(line)
-        col.append(c)
-        row.append(r)
-        count.append(n)
-        ent.append(h)
-    return MdeField(scale, window, aoi, *_grid_order(
-        lines, col, row, np.array(count, dtype=np.int64),
-        np.array(ent, dtype=np.float64)))
+    scale, columns = _read_mesh_csv(path, aoi, "field")
+    return MdeField(scale, window, aoi, *columns)
 
 
 def write_combined_csv(cmap: CombinedMap, path) -> None:
     """Field schema plus a score column; count/entropy stay empty."""
+    tails = _distinct_texts(cmap.scores, ",,,{!r}".format)
     _write_mesh_rows(path, FIELD_HEADER + ("score",), cmap.aoi,
                      cmap.base_scale_m, cmap.col, cmap.row,
-                     lambda sl: [f",,,{v!r}" for v in cmap.scores[sl].tolist()])
+                     lambda sl: tails[sl].tolist())
 
 
 def read_combined_csv(path, aoi: AreaOfInterest) -> CombinedMap:
     """Rebuild a combined map; contributing scales live in the summary."""
-    lines, col, row, scores = [], [], [], []
-    for line, scale, c, r, (v,) in _mesh_rows(path, aoi, ("score",),
-                                                "combined"):
-        try:
-            v = float(v)
-            if not math.isfinite(v):
-                raise ValueError(f"non-finite score {v!r}")
-        except ValueError as exc:
-            raise PointParseError(str(exc), line_no=line) from exc
-        lines.append(line)
-        col.append(c)
-        row.append(r)
-        scores.append(v)
-    return CombinedMap(scale, aoi, *_grid_order(
-        lines, col, row, np.array(scores, dtype=np.float64)), ())
+    scale, columns = _read_mesh_csv(path, aoi, "combined")
+    return CombinedMap(scale, aoi, *columns, ())
+
+
+def _write_csv(path, header: tuple, rows: list) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        csv.writer(f).writerows([header, *rows])
 
 
 def write_stations_csv(stations: Sequence[Station], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(STATION_HEADER)
-        for s in stations:
-            w.writerow((s.name, _fmt(s.pos.lat), _fmt(s.pos.lon), s.rank))
+    _write_csv(path, STATION_HEADER, [(s.name, _fmt(s.pos.lat),
+                                       _fmt(s.pos.lon), s.rank)
+                                      for s in stations])
 
 
 def read_stations_csv(path) -> list[Station]:
@@ -277,22 +285,16 @@ def read_stations_csv(path) -> list[Station]:
 
 def write_recall_csv(curve: RecallCurve, path) -> None:
     """x = radius in km, value = stations within x of a top-K center."""
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(CURVE_HEADER)
-        for r, c in zip(curve.radii_km, curve.counts):
-            w.writerow((_fmt(r), c))
+    _write_csv(path, CURVE_HEADER, [(_fmt(r), c) for r, c in zip(
+        curve.radii_km, curve.counts)])
 
 
 def write_precision_csv(curves: Sequence[PrecisionCurve], threshold_m: float,
                         path) -> None:
     """x = top-mesh count, value = percent within one threshold."""
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(CURVE_HEADER)
-        for cur in curves:
-            i = cur.thresholds_m.index(threshold_m)
-            w.writerow((cur.x, _fmt(cur.percentages[i])))
+    _write_csv(path, CURVE_HEADER, [
+        (cur.x, _fmt(cur.percentages[cur.thresholds_m.index(threshold_m)]))
+        for cur in curves])
 
 
 def _csv_text(cell: str) -> str:
@@ -300,14 +302,6 @@ def _csv_text(cell: str) -> str:
     if any(c in cell for c in ',"\r\n'):
         return '"' + cell.replace('"', '""') + '"'
     return cell
-
-
-def _times_text(t: np.ndarray) -> list[str]:
-    """Integral times as ints, others with ``repr``; once per distinct value."""
-    distinct, inverse = np.unique(t, return_inverse=True)
-    text = [str(int(v)) if v.is_integer() else repr(v)
-            for v in distinct.tolist()]
-    return [text[i] for i in inverse.tolist()]
 
 
 def write_points_csv(points: ParseResult, path) -> None:
@@ -329,7 +323,9 @@ def write_points_csv(points: ParseResult, path) -> None:
                      if extras else repeat(""))
             f.write("".join([
                 f"{u},{t},{la!r},{lo!r}{x}\r\n" for u, t, la, lo, x in zip(
-                    map(text.__getitem__, ids), _times_text(points.t[sl]),
+                    map(text.__getitem__, ids),
+                    _distinct_texts(points.t[sl], lambda t: str(int(t)) if
+                                    t.is_integer() else repr(t)).tolist(),
                     points.lat[sl].tolist(), points.lon[sl].tolist(), tails)]))
 
 
@@ -343,12 +339,8 @@ def _geojson(table, scale_m: int, **values) -> Iterator[str]:
                   scale_m=lambda sl: repeat(scale_m))
     keys = sorted(values)
     template = ",".join(f'"{k}":{{}}' for k in keys).format
-    # south and north edges depend on the row alone, west and east on the
-    # column alone
-    south = _per_line(lambda r: mesh_corners(scale_m, 0, r, table.aoi)[0], row)
-    north = _per_line(lambda r: mesh_corners(scale_m, 0, r, table.aoi)[1], row)
-    west = _per_line(lambda c: mesh_corners(scale_m, c, 0, table.aoi)[2], col)
-    east = _per_line(lambda c: mesh_corners(scale_m, c, 0, table.aoi)[3], col)
+    south, north, west, east = map(_distinct_texts,
+                                   mesh_corners(scale_m, col, row, table.aoi))
     yield '{"features":['
     for sl in _chunks(col.size):
         props = map(template, *(values[k](sl) for k in keys))
@@ -356,8 +348,9 @@ def _geojson(table, scale_m: int, **values) -> Iterator[str]:
             f'{{"geometry":{{"coordinates":[[[{w},{s}],[{e},{s}],[{e},{n}],'
             f'[{w},{n}],[{w},{s}]]],"type":"Polygon"}},"properties":{{{p}}},'
             f'"type":"Feature"}}'
-            for s, n, w, e, p in zip(south(sl), north(sl), west(sl),
-                                     east(sl), props)])
+            for s, n, w, e, p in zip(south[sl].tolist(), north[sl].tolist(),
+                                     west[sl].tolist(), east[sl].tolist(),
+                                     props)])
     yield '],"type":"FeatureCollection"}'
 
 
@@ -372,8 +365,10 @@ def field_geojson(field: MdeField) -> Iterator[str]:
 
 def combined_geojson(cmap: CombinedMap) -> Iterator[str]:
     """GeoJSON text of a combined map in chunks."""
+    score = _distinct_texts(cmap.scores,
+                            lambda v: "null" if math.isnan(v) else repr(v))
     return _geojson(cmap, cmap.base_scale_m,
-                    score=lambda sl: _texts(cmap.scores[sl], "null"))
+                    score=lambda sl: score[sl].tolist())
 
 
 def write_geojson(chunks: Iterable[str], path) -> None:
@@ -385,5 +380,5 @@ def write_geojson(chunks: Iterable[str], path) -> None:
 
 def write_summary(summary: dict, path) -> None:
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(summary, f, sort_keys=True, indent=2)
+        json.dump(summary, f, sort_keys=True, indent=2, allow_nan=False)
         f.write("\n")

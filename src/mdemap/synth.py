@@ -14,13 +14,14 @@ uniform per fix), background latitudes, background longitudes, then the
 walk's own draws (hub: radius and angle uniforms per fix; corridor:
 start offset, angular noise, step lengths). Output is therefore
 byte-identical across runs, platforms, and any per-user parallel
-schedule, after the final sort by (user_id, t).
+schedule, after the final sort by (user_id, t). Only the draws are made
+user by user; positions then take one array pass, in a walk's float order.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -77,8 +78,8 @@ class SynthConfig:
             raise ConfigError("need n_users >= 0 and fixes_per_user >= 1")
         if not 0.0 <= self.background_rate <= 1.0:
             raise ConfigError("background_rate must be in [0, 1]")
-        if self.noise_sigma < 0.0:
-            raise ConfigError("noise_sigma must be >= 0")
+        if not 0.0 <= self.noise_sigma < math.inf:    # NaN fails too
+            raise ConfigError("noise_sigma must be finite and >= 0")
         if not self.hubs and not self.corridors:
             raise ConfigError("need at least one hub or corridor")
         for center, radius in [(h.center, h.radius_m) for h in self.hubs] + \
@@ -128,50 +129,32 @@ def default_config(seed: int = 42, n_users: int = 50_000,
                        corridors=corridors, seed=seed)
 
 
-def _user_positions(rng, cfg: SynthConfig, site, site_xy) -> tuple:
-    """Local-coordinate x and y arrays for one user's walk."""
-    f = cfg.fixes_per_user
-    if isinstance(site, Hub):
-        r = site.radius_m * np.sqrt(rng.random(f))
-        phi = rng.random(f) * TWO_PI
-        return site_xy.x + r * np.cos(phi), site_xy.y + r * np.sin(phi)
-    off0 = (2.0 * rng.random() - 1.0) * site.radius_m
-    noise = rng.normal(0.0, cfg.noise_sigma, f - 1)
-    steps = rng.uniform(_STEP_MIN_M, _STEP_MAX_M, f - 1)
-    # step k heads along the axis for even k, back along it for odd k
-    theta = site.axis + noise
-    theta[1::2] += math.pi
-    dx = -steps * np.sin(theta)
-    dy = steps * np.cos(theta)
-    ax = site_xy.x - off0 * math.sin(site.axis)
-    ay = site_xy.y + off0 * math.cos(site.axis)
-    x = np.empty(f)
-    y = np.empty(f)
-    x[0], y[0] = ax, ay
-    np.cumsum(dx, out=x[1:])
-    np.cumsum(dy, out=y[1:])
-    x[1:] += ax
-    y[1:] += ay
-    return x, y
-
-
 def generate(config: SynthConfig) -> tuple[ParseResult, GroundTruth]:
     """Every user's fixes as columns sorted by (user_id, t), and the truth."""
     cfg = config
-    sites = list(cfg.hubs) + list(cfg.corridors)
-    site_xy = [project(s.center, cfg.aoi) for s in sites]
     sw, ne = cfg.aoi.south_west, cfg.aoi.north_east
     width = max(len(str(max(cfg.n_users - 1, 0))), 1)
     n, f = cfg.n_users, cfg.fixes_per_user
-    bg, bg_lat, bg_lon, x, y = np.empty((5, n, f))
-    for u in range(n):
+    site = np.arange(n) % (len(cfg.hubs) + len(cfg.corridors))
+    # each user's draws in the contract's order, in five blocks of f:
+    # background flags, latitudes, longitudes, then a hub's radius and angle
+    # uniforms or a corridor's start offset, f - 1 angle noises and f - 1
+    # step lengths (from the block's second cell); ``uniform(a, b)`` draws
+    # are made on [0, 1) and scaled after the loop as it does, a + (b - a) u
+    d = np.empty((n, 5 * f))
+    for u, at_hub in enumerate((site < len(cfg.hubs)).tolist()):
         rng = np.random.Generator(
             np.random.PCG64(np.random.SeedSequence(cfg.seed, spawn_key=(u,))))
-        bg[u] = rng.random(f)
-        bg_lat[u] = rng.uniform(sw.lat, ne.lat, f)
-        bg_lon[u] = rng.uniform(sw.lon, ne.lon, f)
-        s = u % len(sites)
-        x[u], y[u] = _user_positions(rng, cfg, sites[s], site_xy[s])
+        if at_hub:
+            d[u] = rng.random(5 * f)
+        else:
+            d[u, :3 * f + 1] = rng.random(3 * f + 1)
+            d[u, 3 * f + 1:4 * f] = rng.normal(0.0, cfg.noise_sigma, f - 1)
+            d[u, 4 * f + 1:] = rng.random(f - 1)
+    bg, bg_lat, bg_lon, x, y = (d[:, i * f:(i + 1) * f] for i in range(5))
+    bg_lat[:] = sw.lat + (ne.lat - sw.lat) * bg_lat
+    bg_lon[:] = sw.lon + (ne.lon - sw.lon) * bg_lon
+    _walk(cfg, site, x, y)
     lat, lon = inverse_project(LocalCoord(x, y), cfg.aoi)
     bg = bg < cfg.background_rate
     users = np.array([f"u{u:0{width}d}" for u in range(n)], dtype=object)
@@ -180,3 +163,29 @@ def generate(config: SynthConfig) -> tuple[ParseResult, GroundTruth]:
         np.where(bg, bg_lat, lat).ravel(), np.where(bg, bg_lon, lon).ravel(),
         *np.full((2, n * f), np.nan))
     return points, GroundTruth(tuple(h.center for h in cfg.hubs))
+
+
+def _walk(cfg: SynthConfig, site: np.ndarray, x: np.ndarray,
+          y: np.ndarray) -> None:
+    """Turn the walk draws in ``x`` and ``y`` into local coordinates in
+    place, for users at sites ``site``: hub fixes are uniform points of the
+    disc; corridor step k heads along the axis for even k, back for odd k."""
+    sites = cfg.hubs + cfg.corridors
+    xy = [project(s.center, cfg.aoi) for s in sites]
+    cx, cy, radius = (np.array(v, dtype=np.float64)[site, None] for v in (
+        [p.x for p in xy], [p.y for p in xy], [s.radius_m for s in sites]))
+    h = np.flatnonzero(site < len(cfg.hubs))
+    r, phi = radius[h] * np.sqrt(x[h]), y[h] * TWO_PI
+    x[h], y[h] = cx[h] + r * np.cos(phi), cy[h] + r * np.sin(phi)
+    c = np.flatnonzero(site >= len(cfg.hubs))
+    # the scalar sine and cosine of each axis, as a per-user walk takes them
+    axis, sin, cos = (np.array([f(a.axis) for a in cfg.corridors],
+                               dtype=np.float64)[site[c] - len(cfg.hubs), None]
+                      for f in (float, math.sin, math.cos))
+    off0 = (2.0 * x[c, :1] - 1.0) * radius[c]
+    theta = axis + x[c, 1:]
+    theta[:, 1::2] += math.pi
+    steps = _STEP_MIN_M + (_STEP_MAX_M - _STEP_MIN_M) * y[c, 1:]
+    ax, ay = cx[c] - off0 * sin, cy[c] + off0 * cos
+    x[c] = np.hstack([ax, np.cumsum(-steps * np.sin(theta), axis=1) + ax])
+    y[c] = np.hstack([ay, np.cumsum(steps * np.cos(theta), axis=1) + ay])

@@ -1,19 +1,23 @@
 """Scalar reference implementations the tests check the kernels against.
 
-These are the per-displacement, per-angle, per-histogram and per-mesh
-forms of the method: slow and plain, so that the columnar code in
-``mdemap`` has something independent to agree with.
+These are the per-displacement, per-angle, per-histogram, per-mesh,
+per-row and per-user forms of the method: slow and plain, so that the
+columnar code in ``mdemap`` has something independent to agree with.
 """
 
+import csv
 import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from mdemap import (AreaOfInterest, ConfigError, EmptyHistogramError,
-                    GeoPoint, InvalidAngleError, LocalCoord, MeshId, N_BINS,
-                    inverse_project, kernels)
+from mdemap import (ALL_TIME, AreaOfInterest, CombinedMap, ConfigError,
+                    EmptyHistogramError, GeoPoint, Hub, InvalidAngleError,
+                    LocalCoord, MAX_ENTROPY, MdeField, MeshId, N_BINS,
+                    PointParseError, inverse_project, kernels, mesh_center)
+from mdemap.io import CENTER_TOLERANCE_DEG, ENTROPY_SLACK
 from mdemap.mesh import TWO_PI
+from mdemap.synth import _STEP_MAX_M, _STEP_MIN_M
 
 
 def direction_of(dx: float, dy: float) -> float:
@@ -105,3 +109,147 @@ def mesh_corners(m: MeshId, aoi: AreaOfInterest) -> list[GeoPoint]:
     x0, y0 = m.col * s, m.row * s
     return [inverse_project(LocalCoord(x, y), aoi) for x, y in (
         (x0, y0), (x0 + s, y0), (x0 + s, y0 + s), (x0, y0 + s))]
+
+
+def user_positions(rng, cfg, site, site_xy) -> tuple:
+    """Local-coordinate x and y arrays for one user's walk, drawn from
+    ``rng`` after the user's background draws."""
+    f = cfg.fixes_per_user
+    if isinstance(site, Hub):
+        r = site.radius_m * np.sqrt(rng.random(f))
+        phi = rng.random(f) * TWO_PI
+        return site_xy.x + r * np.cos(phi), site_xy.y + r * np.sin(phi)
+    off0 = (2.0 * rng.random() - 1.0) * site.radius_m
+    noise = rng.normal(0.0, cfg.noise_sigma, f - 1)
+    steps = rng.uniform(_STEP_MIN_M, _STEP_MAX_M, f - 1)
+    # step k heads along the axis for even k, back along it for odd k
+    theta = site.axis + noise
+    theta[1::2] += math.pi
+    dx = -steps * np.sin(theta)
+    dy = steps * np.cos(theta)
+    ax = site_xy.x - off0 * math.sin(site.axis)
+    ay = site_xy.y + off0 * math.cos(site.axis)
+    x = np.empty(f)
+    y = np.empty(f)
+    x[0], y[0] = ax, ay
+    np.cumsum(dx, out=x[1:])
+    np.cumsum(dy, out=y[1:])
+    x[1:] += ax
+    y[1:] += ay
+    return x, y
+
+
+def _mesh_rows(path, aoi: AreaOfInterest, columns: tuple, kind: str):
+    """Yield (line number, scale, col, row, other ``columns`` as str), one
+    ``csv.reader`` row at a time, with the mesh readers' checks and
+    messages."""
+    with open(path, "r", encoding="utf-8", newline="") as f:
+        reader = csv.reader(f)
+        header = next(reader, [])
+        names = ("scale_m", "col", "row", "center_lat", "center_lon") + columns
+        missing = [c for c in names if c not in header]
+        if missing:
+            raise PointParseError(f"{kind} file has no {missing[0]} column",
+                                  line_no=1)
+        pos = [header.index(c) for c in names]
+        scale = None
+        for rec in reader:
+            if not rec:
+                continue
+            line = reader.line_num
+            try:
+                s, c, r, la, lo, *rest = [rec[i] for i in pos]
+                s, c, r = int(s), int(c), int(r)
+            except (IndexError, ValueError) as exc:
+                raise PointParseError(str(exc), line_no=line) from exc
+            if scale is None:
+                if s <= 0:
+                    raise PointParseError(f"mesh scale {s} is not positive",
+                                          line_no=line)
+                scale = s
+                ncols, nrows = aoi.grid_shape(s)
+            elif s != scale:
+                raise PointParseError(f"mixed scales in one {kind} file",
+                                      line_no=line)
+            if not (0 <= c < ncols and 0 <= r < nrows):
+                raise PointParseError(
+                    f"mesh col {c}, row {r} outside the {ncols} x {nrows} "
+                    f"grid of {s} m meshes", line_no=line)
+            want = mesh_center(MeshId(scale, c, r), aoi)
+            if la != repr(want.lat) or lo != repr(want.lon):
+                try:
+                    la, lo = float(la), float(lo)
+                except ValueError as exc:
+                    raise PointParseError(str(exc), line_no=line) from exc
+                if not (abs(la - want.lat) <= CENTER_TOLERANCE_DEG
+                        and abs(lo - want.lon) <= CENTER_TOLERANCE_DEG):
+                    raise PointParseError(
+                        f"mesh col {c}, row {r} is centered at {la!r}, "
+                        f"{lo!r}; the given area of interest puts its center "
+                        f"at {want.lat!r}, {want.lon!r}", line_no=line)
+            yield line, s, c, r, rest
+    if scale is None:
+        raise PointParseError(f"{kind} file has no rows")
+
+
+def _grid_order(lines: list, col: list, row: list, *values: np.ndarray):
+    """``col``, ``row`` and ``values`` as arrays in (row, col) order; a
+    repeated mesh is refused at the first line that repeats an earlier
+    one."""
+    c = np.array(col, dtype=np.int64)
+    r = np.array(row, dtype=np.int64)
+    order = np.lexsort((c, r))
+    c, r = c[order], r[order]
+    # the sort is stable, so the later row of a pair sorts second
+    later = order[1:][(c[1:] == c[:-1]) & (r[1:] == r[:-1])]
+    if later.size:
+        i = int(later.min())
+        raise PointParseError(f"repeated mesh col {col[i]}, row {row[i]}",
+                              line_no=lines[i])
+    return [c, r, *(v[order] for v in values)]
+
+
+def read_field_csv(path, aoi: AreaOfInterest, window=ALL_TIME) -> MdeField:
+    """The field reader, one row at a time."""
+    lines, col, row, count, ent = [], [], [], [], []
+    for line, scale, c, r, (n, h) in _mesh_rows(
+            path, aoi, ("count", "entropy_nats"), "field"):
+        try:
+            n = int(n)
+            if not 0 <= n < 2**63:          # the range of int64 counts
+                raise ValueError(f"count {n} outside [0, 2**63)")
+            if h:
+                h = float(h)
+                if not 0.0 <= h <= MAX_ENTROPY * (1 + ENTROPY_SLACK):
+                    raise ValueError(f"entropy {h!r} outside [0, ln 100]")
+            else:
+                h = math.nan
+        except ValueError as exc:
+            raise PointParseError(str(exc), line_no=line) from exc
+        lines.append(line)
+        col.append(c)
+        row.append(r)
+        count.append(n)
+        ent.append(h)
+    return MdeField(scale, window, aoi, *_grid_order(
+        lines, col, row, np.array(count, dtype=np.int64),
+        np.array(ent, dtype=np.float64)))
+
+
+def read_combined_csv(path, aoi: AreaOfInterest) -> CombinedMap:
+    """The combined-map reader, one row at a time."""
+    lines, col, row, scores = [], [], [], []
+    for line, scale, c, r, (v,) in _mesh_rows(path, aoi, ("score",),
+                                                "combined"):
+        try:
+            v = float(v)
+            if not math.isfinite(v):
+                raise ValueError(f"non-finite score {v!r}")
+        except ValueError as exc:
+            raise PointParseError(str(exc), line_no=line) from exc
+        lines.append(line)
+        col.append(c)
+        row.append(r)
+        scores.append(v)
+    return CombinedMap(scale, aoi, *_grid_order(
+        lines, col, row, np.array(scores, dtype=np.float64)), ())

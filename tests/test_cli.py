@@ -488,3 +488,60 @@ def test_input_that_is_not_utf8_is_a_data_error(pipeline, tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("mdemap: data error: ") and "utf-8" in err
     assert not any((tmp_path / "out").iterdir())
+
+
+@pytest.mark.parametrize("argv, config, setting", [
+    (["compute", "{track}", "--max-gap", "nan"], None, "max_gap"),
+    (["compute", "{track}", "--max-gap", "inf"], None, "max_gap"),
+    (["compute", "{track}", "--min-displacement", "nan"], None,
+     "min_displacement"),
+    (["compute", "{track}"], {"max_gap": float("nan")}, "max_gap"),
+    (["compute", "{track}"], {"max_gap": float("inf")}, "max_gap"),
+    (["compute", "{track}"], {"min_displacement": float("nan")},
+     "min_displacement"),
+    (["synth", "--sigma", "nan", "--users", "50", "--fixes", "5"], None,
+     "sigma"),
+    (["synth", "--users", "50", "--fixes", "5"], {"sigma": float("nan")},
+     "sigma"),
+    (["evaluate", "{field}", "--stations", "{stations}", "--radii", "nan,1"],
+     None, "radii"),
+    (["evaluate", "{field}", "--stations", "{stations}"],
+     {"radii": [float("nan"), 1.0]}, "radii")], ids=[
+        "max-gap-nan", "max-gap-inf", "min-displacement-nan",
+        "config-max-gap-nan", "config-max-gap-inf",
+        "config-min-displacement-nan", "sigma-nan", "config-sigma-nan",
+        "radii-nan", "config-radii-nan"])
+def test_non_finite_settings_are_config_errors(pipeline, tmp_path, capsys,
+                                               argv, config, setting):
+    # a track each setting would otherwise accept: a 200 m step in 60 s,
+    # then a gap of two hours
+    track = tmp_path / "track.csv"
+    track.write_text("user_id,timestamp,lat,lon\nu1,0,35.51,139.45\n"
+                     "u1,60,35.5118,139.45\nu1,7260,35.5136,139.45\n")
+    argv = [a.format(track=track, field=pipeline / "mde_1000m.csv",
+                     stations=pipeline / "stations.csv") for a in argv]
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        argv += ["--config", str(tmp_path / "cfg.json")]
+    assert main(argv + ["--aoi", AOI, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("mdemap: config error: ") and setting in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_summaries_are_strict_json(pipeline, tmp_path):
+    fields = [str(pipeline / "mde_100m.csv"), str(pipeline / "mde_1000m.csv")]
+    out = ["--aoi", AOI, "--out", str(tmp_path)]
+    assert main(["combine", *fields, *out]) == 0
+    assert main(["evaluate", *fields, "--stations",
+                 str(pipeline / "stations.csv"), *out]) == 0
+    assert main(["export", str(tmp_path / "combined.csv"), *out]) == 0
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    summaries = [d / f"{command}_summary.json" for d, command in zip(
+        [pipeline] * 2 + [tmp_path] * 3, SUBCOMMANDS)]
+    for path in summaries:
+        assert isinstance(json.loads(path.read_text(), parse_constant=refuse),
+                          dict)

@@ -118,6 +118,15 @@ def test_recall_stations_on_centers(small_aoi):
     assert curve.counts == (2, 2)
 
 
+@pytest.mark.parametrize("radii", [(math.nan, 1.0), (1.0, math.inf), (0.0,)])
+def test_recall_refuses_radii_that_are_not_finite_and_positive(small_aoi,
+                                                               radii):
+    f = _field(small_aoi, {(2, 2): 2.0})
+    (center,) = _centers(top_k(f, 1))
+    with pytest.raises(ConfigError, match="radii"):
+        recall_curve(top_k(f, 1), [Station("s", center, 1)], radii_km=radii)
+
+
 def test_recall_no_station_in_range(small_aoi):
     f = _field(small_aoi, {(0, 0): 2.0})
     far = [Station("s", GeoPoint(36.4, 139.3), 1)]  # ~100 km north

@@ -291,6 +291,13 @@ def test_extract_bad_arguments(small_aoi):
         extract_movements(points_of([]), small_aoi, max_gap=0.0)
     with pytest.raises(ConfigError):
         extract_movements(points_of([]), small_aoi, min_displacement=-1.0)
+    # NaN passes every comparison written the other way round
+    points = fixes(small_aoi, [("u", 0.0, 0.0, 0.0), ("u", 60.0, 0.0, 200.0)])
+    for setting in ({"max_gap": math.nan}, {"max_gap": math.inf},
+                    {"min_displacement": math.nan},
+                    {"min_displacement": math.inf}):
+        with pytest.raises(ConfigError, match=next(iter(setting))):
+            extract_movements(points, small_aoi, **setting)
 
 
 def test_extract_empty(small_aoi):

@@ -11,8 +11,9 @@ from mdemap import (ConfigError, DEFAULT_AOI, GeoPoint, Hub, Corridor,
                     LocalCoord, SynthConfig, compute_field, default_config,
                     default_sites, extract_movements, generate, geo_distance,
                     inverse_project, mesh_of, project)
-from mdemap.synth import _DT, _T0, _user_positions
+from mdemap.synth import _DT, _T0
 
+import _oracles as oracles
 from conftest import points_of
 
 LN2 = math.log(2.0)
@@ -171,8 +172,9 @@ def test_config_validation(small_aoi):
         SynthConfig(aoi=small_aoi, hubs=(hub,), fixes_per_user=0)
     with pytest.raises(ConfigError):
         SynthConfig(aoi=small_aoi, hubs=(hub,), background_rate=1.5)
-    with pytest.raises(ConfigError):
-        SynthConfig(aoi=small_aoi, hubs=(hub,), noise_sigma=-0.1)
+    for sigma in (-0.1, math.nan, math.inf):
+        with pytest.raises(ConfigError, match="noise_sigma"):
+            SynthConfig(aoi=small_aoi, hubs=(hub,), noise_sigma=sigma)
     with pytest.raises(ConfigError):
         SynthConfig(aoi=small_aoi, hubs=(Hub(GeoPoint(35.515, 139.325), 0.0),))
     with pytest.raises(Exception):
@@ -211,7 +213,7 @@ def _reference_generate(cfg):
         bg_lat = rng.uniform(sw.lat, ne.lat, f)
         bg_lon = rng.uniform(sw.lon, ne.lon, f)
         s = u % len(sites)
-        x, y = _user_positions(rng, cfg, sites[s], site_xy[s])
+        x, y = oracles.user_positions(rng, cfg, sites[s], site_xy[s])
         uid = f"u{u:0{width}d}"
         for k in range(f):
             if is_bg[k]:
