@@ -43,45 +43,44 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _parse_aoi(text) -> AreaOfInterest:
-    if isinstance(text, AreaOfInterest):
-        return text
-    parts = [float(p) for p in str(text).split(",")] \
-        if not isinstance(text, (list, tuple)) else [float(p) for p in text]
+def _items(value) -> list:
+    """A flag's comma-separated text, or a config file's JSON list."""
+    return value if isinstance(value, list) else str(value).split(",")
+
+
+def _int(value) -> int:
+    """``int`` of text or a JSON number, refusing a boolean or a fraction."""
+    if isinstance(value, bool) or (isinstance(value, float)
+                                   and not value.is_integer()):
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
+def _parse_aoi(value) -> AreaOfInterest:
+    parts = [float(p) for p in _items(value)]
     if len(parts) != 4:
         raise ConfigError("--aoi needs lon_min,lon_max,lat_min,lat_max")
     return AreaOfInterest.from_bounds(*parts)
 
 
-def _parse_scales(text) -> tuple[int, ...]:
-    items = str(text).split(",") if not isinstance(text, (list, tuple)) \
-        else text
-    scales = tuple(int(s) for s in items)
-    if not scales or any(s <= 0 for s in scales):
-        raise ConfigError("--scales needs positive integers")
-    if len(set(scales)) != len(scales):
-        raise ConfigError("duplicate scale")
+def _parse_scales(value) -> tuple[int, ...]:
+    scales = tuple(map(_int, _items(value)))
+    if not scales or min(scales) <= 0 or len(set(scales)) != len(scales):
+        raise ConfigError("--scales needs distinct positive integers")
     return scales
 
 
-def _parse_top_k(text) -> dict[int, int]:
-    if isinstance(text, dict):
-        return {int(k): int(v) for k, v in text.items()}
-    out: dict[int, int] = {}
-    for item in str(text).split(","):
-        scale, _, k = item.partition("=")
-        if not k:
-            raise ConfigError("--top-k needs scale=K pairs")
-        out[int(scale)] = int(k)
-    if any(v < 1 for v in out.values()):
-        raise ConfigError("K must be >= 1")
+def _parse_top_k(value) -> dict[int, int]:
+    pairs = value if isinstance(value, dict) else dict(
+        str(item).split("=") for item in _items(value))
+    out = {_int(scale): _int(k) for scale, k in pairs.items()}
+    if any(k < 1 for k in out.values()):
+        raise ConfigError("--top-k needs scale=K pairs with K >= 1")
     return out
 
 
-def _parse_radii(text) -> tuple[float, ...]:
-    items = str(text).split(",") if not isinstance(text, (list, tuple)) \
-        else text
-    radii = tuple(float(r) for r in items)
+def _parse_radii(value) -> tuple[float, ...]:
+    radii = tuple(float(r) for r in _items(value))
     if not radii or not all(0 < r < math.inf for r in radii):
         raise ConfigError("--radii needs finite positive km values")
     return radii
@@ -101,11 +100,13 @@ def _load_config(path) -> dict:
 
 
 def _setting(args, cfg: dict, key: str, default, convert=None):
+    """A flag's value, else the config file's non-null entry, else
+    ``default``; a given value passes through ``convert``."""
     v = getattr(args, key, None)
     if v is None:
-        v = cfg.get(key, default)
+        v = cfg.get(key)
     if v is None or convert is None:
-        return v
+        return default if v is None else v
     try:
         converted = convert(v)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -120,11 +121,11 @@ MAX_WINDOWS = 100_000
 
 
 def _windows(spec, t: np.ndarray) -> list[TimeWindow]:
-    if spec in (None, "all"):
+    if spec == "all":
         return [ALL_TIME]
     try:
         width = float(spec)
-    except ValueError:
+    except (TypeError, ValueError):
         width = math.nan
     if not (math.isfinite(width) and width > 0):
         raise ConfigError("--window must be 'all' or a positive length in s")
@@ -227,11 +228,11 @@ def cmd_synth(args) -> int:
     hubs, corridors = default_sites(aoi)
     config = SynthConfig(
         aoi=aoi, hubs=hubs, corridors=corridors,
-        n_users=_setting(args, cfg, "users", 50_000, int),
-        fixes_per_user=_setting(args, cfg, "fixes", 20, int),
+        n_users=_setting(args, cfg, "users", 50_000, _int),
+        fixes_per_user=_setting(args, cfg, "fixes", 20, _int),
         background_rate=_setting(args, cfg, "background_rate", 0.05, float),
         noise_sigma=_setting(args, cfg, "sigma", 0.05, float),
-        seed=_setting(args, cfg, "seed", 42, int))
+        seed=_setting(args, cfg, "seed", 42, _int))
     out = _outdir(args, cfg)
     points, truth = generate(config)
     mio.write_points_csv(points, out / "points.csv")
@@ -303,7 +304,7 @@ def cmd_compute(args) -> int:
     window_spec = _setting(args, cfg, "window", "all")
     min_disp = _setting(args, cfg, "min_displacement", 10.0, float)
     max_gap = _setting(args, cfg, "max_gap", 1800.0, float)
-    min_samples = _setting(args, cfg, "min_samples", 30, int)
+    min_samples = _setting(args, cfg, "min_samples", 30, _int)
     direction = _setting(args, cfg, "direction", "consecutive")
     fmt = _setting(args, cfg, "fmt", "csv")
     strict = bool(_setting(args, cfg, "strict", False))

@@ -9,20 +9,12 @@ class ConfigError(MdemapError):
     """Invalid configuration or unusable parameter combination."""
 
 
-class OutOfAreaError(MdemapError):
-    """A coordinate falls outside the area of interest."""
-
-
 class InvalidScaleError(MdemapError):
     """Mesh scale is non-positive or a scale pair does not nest."""
 
 
 class InvalidAngleError(MdemapError):
     """Non-finite angle passed to direction binning."""
-
-
-class EmptyHistogramError(MdemapError):
-    """Entropy requested for a histogram with zero total count."""
 
 
 class EmptyFieldError(MdemapError):

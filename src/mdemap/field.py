@@ -27,18 +27,12 @@ from typing import Iterator, Mapping, NamedTuple
 import numpy as np
 
 from . import kernels
-from .errors import ConfigError, InvalidScaleError
+from .errors import ConfigError
 from .ingest import MovementBatch
 from .kernels import N_BINS
-from .mesh import AreaOfInterest, MeshId, project_arrays, TWO_PI
+from .mesh import _check_scale, AreaOfInterest, MeshId, project_arrays
 
-BIN_WIDTH = TWO_PI / N_BINS
 MAX_ENTROPY = math.log(N_BINS)
-
-
-def entropy_norm(h_nats: float) -> float:
-    """Entropy rescaled by its maximum ln 100, in [0, 1]."""
-    return h_nats / MAX_ENTROPY
 
 
 class TimeWindow(NamedTuple):
@@ -110,8 +104,7 @@ class MdeField:
 
 
 def _check_setup(scale_m: int, windows, min_samples: int) -> None:
-    if scale_m <= 0:
-        raise InvalidScaleError(f"mesh scale must be positive, got {scale_m}")
+    _check_scale(scale_m)
     if min_samples < 1:
         raise ConfigError(f"min_samples must be >= 1, got {min_samples}")
     for w in windows:
@@ -232,15 +225,6 @@ class FieldAccumulator:
                       mesh_flat, totals, ent, self.dropped_out_of_area)
 
 
-def compute_field(movements: MovementBatch, aoi: AreaOfInterest,
-                  scale_m: int, window: TimeWindow = ALL_TIME,
-                  min_samples: int = 30) -> MdeField:
-    """Accumulate movements into one scale's moving direction entropy field."""
-    acc = FieldAccumulator(aoi, scale_m, window, min_samples)
-    acc.add(movements)
-    return acc.finish()
-
-
 def compute_fields(movements: MovementBatch, aoi: AreaOfInterest, scales,
                    windows=(ALL_TIME,), min_samples: int = 30,
                    ) -> tuple[list[MdeField], int]:
@@ -249,8 +233,8 @@ def compute_fields(movements: MovementBatch, aoi: AreaOfInterest, scales,
     ``windows`` are sorted and disjoint. The window index is one more
     key dimension, (window, mesh, bin), so each scale takes one count
     and one entropy call over the whole input. Returns the fields in
-    scale-major order, each bit for bit what ``compute_field`` gives
-    for that scale and window, and the number of out-of-area vectors,
+    scale-major order, each bit for bit what a ``FieldAccumulator`` of
+    that scale and window gives, and the number of out-of-area vectors,
     each counted once; the fields' own ``dropped_out_of_area`` stay 0.
     """
     scales, windows = tuple(scales), tuple(windows)

@@ -489,11 +489,6 @@ class ExtractionStats:
     dropped_short: int = 0
     dropped_no_heading: int = 0
 
-    @property
-    def dropped(self) -> int:
-        return (self.dropped_duplicate + self.dropped_gap
-                + self.dropped_short + self.dropped_no_heading)
-
     def __iadd__(self, other: "ExtractionStats") -> "ExtractionStats":
         """Counts of two extractions over disjoint sets of users."""
         for f in fields(self):

@@ -17,13 +17,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, InvalidScaleError, OutOfAreaError
+from .errors import ConfigError, InvalidScaleError
 
 EARTH_RADIUS_M = 6_371_000.0
 TWO_PI = 2.0 * math.pi
 
-# Arc length of one degree at mean Earth radius, ~111194.9 m. Shared with
-# the haversine distance below so projected and great-circle lengths agree.
+# Arc length of one degree at mean Earth radius, ~111194.9 m. The haversine
+# distance of ``kernels`` uses the same radius, so projected and great-circle
+# lengths agree.
 METERS_PER_DEGREE = EARTH_RADIUS_M * math.pi / 180.0
 
 STANDARD_SCALES_M = (100, 1000, 2000, 4000)
@@ -94,10 +95,6 @@ class AreaOfInterest:
     def height_m(self) -> float:
         return (self.north_east.lat - self.south_west.lat) * METERS_PER_DEGREE
 
-    def contains(self, p: GeoPoint) -> bool:
-        return (self.south_west.lat <= p.lat <= self.north_east.lat
-                and self.south_west.lon <= p.lon <= self.north_east.lon)
-
     def grid_shape(self, scale_m: int) -> tuple[int, int]:
         """(ncols, nrows) of the mesh grid covering the area, closed edges included."""
         _check_scale(scale_m)
@@ -108,47 +105,19 @@ class AreaOfInterest:
 DEFAULT_AOI = AreaOfInterest.from_bounds(139.3, 140.0, 35.5, 35.85)
 
 
-def project(p: GeoPoint, aoi: AreaOfInterest) -> LocalCoord:
-    """Project ``p`` into the local metric frame anchored at ``aoi``'s SW corner."""
-    if not aoi.contains(p):
-        raise OutOfAreaError(f"{p!r} outside area of interest")
-    y = (p.lat - aoi.south_west.lat) * METERS_PER_DEGREE
-    x = (p.lon - aoi.south_west.lon) * aoi.meters_per_degree_lon
-    return LocalCoord(x, y)
-
-
 def project_arrays(lat: np.ndarray, lon: np.ndarray,
                    aoi: AreaOfInterest) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized :func:`project` without the containment check."""
+    """Local (x, y) of each point; points outside ``aoi`` are projected too."""
     y = (lat - aoi.south_west.lat) * METERS_PER_DEGREE
     x = (lon - aoi.south_west.lon) * aoi.meters_per_degree_lon
     return x, y
 
 
 def inverse_project(c: LocalCoord, aoi: AreaOfInterest) -> GeoPoint:
-    """Inverse of :func:`project`; ``c`` may hold arrays of coordinates."""
+    """Inverse of :func:`project_arrays`; ``c`` may hold arrays."""
     lat = aoi.south_west.lat + c.y / METERS_PER_DEGREE
     lon = aoi.south_west.lon + c.x / aoi.meters_per_degree_lon
     return GeoPoint(lat, lon)
-
-
-def mesh_of(c: LocalCoord, scale_m: int) -> MeshId:
-    """Mesh containing ``c``; boundaries belong to the higher-index cell."""
-    _check_scale(scale_m)
-    if c.x < 0 or c.y < 0:
-        raise OutOfAreaError(f"negative local coordinate {c!r}")
-    return MeshId(scale_m, int(c.x // scale_m), int(c.y // scale_m))
-
-
-def parent_of(m: MeshId, coarser_scale_m: int) -> MeshId:
-    """Mesh of the coarser grid containing ``m``. Scales must divide."""
-    _check_scale(coarser_scale_m)
-    if coarser_scale_m % m.scale_m != 0:
-        raise InvalidScaleError(
-            f"scale {coarser_scale_m} is not a multiple of {m.scale_m}")
-    return MeshId(coarser_scale_m,
-                  m.col * m.scale_m // coarser_scale_m,
-                  m.row * m.scale_m // coarser_scale_m)
 
 
 def mesh_center(m: MeshId, aoi: AreaOfInterest) -> GeoPoint:
@@ -176,13 +145,3 @@ def mesh_corners(scale_m, col, row, aoi: AreaOfInterest) -> tuple:
     south, west = inverse_project(sw, aoi)
     north, east = inverse_project(LocalCoord(sw.x + s, sw.y + s), aoi)
     return south, north, west, east
-
-
-def geo_distance(a: GeoPoint, b: GeoPoint) -> float:
-    """Haversine great-circle distance in meters, mean Earth radius."""
-    p1 = math.radians(a.lat)
-    p2 = math.radians(b.lat)
-    dp = p2 - p1
-    dl = math.radians(b.lon - a.lon)
-    h = math.sin(dp / 2) ** 2 + math.cos(p1) * math.cos(p2) * math.sin(dl / 2) ** 2
-    return 2.0 * EARTH_RADIUS_M * math.asin(min(1.0, math.sqrt(h)))

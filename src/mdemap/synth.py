@@ -30,7 +30,7 @@ from .errors import ConfigError
 from .evaluation import Station
 from .ingest import ParseResult
 from .mesh import (AreaOfInterest, DEFAULT_AOI, GeoPoint, LocalCoord,
-                   inverse_project, project, TWO_PI)
+                   inverse_project, project_arrays, TWO_PI)
 
 _T0 = 1_600_000_000  # first fix timestamp, UTC seconds
 _DT = 60.0           # seconds between fixes
@@ -82,14 +82,16 @@ class SynthConfig:
             raise ConfigError("noise_sigma must be finite and >= 0")
         if not self.hubs and not self.corridors:
             raise ConfigError("need at least one hub or corridor")
-        for center, radius in [(h.center, h.radius_m) for h in self.hubs] + \
-                [(c.center, c.radius_m) for c in self.corridors]:
-            if radius <= 0:
-                raise ConfigError("site radius must be positive")
-            p = project(center, self.aoi)  # raises if outside the AOI
-            if (p.x - radius < 0 or p.y - radius < 0
-                    or p.x + radius > self.aoi.width_m
-                    or p.y + radius > self.aoi.height_m):
+        if not all(math.isfinite(c.axis) for c in self.corridors):
+            raise ConfigError("corridor axis must be finite")
+        for site in self.hubs + self.corridors:
+            r = site.radius_m
+            if not 0.0 < r < math.inf:
+                raise ConfigError("site radius must be finite and positive")
+            x, y = project_arrays(site.center.lat, site.center.lon, self.aoi)
+            # written so that a NaN or outside center fails it too
+            if not (x - r >= 0 and y - r >= 0 and x + r <= self.aoi.width_m
+                    and y + r <= self.aoi.height_m):
                 raise ConfigError("site disc extends beyond the AOI")
 
 
@@ -118,15 +120,6 @@ def default_sites(aoi: AreaOfInterest = DEFAULT_AOI,
                 corridors.append(
                     Corridor(pos, (len(corridors) % 8) * math.pi / 8, 200.0))
     return tuple(hubs), tuple(corridors)
-
-
-def default_config(seed: int = 42, n_users: int = 50_000,
-                   fixes_per_user: int = 20,
-                   aoi: AreaOfInterest = DEFAULT_AOI) -> SynthConfig:
-    hubs, corridors = default_sites(aoi)
-    return SynthConfig(aoi=aoi, n_users=n_users,
-                       fixes_per_user=fixes_per_user, hubs=hubs,
-                       corridors=corridors, seed=seed)
 
 
 def generate(config: SynthConfig) -> tuple[ParseResult, GroundTruth]:
@@ -170,10 +163,11 @@ def _walk(cfg: SynthConfig, site: np.ndarray, x: np.ndarray,
     """Turn the walk draws in ``x`` and ``y`` into local coordinates in
     place, for users at sites ``site``: hub fixes are uniform points of the
     disc; corridor step k heads along the axis for even k, back for odd k."""
-    sites = cfg.hubs + cfg.corridors
-    xy = [project(s.center, cfg.aoi) for s in sites]
-    cx, cy, radius = (np.array(v, dtype=np.float64)[site, None] for v in (
-        [p.x for p in xy], [p.y for p in xy], [s.radius_m for s in sites]))
+    lat, lon, radius = np.array([(s.center.lat, s.center.lon, s.radius_m)
+                                 for s in cfg.hubs + cfg.corridors],
+                                dtype=np.float64).T
+    cx, cy, radius = (v[site, None] for v in (
+        *project_arrays(lat, lon, cfg.aoi), radius))
     h = np.flatnonzero(site < len(cfg.hubs))
     r, phi = radius[h] * np.sqrt(x[h]), y[h] * TWO_PI
     x[h], y[h] = cx[h] + r * np.cos(phi), cy[h] + r * np.sin(phi)

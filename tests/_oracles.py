@@ -1,8 +1,9 @@
 """Scalar reference implementations the tests check the kernels against.
 
-These are the per-displacement, per-angle, per-histogram, per-mesh,
-per-row and per-user forms of the method: slow and plain, so that the
-columnar code in ``mdemap`` has something independent to agree with.
+These are the per-point, per-displacement, per-angle, per-histogram,
+per-mesh, per-row and per-user forms of the method: slow and plain, so
+that the columnar code in ``mdemap`` has something independent to agree
+with.
 """
 
 import csv
@@ -12,12 +13,39 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from mdemap import (ALL_TIME, AreaOfInterest, CombinedMap, ConfigError,
-                    EmptyHistogramError, GeoPoint, Hub, InvalidAngleError,
-                    LocalCoord, MAX_ENTROPY, MdeField, MeshId, N_BINS,
-                    PointParseError, inverse_project, kernels, mesh_center)
+                    EARTH_RADIUS_M, GeoPoint, Hub, InvalidAngleError,
+                    LocalCoord, MAX_ENTROPY, METERS_PER_DEGREE, MdeField,
+                    MeshId, N_BINS, PointParseError, inverse_project,
+                    kernels, mesh_center)
 from mdemap.io import CENTER_TOLERANCE_DEG, ENTROPY_SLACK
 from mdemap.mesh import TWO_PI
 from mdemap.synth import _STEP_MAX_M, _STEP_MIN_M
+
+
+def project(p: GeoPoint, aoi: AreaOfInterest) -> LocalCoord:
+    """The local coordinate of one point."""
+    return LocalCoord((p.lon - aoi.south_west.lon) * aoi.meters_per_degree_lon,
+                      (p.lat - aoi.south_west.lat) * METERS_PER_DEGREE)
+
+
+def mesh_of(c: LocalCoord, scale_m: int) -> MeshId:
+    """Mesh containing ``c``; boundaries belong to the higher-index cell."""
+    return MeshId(scale_m, int(c.x // scale_m), int(c.y // scale_m))
+
+
+def parent_of(m: MeshId, coarser_scale_m: int) -> MeshId:
+    """Mesh of the coarser grid containing ``m``; the scales divide."""
+    return MeshId(coarser_scale_m, m.col * m.scale_m // coarser_scale_m,
+                  m.row * m.scale_m // coarser_scale_m)
+
+
+def geo_distance(a: GeoPoint, b: GeoPoint) -> float:
+    """Haversine great-circle distance in meters, mean Earth radius."""
+    p1, p2 = math.radians(a.lat), math.radians(b.lat)
+    dl = math.radians(b.lon - a.lon)
+    h = (math.sin((p2 - p1) / 2) ** 2
+         + math.cos(p1) * math.cos(p2) * math.sin(dl / 2) ** 2)
+    return 2.0 * EARTH_RADIUS_M * math.asin(min(1.0, math.sqrt(h)))
 
 
 def direction_of(dx: float, dy: float) -> float:
@@ -78,7 +106,7 @@ def entropy(h: DirectionHistogram) -> float:
     """Shannon entropy of the direction distribution, in nats."""
     total = h.total
     if total == 0:
-        raise EmptyHistogramError("entropy of an empty histogram")
+        raise ValueError("entropy of an empty histogram")
     s = 0.0
     for c in h.counts:
         if c:

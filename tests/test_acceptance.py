@@ -18,14 +18,15 @@ import numpy as np
 import pytest
 
 from mdemap import (AreaOfInterest, DEFAULT_AOI, FieldAccumulator, GeoPoint,
-                    MdeField, MeshId, Station, compute_field, default_config,
-                    extract_movements, find_local_peaks, generate,
-                    geo_distance, mesh_center, mesh_of, parent_of,
-                    precision_curve, project, recall_curve, top_k)
+                    MdeField, MeshId, Station, SynthConfig, compute_fields,
+                    default_sites, extract_movements, find_local_peaks,
+                    generate, mesh_center, precision_curve, recall_curve,
+                    top_k)
 from mdemap.evaluation import DEFAULT_TOP_K
 from mdemap.io import write_stations_csv
 
-from _oracles import DirectionHistogram, entropy, histograms
+from _oracles import (DirectionHistogram, entropy, geo_distance, histograms,
+                      mesh_of, parent_of, project)
 from _throughput import uniform_batch
 from conftest import field_of, map_of
 
@@ -78,14 +79,15 @@ def test_criterion_1_entropy_units():
 def test_criterion_2_rotation_invariance():
     t0 = time.perf_counter()
     batch = uniform_batch(10_000, SMALL_AOI, seed=20)
-    base = _entropies(compute_field(batch, SMALL_AOI, 100, min_samples=1))
+    base = _entropies(compute_fields(batch, SMALL_AOI, (100,),
+                                     min_samples=1)[0][0])
     width = math.pi / 50.0
     worst = 0.0
     for k in range(1, 100):
         rotated = dataclasses.replace(
             batch, theta=np.mod(batch.theta + k * width, 2.0 * math.pi))
-        got = _entropies(compute_field(rotated, SMALL_AOI, 100,
-                                       min_samples=1))
+        got = _entropies(compute_fields(rotated, SMALL_AOI, (100,),
+                                        min_samples=1)[0][0])
         worst = max(worst, float(np.max(np.abs(got - base))))
     dt = time.perf_counter() - t0
     _verdict(2, "rotation invariance over all 99 bin shifts", {
@@ -214,10 +216,12 @@ def test_criterion_5_evaluation_oracle():
 
 def test_criterion_6_synthetic_end_to_end():
     t0 = time.perf_counter()
-    cfg = default_config()  # 8 hubs, 8 corridors, 50k users, 20 fixes, seed 42
+    hubs, corridors = default_sites()
+    # 8 hubs, 8 corridors, 50k users, 20 fixes, seed 42
+    cfg = SynthConfig(hubs=hubs, corridors=corridors)
     points, truth = generate(cfg)
     batch, stats = extract_movements(points, cfg.aoi)
-    field = compute_field(batch, cfg.aoi, 100)
+    [field], _ = compute_fields(batch, cfg.aoi, (100,))
     stations = truth.stations()
     sel = top_k(field, 16)
     rec = recall_curve(sel, stations)

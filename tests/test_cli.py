@@ -443,17 +443,31 @@ def test_count_above_int64_exits_3(pipeline, tmp_path, capsys, command):
      None),
     (["synth"], {"users": "many"}),
     (["synth"], {"fixes": [20]}),
-    (["synth"], {"seed": float("inf")})], ids=[
+    (["synth"], {"seed": float("inf")}),
+    # numbers that int() would truncate, and a boolean it reads as 1
+    (["compute", "points.csv"], {"scales": [100.9, 1000]}),
+    (["compute", "points.csv"], {"min_samples": 2.5}),
+    (["synth"], {"users": True, "fixes": 3.9}),
+    (["synth"], {"seed": 1.5}),
+    (["evaluate", "mde_100m.csv", "--stations", "s.csv"],
+     {"top_k": {"100": 2.5}})], ids=[
         "aoi", "scales-text", "scales-fraction", "top-k", "radii",
-        "config-text", "config-list", "config-infinity"])
+        "config-text", "config-list", "config-infinity",
+        "config-scales-fraction", "config-min-samples-fraction",
+        "config-users-boolean", "config-seed-fraction",
+        "config-top-k-fraction"])
 def test_unreadable_settings_are_config_errors(tmp_path, capsys, argv,
                                                config):
+    # the setting the message must name
+    key = next(iter(config)) if config else \
+        argv[-2].lstrip("-").replace("-", "_")
     if config is not None:
         (tmp_path / "cfg.json").write_text(json.dumps(config))
         argv = argv + ["--config", str(tmp_path / "cfg.json")]
     assert main(argv + ["--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("mdemap: config error: ") and "Traceback" not in err
+    assert key in err
     assert not (tmp_path / "out").exists()
 
 

@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 
 from mdemap import (ConfigError, EmptyFieldError, GeoPoint, MeshId, Station,
-                    check_stations, default_x_values, geo_distance,
-                    mesh_center, precision_curve, recall_curve, top_k)
+                    check_stations, default_x_values, mesh_center,
+                    precision_curve, recall_curve, top_k)
 from mdemap.evaluation import (DEFAULT_RADII_KM, DEFAULT_THRESHOLDS_M,
                                DEFAULT_TOP_K)
 from mdemap.mesh import METERS_PER_DEGREE
 
+from _oracles import geo_distance
 from conftest import field_of
 
 

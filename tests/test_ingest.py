@@ -181,7 +181,9 @@ def test_extract_simple_north_pair(small_aoi):
     assert batch.displacement[0] == pytest.approx(100.0, rel=1e-6)
     assert batch.duration[0] == 60.0
     assert batch.t[0] == 60.0
-    assert stats.n_vectors == 1 and stats.dropped == 0
+    assert stats.n_vectors == 1
+    assert (stats.dropped_duplicate, stats.dropped_gap, stats.dropped_short,
+            stats.dropped_no_heading) == (0, 0, 0, 0)
     # origin is the earlier fix
     assert (batch.origin_lat[0], batch.origin_lon[0]) == pytest.approx(
         (pts.lat[0], pts.lon[0]), abs=1e-12)

@@ -76,7 +76,8 @@ def test_field_entropy_sums_in_bin_order():
 
 
 def test_min_haversine_value():
-    from mdemap import GeoPoint, geo_distance
+    from mdemap import GeoPoint
+    from _oracles import geo_distance
     d = kernels.min_haversine_m(
         np.array([35.5]), np.array([139.5]),
         np.array([35.6, 35.9]), np.array([139.4, 139.9]), 6_371_000.0)

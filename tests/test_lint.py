@@ -1,6 +1,7 @@
 """Static checks of the package sources, with the standard library only."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -40,3 +41,55 @@ def test_the_check_finds_unused_imports():
     tree = ast.parse("import os, sys\nfrom math import pi, tau as t\n"
                      "from .x import A\n__all__ = ['A']\nprint(sys.argv, t)\n")
     assert _unused_imports(tree) == ["line 1: os", "line 2: pi"]
+
+
+ROOT = SRC.parents[1]
+
+
+def _defined_names(tree: ast.Module) -> list[str]:
+    """The names a module binds at its top level, dunders left out."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            names += [n.id for t in targets for n in ast.walk(t)
+                      if isinstance(n, ast.Name)]
+    return [n for n in names if not (n.startswith("__") and n.endswith("__"))]
+
+
+def _dead_names(modules: dict[str, ast.Module], text: str) -> list[str]:
+    """``module.name`` of each top-level name that no module but
+    ``__init__`` reads, as a name or an attribute, and no word of ``text``
+    names."""
+    used = set(re.findall(r"\w+", text))
+    for module, tree in modules.items():
+        if module != "__init__":
+            used |= {getattr(n, "id", None) or n.attr for n in ast.walk(tree)
+                     if isinstance(n, (ast.Name, ast.Attribute))
+                     and isinstance(n.ctx, ast.Load)}
+    return [f"{module}.{name}" for module, tree in sorted(modules.items())
+            for name in _defined_names(tree) if name not in used]
+
+
+def test_no_dead_names():
+    """perfbench names what it wraps in strings, and the README's library
+    example is the public API's one documented caller."""
+    example = re.search(r"## Library use\n\n```python\n(.*?)```",
+                        (ROOT / "README.md").read_text(), re.DOTALL)[1]
+    text = example + "".join(p.read_text()
+                             for p in sorted(ROOT.glob("perfbench/*.py")))
+    modules = {p.stem: ast.parse(p.read_text(), str(p))
+               for p in SRC.glob("*.py")}
+    assert _dead_names(modules, text) == []
+
+
+def test_the_check_finds_dead_names():
+    modules = {name: ast.parse(source) for name, source in {
+        "__init__": "from .a import dead, kept, X\n__all__ = ['dead', 'X']\n",
+        "a": "def dead(): pass\ndef kept(): pass\nclass X: pass\n"
+             "__version__ = '1'\n_y, z = 1, 2\nw: int = 3\n",
+        "b": "from . import a\nfrom .a import kept\nkept(a.z)\n"}.items()}
+    assert _dead_names(modules, "X = 1") == ["a.dead", "a._y", "a.w"]

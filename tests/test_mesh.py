@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mdemap import (AreaOfInterest, DEFAULT_AOI, GeoPoint, LocalCoord,
-                    MeshId, METERS_PER_DEGREE, ConfigError, InvalidScaleError,
-                    OutOfAreaError, geo_distance, inverse_project,
-                    mesh_center, mesh_centers, mesh_corners, mesh_of,
-                    parent_of, project)
+                    MeshId, METERS_PER_DEGREE, ConfigError, compute_fields,
+                    inverse_project, kernels, mesh_center, mesh_centers,
+                    mesh_corners)
+from mdemap.field import _mesh_index
 from mdemap.mesh import project_arrays
 
 import _oracles as oracles
+from conftest import batch_at
 
 # frozen oracle values, 50-digit arithmetic on the R=6,371,000 m sphere
 EW_SPAN_M = 63367.72784198471      # haversine (35.5,139.3)-(35.5,140.0)
@@ -28,29 +29,21 @@ def test_meters_per_degree_is_mean_radius_arc():
 
 
 def test_project_anchor_is_sw_corner():
-    c = project(GeoPoint(35.5, 139.3), DEFAULT_AOI)
-    assert (c.x, c.y) == (0.0, 0.0)
+    assert project_arrays(35.5, 139.3, DEFAULT_AOI) == (0.0, 0.0)
 
 
 def test_project_ne_corner_extents():
-    c = project(GeoPoint(35.85, 140.0), DEFAULT_AOI)
-    assert c.x == pytest.approx(AOI_WIDTH_M, abs=1e-6)
-    assert c.y == pytest.approx(AOI_HEIGHT_M, abs=1e-6)
-    assert DEFAULT_AOI.width_m == c.x
-    assert DEFAULT_AOI.height_m == c.y
+    x, y = project_arrays(np.array([35.85]), np.array([140.0]), DEFAULT_AOI)
+    assert x[0] == pytest.approx(AOI_WIDTH_M, abs=1e-6)
+    assert y[0] == pytest.approx(AOI_HEIGHT_M, abs=1e-6)
+    assert DEFAULT_AOI.width_m == x[0]
+    assert DEFAULT_AOI.height_m == y[0]
 
 
 def test_projection_vs_haversine_within_0p3_percent():
     # the flat projection compresses east-west spans vs the great circle
     assert abs(DEFAULT_AOI.width_m - EW_SPAN_M) / EW_SPAN_M < 3e-3
     assert abs(DEFAULT_AOI.height_m - NS_SPAN_M) / NS_SPAN_M < 1e-3
-
-
-def test_project_outside_raises():
-    with pytest.raises(OutOfAreaError):
-        project(GeoPoint(35.4, 139.5), DEFAULT_AOI)
-    with pytest.raises(OutOfAreaError):
-        project(GeoPoint(35.6, 140.1), DEFAULT_AOI)
 
 
 def test_project_inverse_roundtrip():
@@ -65,36 +58,26 @@ def test_project_inverse_roundtrip():
 
 
 def test_mesh_of_floor_and_half_open():
-    assert mesh_of(LocalCoord(0.0, 0.0), 100) == MeshId(100, 0, 0)
-    assert mesh_of(LocalCoord(250.0, 150.0), 100) == MeshId(100, 2, 1)
-    # boundary belongs to the higher-index cell
-    assert mesh_of(LocalCoord(100.0, 0.0), 100) == MeshId(100, 1, 0)
-    assert mesh_of(LocalCoord(99.999999, 0.0), 100) == MeshId(100, 0, 0)
-
-
-def test_mesh_of_negative_raises():
-    with pytest.raises(OutOfAreaError):
-        mesh_of(LocalCoord(-0.001, 5.0), 100)
+    # the flat index row * ncols + col, ncols = 10; a boundary belongs to
+    # the higher-index cell
+    x = np.array([0.0, 250.0, 100.0, 99.999999])
+    y = np.array([0.0, 150.0, 0.0, 0.0])
+    assert _mesh_index(x, y, 100, 10).tolist() == [0, 12, 1, 0]
 
 
 def test_parent_nesting_all_scale_pairs():
     rng = np.random.default_rng(11)
-    pairs = [(100, 1000), (1000, 2000), (2000, 4000), (100, 4000)]
-    for _ in range(300):
-        x = rng.uniform(0, DEFAULT_AOI.width_m)
-        y = rng.uniform(0, DEFAULT_AOI.height_m)
-        for fine, coarse in pairs:
-            child = mesh_of(LocalCoord(x, y), fine)
-            parent = parent_of(child, coarse)
-            # the same point indexed at the coarse scale
-            assert parent == mesh_of(LocalCoord(x, y), coarse)
-
-
-def test_parent_requires_divisible_scales():
-    with pytest.raises(InvalidScaleError):
-        parent_of(MeshId(1000, 1, 1), 2500)
-    with pytest.raises(InvalidScaleError):
-        parent_of(MeshId(1000, 1, 1), 100)  # finer, not coarser
+    x = rng.uniform(0, DEFAULT_AOI.width_m, 300)
+    y = rng.uniform(0, DEFAULT_AOI.height_m, 300)
+    ncols = {s: DEFAULT_AOI.grid_shape(s)[0] for s in (100, 1000, 2000, 4000)}
+    for fine, coarse in [(100, 1000), (1000, 2000), (2000, 4000),
+                         (100, 4000)]:
+        row, col = np.divmod(_mesh_index(x, y, fine, ncols[fine]),
+                             ncols[fine])
+        k = coarse // fine
+        # the parent of each fine mesh is the same point's coarse mesh
+        assert np.array_equal((row // k) * ncols[coarse] + col // k,
+                              _mesh_index(x, y, coarse, ncols[coarse]))
 
 
 def test_mesh_center_and_corners():
@@ -109,36 +92,37 @@ def test_mesh_center_and_corners():
     assert c.lat == pytest.approx((south[0] + north[0]) / 2, abs=1e-12)
     assert c.lon == pytest.approx((west[0] + east[0]) / 2, abs=1e-12)
     # center is the corner midpoint in local coordinates
-    mid = project(c, DEFAULT_AOI)
-    assert mid.x == pytest.approx(2000.0, abs=1e-9)
-    assert mid.y == pytest.approx(2000.0, abs=1e-9)
+    x, y = project_arrays(c.lat, c.lon, DEFAULT_AOI)
+    assert x == pytest.approx(2000.0, abs=1e-9)
+    assert y == pytest.approx(2000.0, abs=1e-9)
 
 
 def test_grid_shape_covers_closed_ne_edge():
     ncols, nrows = DEFAULT_AOI.grid_shape(100)
     assert (ncols, nrows) == (633, 390)
-    ne = project(GeoPoint(35.85, 140.0), DEFAULT_AOI)
-    m = mesh_of(ne, 100)
-    assert m.col < ncols and m.row < nrows
+    x, y = project_arrays(np.array([35.85]), np.array([140.0]), DEFAULT_AOI)
+    row, col = np.divmod(_mesh_index(x, y, 100, ncols), ncols)
+    assert col[0] < ncols and row[0] < nrows
 
 
 def test_geo_distance_oracle_values():
-    assert geo_distance(GeoPoint(35.5, 139.3),
-                        GeoPoint(35.5, 140.0)) == pytest.approx(
-                            EW_SPAN_M, abs=1.0)
-    assert geo_distance(GeoPoint(35.5, 139.3),
-                        GeoPoint(35.85, 139.3)) == pytest.approx(
-                            NS_SPAN_M, abs=1.0)
-    assert geo_distance(GeoPoint(35.7, 139.5), GeoPoint(35.7, 139.5)) == 0.0
+    # each point of A against its own point of B, as one-point sets
+    d = [kernels.min_haversine_m([a.lat], [a.lon], [b.lat], [b.lon])[0]
+         for a, b in [(GeoPoint(35.5, 139.3), GeoPoint(35.5, 140.0)),
+                      (GeoPoint(35.5, 139.3), GeoPoint(35.85, 139.3)),
+                      (GeoPoint(35.7, 139.5), GeoPoint(35.7, 139.5))]]
+    assert d[0] == pytest.approx(EW_SPAN_M, abs=1.0)
+    assert d[1] == pytest.approx(NS_SPAN_M, abs=1.0)
+    assert d[2] == 0.0
 
 
 def test_geo_distance_symmetry_and_antipodal_cap():
     rng = np.random.default_rng(12)
     for _ in range(100):
-        a = GeoPoint(rng.uniform(-90, 90), rng.uniform(-180, 180))
-        b = GeoPoint(rng.uniform(-90, 90), rng.uniform(-180, 180))
-        d_ab = geo_distance(a, b)
-        assert d_ab == geo_distance(b, a)
+        a = [rng.uniform(-90, 90)], [rng.uniform(-180, 180)]
+        b = [rng.uniform(-90, 90)], [rng.uniform(-180, 180)]
+        d_ab = kernels.min_haversine_m(*a, *b)[0]
+        assert d_ab == kernels.min_haversine_m(*b, *a)[0]
         assert 0.0 <= d_ab <= math.pi * 6_371_000.0 + 1e-6
 
 
@@ -152,9 +136,12 @@ def test_aoi_validation():
 
 
 def test_contains_is_closed_on_boundary():
-    assert DEFAULT_AOI.contains(GeoPoint(35.5, 139.3))
-    assert DEFAULT_AOI.contains(GeoPoint(35.85, 140.0))
-    assert not DEFAULT_AOI.contains(GeoPoint(35.85000001, 140.0))
+    # the field build keeps the vectors whose origin lies in the area
+    vecs = batch_at(DEFAULT_AOI, [35.5, 35.85, 35.85000001],
+                    [139.3, 140.0, 140.0], 0.0)
+    fields, dropped = compute_fields(vecs, DEFAULT_AOI, (100,),
+                                     min_samples=1)
+    assert dropped == 1 and fields[0].count.sum() == 2
 
 
 @given(scale=st.sampled_from([1, 7, 100, 1000, 4000]),

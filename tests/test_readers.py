@@ -70,7 +70,8 @@ _mutations = st.lists(st.tuples(
 
 
 def _damage(rows, mutations, shape):
-    """The lines of ``rows`` (header first) after ``mutations``."""
+    """The lines of ``rows`` (header first) after ``mutations``. A named
+    column that a shortened row no longer has is left alone."""
     rows = [list(r) for r in rows]
     at = {name: k for k, name in enumerate(rows[0])}
     ends = ["\r\n"] * len(rows)
@@ -82,18 +83,24 @@ def _damage(rows, mutations, shape):
             cells[j % len(cells)] = text
         elif what == "shift":
             k = at[["center_lat", "center_lon"][j % 2]]
-            try:
-                cells[k] = repr(float(cells[k]) + delta)
-            except ValueError:
-                cells[k] = text
+            if k < len(cells):
+                try:
+                    cells[k] = repr(float(cells[k]) + delta)
+                except ValueError:
+                    cells[k] = text
         elif what == "grid":
-            cells[at[["col", "row"][j % 2]]] = str([-1, shape[j % 2]][j // 2 % 2])
+            k = at[["col", "row"][j % 2]]
+            if k < len(cells):
+                cells[k] = str([-1, shape[j % 2]][j // 2 % 2])
         elif what == "scale":
-            cells[at["scale_m"]] = ["1000", "100", "0", "-100", "4000"][j % 5]
+            k = at["scale_m"]
+            if k < len(cells):
+                cells[k] = ["1000", "100", "0", "-100", "4000"][j % 5]
         elif what == "repeat":
             other = rows[1 + j % (len(rows) - 1)]
             for name in FIELD_HEADER[:5]:
-                cells[at[name]] = other[at[name]]
+                if at[name] < min(len(cells), len(other)):
+                    cells[at[name]] = other[at[name]]
         elif what == "short":
             cells.pop()
         elif what == "long":
@@ -126,6 +133,11 @@ def _outcome(read, path, values):
               for c in ("col", "row", *values)))
 
 
+# the one row of a 100 m field, mesh (0, 0) with a count of 0
+_ONE_ROW = ["100", "0", "0", "35.50044966080296", "139.3005524336454", "0",
+            "", ""]
+
+
 @settings(max_examples=400)
 @given(table=_tables(), mutations=_mutations,
        block=st.sampled_from([48, 200, 1000, 1 << 20]))
@@ -133,6 +145,16 @@ def _outcome(read, path, values):
                                                  "1", "", ""]],
                 list(range(8)), AOI.grid_shape(100)), mutations=[],
          block=1 << 20)
+# a short row loses its last column, here center_lat, then center_lon,
+# before a shift or a repeat names it
+@example(table=("field", [list(FIELD_HEADER), _ONE_ROW],
+                [0, 1, 2, 4, 5, 6, 7, 3], AOI.grid_shape(100)),
+         mutations=[("short", 0, 0, "nan", 1e-10),
+                    ("shift", 0, 0, "nan", 1e-10)], block=48)
+@example(table=("field", [list(FIELD_HEADER), _ONE_ROW],
+                [0, 1, 2, 3, 5, 6, 7, 4], AOI.grid_shape(100)),
+         mutations=[("short", 0, 0, "nan", 1e-10),
+                    ("repeat", 0, 0, "nan", 1e-10)], block=48)
 def test_bulk_readers_agree_with_per_row_readers(tmp_path_factory, table,
                                                  mutations, block):
     kind, rows, order, shape = table

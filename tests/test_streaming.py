@@ -198,7 +198,9 @@ def test_compute_memory_grows_by_the_kept_vectors(cities):
 def test_points_writer_memory_does_not_grow(tmp_path):
     peaks = {}
     for users in (2000, 8000):
-        points, _ = synth.generate(synth.default_config(3, users))
+        hubs, corridors = synth.default_sites()
+        points, _ = synth.generate(synth.SynthConfig(
+            n_users=users, hubs=hubs, corridors=corridors, seed=3))
         peaks[users] = _peak(lambda: write_points_csv(
             points, tmp_path / "points.csv"))
     per_point = (peaks[8000] - peaks[2000]) / ((8000 - 2000) * 20)

@@ -1,5 +1,6 @@
 """Synthetic trace generator: determinism and planted structure."""
 
+import json
 import math
 from dataclasses import replace
 
@@ -8,12 +9,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mdemap import (ConfigError, DEFAULT_AOI, GeoPoint, Hub, Corridor,
-                    LocalCoord, SynthConfig, compute_field, default_config,
-                    default_sites, extract_movements, generate, geo_distance,
-                    inverse_project, mesh_of, project)
+                    LocalCoord, SynthConfig, compute_fields, default_sites,
+                    extract_movements, generate, inverse_project, mesh_center)
+from mdemap.cli import main
 from mdemap.synth import _DT, _T0
 
 import _oracles as oracles
+from _oracles import geo_distance, mesh_of, project
 from conftest import points_of
 
 LN2 = math.log(2.0)
@@ -22,6 +24,13 @@ LN2 = math.log(2.0)
 def _positions(points):
     """Each point's position as a ``GeoPoint``."""
     return list(map(GeoPoint, points.lat.tolist(), points.lon.tolist()))
+
+
+def _city(seed=42, n_users=50_000, fixes_per_user=20):
+    """The synthetic city of the ``synth`` command."""
+    hubs, corridors = default_sites()
+    return SynthConfig(n_users=n_users, fixes_per_user=fixes_per_user,
+                       hubs=hubs, corridors=corridors, seed=seed)
 
 
 def _one_site_config(small_aoi, site, **kw):
@@ -77,13 +86,12 @@ def test_sorted_by_user_then_time(small_aoi):
 
 
 def test_hub_mesh_is_near_max_entropy(small_aoi):
-    from mdemap import mesh_center
     hub = Hub(mesh_center(mesh_of(project(GeoPoint(35.515, 139.325),
                                           small_aoi), 100), small_aoi), 45.0)
     cfg = _one_site_config(small_aoi, hub, n_users=120)
     pts, _ = generate(cfg)
     batch, stats = extract_movements(pts, small_aoi)
-    field = compute_field(batch, small_aoi, 100)
+    [field], _ = compute_fields(batch, small_aoi, (100,))
     hub_mesh = mesh_of(project(hub.center, small_aoi), 100)
     assert stats.n_vectors >= 1000
     entry = field.entries[hub_mesh]
@@ -98,7 +106,7 @@ def test_corridor_mesh_entropy_is_two_lobed(small_aoi):
     cfg = _one_site_config(small_aoi, cor, n_users=200)
     pts, _ = generate(cfg)
     batch, _ = extract_movements(pts, small_aoi)
-    field = compute_field(batch, small_aoi, 1000, min_samples=100)
+    [field], _ = compute_fields(batch, small_aoi, (1000,), min_samples=100)
     th = batch.theta
     # directions hug the axis and its reverse
     dist = np.minimum(np.abs(th - 0.0), np.abs(th - math.pi))
@@ -148,15 +156,18 @@ def test_default_sites_layout():
         assert p.y - 45.0 >= m.row * 100 and p.y + 45.0 <= (m.row + 1) * 100
 
 
-def test_default_config_wires_sites():
-    cfg = default_config(n_users=100, fixes_per_user=5)
-    assert cfg.seed == 42
-    assert len(cfg.hubs) == 8 and len(cfg.corridors) == 8
-    assert cfg.background_rate == 0.05 and cfg.noise_sigma == 0.05
+def test_default_config_wires_sites(tmp_path):
+    assert main(["synth", "--users", "100", "--fixes", "5",
+                 "--out", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "synth_summary.json").read_text())
+    assert summary["seed"] == 42
+    assert summary["hubs"] == 8 and summary["corridors"] == 8
+    assert summary["background_rate"] == 0.05
+    assert summary["noise_sigma"] == 0.05
 
 
 def test_ground_truth_stations():
-    cfg = default_config(n_users=1)
+    cfg = _city(n_users=1)
     _, truth = generate(cfg)
     stations = truth.stations()
     assert [s.rank for s in stations] == list(range(1, 9))
@@ -175,10 +186,22 @@ def test_config_validation(small_aoi):
     for sigma in (-0.1, math.nan, math.inf):
         with pytest.raises(ConfigError, match="noise_sigma"):
             SynthConfig(aoi=small_aoi, hubs=(hub,), noise_sigma=sigma)
-    with pytest.raises(ConfigError):
-        SynthConfig(aoi=small_aoi, hubs=(Hub(GeoPoint(35.515, 139.325), 0.0),))
-    with pytest.raises(Exception):
-        SynthConfig(aoi=small_aoi, hubs=(Hub(GeoPoint(36.5, 139.325), 45.0),))
+    center = GeoPoint(35.515, 139.325)
+    for radius in (0.0, math.nan, math.inf):
+        with pytest.raises(ConfigError, match="radius"):
+            SynthConfig(aoi=small_aoi, hubs=(Hub(center, radius),))
+        with pytest.raises(ConfigError, match="radius"):
+            SynthConfig(aoi=small_aoi,
+                        corridors=(Corridor(center, 0.0, radius),))
+    for axis in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ConfigError, match="axis"):
+            SynthConfig(aoi=small_aoi,
+                        corridors=(Corridor(center, axis, 200.0),))
+    # centers outside the area, or not a number
+    for outside in (GeoPoint(36.5, 139.325), GeoPoint(math.nan, 139.325),
+                    GeoPoint(35.515, math.nan)):
+        with pytest.raises(ConfigError, match="beyond the AOI"):
+            SynthConfig(aoi=small_aoi, hubs=(Hub(outside, 45.0),))
     # disc poking over the AOI edge
     with pytest.raises(ConfigError):
         SynthConfig(aoi=small_aoi,
@@ -234,7 +257,7 @@ def _reference_generate(cfg):
 @example(n_users=11, fixes=20, background_rate=0.05, sigma=0.05, seed=7)
 def test_generate_matches_per_fix_reference(n_users, fixes, background_rate,
                                             sigma, seed):
-    cfg = replace(default_config(seed, n_users, fixes),
+    cfg = replace(_city(seed, n_users, fixes),
                   background_rate=background_rate, noise_sigma=sigma)
     got, _ = generate(cfg)
     want = _reference_generate(cfg)
