@@ -28,8 +28,9 @@ from .evaluation import (DEFAULT_RADII_KM, DEFAULT_THRESHOLDS_M,
                          recall_curve, top_k)
 from .field import ALL_TIME, TimeWindow, compute_fields
 from .fusion import combine, find_local_peaks, normalize
-from .ingest import (ExtractionStats, MovementBatch, extract_movements,
-                     parse_points, point_blocks, user_groups)
+from .ingest import (ExtractionStats, MovementBatch, _csv_blocks,
+                     extract_movements, parse_points, point_blocks,
+                     user_groups)
 from .mesh import (AreaOfInterest, DEFAULT_AOI, mesh_centers,
                    STANDARD_SCALES_M)
 from .synth import SynthConfig, default_sites, generate
@@ -56,8 +57,15 @@ def _int(value) -> int:
     return int(value)
 
 
+def _float(value) -> float:
+    """``float`` of text or a JSON number, refusing a boolean."""
+    if isinstance(value, bool):
+        raise ValueError(f"{value!r} is not a number")
+    return float(value)
+
+
 def _parse_aoi(value) -> AreaOfInterest:
-    parts = [float(p) for p in _items(value)]
+    parts = [_float(p) for p in _items(value)]
     if len(parts) != 4:
         raise ConfigError("--aoi needs lon_min,lon_max,lat_min,lat_max")
     return AreaOfInterest.from_bounds(*parts)
@@ -80,7 +88,7 @@ def _parse_top_k(value) -> dict[int, int]:
 
 
 def _parse_radii(value) -> tuple[float, ...]:
-    radii = tuple(float(r) for r in _items(value))
+    radii = tuple(_float(r) for r in _items(value))
     if not radii or not all(0 < r < math.inf for r in radii):
         raise ConfigError("--radii needs finite positive km values")
     return radii
@@ -124,7 +132,7 @@ def _windows(spec, t: np.ndarray) -> list[TimeWindow]:
     if spec == "all":
         return [ALL_TIME]
     try:
-        width = float(spec)
+        width = _float(spec)
     except (TypeError, ValueError):
         width = math.nan
     if not (math.isfinite(width) and width > 0):
@@ -217,9 +225,11 @@ def build_parser() -> _Parser:
 
 
 def _outdir(args, cfg) -> Path:
-    out = Path(_setting(args, cfg, "out", "."))
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    out = _setting(args, cfg, "out", ".")
+    if not isinstance(out, str):
+        raise ConfigError(f"bad out {out!r}: not a directory name")
+    Path(out).mkdir(parents=True, exist_ok=True)
+    return Path(out)
 
 
 def cmd_synth(args) -> int:
@@ -230,8 +240,8 @@ def cmd_synth(args) -> int:
         aoi=aoi, hubs=hubs, corridors=corridors,
         n_users=_setting(args, cfg, "users", 50_000, _int),
         fixes_per_user=_setting(args, cfg, "fixes", 20, _int),
-        background_rate=_setting(args, cfg, "background_rate", 0.05, float),
-        noise_sigma=_setting(args, cfg, "sigma", 0.05, float),
+        background_rate=_setting(args, cfg, "background_rate", 0.05, _float),
+        noise_sigma=_setting(args, cfg, "sigma", 0.05, _float),
         seed=_setting(args, cfg, "seed", 42, _int))
     out = _outdir(args, cfg)
     points, truth = generate(config)
@@ -302,12 +312,15 @@ def cmd_compute(args) -> int:
     aoi = _setting(args, cfg, "aoi", DEFAULT_AOI, _parse_aoi)
     scales = _setting(args, cfg, "scales", STANDARD_SCALES_M, _parse_scales)
     window_spec = _setting(args, cfg, "window", "all")
-    min_disp = _setting(args, cfg, "min_displacement", 10.0, float)
-    max_gap = _setting(args, cfg, "max_gap", 1800.0, float)
+    _windows(window_spec, np.empty(0))      # refuse a bad spec before output
+    min_disp = _setting(args, cfg, "min_displacement", 10.0, _float)
+    max_gap = _setting(args, cfg, "max_gap", 1800.0, _float)
     min_samples = _setting(args, cfg, "min_samples", 30, _int)
     direction = _setting(args, cfg, "direction", "consecutive")
     fmt = _setting(args, cfg, "fmt", "csv")
-    strict = bool(_setting(args, cfg, "strict", False))
+    strict = _setting(args, cfg, "strict", False)
+    if not isinstance(strict, bool):
+        raise ConfigError(f"bad strict {strict!r}: not true or false")
     out = _outdir(args, cfg)
 
     batch, stats, skipped = _movements(
@@ -370,7 +383,7 @@ def cmd_combine(args) -> int:
     cfg = _load_config(args.config)
     aoi = _setting(args, cfg, "aoi", DEFAULT_AOI, _parse_aoi)
     mode = _setting(args, cfg, "mode", "mean")
-    floor = _setting(args, cfg, "percentile_floor", 90.0, float)
+    floor = _setting(args, cfg, "percentile_floor", 90.0, _float)
     out = _outdir(args, cfg)
     fields = _read_fields(args.fields, aoi)
     layers = [normalize(f) for f in fields]
@@ -433,8 +446,8 @@ def cmd_export(args) -> int:
     cfg = _load_config(args.config)
     aoi = _setting(args, cfg, "aoi", DEFAULT_AOI, _parse_aoi)
     out = _outdir(args, cfg)
-    with open(args.table, "r", encoding="utf-8") as f:
-        header = f.readline().strip().split(",")
+    with open(args.table, "r", encoding="utf-8", newline="") as f:
+        header = next(_csv_blocks(f), [])
     read, geojson = ((mio.read_combined_csv, mio.combined_geojson)
                      if "score" in header else
                      (mio.read_field_csv, mio.field_geojson))

@@ -107,6 +107,8 @@ def _build_point(rec: dict, line_no: int) -> tuple:
     absent heading or speed.
     """
     try:
+        if not isinstance(rec, dict):
+            raise TypeError("line is not a JSON object")
         user = rec["user_id"]
         if user is None or str(user) == "":
             raise ValueError("empty user_id")
@@ -179,56 +181,66 @@ def point_blocks(source, fmt: str = "csv",
             stream.close()
 
 
-def _check_header(names) -> None:
-    missing = [c for c in _REQUIRED if c not in names]
-    if missing:
+def _parse_csv(stream, strict: bool) -> Iterator[ParseResult]:
+    """Plain blocks of ``_csv_blocks`` are split in bulk (``_parse_block``);
+    the rows it refuses, and all csv-module records, go to ``_build_rows``."""
+    blocks = _csv_blocks(stream)
+    if (names := next(blocks, None)) is None:
+        return
+    if missing := [c for c in _REQUIRED if c not in names]:
         raise PointParseError(
             f"header missing columns {', '.join(missing)}", line_no=1)
 
+    def record(cells: list[str]) -> dict:
+        # as DictReader maps a row, less the restkey entry, never read
+        return dict(zip(names, cells)) | dict.fromkeys(names[len(cells):])
 
-def _parse_csv(stream, strict: bool) -> Iterator[ParseResult]:
-    """Blocks of plain lines are split in bulk (``_parse_block``).
+    for line_no, block in blocks:
+        if line_no is None:
+            yield _build_rows(block, record, strict)[0]
+            continue
+        part, keep = _parse_block(block, names)
+        rest, lines = _build_rows(_leftovers(block, keep, line_no), record,
+                                  strict)
+        if lines:               # accepted leftovers go back in file order
+            at = np.concatenate([np.flatnonzero(keep),
+                                 np.array(lines) - line_no - 1])
+            part = _concat([part, rest]).take(np.argsort(at), 0)
+        part.skipped = rest.skipped
+        yield part
 
-    From the first block holding a quote, a bare CR or a line longer than
-    the csv module's field limit, ``csv.DictReader`` reads the rest of the
-    stream row by row, as it reads every row of such files; its rows are
-    cut into blocks of about ``_BLOCK_CHARS`` characters too.
+
+def _csv_blocks(stream) -> Iterator:
+    """The header cells of a CSV text, then its blocks of about
+    ``_BLOCK_CHARS`` characters; an empty text yields nothing.
+
+    While blocks are plain (``_plain``), each is ``(n, lines)``, the first
+    line being line ``n + 1``. From the first that is not, ``csv.reader``
+    reads the rest, and each block is ``(None, records)``: the ``(line,
+    cells)`` of each non-blank record, ``line`` being its last.
     """
-    names = None
-    line_no = 0                 # lines before the current block
-    lines = stream.readlines(_BLOCK_CHARS)
+    line_no, lines = 0, stream.readlines(_BLOCK_CHARS)
     while lines and _plain(lines):
-        if names is None:
-            names = next(csv.reader(lines[:1]), [])
-            _check_header(names)
+        if not line_no:
+            yield next(csv.reader(lines[:1]))
             line_no, lines = 1, lines[1:]
-        yield _parse_block(lines, names, line_no, strict)
+        yield line_no, lines
         line_no += len(lines)
         lines = stream.readlines(_BLOCK_CHARS)
-    if lines:
-        chars = [0]             # characters the reader has taken
-        reader = csv.DictReader(_counted(chain(lines, stream), chars), names)
-        if reader.fieldnames is not None:
-            _check_header(reader.fieldnames)
-        rows: list[tuple] = []
-        skipped = 0
-        for rec in reader:
-            try:
-                rows.append(_build_point(rec, line_no + reader.line_num))
-            except PointParseError:
-                if strict:
-                    raise
-                skipped += 1
-            if chars[0] >= _BLOCK_CHARS:
-                yield _columns(rows, skipped)
-                rows, skipped, chars[0] = [], 0, 0
-        yield _columns(rows, skipped)
-
-
-def _counted(lines: Iterable[str], chars: list[int]) -> Iterator[str]:
-    for line in lines:
-        chars[0] += len(line)
-        yield line
+    if not lines:
+        return
+    reader = csv.reader(chain(lines, stream))
+    if not line_no:
+        yield next(reader, [])
+    records, chars = [], 0
+    for cells in reader:
+        if cells:
+            records.append((line_no + reader.line_num, cells))
+            chars += sum(map(len, cells))
+            if chars >= _BLOCK_CHARS:
+                yield None, records
+                records, chars = [], 0
+    yield None, records
 
 
 def _plain(lines: list[str]) -> bool:
@@ -238,6 +250,15 @@ def _plain(lines: list[str]) -> bool:
     return ('"' not in text
             and ("\r" not in text or text.count("\r") == text.count("\r\n"))
             and max(map(len, lines)) <= csv.field_size_limit())
+
+
+def _leftovers(lines: list[str], keep: np.ndarray,
+               line_no: int) -> Iterator[tuple[int, list[str]]]:
+    """``(line, cells)`` of the non-blank plain lines that ``keep`` leaves
+    out, the first of ``lines`` being line ``line_no + 1``."""
+    for i in np.flatnonzero(~keep).tolist():
+        if line := lines[i].rstrip("\r\n"):
+            yield line_no + i + 1, line.split(",")   # as csv.reader splits
 
 
 def _split(lines: list[str], k: int) -> tuple[np.ndarray, list[str]]:
@@ -254,13 +275,13 @@ def _split(lines: list[str], k: int) -> tuple[np.ndarray, list[str]]:
     return full, cells
 
 
-def _parse_block(lines: list[str], names: list[str], line_no: int,
-                 strict: bool) -> ParseResult:
-    """Rows of plain lines; the first is line ``line_no + 1`` of the file.
+def _parse_block(lines: list[str],
+                 names: list[str]) -> tuple[ParseResult, np.ndarray]:
+    """The rows of plain lines that the bulk checks accept, and their mask.
 
     Lines with one field per header name are split into columns, converted
-    with ``float`` and range-checked in bulk. Any other line, and any row
-    the bulk checks refuse, goes through ``_build_point``.
+    with ``float`` and range-checked in bulk, accepting only rows that
+    ``_build_point`` accepts, with the same values.
     """
     k = len(names)
     col = {name: i for i, name in enumerate(names)}   # last duplicate wins
@@ -286,40 +307,10 @@ def _parse_block(lines: list[str], names: list[str], line_no: int,
                             else np.isfinite(v) & (v >= 0.0))
         optional.append(v)
 
-    at = np.flatnonzero(full)
     keep = np.zeros(len(lines), dtype=bool)
-    keep[at[ok]] = True
-    columns = [np.empty(len(lines), dtype=object),
-               *np.full((5, len(lines)), np.nan)]
-    for column, values in zip(columns, (user, t, lat, lon, *optional)):
-        column[at] = values
-    skipped = 0
-    found, points = [], []
-    for i in np.flatnonzero(~keep).tolist():
-        line = lines[i].rstrip("\r\n")
-        if not line:                # a blank line is no row
-            continue
-        row = line.split(",")           # a plain line: as csv.reader splits
-        rec = dict(zip(names, row))     # and as csv.DictReader maps it
-        if len(row) > k:
-            rec[None] = row[k:]
-        elif len(row) < k:
-            rec.update(dict.fromkeys(names[len(row):]))
-        try:
-            points.append(_build_point(rec, line_no + i + 1))
-        except PointParseError:
-            if strict:
-                raise
-            skipped += 1
-            continue
-        found.append(i)
-    if found:
-        found = np.array(found)
-        keep[found] = True
-        fixed = _columns(points)
-        for column, name in zip(columns, _COLUMNS):
-            column[found] = getattr(fixed, name)
-    return ParseResult(*(c[keep] for c in columns), skipped)
+    keep[np.flatnonzero(full)[ok]] = True
+    return ParseResult(*(c[ok] for c in (np.array(user, dtype=object), t,
+                                         lat, lon, *optional))), keep
 
 
 def _float_or_nan(text: str) -> float:
@@ -429,24 +420,33 @@ def _concat(parts: list[ParseResult]) -> ParseResult:
 def _parse_ndjson(stream, strict: bool) -> Iterator[ParseResult]:
     line_no = 0
     while lines := stream.readlines(_BLOCK_CHARS):
-        rows: list[tuple] = []
-        skipped = 0
-        for line_no, line in enumerate(lines, start=line_no + 1):
-            if not line.strip():
-                continue
+        yield _build_rows([(i, line) for i, line in enumerate(
+            lines, start=line_no + 1) if line.strip()], json.loads,
+            strict)[0]
+        line_no += len(lines)
+
+
+def _build_rows(rows: Iterable[tuple[int, object]], record,
+                strict: bool) -> tuple[ParseResult, list[int]]:
+    """The points of ``(line, raw)`` rows, and the lines they came from.
+
+    ``record(raw)`` is the row's record, or raises ValueError. A row it or
+    ``_build_point`` refuses is skipped and counted, or with ``strict``
+    raises."""
+    points, lines, skipped = [], [], 0
+    for line, raw in rows:
+        try:
             try:
-                try:
-                    rec = json.loads(line)
-                    if not isinstance(rec, dict):
-                        raise ValueError("line is not a JSON object")
-                except ValueError as exc:
-                    raise PointParseError(str(exc), line_no=line_no) from exc
-                rows.append(_build_point(rec, line_no))
-            except PointParseError:
-                if strict:
-                    raise
-                skipped += 1
-        yield _columns(rows, skipped)
+                rec = record(raw)
+            except ValueError as exc:
+                raise PointParseError(str(exc), line_no=line) from exc
+            points.append(_build_point(rec, line))
+            lines.append(line)
+        except PointParseError:
+            if strict:
+                raise
+            skipped += 1
+    return _columns(points, skipped), lines
 
 
 def user_groups(blocks: Iterable[ParseResult]) -> Iterator[ParseResult]:

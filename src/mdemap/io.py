@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from itertools import chain, repeat
+from itertools import repeat
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -19,7 +19,8 @@ from .errors import PointParseError
 from .evaluation import (PrecisionCurve, RecallCurve, Station, check_stations)
 from .field import ALL_TIME, MAX_ENTROPY, MdeField, TimeWindow
 from .fusion import CombinedMap
-from .ingest import _BLOCK_CHARS, ParseResult, _floats_at, _plain, _split
+from .ingest import (ParseResult, _csv_blocks, _floats_at, _leftovers,
+                     _split)
 from .mesh import AreaOfInterest, GeoPoint, mesh_centers, mesh_corners
 
 FIELD_HEADER = ("scale_m", "col", "row", "center_lat", "center_lon",
@@ -166,19 +167,15 @@ class _MeshRows:
         except (IndexError, ValueError) as exc:
             raise PointParseError(str(exc), line_no=line) from exc
 
-    def take(self, line: str, line_no: int, rows: list) -> None:
-        """Add the row of a plain line to ``rows``; a blank line has none."""
-        if line := line.rstrip("\r\n"):
-            rows.append(self(line.split(","), line_no))
-
     def block(self, lines: list[str], line_no: int, rows: list):
         """Columns (line, col, row, *values) of the plain lines from line
         ``line_no + 1`` that pass the bulk checks, or None; the rule takes
         the others, and the first row."""
-        while self.scale is None and lines:     # the first row sets it
-            line_no, (first, *lines) = line_no + 1, lines
-            self.take(first, line_no, rows)
-        if not lines:
+        if self.scale is None:          # the first row sets it
+            for line, cells in _leftovers(lines, np.zeros(len(lines), bool),
+                                          line_no):
+                rows.append(self(cells, line))
+                return self.block(lines[line - line_no:], line, rows)
             return None
         full, cells = _split(lines, self.k)
         text = [cells[i::self.k] for i in self.pos]
@@ -197,29 +194,25 @@ class _MeshRows:
             part = None             # the rule takes every row
         keep = np.zeros(len(lines), dtype=bool)
         keep[part[0] - line_no - 1 if part else []] = True
-        for i in np.flatnonzero(~keep).tolist():
-            self.take(lines[i], line_no + i + 1, rows)
+        rows += [self(cells, line)
+                 for line, cells in _leftovers(lines, keep, line_no)]
         return part
 
 
 def _read_mesh_csv(path, aoi: AreaOfInterest, kind: str):
     """(scale, [col, row, *values]) of a mesh CSV, in (row, col) order.
 
-    From the first block that is not plain, the rule takes every row that
-    ``csv.reader`` reads. The first line repeating a mesh is refused."""
-    parts, rows, rule, line_no = [], [], None, 0
+    Plain blocks of ``_csv_blocks`` are read in bulk; the rule takes every
+    csv-module record. The first line repeating a mesh is refused."""
+    parts, rows = [], []
     with open(path, "r", encoding="utf-8", newline="") as f:
-        lines = f.readlines(_BLOCK_CHARS)
-        while lines and _plain(lines):
-            if rule is None:
-                rule = _MeshRows(next(csv.reader(lines[:1]), []), aoi, kind)
-                line_no, lines = 1, lines[1:]
-            parts.append(rule.block(lines, line_no, rows))
-            line_no += len(lines)
-            lines = f.readlines(_BLOCK_CHARS)
-        reader = csv.reader(chain(lines, f))
-        rule = rule or _MeshRows(next(reader, []), aoi, kind)
-        rows += [rule(rec, line_no + reader.line_num) for rec in reader if rec]
+        blocks = _csv_blocks(f)
+        rule = _MeshRows(next(blocks, []), aoi, kind)
+        for line_no, block in blocks:
+            if line_no is None:
+                rows += [rule(cells, line) for line, cells in block]
+            else:
+                parts.append(rule.block(block, line_no, rows))
     if rule.scale is None:
         raise PointParseError(f"{kind} file has no rows")
     # the first row went through the rule, so ``rows`` sets the dtypes

@@ -15,7 +15,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from mdemap import (AreaOfInterest, DEFAULT_AOI, FieldAccumulator, GeoPoint,
                     MdeField, MeshId, Station, SynthConfig, compute_fields,

@@ -113,6 +113,19 @@ def test_export_detects_combined(pipeline, tmp_path):
     assert "score" in gj["features"][0]["properties"]
 
 
+def test_export_reads_a_quoted_header(pipeline, tmp_path):
+    assert main(["combine", str(pipeline / "mde_1000m.csv"), "--aoi", AOI,
+                 "--out", str(tmp_path)]) == 0
+    data = (tmp_path / "combined.csv").read_bytes()
+    (tmp_path / "quoted.csv").write_bytes(
+        data.replace(b",score\r\n", b',"score"\r\n', 1))
+    for name in ("combined", "quoted"):
+        assert main(["export", str(tmp_path / f"{name}.csv"), "--aoi", AOI,
+                     "--out", str(tmp_path)]) == 0
+    assert ((tmp_path / "quoted.geojson").read_bytes()
+            == (tmp_path / "combined.geojson").read_bytes())
+
+
 def test_windowed_compute(pipeline, tmp_path):
     assert main(["compute", str(pipeline / "points.csv"), "--aoi", AOI,
                  "--scales", "1000", "--window", "300",
@@ -450,12 +463,28 @@ def test_count_above_int64_exits_3(pipeline, tmp_path, capsys, command):
     (["synth"], {"users": True, "fixes": 3.9}),
     (["synth"], {"seed": 1.5}),
     (["evaluate", "mde_100m.csv", "--stations", "s.csv"],
-     {"top_k": {"100": 2.5}})], ids=[
+     {"top_k": {"100": 2.5}}),
+    # booleans that float() reads as 1.0
+    (["synth", "--users", "50", "--fixes", "5"], {"sigma": True}),
+    (["synth", "--users", "50", "--fixes", "5"], {"background_rate": True}),
+    (["compute", "points.csv"], {"aoi": [True, 140.0, 35.5, 35.85]}),
+    (["compute", "points.csv"], {"window": True}),
+    (["compute", "points.csv"], {"min_displacement": True}),
+    (["compute", "points.csv"], {"max_gap": True}),
+    (["combine", "mde_100m.csv"], {"percentile_floor": True}),
+    (["evaluate", "mde_100m.csv", "--stations", "s.csv"],
+     {"radii": [True, 2.0]}),
+    # a text that bool() reads as true
+    (["compute", "points.csv"], {"strict": "no"})], ids=[
         "aoi", "scales-text", "scales-fraction", "top-k", "radii",
         "config-text", "config-list", "config-infinity",
         "config-scales-fraction", "config-min-samples-fraction",
         "config-users-boolean", "config-seed-fraction",
-        "config-top-k-fraction"])
+        "config-top-k-fraction", "config-sigma-boolean",
+        "config-background-rate-boolean", "config-aoi-boolean",
+        "config-window-boolean", "config-min-displacement-boolean",
+        "config-max-gap-boolean", "config-percentile-floor-boolean",
+        "config-radii-boolean", "config-strict-text"])
 def test_unreadable_settings_are_config_errors(tmp_path, capsys, argv,
                                                config):
     # the setting the message must name
@@ -469,6 +498,18 @@ def test_unreadable_settings_are_config_errors(tmp_path, capsys, argv,
     assert err.startswith("mdemap: config error: ") and "Traceback" not in err
     assert key in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("out", [5, ["out"], True],
+                         ids=["number", "list", "boolean"])
+def test_config_out_must_be_text(tmp_path, capsys, monkeypatch, out):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps({"out": out}))
+    assert main(["synth", "--users", "5", "--fixes", "2",
+                 "--config", "cfg.json"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("mdemap: config error: bad out ")
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
 def test_config_file_that_is_not_utf8_is_a_config_error(tmp_path, capsys):

@@ -681,6 +681,91 @@ def test_parse_equals_row_reference(case, block):
                                 strict=True) == got
 
 
+def _ndjson_reference(text: str, strict: bool = False):
+    """NDJSON row by row: ``json.loads`` and ``_build_point`` per line, as
+    ``(rows, skipped)``."""
+    points, skipped = [], 0
+    for line_no, line in enumerate(text.split("\n"), start=1):
+        if not line.strip():
+            continue
+        try:
+            try:
+                rec = json.loads(line)
+            except ValueError:
+                rec = None
+            if not isinstance(rec, dict):
+                raise PointParseError("no JSON object", line_no=line_no)
+            points.append(_build_point(rec, line_no))
+        except PointParseError:
+            if strict:
+                raise
+            skipped += 1
+    return points, skipped
+
+
+_JSON_VALID = {
+    "user_id": st.text("abé1 ", min_size=1, max_size=4) | st.integers(0, 9),
+    "timestamp": st.one_of(
+        st.integers(-10 ** 10, 10 ** 10), st.floats(-1e12, 1e12),
+        _DATES.map(_iso), _DATES.map(lambda d: _iso(d, "+09:00"))),
+    "lat": st.floats(-90, 90) | st.integers(-90, 90) | _numbers(-90, 90),
+    "lon": st.floats(-180, 180) | _numbers(-180, 180),
+    "heading": st.sampled_from([None, ""]) | st.floats(
+        0, 2 * math.pi, exclude_max=True),
+    "speed": st.sampled_from([None, ""]) | st.floats(0, 1e3),
+}
+# Values some or all fields refuse; booleans are not numbers
+_JSON_ODD = st.sampled_from([
+    True, False, None, "", " ", "x", "nan", [1], {}, math.nan, math.inf,
+    -math.inf, -1e3, 1e3, 10 ** 400, "2024-13-01T00:00:00Z"])
+
+
+@st.composite
+def _ndjson_file(draw):
+    """An NDJSON text mixing valid objects, objects with refused or
+    missing fields, blank lines, other JSON values and text that is no
+    JSON."""
+    lines = []
+    for _ in range(draw(st.integers(0, 25))):
+        kind = draw(st.sampled_from(["row"] * 4 + [
+            "odd", "odd", "missing", "blank", "value", "broken"]))
+        rec = {k: draw(v) for k, v in _JSON_VALID.items()
+               if k in ("user_id", "timestamp", "lat", "lon")
+               or draw(st.booleans())}
+        key = draw(st.sampled_from(sorted(rec)))
+        if kind == "odd":
+            rec[key] = draw(_JSON_ODD)
+        elif kind == "missing":
+            del rec[key]
+        lines.append(json.dumps(rec) if kind in ("row", "odd", "missing")
+                     else draw(st.sampled_from({
+                         "blank": ["", "  ", "\t"],
+                         "value": ["[1, 2]", "3", '"x"', "null", "true",
+                                   "NaN"],
+                         "broken": ["{", '{"a": }', "{'a': 1}", "oops"],
+                     }[kind])))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+@settings(max_examples=200)
+@given(text=_ndjson_file(), block=st.integers(1, 80))
+def test_parse_ndjson_equals_row_reference(text, block):
+    with mock.patch.object(ingest, "_BLOCK_CHARS", block):
+        got = parse_points(io.StringIO(text), fmt="ndjson")
+        points, skipped = _ndjson_reference(text)
+        assert got.skipped == skipped
+        assert _column_rows(got) == _point_rows(points)
+        try:
+            _ndjson_reference(text, strict=True)
+        except PointParseError as want:
+            with pytest.raises(PointParseError) as err:
+                parse_points(io.StringIO(text), fmt="ndjson", strict=True)
+            assert err.value.line_no == want.line_no
+        else:
+            assert parse_points(io.StringIO(text), fmt="ndjson",
+                                strict=True) == got
+
+
 @pytest.mark.parametrize("name, cell", [
     ("user_id", ""), ("user_id", " "), ("timestamp", "inf"),
     ("timestamp", "-1e308"), ("timestamp", "1_600_000_000"),

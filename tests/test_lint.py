@@ -1,4 +1,5 @@
-"""Static checks of the package sources, with the standard library only."""
+"""Static checks of the package and test sources, with the standard library
+only."""
 
 import ast
 import re
@@ -6,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "mdemap"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "mdemap"
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
@@ -31,8 +33,8 @@ def _unused_imports(tree: ast.Module) -> list[str]:
             if name not in used]
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
-                         ids=lambda p: p.name)
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py"))
+                         + sorted(TESTS.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(ast.parse(path.read_text(), str(path))) == []
 

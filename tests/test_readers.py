@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mdemap import MAX_ENTROPY, AreaOfInterest, PointParseError, mesh_centers
-from mdemap import io as mio
+from mdemap import ingest, io as mio
 from mdemap.io import FIELD_HEADER
 
 import _oracles as oracles
@@ -162,7 +162,7 @@ def test_bulk_readers_agree_with_per_row_readers(tmp_path_factory, table,
     path = tmp_path_factory.mktemp("readers") / "table.csv"
     path.write_bytes(_damage(rows, mutations, shape).encode())
     bulk, oracle, values = KINDS[kind]
-    with mock.patch.object(mio, "_BLOCK_CHARS", block):
+    with mock.patch.object(ingest, "_BLOCK_CHARS", block):
         got = _outcome(bulk, path, values)
     assert got == _outcome(oracle, path, values)
 
@@ -177,7 +177,7 @@ def test_block_boundaries_keep_line_numbers(tmp_path):
     lines[40] = lines[40].replace(",5,1.5,", ",5,nan,")
     path = tmp_path / "field.csv"
     path.write_text("\r\n".join(lines) + "\r\n")
-    with mock.patch.object(mio, "_BLOCK_CHARS", 300):
+    with mock.patch.object(ingest, "_BLOCK_CHARS", 300):
         with pytest.raises(PointParseError, match="^line 41: entropy nan"):
             mio.read_field_csv(path, AOI)
 
