@@ -2,9 +2,13 @@
 
 Exit codes: 0 success, 1 usage or configuration error, 2 I/O error,
 3 data error (empty inputs, malformed rows, empty fields). Diagnostics
-go to stderr; every command writes a machine-readable summary JSON next
-to its outputs. Re-running a command on the same inputs and seed yields
+go to stderr. Re-running a command on the same inputs and seed yields
 byte-identical files.
+
+Each ``cmd_*`` reads and computes, writing nothing, and returns its output
+directory, files (name -> writer of a path), summary and exit code; only
+``main`` makes the directory and writes, the summary last. A run that exits
+1 or 3 leaves no directory, but ``compute`` with no vectors writes, exits 3.
 
 Precedence for every setting: command-line flag, then --config file
 entry (same key, underscores for dashes), then built-in default.
@@ -17,6 +21,7 @@ import json
 import math
 import sys
 from contextlib import closing
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -24,15 +29,16 @@ import numpy as np
 from . import io as mio
 from .errors import ConfigError, MdemapError
 from .evaluation import (DEFAULT_RADII_KM, DEFAULT_THRESHOLDS_M,
-                         DEFAULT_TOP_K, default_x_values, precision_curve,
-                         recall_curve, top_k)
-from .field import ALL_TIME, TimeWindow, compute_fields
-from .fusion import combine, find_local_peaks, normalize
-from .ingest import (ExtractionStats, MovementBatch, _csv_blocks,
+                         DEFAULT_TOP_K, FALLBACK_TOP_K, default_x_values,
+                         precision_curve, recall_curve, top_k)
+from .field import ALL_TIME, MIN_SAMPLES, TimeWindow, compute_fields
+from .fusion import (MODES, PERCENTILE_FLOOR, combine, find_local_peaks,
+                     normalize)
+from .ingest import (DIRECTIONS, ExtractionStats, FORMATS, MAX_GAP_S,
+                     MIN_DISPLACEMENT_M, MovementBatch, _csv_blocks, _number,
                      extract_movements, parse_points, point_blocks,
                      user_groups)
-from .mesh import (AreaOfInterest, DEFAULT_AOI, mesh_centers,
-                   STANDARD_SCALES_M)
+from .mesh import AreaOfInterest, DEFAULT_AOI, STANDARD_SCALES_M
 from .synth import SynthConfig, default_sites, generate
 
 
@@ -57,15 +63,8 @@ def _int(value) -> int:
     return int(value)
 
 
-def _float(value) -> float:
-    """``float`` of text or a JSON number, refusing a boolean."""
-    if isinstance(value, bool):
-        raise ValueError(f"{value!r} is not a number")
-    return float(value)
-
-
 def _parse_aoi(value) -> AreaOfInterest:
-    parts = [_float(p) for p in _items(value)]
+    parts = [_number(p) for p in _items(value)]
     if len(parts) != 4:
         raise ConfigError("--aoi needs lon_min,lon_max,lat_min,lat_max")
     return AreaOfInterest.from_bounds(*parts)
@@ -88,7 +87,7 @@ def _parse_top_k(value) -> dict[int, int]:
 
 
 def _parse_radii(value) -> tuple[float, ...]:
-    radii = tuple(_float(r) for r in _items(value))
+    radii = tuple(_number(r) for r in _items(value))
     if not radii or not all(0 < r < math.inf for r in radii):
         raise ConfigError("--radii needs finite positive km values")
     return radii
@@ -132,7 +131,7 @@ def _windows(spec, t: np.ndarray) -> list[TimeWindow]:
     if spec == "all":
         return [ALL_TIME]
     try:
-        width = _float(spec)
+        width = _number(spec)
     except (TypeError, ValueError):
         width = math.nan
     if not (math.isfinite(width) and width > 0):
@@ -166,96 +165,83 @@ def _window_name(scale: int, w: TimeWindow) -> str:
     return f"mde_{scale}m_w{start}.csv"
 
 
-def _shared_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON file with defaults for any flag")
-    p.add_argument("--aoi", help="lon_min,lon_max,lat_min,lat_max")
-    p.add_argument("--out", help="output directory (default .)")
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="mdemap",
                      description="Moving direction entropy mapping toolkit")
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
 
-    p = sub.add_parser("synth", help="generate synthetic points + stations")
-    _shared_flags(p)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--users", type=int)
-    p.add_argument("--fixes", type=int)
-    p.add_argument("--background-rate", type=float, dest="background_rate")
-    p.add_argument("--sigma", type=float)
-    p.set_defaults(func=cmd_synth)
+    def command(name, func, help):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        p.add_argument("--config", help="JSON file with defaults for any flag")
+        p.add_argument("--aoi", help="lon_min,lon_max,lat_min,lat_max")
+        p.add_argument("--out", help="output directory (default .)")
+        return p
 
-    p = sub.add_parser("compute", help="points file -> per-scale MDE fields")
+    p = command("synth", cmd_synth, "generate synthetic points + stations")
+    for flag in ("--seed", "--users", "--fixes", "--background-rate",
+                 "--sigma"):
+        p.add_argument(flag)
+
+    p = command("compute", cmd_compute, "points file -> per-scale MDE fields")
     p.add_argument("points", help="points file (CSV or NDJSON)")
-    _shared_flags(p)
     p.add_argument("--scales", help="comma-separated mesh sizes in m")
     p.add_argument("--window", help="'all' or a window length in seconds")
-    p.add_argument("--min-displacement", type=float, dest="min_displacement")
-    p.add_argument("--max-gap", type=float, dest="max_gap")
-    p.add_argument("--min-samples", type=int, dest="min_samples")
-    p.add_argument("--direction", choices=("consecutive", "heading"))
-    p.add_argument("--format", choices=("csv", "ndjson"), dest="fmt")
+    for flag in ("--min-displacement", "--max-gap", "--min-samples"):
+        p.add_argument(flag)
+    p.add_argument("--direction", choices=DIRECTIONS)
+    p.add_argument("--format", choices=FORMATS, dest="fmt")
     p.add_argument("--strict", action="store_true", default=None)
-    p.set_defaults(func=cmd_compute)
 
-    p = sub.add_parser("combine", help="fuse per-scale field CSVs")
+    p = command("combine", cmd_combine, "fuse per-scale field CSVs")
     p.add_argument("fields", nargs="+", help="field CSV files to fuse")
-    _shared_flags(p)
-    p.add_argument("--mode", choices=("mean", "max"))
-    p.add_argument("--percentile-floor", type=float, dest="percentile_floor")
-    p.set_defaults(func=cmd_combine)
+    p.add_argument("--mode", choices=MODES)
+    p.add_argument("--percentile-floor")
 
-    p = sub.add_parser("evaluate",
-                       help="recall/precision of fields vs a station list")
+    p = command("evaluate", cmd_evaluate,
+                "recall/precision of fields vs a station list")
     p.add_argument("fields", nargs="+", help="field CSV files to evaluate")
-    _shared_flags(p)
     p.add_argument("--stations", required=True, help="stations CSV")
-    p.add_argument("--top-k", dest="top_k", help="scale=K,... overrides")
+    p.add_argument("--top-k", help="scale=K,... overrides")
     p.add_argument("--radii", help="recall radii in km, comma-separated")
-    p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("export", help="field/combined CSV -> GeoJSON")
+    p = command("export", cmd_export, "field/combined CSV -> GeoJSON")
     p.add_argument("table", help="field or combined CSV file")
-    _shared_flags(p)
     p.add_argument("--format", choices=("geojson",), dest="fmt")
-    p.set_defaults(func=cmd_export)
     return parser
 
 
-def _outdir(args, cfg) -> Path:
+def _common(args) -> tuple[dict, AreaOfInterest, Path]:
+    """A command's config entries, area of interest and output directory."""
+    cfg = _load_config(args.config)
+    aoi = _setting(args, cfg, "aoi", DEFAULT_AOI, _parse_aoi)
     out = _setting(args, cfg, "out", ".")
     if not isinstance(out, str):
         raise ConfigError(f"bad out {out!r}: not a directory name")
-    Path(out).mkdir(parents=True, exist_ok=True)
-    return Path(out)
+    return cfg, aoi, Path(out)
 
 
-def cmd_synth(args) -> int:
-    cfg = _load_config(args.config)
-    aoi = _setting(args, cfg, "aoi", DEFAULT_AOI, _parse_aoi)
+def cmd_synth(args) -> tuple[Path, dict, dict, int]:
+    cfg, aoi, out = _common(args)
     hubs, corridors = default_sites(aoi)
-    config = SynthConfig(
-        aoi=aoi, hubs=hubs, corridors=corridors,
-        n_users=_setting(args, cfg, "users", 50_000, _int),
-        fixes_per_user=_setting(args, cfg, "fixes", 20, _int),
-        background_rate=_setting(args, cfg, "background_rate", 0.05, _float),
-        noise_sigma=_setting(args, cfg, "sigma", 0.05, _float),
-        seed=_setting(args, cfg, "seed", 42, _int))
-    out = _outdir(args, cfg)
+    config = SynthConfig(aoi=aoi, hubs=hubs, corridors=corridors, **{
+        name: _setting(args, cfg, key, getattr(SynthConfig, name), convert)
+        for key, name, convert in [
+            ("users", "n_users", _int), ("fixes", "fixes_per_user", _int),
+            ("background_rate", "background_rate", _number),
+            ("sigma", "noise_sigma", _number), ("seed", "seed", _int)]})
     points, truth = generate(config)
-    mio.write_points_csv(points, out / "points.csv")
-    mio.write_stations_csv(truth.stations(), out / "stations.csv")
-    mio.write_summary({
-        "command": "synth", "seed": config.seed, "users": config.n_users,
+    return out, {
+        "points.csv": partial(mio.write_points_csv, points),
+        "stations.csv": partial(mio.write_stations_csv, truth.stations()),
+    }, {
+        "seed": config.seed, "users": config.n_users,
         "fixes_per_user": config.fixes_per_user, "points": len(points),
         "hubs": len(config.hubs), "corridors": len(config.corridors),
         "background_rate": config.background_rate,
         "noise_sigma": config.noise_sigma,
-        "files": ["points.csv", "stations.csv"],
-    }, out / "synth_summary.json")
-    return 0
+    }, 0
 
 
 # The MovementBatch columns that compute_fields reads.
@@ -307,21 +293,20 @@ def _streamed_movements(path, aoi, fmt, strict, extract):
             stats, skipped)
 
 
-def cmd_compute(args) -> int:
-    cfg = _load_config(args.config)
-    aoi = _setting(args, cfg, "aoi", DEFAULT_AOI, _parse_aoi)
+def cmd_compute(args) -> tuple[Path, dict, dict, int]:
+    cfg, aoi, out = _common(args)
     scales = _setting(args, cfg, "scales", STANDARD_SCALES_M, _parse_scales)
     window_spec = _setting(args, cfg, "window", "all")
-    _windows(window_spec, np.empty(0))      # refuse a bad spec before output
-    min_disp = _setting(args, cfg, "min_displacement", 10.0, _float)
-    max_gap = _setting(args, cfg, "max_gap", 1800.0, _float)
-    min_samples = _setting(args, cfg, "min_samples", 30, _int)
-    direction = _setting(args, cfg, "direction", "consecutive")
-    fmt = _setting(args, cfg, "fmt", "csv")
+    _windows(window_spec, np.empty(0))      # refuse a bad spec before reading
+    min_disp = _setting(args, cfg, "min_displacement", MIN_DISPLACEMENT_M,
+                        _number)
+    max_gap = _setting(args, cfg, "max_gap", MAX_GAP_S, _number)
+    min_samples = _setting(args, cfg, "min_samples", MIN_SAMPLES, _int)
+    direction = _setting(args, cfg, "direction", DIRECTIONS[0])
+    fmt = _setting(args, cfg, "fmt", FORMATS[0])
     strict = _setting(args, cfg, "strict", False)
     if not isinstance(strict, bool):
         raise ConfigError(f"bad strict {strict!r}: not true or false")
-    out = _outdir(args, cfg)
 
     batch, stats, skipped = _movements(
         args.points, aoi, fmt, strict, min_displacement=min_disp,
@@ -330,19 +315,20 @@ def cmd_compute(args) -> int:
     # each out-of-area vector counts once, however many windows there are
     fields, dropped_out_of_area = compute_fields(batch, aoi, scales, windows,
                                                  min_samples)
-    files: dict[str, dict] = {}
+    writers, files = {}, {}
     for field in fields:
         w = field.window
         name = _window_name(field.scale_m, w)
-        mio.write_field_csv(field, out / name)
+        writers[name] = partial(mio.write_field_csv, field)
         files[name] = {
             "scale_m": field.scale_m,
             "window": "all" if w == ALL_TIME else [w.start, w.end],
             "meshes": field.count.size,
             "meshes_defined": field.n_defined,
         }
-    mio.write_summary({
-        "command": "compute",
+    if not stats.n_vectors:
+        print("no movement vectors extracted", file=sys.stderr)
+    return out, writers, {
         "points_read": stats.n_points, "points_skipped": skipped,
         "users": stats.n_users, "vectors": stats.n_vectors,
         "dropped": {
@@ -359,11 +345,7 @@ def cmd_compute(args) -> int:
             "min_samples": min_samples, "direction": direction,
         },
         "files": files,
-    }, out / "compute_summary.json")
-    if stats.n_points == 0 or stats.n_vectors == 0:
-        print("no movement vectors extracted", file=sys.stderr)
-        return 3
-    return 0
+    }, 0 if stats.n_vectors else 3
 
 
 def _read_fields(paths, aoi: AreaOfInterest) -> list:
@@ -379,73 +361,52 @@ def _read_fields(paths, aoi: AreaOfInterest) -> list:
     return fields
 
 
-def cmd_combine(args) -> int:
-    cfg = _load_config(args.config)
-    aoi = _setting(args, cfg, "aoi", DEFAULT_AOI, _parse_aoi)
-    mode = _setting(args, cfg, "mode", "mean")
-    floor = _setting(args, cfg, "percentile_floor", 90.0, _float)
-    out = _outdir(args, cfg)
+def cmd_combine(args) -> tuple[Path, dict, dict, int]:
+    cfg, aoi, out = _common(args)
+    mode = _setting(args, cfg, "mode", MODES[0])
+    floor = _setting(args, cfg, "percentile_floor", PERCENTILE_FLOOR, _number)
     fields = _read_fields(args.fields, aoi)
     layers = [normalize(f) for f in fields]
     base = min(f.scale_m for f in fields)
     cmap = combine(layers, base, mode=mode)
-    mio.write_combined_csv(cmap, out / "combined.csv")
     peaks = find_local_peaks(cmap, percentile_floor=floor)
-    col, row = cmap.col[peaks], cmap.row[peaks]
-    lat, lon = mesh_centers(base, col, row, aoi)
-    with open(out / "peaks.csv", "w", encoding="utf-8", newline="") as f:
-        f.write("scale_m,col,row,center_lat,center_lon,score\n")
-        f.writelines(f"{base},{c},{r},{la!r},{lo!r},{v!r}\n"
-                     for c, r, la, lo, v in zip(
-                         col.tolist(), row.tolist(), lat.tolist(),
-                         lon.tolist(), cmap.scores[peaks].tolist()))
-    mio.write_summary({
-        "command": "combine", "mode": mode, "base_scale_m": base,
+    return out, {
+        "combined.csv": partial(mio.write_combined_csv, cmap),
+        "peaks.csv": partial(mio.write_peaks_csv, cmap, peaks),
+    }, {
+        "mode": mode, "base_scale_m": base,
         "contributing_scales": sorted(f.scale_m for f in fields),
         "meshes_scored": len(cmap.scores), "peaks": len(peaks),
         "percentile_floor": floor,
-        "files": ["combined.csv", "peaks.csv"],
-    }, out / "combine_summary.json")
-    return 0
+    }, 0
 
 
-def cmd_evaluate(args) -> int:
-    cfg = _load_config(args.config)
-    aoi = _setting(args, cfg, "aoi", DEFAULT_AOI, _parse_aoi)
+def cmd_evaluate(args) -> tuple[Path, dict, dict, int]:
+    cfg, aoi, out = _common(args)
     k_over = _setting(args, cfg, "top_k", {}, _parse_top_k)
     radii = _setting(args, cfg, "radii", DEFAULT_RADII_KM, _parse_radii)
-    out = _outdir(args, cfg)
     stations = mio.read_stations_csv(args.stations)
-    files: list[str] = []
-    k_used: dict[str, int] = {}
+    files, k_used = {}, {}
     for field in _read_fields(args.fields, aoi):
         k = k_over.get(field.scale_m,
-                       DEFAULT_TOP_K.get(field.scale_m, 50))
+                       DEFAULT_TOP_K.get(field.scale_m, FALLBACK_TOP_K))
         k_used[str(field.scale_m)] = k
-        sel = top_k(field, k)
-        rec = recall_curve(sel, stations, radii)
-        name = f"recall_{field.scale_m}m.csv"
-        mio.write_recall_csv(rec, out / name)
-        files.append(name)
+        rec = recall_curve(top_k(field, k), stations, radii)
+        files[f"recall_{field.scale_m}m.csv"] = partial(mio.write_recall_csv,
+                                                        rec)
         curves = precision_curve(field, stations, DEFAULT_THRESHOLDS_M,
                                  default_x_values(k))
         for d in DEFAULT_THRESHOLDS_M:
             name = f"precision_{field.scale_m}m_within{int(d)}m.csv"
-            mio.write_precision_csv(curves, d, out / name)
-            files.append(name)
-    mio.write_summary({
-        "command": "evaluate", "stations": len(stations),
-        "k": k_used, "radii_km": list(radii),
+            files[name] = partial(mio.write_precision_csv, curves, d)
+    return out, files, {
+        "stations": len(stations), "k": k_used, "radii_km": list(radii),
         "thresholds_m": list(DEFAULT_THRESHOLDS_M),
-        "files": files,
-    }, out / "evaluate_summary.json")
-    return 0
+    }, 0
 
 
-def cmd_export(args) -> int:
-    cfg = _load_config(args.config)
-    aoi = _setting(args, cfg, "aoi", DEFAULT_AOI, _parse_aoi)
-    out = _outdir(args, cfg)
+def cmd_export(args) -> tuple[Path, dict, dict, int]:
+    _, aoi, out = _common(args)
     with open(args.table, "r", encoding="utf-8", newline="") as f:
         header = next(_csv_blocks(f), [])
     read, geojson = ((mio.read_combined_csv, mio.combined_geojson)
@@ -453,12 +414,8 @@ def cmd_export(args) -> int:
                      (mio.read_field_csv, mio.field_geojson))
     table = read(args.table, aoi)
     name = Path(args.table).stem + ".geojson"
-    mio.write_geojson(geojson(table), out / name)
-    mio.write_summary({
-        "command": "export", "source": Path(args.table).name,
-        "features": table.col.size, "files": [name],
-    }, out / "export_summary.json")
-    return 0
+    return out, {name: partial(mio.write_geojson, geojson(table))}, {
+        "source": Path(args.table).name, "features": table.col.size}, 0
 
 
 def main(argv=None) -> int:
@@ -467,7 +424,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        out, files, summary, code = args.func(args)
+        out.mkdir(parents=True, exist_ok=True)
+        for name, write in files.items():
+            write(out / name)
+        mio.write_summary({"command": args.command, "files": list(files)}
+                          | summary, out / f"{args.command}_summary.json")
+        return code
     except ConfigError as exc:
         print(f"mdemap: config error: {exc}", file=sys.stderr)
         return 1

@@ -19,6 +19,7 @@ from .field import MdeField
 from .mesh import GeoPoint, mesh_centers
 
 DEFAULT_TOP_K = {100: 300, 1000: 60, 2000: 60, 4000: 50}
+FALLBACK_TOP_K = 50             # K of a scale DEFAULT_TOP_K does not name
 DEFAULT_THRESHOLDS_M = (100.0, 300.0, 1000.0, 2000.0)
 DEFAULT_RADII_KM = tuple(r / 2 for r in range(1, 21))
 
@@ -116,7 +117,8 @@ def precision_curve(field: MdeField, stations: Sequence[Station],
     """
     check_stations(stations)
     if x_values is None:
-        x_values = default_x_values(DEFAULT_TOP_K.get(field.scale_m, 50))
+        x_values = default_x_values(DEFAULT_TOP_K.get(field.scale_m,
+                                                        FALLBACK_TOP_K))
     if any(x < 1 for x in x_values):
         raise ConfigError("x values must be >= 1")
     s_lat, s_lon = _station_arrays(stations)

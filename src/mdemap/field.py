@@ -33,6 +33,7 @@ from .kernels import N_BINS
 from .mesh import _check_scale, AreaOfInterest, MeshId, project_arrays
 
 MAX_ENTROPY = math.log(N_BINS)
+MIN_SAMPLES = 30                # default movements for a defined mesh
 
 
 class TimeWindow(NamedTuple):
@@ -178,7 +179,8 @@ class FieldAccumulator:
     """
 
     def __init__(self, aoi: AreaOfInterest, scale_m: int,
-                 window: TimeWindow = ALL_TIME, min_samples: int = 30):
+                 window: TimeWindow = ALL_TIME,
+                 min_samples: int = MIN_SAMPLES):
         _check_setup(scale_m, (window,), min_samples)
         self.aoi = aoi
         self.scale_m = int(scale_m)
@@ -226,7 +228,7 @@ class FieldAccumulator:
 
 
 def compute_fields(movements: MovementBatch, aoi: AreaOfInterest, scales,
-                   windows=(ALL_TIME,), min_samples: int = 30,
+                   windows=(ALL_TIME,), min_samples: int = MIN_SAMPLES,
                    ) -> tuple[list[MdeField], int]:
     """Every (scale, window) field of ``movements`` in one pass per scale.
 

@@ -18,6 +18,8 @@ from .mesh import AreaOfInterest
 
 _ROW_SHIFT = 32  # packed grid key: (row << 32) | col
 _COL_MASK = (1 << _ROW_SHIFT) - 1
+MODES = ("mean", "max")         # ways to fuse layers, the first the default
+PERCENTILE_FLOOR = 90.0         # find_local_peaks' default
 
 
 @dataclass(eq=False)
@@ -67,14 +69,14 @@ def _expand_to_base(layer: CombinedMap, base_scale_m: int,
 
 
 def combine(layers: list[CombinedMap], base_scale_m: int,
-            mode: str = "mean") -> CombinedMap:
+            mode: str = MODES[0]) -> CombinedMap:
     """Fuse normalized layers onto the ``base_scale_m`` grid.
 
     Each base mesh collects the value of its ancestor in every layer
     where that ancestor is defined; undefined ancestors are skipped, and
     base meshes with nothing collected are omitted.
     """
-    if mode not in ("mean", "max"):
+    if mode not in MODES:
         raise ConfigError(f"unknown combine mode {mode!r}")
     if not layers:
         raise EmptyFieldError("no layers to combine")
@@ -107,7 +109,8 @@ def combine(layers: list[CombinedMap], base_scale_m: int,
 
 
 def find_local_peaks(heat: CombinedMap,
-                     percentile_floor: float = 90.0) -> np.ndarray:
+                     percentile_floor: float = PERCENTILE_FLOOR
+                     ) -> np.ndarray:
     """Meshes strictly above all scored 8-neighbours, at or above the floor.
 
     The floor is the ``percentile_floor``-th percentile of all scores.

@@ -26,6 +26,7 @@ from .mesh import AreaOfInterest, project_arrays, TWO_PI
 # -- point file parsing -------------------------------------------------
 
 _REQUIRED = ("user_id", "timestamp", "lat", "lon")
+FORMATS = ("csv", "ndjson")     # points file formats, the first the default
 # Characters of CSV text read per block; a block ends at a line end.
 _BLOCK_CHARS = 1 << 20
 _COLUMNS = ("user_id", "t", "lat", "lon", "heading", "speed")
@@ -72,7 +73,7 @@ def _columns(rows: list[tuple], skipped: int = 0) -> ParseResult:
                        *np.array(numbers, dtype=np.float64), skipped)
 
 
-def _number(raw, name: str) -> float:
+def _number(raw, name: str = "value") -> float:
     """``float(raw)``, refusing JSON booleans (``float(True)`` is 1.0)."""
     if isinstance(raw, bool):
         raise ValueError(f"{name} {raw!r} is not a number")
@@ -151,7 +152,8 @@ def _open_text(source):
     raise ConfigError(f"cannot read points from {type(source).__name__}")
 
 
-def parse_points(source, fmt: str = "csv", strict: bool = False) -> ParseResult:
+def parse_points(source, fmt: str = FORMATS[0],
+                 strict: bool = False) -> ParseResult:
     """Parse a points file (CSV or NDJSON) into point columns.
 
     Malformed rows are skipped and counted; with ``strict`` the first one
@@ -162,7 +164,7 @@ def parse_points(source, fmt: str = "csv", strict: bool = False) -> ParseResult:
     return _concat(list(point_blocks(source, fmt, strict)))
 
 
-def point_blocks(source, fmt: str = "csv",
+def point_blocks(source, fmt: str = FORMATS[0],
                  strict: bool = False) -> Iterator[ParseResult]:
     """The rows of a points file as a ``ParseResult`` per block of lines.
 
@@ -170,7 +172,7 @@ def point_blocks(source, fmt: str = "csv",
     in file order, and the count of malformed rows among them. Rules and
     errors are those of :func:`parse_points`.
     """
-    if fmt not in ("csv", "ndjson"):
+    if fmt not in FORMATS:
         raise ConfigError(f"unknown points format {fmt!r}")
     stream, owned = _open_text(source)
     try:
@@ -191,10 +193,7 @@ def _parse_csv(stream, strict: bool) -> Iterator[ParseResult]:
         raise PointParseError(
             f"header missing columns {', '.join(missing)}", line_no=1)
 
-    def record(cells: list[str]) -> dict:
-        # as DictReader maps a row, less the restkey entry, never read
-        return dict(zip(names, cells)) | dict.fromkeys(names[len(cells):])
-
+    record = _records(names)
     for line_no, block in blocks:
         if line_no is None:
             yield _build_rows(block, record, strict)[0]
@@ -210,6 +209,12 @@ def _parse_csv(stream, strict: bool) -> Iterator[ParseResult]:
         yield part
 
 
+def _records(names: list[str]):
+    """Cells to a dict as ``csv.DictReader`` maps them, less its restkey."""
+    return lambda cells: (dict(zip(names, cells))
+                          | dict.fromkeys(names[len(cells):]))
+
+
 def _csv_blocks(stream) -> Iterator:
     """The header cells of a CSV text, then its blocks of about
     ``_BLOCK_CHARS`` characters; an empty text yields nothing.
@@ -217,7 +222,8 @@ def _csv_blocks(stream) -> Iterator:
     While blocks are plain (``_plain``), each is ``(n, lines)``, the first
     line being line ``n + 1``. From the first that is not, ``csv.reader``
     reads the rest, and each block is ``(None, records)``: the ``(line,
-    cells)`` of each non-blank record, ``line`` being its last.
+    cells)`` of each non-blank record, ``line`` being its last. A csv module
+    error (a cell over its size limit) raises PointParseError at its line.
     """
     line_no, lines = 0, stream.readlines(_BLOCK_CHARS)
     while lines and _plain(lines):
@@ -230,16 +236,20 @@ def _csv_blocks(stream) -> Iterator:
     if not lines:
         return
     reader = csv.reader(chain(lines, stream))
-    if not line_no:
-        yield next(reader, [])
-    records, chars = [], 0
-    for cells in reader:
-        if cells:
-            records.append((line_no + reader.line_num, cells))
-            chars += sum(map(len, cells))
-            if chars >= _BLOCK_CHARS:
-                yield None, records
-                records, chars = [], 0
+    try:
+        if not line_no:
+            yield next(reader, [])
+        records, chars = [], 0
+        for cells in reader:
+            if cells:
+                records.append((line_no + reader.line_num, cells))
+                chars += sum(map(len, cells))
+                if chars >= _BLOCK_CHARS:
+                    yield None, records
+                    records, chars = [], 0
+    except csv.Error as exc:
+        raise PointParseError(str(exc),
+                              line_no=line_no + reader.line_num) from exc
     yield None, records
 
 
@@ -478,6 +488,10 @@ def user_groups(blocks: Iterable[ParseResult]) -> Iterator[ParseResult]:
 
 # -- movement extraction ------------------------------------------------
 
+MIN_DISPLACEMENT_M = 10.0       # extract_movements' defaults
+MAX_GAP_S = 1800.0
+DIRECTIONS = ("consecutive", "heading")     # the first is the default
+
 
 @dataclass
 class ExtractionStats:
@@ -527,9 +541,9 @@ def _empty_batch(aoi: AreaOfInterest) -> MovementBatch:
 
 
 def extract_movements(points: ParseResult, aoi: AreaOfInterest,
-                      min_displacement: float = 10.0,
-                      max_gap: float = 1800.0,
-                      source: str = "consecutive",
+                      min_displacement: float = MIN_DISPLACEMENT_M,
+                      max_gap: float = MAX_GAP_S,
+                      source: str = DIRECTIONS[0],
                       ) -> tuple[MovementBatch, ExtractionStats]:
     """Derive movement vectors from the point columns of ``points``.
 
@@ -541,7 +555,7 @@ def extract_movements(points: ParseResult, aoi: AreaOfInterest,
     fix carrying a heading becomes a vector on its own. Drops are
     counted, never raised.
     """
-    if source not in ("consecutive", "heading"):
+    if source not in DIRECTIONS:
         raise ConfigError(f"unknown direction source {source!r}")
     if not (0 <= min_displacement < math.inf and 0 < max_gap < math.inf):
         raise ConfigError("need finite min_displacement >= 0 and max_gap > 0")

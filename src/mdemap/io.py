@@ -20,7 +20,7 @@ from .evaluation import (PrecisionCurve, RecallCurve, Station, check_stations)
 from .field import ALL_TIME, MAX_ENTROPY, MdeField, TimeWindow
 from .fusion import CombinedMap
 from .ingest import (ParseResult, _csv_blocks, _floats_at, _leftovers,
-                     _split)
+                     _records, _split)
 from .mesh import AreaOfInterest, GeoPoint, mesh_centers, mesh_corners
 
 FIELD_HEADER = ("scale_m", "col", "row", "center_lat", "center_lon",
@@ -248,6 +248,18 @@ def read_combined_csv(path, aoi: AreaOfInterest) -> CombinedMap:
     return CombinedMap(scale, aoi, *columns, ())
 
 
+def write_peaks_csv(cmap: CombinedMap, peaks: np.ndarray, path) -> None:
+    """The meshes ``peaks`` indexes, in its order; rows end in ``\\n``."""
+    base, col, row = cmap.base_scale_m, cmap.col[peaks], cmap.row[peaks]
+    lat, lon = mesh_centers(base, col, row, cmap.aoi)
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        f.write("scale_m,col,row,center_lat,center_lon,score\n")
+        f.writelines(f"{base},{c},{r},{la!r},{lo!r},{v!r}\n"
+                     for c, r, la, lo, v in zip(
+                         col.tolist(), row.tolist(), lat.tolist(),
+                         lon.tolist(), cmap.scores[peaks].tolist()))
+
+
 def _write_csv(path, header: tuple, rows: list) -> None:
     with open(path, "w", encoding="utf-8", newline="") as f:
         csv.writer(f).writerows([header, *rows])
@@ -262,16 +274,19 @@ def write_stations_csv(stations: Sequence[Station], path) -> None:
 def read_stations_csv(path) -> list[Station]:
     stations: list[Station] = []
     with open(path, "r", encoding="utf-8", newline="") as f:
-        reader = csv.DictReader(f)
-        for rec in reader:
-            try:
-                stations.append(Station(
-                    rec["name"],
-                    GeoPoint(float(rec["lat"]), float(rec["lon"])),
-                    int(rec["rank"])))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise PointParseError(str(exc),
-                                      line_no=reader.line_num) from exc
+        blocks = _csv_blocks(f)
+        record = _records(next(blocks, []))
+        for line_no, block in blocks:
+            for line, cells in (block if line_no is None else _leftovers(
+                    block, np.zeros(len(block), bool), line_no)):
+                rec = record(cells)
+                try:
+                    stations.append(Station(
+                        rec["name"],
+                        GeoPoint(float(rec["lat"]), float(rec["lon"])),
+                        int(rec["rank"])))
+                except (KeyError, TypeError, ValueError) as exc:
+                    raise PointParseError(str(exc), line_no=line) from exc
     check_stations(stations)
     return stations
 

@@ -1,5 +1,7 @@
 """End-to-end command-line pipeline."""
 
+import dataclasses
+import inspect
 import json
 import os
 import shutil
@@ -10,7 +12,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mdemap import ConfigError, DEFAULT_AOI, mesh_centers
+from mdemap import (ConfigError, DEFAULT_AOI, STANDARD_SCALES_M, SynthConfig,
+                    combine, compute_fields, extract_movements,
+                    find_local_peaks, mesh_centers)
+from mdemap import cli
 from mdemap.cli import MAX_WINDOWS, _parse_aoi, _windows, main
 
 AOI = "139.3,140.0,35.5,35.85"
@@ -396,7 +401,7 @@ def test_meshes_outside_the_grid_exit_3(pipeline, tmp_path, capsys, command,
                  "--out", str(tmp_path / "out")]) == 3
     err = capsys.readouterr().err
     assert "line 3: mesh col" in err and "outside the" in err
-    assert not any((tmp_path / "out").iterdir())
+    assert not (tmp_path / "out").exists()
 
 
 # The default area moved 0.1 degrees east: the same size, so every mesh
@@ -430,7 +435,7 @@ def test_combined_map_of_another_area_exits_3(pipeline, tmp_path):
     out = tmp_path / "out"
     assert main(["export", str(tmp_path / "combined.csv"),
                  "--aoi", SHIFTED_AOI, "--out", str(out)]) == 3
-    assert not list(out.iterdir())
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["combine", "export"])
@@ -443,7 +448,7 @@ def test_count_above_int64_exits_3(pipeline, tmp_path, capsys, command):
     assert main([command, str(field), "--aoi", AOI,
                  "--out", str(tmp_path / "out")]) == 3
     assert f"line 2: count {2**63} outside" in capsys.readouterr().err
-    assert not any((tmp_path / "out").iterdir())
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("argv, config", [
@@ -542,7 +547,7 @@ def test_input_that_is_not_utf8_is_a_data_error(pipeline, tmp_path, capsys,
     assert main(argv + ["--aoi", AOI, "--out", str(tmp_path / "out")]) == 3
     err = capsys.readouterr().err
     assert err.startswith("mdemap: data error: ") and "utf-8" in err
-    assert not any((tmp_path / "out").iterdir())
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("argv, config, setting", [
@@ -600,3 +605,115 @@ def test_summaries_are_strict_json(pipeline, tmp_path):
     for path in summaries:
         assert isinstance(json.loads(path.read_text(), parse_constant=refuse),
                           dict)
+
+
+def _no_entropy(path, out):
+    """A copy of a field file with every mesh undefined."""
+    rows = path.read_text().splitlines(True)
+    out.write_text(rows[0] + "".join(
+        ",".join(r.split(",")[:6] + ["", "\n"]) for r in rows[1:]))
+    return out
+
+
+@pytest.mark.parametrize("argv, config, code", [
+    (["combine", "{f100}", "--percentile-floor", "150"], None, 1),
+    (["evaluate", "{f100}", "{undefined}", "--stations", "{stations}"],
+     None, 3),
+    (["compute", "{points}"], {"direction": "west"}, 1),
+    (["compute", "{points}"], {"fmt": "tsv"}, 1),
+    (["combine", "{f100}"], {"mode": "median"}, 1),
+    (["compute", "{points}", "--min-samples", "0"], None, 1),
+    (["compute", "{points}", "--max-gap", "0"], None, 1)], ids=[
+        "combine-percentile-floor", "evaluate-undefined-field",
+        "config-direction", "config-fmt", "config-mode", "min-samples-0",
+        "max-gap-0"])
+def test_failed_runs_write_nothing(pipeline, tmp_path, capsys, argv, config,
+                                   code):
+    undefined = _no_entropy(pipeline / "mde_1000m.csv",
+                            tmp_path / "mde_1000m.csv")
+    argv = [a.format(f100=pipeline / "mde_100m.csv", undefined=undefined,
+                     points=pipeline / "points.csv",
+                     stations=pipeline / "stations.csv") for a in argv]
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        argv += ["--config", str(tmp_path / "cfg.json")]
+    assert main(argv + ["--aoi", AOI, "--out", str(tmp_path / "out")]) == code
+    assert "Traceback" not in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_compute_without_vectors_writes_and_exits_3(tmp_path, capsys):
+    pts = tmp_path / "points.csv"
+    _write_points(pts, [("a", 0, 35.6, 139.5), ("b", 0, 35.6, 139.5)])
+    assert main(["compute", str(pts), "--aoi", AOI, "--scales", "100,1000",
+                 "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == "no movement vectors extracted\n"
+    summary = json.loads((tmp_path / "out" / "compute_summary.json")
+                         .read_text())
+    assert summary["points_read"] == 2 and summary["vectors"] == 0
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+        "compute_summary.json", "mde_1000m.csv", "mde_100m.csv"]
+
+
+# Longer than the csv module's default field size limit.
+HUGE = "x" * 140_000
+
+
+@pytest.mark.parametrize("command, line", [
+    ("compute", 3), ("combine", 3), ("evaluate", 10), ("export", 1)])
+def test_cells_over_the_csv_field_limit_are_data_errors(
+        pipeline, tmp_path, capsys, command, line):
+    bad = tmp_path / "input.csv"
+    if command == "compute":
+        _write_points(bad, [("u", 0, 35.6, 139.5), (HUGE, 60, 35.6, 139.5)])
+        argv = ["compute", str(bad)]
+    elif command == "evaluate":
+        bad.write_text((pipeline / "stations.csv").read_text() + HUGE + "\n")
+        argv = ["evaluate", str(pipeline / "mde_1000m.csv"),
+                "--stations", str(bad)]
+    else:
+        rows = (pipeline / "mde_1000m.csv").read_text().splitlines(True)
+        at = line - 1
+        rows[at] = HUGE + "," + rows[at]
+        bad.write_text("".join(rows))
+        argv = [command, str(bad)]
+    assert main(argv + ["--aoi", AOI, "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"mdemap: data error: line {line}: ")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_default_settings_are_the_library_defaults(pipeline, tmp_path,
+                                                   monkeypatch):
+    def default(fn, name):
+        return inspect.signature(fn).parameters[name].default
+
+    # the default city, shrunk after its settings are read
+    real = cli.generate
+    monkeypatch.setattr(cli, "generate", lambda config: real(
+        dataclasses.replace(config, n_users=4, fixes_per_user=2)))
+    assert main(["synth", "--out", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "synth_summary.json").read_text())
+    assert (summary["users"], summary["fixes_per_user"], summary["seed"],
+            summary["background_rate"], summary["noise_sigma"]) == (
+        SynthConfig.n_users, SynthConfig.fixes_per_user, SynthConfig.seed,
+        SynthConfig.background_rate, SynthConfig.noise_sigma)
+
+    assert main(["compute", str(pipeline / "points.csv"),
+                 "--out", str(tmp_path)]) == 0
+    params = json.loads((tmp_path / "compute_summary.json").read_text())[
+        "params"]
+    assert params == dict(
+        params, scales=list(STANDARD_SCALES_M), window="all",
+        min_displacement=default(extract_movements, "min_displacement"),
+        max_gap=default(extract_movements, "max_gap"),
+        direction=default(extract_movements, "source"),
+        min_samples=default(compute_fields, "min_samples"))
+
+    assert main(["combine", str(pipeline / "mde_100m.csv"), "--aoi", AOI,
+                 "--out", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "combine_summary.json").read_text())
+    assert summary["mode"] == default(combine, "mode")
+    assert summary["percentile_floor"] == default(find_local_peaks,
+                                                  "percentile_floor")

@@ -790,10 +790,13 @@ def test_bulk_checks_match_build_point(name, cell):
 def test_overlong_field_fails_as_in_the_csv_module():
     text = (CSV_HEADER + "a,0,35.5,139.4\n"
             + "u" * (csv.field_size_limit() + 1) + ",0,35.5,139.4\n")
-    with pytest.raises(csv.Error):
+    with pytest.raises(csv.Error) as want:
         _reference(text)
-    with pytest.raises(csv.Error):
+    # the same failure, at the line where the csv module stops, as a data
+    # error
+    with pytest.raises(PointParseError) as got:
         parse_points(io.StringIO(text, newline=""))
+    assert str(got.value) == f"line 3: {want.value}"
 
 
 _POINTS = st.lists(st.tuples(

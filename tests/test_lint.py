@@ -95,3 +95,55 @@ def test_the_check_finds_dead_names():
              "__version__ = '1'\n_y, z = 1, 2\nw: int = 3\n",
         "b": "from . import a\nfrom .a import kept\nkept(a.z)\n"}.items()}
     assert _dead_names(modules, "X = 1") == ["a.dead", "a._y", "a.w"]
+
+
+def _writes(tree: ast.Module, allowed=("main",)) -> list[str]:
+    """Calls in the top-level functions of a module, other than
+    ``allowed``, that make a directory or write a file: ``mkdir``, any
+    ``write_*`` function or method, and ``open`` with a mode that is not a
+    literal read-only one. A writer passed by name (``partial(write_x,
+    ...)``) is not a call."""
+    found = []
+    for fn in tree.body:
+        if not isinstance(fn, ast.FunctionDef) or fn.name in allowed:
+            continue
+        for node in ast.walk(fn):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", None) or getattr(node.func,
+                                                            "attr", "")
+            if name == "open":
+                mode = [k.value for k in node.keywords if k.arg == "mode"]
+                mode = (mode or node.args[1:2] or [ast.Constant("r")])[0]
+                if (isinstance(mode, ast.Constant)
+                        and not set(str(mode.value)) & set("wax+")):
+                    continue
+            elif name != "mkdir" and not name.startswith("write_"):
+                continue
+            found.append(f"{fn.name}: line {node.lineno}: {name}")
+    return found
+
+
+def test_only_main_writes():
+    """A command reads and computes; ``main`` makes its output directory
+    and writes its files only after it has returned."""
+    path = SRC / "cli.py"
+    assert _writes(ast.parse(path.read_text(), str(path))) == []
+
+
+def test_the_check_finds_writes():
+    tree = ast.parse(
+        "def cmd_a(out):\n"
+        "    out.mkdir()\n"
+        "    mio.write_summary({}, out)\n"
+        "    open(out, 'w')\n"
+        "    open(out, mode='ab')\n"
+        "    open(out, 'r'), open(out), open(out, mode)\n"
+        "    return partial(mio.write_field_csv, 1)\n"
+        "def main(out):\n"
+        "    out.mkdir()\n"
+        "    write_summary({}, out)\n")
+    assert _writes(tree) == ["cmd_a: line 2: mkdir",
+                             "cmd_a: line 3: write_summary",
+                             "cmd_a: line 4: open", "cmd_a: line 5: open",
+                             "cmd_a: line 6: open"]
