@@ -11,16 +11,17 @@ directory, files (name -> writer of a path), summary and exit code; only
 1 or 3 leaves no directory, but ``compute`` with no vectors writes, exits 3.
 
 Precedence for every setting: command-line flag, then --config file
-entry (same key, underscores for dashes), then built-in default.
+entry (same key, underscores for dashes), then the default of its settings
+object; every object is made, and so checked, before any input is opened.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from contextlib import closing
+from dataclasses import asdict
 from functools import partial
 from pathlib import Path
 
@@ -28,17 +29,16 @@ import numpy as np
 
 from . import io as mio
 from .errors import ConfigError, MdemapError
-from .evaluation import (DEFAULT_RADII_KM, DEFAULT_THRESHOLDS_M,
-                         DEFAULT_TOP_K, FALLBACK_TOP_K, default_x_values,
-                         precision_curve, recall_curve, top_k)
-from .field import ALL_TIME, MIN_SAMPLES, TimeWindow, compute_fields
-from .fusion import (MODES, PERCENTILE_FLOOR, combine, find_local_peaks,
+from .evaluation import (DEFAULT_THRESHOLDS_M, EvaluationSettings,
+                         default_x_values, precision_curve, recall_curve,
+                         top_k)
+from .field import ALL_TIME, FieldSettings, TimeWindow, compute_fields
+from .fusion import (MODES, FusionSettings, combine, find_local_peaks,
                      normalize)
-from .ingest import (DIRECTIONS, ExtractionStats, FORMATS, MAX_GAP_S,
-                     MIN_DISPLACEMENT_M, MovementBatch, _csv_blocks, _number,
-                     extract_movements, parse_points, point_blocks,
-                     user_groups)
-from .mesh import AreaOfInterest, DEFAULT_AOI, STANDARD_SCALES_M
+from .ingest import (DIRECTIONS, ExtractionStats, ExtractSettings, FORMATS,
+                     MovementBatch, _csv_blocks, _number, extract_movements,
+                     parse_points, point_blocks, user_groups)
+from .mesh import AreaOfInterest, DEFAULT_AOI
 from .synth import SynthConfig, default_sites, generate
 
 
@@ -63,34 +63,26 @@ def _int(value) -> int:
     return int(value)
 
 
+def _ints(value) -> tuple[int, ...]:
+    return tuple(map(_int, _items(value)))
+
+
+def _numbers(value) -> tuple[float, ...]:
+    return tuple(map(_number, _items(value)))
+
+
+def _pairs(value) -> tuple[tuple[int, int], ...]:
+    """``scale=K,...`` text, or a config file's JSON object, as pairs."""
+    pairs = value.items() if isinstance(value, dict) else (
+        str(item).split("=") for item in _items(value))
+    return tuple((_int(scale), _int(k)) for scale, k in pairs)
+
+
 def _parse_aoi(value) -> AreaOfInterest:
-    parts = [_number(p) for p in _items(value)]
+    parts = _numbers(value)
     if len(parts) != 4:
         raise ConfigError("--aoi needs lon_min,lon_max,lat_min,lat_max")
     return AreaOfInterest.from_bounds(*parts)
-
-
-def _parse_scales(value) -> tuple[int, ...]:
-    scales = tuple(map(_int, _items(value)))
-    if not scales or min(scales) <= 0 or len(set(scales)) != len(scales):
-        raise ConfigError("--scales needs distinct positive integers")
-    return scales
-
-
-def _parse_top_k(value) -> dict[int, int]:
-    pairs = value if isinstance(value, dict) else dict(
-        str(item).split("=") for item in _items(value))
-    out = {_int(scale): _int(k) for scale, k in pairs.items()}
-    if any(k < 1 for k in out.values()):
-        raise ConfigError("--top-k needs scale=K pairs with K >= 1")
-    return out
-
-
-def _parse_radii(value) -> tuple[float, ...]:
-    radii = tuple(_number(r) for r in _items(value))
-    if not radii or not all(0 < r < math.inf for r in radii):
-        raise ConfigError("--radii needs finite positive km values")
-    return radii
 
 
 def _load_config(path) -> dict:
@@ -106,7 +98,7 @@ def _load_config(path) -> dict:
     return cfg
 
 
-def _setting(args, cfg: dict, key: str, default, convert=None):
+def _setting(args, cfg: dict, key: str, convert=None, default=None):
     """A flag's value, else the config file's non-null entry, else
     ``default``; a given value passes through ``convert``."""
     v = getattr(args, key, None)
@@ -115,46 +107,24 @@ def _setting(args, cfg: dict, key: str, default, convert=None):
     if v is None or convert is None:
         return default if v is None else v
     try:
-        converted = convert(v)
+        return convert(v)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad {key} {v!r}: {exc}") from exc
-    if isinstance(converted, float) and not math.isfinite(converted):
-        raise ConfigError(f"bad {key} {v!r}: not a finite number")
-    return converted
 
 
-# Most time windows one compute run may make, per scale.
-MAX_WINDOWS = 100_000
+# SynthConfig fields whose flag and config key are shorter
+_KEYS = {"n_users": "users", "fixes_per_user": "fixes",
+         "noise_sigma": "sigma"}
 
 
-def _windows(spec, t: np.ndarray) -> list[TimeWindow]:
-    if spec == "all":
-        return [ALL_TIME]
-    try:
-        width = _number(spec)
-    except (TypeError, ValueError):
-        width = math.nan
-    if not (math.isfinite(width) and width > 0):
-        raise ConfigError("--window must be 'all' or a positive length in s")
-    if t.size == 0:
-        return [ALL_TIME]
-    k = float(t.min()) / width
-    if not math.isfinite(k):
-        raise ConfigError(f"--window {spec} is too short for the timestamps")
-    start = math.floor(k) * width
-    last = float(t.max())
-    out = []
-    while start <= last:
-        end = start + width
-        if end == start:
-            raise ConfigError(f"--window {spec} is below the float resolution "
-                              f"of the timestamps near {start!r}")
-        if len(out) == MAX_WINDOWS:
-            raise ConfigError(f"--window {spec} makes more than MAX_WINDOWS = "
-                              f"{MAX_WINDOWS} windows")
-        out.append(TimeWindow(start, end))
-        start = end
-    return out
+def _settings(cls, args, cfg: dict, fixed=None, **convert):
+    """A ``cls`` of ``fixed`` and of each field of ``convert`` (field name
+    -> converter) that a flag or the config file gives; the other fields
+    keep their defaults, and ``cls`` checks every value."""
+    given = {name: _setting(args, cfg, _KEYS.get(name, name), f)
+             for name, f in convert.items()}
+    return cls(**(fixed or {}),
+               **{name: v for name, v in given.items() if v is not None})
 
 
 def _window_name(scale: int, w: TimeWindow) -> str:
@@ -215,8 +185,8 @@ def build_parser() -> _Parser:
 def _common(args) -> tuple[dict, AreaOfInterest, Path]:
     """A command's config entries, area of interest and output directory."""
     cfg = _load_config(args.config)
-    aoi = _setting(args, cfg, "aoi", DEFAULT_AOI, _parse_aoi)
-    out = _setting(args, cfg, "out", ".")
+    aoi = _setting(args, cfg, "aoi", _parse_aoi, DEFAULT_AOI)
+    out = _setting(args, cfg, "out", default=".")
     if not isinstance(out, str):
         raise ConfigError(f"bad out {out!r}: not a directory name")
     return cfg, aoi, Path(out)
@@ -225,12 +195,10 @@ def _common(args) -> tuple[dict, AreaOfInterest, Path]:
 def cmd_synth(args) -> tuple[Path, dict, dict, int]:
     cfg, aoi, out = _common(args)
     hubs, corridors = default_sites(aoi)
-    config = SynthConfig(aoi=aoi, hubs=hubs, corridors=corridors, **{
-        name: _setting(args, cfg, key, getattr(SynthConfig, name), convert)
-        for key, name, convert in [
-            ("users", "n_users", _int), ("fixes", "fixes_per_user", _int),
-            ("background_rate", "background_rate", _number),
-            ("sigma", "noise_sigma", _number), ("seed", "seed", _int)]})
+    config = _settings(SynthConfig, args, cfg, dict(
+        aoi=aoi, hubs=hubs, corridors=corridors), n_users=_int,
+        fixes_per_user=_int, background_rate=_number, noise_sigma=_number,
+        seed=_int)
     points, truth = generate(config)
     return out, {
         "points.csv": partial(mio.write_points_csv, points),
@@ -249,7 +217,8 @@ _FIELD_COLUMNS = ("t", "origin_lat", "origin_lon", "x", "y", "theta")
 
 
 def _movements(path, aoi: AreaOfInterest, fmt: str, strict: bool,
-               **extract) -> tuple[MovementBatch, ExtractionStats, int]:
+               extract: ExtractSettings,
+               ) -> tuple[MovementBatch, ExtractionStats, int]:
     """(batch, stats, points skipped) of a points file.
 
     The file is read in whole-user groups when its users come in
@@ -261,7 +230,7 @@ def _movements(path, aoi: AreaOfInterest, fmt: str, strict: bool,
     if streamed is not None:
         return streamed
     parsed = parse_points(path, fmt=fmt, strict=strict)
-    return (*extract_movements(parsed, aoi, **extract), parsed.skipped)
+    return (*extract_movements(parsed, aoi, extract), parsed.skipped)
 
 
 def _streamed_movements(path, aoi, fmt, strict, extract):
@@ -278,7 +247,7 @@ def _streamed_movements(path, aoi, fmt, strict, extract):
             if last is not None and min(ids) <= last:
                 return None
             last = max(ids)
-            batch, group_stats = extract_movements(group, aoi, **extract)
+            batch, group_stats = extract_movements(group, aoi, extract)
             stats += group_stats
             for c in _FIELD_COLUMNS:
                 kept[c].append(getattr(batch, c))
@@ -295,26 +264,18 @@ def _streamed_movements(path, aoi, fmt, strict, extract):
 
 def cmd_compute(args) -> tuple[Path, dict, dict, int]:
     cfg, aoi, out = _common(args)
-    scales = _setting(args, cfg, "scales", STANDARD_SCALES_M, _parse_scales)
-    window_spec = _setting(args, cfg, "window", "all")
-    _windows(window_spec, np.empty(0))      # refuse a bad spec before reading
-    min_disp = _setting(args, cfg, "min_displacement", MIN_DISPLACEMENT_M,
-                        _number)
-    max_gap = _setting(args, cfg, "max_gap", MAX_GAP_S, _number)
-    min_samples = _setting(args, cfg, "min_samples", MIN_SAMPLES, _int)
-    direction = _setting(args, cfg, "direction", DIRECTIONS[0])
-    fmt = _setting(args, cfg, "fmt", FORMATS[0])
-    strict = _setting(args, cfg, "strict", False)
+    extract = _settings(ExtractSettings, args, cfg, min_displacement=_number,
+                        max_gap=_number, direction=None)
+    settings = _settings(FieldSettings, args, cfg, scales=_ints, window=None,
+                         min_samples=_int)
+    fmt = _setting(args, cfg, "fmt", default=FORMATS[0])
+    strict = _setting(args, cfg, "strict", default=False)
     if not isinstance(strict, bool):
         raise ConfigError(f"bad strict {strict!r}: not true or false")
 
-    batch, stats, skipped = _movements(
-        args.points, aoi, fmt, strict, min_displacement=min_disp,
-        max_gap=max_gap, source=direction)
-    windows = _windows(window_spec, batch.t)
+    batch, stats, skipped = _movements(args.points, aoi, fmt, strict, extract)
     # each out-of-area vector counts once, however many windows there are
-    fields, dropped_out_of_area = compute_fields(batch, aoi, scales, windows,
-                                                 min_samples)
+    fields, dropped_out_of_area = compute_fields(batch, aoi, settings)
     writers, files = {}, {}
     for field in fields:
         w = field.window
@@ -340,9 +301,7 @@ def cmd_compute(args) -> tuple[Path, dict, dict, int]:
         "params": {
             "aoi": [aoi.south_west.lon, aoi.north_east.lon,
                     aoi.south_west.lat, aoi.north_east.lat],
-            "scales": list(scales), "window": window_spec,
-            "min_displacement": min_disp, "max_gap": max_gap,
-            "min_samples": min_samples, "direction": direction,
+            **asdict(extract), **asdict(settings),
         },
         "files": files,
     }, 0 if stats.n_vectors else 3
@@ -363,35 +322,33 @@ def _read_fields(paths, aoi: AreaOfInterest) -> list:
 
 def cmd_combine(args) -> tuple[Path, dict, dict, int]:
     cfg, aoi, out = _common(args)
-    mode = _setting(args, cfg, "mode", MODES[0])
-    floor = _setting(args, cfg, "percentile_floor", PERCENTILE_FLOOR, _number)
+    settings = _settings(FusionSettings, args, cfg, mode=None,
+                         percentile_floor=_number)
     fields = _read_fields(args.fields, aoi)
     layers = [normalize(f) for f in fields]
     base = min(f.scale_m for f in fields)
-    cmap = combine(layers, base, mode=mode)
-    peaks = find_local_peaks(cmap, percentile_floor=floor)
+    cmap = combine(layers, base, settings)
+    peaks = find_local_peaks(cmap, settings)
     return out, {
         "combined.csv": partial(mio.write_combined_csv, cmap),
         "peaks.csv": partial(mio.write_peaks_csv, cmap, peaks),
     }, {
-        "mode": mode, "base_scale_m": base,
+        "mode": settings.mode, "base_scale_m": base,
         "contributing_scales": sorted(f.scale_m for f in fields),
         "meshes_scored": len(cmap.scores), "peaks": len(peaks),
-        "percentile_floor": floor,
+        "percentile_floor": settings.percentile_floor,
     }, 0
 
 
 def cmd_evaluate(args) -> tuple[Path, dict, dict, int]:
     cfg, aoi, out = _common(args)
-    k_over = _setting(args, cfg, "top_k", {}, _parse_top_k)
-    radii = _setting(args, cfg, "radii", DEFAULT_RADII_KM, _parse_radii)
+    settings = _settings(EvaluationSettings, args, cfg, top_k=_pairs,
+                         radii=_numbers)
     stations = mio.read_stations_csv(args.stations)
     files, k_used = {}, {}
     for field in _read_fields(args.fields, aoi):
-        k = k_over.get(field.scale_m,
-                       DEFAULT_TOP_K.get(field.scale_m, FALLBACK_TOP_K))
-        k_used[str(field.scale_m)] = k
-        rec = recall_curve(top_k(field, k), stations, radii)
+        k = k_used[str(field.scale_m)] = settings.k(field.scale_m)
+        rec = recall_curve(top_k(field, k), stations, settings)
         files[f"recall_{field.scale_m}m.csv"] = partial(mio.write_recall_csv,
                                                         rec)
         curves = precision_curve(field, stations, DEFAULT_THRESHOLDS_M,
@@ -400,7 +357,8 @@ def cmd_evaluate(args) -> tuple[Path, dict, dict, int]:
             name = f"precision_{field.scale_m}m_within{int(d)}m.csv"
             files[name] = partial(mio.write_precision_csv, curves, d)
     return out, files, {
-        "stations": len(stations), "k": k_used, "radii_km": list(radii),
+        "stations": len(stations), "k": k_used,
+        "radii_km": list(settings.radii),
         "thresholds_m": list(DEFAULT_THRESHOLDS_M),
     }, 0
 

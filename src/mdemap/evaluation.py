@@ -9,19 +9,43 @@ distance threshold of their nearest station.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from . import kernels
 from .errors import ConfigError, EmptyFieldError
-from .field import MdeField
+from .field import MdeField, _positive_int
 from .mesh import GeoPoint, mesh_centers
 
 DEFAULT_TOP_K = {100: 300, 1000: 60, 2000: 60, 4000: 50}
 FALLBACK_TOP_K = 50             # K of a scale DEFAULT_TOP_K does not name
 DEFAULT_THRESHOLDS_M = (100.0, 300.0, 1000.0, 2000.0)
 DEFAULT_RADII_KM = tuple(r / 2 for r in range(1, 21))
+
+
+@dataclass(frozen=True)
+class EvaluationSettings:
+    """``top_k``: (scale, K) pairs over ``DEFAULT_TOP_K``, each scale once,
+    all positive integers; ``radii``: finite positive km. Other values are
+    refused when the object is made."""
+
+    top_k: tuple[tuple[int, int], ...] = ()
+    radii: tuple[float, ...] = DEFAULT_RADII_KM
+
+    def __post_init__(self):
+        if len(dict(self.top_k)) != len(self.top_k) or not all(
+                _positive_int(s) and _positive_int(k) for s, k in self.top_k):
+            raise ConfigError("top_k needs scale=K pairs of positive "
+                              "integers, each scale once")
+        if not (self.radii and all(0 < r < math.inf for r in self.radii)):
+            raise ConfigError("radii must be finite and > 0 km")
+
+    def k(self, scale_m: int) -> int:
+        """The K of a scale: its override, else its default."""
+        return dict(self.top_k).get(
+            scale_m, DEFAULT_TOP_K.get(scale_m, FALLBACK_TOP_K))
 
 
 class Station(NamedTuple):
@@ -95,15 +119,16 @@ def _station_arrays(stations: Sequence[Station]):
 
 
 def recall_curve(sel: TopKSelection, stations: Sequence[Station],
-                 radii_km: Sequence[float] = DEFAULT_RADII_KM) -> RecallCurve:
-    """Stations within x km of the nearest top-K mesh center, per x."""
+                 settings: EvaluationSettings = EvaluationSettings(),
+                 ) -> RecallCurve:
+    """Stations within x km of the nearest top-K mesh center, per x of
+    ``settings.radii``."""
     check_stations(stations)
-    if not all(0 < r < math.inf for r in radii_km):     # NaN fails too
-        raise ConfigError(f"radii must be finite and > 0 km, got {radii_km}")
     s_lat, s_lon = _station_arrays(stations)
     nearest = kernels.min_haversine_m(s_lat, s_lon, sel.lat, sel.lon)
-    counts = tuple(int((nearest <= r * 1000.0).sum()) for r in radii_km)
-    return RecallCurve(sel.scale_m, tuple(float(r) for r in radii_km), counts)
+    radii = tuple(float(r) for r in settings.radii)
+    counts = tuple(int((nearest <= r * 1000.0).sum()) for r in radii)
+    return RecallCurve(sel.scale_m, radii, counts)
 
 
 def precision_curve(field: MdeField, stations: Sequence[Station],
@@ -117,8 +142,7 @@ def precision_curve(field: MdeField, stations: Sequence[Station],
     """
     check_stations(stations)
     if x_values is None:
-        x_values = default_x_values(DEFAULT_TOP_K.get(field.scale_m,
-                                                        FALLBACK_TOP_K))
+        x_values = default_x_values(EvaluationSettings().k(field.scale_m))
     if any(x < 1 for x in x_values):
         raise ConfigError("x values must be >= 1")
     s_lat, s_lon = _station_arrays(stations)

@@ -18,6 +18,7 @@ bit for bit regardless of chunk boundaries.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
@@ -28,12 +29,14 @@ import numpy as np
 
 from . import kernels
 from .errors import ConfigError
-from .ingest import MovementBatch
+from .ingest import MovementBatch, _number
 from .kernels import N_BINS
-from .mesh import _check_scale, AreaOfInterest, MeshId, project_arrays
+from .mesh import (AreaOfInterest, MeshId, STANDARD_SCALES_M,
+                   project_arrays)
 
 MAX_ENTROPY = math.log(N_BINS)
-MIN_SAMPLES = 30                # default movements for a defined mesh
+# Most time windows one field build may make, per scale.
+MAX_WINDOWS = 100_000
 
 
 class TimeWindow(NamedTuple):
@@ -104,13 +107,64 @@ class MdeField:
                 if e.entropy is not None)
 
 
-def _check_setup(scale_m: int, windows, min_samples: int) -> None:
-    _check_scale(scale_m)
-    if min_samples < 1:
-        raise ConfigError(f"min_samples must be >= 1, got {min_samples}")
-    for w in windows:
-        if not w.start < w.end:
-            raise ConfigError(f"empty time window {w!r}")
+def _positive_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and value > 0
+
+
+@dataclass(frozen=True)
+class FieldSettings:
+    """Distinct positive integer ``scales`` (m), a ``window`` of "all" or a
+    length in s (a number or its text) and a positive integer
+    ``min_samples``; other values are refused when the object is made."""
+
+    scales: tuple[int, ...] = STANDARD_SCALES_M
+    window: str | float = "all"
+    min_samples: int = 30
+
+    def __post_init__(self):
+        if not (self.scales and len(set(self.scales)) == len(self.scales)
+                and all(map(_positive_int, self.scales))):
+            raise ConfigError("scales must be distinct positive integers")
+        try:
+            ok = self.window == "all" or 0 < _number(self.window) < math.inf
+        except (TypeError, ValueError):
+            ok = False
+        if not ok:
+            raise ConfigError("window must be 'all' or a positive length in s")
+        if not _positive_int(self.min_samples):
+            raise ConfigError("min_samples must be an integer >= 1")
+
+    def windows(self, t: np.ndarray) -> tuple[TimeWindow, ...]:
+        """The windows ``[start, start + W)`` of length ``W``, aligned to
+        multiples of ``W``, from the first time in ``t`` to the last;
+        ``(ALL_TIME,)`` for "all" or no times."""
+        if self.window == "all" or t.size == 0:
+            return (ALL_TIME,)
+        width, spec = _number(self.window), f"window {self.window}"
+        k = float(t.min()) / width
+        if not math.isfinite(k):
+            raise ConfigError(f"{spec} is too short for the timestamps")
+        start, last, out = math.floor(k) * width, float(t.max()), []
+        while start <= last:
+            if start + width == start:
+                raise ConfigError(f"{spec} is below the float resolution of "
+                                  f"the timestamps near {start!r}")
+            if len(out) == MAX_WINDOWS:
+                raise ConfigError(f"{spec} makes more than MAX_WINDOWS = "
+                                  f"{MAX_WINDOWS} windows")
+            out.append(TimeWindow(start, start + width))
+            start += width
+        return tuple(out)
+
+
+def _window_bounds(windows: tuple[TimeWindow, ...]):
+    """(starts, ends) of windows; empty, unsorted or overlapping ones are
+    refused."""
+    starts, ends = np.array(windows, np.float64).reshape(-1, 2).T
+    if not (starts < ends).all() or (starts[1:] < ends[:-1]).any():
+        raise ConfigError("time windows must be non-empty, sorted and "
+                          "disjoint")
+    return starts, ends
 
 
 def _movement_arrays(movements: MovementBatch, aoi: AreaOfInterest):
@@ -144,10 +198,7 @@ def _windowed_arrays(movements: MovementBatch, aoi: AreaOfInterest,
     x, y, theta, t, dropped = _movement_arrays(movements, aoi)
     if windows == (ALL_TIME,):
         return x, y, theta, np.zeros(x.size, dtype=np.int64), dropped
-    starts = np.array([w.start for w in windows], dtype=np.float64)
-    ends = np.array([w.end for w in windows], dtype=np.float64)
-    if (starts[1:] < ends[:-1]).any():
-        raise ConfigError("time windows must be sorted and disjoint")
+    starts, ends = _window_bounds(windows)
     # the last window with start <= t; -1 before the first, and NaN
     # sorts after every start, so t < end then fails
     widx = np.searchsorted(starts, t, side="right") - 1
@@ -180,8 +231,10 @@ class FieldAccumulator:
 
     def __init__(self, aoi: AreaOfInterest, scale_m: int,
                  window: TimeWindow = ALL_TIME,
-                 min_samples: int = MIN_SAMPLES):
-        _check_setup(scale_m, (window,), min_samples)
+                 min_samples: int = FieldSettings.min_samples):
+        # refuse a bad scale, sample floor or window before any input
+        FieldSettings((int(scale_m),), min_samples=min_samples)
+        _window_bounds((window,))
         self.aoi = aoi
         self.scale_m = int(scale_m)
         self.window = window
@@ -227,21 +280,22 @@ class FieldAccumulator:
                       mesh_flat, totals, ent, self.dropped_out_of_area)
 
 
-def compute_fields(movements: MovementBatch, aoi: AreaOfInterest, scales,
-                   windows=(ALL_TIME,), min_samples: int = MIN_SAMPLES,
+def compute_fields(movements: MovementBatch, aoi: AreaOfInterest,
+                   settings: FieldSettings = FieldSettings(), windows=None,
                    ) -> tuple[list[MdeField], int]:
     """Every (scale, window) field of ``movements`` in one pass per scale.
 
-    ``windows`` are sorted and disjoint. The window index is one more
-    key dimension, (window, mesh, bin), so each scale takes one count
-    and one entropy call over the whole input. Returns the fields in
-    scale-major order, each bit for bit what a ``FieldAccumulator`` of
-    that scale and window gives, and the number of out-of-area vectors,
-    each counted once; the fields' own ``dropped_out_of_area`` stay 0.
+    ``windows``, sorted and disjoint, default to ``settings.windows`` of
+    the vector times. The window index is one more key dimension,
+    (window, mesh, bin), so each scale takes one count and one entropy
+    call over the whole input. Returns the fields in scale-major order,
+    each bit for bit what a ``FieldAccumulator`` of that scale and window
+    gives, and the number of out-of-area vectors, each counted once; the
+    fields' own ``dropped_out_of_area`` stay 0.
     """
-    scales, windows = tuple(scales), tuple(windows)
-    for scale in scales:
-        _check_setup(scale, windows, min_samples)
+    windows = (settings.windows(movements.t) if windows is None
+               else tuple(windows))
+    scales, min_samples = settings.scales, settings.min_samples
     x, y, theta, widx, dropped = _windowed_arrays(movements, aoi, windows)
     bins = kernels.direction_bins(theta)
     out: list[MdeField] = []

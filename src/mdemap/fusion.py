@@ -19,7 +19,22 @@ from .mesh import AreaOfInterest
 _ROW_SHIFT = 32  # packed grid key: (row << 32) | col
 _COL_MASK = (1 << _ROW_SHIFT) - 1
 MODES = ("mean", "max")         # ways to fuse layers, the first the default
-PERCENTILE_FLOOR = 90.0         # find_local_peaks' default
+
+
+@dataclass(frozen=True)
+class FusionSettings:
+    """A ``mode`` of ``MODES`` for :func:`combine` and a ``percentile_floor``
+    in [0, 100] for :func:`find_local_peaks`; other values are refused
+    when the object is made."""
+
+    mode: str = MODES[0]
+    percentile_floor: float = 90.0
+
+    def __post_init__(self):
+        if self.mode not in MODES:
+            raise ConfigError(f"unknown mode {self.mode!r}")
+        if not 0.0 <= self.percentile_floor <= 100.0:   # NaN fails too
+            raise ConfigError("percentile_floor must be in [0, 100]")
 
 
 @dataclass(eq=False)
@@ -69,15 +84,13 @@ def _expand_to_base(layer: CombinedMap, base_scale_m: int,
 
 
 def combine(layers: list[CombinedMap], base_scale_m: int,
-            mode: str = MODES[0]) -> CombinedMap:
+            settings: FusionSettings = FusionSettings()) -> CombinedMap:
     """Fuse normalized layers onto the ``base_scale_m`` grid.
 
     Each base mesh collects the value of its ancestor in every layer
     where that ancestor is defined; undefined ancestors are skipped, and
     base meshes with nothing collected are omitted.
     """
-    if mode not in MODES:
-        raise ConfigError(f"unknown combine mode {mode!r}")
     if not layers:
         raise EmptyFieldError("no layers to combine")
     aoi = layers[0].aoi
@@ -98,7 +111,7 @@ def combine(layers: list[CombinedMap], base_scale_m: int,
     keys, vals = keys[order], vals[order]
     starts = np.flatnonzero(np.diff(keys, prepend=keys[:1] - 1))
     uniq = keys[starts]
-    if mode == "max":
+    if settings.mode == "max":
         agg = np.maximum.reduceat(vals, starts)
     else:
         lens = np.diff(np.append(starts, keys.size))
@@ -109,23 +122,21 @@ def combine(layers: list[CombinedMap], base_scale_m: int,
 
 
 def find_local_peaks(heat: CombinedMap,
-                     percentile_floor: float = PERCENTILE_FLOOR
+                     settings: FusionSettings = FusionSettings()
                      ) -> np.ndarray:
     """Meshes strictly above all scored 8-neighbours, at or above the floor.
 
-    The floor is the ``percentile_floor``-th percentile of all scores.
-    Returns indices into ``heat``'s columns, sorted by descending score,
-    ties by (row, col).
+    The floor is the ``settings.percentile_floor``-th percentile of all
+    scores. Returns indices into ``heat``'s columns, sorted by descending
+    score, ties by (row, col).
     """
-    if not 0.0 <= percentile_floor <= 100.0:
-        raise ConfigError("percentile_floor must be in [0, 100]")
     n = heat.scores.size
     if n == 0:
         raise EmptyFieldError("empty map has no peaks")
     keys = (heat.row << _ROW_SHIFT) | heat.col
     order = np.argsort(keys, kind="stable")
     keys, vals = keys[order], heat.scores[order]
-    floor = np.percentile(vals, percentile_floor)
+    floor = np.percentile(vals, settings.percentile_floor)
     ok = vals >= floor
     for dr in (-1, 0, 1):
         for dc in (-1, 0, 1):

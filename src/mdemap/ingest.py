@@ -488,9 +488,26 @@ def user_groups(blocks: Iterable[ParseResult]) -> Iterator[ParseResult]:
 
 # -- movement extraction ------------------------------------------------
 
-MIN_DISPLACEMENT_M = 10.0       # extract_movements' defaults
-MAX_GAP_S = 1800.0
 DIRECTIONS = ("consecutive", "heading")     # the first is the default
+
+
+@dataclass(frozen=True)
+class ExtractSettings:
+    """A ``direction`` of ``DIRECTIONS``, a finite ``min_displacement`` >= 0
+    (m) and a finite ``max_gap`` > 0 (s) for :func:`extract_movements`;
+    other values are refused when the object is made."""
+
+    min_displacement: float = 10.0
+    max_gap: float = 1800.0
+    direction: str = DIRECTIONS[0]
+
+    def __post_init__(self):
+        if self.direction not in DIRECTIONS:
+            raise ConfigError(f"unknown direction {self.direction!r}")
+        if not 0 <= self.min_displacement < math.inf:   # NaN fails too
+            raise ConfigError("min_displacement must be finite and >= 0")
+        if not 0 < self.max_gap < math.inf:
+            raise ConfigError("max_gap must be finite and > 0")
 
 
 @dataclass
@@ -541,9 +558,7 @@ def _empty_batch(aoi: AreaOfInterest) -> MovementBatch:
 
 
 def extract_movements(points: ParseResult, aoi: AreaOfInterest,
-                      min_displacement: float = MIN_DISPLACEMENT_M,
-                      max_gap: float = MAX_GAP_S,
-                      source: str = DIRECTIONS[0],
+                      settings: ExtractSettings = ExtractSettings(),
                       ) -> tuple[MovementBatch, ExtractionStats]:
     """Derive movement vectors from the point columns of ``points``.
 
@@ -555,10 +570,6 @@ def extract_movements(points: ParseResult, aoi: AreaOfInterest,
     fix carrying a heading becomes a vector on its own. Drops are
     counted, never raised.
     """
-    if source not in DIRECTIONS:
-        raise ConfigError(f"unknown direction source {source!r}")
-    if not (0 <= min_displacement < math.inf and 0 < max_gap < math.inf):
-        raise ConfigError("need finite min_displacement >= 0 and max_gap > 0")
     stats = ExtractionStats(n_points=len(points))
     if not len(points):
         return _empty_batch(aoi), stats
@@ -581,12 +592,12 @@ def extract_movements(points: ParseResult, aoi: AreaOfInterest,
     codes, t = codes[~dup], t[~dup]
     lat, lon, user = points.lat[keep], points.lon[keep], points.user_id[keep]
 
-    if source == "heading":
+    if settings.direction == "heading":
         heading, speed = points.heading[keep], points.speed[keep]
         has = ~np.isnan(heading)
         stats.dropped_no_heading = int((~has).sum())
         disp = np.maximum(np.where(np.isnan(speed[has]), 0.0, speed[has]),
-                          min_displacement)
+                          settings.min_displacement)
         batch = _finish_batch(aoi, user[has], t[has], lat[has], lon[has],
                               heading[has], disp,
                               np.ones(int(has.sum()), dtype=np.float64))
@@ -602,9 +613,9 @@ def extract_movements(points: ParseResult, aoi: AreaOfInterest,
     dy = y[oi + 1] - y[oi]
     duration = t[oi + 1] - t[oi]
     disp = np.hypot(dx, dy)
-    over_gap = duration > max_gap
+    over_gap = duration > settings.max_gap
     # zero displacement has no direction, whatever the threshold
-    short = ~over_gap & ((disp < min_displacement) | (disp == 0.0))
+    short = ~over_gap & ((disp < settings.min_displacement) | (disp == 0.0))
     stats.dropped_gap = int(over_gap.sum())
     stats.dropped_short = int(short.sum())
     ok = ~over_gap & ~short

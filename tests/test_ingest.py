@@ -14,8 +14,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mdemap import (ConfigError, DEFAULT_AOI, MovementBatch, ParseResult,
-                    PointParseError, extract_movements, ingest, parse_points)
+from mdemap import (ConfigError, DEFAULT_AOI, ExtractSettings, MovementBatch,
+                    ParseResult, PointParseError, extract_movements, ingest,
+                    parse_points)
 from mdemap.ingest import (_build_point, _parse_timestamp, _timestamps,
                            _utc_seconds)
 from mdemap.io import write_points_csv
@@ -30,7 +31,8 @@ CSV_HEADER = "user_id,timestamp,lat,lon\n"
 def _direction(aoi, points):
     """The one vector's theta from two fixes, and the oracle's angle of the
     displacement between their projections."""
-    batch, _ = extract_movements(points, aoi, min_displacement=0.0)
+    batch, _ = extract_movements(points, aoi,
+                                 ExtractSettings(min_displacement=0.0))
     x, y = project_arrays(points.lat, points.lon, aoi)
     (theta,) = batch.theta.tolist()
     return theta, direction_of(x[1] - x[0], y[1] - y[0])
@@ -67,7 +69,7 @@ def test_direction_of_zero_raises(small_aoi):
     with pytest.raises(ValueError):
         direction_of(0.0, 0.0)
     batch, stats = extract_movements(_step(35.51, 139.32), small_aoi,
-                                     min_displacement=0.0)
+                                     ExtractSettings(min_displacement=0.0))
     assert len(batch) == 0 and stats.dropped_short == 1
 
 
@@ -83,7 +85,7 @@ def test_direction_of_range(x, y, dx, dy):
     px, py = project_arrays(pts.lat, pts.lon, DEFAULT_AOI)
     if px[1] == px[0] and py[1] == py[0]:
         batch, stats = extract_movements(pts, DEFAULT_AOI,
-                                         min_displacement=0.0)
+                                         ExtractSettings(min_displacement=0.0))
         assert len(batch) == 0 and stats.dropped_short == 1
         return
     theta, oracle = _direction(DEFAULT_AOI, pts)
@@ -191,14 +193,16 @@ def test_extract_simple_north_pair(small_aoi):
 
 def test_extract_short_displacement_dropped(small_aoi):
     pts = fixes(small_aoi, [("u", 0, 500.0, 500.0), ("u", 60, 500.0, 505.0)])
-    batch, stats = extract_movements(pts, small_aoi, min_displacement=10.0)
+    batch, stats = extract_movements(pts, small_aoi,
+                                     ExtractSettings(min_displacement=10.0))
     assert len(batch) == 0 and stats.dropped_short == 1
 
 
 def test_extract_gap_dropped(small_aoi):
     pts = fixes(small_aoi, [("u", 0, 500.0, 500.0),
                             ("u", 7200, 500.0, 700.0)])
-    batch, stats = extract_movements(pts, small_aoi, max_gap=1800.0)
+    batch, stats = extract_movements(pts, small_aoi,
+                                     ExtractSettings(max_gap=1800.0))
     assert len(batch) == 0 and stats.dropped_gap == 1
 
 
@@ -213,7 +217,8 @@ def test_extract_three_fixes_two_vectors(small_aoi):
 
 def test_extract_zero_displacement_dropped_even_without_floor(small_aoi):
     pts = fixes(small_aoi, [("u", 0, 500.0, 500.0), ("u", 60, 500.0, 500.0)])
-    batch, stats = extract_movements(pts, small_aoi, min_displacement=0.0)
+    batch, stats = extract_movements(pts, small_aoi,
+                                     ExtractSettings(min_displacement=0.0))
     assert len(batch) == 0 and stats.dropped_short == 1
 
 
@@ -278,28 +283,13 @@ def test_extract_heading_mode(small_aoi):
         ("u", 0, 500.0, 500.0, math.pi, 21.0),
         ("u", 60, 500.0, 600.0),            # no heading: dropped
         ("u", 120, 500.0, 700.0, 0.25)])
-    batch, stats = extract_movements(pts, small_aoi, source="heading")
+    batch, stats = extract_movements(pts, small_aoi,
+                                     ExtractSettings(direction="heading"))
     assert stats.n_vectors == 2 and stats.dropped_no_heading == 1
     assert batch.theta[0] == math.pi
     assert batch.displacement[0] == 21.0       # speed * 1 s
     assert batch.displacement[1] == 10.0       # floor when speed missing
     assert batch.duration[0] == 1.0
-
-
-def test_extract_bad_arguments(small_aoi):
-    with pytest.raises(ConfigError):
-        extract_movements(points_of([]), small_aoi, source="imu")
-    with pytest.raises(ConfigError):
-        extract_movements(points_of([]), small_aoi, max_gap=0.0)
-    with pytest.raises(ConfigError):
-        extract_movements(points_of([]), small_aoi, min_displacement=-1.0)
-    # NaN passes every comparison written the other way round
-    points = fixes(small_aoi, [("u", 0.0, 0.0, 0.0), ("u", 60.0, 0.0, 200.0)])
-    for setting in ({"max_gap": math.nan}, {"max_gap": math.inf},
-                    {"min_displacement": math.nan},
-                    {"min_displacement": math.inf}):
-        with pytest.raises(ConfigError, match=next(iter(setting))):
-            extract_movements(points, small_aoi, **setting)
 
 
 def test_extract_empty(small_aoi):
@@ -402,8 +392,9 @@ def test_extract_reads_columns_like_points(tmp_path):
     parsed = parse_points(tmp_path / "p.csv")
     assert parsed == pts
     for source in ("consecutive", "heading"):
-        a, sa = extract_movements(parsed, DEFAULT_AOI, source=source)
-        b, sb = extract_movements(pts, DEFAULT_AOI, source=source)
+        extract = ExtractSettings(direction=source)
+        a, sa = extract_movements(parsed, DEFAULT_AOI, extract)
+        b, sb = extract_movements(pts, DEFAULT_AOI, extract)
         assert sa == sb and sa.n_vectors > 0
         assert same_batch(a, b)
 

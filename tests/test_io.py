@@ -15,8 +15,8 @@ import mdemap
 from mdemap import (ALL_TIME, AreaOfInterest, DEFAULT_AOI, GeoPoint,
                     MAX_ENTROPY, MeshId, PointParseError, PrecisionCurve,
                     RecallCurve, STANDARD_SCALES_M, Station, TimeWindow,
-                    combine, compute_fields, mesh_center, normalize,
-                    parse_points)
+                    FieldSettings, combine, compute_fields, mesh_center,
+                    normalize, parse_points)
 from mdemap.cli import main
 from mdemap import io as mio
 from mdemap.io import ENTROPY_SLACK, FIELD_HEADER, STATION_HEADER
@@ -312,7 +312,9 @@ def test_computed_outputs_match_reference_bytes(tmp_path):
 
     batch = uniform_batch(60_000, DEFAULT_AOI, 3)
     windows = [TimeWindow(0.0, 5e4), TimeWindow(5e4, 1e5)]
-    fields, _ = compute_fields(batch, DEFAULT_AOI, (1000, 2000), windows, 20)
+    fields, _ = compute_fields(
+        batch, DEFAULT_AOI, FieldSettings((1000, 2000), min_samples=20),
+        windows)
     assert all(f.count.size and f.n_defined for f in fields)
     for field in fields:
         _same_bytes(tmp_path, write_field_csv, _reference_field_csv, field)
@@ -431,8 +433,8 @@ def test_computed_geojson_matches_reference_bytes(tmp_path):
     from _throughput import uniform_batch
 
     batch = uniform_batch(60_000, DEFAULT_AOI, 5)
-    fields, _ = compute_fields(batch, DEFAULT_AOI, (1000, 2000), [ALL_TIME],
-                               25)
+    fields, _ = compute_fields(
+        batch, DEFAULT_AOI, FieldSettings((1000, 2000), min_samples=25))
     assert all(f.n_defined for f in fields)
     assert any(f.n_defined < f.count.size for f in fields)
     for field in fields:

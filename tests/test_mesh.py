@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mdemap import (AreaOfInterest, DEFAULT_AOI, GeoPoint, LocalCoord,
-                    MeshId, METERS_PER_DEGREE, ConfigError, compute_fields,
-                    inverse_project, kernels, mesh_center, mesh_centers,
-                    mesh_corners)
+                    MeshId, METERS_PER_DEGREE, ConfigError, FieldSettings,
+                    compute_fields, inverse_project, kernels, mesh_center,
+                    mesh_centers, mesh_corners)
 from mdemap.field import _mesh_index
 from mdemap.mesh import project_arrays
 
@@ -139,8 +139,8 @@ def test_contains_is_closed_on_boundary():
     # the field build keeps the vectors whose origin lies in the area
     vecs = batch_at(DEFAULT_AOI, [35.5, 35.85, 35.85000001],
                     [139.3, 140.0, 140.0], 0.0)
-    fields, dropped = compute_fields(vecs, DEFAULT_AOI, (100,),
-                                     min_samples=1)
+    fields, dropped = compute_fields(vecs, DEFAULT_AOI,
+                                     FieldSettings((100,), min_samples=1))
     assert dropped == 1 and fields[0].count.sum() == 2
 
 

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mdemap import (ConfigError, DEFAULT_AOI, GeoPoint, Hub, Corridor,
-                    LocalCoord, SynthConfig, compute_fields, default_sites,
+                    FieldSettings, LocalCoord, SynthConfig, compute_fields,
+                    default_sites,
                     extract_movements, generate, inverse_project, mesh_center)
 from mdemap.cli import main
 from mdemap.synth import _DT, _T0
@@ -91,7 +92,7 @@ def test_hub_mesh_is_near_max_entropy(small_aoi):
     cfg = _one_site_config(small_aoi, hub, n_users=120)
     pts, _ = generate(cfg)
     batch, stats = extract_movements(pts, small_aoi)
-    [field], _ = compute_fields(batch, small_aoi, (100,))
+    [field], _ = compute_fields(batch, small_aoi, FieldSettings((100,)))
     hub_mesh = mesh_of(project(hub.center, small_aoi), 100)
     assert stats.n_vectors >= 1000
     entry = field.entries[hub_mesh]
@@ -106,7 +107,8 @@ def test_corridor_mesh_entropy_is_two_lobed(small_aoi):
     cfg = _one_site_config(small_aoi, cor, n_users=200)
     pts, _ = generate(cfg)
     batch, _ = extract_movements(pts, small_aoi)
-    [field], _ = compute_fields(batch, small_aoi, (1000,), min_samples=100)
+    [field], _ = compute_fields(batch, small_aoi,
+                                FieldSettings((1000,), min_samples=100))
     th = batch.theta
     # directions hug the axis and its reverse
     dist = np.minimum(np.abs(th - 0.0), np.abs(th - math.pi))
