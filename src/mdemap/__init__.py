@@ -6,7 +6,8 @@ from .mesh import (AreaOfInterest, DEFAULT_AOI, EARTH_RADIUS_M, GeoPoint,
                    LocalCoord, MeshId, METERS_PER_DEGREE, STANDARD_SCALES_M,
                    inverse_project, mesh_center, mesh_centers, mesh_corners)
 from .ingest import (ExtractionStats, ExtractSettings, MovementBatch,
-                     ParseResult, extract_movements, parse_points)
+                     ParseResult, ParseSettings, extract_movements,
+                     parse_points)
 from .field import (ALL_TIME, FieldAccumulator, FieldSettings, MAX_ENTROPY,
                     MdeField, MeshEntry, N_BINS, TimeWindow, compute_fields)
 from .fusion import (CombinedMap, FusionSettings, combine, find_local_peaks,
@@ -30,11 +31,11 @@ __all__ = [
     "FusionSettings", "GeoPoint", "GroundTruth", "Hub", "InvalidAngleError",
     "InvalidScaleError", "LocalCoord", "MAX_ENTROPY", "MdeField",
     "MdemapError", "MeshEntry", "MeshId", "METERS_PER_DEGREE", "MovementBatch",
-    "N_BINS", "ParseResult", "PointParseError", "PrecisionCurve",
-    "RecallCurve", "STANDARD_SCALES_M", "Station", "SynthConfig", "TimeWindow",
-    "TopKSelection", "check_stations", "combine", "compute_fields",
-    "default_sites", "default_x_values", "extract_movements",
-    "find_local_peaks", "generate", "inverse_project", "kernels",
-    "mesh_center", "mesh_centers", "mesh_corners", "normalize", "parse_points",
-    "precision_curve", "recall_curve", "top_k",
+    "N_BINS", "ParseResult", "ParseSettings", "PointParseError",
+    "PrecisionCurve", "RecallCurve", "STANDARD_SCALES_M", "Station",
+    "SynthConfig", "TimeWindow", "TopKSelection", "check_stations", "combine",
+    "compute_fields", "default_sites", "default_x_values",
+    "extract_movements", "find_local_peaks", "generate", "inverse_project",
+    "kernels", "mesh_center", "mesh_centers", "mesh_corners", "normalize",
+    "parse_points", "precision_curve", "recall_curve", "top_k",
 ]

@@ -32,14 +32,15 @@ from .errors import ConfigError, MdemapError
 from .evaluation import (DEFAULT_THRESHOLDS_M, EvaluationSettings,
                          default_x_values, precision_curve, recall_curve,
                          top_k)
-from .field import ALL_TIME, FieldSettings, TimeWindow, compute_fields
+from .field import (ALL_TIME, FieldAccumulator, FieldSettings, TimeWindow,
+                    compute_fields)
 from .fusion import (MODES, FusionSettings, combine, find_local_peaks,
                      normalize)
 from .ingest import (DIRECTIONS, ExtractionStats, ExtractSettings, FORMATS,
-                     MovementBatch, _csv_blocks, _number, extract_movements,
+                     ParseSettings, _csv_blocks, _number, extract_movements,
                      parse_points, point_blocks, user_groups)
 from .mesh import AreaOfInterest, DEFAULT_AOI
-from .synth import SynthConfig, default_sites, generate
+from .synth import SynthConfig, default_sites, user_blocks
 
 
 class _Parser(argparse.ArgumentParser):
@@ -85,13 +86,24 @@ def _parse_aoi(value) -> AreaOfInterest:
     return AreaOfInterest.from_bounds(*parts)
 
 
+def _object(pairs: list) -> dict:
+    """A JSON object's (key, value) pairs as a dict; a repeated key is
+    refused, where ``json`` would keep the last."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ValueError(f"key {key!r} given twice")
+        out[key] = value
+    return out
+
+
 def _load_config(path) -> dict:
     if path is None:
         return {}
     try:
         with open(path, "r", encoding="utf-8") as f:
-            cfg = json.load(f)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            cfg = json.load(f, object_pairs_hook=_object)
+    except ValueError as exc:       # bad JSON or UTF-8, or a repeated key
         raise ConfigError(f"bad config file {path}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
@@ -199,46 +211,53 @@ def cmd_synth(args) -> tuple[Path, dict, dict, int]:
         aoi=aoi, hubs=hubs, corridors=corridors), n_users=_int,
         fixes_per_user=_int, background_rate=_number, noise_sigma=_number,
         seed=_int)
-    points, truth = generate(config)
     return out, {
-        "points.csv": partial(mio.write_points_csv, points),
-        "stations.csv": partial(mio.write_stations_csv, truth.stations()),
+        # users are drawn a block at a time, as the file is written
+        "points.csv": partial(mio.write_points_csv, user_blocks(config)),
+        "stations.csv": partial(mio.write_stations_csv,
+                                config.truth().stations()),
     }, {
         "seed": config.seed, "users": config.n_users,
-        "fixes_per_user": config.fixes_per_user, "points": len(points),
+        "fixes_per_user": config.fixes_per_user,
+        "points": config.n_users * config.fixes_per_user,
         "hubs": len(config.hubs), "corridors": len(config.corridors),
         "background_rate": config.background_rate,
         "noise_sigma": config.noise_sigma,
     }, 0
 
 
-# The MovementBatch columns that compute_fields reads.
-_FIELD_COLUMNS = ("t", "origin_lat", "origin_lon", "x", "y", "theta")
-
-
-def _movements(path, aoi: AreaOfInterest, fmt: str, strict: bool,
-               extract: ExtractSettings,
-               ) -> tuple[MovementBatch, ExtractionStats, int]:
-    """(batch, stats, points skipped) of a points file.
+def _fields(path, aoi: AreaOfInterest, read: ParseSettings,
+            extract: ExtractSettings, settings: FieldSettings):
+    """(fields, out-of-area vectors, stats, points skipped) of a points file.
 
     The file is read in whole-user groups when its users come in
-    ascending id order, holding only the vector columns the field build
-    reads; otherwise it is read whole. Both give the same vectors in the
-    same order, and the same counts.
+    ascending id order, and read whole otherwise; both give the same
+    fields and counts.
     """
-    streamed = _streamed_movements(path, aoi, fmt, strict, extract)
+    streamed = _streamed_fields(path, aoi, read, extract, settings)
     if streamed is not None:
         return streamed
-    parsed = parse_points(path, fmt=fmt, strict=strict)
-    return (*extract_movements(parsed, aoi, extract), parsed.skipped)
+    parsed = parse_points(path, read)
+    batch, stats = extract_movements(parsed, aoi, extract)
+    return (*compute_fields(batch, aoi, settings), stats, parsed.skipped)
 
 
-def _streamed_movements(path, aoi, fmt, strict, extract):
-    """``_movements`` by whole-user groups; None at the first group whose
-    smallest user id is not above the previous group's largest."""
-    stats, skipped, last = ExtractionStats(), 0, None
-    kept = {c: [np.empty(0)] for c in _FIELD_COLUMNS}
-    with closing(point_blocks(path, fmt, strict)) as blocks:
+def _streamed_fields(path, aoi, read, extract, settings):
+    """``_fields`` by whole-user groups; None at the first group whose
+    smallest user id is not above the previous group's largest.
+
+    With window "all", each group's vectors go to one accumulator per
+    scale and are dropped. Other windows span the time range of every
+    vector, so the groups' vectors are kept until it is known.
+    """
+    def accumulators(windows):
+        return [FieldAccumulator(aoi, scale, windows, settings.min_samples)
+                for scale in settings.scales]
+
+    stats, skipped, last, kept = ExtractionStats(), 0, None, []
+    windowed = settings.window != "all"
+    built = accumulators(ALL_TIME)
+    with closing(point_blocks(path, read)) as blocks:
         for group in user_groups(blocks):
             skipped += group.skipped
             if not len(group):
@@ -249,17 +268,19 @@ def _streamed_movements(path, aoi, fmt, strict, extract):
             last = max(ids)
             batch, group_stats = extract_movements(group, aoi, extract)
             stats += group_stats
-            for c in _FIELD_COLUMNS:
-                kept[c].append(getattr(batch, c))
-    # one column at a time, each freeing its parts
-    columns = {c: np.concatenate(kept.pop(c)) for c in _FIELD_COLUMNS}
-    # user ids, displacements and durations are not kept: zero-stride
-    # placeholders hold their place
-    n = columns["t"].size
-    unused = np.broadcast_to(np.nan, n)
-    return (MovementBatch(aoi, np.broadcast_to(np.array(None), n),
-                          displacement=unused, duration=unused, **columns),
-            stats, skipped)
+            if windowed:
+                kept.append(batch)
+            else:
+                for acc in built:
+                    acc.add(batch)
+    if windowed:
+        built = accumulators(settings.windows(
+            np.concatenate([np.empty(0)] + [b.t for b in kept])))
+        for batch in kept:
+            for acc in built:
+                acc.add(batch)
+    return ([f for acc in built for f in acc.finish_all()],
+            built[0].dropped_out_of_area, stats, skipped)
 
 
 def cmd_compute(args) -> tuple[Path, dict, dict, int]:
@@ -268,14 +289,10 @@ def cmd_compute(args) -> tuple[Path, dict, dict, int]:
                         max_gap=_number, direction=None)
     settings = _settings(FieldSettings, args, cfg, scales=_ints, window=None,
                          min_samples=_int)
-    fmt = _setting(args, cfg, "fmt", default=FORMATS[0])
-    strict = _setting(args, cfg, "strict", default=False)
-    if not isinstance(strict, bool):
-        raise ConfigError(f"bad strict {strict!r}: not true or false")
-
-    batch, stats, skipped = _movements(args.points, aoi, fmt, strict, extract)
+    read = _settings(ParseSettings, args, cfg, fmt=None, strict=None)
     # each out-of-area vector counts once, however many windows there are
-    fields, dropped_out_of_area = compute_fields(batch, aoi, settings)
+    fields, dropped_out_of_area, stats, skipped = _fields(
+        args.points, aoi, read, extract, settings)
     writers, files = {}, {}
     for field in fields:
         w = field.window

@@ -187,27 +187,6 @@ def _movement_arrays(movements: MovementBatch, aoi: AreaOfInterest):
     return x, y, theta, t, dropped
 
 
-def _windowed_arrays(movements: MovementBatch, aoi: AreaOfInterest,
-                     windows: tuple[TimeWindow, ...]):
-    """(x, y, theta, window index, n_out_of_area) of the kept vectors.
-
-    A vector is kept when its origin lies in ``aoi`` and its time in a
-    window, ``start <= t < end``; ``windows`` are sorted and disjoint.
-    ``ALL_TIME`` alone keeps every in-area vector.
-    """
-    x, y, theta, t, dropped = _movement_arrays(movements, aoi)
-    if windows == (ALL_TIME,):
-        return x, y, theta, np.zeros(x.size, dtype=np.int64), dropped
-    starts, ends = _window_bounds(windows)
-    # the last window with start <= t; -1 before the first, and NaN
-    # sorts after every start, so t < end then fails
-    widx = np.searchsorted(starts, t, side="right") - 1
-    keep = (widx >= 0) & (t < ends[np.maximum(widx, 0)])
-    if not keep.all():
-        x, y, theta, widx = x[keep], y[keep], theta[keep], widx[keep]
-    return x, y, theta, widx, dropped
-
-
 def _mesh_index(x, y, scale_m: int, ncols: int) -> np.ndarray:
     """Flat grid index row * ncols + col of each local coordinate."""
     col = (x // scale_m).astype(np.int64)
@@ -215,104 +194,133 @@ def _mesh_index(x, y, scale_m: int, ncols: int) -> np.ndarray:
     return row * ncols + col
 
 
-def _field(scale_m, window, aoi, ncols, mesh_flat, totals, ent,
-           dropped=0) -> MdeField:
-    row, col = np.divmod(mesh_flat, ncols)
-    return MdeField(scale_m, window, aoi, col, row, totals, ent, dropped)
+# Unmerged (key, count) pairs an accumulator holds before it merges them:
+# this many, or twice as many as its last merge left, whichever is more.
+_MERGE_KEYS = 1 << 20
 
 
 class FieldAccumulator:
     """Streaming accumulator of per-mesh direction histograms for one scale.
 
-    ``add`` may be called with arbitrary input chunks in any order;
-    ``merge`` combines accumulators built over disjoint chunks. The
-    finished field does not depend on how the input was split.
+    ``window`` is one ``TimeWindow`` or a sorted, disjoint tuple of them;
+    counts are keyed by (window, mesh, bin), so one accumulator builds
+    every window's field. A vector counts in the window holding its time,
+    ``start <= t < end``. ``add`` may be called with arbitrary input
+    chunks in any order; ``merge`` combines accumulators built over
+    disjoint chunks. The finished fields do not depend on how the input
+    was split, and the held counts grow with the (window, mesh, bin) keys
+    seen, not with the vectors.
     """
 
     def __init__(self, aoi: AreaOfInterest, scale_m: int,
-                 window: TimeWindow = ALL_TIME,
+                 window: TimeWindow | tuple[TimeWindow, ...] = ALL_TIME,
                  min_samples: int = FieldSettings.min_samples):
+        self.windows = ((window,) if isinstance(window, TimeWindow)
+                        else tuple(window))
         # refuse a bad scale, sample floor or window before any input
         FieldSettings((int(scale_m),), min_samples=min_samples)
-        _window_bounds((window,))
+        self._starts, self._ends = _window_bounds(self.windows)
         self.aoi = aoi
         self.scale_m = int(scale_m)
-        self.window = window
         self.min_samples = int(min_samples)
         self.dropped_out_of_area = 0
-        self._ncols, _ = aoi.grid_shape(self.scale_m)
+        self._ncols, nrows = aoi.grid_shape(self.scale_m)
+        self._ncells = self._ncols * nrows
+        if len(self.windows) * self._ncells * N_BINS > np.iinfo(np.int64).max:
+            raise ConfigError(
+                f"{len(self.windows)} windows x {self._ncells} meshes at "
+                f"{self.scale_m} m overflow the int64 (window, mesh, bin) key")
         self._keys: list[np.ndarray] = []
         self._counts: list[np.ndarray] = []
+        self._merge_at = _MERGE_KEYS
 
     def add(self, movements: MovementBatch) -> None:
-        x, y, theta, _, dropped = _windowed_arrays(movements, self.aoi,
-                                                   (self.window,))
+        x, y, theta, t, dropped = _movement_arrays(movements, self.aoi)
         self.dropped_out_of_area += dropped
+        if self.windows != (ALL_TIME,):
+            # the last window with start <= t; -1 before the first, and NaN
+            # sorts after every start, so t < end then fails
+            w = np.searchsorted(self._starts, t, side="right") - 1
+            keep = (w >= 0) & (t < self._ends[np.maximum(w, 0)])
+            if not keep.all():
+                x, y, theta, w = x[keep], y[keep], theta[keep], w[keep]
         if x.size == 0:
             return
         flat = _mesh_index(x, y, self.scale_m, self._ncols)
-        bins = kernels.direction_bins(theta)
-        keys, counts = kernels.count_mesh_bins(flat, bins)
+        if len(self.windows) > 1:
+            flat += w * self._ncells
+        keys, counts = kernels.count_mesh_bins(
+            flat, kernels.direction_bins(theta))
         self._keys.append(keys)
         self._counts.append(counts)
+        if sum(map(len, self._keys)) > self._merge_at:
+            self._merge_at = max(_MERGE_KEYS, 2 * self._merged()[0].size)
 
     def merge(self, other: "FieldAccumulator") -> None:
-        if (other.aoi, other.scale_m, other.window, other.min_samples) != \
-                (self.aoi, self.scale_m, self.window, self.min_samples):
+        if (other.aoi, other.scale_m, other.windows, other.min_samples) != \
+                (self.aoi, self.scale_m, self.windows, self.min_samples):
             raise ConfigError("cannot merge accumulators with different setups")
         self._keys.extend(other._keys)
         self._counts.extend(other._counts)
         self.dropped_out_of_area += other.dropped_out_of_area
 
     def _merged(self):
+        """The held (key, count) pairs summed by key, keys ascending, kept
+        as the one part held from then on; key = (window * meshes + mesh)
+        * N_BINS + bin."""
         if not self._keys:
             z = np.empty(0, dtype=np.int64)
             return z, z
-        keys = np.concatenate(self._keys)
-        counts = np.concatenate(self._counts)
-        return kernels.group_counts(keys, counts)
+        keys, counts = kernels.group_counts(np.concatenate(self._keys),
+                                            np.concatenate(self._counts))
+        self._keys, self._counts = [keys], [counts]
+        return keys, counts
 
     def finish(self) -> MdeField:
+        """The field of a one-window accumulator."""
+        if len(self.windows) != 1:
+            raise ConfigError(f"finish() makes one field, not "
+                              f"{len(self.windows)}; use finish_all()")
+        return self._fields()[0]
+
+    def finish_all(self) -> list[MdeField]:
+        """One field per window, in window order, each carrying the
+        out-of-area count. A one-window accumulator finishes through
+        ``finish``, so what wraps that method sees every one-window build."""
+        return [self.finish()] if len(self.windows) == 1 else self._fields()
+
+    def _fields(self) -> list[MdeField]:
         keys, counts = self._merged()
-        mesh_flat, totals, ent = kernels.field_entropy(
-            keys, counts, self.min_samples)
-        return _field(self.scale_m, self.window, self.aoi, self._ncols,
-                      mesh_flat, totals, ent, self.dropped_out_of_area)
+        mesh, totals, ent = kernels.field_entropy(keys, counts,
+                                                  self.min_samples)
+        # keys ascend, so each window's meshes are one run
+        cuts = [0, *np.searchsorted(mesh, self._ncells * np.arange(
+            1, len(self.windows))).tolist(), mesh.size]
+        out = []
+        for i, w in enumerate(self.windows):
+            sl = slice(cuts[i], cuts[i + 1])
+            row, col = np.divmod(mesh[sl] - i * self._ncells, self._ncols)
+            out.append(MdeField(self.scale_m, w, self.aoi, col, row,
+                                totals[sl], ent[sl], self.dropped_out_of_area))
+        return out
 
 
 def compute_fields(movements: MovementBatch, aoi: AreaOfInterest,
                    settings: FieldSettings = FieldSettings(), windows=None,
                    ) -> tuple[list[MdeField], int]:
-    """Every (scale, window) field of ``movements`` in one pass per scale.
+    """Every (scale, window) field of ``movements``: one accumulator per
+    scale, over every window, fed the whole batch once.
 
     ``windows``, sorted and disjoint, default to ``settings.windows`` of
-    the vector times. The window index is one more key dimension,
-    (window, mesh, bin), so each scale takes one count and one entropy
-    call over the whole input. Returns the fields in scale-major order,
-    each bit for bit what a ``FieldAccumulator`` of that scale and window
-    gives, and the number of out-of-area vectors, each counted once; the
-    fields' own ``dropped_out_of_area`` stay 0.
+    the vector times. Returns the fields in scale-major order and the
+    number of out-of-area vectors, each counted once, which every field
+    carries as its ``dropped_out_of_area``.
     """
     windows = (settings.windows(movements.t) if windows is None
                else tuple(windows))
-    scales, min_samples = settings.scales, settings.min_samples
-    x, y, theta, widx, dropped = _windowed_arrays(movements, aoi, windows)
-    bins = kernels.direction_bins(theta)
-    out: list[MdeField] = []
-    for scale in scales:
-        ncols, nrows = aoi.grid_shape(scale)
-        ncells = ncols * nrows
-        if len(windows) * ncells * N_BINS > np.iinfo(np.int64).max:
-            raise ConfigError(
-                f"{len(windows)} windows x {ncells} meshes at {scale} m "
-                "overflow the int64 (window, mesh, bin) key")
-        flat = widx * ncells + _mesh_index(x, y, scale, ncols)
-        keys, counts = kernels.count_mesh_bins(flat, bins)
-        mesh, totals, ent = kernels.field_entropy(keys, counts, min_samples)
-        w_of, mesh_flat = np.divmod(mesh, ncells)
-        cuts = np.searchsorted(w_of, np.arange(len(windows) + 1))
-        for i, w in enumerate(windows):
-            sl = slice(cuts[i], cuts[i + 1])
-            out.append(_field(scale, w, aoi, ncols, mesh_flat[sl],
-                              totals[sl], ent[sl]))
-    return out, dropped
+    accumulators = [FieldAccumulator(aoi, scale, windows, settings.min_samples)
+                    for scale in settings.scales]
+    for acc in accumulators:
+        acc.add(movements)
+    return ([f for acc in accumulators for f in acc.finish_all()],
+            accumulators[0].dropped_out_of_area)

@@ -152,8 +152,24 @@ def _open_text(source):
     raise ConfigError(f"cannot read points from {type(source).__name__}")
 
 
-def parse_points(source, fmt: str = FORMATS[0],
-                 strict: bool = False) -> ParseResult:
+@dataclass(frozen=True)
+class ParseSettings:
+    """A points file's ``fmt`` of ``FORMATS`` and whether it is read
+    ``strict`` (True or False); other values are refused when the object
+    is made."""
+
+    fmt: str = FORMATS[0]
+    strict: bool = False
+
+    def __post_init__(self):
+        if self.fmt not in FORMATS:
+            raise ConfigError(f"unknown points format {self.fmt!r}")
+        if not isinstance(self.strict, bool):
+            raise ConfigError(f"bad strict {self.strict!r}: not true or false")
+
+
+def parse_points(source,
+                 settings: ParseSettings = ParseSettings()) -> ParseResult:
     """Parse a points file (CSV or NDJSON) into point columns.
 
     Malformed rows are skipped and counted; with ``strict`` the first one
@@ -161,23 +177,21 @@ def parse_points(source, fmt: str = FORMATS[0],
     columns is structural and always raises. The columns are those of
     :func:`point_blocks`, concatenated.
     """
-    return _concat(list(point_blocks(source, fmt, strict)))
+    return _concat(list(point_blocks(source, settings)))
 
 
-def point_blocks(source, fmt: str = FORMATS[0],
-                 strict: bool = False) -> Iterator[ParseResult]:
+def point_blocks(source, settings: ParseSettings = ParseSettings(),
+                 ) -> Iterator[ParseResult]:
     """The rows of a points file as a ``ParseResult`` per block of lines.
 
     A block holds the rows of about ``_BLOCK_CHARS`` characters of text,
     in file order, and the count of malformed rows among them. Rules and
     errors are those of :func:`parse_points`.
     """
-    if fmt not in FORMATS:
-        raise ConfigError(f"unknown points format {fmt!r}")
     stream, owned = _open_text(source)
     try:
-        yield from (_parse_csv if fmt == "csv" else _parse_ndjson)(stream,
-                                                                  strict)
+        yield from (_parse_csv if settings.fmt == "csv" else _parse_ndjson)(
+            stream, settings.strict)
     finally:
         if owned:
             stream.close()
@@ -579,7 +593,8 @@ def extract_movements(points: ParseResult, aoi: AreaOfInterest,
     # fixed-width str array pads every id to the longest and drops
     # trailing NULs
     ids = points.user_id.tolist()
-    code_of = {u: i for i, u in enumerate(sorted(set(ids)))}
+    names = sorted(set(ids))
+    code_of = {u: i for i, u in enumerate(names)}
     codes = np.fromiter(map(code_of.__getitem__, ids), np.int64, len(ids))
     stats.n_users = len(code_of)
     # stable (user, t) order: ties keep input order, so dedup keeps the first
@@ -590,7 +605,9 @@ def extract_movements(points: ParseResult, aoi: AreaOfInterest,
     stats.dropped_duplicate = int(dup.sum())
     keep = order[~dup]
     codes, t = codes[~dup], t[~dup]
-    lat, lon, user = points.lat[keep], points.lon[keep], points.user_id[keep]
+    lat, lon = points.lat[keep], points.lon[keep]
+    # one id object per user, not one per row, for batches that are kept
+    user = np.array(names, dtype=object)[codes]
 
     if settings.direction == "heading":
         heading, speed = points.heading[keep], points.speed[keep]

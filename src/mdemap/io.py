@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -19,8 +19,8 @@ from .errors import PointParseError
 from .evaluation import (PrecisionCurve, RecallCurve, Station, check_stations)
 from .field import ALL_TIME, MAX_ENTROPY, MdeField, TimeWindow
 from .fusion import CombinedMap
-from .ingest import (ParseResult, _csv_blocks, _floats_at, _leftovers,
-                     _records, _split)
+from .ingest import (ParseResult, _columns, _csv_blocks, _floats_at,
+                     _leftovers, _records, _split)
 from .mesh import AreaOfInterest, GeoPoint, mesh_centers, mesh_corners
 
 FIELD_HEADER = ("scale_m", "col", "row", "center_lat", "center_lon",
@@ -312,29 +312,47 @@ def _csv_text(cell: str) -> str:
     return cell
 
 
-def write_points_csv(points: ParseResult, path) -> None:
-    """Standard points file; heading/speed columns only when any point has them.
+def _has_extras(points: ParseResult) -> bool:
+    return not (np.isnan(points.heading).all()
+                and np.isnan(points.speed).all())
 
-    Bytes are those of ``csv.writer``: ids quoted where needed, integral
-    times as ints, floats with ``repr``, absent heading/speed empty.
+
+def write_points_csv(points: ParseResult | Iterable[ParseResult],
+                     path) -> None:
+    """Standard points file of one ``ParseResult`` or of blocks of them;
+    heading/speed columns only when a point of the first block has them.
+
+    Bytes are those of ``csv.writer`` over the rows of every block: ids
+    quoted where needed, integral times as ints, floats with ``repr``,
+    absent heading/speed empty. A later block with a heading or speed
+    where the first has no column for it raises ValueError.
     """
-    extras = not (np.isnan(points.heading).all()
-                  and np.isnan(points.speed).all())
+    blocks = iter([points] if isinstance(points, ParseResult) else points)
+    first = next(blocks, _columns([]))
+    extras = _has_extras(first)
     names = ("user_id", "timestamp", "lat", "lon", "heading", "speed")
     with open(path, "w", encoding="utf-8", newline="") as f:
         f.write(",".join(names[:6 if extras else 4]) + "\r\n")
-        for sl in _chunks(len(points)):
-            ids = points.user_id[sl].tolist()
-            text = {u: _csv_text(u) for u in set(ids)}
-            tails = (map(",{},{}".format, _texts(points.heading[sl], ""),
-                         _texts(points.speed[sl], ""))
-                     if extras else repeat(""))
-            f.write("".join([
-                f"{u},{t},{la!r},{lo!r}{x}\r\n" for u, t, la, lo, x in zip(
-                    map(text.__getitem__, ids),
-                    _distinct_texts(points.t[sl], lambda t: str(int(t)) if
-                                    t.is_integer() else repr(t)).tolist(),
-                    points.lat[sl].tolist(), points.lon[sl].tolist(), tails)]))
+        for block in chain([first], blocks):
+            if _has_extras(block) > extras:
+                raise ValueError("a block after the first has heading or "
+                                 "speed values, and the first has none")
+            _write_point_rows(f, block, extras)
+
+
+def _write_point_rows(f, points: ParseResult, extras: bool) -> None:
+    for sl in _chunks(len(points)):
+        ids = points.user_id[sl].tolist()
+        text = {u: _csv_text(u) for u in set(ids)}
+        tails = (map(",{},{}".format, _texts(points.heading[sl], ""),
+                     _texts(points.speed[sl], ""))
+                 if extras else repeat(""))
+        f.write("".join([
+            f"{u},{t},{la!r},{lo!r}{x}\r\n" for u, t, la, lo, x in zip(
+                map(text.__getitem__, ids),
+                _distinct_texts(points.t[sl], lambda t: str(int(t)) if
+                                t.is_integer() else repr(t)).tolist(),
+                points.lat[sl].tolist(), points.lon[sl].tolist(), tails)]))
 
 
 def _geojson(table, scale_m: int, **values) -> Iterator[str]:

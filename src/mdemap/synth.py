@@ -15,14 +15,15 @@ walk's own draws (hub: radius and angle uniforms per fix; corridor:
 start offset, angular noise, step lengths). Output is therefore
 byte-identical across runs, platforms, and any per-user parallel
 schedule, after the final sort by (user_id, t). Only the draws are made
-user by user; positions then take one array pass, in a walk's float order.
+user by user; positions then take one array pass, in a walk's float order,
+row by row, so a block of users gets the same rows as the whole city.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -36,6 +37,8 @@ _T0 = 1_600_000_000  # first fix timestamp, UTC seconds
 _DT = 60.0           # seconds between fixes
 _STEP_MIN_M = 15.0   # corridor step lengths, uniform draw
 _STEP_MAX_M = 60.0
+# Users drawn at a time by ``user_blocks``.
+_BLOCK_USERS = 1024
 
 
 class Hub(NamedTuple):
@@ -94,6 +97,10 @@ class SynthConfig:
                     and y + r <= self.aoi.height_m):
                 raise ConfigError("site disc extends beyond the AOI")
 
+    def truth(self) -> GroundTruth:
+        """The planted truth: the hub centers."""
+        return GroundTruth(tuple(h.center for h in self.hubs))
+
 
 def default_sites(aoi: AreaOfInterest = DEFAULT_AOI,
                   scale_m: int = 100) -> tuple[tuple[Hub, ...],
@@ -122,40 +129,54 @@ def default_sites(aoi: AreaOfInterest = DEFAULT_AOI,
     return tuple(hubs), tuple(corridors)
 
 
-def generate(config: SynthConfig) -> tuple[ParseResult, GroundTruth]:
-    """Every user's fixes as columns sorted by (user_id, t), and the truth."""
+def generate(config: SynthConfig, users: range | None = None,
+             ) -> tuple[ParseResult, GroundTruth]:
+    """The fixes of ``users``, a range of user indices (default: every
+    user), as columns sorted by (user_id, t), and the truth. A user's rows
+    do not depend on which other users are drawn with it."""
     cfg = config
     sw, ne = cfg.aoi.south_west, cfg.aoi.north_east
     width = max(len(str(max(cfg.n_users - 1, 0))), 1)
-    n, f = cfg.n_users, cfg.fixes_per_user
-    site = np.arange(n) % (len(cfg.hubs) + len(cfg.corridors))
+    users = range(cfg.n_users) if users is None else users
+    n, f = len(users), cfg.fixes_per_user
+    site = np.arange(users.start, users.stop, users.step) % (
+        len(cfg.hubs) + len(cfg.corridors))
     # each user's draws in the contract's order, in five blocks of f:
     # background flags, latitudes, longitudes, then a hub's radius and angle
     # uniforms or a corridor's start offset, f - 1 angle noises and f - 1
     # step lengths (from the block's second cell); ``uniform(a, b)`` draws
     # are made on [0, 1) and scaled after the loop as it does, a + (b - a) u
     d = np.empty((n, 5 * f))
-    for u, at_hub in enumerate((site < len(cfg.hubs)).tolist()):
+    for i, (u, at_hub) in enumerate(zip(users,
+                                        (site < len(cfg.hubs)).tolist())):
         rng = np.random.Generator(
             np.random.PCG64(np.random.SeedSequence(cfg.seed, spawn_key=(u,))))
         if at_hub:
-            d[u] = rng.random(5 * f)
+            d[i] = rng.random(5 * f)
         else:
-            d[u, :3 * f + 1] = rng.random(3 * f + 1)
-            d[u, 3 * f + 1:4 * f] = rng.normal(0.0, cfg.noise_sigma, f - 1)
-            d[u, 4 * f + 1:] = rng.random(f - 1)
+            d[i, :3 * f + 1] = rng.random(3 * f + 1)
+            d[i, 3 * f + 1:4 * f] = rng.normal(0.0, cfg.noise_sigma, f - 1)
+            d[i, 4 * f + 1:] = rng.random(f - 1)
     bg, bg_lat, bg_lon, x, y = (d[:, i * f:(i + 1) * f] for i in range(5))
     bg_lat[:] = sw.lat + (ne.lat - sw.lat) * bg_lat
     bg_lon[:] = sw.lon + (ne.lon - sw.lon) * bg_lon
     _walk(cfg, site, x, y)
     lat, lon = inverse_project(LocalCoord(x, y), cfg.aoi)
     bg = bg < cfg.background_rate
-    users = np.array([f"u{u:0{width}d}" for u in range(n)], dtype=object)
+    ids = np.array([f"u{u:0{width}d}" for u in users], dtype=object)
     points = ParseResult(
-        np.repeat(users, f), np.tile(_T0 + _DT * np.arange(f), n),
+        np.repeat(ids, f), np.tile(_T0 + _DT * np.arange(f), n),
         np.where(bg, bg_lat, lat).ravel(), np.where(bg, bg_lon, lon).ravel(),
         *np.full((2, n * f), np.nan))
-    return points, GroundTruth(tuple(h.center for h in cfg.hubs))
+    return points, cfg.truth()
+
+
+def user_blocks(config: SynthConfig) -> Iterator[ParseResult]:
+    """The points of ``generate(config)`` in blocks of ``_BLOCK_USERS``
+    users, each drawn when it is asked for."""
+    for lo in range(0, config.n_users, _BLOCK_USERS):
+        yield generate(config, range(lo, min(lo + _BLOCK_USERS,
+                                             config.n_users)))[0]
 
 
 def _walk(cfg: SynthConfig, site: np.ndarray, x: np.ndarray,

@@ -230,6 +230,33 @@ def test_benchmark_tracer_finds_every_name():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_benchmark_tracer_sees_the_streamed_layers(tmp_path):
+    # synth draws its users and compute builds its fields through the names
+    # that perfbench/tracing.py wraps; each vector is scanned once per scale
+    root = PYPROJECT.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(root / "src"), str(root / "perfbench")]))
+    script = ("import sys, tracing\n"
+              "from mdemap.cli import main\n"
+              "tracer = tracing.Tracer('t')\n"
+              "tracer.install()\n"
+              "out = sys.argv[1]\n"
+              "assert main(['synth', '--users', '200', '--out', out]) == 0\n"
+              "assert main(['compute', out + '/points.csv', '--out', out]) "
+              "== 0\n"
+              "tracer.dump(out + '/spans.json')\n")
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    trace = json.loads((tmp_path / "spans.json").read_text())
+    names = {span[0] for span in trace["spans"]}
+    assert {"synth.generate", "field.add", "field.finish"} <= names
+    vectors = json.loads((tmp_path / "compute_summary.json").read_text())[
+        "vectors"]
+    assert vectors > 0
+    assert trace["counts"]["field.vectors_scanned"] == 4 * vectors
+
+
 @pytest.mark.skipif(shutil.which("mdemap") is None,
                     reason="mdemap console script not installed")
 def test_installed_console_script():
@@ -514,6 +541,26 @@ def test_unreadable_settings_are_config_errors(tmp_path, capsys, argv,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("argv, text, key", [
+    (["compute", "{points}"], '{"min_samples": 5, "min_samples": 6}',
+     "min_samples"),
+    (["evaluate", "{field}", "--stations", "{stations}"],
+     '{"top_k": {"1000": 5, "1000": 7}}', "1000")],
+    ids=["top-level", "nested"])
+def test_config_keys_given_twice_are_refused(pipeline, tmp_path, capsys,
+                                             argv, text, key):
+    (tmp_path / "cfg.json").write_text(text)
+    argv = [a.format(points=pipeline / "points.csv",
+                     field=pipeline / "mde_1000m.csv",
+                     stations=pipeline / "stations.csv") for a in argv]
+    assert main(argv + ["--aoi", AOI, "--config", str(tmp_path / "cfg.json"),
+                        "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("mdemap: config error: bad config file ")
+    assert f"key {key!r} given twice" in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("out", [5, ["out"], True],
                          ids=["number", "list", "boolean"])
 def test_config_out_must_be_text(tmp_path, capsys, monkeypatch, out):
@@ -696,8 +743,8 @@ def test_cells_over_the_csv_field_limit_are_data_errors(
 def test_default_settings_are_the_library_defaults(pipeline, tmp_path,
                                                    monkeypatch):
     # the default city, shrunk after its settings are read
-    real = cli.generate
-    monkeypatch.setattr(cli, "generate", lambda config: real(
+    real = cli.user_blocks
+    monkeypatch.setattr(cli, "user_blocks", lambda config: real(
         dataclasses.replace(config, n_users=4, fixes_per_user=2)))
     assert main(["synth", "--out", str(tmp_path)]) == 0
     summary = json.loads((tmp_path / "synth_summary.json").read_text())

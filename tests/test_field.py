@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from mdemap import (ALL_TIME, AreaOfInterest, FieldAccumulator,
                     MeshEntry, MovementBatch, N_BINS, STANDARD_SCALES_M,
                     TimeWindow, compute_fields, ConfigError, FieldSettings,
                     GeoPoint, MeshId)
+from mdemap import field as field_module
 from mdemap.mesh import inverse_project, LocalCoord, METERS_PER_DEGREE
 
 from _oracles import (DirectionHistogram, bin_of, entropy, histograms,
@@ -202,6 +204,31 @@ def test_merge_accumulators(small_aoi):
     b.add(take(vecs, slice(1000, None)))
     a.merge(b)
     assert a.finish() == whole.finish()
+
+
+def test_accumulator_merges_what_it_holds(small_aoi):
+    # 200-vector adds against a merge threshold of 150 keys: the held
+    # pairs stay within twice the distinct keys, and the field is the same
+    rng = np.random.default_rng(9)
+    vecs = make_vectors(rng, 4000, small_aoi)
+    whole = FieldAccumulator(small_aoi, 1000, min_samples=1)
+    whole.add(vecs)
+    distinct = whole._merged()[0].size
+    with mock.patch.object(field_module, "_MERGE_KEYS", 150):
+        acc = FieldAccumulator(small_aoi, 1000, min_samples=1)
+        for lo in range(0, len(vecs), 200):
+            acc.add(take(vecs, slice(lo, lo + 200)))
+            assert sum(map(len, acc._keys)) <= max(150, 2 * distinct)
+    assert len(acc._keys) < 20
+    assert _bits(acc.finish()) == _bits(whole.finish())
+
+
+def test_one_field_of_many_windows_is_refused(small_aoi):
+    acc = FieldAccumulator(small_aoi, 100, _grid_windows(0.0, 10.0, 2))
+    with pytest.raises(ConfigError, match="finish_all"):
+        acc.finish()
+    assert [f.window for f in acc.finish_all()] == _grid_windows(0.0, 10.0,
+                                                                 2)
 
 
 def test_merge_rejects_mismatched_setup(small_aoi):

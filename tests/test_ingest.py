@@ -15,8 +15,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mdemap import (ConfigError, DEFAULT_AOI, ExtractSettings, MovementBatch,
-                    ParseResult, PointParseError, extract_movements, ingest,
-                    parse_points)
+                    ParseResult, ParseSettings, PointParseError,
+                    extract_movements, ingest, parse_points)
 from mdemap.ingest import (_build_point, _parse_timestamp, _timestamps,
                            _utc_seconds)
 from mdemap.io import write_points_csv
@@ -133,7 +133,7 @@ def test_parse_skips_bad_rows_leniently():
 def test_parse_strict_reports_line():
     src = CSV_HEADER + "a,0,35.5,139.4\na,0,91,139.4\n"
     with pytest.raises(PointParseError) as err:
-        parse_points(io.StringIO(src), strict=True)
+        parse_points(io.StringIO(src), ParseSettings(strict=True))
     assert err.value.line_no == 3
 
 
@@ -157,22 +157,23 @@ def test_parse_ndjson():
          "lat": 35.6, "lon": 139.5},
     ]
     src = "\n".join(json.dumps(x) for x in lines) + "\n\n"
-    got = parse_points(io.StringIO(src), fmt="ndjson")
+    got = parse_points(io.StringIO(src), ParseSettings("ndjson"))
     assert len(got) == 2 and got.skipped == 0
     assert got.t[1] == 1_600_000_000.0
 
 
 def test_parse_ndjson_bad_line_strict():
     src = '{"user_id": "a", "timestamp": 0, "lat": 35.5, "lon": 139.4}\n{oops\n'
-    assert parse_points(io.StringIO(src), fmt="ndjson").skipped == 1
+    ndjson = ParseSettings("ndjson")
+    assert parse_points(io.StringIO(src), ndjson).skipped == 1
     with pytest.raises(PointParseError) as err:
-        parse_points(io.StringIO(src), fmt="ndjson", strict=True)
+        parse_points(io.StringIO(src), ParseSettings("ndjson", True))
     assert err.value.line_no == 2
 
 
 def test_parse_unknown_format():
     with pytest.raises(ConfigError):
-        parse_points(io.StringIO(""), fmt="parquet")
+        ParseSettings("parquet")
 
 
 def test_extract_simple_north_pair(small_aoi):
@@ -409,10 +410,10 @@ def test_extract_reads_columns_like_points(tmp_path):
      1),
 ])
 def test_rows_without_a_timestamp_are_skipped(fmt, src, line):
-    got = parse_points(io.StringIO(src), fmt=fmt)
+    got = parse_points(io.StringIO(src), ParseSettings(fmt))
     assert got.skipped == 1
     with pytest.raises(PointParseError) as err:
-        parse_points(io.StringIO(src), fmt=fmt, strict=True)
+        parse_points(io.StringIO(src), ParseSettings(fmt, True))
     assert err.value.line_no == line
     assert str(err.value).startswith(f"line {line}: ")
 
@@ -422,16 +423,17 @@ def test_rows_without_a_timestamp_are_skipped(fmt, src, line):
 def test_ndjson_booleans_are_not_numbers(key):
     rec = {"user_id": "u", "timestamp": 5, "lat": 35.5, "lon": 139.4,
            "heading": 1.0, "speed": 1.0}
-    assert len(parse_points(io.StringIO(json.dumps(rec)), fmt="ndjson")) == 1
+    ndjson = ParseSettings("ndjson")
+    assert len(parse_points(io.StringIO(json.dumps(rec)), ndjson)) == 1
     rec[key] = True
-    got = parse_points(io.StringIO(json.dumps(rec)), fmt="ndjson")
+    got = parse_points(io.StringIO(json.dumps(rec)), ndjson)
     assert len(got) == 0 and got.skipped == 1
 
 
 def test_huge_json_integers_are_skipped():
     src = json.dumps({"user_id": "u", "timestamp": 10 ** 400, "lat": 35.5,
                       "lon": 139.4})
-    assert parse_points(io.StringIO(src), fmt="ndjson").skipped == 1
+    assert parse_points(io.StringIO(src), ParseSettings("ndjson")).skipped == 1
 
 
 def test_quoted_block_hands_over_to_csv_module():
@@ -443,7 +445,8 @@ def test_quoted_block_hands_over_to_csv_module():
         got = parse_points(io.StringIO(src, newline=""))
         assert got.user_id.tolist() == ["a", "b,\n2"] and got.skipped == 1
         with pytest.raises(PointParseError) as err:
-            parse_points(io.StringIO(src, newline=""), strict=True)
+            parse_points(io.StringIO(src, newline=""),
+                         ParseSettings(strict=True))
     assert err.value.line_no == 5
 
 
@@ -665,11 +668,12 @@ def test_parse_equals_row_reference(case, block):
             _reference(text, strict=True)
         except PointParseError as want:
             with pytest.raises(PointParseError) as err:
-                parse_points(io.StringIO(text, newline=""), strict=True)
+                parse_points(io.StringIO(text, newline=""),
+                             ParseSettings(strict=True))
             assert err.value.line_no == want.line_no
         else:
             assert parse_points(io.StringIO(text, newline=""),
-                                strict=True) == got
+                                ParseSettings(strict=True)) == got
 
 
 def _ndjson_reference(text: str, strict: bool = False):
@@ -742,7 +746,7 @@ def _ndjson_file(draw):
 @given(text=_ndjson_file(), block=st.integers(1, 80))
 def test_parse_ndjson_equals_row_reference(text, block):
     with mock.patch.object(ingest, "_BLOCK_CHARS", block):
-        got = parse_points(io.StringIO(text), fmt="ndjson")
+        got = parse_points(io.StringIO(text), ParseSettings("ndjson"))
         points, skipped = _ndjson_reference(text)
         assert got.skipped == skipped
         assert _column_rows(got) == _point_rows(points)
@@ -750,11 +754,11 @@ def test_parse_ndjson_equals_row_reference(text, block):
             _ndjson_reference(text, strict=True)
         except PointParseError as want:
             with pytest.raises(PointParseError) as err:
-                parse_points(io.StringIO(text), fmt="ndjson", strict=True)
+                parse_points(io.StringIO(text), ParseSettings("ndjson", True))
             assert err.value.line_no == want.line_no
         else:
-            assert parse_points(io.StringIO(text), fmt="ndjson",
-                                strict=True) == got
+            assert parse_points(io.StringIO(text),
+                                ParseSettings("ndjson", True)) == got
 
 
 @pytest.mark.parametrize("name, cell", [

@@ -1,5 +1,5 @@
-"""Streamed `compute`: whole-user groups give the whole-file outputs, in
-memory that does not grow with the file beyond the kept vector columns."""
+"""Streamed `compute` and `synth`: whole-user groups give the whole-file
+outputs, and neither command's memory grows with the points."""
 
 import contextlib
 import csv
@@ -79,7 +79,7 @@ def _render(rows, fmt: str, form: str, bad) -> str:
 def _compute(path, out, flags, whole=False):
     """(exit code, stderr, output files, whether the file was read whole)."""
     err = io.StringIO()
-    skip_streaming = (mock.patch.object(cli, "_streamed_movements",
+    skip_streaming = (mock.patch.object(cli, "_streamed_fields",
                                         return_value=None)
                       if whole else contextlib.nullcontext())
     with skip_streaming, contextlib.redirect_stderr(err), mock.patch.object(
@@ -185,14 +185,25 @@ def cities(tmp_path_factory):
     return root
 
 
-def test_compute_memory_grows_by_the_kept_vectors(cities):
-    # whole-file reading grew by about 281 B per point; streaming keeps
-    # six float64 columns per vector and about 43 B per point in all
+def test_compute_memory_grows_by_the_meshes_not_the_vectors(cities):
+    # whole-file reading grew by about 281 B per point, and keeping six
+    # float64 columns per vector by about 43; group-by-group field
+    # accumulation keeps counts per (mesh, bin), about 7 B per point here
     peaks = {users: _peak(lambda: main([
         "compute", str(cities / str(users) / "points.csv"),
         "--out", str(cities / str(users))])) for users in (2000, 8000)}
     per_point = (peaks[8000] - peaks[2000]) / ((8000 - 2000) * 20)
-    assert per_point <= 100
+    assert per_point <= 20
+
+
+def test_synth_memory_does_not_grow(tmp_path):
+    # drawing every user at once grew by about 100 B per point; blocks of
+    # users are drawn and written one at a time
+    peaks = {users: _peak(lambda: main([
+        "synth", "--users", str(users), "--seed", "3",
+        "--out", str(tmp_path / str(users))])) for users in (2000, 8000)}
+    per_point = (peaks[8000] - peaks[2000]) / ((8000 - 2000) * 20)
+    assert per_point <= 10
 
 
 def test_points_writer_memory_does_not_grow(tmp_path):

@@ -1,8 +1,10 @@
 """Synthetic trace generator: determinism and planted structure."""
 
+import hashlib
 import json
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,7 +14,9 @@ from mdemap import (ConfigError, DEFAULT_AOI, GeoPoint, Hub, Corridor,
                     FieldSettings, LocalCoord, SynthConfig, compute_fields,
                     default_sites,
                     extract_movements, generate, inverse_project, mesh_center)
+from mdemap import synth
 from mdemap.cli import main
+from mdemap.io import write_points_csv
 from mdemap.synth import _DT, _T0
 
 import _oracles as oracles
@@ -271,3 +275,27 @@ def test_generate_matches_per_fix_reference(n_users, fixes, background_rate,
             [float(row[i]).hex() for row in want]
     assert np.isnan(got.heading).all() and np.isnan(got.speed).all()
     assert got.skipped == 0 and got == points_of(want)
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_users=st.integers(0, 50), fixes=st.integers(1, 6),
+       block=st.sampled_from([1, 3, 7, None]),
+       background_rate=st.sampled_from([0.0, 0.05, 1.0]),
+       seed=st.integers(0, 2**32 - 1))
+@example(n_users=17, fixes=3, block=None, background_rate=0.05, seed=7)
+def test_synth_blocks_write_the_whole_city(tmp_path_factory, n_users, fixes,
+                                          block, background_rate, seed):
+    # users 0-7 of every 16 walk at hubs, 8-15 along corridors
+    out = tmp_path_factory.mktemp("synth")
+    with mock.patch.object(synth, "_BLOCK_USERS", block or max(n_users, 1)):
+        assert main(["synth", "--users", str(n_users), "--fixes", str(fixes),
+                     "--background-rate", str(background_rate),
+                     "--seed", str(seed), "--out", str(out)]) == 0
+    whole, _ = generate(replace(_city(seed, n_users, fixes),
+                                background_rate=background_rate))
+    write_points_csv(whole, out / "whole.csv")
+    assert _sha256(out / "points.csv") == _sha256(out / "whole.csv")
