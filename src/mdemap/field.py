@@ -188,10 +188,33 @@ def _movement_arrays(movements: MovementBatch, aoi: AreaOfInterest):
 
 
 def _mesh_index(x, y, scale_m: int, ncols: int) -> np.ndarray:
-    """Flat grid index row * ncols + col of each local coordinate."""
-    col = (x // scale_m).astype(np.int64)
-    row = (y // scale_m).astype(np.int64)
-    return row * ncols + col
+    """Flat grid index row * ncols + col of each local coordinate, with
+    col = x // scale_m and row = y // scale_m.
+
+    Each floor division is taken as q = floor(v / s), less 1 where
+    q * s > v, which is faster than ``np.floor_divide`` and gives the same
+    integer for finite v and an integer s with |v| + s <= 2**53. Let n be
+    the floor of the exact quotient. n and n + 1 are doubles and rounding
+    is monotone, so the rounded v / s lies in [n, n + 1] and q is n or
+    n + 1. q * s is an integer of magnitude at most |v| + s, so it is
+    computed exactly, and q * s > v holds just when q = n + 1.
+    ``floor_divide`` gives n too: its ``fmod`` remainder and the multiple
+    of s it leaves are exact.
+    """
+    row = _floor_div(y, scale_m)
+    row *= ncols
+    row += _floor_div(x, scale_m)
+    return row
+
+
+def _floor_div(v, s: int) -> np.ndarray:
+    """``v // s`` as int64, by the argument in ``_mesh_index``."""
+    q = v / s
+    np.floor(q, out=q)
+    out = q.astype(np.int64)
+    q *= s
+    out -= q > v
+    return out
 
 
 # Unmerged (key, count) pairs an accumulator holds before it merges them:
@@ -260,6 +283,8 @@ class FieldAccumulator:
         if (other.aoi, other.scale_m, other.windows, other.min_samples) != \
                 (self.aoi, self.scale_m, self.windows, self.min_samples):
             raise ConfigError("cannot merge accumulators with different setups")
+        if other is self:
+            raise ConfigError("cannot merge an accumulator into itself")
         self._keys.extend(other._keys)
         self._counts.extend(other._counts)
         self.dropped_out_of_area += other.dropped_out_of_area
@@ -267,10 +292,17 @@ class FieldAccumulator:
     def _merged(self):
         """The held (key, count) pairs summed by key, keys ascending, kept
         as the one part held from then on; key = (window * meshes + mesh)
-        * N_BINS + bin."""
+        * N_BINS + bin.
+
+        Every held part comes from ``count_mesh_bins`` or an earlier
+        merge, so a single part is already summed and ascending. Parts may
+        be shared with a merged accumulator and are never changed in
+        place."""
         if not self._keys:
             z = np.empty(0, dtype=np.int64)
             return z, z
+        if len(self._keys) == 1:
+            return self._keys[0], self._counts[0]
         keys, counts = kernels.group_counts(np.concatenate(self._keys),
                                             np.concatenate(self._counts))
         self._keys, self._counts = [keys], [counts]

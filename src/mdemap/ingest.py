@@ -337,25 +337,22 @@ def _parse_block(lines: list[str],
                                          lat, lon, *optional))), keep
 
 
-def _float_or_nan(text: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        return math.nan
-
-
 def _floats_at(text: list[str], rows: np.ndarray) -> np.ndarray:
     """``float`` of the cells in ``rows``, bit for bit; NaN elsewhere.
 
-    A cell that ``float`` refuses is NaN too.
+    A cell that ``float`` refuses is NaN too; the conversion goes on from
+    the next cell, so each refused cell costs one exception.
     """
-    cells = list(compress(text, rows.tolist()))
+    cells = compress(text, rows.tolist())
+    out: list[float] = []
+    while True:
+        try:
+            out.extend(map(float, cells))   # keeps what came before a refusal
+            break
+        except ValueError:
+            out.append(math.nan)
     v = np.full(len(text), np.nan)
-    try:
-        v[rows] = np.fromiter(map(float, cells), np.float64, len(cells))
-    except ValueError:
-        v[rows] = np.fromiter(map(_float_or_nan, cells), np.float64,
-                              len(cells))
+    v[rows] = out
     return v
 
 

@@ -3,6 +3,19 @@
 Direction binning, (mesh, bin) counting, count merging, per-mesh
 entropy and nearest-station haversine distance. Callers reach them as
 ``kernels.<name>``, so tracing tools can wrap them by name.
+
+Two kernels take a fast path on the inputs a field build gives them, and
+each returns the same bits as its general path:
+
+- ``direction_bins`` skips the reduction mod 2*pi when every angle lies
+  in [0, 2*pi). ``np.mod`` returns such an angle unchanged, except that
+  it turns -0.0 into +0.0, and both land in bin 0.
+- ``count_mesh_bins`` counts with ``np.bincount`` over the key range when
+  that range is no longer than the keys themselves. Integer counts are
+  exact in any order, and the nonzero bins come out ascending, as the
+  sorted run boundaries do; the count array is no larger than the input.
+
+``field._mesh_index`` gives the argument for its exact floor division.
 """
 
 from __future__ import annotations
@@ -24,10 +37,14 @@ def direction_bins(theta):
     Angles are reduced mod 2*pi; bin i covers [i*pi/50, (i+1)*pi/50).
     """
     theta = np.ascontiguousarray(theta, dtype=np.float64)
-    if theta.size and not np.all(np.isfinite(theta)):
-        raise InvalidAngleError("non-finite direction angle")
-    t = np.mod(theta, TWO_PI)
-    idx = ((t / TWO_PI) * N_BINS).astype(np.int64)
+    # NaN fails both tests, so only finite angles skip the reduction
+    if theta.size and not (theta.min() >= 0.0 and theta.max() < TWO_PI):
+        if not np.all(np.isfinite(theta)):
+            raise InvalidAngleError("non-finite direction angle")
+        theta = np.mod(theta, TWO_PI)
+    t = theta / TWO_PI
+    t *= N_BINS
+    idx = t.astype(np.int64)
     np.minimum(idx, N_BINS - 1, out=idx)
     return idx
 
@@ -37,14 +54,22 @@ def count_mesh_bins(mesh_idx, bins):
 
     Returns (keys, counts) with key = mesh * 100 + bin, keys strictly
     ascending. Merging chunked outputs and re-grouping reproduces the
-    unchunked result exactly.
+    unchunked result exactly. Keys that span no more values than there
+    are keys are counted densely, others by sorting.
     """
     mesh_idx = np.ascontiguousarray(mesh_idx, dtype=np.int64)
     bins = np.ascontiguousarray(bins, dtype=np.int64)
-    keys = mesh_idx * N_BINS + bins
+    keys = mesh_idx * N_BINS
+    keys += bins
     if keys.size == 0:
         return keys, keys.copy()
-    keys = np.sort(keys)
+    lo, hi = int(keys.min()), int(keys.max())
+    if hi - lo < keys.size:
+        keys -= lo
+        counts = np.bincount(keys)
+        seen = np.flatnonzero(counts)
+        return seen + lo, counts[seen].astype(np.int64, copy=False)
+    keys.sort()
     starts = np.concatenate(([0], np.flatnonzero(np.diff(keys)) + 1))
     counts = np.diff(np.append(starts, keys.size))
     return keys[starts], counts.astype(np.int64)

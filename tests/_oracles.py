@@ -3,7 +3,8 @@
 These are the per-point, per-displacement, per-angle, per-histogram,
 per-mesh, per-row and per-user forms of the method: slow and plain, so
 that the columnar code in ``mdemap`` has something independent to agree
-with.
+with. The ``*_general`` functions are the plain numpy forms that the
+field kernels' fast paths must match bit for bit.
 """
 
 import csv
@@ -31,6 +32,27 @@ def project(p: GeoPoint, aoi: AreaOfInterest) -> LocalCoord:
 def mesh_of(c: LocalCoord, scale_m: int) -> MeshId:
     """Mesh containing ``c``; boundaries belong to the higher-index cell."""
     return MeshId(scale_m, int(c.x // scale_m), int(c.y // scale_m))
+
+
+def mesh_index_general(x, y, scale_m: int, ncols: int) -> np.ndarray:
+    """Flat mesh index row * ncols + col through ``np.floor_divide``."""
+    col = (np.asarray(x, dtype=np.float64) // scale_m).astype(np.int64)
+    row = (np.asarray(y, dtype=np.float64) // scale_m).astype(np.int64)
+    return row * ncols + col
+
+
+def direction_bins_general(theta) -> np.ndarray:
+    """Direction bins with every angle reduced by ``np.mod`` first."""
+    t = np.mod(np.asarray(theta, dtype=np.float64), TWO_PI)
+    return np.minimum(((t / TWO_PI) * N_BINS).astype(np.int64), N_BINS - 1)
+
+
+def count_mesh_bins_general(mesh_idx, bins) -> tuple:
+    """(key, count) pairs of ``mesh * N_BINS + bin`` by ``np.unique``."""
+    keys = (np.asarray(mesh_idx, dtype=np.int64) * N_BINS
+            + np.asarray(bins, dtype=np.int64))
+    keys, counts = np.unique(keys, return_counts=True)
+    return keys, counts.astype(np.int64)
 
 
 def parent_of(m: MeshId, coarser_scale_m: int) -> MeshId:

@@ -1,10 +1,13 @@
 """Timed four-scale field build over one million vectors.
 
 Run as a script in its own process so peak RSS reflects only this
-workload. Prints one JSON line: seconds for the four builds plus
-ru_maxrss in kilobytes.
+workload. Prints one JSON line: seconds for the four one-shot builds,
+seconds for the four streamed builds (10 chunks added in turn to two
+accumulators per scale, then merged), whether each streamed field equals
+its one-shot field, and ru_maxrss in kilobytes.
 """
 
+import dataclasses
 import json
 import math
 import resource
@@ -34,19 +37,46 @@ def uniform_batch(n: int, aoi: AreaOfInterest, seed: int) -> MovementBatch:
                          x, y, theta, np.full(n, 25.0), np.full(n, 60.0))
 
 
+SCALES = (100, 1000, 2000, 4000)
+CHUNKS = 10
+
+
+def chunks(batch: MovementBatch, k: int) -> list[MovementBatch]:
+    """``batch`` cut into ``k`` runs of consecutive vectors."""
+    columns = [f.name for f in dataclasses.fields(batch) if f.name != "aoi"]
+    cuts = [len(batch) * i // k for i in range(k + 1)]
+    return [dataclasses.replace(batch, **{
+        c: getattr(batch, c)[lo:hi] for c in columns})
+        for lo, hi in zip(cuts, cuts[1:])]
+
+
 def main() -> None:
     n = int(sys.argv[1]) if len(sys.argv) > 1 else 1_000_000
     batch = uniform_batch(n, DEFAULT_AOI, seed=2)
     t0 = time.perf_counter()
-    defined = 0
-    for scale in (100, 1000, 2000, 4000):
+    one_shot = []
+    for scale in SCALES:
         acc = FieldAccumulator(DEFAULT_AOI, scale)
         acc.add(batch)
-        defined += acc.finish().n_defined
-    dt = time.perf_counter() - t0
+        one_shot.append(acc.finish())
+    t1 = time.perf_counter()
+    parts = chunks(batch, CHUNKS)
+    t2 = time.perf_counter()
+    streamed = []
+    for scale in SCALES:
+        pair = (FieldAccumulator(DEFAULT_AOI, scale),
+                FieldAccumulator(DEFAULT_AOI, scale))
+        for i, part in enumerate(parts):
+            pair[i % 2].add(part)
+        pair[0].merge(pair[1])
+        streamed.append(pair[0].finish())
+    t3 = time.perf_counter()
     rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    print(json.dumps({"n": n, "seconds": dt, "maxrss_kb": rss_kb,
-                      "defined": defined}))
+    print(json.dumps({
+        "n": n, "seconds": t1 - t0, "stream_seconds": t3 - t2,
+        "streamed_equal": [a == b for a, b in zip(one_shot, streamed)],
+        "maxrss_kb": rss_kb,
+        "defined": sum(f.n_defined for f in one_shot)}))
 
 
 if __name__ == "__main__":

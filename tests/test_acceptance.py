@@ -292,6 +292,7 @@ def test_criterion_8_throughput():
         "runtime<10s": result["seconds"] < THROUGHPUT_RUNTIME_S,
         "rss<1GB": result["maxrss_kb"] < THROUGHPUT_RSS_KB,
         "fields_nonempty": result["defined"] > 0,
+        "streamed==one_shot": result["streamed_equal"] == [True] * 4,
     })
 
 

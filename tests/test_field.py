@@ -206,6 +206,37 @@ def test_merge_accumulators(small_aoi):
     assert a.finish() == whole.finish()
 
 
+def test_merged_part_is_finished_as_held_and_left_unchanged(small_aoi):
+    # a's only part arrives through merge, and stays b's part too
+    rng = np.random.default_rng(10)
+    vecs = make_vectors(rng, 3000, small_aoi)
+    whole = FieldAccumulator(small_aoi, 1000, min_samples=1)
+    whole.add(vecs)
+    a = FieldAccumulator(small_aoi, 1000, min_samples=1)
+    b = FieldAccumulator(small_aoi, 1000, min_samples=1)
+    b.add(vecs)
+    held = [b._keys[0].copy(), b._counts[0].copy()]
+    a.merge(b)
+    assert len(a._keys) == 1
+    assert a.finish() == whole.finish()
+    twice = FieldAccumulator(small_aoi, 1000, min_samples=1)
+    twice.add(concat(vecs, vecs))
+    a.add(vecs)
+    assert a.finish() == twice.finish()
+    assert b.finish() == whole.finish()
+    assert [k.tobytes() for k in (*b._keys, *b._counts)] == \
+        [k.tobytes() for k in held]
+
+
+def test_merge_refuses_the_accumulator_itself(small_aoi):
+    acc = FieldAccumulator(small_aoi, 1000)
+    acc.add(make_vectors(np.random.default_rng(12), 1000, small_aoi))
+    before = acc.finish()
+    with pytest.raises(ConfigError, match="itself"):
+        acc.merge(acc)
+    assert acc.finish() == before
+
+
 def test_accumulator_merges_what_it_holds(small_aoi):
     # 200-vector adds against a merge threshold of 150 keys: the held
     # pairs stay within twice the distinct keys, and the field is the same

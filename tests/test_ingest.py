@@ -17,8 +17,8 @@ from hypothesis import example, given, settings, strategies as st
 from mdemap import (ConfigError, DEFAULT_AOI, ExtractSettings, MovementBatch,
                     ParseResult, ParseSettings, PointParseError,
                     extract_movements, ingest, parse_points)
-from mdemap.ingest import (_build_point, _parse_timestamp, _timestamps,
-                           _utc_seconds)
+from mdemap.ingest import (_build_point, _floats_at, _parse_timestamp,
+                           _timestamps, _utc_seconds)
 from mdemap.io import write_points_csv
 from mdemap.mesh import inverse_project, LocalCoord, project_arrays
 
@@ -91,6 +91,29 @@ def test_direction_of_range(x, y, dx, dy):
     theta, oracle = _direction(DEFAULT_AOI, pts)
     assert 0.0 <= theta < 2 * math.pi
     assert theta == pytest.approx(oracle, abs=1e-12)
+
+
+def _float_or_nan(cell: str) -> float:
+    try:
+        return float(cell)
+    except ValueError:
+        return math.nan
+
+
+_CELLS = st.one_of(
+    st.sampled_from(["nan", "-nan", " 1.5 ", "1_0", "", "north", "inf",
+                     "-0", "1e999", "0x10", "1.5.2"]),
+    st.floats().map(repr), st.text(max_size=6))
+
+
+@given(cells=st.lists(st.tuples(_CELLS, st.booleans()), max_size=40))
+def test_floats_at_matches_float_per_cell(cells):
+    text = [c for c, _ in cells]
+    rows = np.array([r for _, r in cells], dtype=bool)
+    want = np.array([_float_or_nan(c) if r else math.nan for c, r in cells],
+                    dtype=np.float64)
+    # bit for bit: NaN positions and NaN signs included
+    assert _floats_at(text, rows).tobytes() == want.tobytes()
 
 
 def test_parse_empty_csv():

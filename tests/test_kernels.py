@@ -4,8 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from mdemap import kernels
+
+from _oracles import count_mesh_bins_general, direction_bins_general
+
+TWO_PI = 2 * math.pi
 
 
 def _random_thetas(rng, n):
@@ -21,6 +26,49 @@ def test_direction_bins_range():
     b = kernels.direction_bins(_random_thetas(rng, 20_000))
     assert b.dtype == np.int64
     assert b.min() >= 0 and b.max() <= 99
+
+
+_ANGLE_EDGES = [0.0, -0.0, 5e-324, -5e-324, math.nextafter(TWO_PI, 0.0),
+                TWO_PI, math.nextafter(TWO_PI, 7.0), -TWO_PI, -math.pi,
+                -1e-18, 1e9, -1e300, 1e300]
+
+
+@given(theta=st.one_of(
+    st.lists(st.floats(0.0, TWO_PI, exclude_max=True), max_size=50),
+    st.lists(st.one_of(st.sampled_from(_ANGLE_EDGES),
+                       st.floats(allow_nan=False, allow_infinity=False)),
+             max_size=50)))
+@example(theta=[-0.0])
+@example(theta=[math.nextafter(TWO_PI, 0.0)])
+@example(theta=[TWO_PI])
+def test_direction_bins_match_mod_form(theta):
+    # arrays within [0, 2*pi) skip the reduction, others take it
+    got = kernels.direction_bins(np.array(theta, dtype=np.float64))
+    assert got.dtype == np.int64
+    assert np.array_equal(got, direction_bins_general(theta))
+
+
+@st.composite
+def _mesh_bin_pairs(draw):
+    """(mesh, bin) columns whose keys span up to three times their count,
+    so both sides of the dense-counting rule come up."""
+    n = draw(st.integers(1, 300))
+    span = draw(st.integers(1, 3 * n))
+    lo = draw(st.integers(0, 10**12))
+    keys = lo + np.array(draw(st.lists(st.integers(0, span - 1),
+                                       min_size=n, max_size=n)))
+    return keys // 100, keys % 100
+
+
+@given(pairs=_mesh_bin_pairs())
+@example(pairs=(np.array([7, 7]), np.array([0, 1])))      # span 2 = n: dense
+@example(pairs=(np.array([7, 7]), np.array([0, 2])))      # span 3 > n: sorted
+def test_count_mesh_bins_matches_unique(pairs):
+    keys, counts = kernels.count_mesh_bins(*pairs)
+    want_keys, want_counts = count_mesh_bins_general(*pairs)
+    assert keys.dtype == counts.dtype == np.int64
+    assert np.array_equal(keys, want_keys)
+    assert np.array_equal(counts, want_counts)
 
 
 def test_group_counts_merges_duplicates():

@@ -8,8 +8,8 @@ from hypothesis import given, strategies as st
 
 from mdemap import (AreaOfInterest, DEFAULT_AOI, GeoPoint, LocalCoord,
                     MeshId, METERS_PER_DEGREE, ConfigError, FieldSettings,
-                    compute_fields, inverse_project, kernels, mesh_center,
-                    mesh_centers, mesh_corners)
+                    STANDARD_SCALES_M, compute_fields, inverse_project,
+                    kernels, mesh_center, mesh_centers, mesh_corners)
 from mdemap.field import _mesh_index
 from mdemap.mesh import project_arrays
 
@@ -78,6 +78,41 @@ def test_parent_nesting_all_scale_pairs():
         # the parent of each fine mesh is the same point's coarse mesh
         assert np.array_equal((row // k) * ncols[coarse] + col // k,
                               _mesh_index(x, y, coarse, ncols[coarse]))
+
+
+@st.composite
+def _mesh_coordinates(draw, scale_m):
+    """Coordinates where a floor by ``scale_m`` can go wrong: multiples of
+    the scale and their neighbouring doubles, signed zeros, the area's
+    edges, and any finite double below 2**52 in magnitude."""
+    edges = [0.0, -0.0, 5e-324, -5e-324, DEFAULT_AOI.width_m,
+             DEFAULT_AOI.height_m, np.nextafter(DEFAULT_AOI.width_m, 0.0),
+             np.nextafter(DEFAULT_AOI.height_m, 0.0)]
+    multiple = st.builds(lambda k, way: np.nextafter(float(k * scale_m), way)
+                         if way else float(k * scale_m),
+                         st.integers(-700, 700),
+                         st.sampled_from([0.0, -np.inf, np.inf]))
+    value = st.one_of(multiple, st.sampled_from(edges),
+                      st.floats(-2.0**52, 2.0**52))
+    return np.array(draw(st.lists(value, min_size=1, max_size=50)))
+
+
+@given(data=st.data(), scale_m=st.sampled_from(STANDARD_SCALES_M))
+def test_mesh_index_matches_floor_divide(data, scale_m):
+    x = data.draw(_mesh_coordinates(scale_m))
+    y = data.draw(_mesh_coordinates(scale_m))
+    n = min(x.size, y.size)
+    ncols = DEFAULT_AOI.grid_shape(scale_m)[0]
+    assert np.array_equal(
+        _mesh_index(x[:n], y[:n], scale_m, ncols),
+        oracles.mesh_index_general(x[:n], y[:n], scale_m, ncols))
+
+
+def test_mesh_index_floors_a_quotient_that_rounds_up():
+    # -5e-324 / s rounds to -0.0, whose floor is one above the true -1
+    x = np.array([-5e-324, -0.0, 0.0, 5e-324])
+    for s in STANDARD_SCALES_M:
+        assert _mesh_index(x, np.zeros(4), s, 10).tolist() == [-1, 0, 0, 0]
 
 
 def test_mesh_center_and_corners():
