@@ -25,15 +25,12 @@ from dataclasses import asdict
 from functools import partial
 from pathlib import Path
 
-import numpy as np
-
 from . import io as mio
 from .errors import ConfigError, MdemapError
 from .evaluation import (DEFAULT_THRESHOLDS_M, EvaluationSettings,
                          default_x_values, precision_curve, recall_curve,
                          top_k)
-from .field import (ALL_TIME, FieldAccumulator, FieldSettings, TimeWindow,
-                    compute_fields)
+from .field import ALL_TIME, FieldSettings, TimeWindow, compute_fields
 from .fusion import (MODES, FusionSettings, combine, find_local_peaks,
                      normalize)
 from .ingest import (DIRECTIONS, ExtractionStats, ExtractSettings, FORMATS,
@@ -226,61 +223,45 @@ def cmd_synth(args) -> tuple[Path, dict, dict, int]:
     }, 0
 
 
+class _OutOfOrder(Exception):
+    """A group of users whose smallest id is not above the last group's
+    largest."""
+
+
 def _fields(path, aoi: AreaOfInterest, read: ParseSettings,
             extract: ExtractSettings, settings: FieldSettings):
-    """(fields, out-of-area vectors, stats, points skipped) of a points file.
+    """(fields, stats, points skipped) of a points file.
 
-    The file is read in whole-user groups when its users come in
-    ascending id order, and read whole otherwise; both give the same
+    The file is read in whole-user groups while its users come in
+    ascending id order. At the first group that breaks it, that build is
+    abandoned and the whole file is read as one group; both give the same
     fields and counts.
     """
-    streamed = _streamed_fields(path, aoi, read, extract, settings)
-    if streamed is not None:
-        return streamed
-    parsed = parse_points(path, read)
-    batch, stats = extract_movements(parsed, aoi, extract)
-    return (*compute_fields(batch, aoi, settings), stats, parsed.skipped)
-
-
-def _streamed_fields(path, aoi, read, extract, settings):
-    """``_fields`` by whole-user groups; None at the first group whose
-    smallest user id is not above the previous group's largest.
-
-    With window "all", each group's vectors go to one accumulator per
-    scale and are dropped. Other windows span the time range of every
-    vector, so the groups' vectors are kept until it is known.
-    """
-    def accumulators(windows):
-        return [FieldAccumulator(aoi, scale, windows, settings.min_samples)
-                for scale in settings.scales]
-
-    stats, skipped, last, kept = ExtractionStats(), 0, None, []
-    windowed = settings.window != "all"
-    built = accumulators(ALL_TIME)
-    with closing(point_blocks(path, read)) as blocks:
-        for group in user_groups(blocks):
-            skipped += group.skipped
+    def batches(groups):
+        last = None
+        for group in groups:
+            counts[1] += group.skipped
             if not len(group):
                 continue
             ids = set(group.user_id.tolist())
             if last is not None and min(ids) <= last:
-                return None
+                raise _OutOfOrder
             last = max(ids)
             batch, group_stats = extract_movements(group, aoi, extract)
-            stats += group_stats
-            if windowed:
-                kept.append(batch)
-            else:
-                for acc in built:
-                    acc.add(batch)
-    if windowed:
-        built = accumulators(settings.windows(
-            np.concatenate([np.empty(0)] + [b.t for b in kept])))
-        for batch in kept:
-            for acc in built:
-                acc.add(batch)
-    return ([f for acc in built for f in acc.finish_all()],
-            built[0].dropped_out_of_area, stats, skipped)
+            counts[0] += group_stats
+            yield batch
+
+    counts = [ExtractionStats(), 0]      # stats, points skipped
+    try:
+        with closing(point_blocks(path, read)) as blocks:
+            fields = compute_fields(batches(user_groups(blocks)), aoi,
+                                    settings)
+            return fields, *counts
+    except _OutOfOrder:
+        pass        # the abandoned build is freed before the file is reread
+    counts = [ExtractionStats(), 0]
+    fields = compute_fields(batches([parse_points(path, read)]), aoi, settings)
+    return fields, *counts
 
 
 def cmd_compute(args) -> tuple[Path, dict, dict, int]:
@@ -290,9 +271,8 @@ def cmd_compute(args) -> tuple[Path, dict, dict, int]:
     settings = _settings(FieldSettings, args, cfg, scales=_ints, window=None,
                          min_samples=_int)
     read = _settings(ParseSettings, args, cfg, fmt=None, strict=None)
-    # each out-of-area vector counts once, however many windows there are
-    fields, dropped_out_of_area, stats, skipped = _fields(
-        args.points, aoi, read, extract, settings)
+    fields, stats, skipped = _fields(args.points, aoi, read, extract,
+                                     settings)
     writers, files = {}, {}
     for field in fields:
         w = field.window
@@ -313,7 +293,8 @@ def cmd_compute(args) -> tuple[Path, dict, dict, int]:
             "duplicate": stats.dropped_duplicate, "gap": stats.dropped_gap,
             "short": stats.dropped_short,
             "no_heading": stats.dropped_no_heading,
-            "out_of_area": dropped_out_of_area,
+            # each out-of-area vector counts once, in every field
+            "out_of_area": fields[0].dropped_out_of_area,
         },
         "params": {
             "aoi": [aoi.south_west.lon, aoi.north_east.lon,
@@ -368,8 +349,7 @@ def cmd_evaluate(args) -> tuple[Path, dict, dict, int]:
         rec = recall_curve(top_k(field, k), stations, settings)
         files[f"recall_{field.scale_m}m.csv"] = partial(mio.write_recall_csv,
                                                         rec)
-        curves = precision_curve(field, stations, DEFAULT_THRESHOLDS_M,
-                                 default_x_values(k))
+        curves = precision_curve(field, stations, default_x_values(k))
         for d in DEFAULT_THRESHOLDS_M:
             name = f"precision_{field.scale_m}m_within{int(d)}m.csv"
             files[name] = partial(mio.write_precision_csv, curves, d)

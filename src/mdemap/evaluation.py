@@ -132,8 +132,8 @@ def recall_curve(sel: TopKSelection, stations: Sequence[Station],
 
 
 def precision_curve(field: MdeField, stations: Sequence[Station],
+                    x_values: Sequence[int],
                     thresholds_m: Sequence[float] = DEFAULT_THRESHOLDS_M,
-                    x_values: Sequence[int] | None = None,
                     ) -> list[PrecisionCurve]:
     """Share of top-x mesh centers within each threshold of a station.
 
@@ -141,8 +141,6 @@ def precision_curve(field: MdeField, stations: Sequence[Station],
     meshes are defined.
     """
     check_stations(stations)
-    if x_values is None:
-        x_values = default_x_values(EvaluationSettings().k(field.scale_m))
     if any(x < 1 for x in x_values):
         raise ConfigError("x values must be >= 1")
     s_lat, s_lon = _station_arrays(stations)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
 from types import MappingProxyType
-from typing import Iterator, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
@@ -225,9 +225,9 @@ _MERGE_KEYS = 1 << 20
 class FieldAccumulator:
     """Streaming accumulator of per-mesh direction histograms for one scale.
 
-    ``window`` is one ``TimeWindow`` or a sorted, disjoint tuple of them;
-    counts are keyed by (window, mesh, bin), so one accumulator builds
-    every window's field. A vector counts in the window holding its time,
+    ``windows`` is a sorted, disjoint tuple of ``TimeWindow``; counts are
+    keyed by (window, mesh, bin), so one accumulator builds every window's
+    field. A vector counts in the window holding its time,
     ``start <= t < end``. ``add`` may be called with arbitrary input
     chunks in any order; ``merge`` combines accumulators built over
     disjoint chunks. The finished fields do not depend on how the input
@@ -236,10 +236,9 @@ class FieldAccumulator:
     """
 
     def __init__(self, aoi: AreaOfInterest, scale_m: int,
-                 window: TimeWindow | tuple[TimeWindow, ...] = ALL_TIME,
+                 windows: tuple[TimeWindow, ...] = (ALL_TIME,),
                  min_samples: int = FieldSettings.min_samples):
-        self.windows = ((window,) if isinstance(window, TimeWindow)
-                        else tuple(window))
+        self.windows = tuple(windows)
         # refuse a bad scale, sample floor or window before any input
         FieldSettings((int(scale_m),), min_samples=min_samples)
         self._starts, self._ends = _window_bounds(self.windows)
@@ -337,22 +336,26 @@ class FieldAccumulator:
         return out
 
 
-def compute_fields(movements: MovementBatch, aoi: AreaOfInterest,
+def compute_fields(batches: Iterable[MovementBatch], aoi: AreaOfInterest,
                    settings: FieldSettings = FieldSettings(), windows=None,
-                   ) -> tuple[list[MdeField], int]:
-    """Every (scale, window) field of ``movements``: one accumulator per
-    scale, over every window, fed the whole batch once.
+                   ) -> list[MdeField]:
+    """Every (scale, window) field of the vectors of ``batches``, in
+    scale-major order: each batch is added once to one accumulator per
+    scale, over every window. Each field carries the number of out-of-area
+    vectors, each counted once, as its ``dropped_out_of_area``.
 
     ``windows``, sorted and disjoint, default to ``settings.windows`` of
-    the vector times. Returns the fields in scale-major order and the
-    number of out-of-area vectors, each counted once, which every field
-    carries as its ``dropped_out_of_area``.
+    the vector times. Batches are dropped once added, except that a width
+    window without ``windows`` keeps them until the time range is known.
     """
-    windows = (settings.windows(movements.t) if windows is None
-               else tuple(windows))
+    if windows is None and settings.window != "all":
+        batches = list(batches)
+        windows = settings.windows(np.concatenate(
+            [np.empty(0)] + [b.t for b in batches]))
+    windows = (ALL_TIME,) if windows is None else windows
     accumulators = [FieldAccumulator(aoi, scale, windows, settings.min_samples)
                     for scale in settings.scales]
-    for acc in accumulators:
-        acc.add(movements)
-    return ([f for acc in accumulators for f in acc.finish_all()],
-            accumulators[0].dropped_out_of_area)
+    for batch in batches:
+        for acc in accumulators:
+            acc.add(batch)
+    return [f for acc in accumulators for f in acc.finish_all()]

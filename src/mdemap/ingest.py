@@ -8,7 +8,6 @@ radians anticlockwise from north, so 0 = north, pi/2 = west, pi = south,
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 from dataclasses import dataclass, fields
@@ -101,6 +100,17 @@ def _parse_timestamp(raw) -> float:
     return t
 
 
+def _lat_lon(rec: dict) -> tuple[float, float]:
+    """A record's ``lat`` in [-90, 90] and ``lon`` in [-180, 180]; raises
+    ValueError otherwise, NaN included."""
+    lat, lon = _number(rec["lat"], "lat"), _number(rec["lon"], "lon")
+    if not (-90.0 <= lat <= 90.0):
+        raise ValueError(f"latitude {lat} out of range")
+    if not (-180.0 <= lon <= 180.0):
+        raise ValueError(f"longitude {lon} out of range")
+    return lat, lon
+
+
 def _build_point(rec: dict, line_no: int) -> tuple:
     """The one rule for a valid row: raises PointParseError otherwise.
 
@@ -114,12 +124,7 @@ def _build_point(rec: dict, line_no: int) -> tuple:
         if user is None or str(user) == "":
             raise ValueError("empty user_id")
         t = _parse_timestamp(rec["timestamp"])
-        lat = _number(rec["lat"], "lat")
-        lon = _number(rec["lon"], "lon")
-        if not (-90.0 <= lat <= 90.0):
-            raise ValueError(f"latitude {lat} out of range")
-        if not (-180.0 <= lon <= 180.0):
-            raise ValueError(f"longitude {lon} out of range")
+        lat, lon = _lat_lon(rec)
         heading = rec.get("heading")
         if heading in (None, ""):
             heading = math.nan
@@ -137,19 +142,6 @@ def _build_point(rec: dict, line_no: int) -> tuple:
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise PointParseError(str(exc), line_no=line_no) from exc
     return str(user), t, lat, lon, heading, speed
-
-
-def _open_text(source):
-    if isinstance(source, (str, Path)):
-        return open(source, "r", encoding="utf-8", newline=""), True
-    if isinstance(source, (bytes, bytearray)):
-        return io.StringIO(source.decode("utf-8")), True
-    if hasattr(source, "read"):
-        probe = source.read(0)
-        if isinstance(probe, bytes):
-            return io.TextIOWrapper(source, encoding="utf-8", newline=""), False
-        return source, False
-    raise ConfigError(f"cannot read points from {type(source).__name__}")
 
 
 @dataclass(frozen=True)
@@ -182,13 +174,16 @@ def parse_points(source,
 
 def point_blocks(source, settings: ParseSettings = ParseSettings(),
                  ) -> Iterator[ParseResult]:
-    """The rows of a points file as a ``ParseResult`` per block of lines.
+    """The rows of a points file (a path or a text stream) as a
+    ``ParseResult`` per block of lines.
 
     A block holds the rows of about ``_BLOCK_CHARS`` characters of text,
     in file order, and the count of malformed rows among them. Rules and
     errors are those of :func:`parse_points`.
     """
-    stream, owned = _open_text(source)
+    owned = isinstance(source, (str, Path))
+    stream = (open(source, "r", encoding="utf-8", newline="") if owned
+              else source)
     try:
         yield from (_parse_csv if settings.fmt == "csv" else _parse_ndjson)(
             stream, settings.strict)

@@ -17,10 +17,10 @@ import numpy as np
 
 from .errors import PointParseError
 from .evaluation import (PrecisionCurve, RecallCurve, Station, check_stations)
-from .field import ALL_TIME, MAX_ENTROPY, MdeField, TimeWindow
+from .field import ALL_TIME, MAX_ENTROPY, MdeField
 from .fusion import CombinedMap
 from .ingest import (ParseResult, _columns, _csv_blocks, _floats_at,
-                     _leftovers, _records, _split)
+                     _lat_lon, _leftovers, _records, _split)
 from .mesh import AreaOfInterest, GeoPoint, mesh_centers, mesh_corners
 
 FIELD_HEADER = ("scale_m", "col", "row", "center_lat", "center_lon",
@@ -228,10 +228,9 @@ def _read_mesh_csv(path, aoi: AreaOfInterest, kind: str):
     return rule.scale, [c, r, *(v[order] for v in values)]
 
 
-def read_field_csv(path, aoi: AreaOfInterest,
-                   window: TimeWindow = ALL_TIME) -> MdeField:
+def read_field_csv(path, aoi: AreaOfInterest) -> MdeField:
     scale, columns = _read_mesh_csv(path, aoi, "field")
-    return MdeField(scale, window, aoi, *columns)
+    return MdeField(scale, ALL_TIME, aoi, *columns)
 
 
 def write_combined_csv(cmap: CombinedMap, path) -> None:
@@ -281,10 +280,9 @@ def read_stations_csv(path) -> list[Station]:
                     block, np.zeros(len(block), bool), line_no)):
                 rec = record(cells)
                 try:
-                    stations.append(Station(
-                        rec["name"],
-                        GeoPoint(float(rec["lat"]), float(rec["lon"])),
-                        int(rec["rank"])))
+                    stations.append(Station(rec["name"],
+                                            GeoPoint(*_lat_lon(rec)),
+                                            int(rec["rank"])))
                 except (KeyError, TypeError, ValueError) as exc:
                     raise PointParseError(str(exc), line_no=line) from exc
     check_stations(stations)
@@ -317,17 +315,16 @@ def _has_extras(points: ParseResult) -> bool:
                 and np.isnan(points.speed).all())
 
 
-def write_points_csv(points: ParseResult | Iterable[ParseResult],
-                     path) -> None:
-    """Standard points file of one ``ParseResult`` or of blocks of them;
-    heading/speed columns only when a point of the first block has them.
+def write_points_csv(blocks: Iterable[ParseResult], path) -> None:
+    """Standard points file of blocks of ``ParseResult``; heading/speed
+    columns only when a point of the first block has them.
 
     Bytes are those of ``csv.writer`` over the rows of every block: ids
     quoted where needed, integral times as ints, floats with ``repr``,
     absent heading/speed empty. A later block with a heading or speed
     where the first has no column for it raises ValueError.
     """
-    blocks = iter([points] if isinstance(points, ParseResult) else points)
+    blocks = iter(blocks)
     first = next(blocks, _columns([]))
     extras = _has_extras(first)
     names = ("user_id", "timestamp", "lat", "lon", "heading", "speed")

@@ -94,9 +94,11 @@ def field_entropy(keys, counts, min_samples):
     Returns (mesh_ids, totals, entropy) with entropy NaN where the mesh
     total is below ``min_samples``. Each mesh sums its p*log(p) terms
     from 0.0 in bin order, one occupied bin per step for all meshes at
-    once. Field files write every entropy with ``repr``, so this order
-    is part of the output: ``np.add.reduceat`` sums in another order and
-    changes the last bits of most meshes with many occupied bins.
+    once; the meshes are ordered by occupied-bin count, most first, so
+    each step adds to the prefix still summing. Field files write every
+    entropy with ``repr``, so this order is part of the output:
+    ``np.add.reduceat`` sums in another order and changes the last bits
+    of most meshes with many occupied bins.
     """
     keys = np.ascontiguousarray(keys, dtype=np.int64)
     counts = np.ascontiguousarray(counts, dtype=np.int64)
@@ -109,11 +111,15 @@ def field_entropy(keys, counts, min_samples):
     totals = np.add.reduceat(counts, starts)
     p = counts / np.repeat(totals, lens)
     plogp = p * np.log(p)
+    order = np.argsort(-lens, kind="stable")
+    first, longest = starts[order], -lens[order]
+    # meshes with more than j occupied bins, for each step j
+    summing = np.searchsorted(longest, -np.arange(lens.max()))
     s = np.zeros(starts.size, dtype=np.float64)
-    for j in range(int(lens.max())):
-        sel = np.flatnonzero(lens > j)
-        s[sel] += plogp[starts[sel] + j]
-    h = -s + 0.0
+    for j, n in enumerate(summing.tolist()):
+        s[:n] += plogp[first[:n] + j]
+    h = np.empty_like(s)
+    h[order] = -s + 0.0
     h[totals < min_samples] = np.nan
     return mesh[starts], totals, h
 

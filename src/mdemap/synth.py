@@ -102,12 +102,15 @@ class SynthConfig:
         return GroundTruth(tuple(h.center for h in self.hubs))
 
 
+# Mesh size (m) whose centers the default sites are snapped to.
+_SITE_MESH_M = 100
+
+
 def default_sites(aoi: AreaOfInterest = DEFAULT_AOI,
-                  scale_m: int = 100) -> tuple[tuple[Hub, ...],
-                                               tuple[Corridor, ...]]:
+                  ) -> tuple[tuple[Hub, ...], tuple[Corridor, ...]]:
     """8 hubs and 8 corridors on a checkerboard 4x4 lattice.
 
-    Sites are snapped to mesh centers of ``scale_m`` so each hub disc
+    Sites are snapped to mesh centers of ``_SITE_MESH_M`` so each hub disc
     (radius 45 m < half a 100 m mesh) lies inside a single fine mesh and
     the hub position is exactly that mesh's center.
     """
@@ -118,8 +121,8 @@ def default_sites(aoi: AreaOfInterest = DEFAULT_AOI,
     corridors: list[Corridor] = []
     for j, y in enumerate(ys):
         for i, x in enumerate(xs):
-            cx = (x // scale_m + 0.5) * scale_m
-            cy = (y // scale_m + 0.5) * scale_m
+            cx = (x // _SITE_MESH_M + 0.5) * _SITE_MESH_M
+            cy = (y // _SITE_MESH_M + 0.5) * _SITE_MESH_M
             pos = inverse_project(LocalCoord(cx, cy), aoi)
             if (i + j) % 2 == 0:
                 hubs.append(Hub(pos, 45.0))

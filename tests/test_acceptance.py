@@ -80,13 +80,13 @@ def test_criterion_2_rotation_invariance():
     t0 = time.perf_counter()
     batch = uniform_batch(10_000, SMALL_AOI, seed=20)
     one = FieldSettings((100,), min_samples=1)
-    base = _entropies(compute_fields(batch, SMALL_AOI, one)[0][0])
+    base = _entropies(compute_fields([batch], SMALL_AOI, one)[0])
     width = math.pi / 50.0
     worst = 0.0
     for k in range(1, 100):
         rotated = dataclasses.replace(
             batch, theta=np.mod(batch.theta + k * width, 2.0 * math.pi))
-        got = _entropies(compute_fields(rotated, SMALL_AOI, one)[0][0])
+        got = _entropies(compute_fields([rotated], SMALL_AOI, one)[0])
         worst = max(worst, float(np.max(np.abs(got - base))))
     dt = time.perf_counter() - t0
     _verdict(2, "rotation invariance over all 99 bin shifts", {
@@ -220,7 +220,7 @@ def test_criterion_6_synthetic_end_to_end():
     cfg = SynthConfig(hubs=hubs, corridors=corridors)
     points, truth = generate(cfg)
     batch, stats = extract_movements(points, cfg.aoi)
-    [field], _ = compute_fields(batch, cfg.aoi, FieldSettings((100,)))
+    [field] = compute_fields([batch], cfg.aoi, FieldSettings((100,)))
     stations = truth.stations()
     sel = top_k(field, 16)
     rec = recall_curve(sel, stations)

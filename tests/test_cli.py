@@ -218,6 +218,18 @@ def test_console_script(tmp_path):
     assert all(cmd in help_proc.stdout for cmd in SUBCOMMANDS)
 
 
+@pytest.mark.parametrize("command", ("mdemap",) + SUBCOMMANDS)
+def test_help_text_is_pinned(command, capsys, monkeypatch):
+    # --help is part of the CLI contract; each file under tests/help holds
+    # one command's text at 80 columns
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = [] if command == "mdemap" else [command]
+    assert main(argv + ["--help"]) == 0
+    assert capsys.readouterr().out == (
+        Path(__file__).resolve().parent / "help" / f"{command}.txt"
+    ).read_text(encoding="utf-8")
+
+
 def test_benchmark_tracer_finds_every_name():
     # perfbench/tracing.py wraps mdemap functions by name; a renamed one
     # makes install() fail
@@ -695,6 +707,21 @@ def test_failed_runs_write_nothing(pipeline, tmp_path, capsys, argv, config,
         argv += ["--config", str(tmp_path / "cfg.json")]
     assert main(argv + ["--aoi", AOI, "--out", str(tmp_path / "out")]) == code
     assert "Traceback" not in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("lat, lon", [
+    ("95.6", "139.5"), ("-90.5", "139.5"), ("nan", "139.5"),
+    ("inf", "139.5"), ("35.6", "180.5"), ("35.6", "-inf"), ("35.6", "nan")])
+def test_stations_off_the_globe_are_refused(pipeline, tmp_path, capsys, lat,
+                                            lon):
+    stations = tmp_path / "stations.csv"
+    stations.write_text(f"name,lat,lon,rank\nok,35.6,139.5,1\n"
+                        f"bad,{lat},{lon},2\n")
+    assert main(["evaluate", str(pipeline / "mde_100m.csv"), "--stations",
+                 str(stations), "--aoi", AOI,
+                 "--out", str(tmp_path / "out")]) == 3
+    assert "line 3: " in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

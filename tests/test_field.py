@@ -102,17 +102,17 @@ def test_time_window_half_open(small_aoi):
     times = [9.999, 10.0, 19.999, 20.0]
     vecs = vectors(small_aoi, 50.0, 50.0, 0.0, times)
     one = FieldSettings((100,), min_samples=1)
-    [f], _ = compute_fields(vecs, small_aoi, one, (TimeWindow(10.0, 20.0),))
+    [f] = compute_fields([vecs], small_aoi, one, (TimeWindow(10.0, 20.0),))
     assert f.count.tolist() == [2]
-    [f], _ = compute_fields(vectors(small_aoi, 50.0, 50.0, 0.0,
-                                    [-1e18, 1e18]), small_aoi, one,
-                            (ALL_TIME,))
+    [f] = compute_fields([vectors(small_aoi, 50.0, 50.0, 0.0,
+                                  [-1e18, 1e18])], small_aoi, one,
+                         (ALL_TIME,))
     assert f.count.tolist() == [2]
 
 
 def test_compute_field_zero_movements(small_aoi):
-    [f], _ = compute_fields(vectors(small_aoi, [], [], []), small_aoi,
-                            FieldSettings((100,)))
+    [f] = compute_fields([vectors(small_aoi, [], [], [])], small_aoi,
+                         FieldSettings((100,)))
     assert f.entries == {}
     assert f.n_defined == 0
 
@@ -120,8 +120,8 @@ def test_compute_field_zero_movements(small_aoi):
 def test_compute_field_uniform_mesh_hits_ln100(small_aoi):
     w = 2 * math.pi / 100
     vecs = vectors(small_aoi, 150.0, 150.0, (np.arange(100) + 0.5) * w)
-    [f], _ = compute_fields(vecs, small_aoi,
-                            FieldSettings((100,), min_samples=30))
+    [f] = compute_fields([vecs], small_aoi,
+                         FieldSettings((100,), min_samples=30))
     m = MeshId(100, 1, 1)
     assert set(f.entries) == {m}
     assert f.entries[m].count == 100
@@ -131,11 +131,11 @@ def test_compute_field_uniform_mesh_hits_ln100(small_aoi):
 def test_min_samples_boundary(small_aoi):
     vecs = vectors(small_aoi, 50.0, 50.0, 0.1 * np.arange(29))
     thirty = FieldSettings((100,), min_samples=30)
-    [f29], _ = compute_fields(vecs, small_aoi, thirty)
+    [f29] = compute_fields([vecs], small_aoi, thirty)
     assert f29.entries[MeshId(100, 0, 0)] == MeshEntry(29, None)
     assert f29.n_defined == 0
-    [f29b], _ = compute_fields(
-        concat(vecs, vectors(small_aoi, 50.0, 50.0, 1.0)), small_aoi, thirty)
+    [f29b] = compute_fields(
+        [concat(vecs, vectors(small_aoi, 50.0, 50.0, 1.0))], small_aoi, thirty)
     e = f29b.entries[MeshId(100, 0, 0)]
     assert e.count == 30 and e.entropy is not None
 
@@ -143,9 +143,9 @@ def test_min_samples_boundary(small_aoi):
 def test_window_filters_by_origin_time(small_aoi):
     inside = vectors(small_aoi, 50.0, 50.0, 0.0, 100.0 + np.arange(40))
     outside = vectors(small_aoi, 50.0, 50.0, math.pi, 500.0 + np.arange(40))
-    [f], _ = compute_fields(concat(inside, outside), small_aoi,
-                            FieldSettings((100,), min_samples=30),
-                            (TimeWindow(100.0, 200.0),))
+    [f] = compute_fields([concat(inside, outside)], small_aoi,
+                         FieldSettings((100,), min_samples=30),
+                         (TimeWindow(100.0, 200.0),))
     e = f.entries[MeshId(100, 0, 0)]
     assert e.count == 40
     assert e.entropy == 0.0  # only the northbound half is inside the window
@@ -154,20 +154,20 @@ def test_window_filters_by_origin_time(small_aoi):
 def test_out_of_area_dropped_and_counted(small_aoi):
     vecs = concat(vectors(small_aoi, np.full(35, 50.0), 50.0, 0.0),
                   batch_at(small_aoi, [35.49, 35.51], [139.31, 139.40], 0.0))
-    [f], dropped = compute_fields(vecs, small_aoi, FieldSettings((100,)))
-    assert dropped == 2
+    [f] = compute_fields([vecs], small_aoi, FieldSettings((100,)))
+    assert f.dropped_out_of_area == 2
     assert f.entries[MeshId(100, 0, 0)].count == 35
 
 
 def test_rotation_invariance_small(small_aoi):
     rng = np.random.default_rng(2024)
     vecs = make_vectors(rng, 2000, small_aoi)
-    [base], _ = compute_fields(vecs, small_aoi, FieldSettings((100,)))
+    [base] = compute_fields([vecs], small_aoi, FieldSettings((100,)))
     w = 2 * math.pi / 100
     for k in (1, 17, 99):
         rot = dataclasses.replace(
             vecs, theta=np.mod(vecs.theta + k * w, 2 * math.pi))
-        [f], _ = compute_fields(rot, small_aoi, FieldSettings((100,)))
+        [f] = compute_fields([rot], small_aoi, FieldSettings((100,)))
         assert set(f.entries) == set(base.entries)
         for m, e in base.entries.items():
             assert f.entries[m].count == e.count
@@ -275,7 +275,7 @@ def test_accumulator_validation(small_aoi):
     with pytest.raises(ConfigError):
         FieldAccumulator(small_aoi, 100, min_samples=0)
     with pytest.raises(ConfigError):
-        FieldAccumulator(small_aoi, 100, window=TimeWindow(5.0, 5.0))
+        FieldAccumulator(small_aoi, 100, (TimeWindow(5.0, 5.0),))
 
 
 def test_histograms_match_brute_force(small_aoi):
@@ -414,25 +414,25 @@ def _windowed_input(draw):
 @given(case=_windowed_input(), min_samples=st.integers(1, 4))
 def test_compute_fields_equals_per_window_accumulators(case, min_samples):
     vecs, windows = case
-    fields, dropped = compute_fields(
-        vecs, PROP_AOI, FieldSettings(PROP_SCALES, min_samples=min_samples),
+    fields = compute_fields(
+        [vecs], PROP_AOI, FieldSettings(PROP_SCALES, min_samples=min_samples),
         windows)
     assert [(f.scale_m, f.window) for f in fields] == \
         [(s, w) for s in PROP_SCALES for w in windows]
     for got in fields:
-        acc = FieldAccumulator(PROP_AOI, got.scale_m, got.window,
+        acc = FieldAccumulator(PROP_AOI, got.scale_m, (got.window,),
                                min_samples)
         acc.add(vecs)
         want = acc.finish()
-        assert dropped == acc.dropped_out_of_area
+        assert got.dropped_out_of_area == acc.dropped_out_of_area
         assert got == want
         assert _bits(got) == _bits(want)
         # the same field from the window's vectors picked one by one
         w = got.window
         picked = take(vecs, [w.start <= t < w.end for t in vecs.t.tolist()])
         one_scale = FieldSettings((got.scale_m,), min_samples=min_samples)
-        assert _bits(got) == _bits(compute_fields(picked, PROP_AOI,
-                                                  one_scale)[0][0])
+        assert _bits(got) == _bits(compute_fields([picked], PROP_AOI,
+                                                  one_scale)[0])
         assert got.count.size == len(want.entries)
         assert got.n_defined == want.n_defined
         order = list(zip(got.row.tolist(), got.col.tolist()))
@@ -443,10 +443,9 @@ def test_compute_fields_counts_out_of_area_once(small_aoi):
     inside = vectors(small_aoi, 50.0, 50.0, 0.0, np.arange(9.0))
     outside = batch_at(small_aoi, 35.49, 139.31, 0.0, np.arange(9.0))
     windows = _grid_windows(0.0, 3.0, 3) + _grid_windows(100.0, 1.0, 2)
-    fields, dropped = compute_fields(concat(inside, outside), small_aoi,
-                                     FieldSettings((100,), min_samples=1),
-                                     windows)
-    assert dropped == 9
+    fields = compute_fields([concat(inside, outside)], small_aoi,
+                            FieldSettings((100,), min_samples=1), windows)
+    assert [f.dropped_out_of_area for f in fields] == [9] * 5
     assert [f.count.size for f in fields] == [1, 1, 1, 0, 0]
     assert [f.count.tolist() for f in fields[:3]] == [[3], [3], [3]]
 
@@ -454,23 +453,23 @@ def test_compute_fields_counts_out_of_area_once(small_aoi):
 def test_compute_fields_validation(small_aoi):
     none = vectors(small_aoi, [], [], [])
     with pytest.raises(ConfigError, match="sorted and disjoint"):
-        compute_fields(none, small_aoi, FieldSettings((100,)),
+        compute_fields([none], small_aoi, FieldSettings((100,)),
                        [TimeWindow(10.0, 20.0), TimeWindow(0.0, 10.0)])
     with pytest.raises(ConfigError):
-        compute_fields(none, small_aoi, FieldSettings((100,)),
+        compute_fields([none], small_aoi, FieldSettings((100,)),
                        [TimeWindow(5.0, 5.0)])
     # 1 m meshes over the whole globe: 8e14 cells x 100 bins x 200 windows
     # does not fit the int64 (window, mesh, bin) key
     world = AreaOfInterest.from_bounds(-180.0, 180.0, -90.0, 90.0)
     with pytest.raises(ConfigError, match="overflow"):
-        compute_fields(batch_at(world, [], [], []), world,
+        compute_fields([batch_at(world, [], [], [])], world,
                        FieldSettings((1,)), _grid_windows(0.0, 1.0, 200))
 
 
 def test_entries_view_matches_columns(small_aoi):
     rng = np.random.default_rng(5)
-    [field], _ = compute_fields(make_vectors(rng, 3000, small_aoi), small_aoi,
-                                FieldSettings((100,), min_samples=4))
+    [field] = compute_fields([make_vectors(rng, 3000, small_aoi)], small_aoi,
+                             FieldSettings((100,), min_samples=4))
     assert 0 < field.n_defined < len(field.entries)
     assert list(field.entries) == [
         MeshId(100, c, r) for c, r in zip(field.col.tolist(),

@@ -412,7 +412,7 @@ def test_extract_reads_columns_like_points(tmp_path):
                       rng.choice([None, rng.uniform(0, 6)]),
                       rng.choice([None, rng.uniform(0, 40)]))
                      for k in range(300)])
-    write_points_csv(pts, tmp_path / "p.csv")
+    write_points_csv([pts], tmp_path / "p.csv")
     parsed = parse_points(tmp_path / "p.csv")
     assert parsed == pts
     for source in ("consecutive", "heading"):
@@ -832,7 +832,7 @@ _POINTS = st.lists(st.tuples(
 def test_written_points_parse_back(tmp_path_factory, rows, block):
     path = tmp_path_factory.mktemp("points") / "points.csv"
     points = points_of(rows)
-    write_points_csv(points, path)
+    write_points_csv([points], path)
     with mock.patch.object(ingest, "_BLOCK_CHARS", block):
         got = parse_points(path)
     assert got.skipped == 0 and got == points

@@ -174,7 +174,7 @@ def test_points_csv_round_trip(small_aoi, tmp_path):
     pts = points_of([("u0", 1_600_000_000.0, 35.51, 139.32),
                      ("u1", 1_600_000_060.5, 35.52, 139.33)])
     p = tmp_path / "points.csv"
-    write_points_csv(pts, p)
+    write_points_csv([pts], p)
     lines = p.read_text().splitlines()
     assert lines[0] == "user_id,timestamp,lat,lon"
     assert lines[1].startswith("u0,1600000000,")  # integral t written as int
@@ -186,7 +186,7 @@ def test_points_csv_heading_speed(tmp_path):
     pts = points_of([("u", 0.0, 35.5, 139.4, 1.25, 3.0),
                      ("u", 60.0, 35.5, 139.4)])
     p = tmp_path / "points.csv"
-    write_points_csv(pts, p)
+    write_points_csv([pts], p)
     assert p.read_text().splitlines()[0] == \
         "user_id,timestamp,lat,lon,heading,speed"
     back = parse_points(p)
@@ -312,8 +312,8 @@ def test_computed_outputs_match_reference_bytes(tmp_path):
 
     batch = uniform_batch(60_000, DEFAULT_AOI, 3)
     windows = [TimeWindow(0.0, 5e4), TimeWindow(5e4, 1e5)]
-    fields, _ = compute_fields(
-        batch, DEFAULT_AOI, FieldSettings((1000, 2000), min_samples=20),
+    fields = compute_fields(
+        [batch], DEFAULT_AOI, FieldSettings((1000, 2000), min_samples=20),
         windows)
     assert all(f.count.size and f.n_defined for f in fields)
     for field in fields:
@@ -390,7 +390,8 @@ _POINTS = st.lists(st.tuples(
 @example(rows=[("u", 1.5, 35.5, 139.4, 0.0), ("u", 2.0, 35.5, 139.4, None,
                                                0.0)])
 def test_points_csv_matches_reference_bytes(tmp_path_factory, rows):
-    _same_bytes(tmp_path_factory.mktemp("points"), write_points_csv,
+    _same_bytes(tmp_path_factory.mktemp("points"),
+                lambda pts, path: write_points_csv([pts], path),
                 _reference_points_csv, points_of(rows))
 
 
@@ -433,8 +434,8 @@ def test_computed_geojson_matches_reference_bytes(tmp_path):
     from _throughput import uniform_batch
 
     batch = uniform_batch(60_000, DEFAULT_AOI, 5)
-    fields, _ = compute_fields(
-        batch, DEFAULT_AOI, FieldSettings((1000, 2000), min_samples=25))
+    fields = compute_fields(
+        [batch], DEFAULT_AOI, FieldSettings((1000, 2000), min_samples=25))
     assert all(f.n_defined for f in fields)
     assert any(f.n_defined < f.count.size for f in fields)
     for field in fields:

@@ -174,9 +174,9 @@ def test_contains_is_closed_on_boundary():
     # the field build keeps the vectors whose origin lies in the area
     vecs = batch_at(DEFAULT_AOI, [35.5, 35.85, 35.85000001],
                     [139.3, 140.0, 140.0], 0.0)
-    fields, dropped = compute_fields(vecs, DEFAULT_AOI,
-                                     FieldSettings((100,), min_samples=1))
-    assert dropped == 1 and fields[0].count.sum() == 2
+    [field] = compute_fields([vecs], DEFAULT_AOI,
+                             FieldSettings((100,), min_samples=1))
+    assert field.dropped_out_of_area == 1 and field.count.sum() == 2
 
 
 @given(scale=st.sampled_from([1, 7, 100, 1000, 4000]),

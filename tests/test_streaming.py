@@ -79,8 +79,8 @@ def _render(rows, fmt: str, form: str, bad) -> str:
 def _compute(path, out, flags, whole=False):
     """(exit code, stderr, output files, whether the file was read whole)."""
     err = io.StringIO()
-    skip_streaming = (mock.patch.object(cli, "_streamed_fields",
-                                        return_value=None)
+    skip_streaming = (mock.patch.object(cli, "user_groups",
+                                        side_effect=cli._OutOfOrder)
                       if whole else contextlib.nullcontext())
     with skip_streaming, contextlib.redirect_stderr(err), mock.patch.object(
             cli, "parse_points", wraps=parse_points) as read_whole:
@@ -106,6 +106,10 @@ def _both_paths(tmp, text, fmt, flags, block):
 # One user of 40 fixes spans many 60-character blocks; the malformed
 # lines sit on block edges.
 _LONG_WALK = [("a", T0 + 60 * i, 35.51 + 0.0005 * i, 139.31) for i in range(40)]
+# Users b, c and d, each of 12 fixes with malformed lines among them, then
+# user a: the streamed build reads three groups before it falls back.
+_LATE_USER = [(u, T0 + 60 * i, 35.51 + 0.0004 * i, 139.31 + 0.001 * k)
+              for k, u in enumerate("bcda") for i in range(12)]
 
 
 @settings(max_examples=50)
@@ -123,6 +127,11 @@ _LONG_WALK = [("a", T0 + 60 * i, 35.51 + 0.0005 * i, 139.31) for i in range(40)]
 @example(rows=_LONG_WALK + [("b", T0, 35.52, 139.32)] * 3, fmt="ndjson",
          form="+09:00", bad=[(40, 1)], window=None, strict=False,
          shuffle=None, shuffled=False, block=60)
+@example(rows=_LATE_USER, fmt="csv", form="seconds",
+         bad=[(2, 0), (5, 3), (14, 1), (20, 2), (27, 0), (30, 3)],
+         window=None, strict=False, shuffle=None, shuffled=False, block=60)
+@example(rows=_LATE_USER, fmt="ndjson", form="Z", bad=[(3, 0), (16, 4)],
+         window="900", strict=False, shuffle=None, shuffled=False, block=60)
 def test_streamed_compute_equals_whole_file(tmp_path_factory, rows, fmt,
                                             form, bad, window, strict,
                                             shuffle, shuffled, block):
@@ -134,7 +143,8 @@ def test_streamed_compute_equals_whole_file(tmp_path_factory, rows, fmt,
         tmp_path_factory.mktemp("stream"), _render(rows, fmt, form, bad),
         fmt, flags, block)
     event(f"exit {code}, {'whole file' if read_whole else 'streamed'}")
-    if not shuffled:
+    users = [u for u, *_ in rows]
+    if users == sorted(users):
         # users come in ascending order: no fallback to the whole file
         assert not read_whole
     kinds = _BAD[fmt]
@@ -213,6 +223,6 @@ def test_points_writer_memory_does_not_grow(tmp_path):
         points, _ = synth.generate(synth.SynthConfig(
             n_users=users, hubs=hubs, corridors=corridors, seed=3))
         peaks[users] = _peak(lambda: write_points_csv(
-            points, tmp_path / "points.csv"))
+            [points], tmp_path / "points.csv"))
     per_point = (peaks[8000] - peaks[2000]) / ((8000 - 2000) * 20)
     assert per_point <= 10

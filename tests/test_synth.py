@@ -96,7 +96,7 @@ def test_hub_mesh_is_near_max_entropy(small_aoi):
     cfg = _one_site_config(small_aoi, hub, n_users=120)
     pts, _ = generate(cfg)
     batch, stats = extract_movements(pts, small_aoi)
-    [field], _ = compute_fields(batch, small_aoi, FieldSettings((100,)))
+    [field] = compute_fields([batch], small_aoi, FieldSettings((100,)))
     hub_mesh = mesh_of(project(hub.center, small_aoi), 100)
     assert stats.n_vectors >= 1000
     entry = field.entries[hub_mesh]
@@ -111,8 +111,8 @@ def test_corridor_mesh_entropy_is_two_lobed(small_aoi):
     cfg = _one_site_config(small_aoi, cor, n_users=200)
     pts, _ = generate(cfg)
     batch, _ = extract_movements(pts, small_aoi)
-    [field], _ = compute_fields(batch, small_aoi,
-                                FieldSettings((1000,), min_samples=100))
+    [field] = compute_fields([batch], small_aoi,
+                             FieldSettings((1000,), min_samples=100))
     th = batch.theta
     # directions hug the axis and its reverse
     dist = np.minimum(np.abs(th - 0.0), np.abs(th - math.pi))
@@ -297,5 +297,5 @@ def test_synth_blocks_write_the_whole_city(tmp_path_factory, n_users, fixes,
                      "--seed", str(seed), "--out", str(out)]) == 0
     whole, _ = generate(replace(_city(seed, n_users, fixes),
                                 background_rate=background_rate))
-    write_points_csv(whole, out / "whole.csv")
+    write_points_csv([whole], out / "whole.csv")
     assert _sha256(out / "points.csv") == _sha256(out / "whole.csv")
