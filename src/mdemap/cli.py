@@ -1,14 +1,15 @@
 """Command-line pipeline: synth, compute, combine, evaluate, export.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 I/O error,
-3 data error (empty inputs, malformed rows, empty fields). Diagnostics
-go to stderr. Re-running a command on the same inputs and seed yields
-byte-identical files.
+3 data error (empty inputs, malformed rows, empty fields, no vector in the
+area). Diagnostics go to stderr. Re-running a command on the same inputs
+and seed yields byte-identical files.
 
 Each ``cmd_*`` reads and computes, writing nothing, and returns its output
 directory, files (name -> writer of a path), summary and exit code; only
 ``main`` makes the directory and writes, the summary last. A run that exits
-1 or 3 leaves no directory, but ``compute`` with no vectors writes, exits 3.
+1 or 3 leaves no directory, but ``compute`` with no vectors in the area of
+interest writes, exits 3.
 
 Precedence for every setting: command-line flag, then --config file
 entry (same key, underscores for dashes), then the default of its settings
@@ -33,9 +34,9 @@ from .evaluation import (DEFAULT_THRESHOLDS_M, EvaluationSettings,
 from .field import ALL_TIME, FieldSettings, TimeWindow, compute_fields
 from .fusion import (MODES, FusionSettings, combine, find_local_peaks,
                      normalize)
-from .ingest import (DIRECTIONS, ExtractionStats, ExtractSettings, FORMATS,
-                     ParseSettings, _csv_blocks, _number, extract_movements,
-                     parse_points, point_blocks, user_groups)
+from .ingest import (Carry, DIRECTIONS, ExtractionStats, ExtractSettings,
+                     FORMATS, ParseSettings, _BackInTime, _csv_blocks,
+                     _number, extract_movements, parse_points, point_blocks)
 from .mesh import AreaOfInterest, DEFAULT_AOI
 from .synth import SynthConfig, default_sites, user_blocks
 
@@ -223,45 +224,34 @@ def cmd_synth(args) -> tuple[Path, dict, dict, int]:
     }, 0
 
 
-class _OutOfOrder(Exception):
-    """A group of users whose smallest id is not above the last group's
-    largest."""
-
-
 def _fields(path, aoi: AreaOfInterest, read: ParseSettings,
             extract: ExtractSettings, settings: FieldSettings):
     """(fields, stats, points skipped) of a points file.
 
-    The file is read in whole-user groups while its users come in
-    ascending id order. At the first group that breaks it, that build is
-    abandoned and the whole file is read as one group; both give the same
+    The file is read a block at a time, whatever its row order, and each
+    block is extracted with the last fix of each user in the blocks before
+    it. If a user's rows go back in time across blocks, that build is
+    abandoned and the whole file is read as one block; both give the same
     fields and counts.
     """
-    def batches(groups):
-        last = None
-        for group in groups:
-            counts[1] += group.skipped
-            if not len(group):
-                continue
-            ids = set(group.user_id.tolist())
-            if last is not None and min(ids) <= last:
-                raise _OutOfOrder
-            last = max(ids)
-            batch, group_stats = extract_movements(group, aoi, extract)
-            counts[0] += group_stats
-            yield batch
+    def build(blocks):
+        counts, carry = [ExtractionStats(), 0], Carry()   # stats, skipped
 
-    counts = [ExtractionStats(), 0]      # stats, points skipped
+        def batches():
+            for block in blocks:
+                counts[1] += block.skipped
+                batch, block_stats = extract_movements(block, aoi, extract,
+                                                       carry)
+                counts[0] += block_stats
+                yield batch
+        return compute_fields(batches(), aoi, settings), *counts
+
     try:
         with closing(point_blocks(path, read)) as blocks:
-            fields = compute_fields(batches(user_groups(blocks)), aoi,
-                                    settings)
-            return fields, *counts
-    except _OutOfOrder:
+            return build(blocks)
+    except _BackInTime:
         pass        # the abandoned build is freed before the file is reread
-    counts = [ExtractionStats(), 0]
-    fields = compute_fields(batches([parse_points(path, read)]), aoi, settings)
-    return fields, *counts
+    return build([parse_points(path, read)])
 
 
 def cmd_compute(args) -> tuple[Path, dict, dict, int]:
@@ -284,8 +274,10 @@ def cmd_compute(args) -> tuple[Path, dict, dict, int]:
             "meshes": field.count.size,
             "meshes_defined": field.n_defined,
         }
-    if not stats.n_vectors:
-        print("no movement vectors extracted", file=sys.stderr)
+    inside = stats.n_vectors - fields[0].dropped_out_of_area
+    if not inside:
+        print("no movement vectors " + ("inside the area of interest"
+              if stats.n_vectors else "extracted"), file=sys.stderr)
     return out, writers, {
         "points_read": stats.n_points, "points_skipped": skipped,
         "users": stats.n_users, "vectors": stats.n_vectors,
@@ -302,7 +294,7 @@ def cmd_compute(args) -> tuple[Path, dict, dict, int]:
             **asdict(extract), **asdict(settings),
         },
         "files": files,
-    }, 0 if stats.n_vectors else 3
+    }, 0 if inside else 3
 
 
 def _read_fields(paths, aoi: AreaOfInterest) -> list:

@@ -136,16 +136,19 @@ class FieldSettings:
 
     def windows(self, t: np.ndarray) -> tuple[TimeWindow, ...]:
         """The windows ``[start, start + W)`` of length ``W``, aligned to
-        multiples of ``W``, from the first time in ``t`` to the last;
+        multiples of ``W``, that hold each time of ``t`` exactly once;
         ``(ALL_TIME,)`` for "all" or no times."""
         if self.window == "all" or t.size == 0:
             return (ALL_TIME,)
         width, spec = _number(self.window), f"window {self.window}"
-        k = float(t.min()) / width
+        first, last, out = float(t.min()), float(t.max()), []
+        k = first / width
         if not math.isfinite(k):
             raise ConfigError(f"{spec} is too short for the timestamps")
-        start, last, out = math.floor(k) * width, float(t.max()), []
-        while start <= last:
+        start = math.floor(k) * width
+        while start > first and start - width < start:
+            start -= width      # the rounded product passed the first time
+        while start <= last or not out:
             if start + width == start:
                 raise ConfigError(f"{spec} is below the float resolution of "
                                   f"the timestamps near {start!r}")

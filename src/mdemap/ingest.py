@@ -465,33 +465,6 @@ def _build_rows(rows: Iterable[tuple[int, object]], record,
     return _columns(points, skipped), lines
 
 
-def user_groups(blocks: Iterable[ParseResult]) -> Iterator[ParseResult]:
-    """Point blocks regrouped so that a user's adjacent rows stay together.
-
-    The rows of the user a block ends in carry over to the next block, so
-    a user whose rows are contiguous in the file is whole in one group;
-    a user spanning many blocks is carried until its rows end. Rows keep
-    their file order within each user, and every block's skipped count
-    goes to the group that takes its rows.
-    """
-    carry: list[ParseResult] = []
-    carried = None              # the one user of the carried rows
-    for block in blocks:
-        carry.append(block)
-        if not len(block):
-            continue
-        last = block.user_id[-1]
-        if carried in (None, last) and (block.user_id == last).all():
-            carried = last
-            continue
-        rows = _concat(carry)
-        tail = rows.user_id == last
-        carry, carried = [rows.take(tail, 0)], last
-        yield rows.take(~tail, rows.skipped)
-    if carry:
-        yield _concat(carry)
-
-
 # -- movement extraction ------------------------------------------------
 
 DIRECTIONS = ("consecutive", "heading")     # the first is the default
@@ -527,7 +500,7 @@ class ExtractionStats:
     dropped_no_heading: int = 0
 
     def __iadd__(self, other: "ExtractionStats") -> "ExtractionStats":
-        """Counts of two extractions over disjoint sets of users."""
+        """Counts of two extractions of disjoint users or carried blocks."""
         for f in fields(self):
             setattr(self, f.name, getattr(self, f.name)
                     + getattr(other, f.name))
@@ -559,12 +532,21 @@ class MovementBatch:
         return int(self.t.size)
 
 
-def _empty_batch(aoi: AreaOfInterest) -> MovementBatch:
-    return MovementBatch(aoi, np.empty(0, dtype=object), *np.empty((8, 0)))
+class _BackInTime(Exception):
+    """A block holds a row earlier than its user's carried fix."""
+
+
+class Carry:
+    """The last fix of each user of the blocks of one file extracted so
+    far: row ``slot[user]`` of ``fixes`` holds its ``(t, lat, lon)``."""
+
+    def __init__(self):
+        self.slot, self.fixes = {}, np.empty((0, 3))
 
 
 def extract_movements(points: ParseResult, aoi: AreaOfInterest,
                       settings: ExtractSettings = ExtractSettings(),
+                      carry: Carry | None = None,
                       ) -> tuple[MovementBatch, ExtractionStats]:
     """Derive movement vectors from the point columns of ``points``.
 
@@ -575,12 +557,14 @@ def extract_movements(points: ParseResult, aoi: AreaOfInterest,
     displacement at least ``min_displacement``; in ``heading`` mode each
     fix carrying a heading becomes a vector on its own. Drops are
     counted, never raised.
+
+    ``points`` may be a block of a file, with the ``carry`` of the blocks
+    before it: each user's carried fix goes before the user's rows, pairs
+    with the first and makes a row of equal time a duplicate, but adds no
+    point, user, vector or drop. ``carry`` then takes the block's last
+    fixes. A row earlier than its user's carried fix raises ``_BackInTime``.
     """
     stats = ExtractionStats(n_points=len(points))
-    if not len(points):
-        return _empty_batch(aoi), stats
-
-    t = points.t
     # codes in sorted id order; a dict keeps each id whole, where a
     # fixed-width str array pads every id to the longest and drops
     # trailing NULs
@@ -588,23 +572,46 @@ def extract_movements(points: ParseResult, aoi: AreaOfInterest,
     names = sorted(set(ids))
     code_of = {u: i for i, u in enumerate(names)}
     codes = np.fromiter(map(code_of.__getitem__, ids), np.int64, len(ids))
-    stats.n_users = len(code_of)
-    # stable (user, t) order: ties keep input order, so dedup keeps the first
+    # one id object per user, not one per row, for batches that are kept
+    users = np.array(names, dtype=object)
+    held = np.empty(0, np.int64)        # codes of the carried users
+    if carry is not None:
+        slots = np.fromiter(map(carry.slot.get, names, repeat(-1)), np.int64,
+                            len(names))
+        held = np.flatnonzero(slots >= 0)
+        points = _concat([ParseResult(users[held], *carry.fixes[slots[held]].T,
+                                      *np.full((2, held.size), np.nan)),
+                          points])
+        codes = np.concatenate([held, codes])
+    stats.n_users = len(names) - held.size
+    # stable (user, t) order: ties keep input order, so dedup keeps the
+    # first, and a carried fix goes before the rows of its time
+    t = points.t
     order = np.lexsort((np.arange(t.size), t, codes))
     codes, t = codes[order], t[order]
+    same = codes[1:] == codes[:-1]
+    if (same & (order[1:] < held.size)).any():
+        raise _BackInTime
     dup = np.zeros(t.size, dtype=bool)
-    dup[1:] = (codes[1:] == codes[:-1]) & (t[1:] == t[:-1])
+    dup[1:] = same & (t[1:] == t[:-1])
     stats.dropped_duplicate = int(dup.sum())
     keep = order[~dup]
     codes, t = codes[~dup], t[~dup]
     lat, lon = points.lat[keep], points.lon[keep]
-    # one id object per user, not one per row, for batches that are kept
-    user = np.array(names, dtype=object)[codes]
+    if carry is not None:       # each user's last fix; new users add rows
+        new = np.flatnonzero(slots < 0)
+        slots[new] = len(carry.fixes) + np.arange(new.size)
+        carry.slot.update(zip(users[new].tolist(), slots[new].tolist()))
+        carry.fixes = np.concatenate([carry.fixes, np.empty((new.size, 3))])
+        last = np.flatnonzero(np.diff(codes, append=-1))
+        carry.fixes[slots] = np.column_stack([t[last], lat[last], lon[last]])
+    user = users[codes]
 
     if settings.direction == "heading":
         heading, speed = points.heading[keep], points.speed[keep]
-        has = ~np.isnan(heading)
-        stats.dropped_no_heading = int((~has).sum())
+        fresh = keep >= held.size       # not a carried fix
+        has = ~np.isnan(heading) & fresh
+        stats.dropped_no_heading = int(fresh.sum() - has.sum())
         disp = np.maximum(np.where(np.isnan(speed[has]), 0.0, speed[has]),
                           settings.min_displacement)
         batch = _finish_batch(aoi, user[has], t[has], lat[has], lon[has],
@@ -613,10 +620,7 @@ def extract_movements(points: ParseResult, aoi: AreaOfInterest,
         stats.n_vectors = len(batch)
         return batch, stats
 
-    adj = codes[1:] == codes[:-1]
-    oi = np.flatnonzero(adj)
-    if oi.size == 0:
-        return _empty_batch(aoi), stats
+    oi = np.flatnonzero(codes[1:] == codes[:-1])
     x, y = project_arrays(lat, lon, aoi)
     dx = x[oi + 1] - x[oi]
     dy = y[oi + 1] - y[oi]

@@ -738,6 +738,25 @@ def test_compute_without_vectors_writes_and_exits_3(tmp_path, capsys):
         "compute_summary.json", "mde_1000m.csv", "mde_100m.csv"]
 
 
+@pytest.mark.parametrize("window", ["all", "300"])
+def test_compute_without_vectors_in_the_area_writes_and_exits_3(
+        tmp_path, capsys, window):
+    # every vector starts 0.2 degrees south of the area
+    pts = tmp_path / "points.csv"
+    _write_points(pts, [("a", 0, 35.3, 139.5), ("a", 60, 35.301, 139.5),
+                        ("b", 0, 35.3, 139.6), ("b", 60, 35.3, 139.601)])
+    assert main(["compute", str(pts), "--aoi", AOI, "--scales", "100,1000",
+                 "--window", window, "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == \
+        "no movement vectors inside the area of interest\n"
+    summary = json.loads((tmp_path / "out" / "compute_summary.json")
+                         .read_text())
+    assert summary["vectors"] == 2
+    assert summary["dropped"]["out_of_area"] == 2
+    for name in summary["files"]:      # header-only fields
+        assert (tmp_path / "out" / name).read_text().count("\n") == 1
+
+
 # Longer than the csv module's default field size limit.
 HUGE = "x" * 140_000
 

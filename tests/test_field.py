@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mdemap import (ALL_TIME, AreaOfInterest, FieldAccumulator,
                     InvalidAngleError, MAX_ENTROPY,
@@ -437,6 +437,62 @@ def test_compute_fields_equals_per_window_accumulators(case, min_samples):
         assert got.n_defined == want.n_defined
         order = list(zip(got.row.tolist(), got.col.tolist()))
         assert order == sorted(set(order))
+
+
+@settings(max_examples=100)
+@given(case=_windowed_input(), scale=st.sampled_from(PROP_SCALES),
+       min_samples=st.integers(1, 3), data=st.data())
+def test_chunked_and_merged_accumulators_equal_one(case, scale, min_samples,
+                                                   data):
+    # random chunks added to 1-3 accumulators, merged in a random order,
+    # with a merge threshold small enough to merge mid-stream too
+    vecs, windows = case
+    n = len(vecs)
+    cuts = sorted(data.draw(st.lists(st.integers(0, n), max_size=6)))
+    k = data.draw(st.integers(1, 3))
+    with mock.patch.object(field_module, "_MERGE_KEYS",
+                           data.draw(st.integers(1, 40))):
+        accs = [FieldAccumulator(PROP_AOI, scale, windows, min_samples)
+                for _ in range(k)]
+        for lo, hi in zip([0, *cuts], [*cuts, n]):
+            accs[data.draw(st.integers(0, k - 1))].add(take(vecs,
+                                                            slice(lo, hi)))
+        first, *rest = data.draw(st.permutations(accs))
+        for acc in rest:
+            first.merge(acc)
+        got = first.finish_all()
+    whole = FieldAccumulator(PROP_AOI, scale, windows, min_samples)
+    whole.add(vecs)
+    want = whole.finish_all()
+    assert [_bits(f) for f in got] == [_bits(f) for f in want]
+    assert [f.dropped_out_of_area for f in got] == \
+        [f.dropped_out_of_area for f in want]
+
+
+@settings(max_examples=200)
+@given(base=st.floats(-2e9, 2e9),
+       width=st.sampled_from([0.1, 0.3, 0.7, 1234.5]) | st.integers(1, 10**5),
+       steps=st.lists(st.floats(0, 40) | st.integers(0, 40), min_size=1,
+                      max_size=8))
+@example(base=497041.3, width=0.1, steps=[0, 0.5])
+def test_each_time_lies_in_one_window(base, width, steps):
+    t = base + width * np.array(steps, dtype=np.float64)
+    try:
+        windows = FieldSettings(window=width).windows(t)
+    except ConfigError:
+        return
+    for v in t.tolist():
+        assert sum(w.start <= v < w.end for w in windows) == 1
+
+
+def test_fractional_window_counts_every_vector(small_aoi):
+    # floor(497041.3 / 0.1) * 0.1 rounds to 497041.30000000005, past the
+    # first time; the first window starts one width earlier
+    vecs = vectors(small_aoi, 50.0, 50.0, 0.0, [497041.3, 497041.35])
+    fields = compute_fields([vecs], small_aoi,
+                            FieldSettings((100,), 0.1, min_samples=1))
+    assert sum(f.count.sum() for f in fields) == 2
+    assert fields[0].window.start <= 497041.3 < fields[0].window.end
 
 
 def test_compute_fields_counts_out_of_area_once(small_aoi):

@@ -1,5 +1,6 @@
-"""Streamed `compute` and `synth`: whole-user groups give the whole-file
-outputs, and neither command's memory grows with the points."""
+"""Streamed `compute` and `synth`: blocks extracted with each user's
+carried last fix give the whole-file outputs, whatever the row order, and
+neither command's memory grows with the points."""
 
 import contextlib
 import csv
@@ -79,8 +80,8 @@ def _render(rows, fmt: str, form: str, bad) -> str:
 def _compute(path, out, flags, whole=False):
     """(exit code, stderr, output files, whether the file was read whole)."""
     err = io.StringIO()
-    skip_streaming = (mock.patch.object(cli, "user_groups",
-                                        side_effect=cli._OutOfOrder)
+    skip_streaming = (mock.patch.object(cli, "point_blocks",
+                                        side_effect=ingest._BackInTime)
                       if whole else contextlib.nullcontext())
     with skip_streaming, contextlib.redirect_stderr(err), mock.patch.object(
             cli, "parse_points", wraps=parse_points) as read_whole:
@@ -106,10 +107,23 @@ def _both_paths(tmp, text, fmt, flags, block):
 # One user of 40 fixes spans many 60-character blocks; the malformed
 # lines sit on block edges.
 _LONG_WALK = [("a", T0 + 60 * i, 35.51 + 0.0005 * i, 139.31) for i in range(40)]
-# Users b, c and d, each of 12 fixes with malformed lines among them, then
-# user a: the streamed build reads three groups before it falls back.
+# Users b, c, d and a, each of 12 fixes: out of id order, they stream.
 _LATE_USER = [(u, T0 + 60 * i, 35.51 + 0.0004 * i, 139.31 + 0.001 * k)
               for k, u in enumerate("bcda") for i in range(12)]
+# Then one fix of b earlier than b's last: with malformed lines among the
+# rows, the streamed build reads many blocks before it falls back.
+_BACK_IN_TIME = _LATE_USER + [("b", T0 + 90, 35.515, 139.3)]
+
+
+def _times_never_decrease(rows) -> bool:
+    """Whether each user's times never decrease in file order: then no
+    block goes back before a carried fix, and the file streams."""
+    last = {}
+    for u, t, *_ in rows:
+        if t < last.setdefault(u, t):
+            return False
+        last[u] = t
+    return True
 
 
 @settings(max_examples=50)
@@ -119,48 +133,65 @@ _LATE_USER = [(u, T0 + 60 * i, 35.51 + 0.0004 * i, 139.31 + 0.001 * k)
                     max_size=6),
        window=st.sampled_from([None, "900", "1234.5"]),
        strict=st.booleans(), shuffle=st.randoms(use_true_random=False),
-       shuffled=st.booleans(), block=st.integers(40, 400))
+       layout=st.sampled_from(["users", "time", "shuffled"]),
+       block=st.integers(40, 400))
 @example(rows=_LONG_WALK, fmt="csv", form="Z", bad=[(3, 0), (17, 2)],
-         window=None, strict=False, shuffle=None, shuffled=False, block=60)
+         window=None, strict=False, shuffle=None, layout="users", block=60)
 @example(rows=_LONG_WALK, fmt="csv", form="seconds", bad=[(17, 3)],
-         window="900", strict=True, shuffle=None, shuffled=False, block=60)
+         window="900", strict=True, shuffle=None, layout="users", block=60)
 @example(rows=_LONG_WALK + [("b", T0, 35.52, 139.32)] * 3, fmt="ndjson",
          form="+09:00", bad=[(40, 1)], window=None, strict=False,
-         shuffle=None, shuffled=False, block=60)
+         shuffle=None, layout="time", block=60)
 @example(rows=_LATE_USER, fmt="csv", form="seconds",
          bad=[(2, 0), (5, 3), (14, 1), (20, 2), (27, 0), (30, 3)],
-         window=None, strict=False, shuffle=None, shuffled=False, block=60)
+         window=None, strict=False, shuffle=None, layout="time", block=60)
 @example(rows=_LATE_USER, fmt="ndjson", form="Z", bad=[(3, 0), (16, 4)],
-         window="900", strict=False, shuffle=None, shuffled=False, block=60)
+         window="900", strict=False, shuffle=None, layout="users", block=60)
+@example(rows=_BACK_IN_TIME, fmt="csv", form="seconds",
+         bad=[(2, 0), (5, 3), (14, 1), (20, 2), (27, 0), (30, 3)],
+         window=None, strict=False, shuffle=None, layout="users", block=60)
+@example(rows=_BACK_IN_TIME, fmt="ndjson", form="Z", bad=[(3, 0), (16, 4)],
+         window="900", strict=False, shuffle=None, layout="users", block=60)
 def test_streamed_compute_equals_whole_file(tmp_path_factory, rows, fmt,
                                             form, bad, window, strict,
-                                            shuffle, shuffled, block):
-    if shuffled:
+                                            shuffle, layout, block):
+    if layout == "time":        # users interleave; a user's rows keep order
+        rows = sorted(rows, key=lambda row: row[1])
+    elif layout == "shuffled":
         shuffle.shuffle(rows)
     flags = (["--window", window] if window else []) + (
         ["--strict"] if strict else [])
     code, err, files, read_whole = _both_paths(
         tmp_path_factory.mktemp("stream"), _render(rows, fmt, form, bad),
         fmt, flags, block)
-    event(f"exit {code}, {'whole file' if read_whole else 'streamed'}")
-    users = [u for u, *_ in rows]
-    if users == sorted(users):
-        # users come in ascending order: no fallback to the whole file
+    event(f"{layout}: exit {code}, "
+          f"{'whole file' if read_whole else 'streamed'}")
+    if _times_never_decrease(rows):
         assert not read_whole
     kinds = _BAD[fmt]
     if strict and any(kinds[k % len(kinds)] for _, k in bad):
         assert code == 3 and "line " in err
 
 
-def test_users_out_of_order_read_the_whole_file(tmp_path):
+def test_rows_back_in_time_read_the_whole_file(tmp_path):
+    # users b then a stream; one fix of b, earlier than b's last and two
+    # blocks after it, makes the whole file be read
     rows = ([("b", T0 + 60 * i, 35.51 + 0.0005 * i, 139.31) for i in range(30)]
             + [("a", T0 + 60 * i, 35.52, 139.31 + 0.0005 * i)
                for i in range(30)])
-    code, _, files, read_whole = _both_paths(
-        tmp_path, _render(rows, "csv", "seconds", []), "csv", [], 200)
-    assert code == 0 and read_whole
+    text = _render(rows, "csv", "seconds", [])
+    code, _, files, read_whole = _both_paths(tmp_path, text, "csv", [], 200)
+    assert code == 0 and not read_whole
     summary = json.loads(files["compute_summary.json"])
     assert summary["users"] == 2 and summary["vectors"] == 58
+    late = _render(rows + [("b", T0 + 90, 35.5107, 139.31)], "csv",
+                   "seconds", [])
+    (tmp_path / "late").mkdir()
+    code, _, files, read_whole = _both_paths(tmp_path / "late", late, "csv",
+                                             [], 200)
+    assert code == 0 and read_whole
+    summary = json.loads(files["compute_summary.json"])
+    assert summary["users"] == 2 and summary["vectors"] == 59
 
 
 def test_heading_direction_streams_too(tmp_path):
@@ -187,23 +218,32 @@ def _peak(run) -> int:
 
 @pytest.fixture(scope="module")
 def cities(tmp_path_factory):
-    """Synthetic cities of 2,000 and 8,000 users, 20 fixes each."""
+    """Synthetic cities of 2,000 and 8,000 users, 20 fixes each, as
+    written (user by user) and stably sorted by time."""
     root = tmp_path_factory.mktemp("cities")
     for users in (2000, 8000):
+        out = root / str(users)
         assert main(["synth", "--users", str(users), "--seed", "3",
-                     "--out", str(root / str(users))]) == 0
+                     "--out", str(out)]) == 0
+        head, *lines = (out / "points.csv").read_text().splitlines(True)
+        lines.sort(key=lambda line: float(line.split(",")[1]))
+        (out / "by_time.csv").write_text(head + "".join(lines))
     return root
 
 
 def test_compute_memory_grows_by_the_meshes_not_the_vectors(cities):
     # whole-file reading grew by about 281 B per point, and keeping six
-    # float64 columns per vector by about 43; group-by-group field
-    # accumulation keeps counts per (mesh, bin), about 7 B per point here
-    peaks = {users: _peak(lambda: main([
-        "compute", str(cities / str(users) / "points.csv"),
-        "--out", str(cities / str(users))])) for users in (2000, 8000)}
-    per_point = (peaks[8000] - peaks[2000]) / ((8000 - 2000) * 20)
-    assert per_point <= 20
+    # float64 columns per vector by about 43; block-by-block field
+    # accumulation keeps counts per (mesh, bin) and each user's last fix,
+    # about 14 B per point as written and 16 sorted by time
+    for name in ("points.csv", "by_time.csv"):
+        with mock.patch.object(cli, "parse_points",
+                               side_effect=AssertionError("read whole")):
+            peaks = {users: _peak(lambda: main([
+                "compute", str(cities / str(users) / name),
+                "--out", str(cities / str(users))])) for users in (2000, 8000)}
+        per_point = (peaks[8000] - peaks[2000]) / ((8000 - 2000) * 20)
+        assert per_point <= 20, name
 
 
 def test_synth_memory_does_not_grow(tmp_path):
