@@ -1,15 +1,16 @@
 """Command-line pipeline: synth, compute, combine, evaluate, export.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 I/O error,
-3 data error (empty inputs, malformed rows, empty fields, no vector in the
-area). Diagnostics go to stderr. Re-running a command on the same inputs
-and seed yields byte-identical files.
+3 data error (empty inputs, malformed rows, empty fields, no defined mesh in
+any field of ``compute``). Diagnostics go to stderr. Re-running a command on
+the same inputs and seed yields byte-identical files.
 
 Each ``cmd_*`` reads and computes, writing nothing, and returns its output
 directory, files (name -> writer of a path), summary and exit code; only
 ``main`` makes the directory and writes, the summary last. A run that exits
-1 or 3 leaves no directory, but ``compute`` with no vectors in the area of
-interest writes, exits 3.
+1 or 3 leaves no directory, but ``compute`` with no defined mesh (no vector
+in the area, or none of its meshes with ``min_samples`` vectors) writes,
+exits 3.
 
 Precedence for every setting: command-line flag, then --config file
 entry (same key, underscores for dashes), then the default of its settings
@@ -31,7 +32,7 @@ from .errors import ConfigError, MdemapError
 from .evaluation import (DEFAULT_THRESHOLDS_M, EvaluationSettings,
                          default_x_values, precision_curve, recall_curve,
                          top_k)
-from .field import ALL_TIME, FieldSettings, TimeWindow, compute_fields
+from .field import ALL_TIME, FieldSettings, compute_fields
 from .fusion import (MODES, FusionSettings, combine, find_local_peaks,
                      normalize)
 from .ingest import (Carry, DIRECTIONS, ExtractionStats, ExtractSettings,
@@ -135,14 +136,6 @@ def _settings(cls, args, cfg: dict, fixed=None, **convert):
              for name, f in convert.items()}
     return cls(**(fixed or {}),
                **{name: v for name, v in given.items() if v is not None})
-
-
-def _window_name(scale: int, w: TimeWindow) -> str:
-    """Field file name; integral window starts keep their integer form."""
-    if w == ALL_TIME:
-        return f"mde_{scale}m.csv"
-    start = int(w.start) if w.start.is_integer() else repr(w.start)
-    return f"mde_{scale}m_w{start}.csv"
 
 
 def build_parser() -> _Parser:
@@ -265,8 +258,10 @@ def cmd_compute(args) -> tuple[Path, dict, dict, int]:
                                      settings)
     writers, files = {}, {}
     for field in fields:
-        w = field.window
-        name = _window_name(field.scale_m, w)
+        w = field.window        # an integral start keeps its integer form
+        start = int(w.start) if w.start.is_integer() else repr(w.start)
+        name = f"mde_{field.scale_m}m" + (
+            ".csv" if w == ALL_TIME else f"_w{start}.csv")
         writers[name] = partial(mio.write_field_csv, field)
         files[name] = {
             "scale_m": field.scale_m,
@@ -274,10 +269,13 @@ def cmd_compute(args) -> tuple[Path, dict, dict, int]:
             "meshes": field.count.size,
             "meshes_defined": field.n_defined,
         }
-    inside = stats.n_vectors - fields[0].dropped_out_of_area
-    if not inside:
+    defined = any(field.n_defined for field in fields)
+    if stats.n_vectors == fields[0].dropped_out_of_area:
         print("no movement vectors " + ("inside the area of interest"
               if stats.n_vectors else "extracted"), file=sys.stderr)
+    elif not defined:
+        print(f"no mesh of any field has min_samples = "
+              f"{settings.min_samples} movement vectors", file=sys.stderr)
     return out, writers, {
         "points_read": stats.n_points, "points_skipped": skipped,
         "users": stats.n_users, "vectors": stats.n_vectors,
@@ -294,7 +292,7 @@ def cmd_compute(args) -> tuple[Path, dict, dict, int]:
             **asdict(extract), **asdict(settings),
         },
         "files": files,
-    }, 0 if inside else 3
+    }, 0 if defined else 3
 
 
 def _read_fields(paths, aoi: AreaOfInterest) -> list:

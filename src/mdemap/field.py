@@ -134,46 +134,12 @@ class FieldSettings:
         if not _positive_int(self.min_samples):
             raise ConfigError("min_samples must be an integer >= 1")
 
-    def windows(self, t: np.ndarray) -> tuple[TimeWindow, ...]:
-        """The windows ``[start, start + W)`` of length ``W``, aligned to
-        multiples of ``W``, that hold each time of ``t`` exactly once;
-        ``(ALL_TIME,)`` for "all" or no times."""
-        if self.window == "all" or t.size == 0:
-            return (ALL_TIME,)
-        width, spec = _number(self.window), f"window {self.window}"
-        first, last, out = float(t.min()), float(t.max()), []
-        k = first / width
-        if not math.isfinite(k):
-            raise ConfigError(f"{spec} is too short for the timestamps")
-        start = math.floor(k) * width
-        while start > first and start - width < start:
-            start -= width      # the rounded product passed the first time
-        while start <= last or not out:
-            if start + width == start:
-                raise ConfigError(f"{spec} is below the float resolution of "
-                                  f"the timestamps near {start!r}")
-            if len(out) == MAX_WINDOWS:
-                raise ConfigError(f"{spec} makes more than MAX_WINDOWS = "
-                                  f"{MAX_WINDOWS} windows")
-            out.append(TimeWindow(start, start + width))
-            start += width
-        return tuple(out)
 
-
-def _window_bounds(windows: tuple[TimeWindow, ...]):
-    """(starts, ends) of windows; empty, unsorted or overlapping ones are
-    refused."""
-    starts, ends = np.array(windows, np.float64).reshape(-1, 2).T
-    if not (starts < ends).all() or (starts[1:] < ends[:-1]).any():
-        raise ConfigError("time windows must be non-empty, sorted and "
-                          "disjoint")
-    return starts, ends
-
-
-def _movement_arrays(movements: MovementBatch, aoi: AreaOfInterest):
-    """(x, y, theta, t, n_out_of_area) of a batch's vectors."""
+def _movement_arrays(movements: MovementBatch, aoi: AreaOfInterest, k):
+    """(x, y, theta, k, n_out_of_area) of a batch's vectors inside the area,
+    where ``k`` is a column of the batch."""
     lat, lon = movements.origin_lat, movements.origin_lon
-    theta, t = movements.theta, movements.t
+    theta = movements.theta
     x = y = None
     if movements.aoi == aoi:
         x, y = movements.x, movements.y
@@ -182,12 +148,12 @@ def _movement_arrays(movements: MovementBatch, aoi: AreaOfInterest):
               & (lon >= sw.lon) & (lon <= ne.lon))
     dropped = int(inside.size - inside.sum())
     if dropped:
-        lat, lon, theta, t = lat[inside], lon[inside], theta[inside], t[inside]
+        lat, lon, theta, k = lat[inside], lon[inside], theta[inside], k[inside]
         if x is not None:
             x, y = x[inside], y[inside]
     if x is None:
         x, y = project_arrays(lat, lon, aoi)
-    return x, y, theta, t, dropped
+    return x, y, theta, k, dropped
 
 
 def _mesh_index(x, y, scale_m: int, ncols: int) -> np.ndarray:
@@ -228,52 +194,85 @@ _MERGE_KEYS = 1 << 20
 class FieldAccumulator:
     """Streaming accumulator of per-mesh direction histograms for one scale.
 
-    ``windows`` is a sorted, disjoint tuple of ``TimeWindow``; counts are
-    keyed by (window, mesh, bin), so one accumulator builds every window's
-    field. A vector counts in the window holding its time,
-    ``start <= t < end``. ``add`` may be called with arbitrary input
-    chunks in any order; ``merge`` combines accumulators built over
-    disjoint chunks. The finished fields do not depend on how the input
-    was split, and the held counts grow with the (window, mesh, bin) keys
-    seen, not with the vectors.
+    ``window`` is "all" or a width W in s: window k is ``[k*W, (k+1)*W)``,
+    each bound the product rounded once, and the windows run from the
+    lowest to the highest k of any vector added, in the area or not.
+    Counts are keyed by (k - base, mesh, bin), base being the first k seen.
+    ``add`` may be called with arbitrary input chunks in any order;
+    ``merge`` combines accumulators built over disjoint chunks. The
+    finished fields do not depend on how the input was split, and the held
+    counts grow with the (window, mesh, bin) keys seen, not with the
+    vectors.
     """
 
     def __init__(self, aoi: AreaOfInterest, scale_m: int,
-                 windows: tuple[TimeWindow, ...] = (ALL_TIME,),
+                 window: str | float = "all",
                  min_samples: int = FieldSettings.min_samples):
-        self.windows = tuple(windows)
         # refuse a bad scale, sample floor or window before any input
-        FieldSettings((int(scale_m),), min_samples=min_samples)
-        self._starts, self._ends = _window_bounds(self.windows)
+        FieldSettings((int(scale_m),), window, min_samples)
         self.aoi = aoi
         self.scale_m = int(scale_m)
+        self.window = window
         self.min_samples = int(min_samples)
         self.dropped_out_of_area = 0
+        self._width = None if window == "all" else _number(window)
+        # first k seen (None for "all" or no vector yet), lowest and highest
+        self._base, self._lo, self._hi = None, 0, 0
         self._ncols, nrows = aoi.grid_shape(self.scale_m)
         self._ncells = self._ncols * nrows
-        if len(self.windows) * self._ncells * N_BINS > np.iinfo(np.int64).max:
-            raise ConfigError(
-                f"{len(self.windows)} windows x {self._ncells} meshes at "
-                f"{self.scale_m} m overflow the int64 (window, mesh, bin) key")
         self._keys: list[np.ndarray] = []
         self._counts: list[np.ndarray] = []
         self._merge_at = _MERGE_KEYS
 
+    def _window_numbers(self, t: np.ndarray) -> np.ndarray:
+        """Each time's k, ``k*W <= t < (k+1)*W``: ``floor(t / W)``, then one
+        step down or up. For |k| < 2**53 the rounded quotient is the floor n
+        of the exact one or n + 1, and ``n*W`` rounds to at most t and
+        ``(n+1)*W`` to at least t, so one step finds k when no window is
+        empty, as ``_cover`` ensures."""
+        if t.size == 0:
+            return t
+        with np.errstate(over="ignore"):
+            k = np.floor(t / self._width)
+        if not np.isfinite(k).all():
+            raise ConfigError(f"window {self.window} is too short for the "
+                              f"timestamps")
+        k -= k * self._width > t
+        k += (k + 1) * self._width <= t
+        self._cover(int(k.min()), int(k.max()))
+        return k.astype(np.int64)
+
+    def _cover(self, lo: int, hi: int) -> None:
+        """Widen the range of k to hold ``lo..hi``. More than
+        ``MAX_WINDOWS`` windows, keys that overflow int64 and |k| >= 2**52
+        are refused; below that, ``k*W`` and ``(k+1)*W`` are W apart and
+        the doubles near them closer than W, so no window is empty."""
+        if self._base is None:
+            self._base = self._lo = self._hi = lo
+        lo, hi = min(lo, self._lo), max(hi, self._hi)
+        n, spec = hi - lo + 1, f"window {self.window}"
+        if max(-lo, hi + 1) >= 2 ** 52:
+            raise ConfigError(f"{spec} is below the float resolution of the "
+                              f"timestamps near {lo * self._width!r}")
+        if n > MAX_WINDOWS:
+            raise ConfigError(f"{spec} makes more than MAX_WINDOWS = "
+                              f"{MAX_WINDOWS} windows")
+        if n * self._ncells * N_BINS > np.iinfo(np.int64).max:
+            raise ConfigError(
+                f"{n} windows x {self._ncells} meshes at {self.scale_m} m "
+                f"overflow the int64 (window, mesh, bin) key")
+        self._lo, self._hi = lo, hi
+
     def add(self, movements: MovementBatch) -> None:
-        x, y, theta, t, dropped = _movement_arrays(movements, self.aoi)
+        k = movements.t if self._width is None else self._window_numbers(
+            movements.t)
+        x, y, theta, k, dropped = _movement_arrays(movements, self.aoi, k)
         self.dropped_out_of_area += dropped
-        if self.windows != (ALL_TIME,):
-            # the last window with start <= t; -1 before the first, and NaN
-            # sorts after every start, so t < end then fails
-            w = np.searchsorted(self._starts, t, side="right") - 1
-            keep = (w >= 0) & (t < self._ends[np.maximum(w, 0)])
-            if not keep.all():
-                x, y, theta, w = x[keep], y[keep], theta[keep], w[keep]
         if x.size == 0:
             return
         flat = _mesh_index(x, y, self.scale_m, self._ncols)
-        if len(self.windows) > 1:
-            flat += w * self._ncells
+        if self._lo != self._hi:
+            flat += (k - self._base) * self._ncells
         keys, counts = kernels.count_mesh_bins(
             flat, kernels.direction_bins(theta))
         self._keys.append(keys)
@@ -282,19 +281,24 @@ class FieldAccumulator:
             self._merge_at = max(_MERGE_KEYS, 2 * self._merged()[0].size)
 
     def merge(self, other: "FieldAccumulator") -> None:
-        if (other.aoi, other.scale_m, other.windows, other.min_samples) != \
-                (self.aoi, self.scale_m, self.windows, self.min_samples):
+        if (other.aoi, other.scale_m, other._width, other.min_samples) != \
+                (self.aoi, self.scale_m, self._width, self.min_samples):
             raise ConfigError("cannot merge accumulators with different setups")
         if other is self:
             raise ConfigError("cannot merge an accumulator into itself")
-        self._keys.extend(other._keys)
+        keys = other._keys
+        if other._base is not None:
+            self._cover(other._lo, other._hi)
+            shift = (other._base - self._base) * self._ncells * N_BINS
+            keys = [part + shift for part in keys] if shift else keys
+        self._keys.extend(keys)
         self._counts.extend(other._counts)
         self.dropped_out_of_area += other.dropped_out_of_area
 
     def _merged(self):
         """The held (key, count) pairs summed by key, keys ascending, kept
-        as the one part held from then on; key = (window * meshes + mesh)
-        * N_BINS + bin.
+        as the one part held from then on; key = ((k - base) * meshes +
+        mesh) * N_BINS + bin.
 
         Every held part comes from ``count_mesh_bins`` or an earlier
         merge, so a single part is already summed and ascending. Parts may
@@ -312,51 +316,49 @@ class FieldAccumulator:
 
     def finish(self) -> MdeField:
         """The field of a one-window accumulator."""
-        if len(self.windows) != 1:
+        if self._lo != self._hi:
             raise ConfigError(f"finish() makes one field, not "
-                              f"{len(self.windows)}; use finish_all()")
+                              f"{self._hi - self._lo + 1}; use finish_all()")
         return self._fields()[0]
 
     def finish_all(self) -> list[MdeField]:
-        """One field per window, in window order, each carrying the
-        out-of-area count. A one-window accumulator finishes through
-        ``finish``, so what wraps that method sees every one-window build."""
-        return [self.finish()] if len(self.windows) == 1 else self._fields()
+        """One field per window, in window order, empty windows included,
+        each carrying the out-of-area count. A one-window accumulator
+        finishes through ``finish``, so what wraps that method sees every
+        one-window build."""
+        return [self.finish()] if self._lo == self._hi else self._fields()
 
     def _fields(self) -> list[MdeField]:
         keys, counts = self._merged()
         mesh, totals, ent = kernels.field_entropy(keys, counts,
                                                   self.min_samples)
-        # keys ascend, so each window's meshes are one run
-        cuts = [0, *np.searchsorted(mesh, self._ncells * np.arange(
-            1, len(self.windows))).tolist(), mesh.size]
+        windows, first, w = [ALL_TIME], 0, self._width
+        if self._base is not None:
+            windows = [TimeWindow(k * w, (k + 1) * w)
+                       for k in range(self._lo, self._hi + 1)]
+            first = self._lo - self._base
+        # keys ascend, so window i's meshes are the run from (first + i) *
+        # meshes
+        starts = self._ncells * np.arange(first, first + len(windows) + 1)
+        cuts = np.searchsorted(mesh, starts).tolist()
         out = []
-        for i, w in enumerate(self.windows):
+        for i, window in enumerate(windows):
             sl = slice(cuts[i], cuts[i + 1])
-            row, col = np.divmod(mesh[sl] - i * self._ncells, self._ncols)
-            out.append(MdeField(self.scale_m, w, self.aoi, col, row,
+            row, col = np.divmod(mesh[sl] - starts[i], self._ncols)
+            out.append(MdeField(self.scale_m, window, self.aoi, col, row,
                                 totals[sl], ent[sl], self.dropped_out_of_area))
         return out
 
 
 def compute_fields(batches: Iterable[MovementBatch], aoi: AreaOfInterest,
-                   settings: FieldSettings = FieldSettings(), windows=None,
+                   settings: FieldSettings = FieldSettings(),
                    ) -> list[MdeField]:
     """Every (scale, window) field of the vectors of ``batches``, in
     scale-major order: each batch is added once to one accumulator per
-    scale, over every window. Each field carries the number of out-of-area
-    vectors, each counted once, as its ``dropped_out_of_area``.
-
-    ``windows``, sorted and disjoint, default to ``settings.windows`` of
-    the vector times. Batches are dropped once added, except that a width
-    window without ``windows`` keeps them until the time range is known.
-    """
-    if windows is None and settings.window != "all":
-        batches = list(batches)
-        windows = settings.windows(np.concatenate(
-            [np.empty(0)] + [b.t for b in batches]))
-    windows = (ALL_TIME,) if windows is None else windows
-    accumulators = [FieldAccumulator(aoi, scale, windows, settings.min_samples)
+    scale and then dropped. Each field carries the number of out-of-area
+    vectors, each counted once, as its ``dropped_out_of_area``."""
+    accumulators = [FieldAccumulator(aoi, scale, settings.window,
+                                     settings.min_samples)
                     for scale in settings.scales]
     for batch in batches:
         for acc in accumulators:

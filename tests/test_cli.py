@@ -12,10 +12,12 @@ import numpy as np
 import pytest
 
 from mdemap import (ConfigError, DEFAULT_AOI, ExtractSettings, FieldSettings,
-                    FusionSettings, SynthConfig, mesh_centers)
+                    FusionSettings, SynthConfig, compute_fields, mesh_centers)
 from mdemap import cli
 from mdemap.cli import _parse_aoi, main
 from mdemap.field import MAX_WINDOWS
+
+from conftest import batch_at
 
 AOI = "139.3,140.0,35.5,35.85"
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -309,14 +311,20 @@ def test_out_of_area_counted_once(tmp_path, window, n_windows):
     assert sum(counts) == 9
 
 
+def _fields_at(times, window):
+    """``compute_fields`` over one vector in the default area per time."""
+    return compute_fields([batch_at(DEFAULT_AOI, 35.6, 139.5, 0.0, times)],
+                          DEFAULT_AOI, FieldSettings((1000,), window))
+
+
 def test_window_below_timestamp_resolution(tmp_path):
-    # half an ulp of 1714953600.0 is 1.2e-7 s, so start + 1e-7 == start
+    # half an ulp of 1714953600.0 is 1.2e-7 s; 1714953600 / 1e-7 is past
+    # 2**52, where some windows of 1e-7 s would be empty
     with pytest.raises(ConfigError, match="float resolution"):
-        FieldSettings(window="1e-7").windows(
-            np.array([1714953600.0, 1714953660.0]))
+        _fields_at([1714953600.0, 1714953660.0], "1e-7")
     # t / width overflows to inf before any window is made
     with pytest.raises(ConfigError, match="too short"):
-        FieldSettings(window="1e-300").windows(np.array([1714953600.0]))
+        _fields_at([1714953600.0], "1e-300")
     pts = tmp_path / "points.csv"
     _write_points(pts, [("u", 1714953600, 35.6, 139.5),
                         ("u", 1714953660, 35.601, 139.5)])
@@ -326,11 +334,9 @@ def test_window_below_timestamp_resolution(tmp_path):
 
 
 def test_window_count_is_bounded(tmp_path):
-    one_second = FieldSettings(window="1")
-    assert len(one_second.windows(np.array([0.0, MAX_WINDOWS - 1.0]))) \
-        == MAX_WINDOWS
+    assert len(_fields_at([0.0, MAX_WINDOWS - 1.0], "1")) == MAX_WINDOWS
     with pytest.raises(ConfigError, match="MAX_WINDOWS = 100000"):
-        one_second.windows(np.array([0.0, float(MAX_WINDOWS)]))
+        _fields_at([0.0, float(MAX_WINDOWS)], "1")
     pts = tmp_path / "points.csv"
     _write_points(pts, [("a", 0, 35.6, 139.5), ("a", 60, 35.601, 139.5),
                         ("b", 200_000, 35.6, 139.5),
@@ -349,7 +355,7 @@ def test_window_spec_must_be_a_positive_length(tmp_path, spec):
 def test_fractional_window_names_are_unique(pipeline, tmp_path):
     assert main(["compute", str(pipeline / "points.csv"), "--aoi", AOI,
                  "--scales", "2000,4000", "--window", "0.5",
-                 "--out", str(tmp_path)]) == 0
+                 "--min-samples", "1", "--out", str(tmp_path)]) == 0
     summary = json.loads((tmp_path / "compute_summary.json").read_text())
     # vector times span +60..+540 s: (540 - 60) / 0.5 + 1 windows per scale
     n_windows = 961
@@ -755,6 +761,24 @@ def test_compute_without_vectors_in_the_area_writes_and_exits_3(
     assert summary["dropped"]["out_of_area"] == 2
     for name in summary["files"]:      # header-only fields
         assert (tmp_path / "out" / name).read_text().count("\n") == 1
+
+
+@pytest.mark.parametrize("window", ["all", "300"])
+def test_compute_without_a_defined_mesh_writes_and_exits_3(
+        pipeline, tmp_path, capsys, window):
+    # vectors lie in the area, but no mesh of any field has 100000 of them
+    out = tmp_path / "out"
+    assert main(["compute", str(pipeline / "points.csv"), "--aoi", AOI,
+                 "--min-samples", "100000", "--window", window,
+                 "--out", str(out)]) == 3
+    assert capsys.readouterr().err == \
+        "no mesh of any field has min_samples = 100000 movement vectors\n"
+    summary = json.loads((out / "compute_summary.json").read_text())
+    assert summary["vectors"] > summary["dropped"]["out_of_area"]
+    assert all(meta["meshes"] and not meta["meshes_defined"]
+               for meta in summary["files"].values())
+    assert sorted(p.name for p in out.glob("mde_*.csv")) == \
+        sorted(summary["files"])
 
 
 # Longer than the csv module's default field size limit.

@@ -101,13 +101,16 @@ def test_time_window_half_open(small_aoi):
     # a window keeps the vectors with start <= t < end
     times = [9.999, 10.0, 19.999, 20.0]
     vecs = vectors(small_aoi, 50.0, 50.0, 0.0, times)
-    one = FieldSettings((100,), min_samples=1)
-    [f] = compute_fields([vecs], small_aoi, one, (TimeWindow(10.0, 20.0),))
-    assert f.count.tolist() == [2]
+    fields = compute_fields([vecs], small_aoi,
+                            FieldSettings((100,), 10, min_samples=1))
+    assert [f.window for f in fields] == [TimeWindow(0.0, 10.0),
+                                          TimeWindow(10.0, 20.0),
+                                          TimeWindow(20.0, 30.0)]
+    assert [f.count.tolist() for f in fields] == [[1], [2], [1]]
     [f] = compute_fields([vectors(small_aoi, 50.0, 50.0, 0.0,
-                                  [-1e18, 1e18])], small_aoi, one,
-                         (ALL_TIME,))
-    assert f.count.tolist() == [2]
+                                  [-1e18, 1e18])], small_aoi,
+                         FieldSettings((100,), min_samples=1))
+    assert f.window == ALL_TIME and f.count.tolist() == [2]
 
 
 def test_compute_field_zero_movements(small_aoi):
@@ -143,12 +146,15 @@ def test_min_samples_boundary(small_aoi):
 def test_window_filters_by_origin_time(small_aoi):
     inside = vectors(small_aoi, 50.0, 50.0, 0.0, 100.0 + np.arange(40))
     outside = vectors(small_aoi, 50.0, 50.0, math.pi, 500.0 + np.arange(40))
-    [f] = compute_fields([concat(inside, outside)], small_aoi,
-                         FieldSettings((100,), min_samples=30),
-                         (TimeWindow(100.0, 200.0),))
+    f, *between, last = compute_fields(
+        [concat(inside, outside)], small_aoi,
+        FieldSettings((100,), 100, min_samples=30))
+    assert f.window == TimeWindow(100.0, 200.0)
     e = f.entries[MeshId(100, 0, 0)]
     assert e.count == 40
     assert e.entropy == 0.0  # only the northbound half is inside the window
+    assert [w.count.size for w in between] == [0, 0, 0]
+    assert last.entries[MeshId(100, 0, 0)].entropy == 0.0
 
 
 def test_out_of_area_dropped_and_counted(small_aoi):
@@ -255,11 +261,12 @@ def test_accumulator_merges_what_it_holds(small_aoi):
 
 
 def test_one_field_of_many_windows_is_refused(small_aoi):
-    acc = FieldAccumulator(small_aoi, 100, _grid_windows(0.0, 10.0, 2))
+    acc = FieldAccumulator(small_aoi, 100, 10.0)
+    acc.add(vectors(small_aoi, 50.0, 50.0, 0.0, [0.0, 19.0]))
     with pytest.raises(ConfigError, match="finish_all"):
         acc.finish()
-    assert [f.window for f in acc.finish_all()] == _grid_windows(0.0, 10.0,
-                                                                 2)
+    assert [f.window for f in acc.finish_all()] == [TimeWindow(0.0, 10.0),
+                                                    TimeWindow(10.0, 20.0)]
 
 
 def test_merge_rejects_mismatched_setup(small_aoi):
@@ -274,8 +281,8 @@ def test_accumulator_validation(small_aoi):
         FieldAccumulator(small_aoi, 0)
     with pytest.raises(ConfigError):
         FieldAccumulator(small_aoi, 100, min_samples=0)
-    with pytest.raises(ConfigError):
-        FieldAccumulator(small_aoi, 100, (TimeWindow(5.0, 5.0),))
+    with pytest.raises(ConfigError, match="window"):
+        FieldAccumulator(small_aoi, 100, 0.0)
 
 
 def test_histograms_match_brute_force(small_aoi):
@@ -372,28 +379,41 @@ def _bits(field):
             for m, e in field.entries.items()}
 
 
-def _grid_windows(start, width, n):
-    """``n`` windows built by repeated addition, as ``compute`` builds them."""
-    out = []
-    for _ in range(n):
-        out.append(TimeWindow(start, start + width))
-        start += width
-    return out
+def _window_of(t, width):
+    """The number k of the window ``[k*W, (k+1)*W)``, each bound a rounded
+    product, that holds ``t``, found by stepping from ``floor(t / W)``."""
+    k = math.floor(t / width)
+    while k * width > t:
+        k -= 1
+    while (k + 1) * width <= t:
+        k += 1
+    return k
+
+
+def _windows_of(times, width):
+    """The windows that ``compute_fields`` should emit for ``times``."""
+    if width == "all" or not times:
+        return [ALL_TIME]
+    ks = [_window_of(t, width) for t in times]
+    return [TimeWindow(k * width, (k + 1) * width)
+            for k in range(min(ks), max(ks) + 1)]
 
 
 @st.composite
 def _windowed_input(draw):
-    if draw(st.booleans()):
-        windows = [ALL_TIME]
+    """(vectors, window): "all", or a width of 0.1, 0.7, 2.5 or an integer
+    with times on and around the multiples of that width, offset so that
+    the windows start at various k."""
+    width = draw(st.sampled_from(["all", 0.1, 0.7, 2.5])
+                 | st.integers(1, 60))
+    if width == "all":
         times = st.floats(-1e3, 1e3)
     else:
-        windows = _grid_windows(draw(st.integers(-5, 5)) * 0.7,
-                                draw(st.sampled_from([0.3, 1.0, 2.5, 60.0])),
-                                draw(st.integers(1, 6)))
-        edges = sorted({w.start for w in windows} | {w.end for w in windows})
-        lo, hi = edges[0], edges[-1]
+        first = draw(st.integers(-5, 5) | st.integers(-10**6, 10**6))
+        edges = [k * width for k in range(first, first + draw(
+            st.integers(1, 6)) + 1)]
         times = st.one_of(st.sampled_from(edges),
-                          st.floats(lo - 1.0, hi + 1.0))
+                          st.floats(edges[0] - width, edges[-1] + width))
     rows = []
     # few positions and directions, so meshes collect several vectors
     for _ in range(draw(st.integers(0, 60))):
@@ -407,32 +427,30 @@ def _windowed_input(draw):
             origin = inverse_project(LocalCoord(x, y), PROP_AOI)
         rows.append((*origin, theta, t))
     lat, lon, theta, t = (list(c) for c in zip(*rows)) if rows else [[]] * 4
-    return batch_at(PROP_AOI, lat, lon, theta, t), windows
+    return batch_at(PROP_AOI, lat, lon, theta, t), width
 
 
 @settings(max_examples=150)
 @given(case=_windowed_input(), min_samples=st.integers(1, 4))
 def test_compute_fields_equals_per_window_accumulators(case, min_samples):
-    vecs, windows = case
+    vecs, width = case
     fields = compute_fields(
-        [vecs], PROP_AOI, FieldSettings(PROP_SCALES, min_samples=min_samples),
-        windows)
+        [vecs], PROP_AOI,
+        FieldSettings(PROP_SCALES, width, min_samples=min_samples))
+    windows = _windows_of(vecs.t.tolist(), width)
     assert [(f.scale_m, f.window) for f in fields] == \
         [(s, w) for s in PROP_SCALES for w in windows]
+    everything = FieldAccumulator(PROP_AOI, PROP_SCALES[0])
+    everything.add(vecs)
     for got in fields:
-        acc = FieldAccumulator(PROP_AOI, got.scale_m, (got.window,),
-                               min_samples)
-        acc.add(vecs)
-        want = acc.finish()
-        assert got.dropped_out_of_area == acc.dropped_out_of_area
-        assert got == want
-        assert _bits(got) == _bits(want)
+        assert got.dropped_out_of_area == everything.dropped_out_of_area
         # the same field from the window's vectors picked one by one
         w = got.window
         picked = take(vecs, [w.start <= t < w.end for t in vecs.t.tolist()])
-        one_scale = FieldSettings((got.scale_m,), min_samples=min_samples)
-        assert _bits(got) == _bits(compute_fields([picked], PROP_AOI,
-                                                  one_scale)[0])
+        acc = FieldAccumulator(PROP_AOI, got.scale_m, min_samples=min_samples)
+        acc.add(picked)
+        want = acc.finish()
+        assert _bits(got) == _bits(want)
         assert got.count.size == len(want.entries)
         assert got.n_defined == want.n_defined
         order = list(zip(got.row.tolist(), got.col.tolist()))
@@ -445,14 +463,15 @@ def test_compute_fields_equals_per_window_accumulators(case, min_samples):
 def test_chunked_and_merged_accumulators_equal_one(case, scale, min_samples,
                                                    data):
     # random chunks added to 1-3 accumulators, merged in a random order,
-    # with a merge threshold small enough to merge mid-stream too
-    vecs, windows = case
+    # with a merge threshold small enough to merge mid-stream too; the
+    # accumulators see different first windows
+    vecs, width = case
     n = len(vecs)
     cuts = sorted(data.draw(st.lists(st.integers(0, n), max_size=6)))
     k = data.draw(st.integers(1, 3))
     with mock.patch.object(field_module, "_MERGE_KEYS",
                            data.draw(st.integers(1, 40))):
-        accs = [FieldAccumulator(PROP_AOI, scale, windows, min_samples)
+        accs = [FieldAccumulator(PROP_AOI, scale, width, min_samples)
                 for _ in range(k)]
         for lo, hi in zip([0, *cuts], [*cuts, n]):
             accs[data.draw(st.integers(0, k - 1))].add(take(vecs,
@@ -461,9 +480,10 @@ def test_chunked_and_merged_accumulators_equal_one(case, scale, min_samples,
         for acc in rest:
             first.merge(acc)
         got = first.finish_all()
-    whole = FieldAccumulator(PROP_AOI, scale, windows, min_samples)
+    whole = FieldAccumulator(PROP_AOI, scale, width, min_samples)
     whole.add(vecs)
     want = whole.finish_all()
+    assert [f.window for f in got] == [f.window for f in want]
     assert [_bits(f) for f in got] == [_bits(f) for f in want]
     assert [f.dropped_out_of_area for f in got] == \
         [f.dropped_out_of_area for f in want]
@@ -475,19 +495,29 @@ def test_chunked_and_merged_accumulators_equal_one(case, scale, min_samples,
        steps=st.lists(st.floats(0, 40) | st.integers(0, 40), min_size=1,
                       max_size=8))
 @example(base=497041.3, width=0.1, steps=[0, 0.5])
+@example(base=0.0, width=0.1, steps=[0, 10.5])
 def test_each_time_lies_in_one_window(base, width, steps):
+    # window k is [k*W, (k+1)*W): over [0, 1.05] with W = 0.1, the 11th
+    # window starts at 1.0, where repeated addition gives 0.9999999999999999
     t = base + width * np.array(steps, dtype=np.float64)
     try:
-        windows = FieldSettings(window=width).windows(t)
+        fields = compute_fields([vectors(PROP_AOI, 50.0, 50.0, 0.0, t)],
+                                PROP_AOI,
+                                FieldSettings((1000,), width, min_samples=1))
     except ConfigError:
         return
+    windows = [f.window for f in fields]
+    k = _window_of(windows[0].start, width)
+    assert windows == [TimeWindow(i * width, (i + 1) * width)
+                       for i in range(k, k + len(windows))]
     for v in t.tolist():
         assert sum(w.start <= v < w.end for w in windows) == 1
+    assert sum(int(f.count.sum()) for f in fields) == t.size
 
 
 def test_fractional_window_counts_every_vector(small_aoi):
     # floor(497041.3 / 0.1) * 0.1 rounds to 497041.30000000005, past the
-    # first time; the first window starts one width earlier
+    # first time; that time lies in the window before
     vecs = vectors(small_aoi, 50.0, 50.0, 0.0, [497041.3, 497041.35])
     fields = compute_fields([vecs], small_aoi,
                             FieldSettings((100,), 0.1, min_samples=1))
@@ -496,30 +526,34 @@ def test_fractional_window_counts_every_vector(small_aoi):
 
 
 def test_compute_fields_counts_out_of_area_once(small_aoi):
+    # the windows run over the out-of-area times too, past the last vector
+    # inside the area
     inside = vectors(small_aoi, 50.0, 50.0, 0.0, np.arange(9.0))
-    outside = batch_at(small_aoi, 35.49, 139.31, 0.0, np.arange(9.0))
-    windows = _grid_windows(0.0, 3.0, 3) + _grid_windows(100.0, 1.0, 2)
+    outside = batch_at(small_aoi, 35.49, 139.31, 0.0, np.arange(15.0))
     fields = compute_fields([concat(inside, outside)], small_aoi,
-                            FieldSettings((100,), min_samples=1), windows)
-    assert [f.dropped_out_of_area for f in fields] == [9] * 5
+                            FieldSettings((100,), 3, min_samples=1))
+    assert [f.window.start for f in fields] == [0.0, 3.0, 6.0, 9.0, 12.0]
+    assert [f.dropped_out_of_area for f in fields] == [15] * 5
     assert [f.count.size for f in fields] == [1, 1, 1, 0, 0]
     assert [f.count.tolist() for f in fields[:3]] == [[3], [3], [3]]
 
 
-def test_compute_fields_validation(small_aoi):
-    none = vectors(small_aoi, [], [], [])
-    with pytest.raises(ConfigError, match="sorted and disjoint"):
-        compute_fields([none], small_aoi, FieldSettings((100,)),
-                       [TimeWindow(10.0, 20.0), TimeWindow(0.0, 10.0)])
-    with pytest.raises(ConfigError):
-        compute_fields([none], small_aoi, FieldSettings((100,)),
-                       [TimeWindow(5.0, 5.0)])
+def test_compute_fields_validation():
     # 1 m meshes over the whole globe: 8e14 cells x 100 bins x 200 windows
-    # does not fit the int64 (window, mesh, bin) key
+    # does not fit the int64 (window, mesh, bin) key, whether the windows
+    # come in one batch or from two merged accumulators of one window each
     world = AreaOfInterest.from_bounds(-180.0, 180.0, -90.0, 90.0)
+    one = FieldSettings((1,), 1)
     with pytest.raises(ConfigError, match="overflow"):
-        compute_fields([batch_at(world, [], [], [])], world,
-                       FieldSettings((1,)), _grid_windows(0.0, 1.0, 200))
+        compute_fields([batch_at(world, 0.0, 0.0, 0.0, [0.0, 199.0])], world,
+                       one)
+    a, b = (FieldAccumulator(world, 1, "1"), FieldAccumulator(world, 1, 1.0))
+    a.add(batch_at(world, 0.0, 0.0, 0.0, 0.0))
+    b.add(batch_at(world, 0.0, 0.0, 0.0, 199.0))
+    with pytest.raises(ConfigError, match="overflow"):
+        a.merge(b)
+    with pytest.raises(ConfigError, match="different setups"):
+        a.merge(FieldAccumulator(world, 1, 2))
 
 
 def test_entries_view_matches_columns(small_aoi):

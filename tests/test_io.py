@@ -310,11 +310,11 @@ def test_combined_csv_matches_reference_bytes(tmp_path_factory, scale,
 def test_computed_outputs_match_reference_bytes(tmp_path):
     from _throughput import uniform_batch
 
-    batch = uniform_batch(60_000, DEFAULT_AOI, 3)
-    windows = [TimeWindow(0.0, 5e4), TimeWindow(5e4, 1e5)]
+    batch = uniform_batch(60_000, DEFAULT_AOI, 3)      # times in [0, 1e5)
     fields = compute_fields(
-        [batch], DEFAULT_AOI, FieldSettings((1000, 2000), min_samples=20),
-        windows)
+        [batch], DEFAULT_AOI, FieldSettings((1000, 2000), 5e4, min_samples=20))
+    assert [f.window for f in fields] == 2 * [TimeWindow(0.0, 5e4),
+                                              TimeWindow(5e4, 1e5)]
     assert all(f.count.size and f.n_defined for f in fields)
     for field in fields:
         _same_bytes(tmp_path, write_field_csv, _reference_field_csv, field)

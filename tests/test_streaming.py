@@ -234,16 +234,19 @@ def cities(tmp_path_factory):
 def test_compute_memory_grows_by_the_meshes_not_the_vectors(cities):
     # whole-file reading grew by about 281 B per point, and keeping six
     # float64 columns per vector by about 43; block-by-block field
-    # accumulation keeps counts per (mesh, bin) and each user's last fix,
-    # about 14 B per point as written and 16 sorted by time
+    # accumulation keeps counts per (window, mesh, bin) and each user's
+    # last fix, about 14 B per point as written and 16 sorted by time, and
+    # with four 300 s windows (the cities span 1,140 s) about 24 and 17
     for name in ("points.csv", "by_time.csv"):
-        with mock.patch.object(cli, "parse_points",
-                               side_effect=AssertionError("read whole")):
-            peaks = {users: _peak(lambda: main([
-                "compute", str(cities / str(users) / name),
-                "--out", str(cities / str(users))])) for users in (2000, 8000)}
-        per_point = (peaks[8000] - peaks[2000]) / ((8000 - 2000) * 20)
-        assert per_point <= 20, name
+        for window, bound in (("all", 20), ("300", 30)):
+            with mock.patch.object(cli, "parse_points",
+                                   side_effect=AssertionError("read whole")):
+                peaks = {users: _peak(lambda: main([
+                    "compute", str(cities / str(users) / name),
+                    "--window", window, "--out", str(cities / str(users))]))
+                    for users in (2000, 8000)}
+            per_point = (peaks[8000] - peaks[2000]) / ((8000 - 2000) * 20)
+            assert per_point <= bound, (name, window, per_point)
 
 
 def test_synth_memory_does_not_grow(tmp_path):
