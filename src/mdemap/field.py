@@ -135,25 +135,24 @@ class FieldSettings:
             raise ConfigError("min_samples must be an integer >= 1")
 
 
-def _movement_arrays(movements: MovementBatch, aoi: AreaOfInterest, k):
-    """(x, y, theta, k, n_out_of_area) of a batch's vectors inside the area,
+def _movement_arrays(movements: MovementBatch, aoi: AreaOfInterest, k, sl):
+    """(x, y, theta, k) of the vectors of ``sl`` that lie inside the area,
     where ``k`` is a column of the batch."""
-    lat, lon = movements.origin_lat, movements.origin_lon
-    theta = movements.theta
+    lat, lon = movements.origin_lat[sl], movements.origin_lon[sl]
+    theta, k = movements.theta[sl], k[sl]
     x = y = None
     if movements.aoi == aoi:
-        x, y = movements.x, movements.y
+        x, y = movements.x[sl], movements.y[sl]
     sw, ne = aoi.south_west, aoi.north_east
     inside = ((lat >= sw.lat) & (lat <= ne.lat)
               & (lon >= sw.lon) & (lon <= ne.lon))
-    dropped = int(inside.size - inside.sum())
-    if dropped:
+    if not inside.all():
         lat, lon, theta, k = lat[inside], lon[inside], theta[inside], k[inside]
         if x is not None:
             x, y = x[inside], y[inside]
     if x is None:
         x, y = project_arrays(lat, lon, aoi)
-    return x, y, theta, k, dropped
+    return x, y, theta, k
 
 
 def _mesh_index(x, y, scale_m: int, ncols: int) -> np.ndarray:
@@ -186,6 +185,8 @@ def _floor_div(v, s: int) -> np.ndarray:
     return out
 
 
+# Vectors that ``FieldAccumulator.add`` bins at a time: a block fits in cache.
+_BLOCK = 1 << 16
 # Unmerged (key, count) pairs an accumulator holds before it merges them:
 # this many, or twice as many as its last merge left, whichever is more.
 _MERGE_KEYS = 1 << 20
@@ -224,14 +225,12 @@ class FieldAccumulator:
         self._counts: list[np.ndarray] = []
         self._merge_at = _MERGE_KEYS
 
-    def _window_numbers(self, t: np.ndarray) -> np.ndarray:
-        """Each time's k, ``k*W <= t < (k+1)*W``: ``floor(t / W)``, then one
-        step down or up. For |k| < 2**53 the rounded quotient is the floor n
-        of the exact one or n + 1, and ``n*W`` rounds to at most t and
-        ``(n+1)*W`` to at least t, so one step finds k when no window is
-        empty, as ``_cover`` ensures."""
-        if t.size == 0:
-            return t
+    def _window_numbers(self, t: np.ndarray):
+        """Each time's k, ``k*W <= t < (k+1)*W``, and ``_covered`` of their
+        range: ``floor(t / W)``, then one step down or up. For |k| < 2**53
+        the rounded quotient is the floor n of the exact one or n + 1, and
+        ``n*W`` rounds to at most t and ``(n+1)*W`` to at least t, so one
+        step finds k when no window is empty, as ``_covered`` ensures."""
         with np.errstate(over="ignore"):
             k = np.floor(t / self._width)
         if not np.isfinite(k).all():
@@ -239,17 +238,16 @@ class FieldAccumulator:
                               f"timestamps")
         k -= k * self._width > t
         k += (k + 1) * self._width <= t
-        self._cover(int(k.min()), int(k.max()))
-        return k.astype(np.int64)
+        return k.astype(np.int64), self._covered(int(k.min()), int(k.max()))
 
-    def _cover(self, lo: int, hi: int) -> None:
-        """Widen the range of k to hold ``lo..hi``. More than
-        ``MAX_WINDOWS`` windows, keys that overflow int64 and |k| >= 2**52
-        are refused; below that, ``k*W`` and ``(k+1)*W`` are W apart and
-        the doubles near them closer than W, so no window is empty."""
-        if self._base is None:
-            self._base = self._lo = self._hi = lo
-        lo, hi = min(lo, self._lo), max(hi, self._hi)
+    def _covered(self, lo: int, hi: int) -> tuple[int, int, int]:
+        """(base, lo, hi) of the range of k widened to hold ``lo..hi``; the
+        accumulator is not changed. More than ``MAX_WINDOWS`` windows, keys
+        that overflow int64 and |k| >= 2**52 are refused; below that,
+        ``k*W`` and ``(k+1)*W`` are W apart and the doubles near them closer
+        than W, so no window is empty."""
+        base, lo, hi = ((lo, lo, hi) if self._base is None else
+                        (self._base, min(lo, self._lo), max(hi, self._hi)))
         n, spec = hi - lo + 1, f"window {self.window}"
         if max(-lo, hi + 1) >= 2 ** 52:
             raise ConfigError(f"{spec} is below the float resolution of the "
@@ -261,20 +259,32 @@ class FieldAccumulator:
             raise ConfigError(
                 f"{n} windows x {self._ncells} meshes at {self.scale_m} m "
                 f"overflow the int64 (window, mesh, bin) key")
-        self._lo, self._hi = lo, hi
+        return base, lo, hi
 
     def add(self, movements: MovementBatch) -> None:
-        k = movements.t if self._width is None else self._window_numbers(
-            movements.t)
-        x, y, theta, k, dropped = _movement_arrays(movements, self.aoi, k)
-        self.dropped_out_of_area += dropped
-        if x.size == 0:
+        """Count the vectors of ``movements``, binned ``_BLOCK`` at a time.
+        A batch that is refused leaves the accumulator as it was."""
+        t = movements.t
+        k, (base, lo, hi) = t, (self._base, self._lo, self._hi)
+        if self._width is not None and t.size:
+            k, (base, lo, hi) = self._window_numbers(t)
+        flat, bins = np.empty((2, t.size), dtype=np.int64)
+        n = 0
+        for i in range(0, t.size, _BLOCK):
+            x, y, theta, kb = _movement_arrays(movements, self.aoi, k,
+                                               slice(i, i + _BLOCK))
+            m = n + x.size
+            flat[n:m] = _mesh_index(x, y, self.scale_m, self._ncols)
+            if lo != hi:
+                flat[n:m] += (kb - base) * self._ncells
+            bins[n:m] = kernels.direction_bins(theta)
+            n = m
+        # every check has passed: the accumulator changes from here on
+        self._base, self._lo, self._hi = base, lo, hi
+        self.dropped_out_of_area += t.size - n
+        if n == 0:
             return
-        flat = _mesh_index(x, y, self.scale_m, self._ncols)
-        if self._lo != self._hi:
-            flat += (k - self._base) * self._ncells
-        keys, counts = kernels.count_mesh_bins(
-            flat, kernels.direction_bins(theta))
+        keys, counts = kernels.count_mesh_bins(flat[:n], bins[:n])
         self._keys.append(keys)
         self._counts.append(counts)
         if sum(map(len, self._keys)) > self._merge_at:
@@ -288,7 +298,8 @@ class FieldAccumulator:
             raise ConfigError("cannot merge an accumulator into itself")
         keys = other._keys
         if other._base is not None:
-            self._cover(other._lo, other._hi)
+            self._base, self._lo, self._hi = self._covered(other._lo,
+                                                           other._hi)
             shift = (other._base - self._base) * self._ncells * N_BINS
             keys = [part + shift for part in keys] if shift else keys
         self._keys.extend(keys)

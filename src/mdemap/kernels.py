@@ -4,8 +4,8 @@ Direction binning, (mesh, bin) counting, count merging, per-mesh
 entropy and nearest-station haversine distance. Callers reach them as
 ``kernels.<name>``, so tracing tools can wrap them by name.
 
-Two kernels take a fast path on the inputs a field build gives them, and
-each returns the same bits as its general path:
+The field kernels take fast paths on the inputs a field build gives
+them, and each returns the same bits as its general path:
 
 - ``direction_bins`` skips the reduction mod 2*pi when every angle lies
   in [0, 2*pi). ``np.mod`` returns such an angle unchanged, except that
@@ -14,6 +14,13 @@ each returns the same bits as its general path:
   that range is no longer than the keys themselves. Integer counts are
   exact in any order, and the nonzero bins come out ascending, as the
   sorted run boundaries do; the count array is no larger than the input.
+  Otherwise it sorts the keys less the least one, as int32 below a span
+  of 2**31: the shift keeps their order and is undone after.
+- ``group_counts`` sums into a dense array over a key range shorter than
+  the keys. Otherwise it argsorts them as int32 offsets, unstably, below
+  a span of 2**31. Integer sums do not depend on the order of addition.
+- ``field_entropy`` sums p*ln(p) only for the meshes whose total reaches
+  ``min_samples``, each from 0.0 in bin order; the others are NaN anyway.
 
 ``field._mesh_index`` gives the argument for its exact floor division.
 """
@@ -64,24 +71,36 @@ def count_mesh_bins(mesh_idx, bins):
     if keys.size == 0:
         return keys, keys.copy()
     lo, hi = int(keys.min()), int(keys.max())
+    keys -= lo
     if hi - lo < keys.size:
-        keys -= lo
         counts = np.bincount(keys)
         seen = np.flatnonzero(counts)
         return seen + lo, counts[seen].astype(np.int64, copy=False)
+    if hi - lo < 2 ** 31:
+        keys = keys.astype(np.int32)
     keys.sort()
     starts = np.concatenate(([0], np.flatnonzero(np.diff(keys)) + 1))
     counts = np.diff(np.append(starts, keys.size))
-    return keys[starts], counts.astype(np.int64)
+    return keys[starts].astype(np.int64) + lo, counts.astype(np.int64)
 
 
 def group_counts(keys, counts):
-    """Sum counts of duplicate keys; input need not be sorted."""
+    """Sum counts of duplicate keys; input need not be sorted.
+
+    Returns (keys, sums) with keys strictly ascending."""
     keys = np.ascontiguousarray(keys, dtype=np.int64)
     counts = np.ascontiguousarray(counts, dtype=np.int64)
     if keys.size == 0:
         return keys, counts
-    order = np.argsort(keys, kind="stable")
+    lo, hi = int(keys.min()), int(keys.max())
+    off = keys - lo
+    if hi - lo < keys.size:
+        sums = np.zeros(hi - lo + 1, dtype=np.int64)
+        np.add.at(sums, off, counts)
+        seen = np.flatnonzero(np.bincount(off))
+        return seen + lo, sums[seen]
+    order = (np.argsort(off.astype(np.int32)) if hi - lo < 2 ** 31
+             else np.argsort(off, kind="stable"))
     keys = keys[order]
     counts = counts[order]
     starts = np.concatenate(([0], np.flatnonzero(np.diff(keys)) + 1))
@@ -92,35 +111,35 @@ def field_entropy(keys, counts, min_samples):
     """Per-mesh Shannon entropy from sorted (mesh*100+bin, count) pairs.
 
     Returns (mesh_ids, totals, entropy) with entropy NaN where the mesh
-    total is below ``min_samples``. Each mesh sums its p*log(p) terms
-    from 0.0 in bin order, one occupied bin per step for all meshes at
-    once; the meshes are ordered by occupied-bin count, most first, so
-    each step adds to the prefix still summing. Field files write every
-    entropy with ``repr``, so this order is part of the output:
-    ``np.add.reduceat`` sums in another order and changes the last bits
-    of most meshes with many occupied bins.
+    total is below ``min_samples``. Each other mesh sums its p*log(p)
+    terms from 0.0 in bin order, one bin per step for all of them at
+    once, ordered by occupied-bin count, most first, so each step adds to
+    a prefix. Field files write every entropy with ``repr``, so this order
+    is part of the output: ``np.add.reduceat`` sums in another order and
+    changes the last bits of most meshes with many occupied bins.
     """
     keys = np.ascontiguousarray(keys, dtype=np.int64)
     counts = np.ascontiguousarray(counts, dtype=np.int64)
     if keys.size == 0:
-        return (keys, counts,
-                np.empty(0, dtype=np.float64))
+        return keys, counts, np.empty(0)
     mesh = keys // N_BINS
     starts = np.concatenate(([0], np.flatnonzero(np.diff(mesh)) + 1))
     lens = np.diff(np.append(starts, mesh.size))
     totals = np.add.reduceat(counts, starts)
-    p = counts / np.repeat(totals, lens)
-    plogp = p * np.log(p)
-    order = np.argsort(-lens, kind="stable")
-    first, longest = starts[order], -lens[order]
-    # meshes with more than j occupied bins, for each step j
-    summing = np.searchsorted(longest, -np.arange(lens.max()))
-    s = np.zeros(starts.size, dtype=np.float64)
+    defined = np.flatnonzero(totals >= min_samples)
+    # a stable sort of uint8 keys is a radix sort
+    order = np.argsort((N_BINS - lens[defined]).astype(np.uint8),
+                       kind="stable")
+    defined = defined[order]
+    first, total, occupied = starts[defined], totals[defined], lens[defined]
+    # defined meshes with more than j occupied bins, for each step j
+    summing = np.searchsorted(-occupied, -np.arange(occupied.max(initial=0)))
+    s = np.zeros(defined.size)
     for j, n in enumerate(summing.tolist()):
-        s[:n] += plogp[first[:n] + j]
-    h = np.empty_like(s)
-    h[order] = -s + 0.0
-    h[totals < min_samples] = np.nan
+        p = counts[first[:n] + j] / total[:n]
+        s[:n] += p * np.log(p)
+    h = np.full(starts.size, np.nan)
+    h[defined] = -s + 0.0
     return mesh[starts], totals, h
 
 

@@ -55,6 +55,42 @@ def count_mesh_bins_general(mesh_idx, bins) -> tuple:
     return keys, counts.astype(np.int64)
 
 
+def group_counts_general(keys, counts) -> tuple:
+    """Sums of ``counts`` per distinct key by ``np.unique`` and
+    ``np.bincount``, keys ascending; exact while each sum is below 2**53."""
+    keys, where = np.unique(np.asarray(keys, dtype=np.int64),
+                            return_inverse=True)
+    sums = np.bincount(where, weights=np.asarray(counts, dtype=np.float64),
+                       minlength=keys.size)
+    return keys, sums.astype(np.int64)
+
+
+def field_entropy_general(keys, counts, min_samples) -> tuple:
+    """(mesh ids, totals, entropy) with p*log(p) computed for every mesh,
+    each mesh summed from 0.0 in bin order, and the meshes below
+    ``min_samples`` set to NaN afterwards."""
+    keys = np.asarray(keys, dtype=np.int64)
+    counts = np.asarray(counts, dtype=np.int64)
+    if keys.size == 0:
+        return keys, counts, np.empty(0, dtype=np.float64)
+    mesh = keys // N_BINS
+    starts = np.concatenate(([0], np.flatnonzero(np.diff(mesh)) + 1))
+    lens = np.diff(np.append(starts, mesh.size))
+    totals = np.add.reduceat(counts, starts)
+    p = counts / np.repeat(totals, lens)
+    plogp = p * np.log(p)
+    order = np.argsort(-lens, kind="stable")
+    first, longest = starts[order], -lens[order]
+    summing = np.searchsorted(longest, -np.arange(lens.max()))
+    s = np.zeros(starts.size, dtype=np.float64)
+    for j, n in enumerate(summing.tolist()):
+        s[:n] += plogp[first[:n] + j]
+    h = np.empty_like(s)
+    h[order] = -s + 0.0
+    h[totals < min_samples] = np.nan
+    return mesh[starts], totals, h
+
+
 def parent_of(m: MeshId, coarser_scale_m: int) -> MeshId:
     """Mesh of the coarser grid containing ``m``; the scales divide."""
     return MeshId(coarser_scale_m, m.col * m.scale_m // coarser_scale_m,

@@ -3,8 +3,9 @@
 Run as a script in its own process so peak RSS reflects only this
 workload. Prints one JSON line: seconds for the four one-shot builds,
 seconds for the four streamed builds (10 chunks added in turn to two
-accumulators per scale, then merged), whether each streamed field equals
-its one-shot field, and ru_maxrss in kilobytes.
+accumulators per scale, then merged), the seconds of each scale's
+one-shot and streamed build under ``scale_seconds``, whether each
+streamed field equals its one-shot field, and ru_maxrss in kilobytes.
 """
 
 import dataclasses
@@ -53,27 +54,33 @@ def chunks(batch: MovementBatch, k: int) -> list[MovementBatch]:
 def main() -> None:
     n = int(sys.argv[1]) if len(sys.argv) > 1 else 1_000_000
     batch = uniform_batch(n, DEFAULT_AOI, seed=2)
+    scale_seconds = {"one_shot": {}, "streamed": {}}
     t0 = time.perf_counter()
     one_shot = []
     for scale in SCALES:
+        ts = time.perf_counter()
         acc = FieldAccumulator(DEFAULT_AOI, scale)
         acc.add(batch)
         one_shot.append(acc.finish())
+        scale_seconds["one_shot"][scale] = time.perf_counter() - ts
     t1 = time.perf_counter()
     parts = chunks(batch, CHUNKS)
     t2 = time.perf_counter()
     streamed = []
     for scale in SCALES:
+        ts = time.perf_counter()
         pair = (FieldAccumulator(DEFAULT_AOI, scale),
                 FieldAccumulator(DEFAULT_AOI, scale))
         for i, part in enumerate(parts):
             pair[i % 2].add(part)
         pair[0].merge(pair[1])
         streamed.append(pair[0].finish())
+        scale_seconds["streamed"][scale] = time.perf_counter() - ts
     t3 = time.perf_counter()
     rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     print(json.dumps({
         "n": n, "seconds": t1 - t0, "stream_seconds": t3 - t2,
+        "scale_seconds": scale_seconds,
         "streamed_equal": [a == b for a, b in zip(one_shot, streamed)],
         "maxrss_kb": rss_kb,
         "defined": sum(f.n_defined for f in one_shot)}))

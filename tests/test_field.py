@@ -400,10 +400,10 @@ def _windows_of(times, width):
 
 
 @st.composite
-def _windowed_input(draw):
+def _windowed_input(draw, min_rows=0):
     """(vectors, window): "all", or a width of 0.1, 0.7, 2.5 or an integer
     with times on and around the multiples of that width, offset so that
-    the windows start at various k."""
+    the windows start at various k; at least ``min_rows`` vectors."""
     width = draw(st.sampled_from(["all", 0.1, 0.7, 2.5])
                  | st.integers(1, 60))
     if width == "all":
@@ -416,7 +416,7 @@ def _windowed_input(draw):
                           st.floats(edges[0] - width, edges[-1] + width))
     rows = []
     # few positions and directions, so meshes collect several vectors
-    for _ in range(draw(st.integers(0, 60))):
+    for _ in range(draw(st.integers(min_rows, 60))):
         theta = draw(st.sampled_from([0.1, 1.0, 2.0, 3.0, 4.5, 6.2]))
         t = draw(times)
         if draw(st.integers(0, 5)) == 0:
@@ -463,14 +463,16 @@ def test_compute_fields_equals_per_window_accumulators(case, min_samples):
 def test_chunked_and_merged_accumulators_equal_one(case, scale, min_samples,
                                                    data):
     # random chunks added to 1-3 accumulators, merged in a random order,
-    # with a merge threshold small enough to merge mid-stream too; the
-    # accumulators see different first windows
+    # with a merge threshold small enough to merge mid-stream too and
+    # blocks of a few vectors; the accumulators see different first windows
     vecs, width = case
     n = len(vecs)
     cuts = sorted(data.draw(st.lists(st.integers(0, n), max_size=6)))
     k = data.draw(st.integers(1, 3))
     with mock.patch.object(field_module, "_MERGE_KEYS",
-                           data.draw(st.integers(1, 40))):
+                           data.draw(st.integers(1, 40))), \
+            mock.patch.object(field_module, "_BLOCK",
+                              data.draw(st.integers(1, 7))):
         accs = [FieldAccumulator(PROP_AOI, scale, width, min_samples)
                 for _ in range(k)]
         for lo, hi in zip([0, *cuts], [*cuts, n]):
@@ -487,6 +489,52 @@ def test_chunked_and_merged_accumulators_equal_one(case, scale, min_samples,
     assert [_bits(f) for f in got] == [_bits(f) for f in want]
     assert [f.dropped_out_of_area for f in got] == \
         [f.dropped_out_of_area for f in want]
+
+
+# a smaller area inside PROP_AOI, so that its accumulators project the
+# batches' origins themselves and drop more of them
+INNER_AOI = AreaOfInterest.from_bounds(139.301, 139.34, 35.501, 35.52)
+
+
+@settings(max_examples=100)
+@given(case=_windowed_input(min_rows=8), block=st.integers(1, 7),
+       aoi=st.sampled_from([PROP_AOI, INNER_AOI]),
+       scale=st.sampled_from(PROP_SCALES), min_samples=st.integers(1, 3))
+def test_blocks_do_not_change_the_fields(case, block, aoi, scale,
+                                         min_samples):
+    # a batch handled a few vectors at a time, against one block
+    vecs, width = case
+    accs = [FieldAccumulator(aoi, scale, width, min_samples)
+            for _ in range(2)]
+    for acc, size in zip(accs, (block, len(vecs))):
+        with mock.patch.object(field_module, "_BLOCK", size):
+            acc.add(vecs)
+    got, want = (acc.finish_all() for acc in accs)
+    assert [f.window for f in got] == [f.window for f in want]
+    assert [_bits(f) for f in got] == [_bits(f) for f in want]
+    assert accs[0].dropped_out_of_area == accs[1].dropped_out_of_area
+
+
+def test_refused_add_leaves_the_accumulator_unchanged(small_aoi):
+    # a NaN angle at t = 5000 and an out-of-area vector at t = 6000 are
+    # refused before the range of windows or the drop count changes
+    acc = FieldAccumulator(small_aoi, 100, 10, min_samples=1)
+    acc.add(vectors(small_aoi, 50.0, 50.0, 0.0, [1.0, 2.0]))
+    want = acc.finish_all()
+    bad = concat(vectors(small_aoi, 50.0, 50.0, [0.0, math.nan], 5000.0),
+                 batch_at(small_aoi, 35.49, 139.31, 0.0, 6000.0))
+    with pytest.raises(InvalidAngleError):
+        acc.add(bad)
+    assert acc.finish_all() == want
+    assert acc.dropped_out_of_area == 0
+    # a refused first batch leaves no first window behind
+    fresh, acc = (FieldAccumulator(small_aoi, 100, 10, min_samples=1)
+                  for _ in range(2))
+    with pytest.raises(ConfigError, match="MAX_WINDOWS"):
+        acc.add(vectors(small_aoi, 50.0, 50.0, 0.0, [0.0, 2e6]))
+    for a in (acc, fresh):
+        a.add(vectors(small_aoi, 50.0, 50.0, 0.0, 100.0))
+    assert acc.finish_all() == fresh.finish_all()
 
 
 @settings(max_examples=200)

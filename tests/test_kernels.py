@@ -4,11 +4,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mdemap import kernels
+from mdemap.kernels import N_BINS
 
-from _oracles import count_mesh_bins_general, direction_bins_general
+from _oracles import (count_mesh_bins_general, direction_bins_general,
+                      field_entropy_general, group_counts_general)
 
 TWO_PI = 2 * math.pi
 
@@ -48,11 +50,35 @@ def test_direction_bins_match_mod_form(theta):
     assert np.array_equal(got, direction_bins_general(theta))
 
 
+_INT32_SPANS = [2**31 - 2, 2**31 - 1, 2**31, 2**31 + 1]
+
+
+@st.composite
+def _spread_keys(draw, max_n):
+    """Unsorted keys with repeats whose span (max - min) lies below, at or
+    above their count, or around 2**31, the limit of the int32 sorts."""
+    n = draw(st.integers(1, max_n))
+    span = 0 if n == 1 else max(0, draw(
+        st.integers(0, 3 * n) | st.sampled_from([n - 2, n - 1, n])
+        | st.sampled_from(_INT32_SPANS) | st.integers(2**31, 2**62)))
+    lo = draw(st.integers(-2**62, 2**62 - span))
+    # both ends, then repeats of a few values between them
+    picks = [0, span, *draw(st.lists(st.integers(0, span), max_size=8))]
+    rest = draw(st.lists(st.sampled_from(picks), min_size=max(n - 2, 0),
+                         max_size=max(n - 2, 0)))
+    offsets = draw(st.permutations([0, span, *rest][:n]))
+    return lo + np.array(offsets, dtype=np.int64)
+
+
 @st.composite
 def _mesh_bin_pairs(draw):
     """(mesh, bin) columns whose keys span up to three times their count,
-    so both sides of the dense-counting rule come up."""
+    so both sides of the dense-counting rule come up, or around 2**31."""
     n = draw(st.integers(1, 300))
+    if draw(st.booleans()):
+        keys = draw(_spread_keys(n))
+        keys -= keys.min() - draw(st.integers(0, 10**12))
+        return keys // 100, keys % 100
     span = draw(st.integers(1, 3 * n))
     lo = draw(st.integers(0, 10**12))
     keys = lo + np.array(draw(st.lists(st.integers(0, span - 1),
@@ -63,12 +89,37 @@ def _mesh_bin_pairs(draw):
 @given(pairs=_mesh_bin_pairs())
 @example(pairs=(np.array([7, 7]), np.array([0, 1])))      # span 2 = n: dense
 @example(pairs=(np.array([7, 7]), np.array([0, 2])))      # span 3 > n: sorted
+@example(pairs=(np.array([0, 21474836]), np.array([0, 47])))  # 2**31 - 1
+@example(pairs=(np.array([0, 21474836]), np.array([0, 48])))  # 2**31
 def test_count_mesh_bins_matches_unique(pairs):
     keys, counts = kernels.count_mesh_bins(*pairs)
     want_keys, want_counts = count_mesh_bins_general(*pairs)
     assert keys.dtype == counts.dtype == np.int64
     assert np.array_equal(keys, want_keys)
     assert np.array_equal(counts, want_counts)
+
+
+@st.composite
+def _keyed_counts(draw):
+    """Unsorted keys from ``_spread_keys`` with counts of up to 2**40,
+    zeros included."""
+    keys = draw(_spread_keys(80))
+    return keys, np.array(draw(st.lists(
+        st.integers(0, 2**40), min_size=keys.size, max_size=keys.size)),
+        dtype=np.int64)
+
+
+@given(case=_keyed_counts())
+@example(case=([3, 1, 3, 2], [1, 2, 3, 4]))         # span 2 < 4: dense
+@example(case=([4, 0, 4, 2], [1, 2, 3, 0]))         # span 4: sorted
+@example(case=([2**31 - 1, 0, 0], [1, 2, 3]))       # int32 offsets
+@example(case=([2**31, 0, 2**31], [1, 2, 3]))       # int64, stable
+def test_group_counts_matches_unique(case):
+    keys, sums = kernels.group_counts(*case)
+    want_keys, want_sums = group_counts_general(*case)
+    assert keys.dtype == sums.dtype == np.int64
+    assert np.array_equal(keys, want_keys)
+    assert np.array_equal(sums, want_sums)
 
 
 def test_group_counts_merges_duplicates():
@@ -93,6 +144,42 @@ def test_field_entropy_values():
     assert hu[0] == pytest.approx(math.log(100), abs=1e-12)
     _, _, hn = kernels.field_entropy(keys2, ones, 101)
     assert np.isnan(hn[0])
+
+
+@st.composite
+def _histograms(draw):
+    """Ascending (mesh*100+bin, count) pairs of 1-12 meshes, one of them
+    with all 100 bins occupied, and a ``min_samples`` from 1 to above
+    every mesh total."""
+    keys, counts = [], []
+    mesh = draw(st.integers(0, 10**9))
+    n = draw(st.integers(1, 12))
+    full = draw(st.integers(0, n - 1))
+    totals = []
+    for i in range(n):
+        bins = range(N_BINS) if i == full else sorted(draw(
+            st.sets(st.integers(0, N_BINS - 1), min_size=1)))
+        c = draw(st.lists(st.integers(1, 10**6) | st.integers(1, 3),
+                          min_size=len(bins), max_size=len(bins)))
+        keys += [mesh * N_BINS + b for b in bins]
+        counts += c
+        totals.append(sum(c))
+        mesh += draw(st.integers(1, 10**6))
+    min_samples = draw(st.integers(1, max(totals) + 1)
+                       | st.sampled_from(totals))
+    return (np.array(keys, dtype=np.int64), np.array(counts, dtype=np.int64),
+            min_samples)
+
+
+@settings(max_examples=150)
+@given(case=_histograms())
+def test_field_entropy_matches_all_meshes_form(case):
+    # only meshes that reach min_samples are summed; the bits match the
+    # form that sums every mesh and blanks the small ones afterwards
+    got = kernels.field_entropy(*case)
+    want = field_entropy_general(*case)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def test_field_entropy_sums_in_bin_order():
