@@ -13,8 +13,10 @@ in the area, or none of its meshes with ``min_samples`` vectors) writes,
 exits 3.
 
 Precedence for every setting: command-line flag, then --config file
-entry (same key, underscores for dashes), then the default of its settings
-object; every object is made, and so checked, before any input is opened.
+entry, then the default of its settings object; every object is made, and
+so checked, before any input is opened. A config key is a flag's name with
+underscores for dashes (``fmt`` for --format); a key that is no flag of
+any command is refused (exit 1), while one file may serve every command.
 """
 
 from __future__ import annotations
@@ -35,8 +37,8 @@ from .evaluation import (DEFAULT_THRESHOLDS_M, EvaluationSettings,
 from .field import ALL_TIME, FieldSettings, compute_fields
 from .fusion import (MODES, FusionSettings, combine, find_local_peaks,
                      normalize)
-from .ingest import (Carry, DIRECTIONS, ExtractionStats, ExtractSettings,
-                     FORMATS, ParseSettings, _BackInTime, _csv_blocks,
+from .ingest import (Carry, DIRECTIONS, ExtractSettings, FORMATS,
+                     ParseSettings, _BackInTime, _csv_blocks,
                      _number, extract_movements, parse_points, point_blocks)
 from .mesh import AreaOfInterest, DEFAULT_AOI
 from .synth import SynthConfig, default_sites, user_blocks
@@ -96,7 +98,7 @@ def _object(pairs: list) -> dict:
     return out
 
 
-def _load_config(path) -> dict:
+def _load_config(path, keys: set[str]) -> dict:
     if path is None:
         return {}
     try:
@@ -106,6 +108,9 @@ def _load_config(path) -> dict:
         raise ConfigError(f"bad config file {path}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
+    if unknown := sorted(cfg.keys() - keys):
+        raise ConfigError(f"bad config file {path}: no flag has the key "
+                          + ", ".join(map(repr, unknown)))
     return cfg
 
 
@@ -182,12 +187,16 @@ def build_parser() -> _Parser:
     p = command("export", cmd_export, "field/combined CSV -> GeoJSON")
     p.add_argument("table", help="field or combined CSV file")
     p.add_argument("--format", choices=("geojson",), dest="fmt")
+    # a config file may hold the key of any command's flag, but --config's
+    parser.set_defaults(config_keys={
+        a.dest for c in sub.choices.values() for a in c._actions
+        if a.option_strings} - {"help", "config"})
     return parser
 
 
 def _common(args) -> tuple[dict, AreaOfInterest, Path]:
     """A command's config entries, area of interest and output directory."""
-    cfg = _load_config(args.config)
+    cfg = _load_config(args.config, args.config_keys)
     aoi = _setting(args, cfg, "aoi", _parse_aoi, DEFAULT_AOI)
     out = _setting(args, cfg, "out", default=".")
     if not isinstance(out, str):
@@ -219,25 +228,17 @@ def cmd_synth(args) -> tuple[Path, dict, dict, int]:
 
 def _fields(path, aoi: AreaOfInterest, read: ParseSettings,
             extract: ExtractSettings, settings: FieldSettings):
-    """(fields, stats, points skipped) of a points file.
+    """(fields, stats) of a points file.
 
     The file is read a block at a time, whatever its row order, and each
-    block is extracted with the last fix of each user in the blocks before
-    it. If a user's rows go back in time across blocks, that build is
-    abandoned and the whole file is read as one block; both give the same
-    fields and counts.
+    block is extracted with one ``Carry``. If a user's rows go back in
+    time across blocks, that build is abandoned and the whole file is read
+    as one block; both give the same fields and counts.
     """
     def build(blocks):
-        counts, carry = [ExtractionStats(), 0], Carry()   # stats, skipped
-
-        def batches():
-            for block in blocks:
-                counts[1] += block.skipped
-                batch, block_stats = extract_movements(block, aoi, extract,
-                                                       carry)
-                counts[0] += block_stats
-                yield batch
-        return compute_fields(batches(), aoi, settings), *counts
+        carry = Carry()
+        batches = (extract_movements(b, aoi, extract, carry)[0] for b in blocks)
+        return compute_fields(batches, aoi, settings), carry.stats
 
     try:
         with closing(point_blocks(path, read)) as blocks:
@@ -254,8 +255,7 @@ def cmd_compute(args) -> tuple[Path, dict, dict, int]:
     settings = _settings(FieldSettings, args, cfg, scales=_ints, window=None,
                          min_samples=_int)
     read = _settings(ParseSettings, args, cfg, fmt=None, strict=None)
-    fields, stats, skipped = _fields(args.points, aoi, read, extract,
-                                     settings)
+    fields, stats = _fields(args.points, aoi, read, extract, settings)
     writers, files = {}, {}
     for field in fields:
         w = field.window        # an integral start keeps its integer form
@@ -277,7 +277,7 @@ def cmd_compute(args) -> tuple[Path, dict, dict, int]:
         print(f"no mesh of any field has min_samples = "
               f"{settings.min_samples} movement vectors", file=sys.stderr)
     return out, writers, {
-        "points_read": stats.n_points, "points_skipped": skipped,
+        "points_read": stats.n_points, "points_skipped": stats.n_skipped,
         "users": stats.n_users, "vectors": stats.n_vectors,
         "dropped": {
             "duplicate": stats.dropped_duplicate, "gap": stats.dropped_gap,

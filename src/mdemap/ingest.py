@@ -10,9 +10,9 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from datetime import datetime, timezone
-from itertools import chain, compress, repeat
+from itertools import chain, compress, count, repeat
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -492,6 +492,7 @@ class ExtractSettings:
 @dataclass
 class ExtractionStats:
     n_points: int = 0
+    n_skipped: int = 0          # malformed rows: the blocks' ``skipped``
     n_users: int = 0
     n_vectors: int = 0
     dropped_duplicate: int = 0
@@ -499,17 +500,10 @@ class ExtractionStats:
     dropped_short: int = 0
     dropped_no_heading: int = 0
 
-    def __iadd__(self, other: "ExtractionStats") -> "ExtractionStats":
-        """Counts of two extractions of disjoint users or carried blocks."""
-        for f in fields(self):
-            setattr(self, f.name, getattr(self, f.name)
-                    + getattr(other, f.name))
-        return self
-
 
 @dataclass
 class MovementBatch:
-    """Movement vectors as columns, ordered by (user_id, t).
+    """Movement vectors as columns, ordered by user code (``Carry``), then t.
 
     A vector is timestamped at the later of its two fixes (in
     ``heading`` mode, at its one fix). ``x``/``y`` are the origins
@@ -537,11 +531,14 @@ class _BackInTime(Exception):
 
 
 class Carry:
-    """The last fix of each user of the blocks of one file extracted so
-    far: row ``slot[user]`` of ``fixes`` holds its ``(t, lat, lon)``."""
+    """The blocks of one file extracted so far: ``code[user]`` numbers each
+    user once, by first appearance and a block's new users in id order;
+    ``ids[code]`` is its id and row ``code`` of ``fixes`` its last fix
+    ``(t, lat, lon)`` (later rows are spare); ``stats`` counts every block."""
 
     def __init__(self):
-        self.slot, self.fixes = {}, np.empty((0, 3))
+        self.code, self.stats = {}, ExtractionStats()
+        self.ids, self.fixes = np.empty(0, object), np.empty((0, 3))
 
 
 def extract_movements(points: ParseResult, aoi: AreaOfInterest,
@@ -559,65 +556,74 @@ def extract_movements(points: ParseResult, aoi: AreaOfInterest,
     counted, never raised.
 
     ``points`` may be a block of a file, with the ``carry`` of the blocks
-    before it: each user's carried fix goes before the user's rows, pairs
-    with the first and makes a row of equal time a duplicate, but adds no
-    point, user, vector or drop. ``carry`` then takes the block's last
-    fixes. A row earlier than its user's carried fix raises ``_BackInTime``.
+    before it (else a fresh ``Carry``): each user's carried fix goes
+    before the user's rows, pairs with the first and makes a row of equal
+    time a duplicate, but adds no point, user, vector or drop. ``carry``
+    then takes the block's users, last fixes and counts; the stats
+    returned are ``carry.stats``. A row earlier than its user's carried
+    fix raises ``_BackInTime`` and leaves ``carry`` as it was.
     """
-    stats = ExtractionStats(n_points=len(points))
-    # codes in sorted id order; a dict keeps each id whole, where a
-    # fixed-width str array pads every id to the longest and drops
-    # trailing NULs
-    ids = points.user_id.tolist()
-    names = sorted(set(ids))
-    code_of = {u: i for i, u in enumerate(names)}
-    codes = np.fromiter(map(code_of.__getitem__, ids), np.int64, len(ids))
-    # one id object per user, not one per row, for batches that are kept
-    users = np.array(names, dtype=object)
-    held = np.empty(0, np.int64)        # codes of the carried users
-    if carry is not None:
-        slots = np.fromiter(map(carry.slot.get, names, repeat(-1)), np.int64,
-                            len(names))
-        held = np.flatnonzero(slots >= 0)
-        points = _concat([ParseResult(users[held], *carry.fixes[slots[held]].T,
-                                      *np.full((2, held.size), np.nan)),
+    carry = Carry() if carry is None else carry
+    code, held = carry.code, len(carry.code)
+    # one dict lookup per row (a str array would drop trailing NULs); a new
+    # user's code is held + its first row, then its rank in id order
+    codes = np.fromiter(map(code.setdefault, points.user_id.tolist(),
+                            count(held)), np.int64, len(points))
+    old = codes < held          # rows of users of earlier blocks
+    first = np.flatnonzero(codes == held + np.arange(len(points)))
+    first = first[np.argsort(points.user_id[first])]
+    new = points.user_id[first].tolist()
+    if (points.t[old] < carry.fixes[codes[old], 0]).any():
+        for user in new:
+            del code[user]
+        raise _BackInTime
+    code.update(zip(new, count(held)))
+    recode = np.empty(len(points), np.int64)
+    recode[first] = np.arange(held, len(code))
+    codes[~old] = recode[codes[~old] - held]
+    stats = carry.stats
+    stats.n_points += len(points)
+    stats.n_skipped += points.skipped
+    stats.n_users += len(new)
+    carried = np.sort(codes[old])   # np.unique, which hashes, is 10x slower
+    carried = carried[np.diff(carried, prepend=-1) > 0]
+    if carried.size:
+        points = _concat([ParseResult(carry.ids[carried],
+                                      *carry.fixes[carried].T,
+                                      *np.full((2, carried.size), np.nan)),
                           points])
-        codes = np.concatenate([held, codes])
-    stats.n_users = len(names) - held.size
+        codes = np.concatenate([carried, codes])
     # stable (user, t) order: ties keep input order, so dedup keeps the
     # first, and a carried fix goes before the rows of its time
-    t = points.t
-    order = np.lexsort((np.arange(t.size), t, codes))
-    codes, t = codes[order], t[order]
-    same = codes[1:] == codes[:-1]
-    if (same & (order[1:] < held.size)).any():
-        raise _BackInTime
+    order = np.lexsort((np.arange(len(points)), points.t, codes))
+    codes, t = codes[order], points.t[order]
     dup = np.zeros(t.size, dtype=bool)
-    dup[1:] = same & (t[1:] == t[:-1])
-    stats.dropped_duplicate = int(dup.sum())
+    dup[1:] = (codes[1:] == codes[:-1]) & (t[1:] == t[:-1])
     keep = order[~dup]
     codes, t = codes[~dup], t[~dup]
     lat, lon = points.lat[keep], points.lon[keep]
-    if carry is not None:       # each user's last fix; new users add rows
-        new = np.flatnonzero(slots < 0)
-        slots[new] = len(carry.fixes) + np.arange(new.size)
-        carry.slot.update(zip(users[new].tolist(), slots[new].tolist()))
-        carry.fixes = np.concatenate([carry.fixes, np.empty((new.size, 3))])
-        last = np.flatnonzero(np.diff(codes, append=-1))
-        carry.fixes[slots] = np.column_stack([t[last], lat[last], lon[last]])
-    user = users[codes]
+    if len(code) > len(carry.ids):      # doubling: copies stay linear
+        size = max(len(code), 2 * len(carry.ids))
+        carry.ids = np.resize(carry.ids, size)
+        carry.fixes = np.resize(carry.fixes, (size, 3))
+    carry.ids[held:len(code)] = new
+    last = np.flatnonzero(np.diff(codes, append=-1))
+    carry.fixes[codes[last]] = np.column_stack([t[last], lat[last],
+                                                lon[last]])
+    stats.dropped_duplicate += int(dup.sum())
 
     if settings.direction == "heading":
         heading, speed = points.heading[keep], points.speed[keep]
-        fresh = keep >= held.size       # not a carried fix
+        fresh = keep >= carried.size    # not a carried fix
         has = ~np.isnan(heading) & fresh
-        stats.dropped_no_heading = int(fresh.sum() - has.sum())
+        stats.dropped_no_heading += int(fresh.sum() - has.sum())
         disp = np.maximum(np.where(np.isnan(speed[has]), 0.0, speed[has]),
                           settings.min_displacement)
-        batch = _finish_batch(aoi, user[has], t[has], lat[has], lon[has],
-                              heading[has], disp,
-                              np.ones(int(has.sum()), dtype=np.float64))
-        stats.n_vectors = len(batch)
+        lat, lon = lat[has], lon[has]
+        batch = MovementBatch(aoi, carry.ids[codes[has]], t[has], lat, lon,
+                              *project_arrays(lat, lon, aoi), heading[has],
+                              disp, np.ones(disp.size))
+        stats.n_vectors += len(batch)
         return batch, stats
 
     oi = np.flatnonzero(codes[1:] == codes[:-1])
@@ -629,21 +635,14 @@ def extract_movements(points: ParseResult, aoi: AreaOfInterest,
     over_gap = duration > settings.max_gap
     # zero displacement has no direction, whatever the threshold
     short = ~over_gap & ((disp < settings.min_displacement) | (disp == 0.0))
-    stats.dropped_gap = int(over_gap.sum())
-    stats.dropped_short = int(short.sum())
+    stats.dropped_gap += int(over_gap.sum())
+    stats.dropped_short += int(short.sum())
     ok = ~over_gap & ~short
     oi = oi[ok]
     theta = np.mod(-np.arctan2(dx[ok], dy[ok]), TWO_PI)
     theta[theta >= TWO_PI] = 0.0  # rounding at the wrap
-    batch = _finish_batch(aoi, user[oi], t[oi + 1], lat[oi], lon[oi],
-                          theta, disp[ok], duration[ok])
-    stats.n_vectors = len(batch)
+    batch = MovementBatch(aoi, carry.ids[codes[oi]], t[oi + 1], lat[oi],
+                          lon[oi], x[oi], y[oi], theta, disp[ok],
+                          duration[ok])
+    stats.n_vectors += len(batch)
     return batch, stats
-
-
-def _finish_batch(aoi, user, t, lat, lon, theta, disp, dur) -> MovementBatch:
-    x, y = project_arrays(lat, lon, aoi)
-    return MovementBatch(aoi, user, np.ascontiguousarray(t), lat, lon, x, y,
-                         np.ascontiguousarray(theta),
-                         np.ascontiguousarray(disp),
-                         np.ascontiguousarray(dur))

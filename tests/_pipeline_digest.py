@@ -1,0 +1,76 @@
+"""sha256 of every output of a small whole pipeline, for byte-identity
+checks between two versions of mdemap.
+
+In a temporary directory: a 2,000-user seed-7 ``synth``; ``compute`` with
+``--window all`` and with ``--window 3600 --min-samples 5``, on
+``points.csv`` as written and on the same rows stably sorted by time; then
+``combine``, ``evaluate`` and ``export`` on each layout's ``all`` fields.
+Prints one JSON object: each output file, as ``<layout>/<run>/<name>``,
+summaries included, to its sha256. Run it on two checkouts and diff:
+
+    PYTHONPATH=src python tests/_pipeline_digest.py > digests.json
+
+A command that exits other than 0 stops the run, naming it.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import tempfile
+from pathlib import Path
+
+from mdemap.cli import main
+
+COMPUTE = {"all": ["--window", "all"],
+           "w3600": ["--window", "3600", "--min-samples", "5"]}
+
+
+def run(argv: list[str]) -> None:
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        code = main(argv)
+    if code:
+        raise SystemExit(f"mdemap {' '.join(argv)}: exit {code}\n"
+                         f"{err.getvalue()}")
+
+
+def sorted_by_time(src: Path, dst: Path) -> None:
+    """The rows of ``src`` stably sorted by their (numeric) timestamp."""
+    with open(src, encoding="utf-8", newline="") as f:
+        header, *rows = f.readlines()
+    rows.sort(key=lambda line: float(line.split(",")[1]))
+    with open(dst, "w", encoding="utf-8", newline="") as f:
+        f.writelines([header, *rows])
+
+
+def pipeline(root: Path) -> None:
+    run(["synth", "--users", "2000", "--fixes", "20", "--seed", "7",
+         "--out", str(root / "synth")])
+    sorted_by_time(root / "synth" / "points.csv", root / "time_sorted.csv")
+    layouts = {"as_written": root / "synth" / "points.csv",
+               "time_sorted": root / "time_sorted.csv"}
+    for layout, points in layouts.items():
+        for name, flags in COMPUTE.items():
+            run(["compute", str(points), *flags,
+                 "--out", str(root / layout / name)])
+        fields = sorted(map(str, (root / layout / "all").glob("mde_*m.csv")))
+        out = root / layout / "all"
+        run(["combine", *fields, "--out", str(out / "combine")])
+        run(["evaluate", *fields, "--stations",
+             str(root / "synth" / "stations.csv"),
+             "--out", str(out / "evaluate")])
+        run(["export", str(out / "combine" / "combined.csv"),
+             "--out", str(out / "export")])
+
+
+def digests() -> dict[str, str]:
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        pipeline(root)
+        return {p.relative_to(root).as_posix():
+                hashlib.sha256(p.read_bytes()).hexdigest()
+                for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+if __name__ == "__main__":
+    print(json.dumps(digests(), indent=1))

@@ -579,6 +579,26 @@ def test_config_keys_given_twice_are_refused(pipeline, tmp_path, capsys,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("key, value", [
+    ("min_sample", 100000), ("min-samples", 100000), ("format", "ndjson")],
+    ids=["typo", "dashed", "format"])
+def test_config_keys_of_no_flag_are_refused(pipeline, tmp_path, capsys, key,
+                                            value):
+    # keys of other commands' flags are fine, so one file serves them all
+    config = {"seed": 3, "mode": "max", "top_k": {"100": 5}, "fmt": "csv"}
+    (tmp_path / "cfg.json").write_text(json.dumps({**config, key: value}))
+    argv = ["--aoi", AOI, "--config", str(tmp_path / "cfg.json"),
+            "--out", str(tmp_path / "out")]
+    # refused before the points file is opened: it does not exist
+    assert main(["compute", str(tmp_path / "nope.csv"), *argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("mdemap: config error: bad config file ")
+    assert repr(key) in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+    (tmp_path / "cfg.json").write_text(json.dumps(config))
+    assert main(["compute", str(pipeline / "points.csv"), *argv]) == 0
+
+
 @pytest.mark.parametrize("out", [5, ["out"], True],
                          ids=["number", "list", "boolean"])
 def test_config_out_must_be_text(tmp_path, capsys, monkeypatch, out):

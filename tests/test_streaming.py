@@ -4,18 +4,23 @@ neither command's memory grows with the points."""
 
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import tracemalloc
 from datetime import datetime, timedelta, timezone
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import event, example, given, settings, strategies as st
 
-from mdemap import cli, ingest, parse_points, synth
+from mdemap import (AreaOfInterest, ExtractSettings, ParseSettings, cli,
+                    extract_movements, ingest, parse_points, synth)
 from mdemap.cli import main
 from mdemap.io import write_points_csv
+
+from conftest import points_of
 
 AOI = "139.3,139.35,35.5,35.53"
 T0 = 1_600_000_000
@@ -192,6 +197,90 @@ def test_rows_back_in_time_read_the_whole_file(tmp_path):
     assert code == 0 and read_whole
     summary = json.loads(files["compute_summary.json"])
     assert summary["users"] == 2 and summary["vectors"] == 59
+
+
+def _vectors(batches) -> list[tuple]:
+    """The vectors of ``batches`` as a sorted list of rows, every column
+    (``user_id`` included) but ``aoi``."""
+    names = [f.name for f in dataclasses.fields(ingest.MovementBatch)
+             if f.name != "aoi"]
+    return sorted(row for b in batches
+                  for row in zip(*(getattr(b, n).tolist() for n in names)))
+
+
+@settings(max_examples=60)
+@given(rows=_walks(), fmt=st.sampled_from(["csv", "ndjson"]),
+       bad=st.lists(st.tuples(st.integers(0, 200), st.integers(0, 5)),
+                    max_size=6),
+       layout=st.sampled_from(["users", "time", "shuffled"]),
+       shuffle=st.randoms(use_true_random=False),
+       cuts=st.lists(st.integers(0, 220), max_size=8),
+       direction=st.sampled_from(ingest.DIRECTIONS))
+@example(rows=_LATE_USER, fmt="csv", bad=[(2, 0), (14, 3)], layout="time",
+         shuffle=None, cuts=[5, 5, 17, 30], direction="consecutive")
+def test_carried_blocks_extract_like_one_call(rows, fmt, bad, layout,
+                                              shuffle, cuts, direction):
+    # the library form of the streamed build: blocks cut anywhere, one
+    # carry, and the vectors and counts of one call on every row
+    if layout == "time":
+        rows = sorted(rows, key=lambda row: row[1])
+    elif layout == "shuffled":
+        shuffle.shuffle(rows)
+    read = ParseSettings(fmt=fmt)
+    text = _render(rows, fmt, "seconds", bad)
+    lines = text.splitlines(True)
+    head = [] if fmt == "ndjson" else [lines.pop(0)]
+    edges = [0, *sorted(cuts), len(lines)]
+    blocks = [parse_points(io.StringIO("".join(head + lines[lo:hi])), read)
+              for lo, hi in zip(edges, edges[1:])]
+    aoi = AreaOfInterest.from_bounds(139.3, 139.35, 35.5, 35.53)
+    extract = ExtractSettings(direction=direction)
+    whole = parse_points(io.StringIO(text), read)
+    want, want_stats = extract_movements(whole, aoi, extract)
+    assert want_stats.n_skipped == whole.skipped
+
+    carry, batches, last = ingest.Carry(), [], {}
+    for block in blocks:
+        points = list(zip(block.user_id.tolist(), block.t.tolist()))
+        if any(t < last.get(u, t) for u, t in points):
+            event("a block goes back in time")
+            with pytest.raises(ingest._BackInTime):
+                extract_movements(block, aoi, extract, carry)
+            return
+        batch, stats = extract_movements(block, aoi, extract, carry)
+        assert stats is carry.stats
+        batches.append(batch)
+        for u, t in points:
+            last[u] = max(last.get(u, t), t)
+    assert carry.stats == want_stats
+    assert _vectors(batches) == _vectors([want])
+
+
+def test_a_block_back_in_time_leaves_the_carry_as_it_was(small_aoi):
+    first = points_of([("a", 60.0, 35.51, 139.31),
+                       ("a", 120.0, 35.511, 139.31),
+                       ("b", 60.0, 35.52, 139.32)], skipped=1)
+    # new users c and d, b going on, and a row of a before a's carried fix
+    late = points_of([("c", 0.0, 35.51, 139.33), ("b", 180.0, 35.521, 139.32),
+                      ("a", 90.0, 35.512, 139.31), ("d", 9.0, 35.5, 139.3)],
+                     skipped=2)
+    after = points_of([("b", 240.0, 35.522, 139.32), ("e", 0.0, 35.5, 139.3),
+                       ("a", 180.0, 35.512, 139.31)])
+    carry = ingest.Carry()
+    extract_movements(first, small_aoi, carry=carry)
+    code, ids = list(carry.code.items()), carry.ids.tolist()
+    fixes, stats = carry.fixes.copy(), dataclasses.replace(carry.stats)
+    with pytest.raises(ingest._BackInTime):
+        extract_movements(late, small_aoi, carry=carry)
+    assert list(carry.code.items()) == code and carry.ids.tolist() == ids
+    assert np.array_equal(carry.fixes, fixes) and carry.stats == stats
+    # and it goes on as if the refused block had never come
+    batch, got = extract_movements(after, small_aoi, carry=carry)
+    fresh = ingest.Carry()
+    extract_movements(first, small_aoi, carry=fresh)
+    want_batch, want = extract_movements(after, small_aoi, carry=fresh)
+    assert got == want and got.n_skipped == 1 and got.n_users == 3
+    assert _vectors([batch]) == _vectors([want_batch])
 
 
 def test_heading_direction_streams_too(tmp_path):
