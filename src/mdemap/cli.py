@@ -352,7 +352,7 @@ def cmd_evaluate(args) -> tuple[Path, dict, dict, int]:
 
 def cmd_export(args) -> tuple[Path, dict, dict, int]:
     _, aoi, out = _common(args)
-    with open(args.table, "r", encoding="utf-8", newline="") as f:
+    with open(args.table, "r", encoding="utf-8-sig", newline="") as f:
         header = next(_csv_blocks(f), [])
     read, geojson = ((mio.read_combined_csv, mio.combined_geojson)
                      if "score" in header else

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from itertools import chain, compress, count, repeat
@@ -174,22 +175,18 @@ def parse_points(source,
 
 def point_blocks(source, settings: ParseSettings = ParseSettings(),
                  ) -> Iterator[ParseResult]:
-    """The rows of a points file (a path or a text stream) as a
-    ``ParseResult`` per block of lines.
+    """The rows of a points file as a ``ParseResult`` per block of lines.
 
-    A block holds the rows of about ``_BLOCK_CHARS`` characters of text,
-    in file order, and the count of malformed rows among them. Rules and
-    errors are those of :func:`parse_points`.
+    A path is read as UTF-8 after an optional byte order mark, a text
+    stream as it is given. A block holds the rows of about ``_BLOCK_CHARS``
+    characters, in file order, and the count of malformed rows among them.
+    Rules and errors are those of :func:`parse_points`.
     """
-    owned = isinstance(source, (str, Path))
-    stream = (open(source, "r", encoding="utf-8", newline="") if owned
-              else source)
-    try:
+    with (open(source, "r", encoding="utf-8-sig", newline="")
+          if isinstance(source, (str, Path)) else nullcontext(source)
+          ) as stream:
         yield from (_parse_csv if settings.fmt == "csv" else _parse_ndjson)(
             stream, settings.strict)
-    finally:
-        if owned:
-            stream.close()
 
 
 def _parse_csv(stream, strict: bool) -> Iterator[ParseResult]:
@@ -375,7 +372,6 @@ def _timestamps(text: list[str]) -> np.ndarray:
 _DIGITS = [0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15, 17, 18]
 _SEPARATORS = [4, 7, 10, 13, 16]
 _SEPARATOR_CHARS = np.frombuffer(b"--T::", np.uint8)
-_MONTH_DAYS = np.array([31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
 
 
 def _utc_seconds(text: list[str]) -> np.ndarray:
@@ -386,7 +382,8 @@ def _utc_seconds(text: list[str]) -> np.ndarray:
     day out of range, an hour past 23, a minute or second past 59, or an
     offset of 24 h or more, all of which ``datetime.fromisoformat``
     refuses too. It takes any two-digit offset minute below that bound,
-    and so does this.
+    and so does this. Days are counted in integers by numpy's
+    ``datetime64`` calendar, so every second is exact.
     """
     n, width = len(text), len(text[0])
     c = np.frombuffer("".join(text).encode("ascii", "replace"),
@@ -410,18 +407,14 @@ def _utc_seconds(text: list[str]) -> np.ndarray:
         offset = np.where(c[:, 19] == ord("-"), -offset, offset)
     year, month, day = number(0, 4), number(5, 7), number(8, 10)
     hour, minute, second = number(11, 13), number(14, 16), number(17, 19)
-    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
-    month_days = _MONTH_DAYS[np.clip(month - 1, 0, 11)] + (leap & (month == 2))
+    # the first days of the row's month and of the next, from 1970-01-01
+    months = (year - 1970) * 12 + np.clip(month, 1, 12) - 1
+    first, after = (m.astype("datetime64[M]").astype("datetime64[D]")
+                    .astype(np.int64) for m in (months, months + 1))
     ok &= ((year >= 1) & (month >= 1) & (month <= 12) & (day >= 1)
-           & (day <= month_days) & (hour <= 23) & (minute <= 59)
+           & (day <= after - first) & (hour <= 23) & (minute <= 59)
            & (second <= 59))
-    # days from 1970-01-01 in the proleptic Gregorian calendar, counting
-    # years from March so that the leap day ends a year
-    y = year - (month <= 2)
-    era = y // 400
-    yoe = y - 400 * era
-    doy = (153 * ((month + 9) % 12) + 2) // 5 + day - 1
-    days = 146097 * era + 365 * yoe + yoe // 4 - yoe // 100 + doy - 719468
+    days = first + day - 1
     seconds = 86400 * days + 3600 * hour + 60 * minute + second - offset
     return np.where(ok, seconds.astype(np.float64), np.nan)
 
@@ -534,7 +527,8 @@ class Carry:
     """The blocks of one file extracted so far: ``code[user]`` numbers each
     user once, by first appearance and a block's new users in id order;
     ``ids[code]`` is its id and row ``code`` of ``fixes`` its last fix
-    ``(t, lat, lon)`` (later rows are spare); ``stats`` counts every block."""
+    ``(t, lat, lon)``, which a next block's columns join (later rows are
+    spare); ``stats`` counts every block."""
 
     def __init__(self):
         self.code, self.stats = {}, ExtractionStats()
@@ -556,9 +550,10 @@ def extract_movements(points: ParseResult, aoi: AreaOfInterest,
     counted, never raised.
 
     ``points`` may be a block of a file, with the ``carry`` of the blocks
-    before it (else a fresh ``Carry``): each user's carried fix goes
-    before the user's rows, pairs with the first and makes a row of equal
-    time a duplicate, but adds no point, user, vector or drop. ``carry``
+    before it (else a fresh ``Carry``). The fixes carried for its users
+    join its ``t``, ``lat`` and ``lon`` columns in front: each pairs with
+    its user's first row and makes a row of equal time a duplicate, but
+    has no heading and adds no point, user, vector or drop. ``carry``
     then takes the block's users, last fixes and counts; the stats
     returned are ``carry.stats``. A row earlier than its user's carried
     fix raises ``_BackInTime`` and leaves ``carry`` as it was.
@@ -587,21 +582,17 @@ def extract_movements(points: ParseResult, aoi: AreaOfInterest,
     stats.n_users += len(new)
     carried = np.sort(codes[old])   # np.unique, which hashes, is 10x slower
     carried = carried[np.diff(carried, prepend=-1) > 0]
-    if carried.size:
-        points = _concat([ParseResult(carry.ids[carried],
-                                      *carry.fixes[carried].T,
-                                      *np.full((2, carried.size), np.nan)),
-                          points])
-        codes = np.concatenate([carried, codes])
+    codes = np.concatenate([carried, codes])
+    t, lat, lon = (np.concatenate([fix, col]) for fix, col in zip(
+        carry.fixes[carried].T, (points.t, points.lat, points.lon)))
     # stable (user, t) order: ties keep input order, so dedup keeps the
     # first, and a carried fix goes before the rows of its time
-    order = np.lexsort((np.arange(len(points)), points.t, codes))
-    codes, t = codes[order], points.t[order]
+    order = np.lexsort((np.arange(codes.size), t, codes))
+    codes, t = codes[order], t[order]
     dup = np.zeros(t.size, dtype=bool)
     dup[1:] = (codes[1:] == codes[:-1]) & (t[1:] == t[:-1])
     keep = order[~dup]
-    codes, t = codes[~dup], t[~dup]
-    lat, lon = points.lat[keep], points.lon[keep]
+    codes, t, lat, lon = codes[~dup], t[~dup], lat[keep], lon[keep]
     if len(code) > len(carry.ids):      # doubling: copies stay linear
         size = max(len(code), 2 * len(carry.ids))
         carry.ids = np.resize(carry.ids, size)
@@ -613,10 +604,10 @@ def extract_movements(points: ParseResult, aoi: AreaOfInterest,
     stats.dropped_duplicate += int(dup.sum())
 
     if settings.direction == "heading":
-        heading, speed = points.heading[keep], points.speed[keep]
-        fresh = keep >= carried.size    # not a carried fix
-        has = ~np.isnan(heading) & fresh
-        stats.dropped_no_heading += int(fresh.sum() - has.sum())
+        rows = keep - carried.size      # a carried fix's row is negative
+        heading, speed = points.heading[rows], points.speed[rows]
+        has = ~np.isnan(heading) & (rows >= 0)
+        stats.dropped_no_heading += int((rows >= 0).sum() - has.sum())
         disp = np.maximum(np.where(np.isnan(speed[has]), 0.0, speed[has]),
                           settings.min_displacement)
         lat, lon = lat[has], lon[has]

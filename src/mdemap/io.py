@@ -16,7 +16,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import PointParseError
-from .evaluation import (PrecisionCurve, RecallCurve, Station, check_stations)
+from .evaluation import PrecisionCurve, RecallCurve, Station
 from .field import ALL_TIME, MAX_ENTROPY, MdeField
 from .fusion import CombinedMap
 from .ingest import (ParseResult, _columns, _csv_blocks, _floats_at,
@@ -205,7 +205,7 @@ def _read_mesh_csv(path, aoi: AreaOfInterest, kind: str):
     Plain blocks of ``_csv_blocks`` are read in bulk; the rule takes every
     csv-module record. The first line repeating a mesh is refused."""
     parts, rows = [], []
-    with open(path, "r", encoding="utf-8", newline="") as f:
+    with open(path, "r", encoding="utf-8-sig", newline="") as f:
         blocks = _csv_blocks(f)
         rule = _MeshRows(next(blocks, []), aoi, kind)
         for line_no, block in blocks:
@@ -271,8 +271,9 @@ def write_stations_csv(stations: Sequence[Station], path) -> None:
 
 
 def read_stations_csv(path) -> list[Station]:
-    stations: list[Station] = []
-    with open(path, "r", encoding="utf-8", newline="") as f:
+    """The stations of a file, each of a distinct rank of at least 1."""
+    stations, first = [], {}        # first[rank]: the line that holds it
+    with open(path, "r", encoding="utf-8-sig", newline="") as f:
         blocks = _csv_blocks(f)
         record = _records(next(blocks, []))
         for line_no, block in blocks:
@@ -280,12 +281,19 @@ def read_stations_csv(path) -> list[Station]:
                     block, np.zeros(len(block), bool), line_no)):
                 rec = record(cells)
                 try:
-                    stations.append(Station(rec["name"],
-                                            GeoPoint(*_lat_lon(rec)),
-                                            int(rec["rank"])))
+                    station = Station(rec["name"], GeoPoint(*_lat_lon(rec)),
+                                      int(rec["rank"]))
+                    rank = station.rank
+                    if rank < 1:
+                        raise ValueError(f"station rank {rank} is below 1")
+                    if first.setdefault(rank, line) != line:
+                        raise ValueError(f"station rank {rank} is already "
+                                         f"on line {first[rank]}")
                 except (KeyError, TypeError, ValueError) as exc:
                     raise PointParseError(str(exc), line_no=line) from exc
-    check_stations(stations)
+                stations.append(station)
+    if not stations:
+        raise PointParseError("stations file has no rows")
     return stations
 
 

@@ -2,9 +2,11 @@
 checks between two versions of mdemap.
 
 In a temporary directory: a 2,000-user seed-7 ``synth``; ``compute`` with
-``--window all`` and with ``--window 3600 --min-samples 5``, on
-``points.csv`` as written and on the same rows stably sorted by time; then
-``combine``, ``evaluate`` and ``export`` on each layout's ``all`` fields.
+``--window all``, with ``--window 3600 --min-samples 5`` and with
+``--window 300 --min-samples 5``, on ``points.csv`` as written and on
+the same rows stably sorted by time; then ``combine``, ``evaluate`` and
+``export`` on each layout's ``all`` fields, and ``export`` of its
+``mde_100m.csv``.
 Prints one JSON object: each output file, as ``<layout>/<run>/<name>``,
 summaries included, to its sha256. Run it on two checkouts and diff:
 
@@ -23,7 +25,8 @@ from pathlib import Path
 from mdemap.cli import main
 
 COMPUTE = {"all": ["--window", "all"],
-           "w3600": ["--window", "3600", "--min-samples", "5"]}
+           "w3600": ["--window", "3600", "--min-samples", "5"],
+           "w300": ["--window", "300", "--min-samples", "5"]}
 
 
 def run(argv: list[str]) -> None:
@@ -61,6 +64,8 @@ def pipeline(root: Path) -> None:
              "--out", str(out / "evaluate")])
         run(["export", str(out / "combine" / "combined.csv"),
              "--out", str(out / "export")])
+        run(["export", str(out / "mde_100m.csv"),
+             "--out", str(out / "export_field")])
 
 
 def digests() -> dict[str, str]:

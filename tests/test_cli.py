@@ -751,6 +751,61 @@ def test_stations_off_the_globe_are_refused(pipeline, tmp_path, capsys, lat,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("rows, message", [
+    ("", "stations file has no rows"),
+    ("a,35.6,139.5,1\nb,35.61,139.5,2\nc,35.62,139.5,1\n",
+     "line 4: station rank 1 is already on line 2"),
+    ("a,35.6,139.5,1\nb,35.61,139.5,0\n", "line 3: station rank 0 is below 1")],
+    ids=["no-rows", "repeated-rank", "rank-0"])
+def test_bad_station_lists_are_data_errors(pipeline, tmp_path, capsys, rows,
+                                           message):
+    stations = tmp_path / "stations.csv"
+    stations.write_text("name,lat,lon,rank\n" + rows)
+    assert main(["evaluate", str(pipeline / "mde_100m.csv"), "--stations",
+                 str(stations), "--aoi", AOI,
+                 "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == f"mdemap: data error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def _ndjson(csv_path, path):
+    """The rows of a points CSV of numeric times as an NDJSON file."""
+    header, *rows = csv_path.read_text().splitlines()
+    path.write_text("".join(json.dumps(dict(zip(
+        header.split(","), (u, *map(float, rest))))) + "\n"
+        for u, *rest in (row.split(",") for row in rows)))
+    return path
+
+
+@pytest.mark.parametrize("command", ["compute-csv", "compute-ndjson",
+                                     "combine", "evaluate", "export"])
+def test_a_byte_order_mark_is_read_past(pipeline, tmp_path, command):
+    # a UTF-8 byte order mark, as Excel's "CSV UTF-8" export writes it, in
+    # front of the one input that varies gives the outputs of the plain file
+    field, stations = pipeline / "mde_100m.csv", pipeline / "stations.csv"
+    source, argv = {
+        "compute-csv": (pipeline / "points.csv",
+                        ["compute", "{}", "--scales", "100,1000"]),
+        "compute-ndjson": (_ndjson(pipeline / "points.csv",
+                                   tmp_path / "points.ndjson"),
+                           ["compute", "{}", "--scales", "100,1000",
+                            "--format", "ndjson"]),
+        "combine": (field, ["combine", "{}", str(pipeline / "mde_1000m.csv")]),
+        "evaluate": (stations, ["evaluate", str(field), "--stations", "{}"]),
+        "export": (field, ["export", "{}"])}[command]
+    outputs = []
+    for mark in (b"", "\ufeff".encode()):
+        run = tmp_path / ("bom" if mark else "plain")
+        run.mkdir()
+        copy = run / source.name
+        copy.write_bytes(mark + source.read_bytes())
+        assert main([a.format(copy) for a in argv]
+                    + ["--aoi", AOI, "--out", str(run / "out")]) == 0
+        outputs.append({p.name: p.read_bytes()
+                        for p in sorted((run / "out").iterdir())})
+    assert outputs[0] == outputs[1]
+
+
 def test_compute_without_vectors_writes_and_exits_3(tmp_path, capsys):
     pts = tmp_path / "points.csv"
     _write_points(pts, [("a", 0, 35.6, 139.5), ("b", 0, 35.6, 139.5)])
