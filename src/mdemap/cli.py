@@ -13,8 +13,10 @@ in the area, or none of its meshes with ``min_samples`` vectors) writes,
 exits 3.
 
 Precedence for every setting: command-line flag, then --config file
-entry, then the default of its settings object; every object is made, and
-so checked, before any input is opened. A config key is a flag's name with
+entry (UTF-8, a byte order mark skipped), then the default of its settings
+object; every object is made, and so checked, before any input is opened,
+and ``evaluate`` refuses a ``top_k`` scale that none of its fields has
+before it reads the stations. A config key is a flag's name with
 underscores for dashes (``fmt`` for --format); a key that is no flag of
 any command is refused (exit 1), while one file may serve every command.
 """
@@ -102,7 +104,7 @@ def _load_config(path, keys: set[str]) -> dict:
     if path is None:
         return {}
     try:
-        with open(path, "r", encoding="utf-8") as f:
+        with open(path, "r", encoding="utf-8-sig") as f:
             cfg = json.load(f, object_pairs_hook=_object)
     except ValueError as exc:       # bad JSON or UTF-8, or a repeated key
         raise ConfigError(f"bad config file {path}: {exc}") from exc
@@ -332,9 +334,13 @@ def cmd_evaluate(args) -> tuple[Path, dict, dict, int]:
     cfg, aoi, out = _common(args)
     settings = _settings(EvaluationSettings, args, cfg, top_k=_pairs,
                          radii=_numbers)
+    fields = _read_fields(args.fields, aoi)
+    scales = sorted(f.scale_m for f in fields)
+    if unused := sorted(dict(settings.top_k).keys() - set(scales)):
+        raise ConfigError(f"no field has top_k scales {unused}, only {scales}")
     stations = mio.read_stations_csv(args.stations)
     files, k_used = {}, {}
-    for field in _read_fields(args.fields, aoi):
+    for field in fields:
         k = k_used[str(field.scale_m)] = settings.k(field.scale_m)
         rec = recall_curve(top_k(field, k), stations, settings)
         files[f"recall_{field.scale_m}m.csv"] = partial(mio.write_recall_csv,

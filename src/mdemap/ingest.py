@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from itertools import chain, compress, count, repeat
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -190,8 +190,8 @@ def point_blocks(source, settings: ParseSettings = ParseSettings(),
 
 
 def _parse_csv(stream, strict: bool) -> Iterator[ParseResult]:
-    """Plain blocks of ``_csv_blocks`` are split in bulk (``_parse_block``);
-    the rows it refuses, and all csv-module records, go to ``_build_rows``."""
+    """The bulk checks (``_parse_block``) take each ``_Block``'s full
+    records; ``_build_rows`` takes the rest."""
     blocks = _csv_blocks(stream)
     if (names := next(blocks, None)) is None:
         return
@@ -200,18 +200,14 @@ def _parse_csv(stream, strict: bool) -> Iterator[ParseResult]:
             f"header missing columns {', '.join(missing)}", line_no=1)
 
     record = _records(names)
-    for line_no, block in blocks:
-        if line_no is None:
-            yield _build_rows(block, record, strict)[0]
-            continue
+    for block in blocks:
         part, keep = _parse_block(block, names)
-        rest, lines = _build_rows(_leftovers(block, keep, line_no), record,
-                                  strict)
-        if lines:               # accepted leftovers go back in file order
-            at = np.concatenate([np.flatnonzero(keep),
-                                 np.array(lines) - line_no - 1])
+        rest, lines = _build_rows(block.rows(keep), record, strict)
+        if lines:               # accepted rows go back in file order
+            at = np.concatenate([block.line[keep], lines])
             part = _concat([part, rest]).take(np.argsort(at), 0)
         part.skipped = rest.skipped
+        del block               # frees its cells before the caller takes part
         yield part
 
 
@@ -221,22 +217,36 @@ def _records(names: list[str]):
                           | dict.fromkeys(names[len(cells):]))
 
 
-def _csv_blocks(stream) -> Iterator:
-    """The header cells of a CSV text, then its blocks of about
-    ``_BLOCK_CHARS`` characters; an empty text yields nothing.
+class _Block(NamedTuple):
+    """CSV records at their last lines: the ``line`` and flat ``cells`` of
+    those with one cell per header name, and the ``(line, cells)`` of the
+    ``others``. A blank line is no record."""
 
-    While blocks are plain (``_plain``), each is ``(n, lines)``, the first
-    line being line ``n + 1``. From the first that is not, ``csv.reader``
-    reads the rest, and each block is ``(None, records)``: the ``(line,
-    cells)`` of each non-blank record, ``line`` being its last. A csv module
-    error (a cell over its size limit) raises PointParseError at its line.
-    """
+    line: np.ndarray
+    cells: list[str]
+    others: list[tuple[int, list[str]]]
+
+    def rows(self, keep: np.ndarray) -> list[tuple[int, list[str]]]:
+        """``(line, cells)`` of the others and of the full records that
+        the mask ``keep`` leaves out, in file order."""
+        k, left = len(self.cells) // max(len(self.line), 1), ~keep
+        return sorted(self.others + [
+            (line, self.cells[i * k:i * k + k]) for i, line in zip(
+                np.flatnonzero(left).tolist(), self.line[left].tolist())])
+
+
+def _csv_blocks(stream) -> Iterator:
+    """The header cells of a CSV text, then a ``_Block`` per block of about
+    ``_BLOCK_CHARS`` characters; an empty text yields nothing. Plain blocks
+    (``_plain``) are split at commas in bulk; from the first that is not,
+    ``csv.reader`` reads the rest. A csv module error (a cell over its size
+    limit) raises PointParseError at its line."""
     line_no, lines = 0, stream.readlines(_BLOCK_CHARS)
     while lines and _plain(lines):
         if not line_no:
-            yield next(csv.reader(lines[:1]))
+            yield (names := next(csv.reader(lines[:1])))
             line_no, lines = 1, lines[1:]
-        yield line_no, lines
+        yield _plain_block(lines, len(names), line_no)
         line_no += len(lines)
         lines = stream.readlines(_BLOCK_CHARS)
     if not lines:
@@ -244,19 +254,19 @@ def _csv_blocks(stream) -> Iterator:
     reader = csv.reader(chain(lines, stream))
     try:
         if not line_no:
-            yield next(reader, [])
+            yield (names := next(reader, []))
         records, chars = [], 0
         for cells in reader:
             if cells:
                 records.append((line_no + reader.line_num, cells))
                 chars += sum(map(len, cells))
                 if chars >= _BLOCK_CHARS:
-                    yield None, records
+                    yield _record_block(records, len(names))
                     records, chars = [], 0
     except csv.Error as exc:
         raise PointParseError(str(exc),
                               line_no=line_no + reader.line_num) from exc
-    yield None, records
+    yield _record_block(records, len(names))
 
 
 def _plain(lines: list[str]) -> bool:
@@ -268,19 +278,12 @@ def _plain(lines: list[str]) -> bool:
             and max(map(len, lines)) <= csv.field_size_limit())
 
 
-def _leftovers(lines: list[str], keep: np.ndarray,
-               line_no: int) -> Iterator[tuple[int, list[str]]]:
-    """``(line, cells)`` of the non-blank plain lines that ``keep`` leaves
-    out, the first of ``lines`` being line ``line_no + 1``."""
-    for i in np.flatnonzero(~keep).tolist():
-        if line := lines[i].rstrip("\r\n"):
-            yield line_no + i + 1, line.split(",")   # as csv.reader splits
-
-
-def _split(lines: list[str], k: int) -> tuple[np.ndarray, list[str]]:
-    """Which lines have ``k`` fields, and their cells as csv splits them."""
+def _plain_block(lines: list[str], k: int, line_no: int) -> _Block:
+    """The ``_Block`` of plain lines under ``k`` header names, the first
+    being line ``line_no + 1``, split at commas as csv splits them."""
+    # a blank line has no comma, so under one name no line is full
     full = np.fromiter(map(str.count, lines, repeat(",")), np.int64,
-                       len(lines)) == k - 1
+                       len(lines)) == ((k - 1) or -1)
     rows = "".join(compress(lines, full.tolist()))
     if "\r" in rows:
         rows = rows.replace("\r\n", "\n")
@@ -288,21 +291,30 @@ def _split(lines: list[str], k: int) -> tuple[np.ndarray, list[str]]:
         rows += "\n"
     cells = rows.replace("\n", ",").split(",")
     cells.pop()                 # after the last line end
-    return full, cells
+    return _Block(line_no + 1 + np.flatnonzero(full), cells, [
+        (line_no + i + 1, line.split(","))
+        for i in np.flatnonzero(~full).tolist()
+        if (line := lines[i].rstrip("\r\n"))])
 
 
-def _parse_block(lines: list[str],
+def _record_block(records: list[tuple[int, list[str]]], k: int) -> _Block:
+    """The ``_Block`` of ``csv.reader`` records under ``k`` header names."""
+    full = [r for r in records if len(r[1]) == k]
+    return _Block(np.array([line for line, _ in full], np.int64),
+                  [c for _, cells in full for c in cells],
+                  [r for r in records if len(r[1]) != k])
+
+
+def _parse_block(block: _Block,
                  names: list[str]) -> tuple[ParseResult, np.ndarray]:
-    """The rows of plain lines that the bulk checks accept, and their mask.
+    """The full records that the bulk checks accept, and their mask.
 
-    Lines with one field per header name are split into columns, converted
-    with ``float`` and range-checked in bulk, accepting only rows that
-    ``_build_point`` accepts, with the same values.
+    The cells are split into columns, converted with ``float`` and
+    range-checked in bulk, accepting only rows that ``_build_point``
+    accepts, with the same values.
     """
-    k = len(names)
+    k, cells, n = len(names), block.cells, len(block.line)
     col = {name: i for i, name in enumerate(names)}   # last duplicate wins
-    full, cells = _split(lines, k)
-    n = len(cells) // k
 
     # each column is converted only on the rows still valid, so a block
     # whose timestamps all need _build_point costs little more here
@@ -322,11 +334,8 @@ def _parse_block(lines: list[str],
             ok &= ~given | ((v >= 0.0) & (v < TWO_PI) if name == "heading"
                             else np.isfinite(v) & (v >= 0.0))
         optional.append(v)
-
-    keep = np.zeros(len(lines), dtype=bool)
-    keep[np.flatnonzero(full)[ok]] = True
     return ParseResult(*(c[ok] for c in (np.array(user, dtype=object), t,
-                                         lat, lon, *optional))), keep
+                                         lat, lon, *optional))), ok
 
 
 def _floats_at(text: list[str], rows: np.ndarray) -> np.ndarray:

@@ -19,8 +19,8 @@ from .errors import PointParseError
 from .evaluation import PrecisionCurve, RecallCurve, Station
 from .field import ALL_TIME, MAX_ENTROPY, MdeField
 from .fusion import CombinedMap
-from .ingest import (ParseResult, _columns, _csv_blocks, _floats_at,
-                     _lat_lon, _leftovers, _records, _split)
+from .ingest import (ParseResult, _Block, _columns, _csv_blocks,
+                     _floats_at, _lat_lon, _records)
 from .mesh import AreaOfInterest, GeoPoint, mesh_centers, mesh_corners
 
 FIELD_HEADER = ("scale_m", "col", "row", "center_lat", "center_lon",
@@ -167,18 +167,17 @@ class _MeshRows:
         except (IndexError, ValueError) as exc:
             raise PointParseError(str(exc), line_no=line) from exc
 
-    def block(self, lines: list[str], line_no: int, rows: list):
-        """Columns (line, col, row, *values) of the plain lines from line
-        ``line_no + 1`` that pass the bulk checks, or None; the rule takes
-        the others, and the first row."""
-        if self.scale is None:          # the first row sets it
-            for line, cells in _leftovers(lines, np.zeros(len(lines), bool),
-                                          line_no):
-                rows.append(self(cells, line))
-                return self.block(lines[line - line_no:], line, rows)
-            return None
-        full, cells = _split(lines, self.k)
-        text = [cells[i::self.k] for i in self.pos]
+    def block(self, block: _Block, rows: list):
+        """Columns (line, col, row, *values) of the full records of
+        ``block`` that pass the bulk checks, or None; the rule takes the
+        others. While no scale is set, the rule first checks the block's
+        first record, which sets it."""
+        if self.scale is None:
+            for line, cells in block.rows(np.arange(len(block.line)) > 0)[:1]:
+                self(cells, line)
+            if self.scale is None:      # no record
+                return None
+        text = [block.cells[i::self.k] for i in self.pos]
         try:
             s, c, r = (np.array(t, dtype=np.int64) for t in text[:3])
             (ncols, nrows), scale = self.shape, self.scale
@@ -188,34 +187,27 @@ class _MeshRows:
             for want, got in zip(mesh_centers(scale, c, r, self.aoi),
                                  text[3:5]):
                 ok &= _distinct_texts(want) == np.array(got, dtype=object)
-            part = [v[ok] for v in (line_no + 1 + np.flatnonzero(full), c, r,
+            part = [v[ok] for v in (block.line, c, r,
                                     *self.bulk(ok, *text[5:]))]
         except (ValueError, OverflowError):
-            part = None             # the rule takes every row
-        keep = np.zeros(len(lines), dtype=bool)
-        keep[part[0] - line_no - 1 if part else []] = True
-        rows += [self(cells, line)
-                 for line, cells in _leftovers(lines, keep, line_no)]
+            part, ok = None, np.zeros(len(block.line), bool)  # all to the rule
+        rows += [self(cells, line) for line, cells in block.rows(ok)]
         return part
 
 
 def _read_mesh_csv(path, aoi: AreaOfInterest, kind: str):
     """(scale, [col, row, *values]) of a mesh CSV, in (row, col) order.
 
-    Plain blocks of ``_csv_blocks`` are read in bulk; the rule takes every
-    csv-module record. The first line repeating a mesh is refused."""
-    parts, rows = [], []
+    The full records of each ``_Block`` are checked in bulk; the rule takes
+    the records those checks refuse, and the others. The first line
+    repeating a mesh is refused."""
     with open(path, "r", encoding="utf-8-sig", newline="") as f:
         blocks = _csv_blocks(f)
-        rule = _MeshRows(next(blocks, []), aoi, kind)
-        for line_no, block in blocks:
-            if line_no is None:
-                rows += [rule(cells, line) for line, cells in block]
-            else:
-                parts.append(rule.block(block, line_no, rows))
+        rule, rows = _MeshRows(next(blocks, []), aoi, kind), []
+        # map holds no block while the next is read
+        parts = list(map(rule.block, blocks, repeat(rows)))
     if rule.scale is None:
         raise PointParseError(f"{kind} file has no rows")
-    # the first row went through the rule, so ``rows`` sets the dtypes
     parts.append([np.array(c) for c in zip(*rows)])
     line, col, row, *values = map(np.concatenate, zip(*filter(None, parts)))
     order = np.lexsort((line, col, row))
@@ -275,10 +267,14 @@ def read_stations_csv(path) -> list[Station]:
     stations, first = [], {}        # first[rank]: the line that holds it
     with open(path, "r", encoding="utf-8-sig", newline="") as f:
         blocks = _csv_blocks(f)
-        record = _records(next(blocks, []))
-        for line_no, block in blocks:
-            for line, cells in (block if line_no is None else _leftovers(
-                    block, np.zeros(len(block), bool), line_no)):
+        header = next(blocks, [])
+        for name in STATION_HEADER:
+            if name not in header:
+                raise PointParseError(f"stations file has no {name} column",
+                                      line_no=1)
+        record = _records(header)
+        for block in blocks:
+            for line, cells in block.rows(np.zeros(len(block.line), bool)):
                 rec = record(cells)
                 try:
                     station = Station(rec["name"], GeoPoint(*_lat_lon(rec)),
@@ -289,7 +285,7 @@ def read_stations_csv(path) -> list[Station]:
                     if first.setdefault(rank, line) != line:
                         raise ValueError(f"station rank {rank} is already "
                                          f"on line {first[rank]}")
-                except (KeyError, TypeError, ValueError) as exc:
+                except (TypeError, ValueError) as exc:
                     raise PointParseError(str(exc), line_no=line) from exc
                 stations.append(station)
     if not stations:

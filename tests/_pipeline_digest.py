@@ -6,7 +6,9 @@ In a temporary directory: a 2,000-user seed-7 ``synth``; ``compute`` with
 ``--window 300 --min-samples 5``, on ``points.csv`` as written and on
 the same rows stably sorted by time; then ``combine``, ``evaluate`` and
 ``export`` on each layout's ``all`` fields, and ``export`` of its
-``mde_100m.csv``.
+``mde_100m.csv``. Last, ``compute --window all`` on a ``quoted`` layout:
+``points.csv`` with its header and every ``user_id`` quoted, as R's
+``write.csv`` writes it; its outputs must equal the ``as_written`` ones.
 Prints one JSON object: each output file, as ``<layout>/<run>/<name>``,
 summaries included, to its sha256. Run it on two checkouts and diff:
 
@@ -46,6 +48,18 @@ def sorted_by_time(src: Path, dst: Path) -> None:
         f.writelines([header, *rows])
 
 
+def quoted(src: Path, dst: Path) -> None:
+    """``src`` with its header and every ``user_id`` (the first column)
+    quoted."""
+    with open(src, encoding="utf-8", newline="") as f:
+        header, *rows = f.readlines()
+    with open(dst, "w", encoding="utf-8", newline="") as f:
+        names = header.rstrip("\r\n")
+        f.write(",".join(f'"{n}"' for n in names.split(","))
+                + header[len(names):])
+        f.writelines('"{}",{}'.format(*row.split(",", 1)) for row in rows)
+
+
 def pipeline(root: Path) -> None:
     run(["synth", "--users", "2000", "--fixes", "20", "--seed", "7",
          "--out", str(root / "synth")])
@@ -66,6 +80,15 @@ def pipeline(root: Path) -> None:
              "--out", str(out / "export")])
         run(["export", str(out / "mde_100m.csv"),
              "--out", str(out / "export_field")])
+    quoted(root / "synth" / "points.csv", root / "quoted.csv")
+    out = root / "quoted" / "all"
+    run(["compute", str(root / "quoted.csv"), *COMPUTE["all"],
+         "--out", str(out)])
+    for path in out.iterdir():
+        if path.read_bytes() != (root / "as_written" / "all" /
+                                 path.name).read_bytes():
+            raise SystemExit(f"quoted/all/{path.name} differs from "
+                             f"as_written/all/{path.name}")
 
 
 def digests() -> dict[str, str]:

@@ -618,6 +618,40 @@ def test_config_file_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("mdemap: config error: ")
 
 
+def test_a_config_file_with_a_byte_order_mark_reads_as_without(tmp_path):
+    # Windows editors save JSON with one
+    outputs = []
+    for mark in (b"", "\ufeff".encode()):
+        run = tmp_path / ("bom" if mark else "plain")
+        run.mkdir()
+        (run / "cfg.json").write_bytes(mark + b'{"users": 5, "fixes": 3}')
+        assert main(["synth", "--config", str(run / "cfg.json"),
+                     "--out", str(run / "out")]) == 0
+        outputs.append({p.name: p.read_bytes()
+                        for p in sorted((run / "out").iterdir())})
+    assert outputs[0] == outputs[1]
+    summary = json.loads(outputs[0]["synth_summary.json"])
+    assert (summary["users"], summary["fixes_per_user"]) == (5, 3)
+
+
+@pytest.mark.parametrize("fields, top_k, message", [
+    (["mde_1000m.csv"], ["--top-k", "100=2"], "scales [100], only [1000]"),
+    (["mde_100m.csv", "mde_1000m.csv"], ["--top-k", "100=5,250=2,50=1"],
+     "scales [50, 250], only [100, 1000]"),
+    (["mde_1000m.csv"], ["--config", "{cfg}"], "scales [100], only [1000]")],
+    ids=["flag", "two-unused", "config"])
+def test_top_k_of_a_scale_no_field_has_is_refused(pipeline, tmp_path, capsys,
+                                                  fields, top_k, message):
+    (tmp_path / "cfg.json").write_text('{"top_k": {"100": 2}}')
+    argv = ["evaluate", *(str(pipeline / f) for f in fields), "--stations",
+            str(pipeline / "stations.csv"),
+            *(a.format(cfg=tmp_path / "cfg.json") for a in top_k)]
+    assert main(argv + ["--aoi", AOI, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        f"mdemap: config error: no field has top_k {message}\n")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command", ["compute-csv", "compute-ndjson",
                                      "evaluate", "export"])
 def test_input_that_is_not_utf8_is_a_data_error(pipeline, tmp_path, capsys,
@@ -765,6 +799,23 @@ def test_bad_station_lists_are_data_errors(pipeline, tmp_path, capsys, rows,
                  str(stations), "--aoi", AOI,
                  "--out", str(tmp_path / "out")]) == 3
     assert capsys.readouterr().err == f"mdemap: data error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("text, column", [
+    ("name,lat,lon\na,35.6,139.5\n", "rank"),
+    ("station,lat,lon,rank\n\na,35.6,139.5,1\n", "name"),
+    ("name,lat,rank\na,35.6,1\n", "lon"),
+    ("", "name")], ids=["no-rank", "no-name", "no-lon", "empty"])
+def test_a_stations_header_names_every_column(pipeline, tmp_path, capsys,
+                                              text, column):
+    stations = tmp_path / "stations.csv"
+    stations.write_text(text)
+    assert main(["evaluate", str(pipeline / "mde_100m.csv"), "--stations",
+                 str(stations), "--aoi", AOI,
+                 "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == (
+        f"mdemap: data error: line 1: stations file has no {column} column\n")
     assert not (tmp_path / "out").exists()
 
 

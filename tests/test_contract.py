@@ -189,6 +189,11 @@ def _check(run: dict, root: Path) -> None:
         scores = [float(v) for v in _column(table, "score")]
         assert scores and all(0.0 <= v <= 1.0 for v in scores)
     top_k, valid = run["evaluate"]
+    # a K for a scale that no field has is a bad setting too, once the
+    # fields are read (a field of no mesh is a data error first)
+    if valid and top_k and all(summary["files"][Path(f).name]["meshes"]
+                               for f in fields):
+        valid = 100 in per_scale
     _run(["evaluate", *fields, "--stations", stations[0], *top_k],
          root / "evaluate", valid,
          ["evaluate", *fields, "--stations", stations[1], *top_k])

@@ -650,7 +650,8 @@ def _points_file(draw):
     if draw(st.booleans()):         # a duplicate name: the last one wins
         names = names + [draw(st.sampled_from(names))]
     ends = st.sampled_from(["\n"] * 6 + ["\r\n"] * 3 + ["\r"])
-    text = ",".join(names) + draw(ends)
+    quote = draw(st.booleans())     # as R's write.csv writes a header
+    text = ",".join(f'"{n}"' if quote else n for n in names) + draw(ends)
     rows = 0
     for _ in range(draw(st.integers(0, 25))):
         kind = draw(st.sampled_from(["row"] * 4 + ["bad"] * 4 + [
@@ -803,6 +804,42 @@ def test_bulk_checks_match_build_point(name, cell):
     points, skipped = _reference(text)
     assert got.skipped == skipped
     assert _column_rows(got) == _point_rows(points)
+
+
+def test_quoted_points_take_the_bulk_checks():
+    """A points file as R's ``write.csv`` writes it, header and ids quoted,
+    reads as its plain copy does, and no row goes through the per-row
+    rule."""
+    rng = random.Random(3)
+    rows = [(f"u{rng.randrange(50)}", _iso(datetime.fromtimestamp(
+        1_600_000_000 + 60 * i)) if i % 2 else str(1_600_000_000 + 60 * i),
+        repr(rng.uniform(35, 36)), repr(rng.uniform(139, 140)))
+        for i in range(2000)]
+    plain = CSV_HEADER + "".join(",".join(r) + "\n" for r in rows)
+    quoted = '"user_id","timestamp","lat","lon"\n' + "".join(
+        f'"{u}",{rest}\n' for u, rest in (r.split(",", 1)
+                                         for r in plain.split("\n")[1:-1]))
+    want = parse_points(io.StringIO(plain, newline=""))
+    with mock.patch.object(ingest, "_BLOCK_CHARS", 4096), mock.patch.object(
+            ingest, "_build_point", wraps=_build_point) as rule:
+        got = parse_points(io.StringIO(quoted, newline=""))
+    assert rule.call_count == 0
+    assert len(got) == 2000 and got == want
+
+
+@pytest.mark.parametrize("text", [
+    "a\n\nb\n\r\n c\n", "a,b\n1,2\n\n3\n,\n1,2,3", '"a"\n\nb\n',
+    'a,b\n"x\ny",1\n\n2\n'], ids=["one-name", "plain", "quoted",
+                                  "line-break"])
+def test_csv_blocks_hold_each_record_once(text):
+    # a blank line is no record, whatever the header width
+    reader = csv.reader(io.StringIO(text, newline=""))
+    names = next(reader)
+    want = [(reader.line_num, cells) for cells in reader if cells]
+    header, *blocks = ingest._csv_blocks(io.StringIO(text, newline=""))
+    assert header == names
+    assert [r for b in blocks for r in b.rows(np.zeros(len(b.line), bool))
+            ] == want
 
 
 def test_overlong_field_fails_as_in_the_csv_module():

@@ -167,6 +167,39 @@ def test_bulk_readers_agree_with_per_row_readers(tmp_path_factory, table,
     assert got == _outcome(oracle, path, values)
 
 
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_a_quoted_mesh_file_takes_the_bulk_checks(tmp_path, kind):
+    """Every cell of a mesh file quoted, it reads as its plain copy does, and
+    only its first row goes through the per-row rule, which sets the
+    scale."""
+    scale, (ncols, nrows) = 100, AOI.grid_shape(100)
+    rows = [list(FIELD_HEADER) + (["score"] if kind == "combined" else [])]
+    for r in range(nrows):
+        for c in range(ncols):
+            lat, lon = mesh_centers(scale, c, r, AOI)
+            h = (c * r) % 7 / 2
+            rows.append([str(scale), str(c), str(r), repr(float(lat)),
+                         repr(float(lon))] + (
+                [str(c + r), repr(h) if h else "", repr(h / MAX_ENTROPY)
+                 if h else ""] if kind == "field" else ["", "", "", repr(h)]))
+    plain, quoted = tmp_path / "plain.csv", tmp_path / "quoted.csv"
+    plain.write_text("".join(",".join(r) + "\n" for r in rows))
+    quoted.write_text("".join(",".join(f'"{c}"' for c in r) + "\n"
+                              for r in rows))
+    read, _, values = KINDS[kind]
+    rule, lines = mio._MeshRows.__call__, []
+
+    def counted(self, rec, line):
+        lines.append(line)
+        return rule(self, rec, line)
+
+    with mock.patch.object(ingest, "_BLOCK_CHARS", 4096), mock.patch.object(
+            mio._MeshRows, "__call__", counted):
+        got = _outcome(read, quoted, values)
+    assert lines == [2]
+    assert got[0] == "read" and got == _outcome(read, plain, values)
+
+
 def test_block_boundaries_keep_line_numbers(tmp_path):
     """A refused row in the third block is named by its line in the file."""
     scale, (ncols, _) = 100, AOI.grid_shape(100)
