@@ -13,6 +13,14 @@ count but marked undefined (no entropy).
 Accumulation is a commutative monoid: chunks of the input may be
 accumulated separately and merged, and the finished field is identical
 bit for bit regardless of chunk boundaries.
+
+Each vector is counted under one int64 key per scale, its (window, mesh,
+bin). An accumulator holds its keys in whichever form is smaller: where
+more than half of the first ``_SAMPLE`` keys of its first add are
+distinct, counting would not shrink them, and it holds the raw keys (8 B
+a vector) until a merge or ``finish`` counts them all at once; otherwise
+it counts each add into (key, count) pairs. Integer counts do not depend
+on the grouping, so both forms give the same fields.
 """
 
 from __future__ import annotations
@@ -108,7 +116,8 @@ class MdeField:
 
 
 def _positive_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and value > 0
+    return (isinstance(value, numbers.Integral)
+            and not isinstance(value, bool) and value > 0)
 
 
 @dataclass(frozen=True)
@@ -135,24 +144,17 @@ class FieldSettings:
             raise ConfigError("min_samples must be an integer >= 1")
 
 
-def _movement_arrays(movements: MovementBatch, aoi: AreaOfInterest, k, sl):
-    """(x, y, theta, k) of the vectors of ``sl`` that lie inside the area,
-    where ``k`` is a column of the batch."""
-    lat, lon = movements.origin_lat[sl], movements.origin_lon[sl]
-    theta, k = movements.theta[sl], k[sl]
-    x = y = None
+def _movement_arrays(movements: MovementBatch, aoi: AreaOfInterest, sl):
+    """(inside, x, y) of the vectors of ``sl``: which lie inside the area
+    (a whole slice when all do) and the local origins of those."""
     if movements.aoi == aoi:
-        x, y = movements.x[sl], movements.y[sl]
-    sw, ne = aoi.south_west, aoi.north_east
-    inside = ((lat >= sw.lat) & (lat <= ne.lat)
-              & (lon >= sw.lon) & (lon <= ne.lon))
-    if not inside.all():
-        lat, lon, theta, k = lat[inside], lon[inside], theta[inside], k[inside]
-        if x is not None:
-            x, y = x[inside], y[inside]
-    if x is None:
-        x, y = project_arrays(lat, lon, aoi)
-    return x, y, theta, k
+        inside, x, y = movements.in_area[sl], movements.x[sl], movements.y[sl]
+    else:
+        lat, lon = movements.origin_lat[sl], movements.origin_lon[sl]
+        inside, (x, y) = aoi.contains(lat, lon), project_arrays(lat, lon, aoi)
+    if inside.all():
+        inside = slice(None)
+    return inside, x[inside], y[inside]
 
 
 def _mesh_index(x, y, scale_m: int, ncols: int) -> np.ndarray:
@@ -187,8 +189,10 @@ def _floor_div(v, s: int) -> np.ndarray:
 
 # Vectors that ``FieldAccumulator.add`` bins at a time: a block fits in cache.
 _BLOCK = 1 << 16
-# Unmerged (key, count) pairs an accumulator holds before it merges them:
-# this many, or twice as many as its last merge left, whichever is more.
+# Keys of its first add an accumulator counts to choose how it holds keys.
+_SAMPLE = 1 << 14
+# Raw keys and (key, count) pairs an accumulator holds before it merges
+# them: this many, or twice as many as its last merge left, if more.
 _MERGE_KEYS = 1 << 20
 
 
@@ -201,16 +205,21 @@ class FieldAccumulator:
     Counts are keyed by (k - base, mesh, bin), base being the first k seen.
     ``add`` may be called with arbitrary input chunks in any order;
     ``merge`` combines accumulators built over disjoint chunks. The
-    finished fields do not depend on how the input was split, and the held
-    counts grow with the (window, mesh, bin) keys seen, not with the
-    vectors.
+    finished fields do not depend on how the input was split.
+
+    The first add chooses the form held (see the module docstring): raw
+    keys in ``_raw`` or (key, count) parts in ``_keys`` and ``_counts``.
+    A merge takes the other's parts in both forms. Held entries of both
+    forms together above ``_MERGE_KEYS``, or twice the keys the last merge
+    left, are merged into one part, so memory grows with the keys seen,
+    not with the vectors.
     """
 
     def __init__(self, aoi: AreaOfInterest, scale_m: int,
                  window: str | float = "all",
                  min_samples: int = FieldSettings.min_samples):
         # refuse a bad scale, sample floor or window before any input
-        FieldSettings((int(scale_m),), window, min_samples)
+        FieldSettings((scale_m,), window, min_samples)
         self.aoi = aoi
         self.scale_m = int(scale_m)
         self.window = window
@@ -221,8 +230,10 @@ class FieldAccumulator:
         self._base, self._lo, self._hi = None, 0, 0
         self._ncols, nrows = aoi.grid_shape(self.scale_m)
         self._ncells = self._ncols * nrows
+        self._raw: list[np.ndarray] = []
         self._keys: list[np.ndarray] = []
         self._counts: list[np.ndarray] = []
+        self._holds_raw = None   # chosen by the first add of vectors in area
         self._merge_at = _MERGE_KEYS
 
     def _window_numbers(self, t: np.ndarray):
@@ -262,32 +273,40 @@ class FieldAccumulator:
         return base, lo, hi
 
     def add(self, movements: MovementBatch) -> None:
-        """Count the vectors of ``movements``, binned ``_BLOCK`` at a time.
-        A batch that is refused leaves the accumulator as it was."""
+        """Key the vectors of ``movements``, ``_BLOCK`` at a time, and hold
+        the keys. A batch that is refused leaves the accumulator as it was."""
         t = movements.t
         k, (base, lo, hi) = t, (self._base, self._lo, self._hi)
         if self._width is not None and t.size:
             k, (base, lo, hi) = self._window_numbers(t)
-        flat, bins = np.empty((2, t.size), dtype=np.int64)
-        n = 0
+        bins, keys, n = movements.bins, np.empty(t.size, dtype=np.int64), 0
         for i in range(0, t.size, _BLOCK):
-            x, y, theta, kb = _movement_arrays(movements, self.aoi, k,
-                                               slice(i, i + _BLOCK))
-            m = n + x.size
-            flat[n:m] = _mesh_index(x, y, self.scale_m, self._ncols)
+            sl = slice(i, i + _BLOCK)
+            inside, x, y = _movement_arrays(movements, self.aoi, sl)
+            key = _mesh_index(x, y, self.scale_m, self._ncols)
             if lo != hi:
-                flat[n:m] += (kb - base) * self._ncells
-            bins[n:m] = kernels.direction_bins(theta)
-            n = m
+                key += (k[sl][inside] - base) * self._ncells
+            key *= N_BINS
+            key += bins[sl][inside]
+            keys[n:n + key.size] = key
+            n += key.size
         # every check has passed: the accumulator changes from here on
         self._base, self._lo, self._hi = base, lo, hi
         self.dropped_out_of_area += t.size - n
         if n == 0:
             return
-        keys, counts = kernels.count_mesh_bins(flat[:n], bins[:n])
-        self._keys.append(keys)
-        self._counts.append(counts)
-        if sum(map(len, self._keys)) > self._merge_at:
+        keys = keys[:n]
+        if self._holds_raw is None:
+            sample = np.sort(keys[:_SAMPLE])
+            distinct = 1 + np.count_nonzero(sample[1:] != sample[:-1])
+            self._holds_raw = bool(2 * distinct > sample.size)
+        if self._holds_raw:
+            self._raw.append(keys)
+        else:
+            keys, counts = kernels.count_mesh_bins(keys)
+            self._keys.append(keys)
+            self._counts.append(counts)
+        if sum(map(len, self._raw + self._keys)) > self._merge_at:
             self._merge_at = max(_MERGE_KEYS, 2 * self._merged()[0].size)
 
     def merge(self, other: "FieldAccumulator") -> None:
@@ -296,25 +315,34 @@ class FieldAccumulator:
             raise ConfigError("cannot merge accumulators with different setups")
         if other is self:
             raise ConfigError("cannot merge an accumulator into itself")
-        keys = other._keys
+        raw, keys = other._raw, other._keys
         if other._base is not None:
             self._base, self._lo, self._hi = self._covered(other._lo,
                                                            other._hi)
             shift = (other._base - self._base) * self._ncells * N_BINS
-            keys = [part + shift for part in keys] if shift else keys
+            if shift:
+                raw, keys = ([part + shift for part in parts]
+                             for parts in (raw, keys))
+        self._raw.extend(raw)
         self._keys.extend(keys)
         self._counts.extend(other._counts)
         self.dropped_out_of_area += other.dropped_out_of_area
 
     def _merged(self):
-        """The held (key, count) pairs summed by key, keys ascending, kept
+        """The held raw keys and pairs summed by key, keys ascending, kept
         as the one part held from then on; key = ((k - base) * meshes +
         mesh) * N_BINS + bin.
 
-        Every held part comes from ``count_mesh_bins`` or an earlier
-        merge, so a single part is already summed and ascending. Parts may
-        be shared with a merged accumulator and are never changed in
-        place."""
+        The raw keys are counted at once. Every held pair part comes from
+        ``count_mesh_bins`` or an earlier merge, so a single one is summed
+        and ascending. Parts may be shared with a merged accumulator and
+        are never changed in place."""
+        if self._raw:
+            raw, self._raw = self._raw, []
+            keys, counts = kernels.count_mesh_bins(
+                raw[0] if len(raw) == 1 else np.concatenate(raw))
+            self._keys.append(keys)
+            self._counts.append(counts)
         if not self._keys:
             z = np.empty(0, dtype=np.int64)
             return z, z

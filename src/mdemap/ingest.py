@@ -13,12 +13,14 @@ import math
 from contextlib import nullcontext
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from functools import cached_property
 from itertools import chain, compress, count, repeat
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
+from . import kernels
 from .errors import ConfigError, PointParseError
 from .mesh import AreaOfInterest, project_arrays, TWO_PI
 
@@ -511,6 +513,7 @@ class MovementBatch:
     ``heading`` mode, at its one fix). ``x``/``y`` are the origins
     projected into ``aoi`` local coordinates (out-of-area origins simply
     land outside the grid and are dropped later, at accumulation).
+    ``bins`` and ``in_area`` are made on first use: change no column after.
     """
 
     aoi: AreaOfInterest
@@ -526,6 +529,16 @@ class MovementBatch:
 
     def __len__(self) -> int:
         return int(self.t.size)
+
+    @cached_property
+    def bins(self) -> np.ndarray:
+        """Each vector's direction bin (uint8), made once for all scales."""
+        return kernels.direction_bins(self.theta).astype(np.uint8)
+
+    @cached_property
+    def in_area(self) -> np.ndarray:
+        """Whether each origin lies in ``aoi``, made once for all scales."""
+        return self.aoi.contains(self.origin_lat, self.origin_lon)
 
 
 class _BackInTime(Exception):

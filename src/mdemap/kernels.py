@@ -56,32 +56,33 @@ def direction_bins(theta):
     return idx
 
 
-def count_mesh_bins(mesh_idx, bins):
-    """Count occurrences of (mesh, bin) pairs.
+def count_mesh_bins(keys):
+    """Count occurrences of (mesh, bin) keys, key = mesh * 100 + bin.
 
-    Returns (keys, counts) with key = mesh * 100 + bin, keys strictly
-    ascending. Merging chunked outputs and re-grouping reproduces the
-    unchunked result exactly. Keys that span no more values than there
-    are keys are counted densely, others by sorting.
+    Returns (keys, counts), keys strictly ascending; the input is left as
+    it was. Merging chunked outputs and re-grouping reproduces the
+    unchunked result exactly. A field build counts each add's keys here,
+    or, where they barely repeat, holds them raw and counts them all at
+    once. Keys that span no more values than there are keys are counted
+    densely, others by sorting.
     """
-    mesh_idx = np.ascontiguousarray(mesh_idx, dtype=np.int64)
-    bins = np.ascontiguousarray(bins, dtype=np.int64)
-    keys = mesh_idx * N_BINS
-    keys += bins
+    keys = np.asarray(keys, dtype=np.int64)
     if keys.size == 0:
-        return keys, keys.copy()
+        return keys.copy(), keys.copy()
     lo, hi = int(keys.min()), int(keys.max())
-    keys -= lo
     if hi - lo < keys.size:
-        counts = np.bincount(keys)
+        counts = np.bincount(keys - lo)
         seen = np.flatnonzero(counts)
         return seen + lo, counts[seen].astype(np.int64, copy=False)
-    if hi - lo < 2 ** 31:
-        keys = keys.astype(np.int32)
-    keys.sort()
-    starts = np.concatenate(([0], np.flatnonzero(np.diff(keys)) + 1))
-    counts = np.diff(np.append(starts, keys.size))
-    return keys[starts].astype(np.int64) + lo, counts.astype(np.int64)
+    off = np.empty(keys.size, np.int32 if hi - lo < 2 ** 31 else np.int64)
+    np.subtract(keys, lo, out=off, casting="unsafe")
+    off.sort()
+    first = np.empty(off.size, dtype=bool)
+    first[0] = True
+    np.not_equal(off[1:], off[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    return np.add(off[first], lo, dtype=np.int64), np.diff(starts,
+                                                           append=off.size)
 
 
 def group_counts(keys, counts):

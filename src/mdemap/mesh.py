@@ -95,6 +95,12 @@ class AreaOfInterest:
     def height_m(self) -> float:
         return (self.north_east.lat - self.south_west.lat) * METERS_PER_DEGREE
 
+    def contains(self, lat, lon) -> np.ndarray:
+        """Whether each point lies in the area, edges included."""
+        sw, ne = self.south_west, self.north_east
+        return ((lat >= sw.lat) & (lat <= ne.lat)
+                & (lon >= sw.lon) & (lon <= ne.lon))
+
     def grid_shape(self, scale_m: int) -> tuple[int, int]:
         """(ncols, nrows) of the mesh grid covering the area, closed edges included."""
         _check_scale(scale_m)

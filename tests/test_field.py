@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mdemap import (ALL_TIME, AreaOfInterest, FieldAccumulator,
+from mdemap import (ALL_TIME, AreaOfInterest, DEFAULT_AOI, FieldAccumulator,
                     InvalidAngleError, MAX_ENTROPY,
                     MeshEntry, MovementBatch, N_BINS, STANDARD_SCALES_M,
                     TimeWindow, compute_fields, ConfigError, FieldSettings,
-                    GeoPoint, MeshId)
+                    GeoPoint, MeshId, extract_movements, kernels, synth)
 from mdemap import field as field_module
 from mdemap.mesh import inverse_project, LocalCoord, METERS_PER_DEGREE
 
@@ -212,26 +212,43 @@ def test_merge_accumulators(small_aoi):
     assert a.finish() == whole.finish()
 
 
+def _parts(acc) -> list:
+    """What an accumulator holds: its raw key parts, then its (key, count)
+    parts."""
+    return [*acc._raw, *acc._keys, *acc._counts]
+
+
+def _holding(aoi, scale, raw, **kwargs) -> FieldAccumulator:
+    """An accumulator that holds raw keys or counts whatever its input."""
+    acc = FieldAccumulator(aoi, scale, **kwargs)
+    acc._holds_raw = raw
+    return acc
+
+
 def test_merged_part_is_finished_as_held_and_left_unchanged(small_aoi):
-    # a's only part arrives through merge, and stays b's part too
+    # a's only part arrives through merge, and stays b's part too, whether
+    # b holds raw keys or counts
     rng = np.random.default_rng(10)
     vecs = make_vectors(rng, 3000, small_aoi)
     whole = FieldAccumulator(small_aoi, 1000, min_samples=1)
     whole.add(vecs)
-    a = FieldAccumulator(small_aoi, 1000, min_samples=1)
-    b = FieldAccumulator(small_aoi, 1000, min_samples=1)
-    b.add(vecs)
-    held = [b._keys[0].copy(), b._counts[0].copy()]
-    a.merge(b)
-    assert len(a._keys) == 1
-    assert a.finish() == whole.finish()
     twice = FieldAccumulator(small_aoi, 1000, min_samples=1)
     twice.add(concat(vecs, vecs))
-    a.add(vecs)
-    assert a.finish() == twice.finish()
-    assert b.finish() == whole.finish()
-    assert [k.tobytes() for k in (*b._keys, *b._counts)] == \
-        [k.tobytes() for k in held]
+    for raw in (False, True):
+        a = FieldAccumulator(small_aoi, 1000, min_samples=1)
+        b = _holding(small_aoi, 1000, raw, min_samples=1)
+        b.add(vecs)
+        shared = _parts(b)
+        held = [part.copy() for part in shared]
+        assert len(b._raw if raw else b._keys) == 1
+        a.merge(b)
+        assert len(_parts(a)) == len(shared)
+        assert all(x is y for x, y in zip(_parts(a), shared))
+        assert a.finish() == whole.finish()
+        a.add(vecs)
+        assert a.finish() == twice.finish()
+        assert b.finish() == whole.finish()
+        assert [k.tobytes() for k in shared] == [k.tobytes() for k in held]
 
 
 def test_merge_refuses_the_accumulator_itself(small_aoi):
@@ -244,20 +261,75 @@ def test_merge_refuses_the_accumulator_itself(small_aoi):
 
 
 def test_accumulator_merges_what_it_holds(small_aoi):
-    # 200-vector adds against a merge threshold of 150 keys: the held
-    # pairs stay within twice the distinct keys, and the field is the same
+    # 200-vector adds against a merge threshold of 150 keys: the held raw
+    # keys and pairs stay within twice the distinct keys, and the field is
+    # the same, in either form
     rng = np.random.default_rng(9)
     vecs = make_vectors(rng, 4000, small_aoi)
     whole = FieldAccumulator(small_aoi, 1000, min_samples=1)
     whole.add(vecs)
     distinct = whole._merged()[0].size
-    with mock.patch.object(field_module, "_MERGE_KEYS", 150):
-        acc = FieldAccumulator(small_aoi, 1000, min_samples=1)
-        for lo in range(0, len(vecs), 200):
-            acc.add(take(vecs, slice(lo, lo + 200)))
-            assert sum(map(len, acc._keys)) <= max(150, 2 * distinct)
-    assert len(acc._keys) < 20
-    assert _bits(acc.finish()) == _bits(whole.finish())
+    for raw in (False, True):
+        with mock.patch.object(field_module, "_MERGE_KEYS", 150):
+            acc = _holding(small_aoi, 1000, raw, min_samples=1)
+            for lo in range(0, len(vecs), 200):
+                acc.add(take(vecs, slice(lo, lo + 200)))
+                held = sum(map(len, acc._raw + acc._keys))
+                assert held <= max(150, 2 * distinct)
+        assert len(acc._raw) + len(acc._keys) < 20
+        assert _bits(acc.finish()) == _bits(whole.finish())
+
+
+def test_sparse_keys_are_held_raw_and_clustered_ones_counted():
+    # uniform vectors over the default area barely repeat a key in the
+    # first _SAMPLE at any standard scale, so counting would not shrink
+    # them; a synthetic city's vectors gather at its hubs and corridors
+    uniform = make_vectors(np.random.default_rng(4), 20_000, DEFAULT_AOI)
+    hubs, corridors = synth.default_sites()
+    points, _ = synth.generate(synth.SynthConfig(
+        n_users=1000, hubs=hubs, corridors=corridors, seed=7))
+    city, _ = extract_movements(points, DEFAULT_AOI)
+    for scale in STANDARD_SCALES_M:
+        sparse, clustered = (FieldAccumulator(DEFAULT_AOI, scale)
+                             for _ in range(2))
+        sparse.add(uniform)
+        clustered.add(city)
+        assert sparse._holds_raw and len(sparse._raw) == 1
+        assert sparse._raw[0].size == len(uniform) and not sparse._keys
+        assert clustered._holds_raw is False and not clustered._raw
+        assert len(clustered._keys) == 1
+        assert clustered._keys[0].size < len(city) / 2
+        for acc, vecs in ((sparse, uniform), (clustered, city)):
+            want = _holding(DEFAULT_AOI, scale, not acc._holds_raw)
+            want.add(vecs)
+            assert _bits(acc.finish()) == _bits(want.finish())
+
+
+def test_each_batch_is_binned_once_for_all_scales(small_aoi):
+    rng = np.random.default_rng(14)
+    batches = [make_vectors(rng, 700, small_aoi) for _ in range(3)]
+    settings = FieldSettings(STANDARD_SCALES_M, min_samples=1)
+    with mock.patch.object(kernels, "direction_bins",
+                           wraps=kernels.direction_bins) as bins:
+        got = compute_fields(batches, small_aoi, settings)
+    assert bins.call_count == 3
+    # the same fields from accumulators that each bin copies of the batches
+    for scale, field in zip(STANDARD_SCALES_M, got):
+        acc = FieldAccumulator(small_aoi, scale, min_samples=1)
+        for batch in batches:
+            acc.add(take(batch, slice(None)))
+        assert _bits(field) == _bits(acc.finish())
+
+
+@pytest.mark.parametrize("scale", [100.5, "100", True, 0, -100, None])
+def test_accumulator_refuses_a_scale_that_is_no_positive_integer(small_aoi,
+                                                                 scale):
+    # 100.5 and "100" were cut to a 100 m field, True to a 1 m one
+    with pytest.raises(ConfigError, match="scales"):
+        FieldAccumulator(small_aoi, scale)
+    with pytest.raises(ConfigError, match="min_samples"):
+        FieldAccumulator(small_aoi, 100, min_samples=True)
+    assert FieldAccumulator(small_aoi, np.int64(100)).scale_m == 100
 
 
 def test_one_field_of_many_windows_is_refused(small_aoi):
@@ -465,6 +537,8 @@ def test_chunked_and_merged_accumulators_equal_one(case, scale, min_samples,
     # random chunks added to 1-3 accumulators, merged in a random order,
     # with a merge threshold small enough to merge mid-stream too and
     # blocks of a few vectors; the accumulators see different first windows
+    # and hold raw keys or counts, as drawn or as the rule chooses on
+    # samples of 1-40 keys
     vecs, width = case
     n = len(vecs)
     cuts = sorted(data.draw(st.lists(st.integers(0, n), max_size=6)))
@@ -472,9 +546,13 @@ def test_chunked_and_merged_accumulators_equal_one(case, scale, min_samples,
     with mock.patch.object(field_module, "_MERGE_KEYS",
                            data.draw(st.integers(1, 40))), \
             mock.patch.object(field_module, "_BLOCK",
-                              data.draw(st.integers(1, 7))):
+                              data.draw(st.integers(1, 7))), \
+            mock.patch.object(field_module, "_SAMPLE",
+                              data.draw(st.integers(1, 40))):
         accs = [FieldAccumulator(PROP_AOI, scale, width, min_samples)
                 for _ in range(k)]
+        for acc in accs:
+            acc._holds_raw = data.draw(st.sampled_from([None, False, True]))
         for lo, hi in zip([0, *cuts], [*cuts, n]):
             accs[data.draw(st.integers(0, k - 1))].add(take(vecs,
                                                             slice(lo, hi)))

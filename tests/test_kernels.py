@@ -92,8 +92,11 @@ def _mesh_bin_pairs(draw):
 @example(pairs=(np.array([0, 21474836]), np.array([0, 47])))  # 2**31 - 1
 @example(pairs=(np.array([0, 21474836]), np.array([0, 48])))  # 2**31
 def test_count_mesh_bins_matches_unique(pairs):
-    keys, counts = kernels.count_mesh_bins(*pairs)
+    given_keys = pairs[0] * N_BINS + pairs[1]
+    held = given_keys.copy()
+    keys, counts = kernels.count_mesh_bins(given_keys)
     want_keys, want_counts = count_mesh_bins_general(*pairs)
+    assert np.array_equal(given_keys, held)
     assert keys.dtype == counts.dtype == np.int64
     assert np.array_equal(keys, want_keys)
     assert np.array_equal(counts, want_counts)

@@ -17,10 +17,10 @@ BAD = {
     },
     FieldSettings: {
         "scales": [(), (100, 0), (100, -100), (100, 100), (100.5,), (NAN,),
-                   (INF,)],
+                   (INF,), (True, 1000), ("100",)],
         "window": [0, -5.0, "0", "-5", "soon", "nan", "inf", "-inf", NAN,
                    INF, -INF, True, None],
-        "min_samples": [0, -1, 2.5, NAN, INF, -INF],
+        "min_samples": [0, -1, 2.5, NAN, INF, -INF, True],
     },
     FusionSettings: {
         "mode": ["median", "MEAN"],
@@ -29,7 +29,7 @@ BAD = {
     EvaluationSettings: {
         "top_k": [((100, 0),), ((100, -5),), ((0, 5),), ((100, 5), (100, 7)),
                   ((100, 2.5),), ((100.5, 5),), ((100, NAN),),
-                  ((100, INF),)],
+                  ((100, INF),), ((100, True),), ((True, 5),)],
         "radii": [(), (0.0,), (-1.0,), (NAN, 1.0), (1.0, INF), (-INF,)],
     },
 }
