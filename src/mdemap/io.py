@@ -1,13 +1,15 @@
 """Readers and writers for the on-disk formats.
 
-Floats are written with repr (shortest round-trip form), so re-parsing
-an output CSV reproduces the in-memory values bit for bit and re-running
-a command yields byte-identical files.
+Every output goes through one text rule, one row engine and one file
+writer. ``_texts`` writes numbers with repr (shortest round-trip form),
+so re-parsing an output reproduces the in-memory values bit for bit;
+``_rows`` fills a one-row ``%s`` template for a chunk of rows at a time;
+``_write`` is the one ``open`` for writing, with line ends as given, so
+re-running a command yields byte-identical files on any platform.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from itertools import chain, repeat
@@ -19,7 +21,7 @@ from .errors import PointParseError
 from .evaluation import PrecisionCurve, RecallCurve, Station
 from .field import ALL_TIME, MAX_ENTROPY, MdeField
 from .fusion import CombinedMap
-from .ingest import (ParseResult, _Block, _columns, _csv_blocks,
+from .ingest import (ParseResult, _REQUIRED, _Block, _columns, _csv_blocks,
                      _floats_at, _lat_lon, _records)
 from .mesh import AreaOfInterest, GeoPoint, mesh_centers, mesh_corners
 
@@ -33,61 +35,65 @@ ENTROPY_SLACK = 1e-12
 _MAX_READ = MAX_ENTROPY * (1 + ENTROPY_SLACK)
 
 
-def _fmt(v: float) -> str:
-    return repr(float(v))
-
-
-# Rows (meshes or points) turned into text and written at a time.
-_CHUNK_ROWS = 1 << 14
+# Rows turned into text at a time: 2^12 keeps a chunk's texts in cache.
+_CHUNK_ROWS = 1 << 12
 # Furthest, in degrees, that a mesh center read back may lie from the
 # center the given area puts it at; files mdemap writes match exactly.
 CENTER_TOLERANCE_DEG = 1e-9
 
 
-def _chunks(n: int) -> Iterator[slice]:
-    return (slice(i, i + _CHUNK_ROWS) for i in range(0, n, _CHUNK_ROWS))
+def _texts(values: np.ndarray, nan: str = "nan", text=repr) -> np.ndarray:
+    """``text(v)`` of each integer or float value as an object array, made
+    once per value (mesh numbers and coordinates repeat); a float once per
+    float64 bit pattern, so -0.0 and 0.0 keep their own and NaN is ``nan``."""
+    floats = values.dtype.kind == "f"
+    bits = np.asarray(values, np.float64).view(np.int64) if floats else values
+    # on 64 values or fewer, sorting out repeats costs more than it saves
+    keys, inverse = (np.unique(bits, return_inverse=True) if bits.size > 64
+                     else (bits, ...))
+    keys = keys.view(np.float64) if floats else keys
+    texts = np.array(list(map(text, keys.tolist())), dtype=object)
+    texts[np.isnan(keys)] = nan
+    return texts[inverse]
 
 
-def _distinct_texts(values: np.ndarray, text=repr) -> np.ndarray:
-    """``text(v)`` of each float64 value as an object array, made once per
-    bit pattern (-0.0, 0.0 and NaN keep their own): mesh centers, edges and
-    combined scores repeat along grid lines and over coarse meshes."""
-    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    return np.array([text(v) for v in bits.view(np.float64).tolist()],
-                    dtype=object)[inverse]
+def _rows(line: str, columns: Sequence[np.ndarray]) -> Iterator[str]:
+    """``line`` (one ``%s`` per column) filled for each row, ``_CHUNK_ROWS``
+    rows at a time; ``_texts`` writes all but object columns, once each."""
+    frame = line.replace("%s", "\0%s\0").split("\0")  # texts at the "%s"
+    for i in range(0, len(columns[0]), _CHUNK_ROWS):
+        texts = {id(c): c[i:i + _CHUNK_ROWS] for c in columns}
+        texts = {k: (c if c.dtype == object else _texts(c)).tolist()
+                 for k, c in texts.items()}
+        m = len(texts[id(columns[0])])
+        pieces = frame * m
+        for j, column in enumerate(columns):
+            pieces[2 * j + 1::len(frame)] = texts[id(column)]
+        yield "".join(pieces)
 
 
-def _write_mesh_rows(path, header, aoi: AreaOfInterest, scale_m, col, row,
-                     tails) -> None:
-    """One row per mesh, ``scale_m,col,row,center_lat,center_lon,<tail>``.
-
-    ``tails(sl)`` gives the tail texts of the meshes in slice ``sl``.
-    Rows keep the order given and end in ``\\r\\n``, as the csv module's
-    default dialect writes them; no field needs quoting.
-    """
-    lat, lon = map(_distinct_texts, mesh_centers(scale_m, col, row, aoi))
+def _write(path, chunks: Iterable[str], header: tuple = (),
+           end: str = "\r\n") -> None:
+    """The one ``open`` for writing: UTF-8, a ``header`` line if given."""
     with open(path, "w", encoding="utf-8", newline="") as f:
-        f.write(",".join(header) + "\r\n")
-        for sl in _chunks(col.size):
-            f.write("".join([
-                f"{scale_m},{c},{r},{la},{lo},{t}\r\n"
-                for c, r, la, lo, t in zip(col[sl].tolist(), row[sl].tolist(),
-                                           lat[sl].tolist(), lon[sl].tolist(),
-                                           tails(sl))]))
+        f.write(",".join(header) + end if header else "")
+        f.writelines(chunks)
 
 
-def _texts(values: np.ndarray, undefined: str) -> list[str]:
-    """``repr`` of every value, ``undefined`` for NaN."""
-    return [undefined if math.isnan(v) else repr(v) for v in values.tolist()]
+def _write_mesh_rows(path, header: tuple, aoi: AreaOfInterest, scale_m, col,
+                     row, tail: str, tails: Sequence, end="\r\n") -> None:
+    """Per mesh: ``scale_m,col,row,center_lat,center_lon``, then ``tail``."""
+    _write(path, _rows(f"{scale_m},%s,%s,%s,%s{tail}{end}",
+                       [col, row, *mesh_centers(scale_m, col, row, aoi),
+                        *tails]), header, end)
 
 
 def write_field_csv(field: MdeField, path) -> None:
     """Rows in the field's (row, col) order; undefined meshes leave entropy empty."""
-    n, h = field.count, field.entropy
+    h = field.entropy
     _write_mesh_rows(path, FIELD_HEADER, field.aoi, field.scale_m, field.col,
-                     field.row, lambda sl: map(
-                         "{},{},{}".format, n[sl].tolist(), _texts(h[sl], ""),
-                         _texts(h[sl] / MAX_ENTROPY, "")))
+                     field.row, ",%s,%s,%s", [field.count, _texts(h, ""),
+                                              _texts(h / MAX_ENTROPY, "")])
 
 
 def _field_values(n: str, h: str) -> tuple[int, float]:
@@ -186,7 +192,7 @@ class _MeshRows:
             # the center texts mdemap writes
             for want, got in zip(mesh_centers(scale, c, r, self.aoi),
                                  text[3:5]):
-                ok &= _distinct_texts(want) == np.array(got, dtype=object)
+                ok &= _texts(want) == np.array(got, dtype=object)
             part = [v[ok] for v in (block.line, c, r,
                                     *self.bulk(ok, *text[5:]))]
         except (ValueError, OverflowError):
@@ -227,10 +233,9 @@ def read_field_csv(path, aoi: AreaOfInterest) -> MdeField:
 
 def write_combined_csv(cmap: CombinedMap, path) -> None:
     """Field schema plus a score column; count/entropy stay empty."""
-    tails = _distinct_texts(cmap.scores, ",,,{!r}".format)
     _write_mesh_rows(path, FIELD_HEADER + ("score",), cmap.aoi,
-                     cmap.base_scale_m, cmap.col, cmap.row,
-                     lambda sl: tails[sl].tolist())
+                     cmap.base_scale_m, cmap.col, cmap.row, ",,,,%s",
+                     [cmap.scores])
 
 
 def read_combined_csv(path, aoi: AreaOfInterest) -> CombinedMap:
@@ -241,25 +246,18 @@ def read_combined_csv(path, aoi: AreaOfInterest) -> CombinedMap:
 
 def write_peaks_csv(cmap: CombinedMap, peaks: np.ndarray, path) -> None:
     """The meshes ``peaks`` indexes, in its order; rows end in ``\\n``."""
-    base, col, row = cmap.base_scale_m, cmap.col[peaks], cmap.row[peaks]
-    lat, lon = mesh_centers(base, col, row, cmap.aoi)
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        f.write("scale_m,col,row,center_lat,center_lon,score\n")
-        f.writelines(f"{base},{c},{r},{la!r},{lo!r},{v!r}\n"
-                     for c, r, la, lo, v in zip(
-                         col.tolist(), row.tolist(), lat.tolist(),
-                         lon.tolist(), cmap.scores[peaks].tolist()))
-
-
-def _write_csv(path, header: tuple, rows: list) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        csv.writer(f).writerows([header, *rows])
+    _write_mesh_rows(path, FIELD_HEADER[:5] + ("score",), cmap.aoi,
+                     cmap.base_scale_m, cmap.col[peaks], cmap.row[peaks],
+                     ",%s", [cmap.scores[peaks]], "\n")
 
 
 def write_stations_csv(stations: Sequence[Station], path) -> None:
-    _write_csv(path, STATION_HEADER, [(s.name, _fmt(s.pos.lat),
-                                       _fmt(s.pos.lon), s.rank)
-                                      for s in stations])
+    """Station names quoted as ``csv.writer`` quotes them."""
+    _write(path, _rows("%s,%s,%s,%s\r\n", [
+        np.fromiter((_csv_text(s.name) for s in stations), object),
+        np.array([s.pos.lat for s in stations], np.float64),
+        np.array([s.pos.lon for s in stations], np.float64),
+        np.array([s.rank for s in stations], np.int64)]), STATION_HEADER)
 
 
 def read_stations_csv(path) -> list[Station]:
@@ -295,16 +293,18 @@ def read_stations_csv(path) -> list[Station]:
 
 def write_recall_csv(curve: RecallCurve, path) -> None:
     """x = radius in km, value = stations within x of a top-K center."""
-    _write_csv(path, CURVE_HEADER, [(_fmt(r), c) for r, c in zip(
-        curve.radii_km, curve.counts)])
+    _write(path, _rows("%s,%s\r\n", [
+        np.array(curve.radii_km, np.float64),
+        np.array(curve.counts, np.int64)]), CURVE_HEADER)
 
 
 def write_precision_csv(curves: Sequence[PrecisionCurve], threshold_m: float,
                         path) -> None:
     """x = top-mesh count, value = percent within one threshold."""
-    _write_csv(path, CURVE_HEADER, [
-        (cur.x, _fmt(cur.percentages[cur.thresholds_m.index(threshold_m)]))
-        for cur in curves])
+    value = [c.percentages[c.thresholds_m.index(threshold_m)] for c in curves]
+    _write(path, _rows("%s,%s\r\n", [
+        np.array([c.x for c in curves], np.int64),
+        np.array(value, np.float64)]), CURVE_HEADER)
 
 
 def _csv_text(cell: str) -> str:
@@ -331,81 +331,66 @@ def write_points_csv(blocks: Iterable[ParseResult], path) -> None:
     blocks = iter(blocks)
     first = next(blocks, _columns([]))
     extras = _has_extras(first)
-    names = ("user_id", "timestamp", "lat", "lon", "heading", "speed")
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        f.write(",".join(names[:6 if extras else 4]) + "\r\n")
-        for block in chain([first], blocks):
-            if _has_extras(block) > extras:
-                raise ValueError("a block after the first has heading or "
-                                 "speed values, and the first has none")
-            _write_point_rows(f, block, extras)
+    header = _REQUIRED + (("heading", "speed") if extras else ())
+    _write(path, _point_rows(chain([first], blocks), extras), header)
 
 
-def _write_point_rows(f, points: ParseResult, extras: bool) -> None:
-    for sl in _chunks(len(points)):
-        ids = points.user_id[sl].tolist()
-        text = {u: _csv_text(u) for u in set(ids)}
-        tails = (map(",{},{}".format, _texts(points.heading[sl], ""),
-                     _texts(points.speed[sl], ""))
-                 if extras else repeat(""))
-        f.write("".join([
-            f"{u},{t},{la!r},{lo!r}{x}\r\n" for u, t, la, lo, x in zip(
-                map(text.__getitem__, ids),
-                _distinct_texts(points.t[sl], lambda t: str(int(t)) if
-                                t.is_integer() else repr(t)).tolist(),
-                points.lat[sl].tolist(), points.lon[sl].tolist(), tails)]))
+def _point_rows(blocks: Iterable[ParseResult], extras: bool) -> Iterator[str]:
+    """The rows of each block, their texts made a chunk at a time."""
+    line = "%s,%s,%s,%s,%s,%s\r\n" if extras else "%s,%s,%s,%s\r\n"
+    for block in blocks:
+        if _has_extras(block) > extras:
+            raise ValueError("a block after the first has heading or "
+                             "speed values, and the first has none")
+        for i in range(0, len(block), _CHUNK_ROWS):
+            part = block.take(slice(i, i + _CHUNK_ROWS), 0)
+            ids = part.user_id.tolist()
+            text = {u: _csv_text(u) for u in set(ids)}
+            columns = [np.fromiter(map(text.__getitem__, ids), object),
+                       _texts(part.t, text=lambda t: str(int(t)) if
+                              t.is_integer() else repr(t)),
+                       part.lat, part.lon]
+            if extras:
+                columns += [_texts(part.heading, ""), _texts(part.speed, "")]
+            yield from _rows(line, columns)
 
 
 def _geojson(table, scale_m: int, **values) -> Iterator[str]:
     """A polygon per mesh of ``table``, as compact ``json.dumps`` with sorted
-    keys writes it, in chunks of text; ``values[name](sl)`` gives the JSON
-    text of property ``name`` for the meshes in slice ``sl``."""
-    col, row = table.col, table.row
-    values.update(col=lambda sl: col[sl].tolist(),
-                  row=lambda sl: row[sl].tolist(),
-                  scale_m=lambda sl: repeat(scale_m))
+    keys writes it, in chunks of text; ``values[name]`` holds property
+    ``name`` of each mesh, as numbers or as JSON texts."""
+    values.update(col=table.col, row=table.row,
+                  scale_m=np.broadcast_to(scale_m, table.col.shape))
     keys = sorted(values)
-    template = ",".join(f'"{k}":{{}}' for k in keys).format
-    south, north, west, east = map(_distinct_texts,
-                                   mesh_corners(scale_m, col, row, table.aoi))
-    yield '{"features":['
-    for sl in _chunks(col.size):
-        props = map(template, *(values[k](sl) for k in keys))
-        yield ("," if sl.start else "") + ",".join([
-            f'{{"geometry":{{"coordinates":[[[{w},{s}],[{e},{s}],[{e},{n}],'
-            f'[{w},{n}],[{w},{s}]]],"type":"Polygon"}},"properties":{{{p}}},'
-            f'"type":"Feature"}}'
-            for s, n, w, e, p in zip(south[sl].tolist(), north[sl].tolist(),
-                                     west[sl].tolist(), east[sl].tolist(),
-                                     props)])
+    s, n, w, e = mesh_corners(scale_m, table.col, table.row, table.aoi)
+    features = _rows(
+        ',{"geometry":{"coordinates":[[[%s,%s],[%s,%s],[%s,%s],[%s,%s],'
+        '[%s,%s]]],"type":"Polygon"},"properties":{'
+        + ",".join(f'"{k}":%s' for k in keys) + '},"type":"Feature"}',
+        [w, s, e, s, e, n, w, n, w, s, *map(values.get, keys)])
+    yield '{"features":[' + next(features, ",")[1:]
+    yield from features
     yield '],"type":"FeatureCollection"}'
 
 
 def field_geojson(field: MdeField) -> Iterator[str]:
     """GeoJSON text of a field in chunks; undefined entropies are ``null``."""
-    return _geojson(
-        field, field.scale_m, count=lambda sl: field.count[sl].tolist(),
-        entropy_nats=lambda sl: _texts(field.entropy[sl], "null"),
-        entropy_norm=lambda sl: _texts(field.entropy[sl] / MAX_ENTROPY,
-                                       "null"))
+    h = field.entropy
+    return _geojson(field, field.scale_m, count=field.count,
+                    entropy_nats=_texts(h, "null"),
+                    entropy_norm=_texts(h / MAX_ENTROPY, "null"))
 
 
 def combined_geojson(cmap: CombinedMap) -> Iterator[str]:
     """GeoJSON text of a combined map in chunks."""
-    score = _distinct_texts(cmap.scores,
-                            lambda v: "null" if math.isnan(v) else repr(v))
-    return _geojson(cmap, cmap.base_scale_m,
-                    score=lambda sl: score[sl].tolist())
+    return _geojson(cmap, cmap.base_scale_m, score=_texts(cmap.scores, "null"))
 
 
 def write_geojson(chunks: Iterable[str], path) -> None:
     """Write GeoJSON text given in chunks, ending in a line end."""
-    with open(path, "w", encoding="utf-8") as f:
-        f.writelines(chunks)
-        f.write("\n")
+    _write(path, chain(chunks, ["\n"]))
 
 
 def write_summary(summary: dict, path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(summary, f, sort_keys=True, indent=2, allow_nan=False)
-        f.write("\n")
+    _write(path, [json.dumps(summary, sort_keys=True, indent=2,
+                             allow_nan=False), "\n"])

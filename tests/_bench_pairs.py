@@ -5,9 +5,10 @@ Runs the benchmark of each tree as it stands, ``perfbench/run.py
 tree, the first of each pair alternating between them. For each workload
 and end-to-end metric it prints both sides' median and quartiles, and
 how many pairs each side won (ties count for neither). With ``--out`` it
-also writes every sample, with each tree's provenance line, into a JSON
-file under the key "<workload> seed <seed>", keeping the other keys of
-a file already there:
+also appends every sample, with each tree's provenance line, to a JSON
+file under the key "<workload> seed <seed>: <base> -> <changed>", where
+<base> and <changed> begin each tree's ``src_sha256``. Sets already in
+the file stay; a set of the same trees again takes the next " #<n>":
 
     python tests/_bench_pairs.py BASE_TREE CHANGED_TREE \\
         --workloads fields --pairs 10 --seed 2 --seconds 10 --out pairs.json
@@ -89,7 +90,11 @@ def main() -> int:
         metrics = {name: summary([r[name] for r in runs["base"]],
                                  [r[name] for r in runs["changed"]])
                    for name in runs["base"][0]}
-        report[f"{workload} seed {prov['base']['seed']}"] = {
+        key = (f"{workload} seed {prov['base']['seed']}: "
+               f"{prov['base']['src_sha256'][:12]} -> "
+               f"{prov['changed']['src_sha256'][:12]}")
+        again = sum(k == key or k.startswith(key + " #") for k in report)
+        report[key + (f" #{again + 1}" if again else "")] = {
             "seconds": args.seconds, "provenance": prov, "metrics": metrics}
         for name, s in metrics.items():
             b, c = s["base"], s["changed"]

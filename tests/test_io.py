@@ -19,7 +19,8 @@ from mdemap import (ALL_TIME, AreaOfInterest, DEFAULT_AOI, GeoPoint,
                     normalize, parse_points)
 from mdemap.cli import main
 from mdemap import io as mio
-from mdemap.io import ENTROPY_SLACK, FIELD_HEADER, STATION_HEADER
+from mdemap.io import (CURVE_HEADER, ENTROPY_SLACK, FIELD_HEADER,
+                       STATION_HEADER)
 from mdemap.io import (combined_geojson, field_geojson, read_combined_csv,
                        read_field_csv, read_stations_csv, write_combined_csv,
                        write_field_csv, write_geojson, write_points_csv,
@@ -393,6 +394,73 @@ def test_points_csv_matches_reference_bytes(tmp_path_factory, rows):
     _same_bytes(tmp_path_factory.mktemp("points"),
                 lambda pts, path: write_points_csv([pts], path),
                 _reference_points_csv, points_of(rows))
+
+
+def _csv_writer_file(header, rows, path):
+    """The rows as the csv module's default writer writes them."""
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        csv.writer(f).writerows([header, *rows])
+
+
+_names = st.text(max_size=8) | st.sampled_from(
+    ["", " ", " lead", "trail ", "a,b", 'say "hi"', "two\nlines", "cr\r",
+     "\r\n", ",", '"', "東京駅", "Zürich"])
+_reals = st.floats() | st.sampled_from([-0.0, 5e-324, -5e-324, 1e300])
+
+
+@settings(max_examples=100)
+@given(rows=st.lists(st.tuples(_names, _reals, _reals,
+                               st.integers(1, 10**6)), max_size=20))
+@example(rows=[])
+@example(rows=[("", -0.0, 5e-324, 1), ('a,"b"\r\n', 1e300, -1e300, 2),
+               (" ", math.nan, math.inf, 3), ("東京", 35.5, 139.7, 4)])
+def test_stations_csv_matches_csv_writer_bytes(tmp_path_factory, rows):
+    _same_bytes(tmp_path_factory.mktemp("stations"), write_stations_csv,
+                lambda stations, path: _csv_writer_file(STATION_HEADER, [
+                    (s.name, repr(s.pos.lat), repr(s.pos.lon), s.rank)
+                    for s in stations], path),
+                [Station(n, GeoPoint(la, lo), r) for n, la, lo, r in rows])
+
+
+@settings(max_examples=100)
+@given(rows=st.lists(st.tuples(_reals, st.integers(0, 10**6)), max_size=20))
+@example(rows=[])
+@example(rows=[(-0.0, 0), (5e-324, 1), (1e300, 2), (0.5, 3)])
+def test_recall_csv_matches_csv_writer_bytes(tmp_path_factory, rows):
+    radii, counts = zip(*rows) if rows else ((), ())
+    _same_bytes(tmp_path_factory.mktemp("recall"), write_recall_csv,
+                lambda curve, path: _csv_writer_file(CURVE_HEADER, [
+                    (repr(r), c) for r, c in zip(curve.radii_km,
+                                                 curve.counts)], path),
+                RecallCurve(100, radii, counts))
+
+
+@st.composite
+def _precision_tables(draw):
+    """(thresholds, one percentage per threshold for each curve, the
+    threshold written)."""
+    thresholds = draw(st.lists(st.floats(allow_nan=False), min_size=1,
+                               max_size=4, unique=True))
+    n = len(thresholds)
+    return (thresholds, draw(st.lists(st.lists(_reals, min_size=n,
+                                               max_size=n), max_size=15)),
+            draw(st.sampled_from(thresholds)))
+
+
+@settings(max_examples=100)
+@given(table=_precision_tables())
+@example(table=([100.0, 300.0], [[20.0, -0.0], [5e-324, 1e300], [60.0, 0.5]],
+                300.0))
+def test_precision_csv_matches_csv_writer_bytes(tmp_path_factory, table):
+    thresholds, pct, threshold = table
+    curves = [PrecisionCurve(100, 10 * (i + 1), tuple(thresholds), tuple(p))
+              for i, p in enumerate(pct)]
+    _same_bytes(tmp_path_factory.mktemp("precision"),
+                lambda cs, path: write_precision_csv(cs, threshold, path),
+                lambda cs, path: _csv_writer_file(CURVE_HEADER, [
+                    (c.x, repr(c.percentages[c.thresholds_m.index(
+                        threshold)])) for c in cs], path),
+                curves)
 
 
 def _same_geojson(tmp, build, reference, table):

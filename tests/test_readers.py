@@ -218,16 +218,34 @@ def test_block_boundaries_keep_line_numbers(tmp_path):
 _floats = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
 
 
+# A NaN with the sign bit and a payload: NaNs of any bit pattern take one text.
+_PAYLOAD_NAN = float(np.array([0xFFF8000000000123], np.uint64)
+                     .view(np.float64)[0])
+
+
+def _time_text(t: float) -> str:
+    """The points writer's timestamp text: integral times as ints."""
+    return str(int(t)) if t.is_integer() else repr(t)
+
+
 @settings(max_examples=300)
 @given(values=st.lists(_floats | st.sampled_from(
-    [0.0, -0.0, math.nan, -math.nan, 5e-324, -5e-324, 2.2250738585072e-308]),
-    max_size=60), repeat=st.integers(1, 4))
-@example(values=[0.0, -0.0, math.nan, 5e-324, 0.0, -0.0], repeat=3)
-def test_distinct_texts_equal_per_value_repr(values, repeat):
+    [0.0, -0.0, math.nan, -math.nan, _PAYLOAD_NAN, 5e-324, -5e-324,
+     2.2250738585072e-308, 1e300, 2.0**53 + 2.0, 0.5]), max_size=60),
+       repeat=st.integers(1, 4), nan=st.sampled_from(["nan", "", "null"]))
+@example(values=[0.0, -0.0, math.nan, 5e-324, 0.0, -0.0], repeat=3, nan="")
+@example(values=[1e300, -0.0, 2.0**53 + 2.0, 0.5, _PAYLOAD_NAN, -math.nan],
+         repeat=2, nan="null")
+def test_texts_equal_per_value_rule(values, repeat, nan):
+    """One text per bit pattern equals the rule applied to each value: repr
+    by default, the NaN text given, and the points writer's time text; for
+    float32 values too, whose -0.0 keeps its sign."""
     v = np.array(values * repeat, dtype=np.float64)
-    got = mio._distinct_texts(v)
+    got = mio._texts(v)
     assert got.dtype == object and got.tolist() == [repr(x) for x in v.tolist()]
-    texts = mio._distinct_texts(v, lambda x: "null" if math.isnan(x) else
-                                repr(x))
-    assert texts.tolist() == ["null" if math.isnan(x) else repr(x)
-                              for x in v.tolist()]
+    with np.errstate(over="ignore"):        # 1e300 is inf in float32
+        v32 = v.astype(np.float32)
+    for text in (repr, _time_text):
+        for w in (v, v32):
+            assert mio._texts(w, nan, text).tolist() == [
+                nan if math.isnan(x) else text(x) for x in w.tolist()]
