@@ -49,7 +49,6 @@ class CombinedMap:
     col: np.ndarray
     row: np.ndarray
     scores: np.ndarray
-    contributing_scales: tuple[int, ...]
 
 
 def normalize(field: MdeField) -> CombinedMap:
@@ -65,7 +64,7 @@ def normalize(field: MdeField) -> CombinedMap:
     else:
         scaled = np.full(ent.size, 0.5)
     return CombinedMap(field.scale_m, field.aoi, field.col[defined],
-                       field.row[defined], scaled, (field.scale_m,))
+                       field.row[defined], scaled)
 
 
 def _expand_to_base(layer: CombinedMap, base_scale_m: int,
@@ -117,8 +116,7 @@ def combine(layers: list[CombinedMap], base_scale_m: int,
         lens = np.diff(np.append(starts, keys.size))
         agg = np.add.reduceat(vals, starts) / lens
     return CombinedMap(base_scale_m, aoi, uniq & _COL_MASK,
-                       uniq >> _ROW_SHIFT, agg,
-                       tuple(l.base_scale_m for l in layers))
+                       uniq >> _ROW_SHIFT, agg)
 
 
 def find_local_peaks(heat: CombinedMap,

@@ -168,8 +168,8 @@ def parse_points(source,
     """Parse a points file (CSV or NDJSON) into point columns.
 
     Malformed rows are skipped and counted; with ``strict`` the first one
-    raises instead, carrying its line number. A header missing required
-    columns is structural and always raises. The columns are those of
+    raises instead, carrying its line number. A header missing a required
+    column is structural and always raises. The columns are those of
     :func:`point_blocks`, concatenated.
     """
     return _concat(list(point_blocks(source, settings)))
@@ -197,11 +197,7 @@ def _parse_csv(stream, strict: bool) -> Iterator[ParseResult]:
     blocks = _csv_blocks(stream)
     if (names := next(blocks, None)) is None:
         return
-    if missing := [c for c in _REQUIRED if c not in names]:
-        raise PointParseError(
-            f"header missing columns {', '.join(missing)}", line_no=1)
-
-    record = _records(names)
+    record = _records(_header(names, _REQUIRED, "points"))
     for block in blocks:
         part, keep = _parse_block(block, names)
         rest, lines = _build_rows(block.rows(keep), record, strict)
@@ -211,6 +207,15 @@ def _parse_csv(stream, strict: bool) -> Iterator[ParseResult]:
         part.skipped = rest.skipped
         del block               # frees its cells before the caller takes part
         yield part
+
+
+def _header(names: list[str], required, what: str) -> list[str]:
+    """``names``, refusing at line 1 the first ``required`` name they lack."""
+    for name in required:
+        if name not in names:
+            raise PointParseError(f"{what} file has no {name} column",
+                                  line_no=1)
+    return names
 
 
 def _records(names: list[str]):
@@ -238,26 +243,25 @@ class _Block(NamedTuple):
 
 
 def _csv_blocks(stream) -> Iterator:
-    """The header cells of a CSV text, then a ``_Block`` per block of about
-    ``_BLOCK_CHARS`` characters; an empty text yields nothing. Plain blocks
+    """The header cells of a CSV text, read from the stream as one csv
+    record, then a ``_Block`` per block of about ``_BLOCK_CHARS`` characters
+    of the lines after it; an empty text yields nothing. Plain blocks
     (``_plain``) are split at commas in bulk; from the first that is not,
-    ``csv.reader`` reads the rest. A csv module error (a cell over its size
-    limit) raises PointParseError at its line."""
-    line_no, lines = 0, stream.readlines(_BLOCK_CHARS)
-    while lines and _plain(lines):
-        if not line_no:
-            yield (names := next(csv.reader(lines[:1])))
-            line_no, lines = 1, lines[1:]
-        yield _plain_block(lines, len(names), line_no)
-        line_no += len(lines)
-        lines = stream.readlines(_BLOCK_CHARS)
-    if not lines:
-        return
-    reader = csv.reader(chain(lines, stream))
+    ``csv.reader`` reads the rest. So a quoted header leaves plain rows to
+    the bulk split, while one quoted cell in the rows hands the rest of the
+    text to ``csv.reader``. A csv module error (a cell over its size limit)
+    raises PointParseError at its line."""
+    line_no, reader = 0, csv.reader(stream)
     try:
-        if not line_no:
-            yield (names := next(reader, []))
-        records, chars = [], 0
+        if (names := next(reader, None)) is None:
+            return
+        yield names
+        line_no, lines = reader.line_num, stream.readlines(_BLOCK_CHARS)
+        while lines and _plain(lines):
+            yield _plain_block(lines, len(names), line_no)
+            line_no += len(lines)
+            lines = stream.readlines(_BLOCK_CHARS)
+        reader, records, chars = csv.reader(chain(lines, stream)), [], 0
         for cells in reader:
             if cells:
                 records.append((line_no + reader.line_num, cells))
@@ -265,10 +269,11 @@ def _csv_blocks(stream) -> Iterator:
                 if chars >= _BLOCK_CHARS:
                     yield _record_block(records, len(names))
                     records, chars = [], 0
+        if records:
+            yield _record_block(records, len(names))
     except csv.Error as exc:
         raise PointParseError(str(exc),
                               line_no=line_no + reader.line_num) from exc
-    yield _record_block(records, len(names))
 
 
 def _plain(lines: list[str]) -> bool:
@@ -607,9 +612,9 @@ def extract_movements(points: ParseResult, aoi: AreaOfInterest,
     codes = np.concatenate([carried, codes])
     t, lat, lon = (np.concatenate([fix, col]) for fix, col in zip(
         carry.fixes[carried].T, (points.t, points.lat, points.lon)))
-    # stable (user, t) order: ties keep input order, so dedup keeps the
-    # first, and a carried fix goes before the rows of its time
-    order = np.lexsort((np.arange(codes.size), t, codes))
+    # (user, t) order; lexsort is stable, so ties keep input order: dedup
+    # keeps the first, and a carried fix goes before the rows of its time
+    order = np.lexsort((t, codes))
     codes, t = codes[order], t[order]
     dup = np.zeros(t.size, dtype=bool)
     dup[1:] = (codes[1:] == codes[:-1]) & (t[1:] == t[:-1])

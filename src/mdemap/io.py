@@ -22,7 +22,7 @@ from .evaluation import PrecisionCurve, RecallCurve, Station
 from .field import ALL_TIME, MAX_ENTROPY, MdeField
 from .fusion import CombinedMap
 from .ingest import (ParseResult, _REQUIRED, _Block, _columns, _csv_blocks,
-                     _floats_at, _lat_lon, _records)
+                     _floats_at, _header, _lat_lon, _records)
 from .mesh import AreaOfInterest, GeoPoint, mesh_centers, mesh_corners
 
 FIELD_HEADER = ("scale_m", "col", "row", "center_lat", "center_lon",
@@ -139,11 +139,8 @@ class _MeshRows:
 
     def __init__(self, header: list, aoi: AreaOfInterest, kind: str):
         columns, self.values, self.bulk = _KINDS[kind]
-        for name in FIELD_HEADER[:5] + columns:
-            if name not in header:
-                raise PointParseError(f"{kind} file has no {name} column",
-                                      line_no=1)
-        self.pos = [header.index(c) for c in FIELD_HEADER[:5] + columns]
+        names = FIELD_HEADER[:5] + columns
+        self.pos = list(map(_header(header, names, kind).index, names))
         self.k, self.aoi, self.kind, self.scale = len(header), aoi, kind, None
 
     def __call__(self, rec: list, line: int) -> tuple:
@@ -241,7 +238,7 @@ def write_combined_csv(cmap: CombinedMap, path) -> None:
 def read_combined_csv(path, aoi: AreaOfInterest) -> CombinedMap:
     """Rebuild a combined map; contributing scales live in the summary."""
     scale, columns = _read_mesh_csv(path, aoi, "combined")
-    return CombinedMap(scale, aoi, *columns, ())
+    return CombinedMap(scale, aoi, *columns)
 
 
 def write_peaks_csv(cmap: CombinedMap, peaks: np.ndarray, path) -> None:
@@ -265,12 +262,8 @@ def read_stations_csv(path) -> list[Station]:
     stations, first = [], {}        # first[rank]: the line that holds it
     with open(path, "r", encoding="utf-8-sig", newline="") as f:
         blocks = _csv_blocks(f)
-        header = next(blocks, [])
-        for name in STATION_HEADER:
-            if name not in header:
-                raise PointParseError(f"stations file has no {name} column",
-                                      line_no=1)
-        record = _records(header)
+        record = _records(_header(next(blocks, []), STATION_HEADER,
+                                  "stations"))
         for block in blocks:
             for line, cells in block.rows(np.zeros(len(block.line), bool)):
                 rec = record(cells)

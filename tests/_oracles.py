@@ -338,4 +338,4 @@ def read_combined_csv(path, aoi: AreaOfInterest) -> CombinedMap:
         row.append(r)
         scores.append(v)
     return CombinedMap(scale, aoi, *_grid_order(
-        lines, col, row, np.array(scores, dtype=np.float64)), ())
+        lines, col, row, np.array(scores, dtype=np.float64)))

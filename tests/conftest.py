@@ -118,7 +118,7 @@ def map_of(scale_m, aoi, scores) -> CombinedMap:
     return CombinedMap(
         scale_m, aoi, np.array([c for c, _ in cells], dtype=np.int64),
         np.array([r for _, r in cells], dtype=np.int64),
-        np.array([scores[cr] for cr in cells], dtype=np.float64), (scale_m,))
+        np.array([scores[cr] for cr in cells], dtype=np.float64))
 
 
 def scores_of(cmap: CombinedMap) -> dict[MeshId, float]:

@@ -22,7 +22,6 @@ def test_normalize_spreads_to_unit_interval(small_aoi):
     f = _field(small_aoi, 100, {(0, 0): 2.0, (1, 0): 3.0, (2, 0): 4.0})
     layer = normalize(f)
     assert layer.base_scale_m == 100
-    assert layer.contributing_scales == (100,)
     got = {m.col: v for m, v in scores_of(layer).items()}
     assert got == {0: 0.0, 1: 0.5, 2: 1.0}
 
@@ -69,7 +68,6 @@ def test_combine_single_layer_identity(small_aoi):
                    {MeshId(100, 3, 4): 0.25, MeshId(100, 5, 6): 1.0})
     combined = combine([layer], 100)
     assert combined.base_scale_m == 100
-    assert combined.contributing_scales == (100,)
     for name in ("col", "row", "scores"):
         got, want = getattr(combined, name), getattr(layer, name)
         assert got.dtype == want.dtype and np.array_equal(got, want)
@@ -262,7 +260,7 @@ def test_peaks_index_the_map_in_any_row_order(small_aoi):
     assert len(want) > 1
     flip = np.arange(cmap.scores.size)[::-1]
     shuffled = CombinedMap(100, small_aoi, cmap.col[flip], cmap.row[flip],
-                           cmap.scores[flip], (100,))
+                           cmap.scores[flip])
     assert _peaks(shuffled, percentile_floor=0.0) == want
 
 

@@ -161,9 +161,13 @@ def test_parse_strict_reports_line():
 
 
 def test_parse_missing_header_column_raises():
-    with pytest.raises(PointParseError) as err:
-        parse_points(io.StringIO("user_id,timestamp,lat\na,0,35.5\n"))
-    assert err.value.line_no == 1
+    # the first required name the header lacks is named, at line 1
+    for text, name in [("user_id,timestamp,lat\na,0,35.5\n", "lon"),
+                       ('"user_id","timestamp"\na,0\n', "lat")]:
+        with pytest.raises(PointParseError) as err:
+            parse_points(io.StringIO(text))
+        assert err.value.line_no == 1
+        assert str(err.value) == f"line 1: points file has no {name} column"
 
 
 def test_parse_invalid_heading_rejected():
@@ -680,6 +684,11 @@ def _points_file(draw):
 
 @settings(max_examples=200)
 @given(case=_points_file(), block=st.integers(1, 80))
+# a header cell holding a line break, a header alone, a blank line first
+@example(case=('user_id,timestamp,lat,lon,"a\r\nb"\r\nu,1,2,3,x\r\n'
+               'v,nan,2,3\n', 2), block=7)
+@example(case=('"user_id","timestamp","lat","lon"', 0), block=1)
+@example(case=("user_id,timestamp,lat,lon\n\nu,1,2,3\n\n", 1), block=3)
 def test_parse_equals_row_reference(case, block):
     text, rows = case
     with mock.patch.object(ingest, "_BLOCK_CHARS", block):
@@ -827,10 +836,24 @@ def test_quoted_points_take_the_bulk_checks():
     assert len(got) == 2000 and got == want
 
 
+def test_a_quoted_header_leaves_plain_rows_to_the_plain_splitter():
+    """A header quoted as R's ``write.csv`` quotes it, over plain rows,
+    sends no block through ``csv.reader``."""
+    rows = "".join(f"u{i % 7},{60 * i},35.5,139.{i}\n" for i in range(500))
+    want = parse_points(io.StringIO(CSV_HEADER + rows, newline=""))
+    quoted = '"user_id","timestamp","lat","lon"\n' + rows
+    with mock.patch.object(ingest, "_BLOCK_CHARS", 1024), mock.patch.object(
+            ingest, "_record_block", wraps=ingest._record_block) as split:
+        got = parse_points(io.StringIO(quoted, newline=""))
+    assert split.call_count == 0
+    assert len(got) == 500 and got == want
+
+
 @pytest.mark.parametrize("text", [
     "a\n\nb\n\r\n c\n", "a,b\n1,2\n\n3\n,\n1,2,3", '"a"\n\nb\n',
-    'a,b\n"x\ny",1\n\n2\n'], ids=["one-name", "plain", "quoted",
-                                  "line-break"])
+    'a,b\n"x\ny",1\n\n2\n', 'a,"b\r\nc"\r1,2\r\r3\r', "a,b"],
+    ids=["one-name", "plain", "quoted", "line-break", "header-break",
+         "header-only"])
 def test_csv_blocks_hold_each_record_once(text):
     # a blank line is no record, whatever the header width
     reader = csv.reader(io.StringIO(text, newline=""))
