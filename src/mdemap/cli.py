@@ -34,8 +34,7 @@ from pathlib import Path
 from . import io as mio
 from .errors import ConfigError, MdemapError
 from .evaluation import (DEFAULT_THRESHOLDS_M, EvaluationSettings,
-                         default_x_values, precision_curve, recall_curve,
-                         top_k)
+                         precision_curve, recall_curve, top_k)
 from .field import ALL_TIME, FieldSettings, compute_fields
 from .fusion import (MODES, FusionSettings, combine, find_local_peaks,
                      normalize)
@@ -315,15 +314,13 @@ def cmd_combine(args) -> tuple[Path, dict, dict, int]:
     settings = _settings(FusionSettings, args, cfg, mode=None,
                          percentile_floor=_number)
     fields = _read_fields(args.fields, aoi)
-    layers = [normalize(f) for f in fields]
-    base = min(f.scale_m for f in fields)
-    cmap = combine(layers, base, settings)
+    cmap = combine([normalize(f) for f in fields], settings)
     peaks = find_local_peaks(cmap, settings)
     return out, {
         "combined.csv": partial(mio.write_combined_csv, cmap),
         "peaks.csv": partial(mio.write_peaks_csv, cmap, peaks),
     }, {
-        "mode": settings.mode, "base_scale_m": base,
+        "mode": settings.mode, "base_scale_m": cmap.base_scale_m,
         "contributing_scales": sorted(f.scale_m for f in fields),
         "meshes_scored": len(cmap.scores), "peaks": len(peaks),
         "percentile_floor": settings.percentile_floor,
@@ -342,13 +339,13 @@ def cmd_evaluate(args) -> tuple[Path, dict, dict, int]:
     files, k_used = {}, {}
     for field in fields:
         k = k_used[str(field.scale_m)] = settings.k(field.scale_m)
-        rec = recall_curve(top_k(field, k), stations, settings)
-        files[f"recall_{field.scale_m}m.csv"] = partial(mio.write_recall_csv,
-                                                        rec)
-        curves = precision_curve(field, stations, default_x_values(k))
-        for d in DEFAULT_THRESHOLDS_M:
-            name = f"precision_{field.scale_m}m_within{int(d)}m.csv"
-            files[name] = partial(mio.write_precision_csv, curves, d)
+        sel = top_k(field, k)
+        files[f"recall_{field.scale_m}m.csv"] = partial(
+            mio.write_recall_csv, recall_curve(sel, stations, settings))
+        for curve in precision_curve(sel, stations):
+            name = (f"precision_{field.scale_m}m_"
+                    f"within{int(curve.threshold_m)}m.csv")
+            files[name] = partial(mio.write_precision_csv, curve)
     return out, files, {
         "stations": len(stations), "k": k_used,
         "radii_km": list(settings.radii),

@@ -73,9 +73,11 @@ class RecallCurve(NamedTuple):
 
 
 class PrecisionCurve(NamedTuple):
+    """Per top-mesh count x, the percent of the top x within one threshold."""
+
     scale_m: int
-    x: int
-    thresholds_m: tuple[float, ...]
+    threshold_m: float
+    x: tuple[int, ...]
     percentages: tuple[float, ...]
 
 
@@ -131,28 +133,20 @@ def recall_curve(sel: TopKSelection, stations: Sequence[Station],
     return RecallCurve(sel.scale_m, radii, counts)
 
 
-def precision_curve(field: MdeField, stations: Sequence[Station],
-                    x_values: Sequence[int],
-                    thresholds_m: Sequence[float] = DEFAULT_THRESHOLDS_M,
+def precision_curve(sel: TopKSelection, stations: Sequence[Station],
                     ) -> list[PrecisionCurve]:
-    """Share of top-x mesh centers within each threshold of a station.
+    """Share of the top-x mesh centers within a threshold of a station,
+    one curve per threshold of ``DEFAULT_THRESHOLDS_M``, per x of
+    ``default_x_values(sel.k)``.
 
     The denominator is the actual selection size when fewer than x
     meshes are defined.
     """
     check_stations(stations)
-    if any(x < 1 for x in x_values):
-        raise ConfigError("x values must be >= 1")
     s_lat, s_lon = _station_arrays(stations)
-    sel = top_k(field, max(x_values))
     nearest = kernels.min_haversine_m(sel.lat, sel.lon, s_lat, s_lon)
-    curves = []
-    for x in x_values:
-        n = min(x, nearest.size)
-        head = nearest[:n]
-        pct = tuple(100.0 * float((head <= d).sum()) / n
-                    for d in thresholds_m)
-        curves.append(PrecisionCurve(field.scale_m, x,
-                                     tuple(float(d) for d in thresholds_m),
-                                     pct))
-    return curves
+    xs = default_x_values(sel.k)
+    heads = [nearest[:x] for x in xs]
+    return [PrecisionCurve(sel.scale_m, d, xs, tuple(
+        100.0 * float((head <= d).sum()) / head.size for head in heads))
+        for d in DEFAULT_THRESHOLDS_M]

@@ -82,9 +82,9 @@ def _expand_to_base(layer: CombinedMap, base_scale_m: int,
     return (rows[inside] << _ROW_SHIFT) | cols[inside], vals[inside]
 
 
-def combine(layers: list[CombinedMap], base_scale_m: int,
+def combine(layers: list[CombinedMap],
             settings: FusionSettings = FusionSettings()) -> CombinedMap:
-    """Fuse normalized layers onto the ``base_scale_m`` grid.
+    """Fuse normalized layers onto the grid of the finest of them.
 
     Each base mesh collects the value of its ancestor in every layer
     where that ancestor is defined; undefined ancestors are skipped, and
@@ -93,11 +93,11 @@ def combine(layers: list[CombinedMap], base_scale_m: int,
     if not layers:
         raise EmptyFieldError("no layers to combine")
     aoi = layers[0].aoi
+    base_scale_m = min(layer.base_scale_m for layer in layers)
     for layer in layers:
         if layer.aoi != aoi:
             raise ConfigError("layers cover different areas")
-        scale = layer.base_scale_m
-        if scale < base_scale_m or scale % base_scale_m:
+        if (scale := layer.base_scale_m) % base_scale_m:
             raise InvalidScaleError(
                 f"scale {scale} does not nest with base {base_scale_m}")
     ncols, nrows = aoi.grid_shape(base_scale_m)

@@ -54,10 +54,9 @@ class ParseResult:
     def __len__(self) -> int:
         return int(self.t.size)
 
-    def take(self, rows: np.ndarray, skipped: int) -> "ParseResult":
-        """The ``rows`` (a mask or indices) of the columns, with ``skipped``."""
-        return ParseResult(*(getattr(self, c)[rows] for c in _COLUMNS),
-                           skipped)
+    def take(self, rows: np.ndarray) -> "ParseResult":
+        """The ``rows`` (a mask or indices) of the columns, none skipped."""
+        return ParseResult(*(getattr(self, c)[rows] for c in _COLUMNS))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ParseResult):
@@ -197,25 +196,28 @@ def _parse_csv(stream, strict: bool) -> Iterator[ParseResult]:
     blocks = _csv_blocks(stream)
     if (names := next(blocks, None)) is None:
         return
-    record = _records(_header(names, _REQUIRED, "points"))
+    col, record = _header(names, _REQUIRED, "points"), _records(names)
     for block in blocks:
-        part, keep = _parse_block(block, names)
+        part, keep = _parse_block(block, len(names), col)
         rest, lines = _build_rows(block.rows(keep), record, strict)
         if lines:               # accepted rows go back in file order
             at = np.concatenate([block.line[keep], lines])
-            part = _concat([part, rest]).take(np.argsort(at), 0)
+            part = _concat([part, rest]).take(np.argsort(at))
         part.skipped = rest.skipped
         del block               # frees its cells before the caller takes part
         yield part
 
 
-def _header(names: list[str], required, what: str) -> list[str]:
-    """``names``, refusing at line 1 the first ``required`` name they lack."""
+def _header(names: list[str], required, what: str) -> dict[str, int]:
+    """The column of each of ``names``, the last of a repeated name, as
+    ``_records`` reads it; refuses at line 1 the first ``required`` name
+    they lack."""
+    col = {name: i for i, name in enumerate(names)}
     for name in required:
-        if name not in names:
+        if name not in col:
             raise PointParseError(f"{what} file has no {name} column",
                                   line_no=1)
-    return names
+    return col
 
 
 def _records(names: list[str]):
@@ -312,16 +314,16 @@ def _record_block(records: list[tuple[int, list[str]]], k: int) -> _Block:
                   [r for r in records if len(r[1]) != k])
 
 
-def _parse_block(block: _Block,
-                 names: list[str]) -> tuple[ParseResult, np.ndarray]:
-    """The full records that the bulk checks accept, and their mask.
+def _parse_block(block: _Block, k: int,
+                 col: dict[str, int]) -> tuple[ParseResult, np.ndarray]:
+    """The full records (``k`` cells each) that the bulk checks accept,
+    and their mask; ``col`` is ``_header``'s column of each name.
 
     The cells are split into columns, converted with ``float`` and
     range-checked in bulk, accepting only rows that ``_build_point``
     accepts, with the same values.
     """
-    k, cells, n = len(names), block.cells, len(block.line)
-    col = {name: i for i, name in enumerate(names)}   # last duplicate wins
+    cells, n = block.cells, len(block.line)
 
     # each column is converted only on the rows still valid, so a block
     # whose timestamps all need _build_point costs little more here

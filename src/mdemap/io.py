@@ -140,7 +140,8 @@ class _MeshRows:
     def __init__(self, header: list, aoi: AreaOfInterest, kind: str):
         columns, self.values, self.bulk = _KINDS[kind]
         names = FIELD_HEADER[:5] + columns
-        self.pos = list(map(_header(header, names, kind).index, names))
+        col = _header(header, names, kind)
+        self.pos = [col[name] for name in names]
         self.k, self.aoi, self.kind, self.scale = len(header), aoi, kind, None
 
     def __call__(self, rec: list, line: int) -> tuple:
@@ -262,8 +263,9 @@ def read_stations_csv(path) -> list[Station]:
     stations, first = [], {}        # first[rank]: the line that holds it
     with open(path, "r", encoding="utf-8-sig", newline="") as f:
         blocks = _csv_blocks(f)
-        record = _records(_header(next(blocks, []), STATION_HEADER,
-                                  "stations"))
+        names = next(blocks, [])
+        _header(names, STATION_HEADER, "stations")
+        record = _records(names)
         for block in blocks:
             for line, cells in block.rows(np.zeros(len(block.line), bool)):
                 rec = record(cells)
@@ -284,20 +286,21 @@ def read_stations_csv(path) -> list[Station]:
     return stations
 
 
+def _write_curve(x: np.ndarray, value: np.ndarray, path) -> None:
+    """A curve CSV: one ``x,value`` row per point, in order."""
+    _write(path, _rows("%s,%s\r\n", [x, value]), CURVE_HEADER)
+
+
 def write_recall_csv(curve: RecallCurve, path) -> None:
     """x = radius in km, value = stations within x of a top-K center."""
-    _write(path, _rows("%s,%s\r\n", [
-        np.array(curve.radii_km, np.float64),
-        np.array(curve.counts, np.int64)]), CURVE_HEADER)
+    _write_curve(np.array(curve.radii_km, np.float64),
+                 np.array(curve.counts, np.int64), path)
 
 
-def write_precision_csv(curves: Sequence[PrecisionCurve], threshold_m: float,
-                        path) -> None:
-    """x = top-mesh count, value = percent within one threshold."""
-    value = [c.percentages[c.thresholds_m.index(threshold_m)] for c in curves]
-    _write(path, _rows("%s,%s\r\n", [
-        np.array([c.x for c in curves], np.int64),
-        np.array(value, np.float64)]), CURVE_HEADER)
+def write_precision_csv(curve: PrecisionCurve, path) -> None:
+    """x = top-mesh count, value = percent within the curve's threshold."""
+    _write_curve(np.array(curve.x, np.int64),
+                 np.array(curve.percentages, np.float64), path)
 
 
 def _csv_text(cell: str) -> str:
@@ -336,7 +339,7 @@ def _point_rows(blocks: Iterable[ParseResult], extras: bool) -> Iterator[str]:
             raise ValueError("a block after the first has heading or "
                              "speed values, and the first has none")
         for i in range(0, len(block), _CHUNK_ROWS):
-            part = block.take(slice(i, i + _CHUNK_ROWS), 0)
+            part = block.take(slice(i, i + _CHUNK_ROWS))
             ids = part.user_id.tolist()
             text = {u: _csv_text(u) for u in set(ids)}
             columns = [np.fromiter(map(text.__getitem__, ids), object),

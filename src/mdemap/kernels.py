@@ -144,7 +144,7 @@ def field_entropy(keys, counts, min_samples):
     return mesh[starts], totals, h
 
 
-def min_haversine_m(lat_a, lon_a, lat_b, lon_b, radius_m=EARTH_RADIUS_M):
+def min_haversine_m(lat_a, lon_a, lat_b, lon_b):
     """For each point in A, the distance to its nearest point in B (meters).
 
     The minimum is taken over the haversine parameter h, which is
@@ -160,4 +160,4 @@ def min_haversine_m(lat_a, lon_a, lat_b, lon_b, radius_m=EARTH_RADIUS_M):
     sdl = np.sin((ob - oa) / 2.0)
     h = sdp * sdp + np.cos(la) * np.cos(lb) * sdl * sdl
     hmin = np.minimum(h.min(axis=1), 1.0)
-    return 2.0 * radius_m * np.arcsin(np.sqrt(hmin))
+    return 2.0 * EARTH_RADIUS_M * np.arcsin(np.sqrt(hmin))

@@ -237,7 +237,8 @@ def _mesh_rows(path, aoi: AreaOfInterest, columns: tuple, kind: str):
         if missing:
             raise PointParseError(f"{kind} file has no {missing[0]} column",
                                   line_no=1)
-        pos = [header.index(c) for c in names]
+        col = {name: i for i, name in enumerate(header)}   # the last wins
+        pos = [col[c] for c in names]
         scale = None
         for rec in reader:
             if not rec:

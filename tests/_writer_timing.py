@@ -23,7 +23,9 @@ time (on a shared host the CPU time moves less with other load). It
 prints, per writer and clock, both sides' median and quartiles in
 milliseconds and the rounds the change won, and each side's
 ``tracemalloc`` peak from a separate untimed call. The two sides' files
-must be byte-identical; a difference stops the run.
+must be byte-identical; a difference stops the run. Both trees must
+take ``precision_curve`` of a ``top_k`` selection, one curve per
+threshold.
 
     python tests/_writer_timing.py BASE_TREE CHANGED_TREE --rounds 7
 
@@ -96,10 +98,10 @@ def writers(pkg, work: Path) -> dict:
     settings = pkg.EvaluationSettings()
     curves = []
     for field in fields:
-        k = settings.k(field.scale_m)
-        curves.append((field.scale_m, pkg.recall_curve(
-            pkg.top_k(field, k), stations, settings), pkg.precision_curve(
-                field, stations, pkg.default_x_values(k))))
+        sel = pkg.top_k(field, settings.k(field.scale_m))
+        curves.append((field.scale_m,
+                       pkg.recall_curve(sel, stations, settings),
+                       pkg.precision_curve(sel, stations)))
 
     def write_windows(out):
         for i, field in enumerate(windows):
@@ -109,9 +111,9 @@ def writers(pkg, work: Path) -> dict:
         io.write_stations_csv(stations, out / "stations.csv")
         for scale, recall, precision in curves:
             io.write_recall_csv(recall, out / f"recall_{scale}m.csv")
-            for d in pkg.DEFAULT_THRESHOLDS_M:
-                io.write_precision_csv(precision, d,
-                                       out / f"precision_{scale}m_{d}.csv")
+            for curve in precision:
+                io.write_precision_csv(curve, out / f"precision_{scale}m_"
+                                                    f"{curve.threshold_m}.csv")
         io.write_summary({"stations": len(stations), "scales": [
             scale for scale, _, _ in curves]}, out / "summary.json")
 

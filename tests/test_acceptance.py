@@ -191,20 +191,21 @@ def test_criterion_5_evaluation_oracle():
         recall_exact &= list(got.counts) == want
         recall_monotone &= list(got.counts) == sorted(got.counts)
 
-        xs = tuple(sorted({rng.randrange(1, n_mesh + 2) for _ in range(3)}))
-        curves = precision_curve(field, stations, x_values=xs)
-        best = top_k(field, max(xs))
+        best = top_k(field, rng.randrange(1, n_mesh + 2))
+        curves = precision_curve(best, stations)
         ordered = [GeoPoint(*ll) for ll in zip(best.lat.tolist(),
                                                best.lon.tolist())]
         for cur in curves:
-            head = ordered[:cur.x]
-            for d, pct in zip(cur.thresholds_m, cur.percentages):
+            for x, pct in zip(cur.x, cur.percentages):
+                head = ordered[:x]
                 near = sum(
                     1 for c in head
-                    if min(geo_distance(s.pos, c) for s in stations) <= d)
+                    if min(geo_distance(s.pos, c) for s in stations)
+                    <= cur.threshold_m)
                 precision_exact &= pct == 100.0 * near / len(head)
-            precision_monotone &= \
-                list(cur.percentages) == sorted(cur.percentages)
+        # curves in threshold order: each x's percentages rise with it
+        for pct in zip(*(cur.percentages for cur in curves)):
+            precision_monotone &= list(pct) == sorted(pct)
     _verdict(5, "recall/precision vs brute force on 100 instances", {
         "recall_exact": recall_exact,
         "precision_exact": precision_exact,
@@ -224,15 +225,16 @@ def test_criterion_6_synthetic_end_to_end():
     stations = truth.stations()
     sel = top_k(field, 16)
     rec = recall_curve(sel, stations)
-    curves = {c.x: c for c in precision_curve(field, stations,
-                                              x_values=(10, 16))}
+    # percent within each threshold of the top 10 and top 16
+    within = {c.threshold_m: dict(zip(c.x, c.percentages))
+              for c in precision_curve(sel, stations)}
     dt = time.perf_counter() - t0
 
     hub_meshes = {mesh_of(project(h, cfg.aoi), 100)
                   for h in truth.hub_positions}
     top8 = {MeshId(100, c, r)
             for c, r in zip(sel.col[:8].tolist(), sel.row[:8].tolist())}
-    p300 = curves[16].percentages[1]  # 300 m threshold
+    p300 = within[300.0][16]
     _verdict(6, "default synthetic pipeline, pinned values", {
         "n_points": len(points) == 1_000_000,
         "n_vectors": stats.n_vectors == 931_087,
@@ -242,8 +244,8 @@ def test_criterion_6_synthetic_end_to_end():
         "recall_8_of_8_at_500m": rec.counts[0] == 8,
         "recall_8_at_every_radius": rec.counts == (8,) * 20,
         "precision_300m_x16_>=50": p300 >= 50.0,
-        "precision_x16_exact": curves[16].percentages == (50.0,) * 4,
-        "precision_x10_exact": curves[10].percentages == (80.0,) * 4,
+        "precision_x16_exact": [p[16] for p in within.values()] == [50.0] * 4,
+        "precision_x10_exact": [p[10] for p in within.values()] == [80.0] * 4,
         "runtime<60s": dt < PIPELINE_RUNTIME_S,
     })
 

@@ -611,6 +611,25 @@ def test_config_out_must_be_text(tmp_path, capsys, monkeypatch, out):
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
+def test_a_config_file_of_no_json_object_is_a_config_error(tmp_path, capsys):
+    (tmp_path / "cfg.json").write_text('[{"users": 5}]')
+    assert main(["synth", "--config", str(tmp_path / "cfg.json"),
+                 "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("mdemap: config error: config file ")
+    assert err.rstrip().endswith("must hold a JSON object")
+    assert not (tmp_path / "out").exists()
+
+
+def test_an_aoi_off_the_globe_is_a_config_error(pipeline, tmp_path, capsys):
+    assert main(["compute", str(pipeline / "points.csv"),
+                 "--aoi", "139.3,140,35.5,95",
+                 "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("mdemap: config error: invalid WGS84 coordinate")
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_file_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
     (tmp_path / "cfg.json").write_bytes(b'{"users": "\xff"}')
     assert main(["synth", "--config", str(tmp_path / "cfg.json"),

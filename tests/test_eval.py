@@ -173,18 +173,20 @@ def test_recall_growing_k_never_loses(small_aoi):
 
 def test_precision_station_on_center(small_aoi):
     f = _field(small_aoi, {(4, 4): 2.0})
-    (center,) = _centers(top_k(f, 1))
-    curves = precision_curve(f, [Station("s", center, 1)], x_values=(1,))
-    (c,) = curves
-    assert c.percentages == (100.0, 100.0, 100.0, 100.0)
-    assert c.x == 1
+    sel = top_k(f, 1)
+    (center,) = _centers(sel)
+    curves = precision_curve(sel, [Station("s", center, 1)])
+    assert [c.threshold_m for c in curves] == list(DEFAULT_THRESHOLDS_M)
+    for c in curves:
+        assert c.scale_m == 100 and c.x == (1,)
+        assert c.percentages == (100.0,)
 
 
 def test_precision_all_far(small_aoi):
     f = _field(small_aoi, {(0, 0): 2.0, (1, 0): 1.0})
     far = [Station("s", GeoPoint(36.4, 139.3), 1)]
-    (c,) = precision_curve(f, far, x_values=(2,))
-    assert c.percentages == (0.0, 0.0, 0.0, 0.0)
+    for c in precision_curve(top_k(f, 2), far):
+        assert c.x == (2,) and c.percentages == (0.0,)
 
 
 def test_precision_denominator_is_selection_size(small_aoi):
@@ -192,9 +194,9 @@ def test_precision_denominator_is_selection_size(small_aoi):
     f = _field(small_aoi, {(4, 4): 2.0, (40, 25): 1.0})
     (center, _) = _centers(top_k(f, 2))
     stations = [Station("s", center, 1)]
-    (c,) = precision_curve(f, stations, x_values=(10,))
     # only 2 meshes exist; one sits on the station
-    assert c.percentages == (50.0, 50.0, 50.0, 50.0)
+    for c in precision_curve(top_k(f, 10), stations):
+        assert c.x == (10,) and c.percentages == (50.0,)
 
 
 def test_precision_threshold_monotonicity(small_aoi):
@@ -207,16 +209,20 @@ def test_precision_threshold_monotonicity(small_aoi):
     stations = [Station(f"s{i}", GeoPoint(float(rng.uniform(35.5, 35.53)),
                                           float(rng.uniform(139.3, 139.35))),
                         i + 1) for i in range(6)]
-    for c in precision_curve(f, stations, x_values=(5, 10, 35)):
-        assert list(c.percentages) == sorted(c.percentages)
-        assert all(0.0 <= p <= 100.0 for p in c.percentages)
+    curves = precision_curve(top_k(f, 35), stations)
+    assert all(c.x == (10, 20, 30, 35) for c in curves)
+    # the curves come in threshold order; each x's percentages follow it
+    for pct in zip(*(c.percentages for c in curves)):
+        assert list(pct) == sorted(pct)
+        assert all(0.0 <= p <= 100.0 for p in pct)
 
 
 def test_precision_rejects_bad_x(small_aoi):
+    # the x values run up to K, and a K below 1 is refused
     f = _field(small_aoi, {(0, 0): 1.0})
     with pytest.raises(ConfigError):
-        precision_curve(f, [Station("s", GeoPoint(35.5, 139.3), 1)],
-                        x_values=(0,))
+        precision_curve(top_k(f, 0),
+                        [Station("s", GeoPoint(35.5, 139.3), 1)])
 
 
 def test_oracle_equivalence_random_instances(small_aoi):
@@ -253,12 +259,13 @@ def test_oracle_equivalence_random_instances(small_aoi):
             want.append(hit)
         assert list(got.counts) == want, f"recall mismatch, trial {trial}"
 
-        xs = sorted({rng.randrange(1, n_mesh + 2) for _ in range(3)})
-        curves = precision_curve(f, stations, x_values=xs)
-        ordered = [m for m, _ in _meshes(top_k(f, max(xs)))]
-        for c in curves:
-            head = ordered[:c.x]
-            for d, pct in zip(c.thresholds_m, c.percentages):
+        # a K past the defined meshes tests the denominator
+        best = top_k(f, rng.randrange(1, n_mesh + 2))
+        ordered = [m for m, _ in _meshes(best)]
+        for c in precision_curve(best, stations):
+            d = c.threshold_m
+            for x, pct in zip(c.x, c.percentages):
+                head = ordered[:x]
                 near = sum(
                     1 for m in head
                     if min(geo_distance(s.pos, mesh_center(m, small_aoi))

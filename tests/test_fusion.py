@@ -66,7 +66,7 @@ def test_normalize_affine_invariance(small_aoi):
 def test_combine_single_layer_identity(small_aoi):
     layer = _layer(small_aoi, 100,
                    {MeshId(100, 3, 4): 0.25, MeshId(100, 5, 6): 1.0})
-    combined = combine([layer], 100)
+    combined = combine([layer])
     assert combined.base_scale_m == 100
     for name in ("col", "row", "scores"):
         got, want = getattr(combined, name), getattr(layer, name)
@@ -76,9 +76,9 @@ def test_combine_single_layer_identity(small_aoi):
 def test_combine_mean_and_max(small_aoi):
     fine = _layer(small_aoi, 100, {MeshId(100, 0, 0): 0.2})
     coarse = _layer(small_aoi, 1000, {MeshId(1000, 0, 0): 0.6})
-    mean = scores_of(combine([fine, coarse], 100))
+    mean = scores_of(combine([fine, coarse]))
     assert mean[MeshId(100, 0, 0)] == pytest.approx(0.4, abs=1e-15)
-    mx = scores_of(combine([fine, coarse], 100, FusionSettings(mode="max")))
+    mx = scores_of(combine([fine, coarse], FusionSettings(mode="max")))
     assert mx[MeshId(100, 0, 0)] == pytest.approx(0.6, abs=1e-15)
     # children of the coarse mesh without a fine value get the coarse value
     assert mean[MeshId(100, 7, 3)] == pytest.approx(0.6, abs=1e-15)
@@ -88,7 +88,7 @@ def test_combine_mean_and_max(small_aoi):
 def test_combine_skips_undefined_ancestors(small_aoi):
     fine = _layer(small_aoi, 100, {MeshId(100, 42, 7): 0.9})
     coarse = _layer(small_aoi, 1000, {MeshId(1000, 0, 0): 0.1})
-    combined = scores_of(combine([fine, coarse], 100))
+    combined = scores_of(combine([fine, coarse]))
     # the fine mesh sits outside the one defined coarse mesh
     assert combined[MeshId(100, 42, 7)] == pytest.approx(0.9)
     assert len(combined) == 101
@@ -98,9 +98,7 @@ def test_combine_rejects_non_nesting(small_aoi):
     a = _layer(small_aoi, 100, {MeshId(100, 0, 0): 0.5})
     b = _layer(small_aoi, 250, {MeshId(250, 0, 0): 0.5})
     with pytest.raises(InvalidScaleError):
-        combine([a, b], 100)
-    with pytest.raises(InvalidScaleError):
-        combine([a], 1000)  # finer than base cannot nest
+        combine([a, b])
 
 
 def test_combine_rejects_mixed_aois(small_aoi):
@@ -109,16 +107,18 @@ def test_combine_rejects_mixed_aois(small_aoi):
     a = _layer(small_aoi, 100, {MeshId(100, 0, 0): 0.5})
     b = _layer(other, 100, {MeshId(100, 0, 0): 0.5})
     with pytest.raises(ConfigError):
-        combine([a, b], 100)
+        combine([a, b])
     with pytest.raises(EmptyFieldError):
-        combine([], 100)
+        combine([])
 
 
 def test_combine_clips_overhanging_coarse_meshes(small_aoi):
     ncols, nrows = small_aoi.grid_shape(100)
     ccols, crows = small_aoi.grid_shape(1000)
     corner = _layer(small_aoi, 1000, {MeshId(1000, ccols - 1, crows - 1): 0.8})
-    combined = combine([corner], 100)
+    # a fine mesh under the corner one puts the map on the 100 m grid
+    fine = _layer(small_aoi, 100, {MeshId(100, ncols - 1, nrows - 1): 0.2})
+    combined = combine([corner, fine])
     assert (combined.col < ncols).all() and (combined.row < nrows).all()
     expect = (ncols - 10 * (ccols - 1)) * (nrows - 10 * (crows - 1))
     assert len(combined.scores) == expect
@@ -135,7 +135,7 @@ def test_combine_matches_brute_force(small_aoi):
             small_aoi, scale,
             {MeshId(scale, c, r): float(rng.uniform(0, 1))
              for c, r in picks}))
-    cmap = combine(layers, 100)
+    cmap = combine(layers)
     combined = scores_of(cmap)
     nc, nr = small_aoi.grid_shape(100)
     want = {}

@@ -130,9 +130,10 @@ def test_parse_one_row():
 def test_parse_rfc3339_timestamps():
     src = (CSV_HEADER
            + "a,2020-09-13T12:26:40Z,35.5,139.4\n"
-           + "a,2020-09-13T21:26:40+09:00,35.5,139.4\n")
+           + "a,2020-09-13T21:26:40+09:00,35.5,139.4\n"
+           + "a,2020-09-13T12:26:40,35.5,139.4\n")   # no offset: UTC
     got = parse_points(io.StringIO(src))
-    assert got.t.tolist() == [1_600_000_000.0, 1_600_000_000.0]
+    assert got.t.tolist() == [1_600_000_000.0] * 3
 
 
 def test_parse_heading_speed_columns():
@@ -274,7 +275,7 @@ def test_extract_order_independence(small_aoi):
     ref, ref_stats = extract_movements(pts, small_aoi)
     order = list(range(len(pts)))
     rng.shuffle(order)
-    got, got_stats = extract_movements(pts.take(order, 0), small_aoi)
+    got, got_stats = extract_movements(pts.take(order), small_aoi)
     assert got_stats == ref_stats
     assert same_batch(got, ref)
 

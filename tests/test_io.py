@@ -112,6 +112,24 @@ def test_field_csv_rejects_bad_files(small_aoi, tmp_path):
         read_field_csv(p, small_aoi)
 
 
+def test_mesh_reader_takes_the_last_column_of_a_repeated_name(tmp_path):
+    """As the points and stations readers do: a 4000 m field file given a
+    second, empty ``entropy_nats`` column reads with no defined mesh, so
+    ``combine`` on it is a data error."""
+    field = field_of(4000, DEFAULT_AOI, {(c, r): (40, 0.5 + c / 10)
+                                         for c in range(8) for r in range(5)})
+    p = tmp_path / "mde_4000m.csv"
+    write_field_csv(field, p)
+    head, *rows = p.read_text().splitlines()
+    p.write_text("".join(line + "\r\n" for line in
+                         [head + ",entropy_nats", *(r + "," for r in rows)]))
+    back = read_field_csv(p, DEFAULT_AOI)
+    assert np.array_equal(back.count, field.count)
+    assert np.isnan(back.entropy).all()
+    assert main(["combine", str(p), "--out", str(tmp_path / "out")]) == 3
+    assert not (tmp_path / "out").exists()
+
+
 @settings(max_examples=60)
 @given(table=_in_grid(st.sampled_from([0.0, 1.0]) | st.floats(
     allow_nan=False, allow_infinity=False)))
@@ -161,14 +179,18 @@ def test_recall_csv_shape(tmp_path):
 
 
 def test_precision_csv_pulls_one_threshold(tmp_path):
-    curves = [
-        PrecisionCurve(100, 10, (100.0, 300.0), (20.0, 60.0)),
-        PrecisionCurve(100, 20, (100.0, 300.0), (15.0, 55.0)),
-    ]
+    curve = PrecisionCurve(100, 300.0, (10, 20), (60.0, 55.0))
     p = tmp_path / "precision.csv"
-    write_precision_csv(curves, 300.0, p)
+    write_precision_csv(curve, p)
     lines = p.read_text().splitlines()
     assert lines == ["x,value", "10,60.0", "20,55.0"]
+
+
+def test_points_csv_refuses_a_later_block_with_heading(tmp_path):
+    first = points_of([("u0", 0.0, 35.51, 139.32)])
+    later = points_of([("u1", 60.0, 35.52, 139.33, 1.5)])
+    with pytest.raises(ValueError, match="has heading or speed"):
+        write_points_csv([first, later], tmp_path / "points.csv")
 
 
 def test_points_csv_round_trip(small_aoi, tmp_path):
@@ -319,7 +341,7 @@ def test_computed_outputs_match_reference_bytes(tmp_path):
     assert all(f.count.size and f.n_defined for f in fields)
     for field in fields:
         _same_bytes(tmp_path, write_field_csv, _reference_field_csv, field)
-    cmap = combine([normalize(f) for f in fields[::2]], 1000)
+    cmap = combine([normalize(f) for f in fields[::2]])
     assert len(cmap.scores) > 1000
     _same_bytes(tmp_path, write_combined_csv, _reference_combined_csv, cmap)
 
@@ -435,32 +457,17 @@ def test_recall_csv_matches_csv_writer_bytes(tmp_path_factory, rows):
                 RecallCurve(100, radii, counts))
 
 
-@st.composite
-def _precision_tables(draw):
-    """(thresholds, one percentage per threshold for each curve, the
-    threshold written)."""
-    thresholds = draw(st.lists(st.floats(allow_nan=False), min_size=1,
-                               max_size=4, unique=True))
-    n = len(thresholds)
-    return (thresholds, draw(st.lists(st.lists(_reals, min_size=n,
-                                               max_size=n), max_size=15)),
-            draw(st.sampled_from(thresholds)))
-
-
 @settings(max_examples=100)
-@given(table=_precision_tables())
-@example(table=([100.0, 300.0], [[20.0, -0.0], [5e-324, 1e300], [60.0, 0.5]],
-                300.0))
-def test_precision_csv_matches_csv_writer_bytes(tmp_path_factory, table):
-    thresholds, pct, threshold = table
-    curves = [PrecisionCurve(100, 10 * (i + 1), tuple(thresholds), tuple(p))
-              for i, p in enumerate(pct)]
-    _same_bytes(tmp_path_factory.mktemp("precision"),
-                lambda cs, path: write_precision_csv(cs, threshold, path),
-                lambda cs, path: _csv_writer_file(CURVE_HEADER, [
-                    (c.x, repr(c.percentages[c.thresholds_m.index(
-                        threshold)])) for c in cs], path),
-                curves)
+@given(rows=st.lists(st.tuples(st.integers(1, 10**6), _reals), max_size=20))
+@example(rows=[])
+@example(rows=[(10, 20.0), (20, -0.0), (30, 5e-324), (40, 1e300)])
+def test_precision_csv_matches_csv_writer_bytes(tmp_path_factory, rows):
+    xs, pct = zip(*rows) if rows else ((), ())
+    _same_bytes(tmp_path_factory.mktemp("precision"), write_precision_csv,
+                lambda curve, path: _csv_writer_file(CURVE_HEADER, [
+                    (x, repr(p)) for x, p in zip(curve.x, curve.percentages)],
+                    path),
+                PrecisionCurve(100, 300.0, xs, pct))
 
 
 def _same_geojson(tmp, build, reference, table):
@@ -509,7 +516,7 @@ def test_computed_geojson_matches_reference_bytes(tmp_path):
     for field in fields:
         _same_geojson(tmp_path, field_geojson, _reference_field_geojson,
                       field)
-    cmap = combine([normalize(f) for f in fields], 1000)
+    cmap = combine([normalize(f) for f in fields])
     assert len(cmap.scores) > 1000
     _same_geojson(tmp_path, combined_geojson, _reference_combined_geojson,
                   cmap)

@@ -218,7 +218,18 @@ def test_min_haversine_value():
     from _oracles import geo_distance
     d = kernels.min_haversine_m(
         np.array([35.5]), np.array([139.5]),
-        np.array([35.6, 35.9]), np.array([139.4, 139.9]), 6_371_000.0)
+        np.array([35.6, 35.9]), np.array([139.4, 139.9]))
     want = min(geo_distance(GeoPoint(35.5, 139.5), GeoPoint(35.6, 139.4)),
                geo_distance(GeoPoint(35.5, 139.5), GeoPoint(35.9, 139.9)))
     assert np.asarray(d)[0] == pytest.approx(want, rel=1e-12)
+
+
+def test_kernels_take_empty_input():
+    empty = np.empty(0, np.int64)
+    for keys, counts in (kernels.count_mesh_bins(empty),
+                         kernels.group_counts(empty, empty)):
+        assert keys.dtype == counts.dtype == np.int64
+        assert keys.size == counts.size == 0
+    far = kernels.min_haversine_m([35.5, 35.6], [139.5, 139.6], [], [])
+    assert far.tolist() == [math.inf, math.inf]
+    assert kernels.min_haversine_m([], [], [35.5], [139.5]).size == 0

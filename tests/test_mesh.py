@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from mdemap import (AreaOfInterest, DEFAULT_AOI, GeoPoint, LocalCoord,
                     MeshId, METERS_PER_DEGREE, ConfigError, FieldSettings,
+                    InvalidScaleError,
                     STANDARD_SCALES_M, compute_fields, inverse_project,
                     kernels, mesh_center, mesh_centers, mesh_corners)
 from mdemap.field import _mesh_index
@@ -168,6 +169,11 @@ def test_aoi_validation():
         AreaOfInterest.from_bounds(139.3, 140.0, 35.85, 35.5)
     with pytest.raises(ConfigError):
         AreaOfInterest(GeoPoint(35.5, 139.3), GeoPoint(35.5, 140.0))
+
+
+def test_grid_shape_refuses_a_scale_below_1():
+    with pytest.raises(InvalidScaleError):
+        DEFAULT_AOI.grid_shape(0)
 
 
 def test_contains_is_closed_on_boundary():

@@ -215,6 +215,33 @@ def test_block_boundaries_keep_line_numbers(tmp_path):
             mio.read_field_csv(path, AOI)
 
 
+def test_a_first_block_of_blank_lines_reads_as_without_them(tmp_path):
+    """Blank lines after the header, read as a block of their own, hold no
+    record: the next block's first record sets the scale."""
+    scale, (ncols, _) = 100, AOI.grid_shape(100)
+    rows = []
+    for c in range(ncols):
+        lat, lon = mesh_centers(scale, c, 0, AOI)
+        rows.append(f"{scale},{c},0,{float(lat)!r},{float(lon)!r},5,1.5,0.3\n")
+    head = ",".join(FIELD_HEADER) + "\n"
+    plain, blank = tmp_path / "plain.csv", tmp_path / "blank.csv"
+    plain.write_text(head + "".join(rows))
+    blank.write_text(head + "\n" * 8 + "".join(rows))
+    read, _, values = KINDS["field"]
+    blocks = []
+    split = ingest._plain_block
+
+    def counted(lines, k, line_no):
+        blocks.append(lines)
+        return split(lines, k, line_no)
+
+    with mock.patch.object(ingest, "_BLOCK_CHARS", 7), mock.patch.object(
+            ingest, "_plain_block", counted):
+        got = _outcome(read, blank, values)
+    assert blocks[0] == ["\n"] * 8
+    assert got[0] == "read" and got == _outcome(read, plain, values)
+
+
 _floats = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
 
 
