@@ -40,7 +40,7 @@ from .fusion import (MODES, FusionSettings, combine, find_local_peaks,
                      normalize)
 from .ingest import (Carry, DIRECTIONS, ExtractSettings, FORMATS,
                      ParseSettings, _BackInTime, _csv_blocks,
-                     _number, extract_movements, parse_points, point_blocks)
+                     extract_movements, parse_points, point_blocks)
 from .mesh import AreaOfInterest, DEFAULT_AOI
 from .synth import SynthConfig, default_sites, user_blocks
 
@@ -64,6 +64,13 @@ def _int(value) -> int:
                                    and not value.is_integer()):
         raise ValueError(f"{value!r} is not an integer")
     return int(value)
+
+
+def _number(raw, name: str = "value") -> float:
+    """``float(raw)``, refusing JSON booleans (``float(True)`` is 1.0)."""
+    if isinstance(raw, bool):
+        raise ValueError(f"{name} {raw!r} is not a number")
+    return float(raw)
 
 
 def _ints(value) -> tuple[int, ...]:
@@ -279,6 +286,7 @@ def cmd_compute(args) -> tuple[Path, dict, dict, int]:
               f"{settings.min_samples} movement vectors", file=sys.stderr)
     return out, writers, {
         "points_read": stats.n_points, "points_skipped": stats.n_skipped,
+        "points_skipped_by_reason": stats.skipped_by_reason,
         "users": stats.n_users, "vectors": stats.n_vectors,
         "dropped": {
             "duplicate": stats.dropped_duplicate, "gap": stats.dropped_gap,

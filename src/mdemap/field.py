@@ -37,7 +37,7 @@ import numpy as np
 
 from . import kernels
 from .errors import ConfigError
-from .ingest import MovementBatch, _number
+from .ingest import MovementBatch
 from .kernels import N_BINS
 from .mesh import (AreaOfInterest, MeshId, STANDARD_SCALES_M,
                    project_arrays)
@@ -135,7 +135,9 @@ class FieldSettings:
                 and all(map(_positive_int, self.scales))):
             raise ConfigError("scales must be distinct positive integers")
         try:
-            ok = self.window == "all" or 0 < _number(self.window) < math.inf
+            ok = self.window == "all" or (
+                not isinstance(self.window, bool)
+                and 0 < float(self.window) < math.inf)
         except (TypeError, ValueError):
             ok = False
         if not ok:
@@ -225,7 +227,7 @@ class FieldAccumulator:
         self.window = window
         self.min_samples = int(min_samples)
         self.dropped_out_of_area = 0
-        self._width = None if window == "all" else _number(window)
+        self._width = None if window == "all" else float(window)
         # first k seen (None for "all" or no vector yet), lowest and highest
         self._base, self._lo, self._hi = None, 0, 0
         self._ncols, nrows = aoi.grid_shape(self.scale_m)

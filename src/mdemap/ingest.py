@@ -10,13 +10,14 @@ from __future__ import annotations
 import csv
 import json
 import math
+import operator
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from functools import cached_property
 from itertools import chain, compress, count, repeat
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -28,15 +29,31 @@ from .mesh import AreaOfInterest, project_arrays, TWO_PI
 # -- point file parsing -------------------------------------------------
 
 _REQUIRED = ("user_id", "timestamp", "lat", "lon")
+_NAMES = _REQUIRED + ("heading", "speed")     # every column a row may have
 FORMATS = ("csv", "ndjson")     # points file formats, the first the default
-# Characters of CSV text read per block; a block ends at a line end.
+# Characters of text read per block; a block ends at a line end.
 _BLOCK_CHARS = 1 << 20
 _COLUMNS = ("user_id", "t", "lat", "lon", "heading", "speed")
+# Why a row is refused, a key per check in the order they run, with the
+# column it reads and the message strict mode fills with the row's cell.
+_CHECKS = {
+    "not_object": (None, "line is not a JSON object"),
+    "empty_user_id": ("user_id", "empty user_id"),
+    "bad_timestamp": ("timestamp", "bad timestamp {}"),
+    "bad_lat": ("lat", "lat {} is not a number"),
+    "lat_range": ("lat", "latitude {} out of range"),
+    "bad_lon": ("lon", "lon {} is not a number"),
+    "lon_range": ("lon", "longitude {} out of range"),
+    "bad_heading": ("heading", "heading {} outside [0, 2*pi)"),
+    "bad_speed": ("speed", "bad speed {}"),
+}
+REASONS = tuple(_CHECKS)
 
 
 @dataclass(eq=False)
 class ParseResult:
-    """Point columns in file order, plus the count of malformed rows skipped.
+    """Point columns in file order, plus the count of malformed rows skipped
+    and, as ``refused``, their ``REASONS`` indexes and lines, in order.
 
     ``heading`` and ``speed`` are NaN where a point has none. Two results
     are equal when their columns hold equal values, NaN equal to NaN, and
@@ -50,6 +67,7 @@ class ParseResult:
     heading: np.ndarray
     speed: np.ndarray
     skipped: int = 0
+    refused: tuple = ()
 
     def __len__(self) -> int:
         return int(self.t.size)
@@ -65,85 +83,6 @@ class ParseResult:
                 and self.user_id.tolist() == other.user_id.tolist()
                 and all(np.array_equal(getattr(self, c), getattr(other, c),
                                        equal_nan=True) for c in _COLUMNS[1:]))
-
-
-def _columns(rows: list[tuple], skipped: int = 0) -> ParseResult:
-    """The columns of ``_build_point`` rows."""
-    user, *numbers = zip(*rows) if rows else [()] * 6
-    return ParseResult(np.array(user, dtype=object),
-                       *np.array(numbers, dtype=np.float64), skipped)
-
-
-def _number(raw, name: str = "value") -> float:
-    """``float(raw)``, refusing JSON booleans (``float(True)`` is 1.0)."""
-    if isinstance(raw, bool):
-        raise ValueError(f"{name} {raw!r} is not a number")
-    return float(raw)
-
-
-def _parse_timestamp(raw) -> float:
-    if isinstance(raw, str):
-        text = raw.strip()
-        try:
-            t = float(text)
-        except ValueError:
-            if text.endswith(("Z", "z")):
-                text = text[:-1] + "+00:00"
-            dt = datetime.fromisoformat(text)
-            if dt.tzinfo is None:
-                dt = dt.replace(tzinfo=timezone.utc)
-            t = dt.timestamp()
-    elif isinstance(raw, (int, float)):
-        t = _number(raw, "timestamp")
-    else:
-        raise TypeError(f"timestamp {raw!r} is not a number or a string")
-    if not math.isfinite(t):
-        raise ValueError(f"non-finite timestamp {raw!r}")
-    return t
-
-
-def _lat_lon(rec: dict) -> tuple[float, float]:
-    """A record's ``lat`` in [-90, 90] and ``lon`` in [-180, 180]; raises
-    ValueError otherwise, NaN included."""
-    lat, lon = _number(rec["lat"], "lat"), _number(rec["lon"], "lon")
-    if not (-90.0 <= lat <= 90.0):
-        raise ValueError(f"latitude {lat} out of range")
-    if not (-180.0 <= lon <= 180.0):
-        raise ValueError(f"longitude {lon} out of range")
-    return lat, lon
-
-
-def _build_point(rec: dict, line_no: int) -> tuple:
-    """The one rule for a valid row: raises PointParseError otherwise.
-
-    Returns ``(user_id, t, lat, lon, heading, speed)``, with NaN for an
-    absent heading or speed.
-    """
-    try:
-        if not isinstance(rec, dict):
-            raise TypeError("line is not a JSON object")
-        user = rec["user_id"]
-        if user is None or str(user) == "":
-            raise ValueError("empty user_id")
-        t = _parse_timestamp(rec["timestamp"])
-        lat, lon = _lat_lon(rec)
-        heading = rec.get("heading")
-        if heading in (None, ""):
-            heading = math.nan
-        else:
-            heading = _number(heading, "heading")
-            if not (0.0 <= heading < TWO_PI):
-                raise ValueError(f"heading {heading} outside [0, 2*pi)")
-        speed = rec.get("speed")
-        if speed in (None, ""):
-            speed = math.nan
-        else:
-            speed = _number(speed, "speed")
-            if not (math.isfinite(speed) and speed >= 0.0):
-                raise ValueError(f"bad speed {speed}")
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise PointParseError(str(exc), line_no=line_no) from exc
-    return str(user), t, lat, lon, heading, speed
 
 
 @dataclass(frozen=True)
@@ -180,8 +119,9 @@ def point_blocks(source, settings: ParseSettings = ParseSettings(),
 
     A path is read as UTF-8 after an optional byte order mark, a text
     stream as it is given. A block holds the rows of about ``_BLOCK_CHARS``
-    characters, in file order, and the count of malformed rows among them.
-    Rules and errors are those of :func:`parse_points`.
+    characters, in file order, and its malformed rows; every row of either
+    format goes through ``_check``. Errors are those of
+    :func:`parse_points`.
     """
     with (open(source, "r", encoding="utf-8-sig", newline="")
           if isinstance(source, (str, Path)) else nullcontext(source)
@@ -191,39 +131,149 @@ def point_blocks(source, settings: ParseSettings = ParseSettings(),
 
 
 def _parse_csv(stream, strict: bool) -> Iterator[ParseResult]:
-    """The bulk checks (``_parse_block``) take each ``_Block``'s full
-    records; ``_build_rows`` takes the rest."""
     blocks = _csv_blocks(stream)
     if (names := next(blocks, None)) is None:
         return
-    col, record = _header(names, _REQUIRED, "points"), _records(names)
+    col, k = _header(names, _REQUIRED, "points"), len(names)
     for block in blocks:
-        part, keep = _parse_block(block, len(names), col)
-        rest, lines = _build_rows(block.rows(keep), record, strict)
-        if lines:               # accepted rows go back in file order
-            at = np.concatenate([block.line[keep], lines])
-            part = _concat([part, rest]).take(np.argsort(at))
-        part.skipped = rest.skipped
-        del block               # frees its cells before the caller takes part
+        line, cells = block.padded(k)
+        part = _check(line, {name: cells[col[name]::k] if name in col
+                             else None for name in _NAMES}, strict)
+        del block, cells        # frees the cells before the caller takes part
         yield part
+
+
+def _parse_ndjson(stream, strict: bool) -> Iterator[ParseResult]:
+    """Each block's lines but blank ones, as columns of their keys' values:
+    "" where absent or null, a boolean as its ``str``, which no conversion
+    takes, and ``user_id`` as ``str``."""
+    line_no = 0
+    while lines := stream.readlines(_BLOCK_CHARS):
+        given = np.fromiter(map(bool, map(str.strip, lines)), bool,
+                            len(lines))
+        text = list(compress(lines, given.tolist()))
+        records = _json_values(text)
+        obj = np.fromiter(map(isinstance, records, repeat(dict)), bool,
+                          len(records))
+        if not obj.all():
+            records = [r if o else {} for r, o in zip(records, obj.tolist())]
+        cells = {}
+        for name in _NAMES:
+            column = cells[name] = list(map(dict.get, records, repeat(name),
+                                            repeat("")))
+            odd = np.fromiter(map(isinstance, column, repeat(
+                (bool, type(None)))), bool, len(column))
+            for i in np.flatnonzero(odd).tolist():
+                column[i] = "" if column[i] is None else str(column[i])
+        cells["user_id"] = list(map(str, cells["user_id"]))
+        del records, text       # the cells hold the values
+        yield _check(line_no + 1 + np.flatnonzero(given), cells, strict, obj)
+        line_no += len(lines)
+
+
+def _json_values(lines: list[str]) -> list:
+    """``json.loads`` of each line, None where it refuses the line. Lines
+    that all open an object and hold no "[" are first read as one array: if
+    it has as many values, they are the lines', as no string may hold the
+    line end before each comma, nor an object a "{" after one."""
+    text = ",".join(lines)
+    if "[" not in text and all(map(str.startswith, lines, repeat("{"))):
+        try:
+            values = json.loads(f"[{text}]")
+        except ValueError:
+            values = []
+        if len(values) == len(lines):
+            return values
+    values, rest = [], iter(lines)
+    while True:
+        try:
+            values.extend(map(json.loads, rest))    # keeps what came before
+            return values
+        except ValueError:
+            values.append(None)
+
+
+def _check(line: np.ndarray, cells: dict, strict: bool,
+           obj: np.ndarray | None = None) -> ParseResult:
+    """The one rule for a points row, over the rows of a block: ``line``
+    holds their lines, ``cells`` each of ``_NAMES`` as a column (text or a
+    JSON number, "" where absent; None where the file has no such column)
+    and ``obj`` whether each is a JSON object. The checks of ``_CHECKS``
+    run in order, each converting its column in bulk on the rows not yet
+    refused. Returns the rows all accept, in line order, and the refused
+    ones; with ``strict`` the first refused row raises instead."""
+    n = len(line)
+    reason = np.full(n, -1, dtype=np.int8)     # -1: not refused
+    if obj is not None:
+        _refuse(reason, "not_object", ~obj)
+    user = cells["user_id"]
+    _refuse(reason, "empty_user_id",
+            np.fromiter(map(len, user), np.int64, n) == 0)
+    t = _timestamps(cells["timestamp"], reason < 0)
+    _refuse(reason, "bad_timestamp", ~np.isfinite(t))
+    columns = [t, *_coordinates(cells["lat"], cells["lon"], reason)]
+    for name, fits in (("heading", lambda x: (x >= 0.0) & (x < TWO_PI)),
+                       ("speed", lambda x: np.isfinite(x) & (x >= 0.0))):
+        x, given = np.full(n, np.nan), np.zeros(n, dtype=bool)
+        if cells[name] is not None:     # an empty cell means "absent"
+            given = np.fromiter(map(operator.ne, cells[name], repeat("")),
+                                bool, n)
+            x = _floats_at(cells[name], (reason < 0) & given)[0]
+        _refuse(reason, f"bad_{name}", given & ~fits(x))
+        columns.append(x)
+    ok = reason < 0
+    part = ParseResult(np.array(user, dtype=object)[ok],
+                       *(c[ok] for c in columns))
+    if n and (np.diff(line) < 0).any():     # records of another width last
+        part = part.take(np.argsort(line[ok]))
+    bad = np.flatnonzero(~ok)
+    bad = bad[np.argsort(line[bad])]
+    if strict and bad.size:
+        raise _refusal(reason[bad[0]], cells, bad[0], line)
+    part.skipped, part.refused = int(bad.size), (reason[bad], line[bad])
+    return part
+
+
+def _refuse(reason: np.ndarray, key: str, bad: np.ndarray) -> None:
+    """Refuses for ``key`` the rows ``bad`` marks that are not yet (-1)."""
+    reason[(reason < 0) & bad] = REASONS.index(key)
+
+
+def _refusal(reason: int, cells: dict, row: int,
+             line: np.ndarray) -> PointParseError:
+    """The error of a row refused for ``REASONS[reason]``, with its cell."""
+    name, message = _CHECKS[REASONS[reason]]
+    cell = cells[name][row] if name else None
+    try:
+        cell = float(cell)
+    except (TypeError, ValueError, OverflowError):
+        cell = repr(cell)
+    return PointParseError(message.format(cell), line_no=int(line[row]))
+
+
+def _coordinates(lat: list, lon: list, reason: np.ndarray) -> list:
+    """``float`` of the ``lat`` and ``lon`` cells of the rows not refused;
+    refuses a cell that is no number, a latitude outside [-90, 90] and a
+    longitude outside [-180, 180], NaN included."""
+    out = []
+    for name, cells, bound in (("lat", lat, 90.0), ("lon", lon, 180.0)):
+        x, refused = _floats_at(cells, reason < 0)
+        _refuse(reason, f"bad_{name}", refused)
+        _refuse(reason, f"{name}_range", ~((x >= -bound) & (x <= bound)))
+        out.append(x)
+    return out
 
 
 def _header(names: list[str], required, what: str) -> dict[str, int]:
     """The column of each of ``names``, the last of a repeated name, as
-    ``_records`` reads it; refuses at line 1 the first ``required`` name
-    they lack."""
+    ``csv.DictReader`` reads them; refuses at line 1 the first ``required``
+    name they lack."""
     col = {name: i for i, name in enumerate(names)}
     for name in required:
         if name not in col:
             raise PointParseError(f"{what} file has no {name} column",
                                   line_no=1)
     return col
-
-
-def _records(names: list[str]):
-    """Cells to a dict as ``csv.DictReader`` maps them, less its restkey."""
-    return lambda cells: (dict(zip(names, cells))
-                          | dict.fromkeys(names[len(cells):]))
 
 
 class _Block(NamedTuple):
@@ -242,6 +292,15 @@ class _Block(NamedTuple):
         return sorted(self.others + [
             (line, self.cells[i * k:i * k + k]) for i, line in zip(
                 np.flatnonzero(left).tolist(), self.line[left].tolist())])
+
+    def padded(self, k: int) -> tuple[np.ndarray, list[str]]:
+        """``line`` and ``cells`` of every record, the others last, padded
+        with empty cells (``csv.DictReader``'s absent ones) or cut to ``k``."""
+        if not self.others:
+            return self.line, self.cells
+        return (np.concatenate([self.line, [at for at, _ in self.others]]),
+                self.cells + [c for _, rec in self.others
+                              for c in (rec + [""] * k)[:k]])
 
 
 def _csv_blocks(stream) -> Iterator:
@@ -314,75 +373,57 @@ def _record_block(records: list[tuple[int, list[str]]], k: int) -> _Block:
                   [r for r in records if len(r[1]) != k])
 
 
-def _parse_block(block: _Block, k: int,
-                 col: dict[str, int]) -> tuple[ParseResult, np.ndarray]:
-    """The full records (``k`` cells each) that the bulk checks accept,
-    and their mask; ``col`` is ``_header``'s column of each name.
-
-    The cells are split into columns, converted with ``float`` and
-    range-checked in bulk, accepting only rows that ``_build_point``
-    accepts, with the same values.
-    """
-    cells, n = block.cells, len(block.line)
-
-    # each column is converted only on the rows still valid, so a block
-    # whose timestamps all need _build_point costs little more here
-    user = cells[col["user_id"]::k]
-    t = _timestamps(cells[col["timestamp"]::k])
-    ok = (np.fromiter(map(len, user), np.int64, n) > 0) & np.isfinite(t)
-    lat = _floats_at(cells[col["lat"]::k], ok)
-    lon = _floats_at(cells[col["lon"]::k], ok)
-    ok &= (lat >= -90.0) & (lat <= 90.0) & (lon >= -180.0) & (lon <= 180.0)
-    optional = []
-    for name in ("heading", "speed"):
-        v = np.full(n, np.nan)
-        if name in col:             # an empty cell means "absent"
-            text = cells[col[name]::k]
-            given = np.fromiter(map(len, text), np.int64, n) > 0
-            v = _floats_at(text, ok & given)
-            ok &= ~given | ((v >= 0.0) & (v < TWO_PI) if name == "heading"
-                            else np.isfinite(v) & (v >= 0.0))
-        optional.append(v)
-    return ParseResult(*(c[ok] for c in (np.array(user, dtype=object), t,
-                                         lat, lon, *optional))), ok
-
-
-def _floats_at(text: list[str], rows: np.ndarray) -> np.ndarray:
-    """``float`` of the cells in ``rows``, bit for bit; NaN elsewhere.
-
-    A cell that ``float`` refuses is NaN too; the conversion goes on from
-    the next cell, so each refused cell costs one exception.
-    """
-    cells = compress(text, rows.tolist())
-    out: list[float] = []
+def _floats_at(text: list, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``float`` of the cells in ``rows``, bit for bit, NaN elsewhere, and
+    the mask of the cells it refuses (NaN too); the conversion goes on
+    after a refused cell, so each costs one exception."""
+    cells, out, refused = compress(text, rows.tolist()), [], []
     while True:
         try:
             out.extend(map(float, cells))   # keeps what came before a refusal
             break
-        except ValueError:
+        except (ValueError, TypeError, OverflowError):
+            refused.append(len(out))
             out.append(math.nan)
-    v = np.full(len(text), np.nan)
-    v[rows] = out
-    return v
+    at = np.flatnonzero(rows)
+    v, bad = np.full(len(text), np.nan), np.zeros(len(text), dtype=bool)
+    v[at], bad[at[refused]] = out, True
+    return v, bad
 
 
-def _timestamps(text: list[str]) -> np.ndarray:
-    """Seconds of each timestamp cell; NaN where ``_build_point`` must decide.
-
-    ``_parse_timestamp`` tries ``float`` first, and ``float`` never accepts
-    ':'. So cells without one go through ``float``; cells with one are
-    converted in bulk when they have the 20 characters of
-    ``YYYY-MM-DDTHH:MM:SSZ`` or the 25 of ``YYYY-MM-DDTHH:MM:SS+HH:MM``
-    (or ``-HH:MM``), and left to ``_build_point`` otherwise.
-    """
+def _timestamps(text: list, rows: np.ndarray) -> np.ndarray:
+    """Seconds of the timestamp cells in ``rows``, NaN elsewhere or where
+    refused. ``float`` never takes a ':', so only cells without one go
+    through it; cells with one are converted in bulk when 20 characters
+    long, as ``YYYY-MM-DDTHH:MM:SSZ``, or 25, as ``...+HH:MM``. A cell
+    neither settles goes alone through ``datetime.fromisoformat``, a
+    trailing "Z" or "z" read as "+00:00" and no offset as UTC."""
     n = len(text)
-    clock = np.fromiter(map(str.__contains__, text, repeat(":")), bool, n)
-    t = _floats_at(text, ~clock)
-    size = np.fromiter(map(len, text), np.int64, n)
+    try:
+        clock = np.fromiter(map(str.__contains__, text, repeat(":")), bool, n)
+    except TypeError:       # JSON numbers among the cells: only text has one
+        clock = np.fromiter(map(isinstance, text, repeat(str)), bool, n)
+        clock[clock] = list(map(str.__contains__, compress(
+            text, clock.tolist()), repeat(":")))
+    clock &= rows
+    t, left = _floats_at(text, rows & ~clock)
+    at = np.flatnonzero(clock)
+    stamps = list(compress(text, clock.tolist()))
+    size = np.fromiter(map(len, stamps), np.int64, len(stamps))
     for width in (20, 25):
-        iso = clock & (size == width)
-        if iso.any():
-            t[iso] = _utc_seconds(list(compress(text, iso.tolist())))
+        if (iso := size == width).any():
+            t[at[iso]] = _utc_seconds(list(compress(stamps, iso.tolist())))
+    left[at] |= np.isnan(t[at])
+    for i in np.flatnonzero(left).tolist():
+        try:
+            stamp = text[i].strip()     # AttributeError: not text
+            if stamp.endswith(("Z", "z")):
+                stamp = stamp[:-1] + "+00:00"
+            dt = datetime.fromisoformat(stamp)
+            t[i] = (dt if dt.tzinfo else dt.replace(tzinfo=timezone.utc)
+                    ).timestamp()
+        except (AttributeError, ValueError, OverflowError):
+            pass
     return t
 
 
@@ -439,41 +480,11 @@ def _utc_seconds(text: list[str]) -> np.ndarray:
 
 def _concat(parts: list[ParseResult]) -> ParseResult:
     if not parts:
-        return _columns([])
+        return ParseResult(np.empty(0, dtype=object), *np.empty((5, 0)))
     return ParseResult(*(np.concatenate([getattr(p, c) for p in parts])
-                         for c in _COLUMNS), sum(p.skipped for p in parts))
-
-
-def _parse_ndjson(stream, strict: bool) -> Iterator[ParseResult]:
-    line_no = 0
-    while lines := stream.readlines(_BLOCK_CHARS):
-        yield _build_rows([(i, line) for i, line in enumerate(
-            lines, start=line_no + 1) if line.strip()], json.loads,
-            strict)[0]
-        line_no += len(lines)
-
-
-def _build_rows(rows: Iterable[tuple[int, object]], record,
-                strict: bool) -> tuple[ParseResult, list[int]]:
-    """The points of ``(line, raw)`` rows, and the lines they came from.
-
-    ``record(raw)`` is the row's record, or raises ValueError. A row it or
-    ``_build_point`` refuses is skipped and counted, or with ``strict``
-    raises."""
-    points, lines, skipped = [], [], 0
-    for line, raw in rows:
-        try:
-            try:
-                rec = record(raw)
-            except ValueError as exc:
-                raise PointParseError(str(exc), line_no=line) from exc
-            points.append(_build_point(rec, line))
-            lines.append(line)
-        except PointParseError:
-            if strict:
-                raise
-            skipped += 1
-    return _columns(points, skipped), lines
+                         for c in _COLUMNS), sum(p.skipped for p in parts),
+                       tuple(map(np.concatenate,
+                                 zip(*(p.refused for p in parts)))))
 
 
 # -- movement extraction ------------------------------------------------
@@ -504,6 +515,8 @@ class ExtractSettings:
 class ExtractionStats:
     n_points: int = 0
     n_skipped: int = 0          # malformed rows: the blocks' ``skipped``
+    # their reasons: each one's "count" and "first_lines", the first five
+    skipped_by_reason: dict = field(default_factory=dict)
     n_users: int = 0
     n_vectors: int = 0
     dropped_duplicate: int = 0
@@ -608,6 +621,12 @@ def extract_movements(points: ParseResult, aoi: AreaOfInterest,
     stats = carry.stats
     stats.n_points += len(points)
     stats.n_skipped += points.skipped
+    for reason, line in zip(*(r.tolist() for r in points.refused)):
+        had = stats.skipped_by_reason.setdefault(
+            REASONS[reason], {"count": 0, "first_lines": []})
+        had["count"] += 1
+        if had["count"] <= 5:
+            had["first_lines"].append(line)
     stats.n_users += len(new)
     carried = np.sort(codes[old])   # np.unique, which hashes, is 10x slower
     carried = carried[np.diff(carried, prepend=-1) > 0]

@@ -21,8 +21,8 @@ from .errors import PointParseError
 from .evaluation import PrecisionCurve, RecallCurve, Station
 from .field import ALL_TIME, MAX_ENTROPY, MdeField
 from .fusion import CombinedMap
-from .ingest import (ParseResult, _REQUIRED, _Block, _columns, _csv_blocks,
-                     _floats_at, _header, _lat_lon, _records)
+from .ingest import (ParseResult, _REQUIRED, _Block, _concat, _coordinates,
+                     _csv_blocks, _floats_at, _header, _refusal)
 from .mesh import AreaOfInterest, GeoPoint, mesh_centers, mesh_corners
 
 FIELD_HEADER = ("scale_m", "col", "row", "center_lat", "center_lon",
@@ -110,7 +110,7 @@ def _field_values(n: str, h: str) -> tuple[int, float]:
 def _field_bulk(ok: np.ndarray, n: list, h: list) -> tuple:
     n = np.array(n, dtype=np.int64)
     given = np.fromiter(map(len, h), np.int64, len(h)) > 0
-    h = _floats_at(h, given)        # NaN where empty or refused
+    h = _floats_at(h, given)[0]     # NaN where empty or refused
     ok &= (n >= 0) & (~given | ((h >= 0.0) & (h <= _MAX_READ)))
     return n, h
 
@@ -122,7 +122,7 @@ def _score(v: str) -> tuple[float]:
 
 
 def _score_bulk(ok: np.ndarray, v: list) -> tuple:
-    v = _floats_at(v, np.ones(len(v), dtype=bool))
+    v = _floats_at(v, np.ones(len(v), dtype=bool))[0]
     ok &= np.isfinite(v)
     return (v,)
 
@@ -259,28 +259,34 @@ def write_stations_csv(stations: Sequence[Station], path) -> None:
 
 
 def read_stations_csv(path) -> list[Station]:
-    """The stations of a file, each of a distinct rank of at least 1."""
+    """The stations of a file, each of a distinct rank of at least 1, its
+    lat and lon checked as a points row's are (``_coordinates``)."""
     stations, first = [], {}        # first[rank]: the line that holds it
     with open(path, "r", encoding="utf-8-sig", newline="") as f:
         blocks = _csv_blocks(f)
         names = next(blocks, [])
-        _header(names, STATION_HEADER, "stations")
-        record = _records(names)
+        col, k = _header(names, STATION_HEADER, "stations"), len(names)
         for block in blocks:
-            for line, cells in block.rows(np.zeros(len(block.line), bool)):
-                rec = record(cells)
+            line, cells = block.padded(k)
+            cells = {name: cells[col[name]::k] for name in STATION_HEADER}
+            reason = np.full(len(line), -1, dtype=np.int8)
+            lat, lon = (c.tolist() for c in _coordinates(
+                cells["lat"], cells["lon"], reason))
+            for i in np.argsort(line).tolist():
+                if reason[i] >= 0:
+                    raise _refusal(reason[i], cells, i, line)
+                at = int(line[i])
                 try:
-                    station = Station(rec["name"], GeoPoint(*_lat_lon(rec)),
-                                      int(rec["rank"]))
-                    rank = station.rank
+                    rank = int(cells["rank"][i])
                     if rank < 1:
                         raise ValueError(f"station rank {rank} is below 1")
-                    if first.setdefault(rank, line) != line:
+                    if first.setdefault(rank, at) != at:
                         raise ValueError(f"station rank {rank} is already "
                                          f"on line {first[rank]}")
-                except (TypeError, ValueError) as exc:
-                    raise PointParseError(str(exc), line_no=line) from exc
-                stations.append(station)
+                except ValueError as exc:
+                    raise PointParseError(str(exc), line_no=at) from exc
+                stations.append(Station(cells["name"][i],
+                                        GeoPoint(lat[i], lon[i]), rank))
     if not stations:
         raise PointParseError("stations file has no rows")
     return stations
@@ -325,7 +331,7 @@ def write_points_csv(blocks: Iterable[ParseResult], path) -> None:
     where the first has no column for it raises ValueError.
     """
     blocks = iter(blocks)
-    first = next(blocks, _columns([]))
+    first = next(blocks, _concat([]))
     extras = _has_extras(first)
     header = _REQUIRED + (("heading", "speed") if extras else ())
     _write(path, _point_rows(chain([first], blocks), extras), header)

@@ -16,15 +16,54 @@ the file stay; a set of the same trees again takes the next " #<n>":
 A claim holds where the changed tree wins at least nine tenths of the
 pairs and the medians differ by more than the base tree's interquartile
 range. Runs go one at a time, so they do not compete for the processors.
+With each run of the ``city`` or ``windows`` workload, it also runs each
+of that workload's commands again in a process of its own, through a
+wrapper that calls ``mdemap.cli.main`` and then reads its own ``VmHWM``
+from ``/proc/self/status``; the medians of these ``own_peak_mb``, per
+command, go in the report too. A child's ``ru_maxrss``, which the
+benchmark's ``peak_rss_mb`` takes, counts at least its parent's peak, so
+that metric can measure the runner rather than the command.
+
 Not a test: pytest does not collect it.
 """
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
+
+# Runs one mdemap command in this process and prints its own peak, in MB.
+WRAPPER = """
+import sys
+from mdemap.cli import main
+code = main(sys.argv[1:])
+with open("/proc/self/status") as f:
+    kb = next(int(line.split()[1]) for line in f if line.startswith("VmHWM:"))
+print(kb / 1024)
+sys.exit(code)
+"""
+FIELDS = [f"mde_{s}m.csv" for s in (100, 1000, 2000, 4000)]
+# The commands of each workload as perfbench/run.py runs them, at its
+# default sizes, and the windows log's users and fixes
+COMMANDS = {
+    "city": lambda seed: [
+        ("synth", ["synth", "--seed", str(seed), "--users", "50000",
+                   "--fixes", "20", "--out", "."]),
+        ("compute", ["compute", "points.csv", "--out", "."]),
+        ("combine", ["combine", *FIELDS, "--mode", "mean", "--out", "."]),
+        ("evaluate", ["evaluate", *FIELDS, "--stations", "stations.csv",
+                      "--out", "."]),
+        ("export", ["export", "combined.csv", "--out", "."])],
+    "windows": lambda seed: [
+        ("compute", ["compute", "windows.csv", "--window", "3600",
+                     "--out", "."])],
+}
+WINDOWS_LOG = ("import sys, inputs; open(sys.argv[1], 'w', encoding='utf-8')"
+               ".write(inputs.windows_log(int(sys.argv[2]), 20000, 20)[0])")
 
 
 def run(tree: Path, workload: str, seed: int | None,
@@ -44,6 +83,23 @@ def run(tree: Path, workload: str, seed: int | None,
     [prov] = [json.loads(line.split(" ", 1)[1]) for line in lines
               if line.startswith("provenance ")]
     return {k: m["value"] for k, m in result["metrics"].items()}, prov
+
+
+def own_peaks(tree: Path, workload: str, seed: int) -> dict[str, float]:
+    """Each command of ``workload`` run alone on ``tree``: its own peak."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    peaks = {}
+    with tempfile.TemporaryDirectory() as work:
+        if workload == "windows":
+            subprocess.run([sys.executable, "-c", WINDOWS_LOG, "windows.csv",
+                            str(seed)], cwd=work, check=True,
+                           env=dict(env, PYTHONPATH=str(tree / "perfbench")))
+        for name, argv in COMMANDS[workload](seed):
+            out = subprocess.run([sys.executable, "-c", WRAPPER, *argv],
+                                 cwd=work, env=env, capture_output=True,
+                                 text=True, check=True)
+            peaks[name] = float(out.stdout.split()[-1])
+    return peaks
 
 
 def summary(base: list[float], changed: list[float]) -> dict:
@@ -78,12 +134,16 @@ def main() -> int:
               if args.out and args.out.exists() else {})
     for workload in args.workloads.split(","):
         runs, prov = {"base": [], "changed": []}, {}
+        peaks = {"base": [], "changed": []}
         for i in range(args.pairs):
             order = ("base", "changed") if i % 2 == 0 else ("changed", "base")
             for side in order:
                 metrics, prov[side] = run(trees[side], workload, args.seed,
                                           args.seconds)
                 runs[side].append(metrics)
+                if workload in COMMANDS:
+                    peaks[side].append(own_peaks(trees[side], workload,
+                                                 prov[side]["seed"]))
             print(f"{workload} pair {i + 1}/{args.pairs}: " + ", ".join(
                 f"{side} wall_s {runs[side][-1]['wall_s']:.4f}"
                 for side in ("base", "changed")), file=sys.stderr)
@@ -94,8 +154,17 @@ def main() -> int:
                f"{prov['base']['src_sha256'][:12]} -> "
                f"{prov['changed']['src_sha256'][:12]}")
         again = sum(k == key or k.startswith(key + " #") for k in report)
+        own = {name: summary([p[name] for p in peaks["base"]],
+                             [p[name] for p in peaks["changed"]])
+               for name in (peaks["base"][0] if peaks["base"] else {})}
         report[key + (f" #{again + 1}" if again else "")] = {
-            "seconds": args.seconds, "provenance": prov, "metrics": metrics}
+            "seconds": args.seconds, "provenance": prov, "metrics": metrics,
+            **({"own_peak_mb": own} if own else {})}
+        for name, s in own.items():
+            b, c = s["base"], s["changed"]
+            print(f"{workload:8s} own_peak_mb {name:8s} base "
+                  f"{b['median']:.1f} changed {c['median']:.1f} "
+                  f"{s['change']:+.1%}")
         for name, s in metrics.items():
             b, c = s["base"], s["changed"]
             print(f"{workload:8s} {name:12s} base {b['median']:.4f} "

@@ -3,21 +3,26 @@
 These are the per-point, per-displacement, per-angle, per-histogram,
 per-mesh, per-row and per-user forms of the method: slow and plain, so
 that the columnar code in ``mdemap`` has something independent to agree
-with. The ``*_general`` functions are the plain numpy forms that the
-field kernels' fast paths must match bit for bit.
+with. ``_build_point`` is the rule for a points row, one row at a time,
+that the columnar check of ``mdemap.ingest`` must agree with. The
+``*_general`` functions are the plain numpy forms that the field
+kernels' fast paths must match bit for bit.
 """
 
 import csv
 import math
 from dataclasses import dataclass, field as dc_field
+from datetime import datetime, timezone
+from typing import Iterable
 
 import numpy as np
 
 from mdemap import (ALL_TIME, AreaOfInterest, CombinedMap, ConfigError,
                     EARTH_RADIUS_M, GeoPoint, Hub, InvalidAngleError,
                     LocalCoord, MAX_ENTROPY, METERS_PER_DEGREE, MdeField,
-                    MeshId, N_BINS, PointParseError, inverse_project,
-                    kernels, mesh_center)
+                    MeshId, N_BINS, ParseResult, PointParseError,
+                    inverse_project, kernels, mesh_center)
+from mdemap.cli import _number
 from mdemap.io import CENTER_TOLERANCE_DEG, ENTROPY_SLACK
 from mdemap.mesh import TWO_PI
 from mdemap.synth import _STEP_MAX_M, _STEP_MIN_M
@@ -340,3 +345,100 @@ def read_combined_csv(path, aoi: AreaOfInterest) -> CombinedMap:
         scores.append(v)
     return CombinedMap(scale, aoi, *_grid_order(
         lines, col, row, np.array(scores, dtype=np.float64)))
+
+
+# -- the points row rule, one row at a time --------------------------------
+
+def _columns(rows: list[tuple], skipped: int = 0) -> ParseResult:
+    """The columns of ``_build_point`` rows."""
+    user, *numbers = zip(*rows) if rows else [()] * 6
+    return ParseResult(np.array(user, dtype=object),
+                       *np.array(numbers, dtype=np.float64), skipped)
+
+
+def _parse_timestamp(raw) -> float:
+    if isinstance(raw, str):
+        text = raw.strip()
+        try:
+            t = float(text)
+        except ValueError:
+            if text.endswith(("Z", "z")):
+                text = text[:-1] + "+00:00"
+            dt = datetime.fromisoformat(text)
+            if dt.tzinfo is None:
+                dt = dt.replace(tzinfo=timezone.utc)
+            t = dt.timestamp()
+    elif isinstance(raw, (int, float)):
+        t = _number(raw, "timestamp")
+    else:
+        raise TypeError(f"timestamp {raw!r} is not a number or a string")
+    if not math.isfinite(t):
+        raise ValueError(f"non-finite timestamp {raw!r}")
+    return t
+
+
+def _lat_lon(rec: dict) -> tuple[float, float]:
+    """A record's ``lat`` in [-90, 90] and ``lon`` in [-180, 180]; raises
+    ValueError otherwise, NaN included."""
+    lat, lon = _number(rec["lat"], "lat"), _number(rec["lon"], "lon")
+    if not (-90.0 <= lat <= 90.0):
+        raise ValueError(f"latitude {lat} out of range")
+    if not (-180.0 <= lon <= 180.0):
+        raise ValueError(f"longitude {lon} out of range")
+    return lat, lon
+
+
+def _build_point(rec: dict, line_no: int) -> tuple:
+    """The one rule for a valid row: raises PointParseError otherwise.
+
+    Returns ``(user_id, t, lat, lon, heading, speed)``, with NaN for an
+    absent heading or speed.
+    """
+    try:
+        if not isinstance(rec, dict):
+            raise TypeError("line is not a JSON object")
+        user = rec["user_id"]
+        if user is None or str(user) == "":
+            raise ValueError("empty user_id")
+        t = _parse_timestamp(rec["timestamp"])
+        lat, lon = _lat_lon(rec)
+        heading = rec.get("heading")
+        if heading in (None, ""):
+            heading = math.nan
+        else:
+            heading = _number(heading, "heading")
+            if not (0.0 <= heading < TWO_PI):
+                raise ValueError(f"heading {heading} outside [0, 2*pi)")
+        speed = rec.get("speed")
+        if speed in (None, ""):
+            speed = math.nan
+        else:
+            speed = _number(speed, "speed")
+            if not (math.isfinite(speed) and speed >= 0.0):
+                raise ValueError(f"bad speed {speed}")
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise PointParseError(str(exc), line_no=line_no) from exc
+    return str(user), t, lat, lon, heading, speed
+
+
+def _build_rows(rows: Iterable[tuple[int, object]], record,
+                strict: bool) -> tuple[ParseResult, list[int]]:
+    """The points of ``(line, raw)`` rows, and the lines they came from.
+
+    ``record(raw)`` is the row's record, or raises ValueError. A row it or
+    ``_build_point`` refuses is skipped and counted, or with ``strict``
+    raises."""
+    points, lines, skipped = [], [], 0
+    for line, raw in rows:
+        try:
+            try:
+                rec = record(raw)
+            except ValueError as exc:
+                raise PointParseError(str(exc), line_no=line) from exc
+            points.append(_build_point(rec, line))
+            lines.append(line)
+        except PointParseError:
+            if strict:
+                raise
+            skipped += 1
+    return _columns(points, skipped), lines

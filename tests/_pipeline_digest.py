@@ -6,9 +6,11 @@ In a temporary directory: a 2,000-user seed-7 ``synth``; ``compute`` with
 ``--window 300 --min-samples 5``, on ``points.csv`` as written and on
 the same rows stably sorted by time; then ``combine``, ``evaluate`` and
 ``export`` on each layout's ``all`` fields, and ``export`` of its
-``mde_100m.csv``. Last, ``compute --window all`` on a ``quoted`` layout:
+``mde_100m.csv``. Last, ``compute --window all`` on two more layouts,
+whose outputs must equal the ``as_written`` ones: ``quoted``,
 ``points.csv`` with its header and every ``user_id`` quoted, as R's
-``write.csv`` writes it; its outputs must equal the ``as_written`` ones.
+``write.csv`` writes it, and ``ndjson``, its rows as NDJSON read with
+``--format ndjson``.
 Prints one JSON object: each output file, as ``<layout>/<run>/<name>``,
 summaries included, to its sha256. Run it on two checkouts and diff:
 
@@ -18,6 +20,7 @@ A command that exits other than 0 stops the run, naming it.
 """
 
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -60,6 +63,17 @@ def quoted(src: Path, dst: Path) -> None:
         f.writelines('"{}",{}'.format(*row.split(",", 1)) for row in rows)
 
 
+def as_ndjson(src: Path, dst: Path) -> None:
+    """The rows of ``src`` as NDJSON objects: ``user_id`` as text and every
+    other cell, an empty one left out, as a JSON number."""
+    with open(src, encoding="utf-8", newline="") as f:
+        rows = list(csv.DictReader(f))
+    with open(dst, "w", encoding="utf-8", newline="") as f:
+        f.writelines(json.dumps({k: v if k == "user_id" else float(v)
+                                 for k, v in row.items() if v}) + "\n"
+                     for row in rows)
+
+
 def pipeline(root: Path) -> None:
     run(["synth", "--users", "2000", "--fixes", "20", "--seed", "7",
          "--out", str(root / "synth")])
@@ -81,14 +95,17 @@ def pipeline(root: Path) -> None:
         run(["export", str(out / "mde_100m.csv"),
              "--out", str(out / "export_field")])
     quoted(root / "synth" / "points.csv", root / "quoted.csv")
-    out = root / "quoted" / "all"
-    run(["compute", str(root / "quoted.csv"), *COMPUTE["all"],
-         "--out", str(out)])
-    for path in out.iterdir():
-        if path.read_bytes() != (root / "as_written" / "all" /
-                                 path.name).read_bytes():
-            raise SystemExit(f"quoted/all/{path.name} differs from "
-                             f"as_written/all/{path.name}")
+    as_ndjson(root / "synth" / "points.csv", root / "points.ndjson")
+    for layout, flags in (("quoted", [str(root / "quoted.csv")]),
+                          ("ndjson", [str(root / "points.ndjson"),
+                                      "--format", "ndjson"])):
+        out = root / layout / "all"
+        run(["compute", *flags, *COMPUTE["all"], "--out", str(out)])
+        for path in out.iterdir():
+            if path.read_bytes() != (root / "as_written" / "all" /
+                                     path.name).read_bytes():
+                raise SystemExit(f"{layout}/all/{path.name} differs from "
+                                 f"as_written/all/{path.name}")
 
 
 def digests() -> dict[str, str]:

@@ -17,12 +17,12 @@ from hypothesis import example, given, settings, strategies as st
 from mdemap import (ConfigError, DEFAULT_AOI, ExtractSettings, MovementBatch,
                     ParseResult, ParseSettings, PointParseError,
                     extract_movements, ingest, parse_points)
-from mdemap.ingest import (_build_point, _floats_at, _parse_timestamp,
-                           _timestamps, _utc_seconds)
+from mdemap.ingest import _floats_at, _timestamps, _utc_seconds
 from mdemap.io import write_points_csv
 from mdemap.mesh import inverse_project, LocalCoord, project_arrays
 
-from _oracles import direction_of
+from _oracles import (_build_point, _build_rows, _parse_timestamp,
+                      direction_of)
 from conftest import fixes, points_of, same_batch
 
 CSV_HEADER = "user_id,timestamp,lat,lon\n"
@@ -100,6 +100,14 @@ def _float_or_nan(cell: str) -> float:
         return math.nan
 
 
+def _refused(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return True
+    return False
+
+
 _CELLS = st.one_of(
     st.sampled_from(["nan", "-nan", " 1.5 ", "1_0", "", "north", "inf",
                      "-0", "1e999", "0x10", "1.5.2"]),
@@ -112,8 +120,10 @@ def test_floats_at_matches_float_per_cell(cells):
     rows = np.array([r for _, r in cells], dtype=bool)
     want = np.array([_float_or_nan(c) if r else math.nan for c, r in cells],
                     dtype=np.float64)
+    got, refused = _floats_at(text, rows)
     # bit for bit: NaN positions and NaN signs included
-    assert _floats_at(text, rows).tobytes() == want.tobytes()
+    assert got.tobytes() == want.tobytes()
+    assert refused.tolist() == [r and _refused(c) for c, r in cells]
 
 
 def test_parse_empty_csv():
@@ -458,6 +468,66 @@ def test_ndjson_booleans_are_not_numbers(key):
     assert len(got) == 0 and got.skipped == 1
 
 
+# A row each check refuses, as CSV cells and as an NDJSON object, and the
+# message strict mode gives for it
+_REFUSED = {
+    "not_object": (None, [1], "line is not a JSON object"),
+    "empty_user_id": (",60,35.5,139.4,,", {"user_id": ""}, "empty user_id"),
+    "bad_timestamp": ("u,soon,35.5,139.4,,", {"timestamp": "soon"},
+                      "bad timestamp 'soon'"),
+    "bad_lat": ("u,60,north,139.4,,", {"lat": "north"},
+                "lat 'north' is not a number"),
+    "lat_range": ("u,60,95,139.4,,", {"lat": 95},
+                  "latitude 95.0 out of range"),
+    "bad_lon": ("u,60,35.5,east,,", {"lon": "east"},
+                "lon 'east' is not a number"),
+    "lon_range": ("u,60,35.5,-200.5,,", {"lon": -200.5},
+                  "longitude -200.5 out of range"),
+    "bad_heading": ("u,60,35.5,139.4,7,", {"heading": 7},
+                    "heading 7.0 outside [0, 2*pi)"),
+    "bad_speed": ("u,60,35.5,139.4,,-1", {"speed": -1}, "bad speed -1.0"),
+}
+
+
+def _reasons(result: ParseResult) -> list[tuple[str, int]]:
+    """(reason, line) of each refused row of ``result``."""
+    codes, lines = result.refused
+    return [(ingest.REASONS[c], line)
+            for c, line in zip(codes.tolist(), lines.tolist())]
+
+
+@pytest.mark.parametrize("fmt, reason", [  # a CSV row is never JSON
+    ("csv", r) for r in _REFUSED if r != "not_object"] + [
+    ("ndjson", r) for r in _REFUSED])
+def test_strict_names_the_reason_of_the_first_refused_row(fmt, reason):
+    row, obj, message = _REFUSED[reason]
+    good = {"user_id": "u", "timestamp": 60, "lat": 35.5, "lon": 139.4}
+    if fmt == "csv":
+        text = ("user_id,timestamp,lat,lon,heading,speed\n"
+                "u,0,35.5,139.4,,\n" + row + "\n")
+    else:                       # a blank line 2
+        bad = obj if isinstance(obj, list) else good | obj
+        text = json.dumps(good) + "\n\n" + json.dumps(bad) + "\n"
+    line = 3
+    got = parse_points(io.StringIO(text), ParseSettings(fmt))
+    assert got.skipped == 1 and _reasons(got) == [(reason, line)]
+    with pytest.raises(PointParseError) as err:
+        parse_points(io.StringIO(text), ParseSettings(fmt, True))
+    assert err.value.line_no == line
+    assert str(err.value) == f"line {line}: {message}"
+
+
+def test_a_missing_key_is_refused_for_its_column():
+    good = {"user_id": "u", "timestamp": 60, "lat": 35.5, "lon": 139.4}
+    for key, reason in (("user_id", "empty_user_id"),
+                        ("timestamp", "bad_timestamp"), ("lat", "bad_lat"),
+                        ("lon", "bad_lon")):
+        rec = {k: v for k, v in good.items() if k != key}
+        got = parse_points(io.StringIO(json.dumps(rec)),
+                           ParseSettings("ndjson"))
+        assert _reasons(got) == [(reason, 1)]
+
+
 def test_huge_json_integers_are_skipped():
     src = json.dumps({"user_id": "u", "timestamp": 10 ** 400, "lat": 35.5,
                       "lon": 139.4})
@@ -552,7 +622,7 @@ _OFFSET_SHAPE = re.compile(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d[+-]\d\d:\d\d",
 @example(text="0001-01-01T00:00:00+01:00")
 @example(text="9999-12-31T23:59:59-23:59")
 def test_offset_timestamps_match_parse_timestamp(text):
-    got = _timestamps([text])[0]
+    got = _timestamps([text], np.ones(1, dtype=bool))[0]
     try:
         want = _parse_timestamp(text)
     except ValueError:
@@ -710,26 +780,11 @@ def test_parse_equals_row_reference(case, block):
                                 ParseSettings(strict=True)) == got
 
 
-def _ndjson_reference(text: str, strict: bool = False):
-    """NDJSON row by row: ``json.loads`` and ``_build_point`` per line, as
-    ``(rows, skipped)``."""
-    points, skipped = [], 0
-    for line_no, line in enumerate(text.split("\n"), start=1):
-        if not line.strip():
-            continue
-        try:
-            try:
-                rec = json.loads(line)
-            except ValueError:
-                rec = None
-            if not isinstance(rec, dict):
-                raise PointParseError("no JSON object", line_no=line_no)
-            points.append(_build_point(rec, line_no))
-        except PointParseError:
-            if strict:
-                raise
-            skipped += 1
-    return points, skipped
+def _ndjson_reference(text: str, strict: bool = False) -> ParseResult:
+    """NDJSON row by row: ``json.loads`` and ``_build_point`` per line,
+    blank lines left out (``_build_rows``)."""
+    return _build_rows([(line_no, line) for line_no, line in enumerate(
+        text.split("\n"), start=1) if line.strip()], json.loads, strict)[0]
 
 
 _JSON_VALID = {
@@ -757,7 +812,11 @@ def _ndjson_file(draw):
     lines = []
     for _ in range(draw(st.integers(0, 25))):
         kind = draw(st.sampled_from(["row"] * 4 + [
-            "odd", "odd", "missing", "blank", "value", "broken"]))
+            "odd", "odd", "missing", "blank", "value", "broken", "split"]))
+        if kind == "split":     # one object if read across the line end
+            lines += ['{"user_id":"a","timestamp":1,"lat":1,"lon":1,"x":"}',
+                      '{"}']
+            continue
         rec = {k: draw(v) for k, v in _JSON_VALID.items()
                if k in ("user_id", "timestamp", "lat", "lon")
                or draw(st.booleans())}
@@ -781,9 +840,9 @@ def _ndjson_file(draw):
 def test_parse_ndjson_equals_row_reference(text, block):
     with mock.patch.object(ingest, "_BLOCK_CHARS", block):
         got = parse_points(io.StringIO(text), ParseSettings("ndjson"))
-        points, skipped = _ndjson_reference(text)
-        assert got.skipped == skipped
-        assert _column_rows(got) == _point_rows(points)
+        want = _ndjson_reference(text)
+        assert got.skipped == want.skipped
+        assert _column_rows(got) == _column_rows(want)
         try:
             _ndjson_reference(text, strict=True)
         except PointParseError as want:
@@ -818,8 +877,7 @@ def test_bulk_checks_match_build_point(name, cell):
 
 def test_quoted_points_take_the_bulk_checks():
     """A points file as R's ``write.csv`` writes it, header and ids quoted,
-    reads as its plain copy does, and no row goes through the per-row
-    rule."""
+    reads as its plain copy does."""
     rng = random.Random(3)
     rows = [(f"u{rng.randrange(50)}", _iso(datetime.fromtimestamp(
         1_600_000_000 + 60 * i)) if i % 2 else str(1_600_000_000 + 60 * i),
@@ -830,10 +888,8 @@ def test_quoted_points_take_the_bulk_checks():
         f'"{u}",{rest}\n' for u, rest in (r.split(",", 1)
                                          for r in plain.split("\n")[1:-1]))
     want = parse_points(io.StringIO(plain, newline=""))
-    with mock.patch.object(ingest, "_BLOCK_CHARS", 4096), mock.patch.object(
-            ingest, "_build_point", wraps=_build_point) as rule:
+    with mock.patch.object(ingest, "_BLOCK_CHARS", 4096):
         got = parse_points(io.StringIO(quoted, newline=""))
-    assert rule.call_count == 0
     assert len(got) == 2000 and got == want
 
 
