@@ -35,7 +35,7 @@ from . import io as mio
 from .errors import ConfigError, MdemapError
 from .evaluation import (DEFAULT_THRESHOLDS_M, EvaluationSettings,
                          precision_curve, recall_curve, top_k)
-from .field import ALL_TIME, FieldSettings, compute_fields
+from .field import ALL_TIME, FieldSettings, _number, compute_fields
 from .fusion import (MODES, FusionSettings, combine, find_local_peaks,
                      normalize)
 from .ingest import (Carry, DIRECTIONS, ExtractSettings, FORMATS,
@@ -64,13 +64,6 @@ def _int(value) -> int:
                                    and not value.is_integer()):
         raise ValueError(f"{value!r} is not an integer")
     return int(value)
-
-
-def _number(raw, name: str = "value") -> float:
-    """``float(raw)``, refusing JSON booleans (``float(True)`` is 1.0)."""
-    if isinstance(raw, bool):
-        raise ValueError(f"{name} {raw!r} is not a number")
-    return float(raw)
 
 
 def _ints(value) -> tuple[int, ...]:

@@ -115,6 +115,13 @@ class MdeField:
                 if e.entropy is not None)
 
 
+def _number(raw, name: str = "value") -> float:
+    """``float(raw)``, refusing JSON booleans (``float(True)`` is 1.0)."""
+    if isinstance(raw, bool):
+        raise ValueError(f"{name} {raw!r} is not a number")
+    return float(raw)
+
+
 def _positive_int(value) -> bool:
     return (isinstance(value, numbers.Integral)
             and not isinstance(value, bool) and value > 0)
@@ -135,9 +142,7 @@ class FieldSettings:
                 and all(map(_positive_int, self.scales))):
             raise ConfigError("scales must be distinct positive integers")
         try:
-            ok = self.window == "all" or (
-                not isinstance(self.window, bool)
-                and 0 < float(self.window) < math.inf)
+            ok = self.window == "all" or 0 < _number(self.window) < math.inf
         except (TypeError, ValueError):
             ok = False
         if not ok:
@@ -227,7 +232,7 @@ class FieldAccumulator:
         self.window = window
         self.min_samples = int(min_samples)
         self.dropped_out_of_area = 0
-        self._width = None if window == "all" else float(window)
+        self._width = None if window == "all" else _number(window)
         # first k seen (None for "all" or no vector yet), lowest and highest
         self._base, self._lo, self._hi = None, 0, 0
         self._ncols, nrows = aoi.grid_shape(self.scale_m)

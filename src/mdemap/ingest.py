@@ -52,8 +52,8 @@ REASONS = tuple(_CHECKS)
 
 @dataclass(eq=False)
 class ParseResult:
-    """Point columns in file order, plus the count of malformed rows skipped
-    and, as ``refused``, their ``REASONS`` indexes and lines, in order.
+    """Point columns in file order, plus, as ``refused``, the ``REASONS``
+    indexes and the lines of the malformed rows skipped, in order.
 
     ``heading`` and ``speed`` are NaN where a point has none. Two results
     are equal when their columns hold equal values, NaN equal to NaN, and
@@ -66,11 +66,14 @@ class ParseResult:
     lon: np.ndarray
     heading: np.ndarray
     speed: np.ndarray
-    skipped: int = 0
     refused: tuple = ()
 
     def __len__(self) -> int:
         return int(self.t.size)
+
+    @property
+    def skipped(self) -> int:
+        return len(self.refused[0]) if self.refused else 0
 
     def take(self, rows: np.ndarray) -> "ParseResult":
         """The ``rows`` (a mask or indices) of the columns, none skipped."""
@@ -172,18 +175,7 @@ def _parse_ndjson(stream, strict: bool) -> Iterator[ParseResult]:
 
 
 def _json_values(lines: list[str]) -> list:
-    """``json.loads`` of each line, None where it refuses the line. Lines
-    that all open an object and hold no "[" are first read as one array: if
-    it has as many values, they are the lines', as no string may hold the
-    line end before each comma, nor an object a "{" after one."""
-    text = ",".join(lines)
-    if "[" not in text and all(map(str.startswith, lines, repeat("{"))):
-        try:
-            values = json.loads(f"[{text}]")
-        except ValueError:
-            values = []
-        if len(values) == len(lines):
-            return values
+    """``json.loads`` of each line, None where it refuses the line."""
     values, rest = [], iter(lines)
     while True:
         try:
@@ -230,7 +222,7 @@ def _check(line: np.ndarray, cells: dict, strict: bool,
     bad = bad[np.argsort(line[bad])]
     if strict and bad.size:
         raise _refusal(reason[bad[0]], cells, bad[0], line)
-    part.skipped, part.refused = int(bad.size), (reason[bad], line[bad])
+    part.refused = (reason[bad], line[bad])
     return part
 
 
@@ -482,7 +474,7 @@ def _concat(parts: list[ParseResult]) -> ParseResult:
     if not parts:
         return ParseResult(np.empty(0, dtype=object), *np.empty((5, 0)))
     return ParseResult(*(np.concatenate([getattr(p, c) for p in parts])
-                         for c in _COLUMNS), sum(p.skipped for p in parts),
+                         for c in _COLUMNS),
                        tuple(map(np.concatenate,
                                  zip(*(p.refused for p in parts)))))
 

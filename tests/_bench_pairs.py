@@ -46,24 +46,34 @@ with open("/proc/self/status") as f:
 print(kb / 1024)
 sys.exit(code)
 """
-FIELDS = [f"mde_{s}m.csv" for s in (100, 1000, 2000, 4000)]
-# The commands of each workload as perfbench/run.py runs them, at its
-# default sizes, and the windows log's users and fixes
-COMMANDS = {
-    "city": lambda seed: [
-        ("synth", ["synth", "--seed", str(seed), "--users", "50000",
-                   "--fixes", "20", "--out", "."]),
+# Run in a tree's perfbench directory with a workload and a seed: writes
+# the workload's input file, if it reads one, and prints its commands as
+# perfbench/run.py runs them, from run.py's own file names, window and
+# default sizes.
+PLAN = """
+import json, sys
+import inputs, run
+workload, seed = sys.argv[1], int(sys.argv[2])
+size, fields = run.WORKLOADS[workload][1], run.FIELD_FILES
+if workload == "windows":
+    with open("windows.csv", "w", encoding="utf-8") as f:
+        f.write(inputs.windows_log(seed, **size)[0])
+print(json.dumps({
+    "city": [
+        ("synth", ["synth", "--seed", str(seed), "--users",
+                   str(size["users"]), "--fixes", str(size["fixes"]),
+                   "--out", "."]),
         ("compute", ["compute", "points.csv", "--out", "."]),
-        ("combine", ["combine", *FIELDS, "--mode", "mean", "--out", "."]),
-        ("evaluate", ["evaluate", *FIELDS, "--stations", "stations.csv",
+        ("combine", ["combine", *fields, "--mode", "mean", "--out", "."]),
+        ("evaluate", ["evaluate", *fields, "--stations", "stations.csv",
                       "--out", "."]),
         ("export", ["export", "combined.csv", "--out", "."])],
-    "windows": lambda seed: [
-        ("compute", ["compute", "windows.csv", "--window", "3600",
-                     "--out", "."])],
-}
-WINDOWS_LOG = ("import sys, inputs; open(sys.argv[1], 'w', encoding='utf-8')"
-               ".write(inputs.windows_log(int(sys.argv[2]), 20000, 20)[0])")
+    "windows": [
+        ("compute", ["compute", "windows.csv", "--window",
+                     str(run.WINDOW_S), "--out", "."])],
+}[workload]))
+"""
+OWN_PEAKS = ("city", "windows")     # the workloads run command by command
 
 
 def run(tree: Path, workload: str, seed: int | None,
@@ -90,11 +100,11 @@ def own_peaks(tree: Path, workload: str, seed: int) -> dict[str, float]:
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     peaks = {}
     with tempfile.TemporaryDirectory() as work:
-        if workload == "windows":
-            subprocess.run([sys.executable, "-c", WINDOWS_LOG, "windows.csv",
-                            str(seed)], cwd=work, check=True,
-                           env=dict(env, PYTHONPATH=str(tree / "perfbench")))
-        for name, argv in COMMANDS[workload](seed):
+        plan = subprocess.run(
+            [sys.executable, "-c", PLAN, workload, str(seed)], cwd=work,
+            env=dict(env, PYTHONPATH=str(tree / "perfbench")),
+            capture_output=True, text=True, check=True)
+        for name, argv in json.loads(plan.stdout):
             out = subprocess.run([sys.executable, "-c", WRAPPER, *argv],
                                  cwd=work, env=env, capture_output=True,
                                  text=True, check=True)
@@ -141,7 +151,7 @@ def main() -> int:
                 metrics, prov[side] = run(trees[side], workload, args.seed,
                                           args.seconds)
                 runs[side].append(metrics)
-                if workload in COMMANDS:
+                if workload in OWN_PEAKS:
                     peaks[side].append(own_peaks(trees[side], workload,
                                                  prov[side]["seed"]))
             print(f"{workload} pair {i + 1}/{args.pairs}: " + ", ".join(

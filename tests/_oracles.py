@@ -22,7 +22,7 @@ from mdemap import (ALL_TIME, AreaOfInterest, CombinedMap, ConfigError,
                     LocalCoord, MAX_ENTROPY, METERS_PER_DEGREE, MdeField,
                     MeshId, N_BINS, ParseResult, PointParseError,
                     inverse_project, kernels, mesh_center)
-from mdemap.cli import _number
+from mdemap.field import _number
 from mdemap.io import CENTER_TOLERANCE_DEG, ENTROPY_SLACK
 from mdemap.mesh import TWO_PI
 from mdemap.synth import _STEP_MAX_M, _STEP_MIN_M
@@ -349,11 +349,14 @@ def read_combined_csv(path, aoi: AreaOfInterest) -> CombinedMap:
 
 # -- the points row rule, one row at a time --------------------------------
 
-def _columns(rows: list[tuple], skipped: int = 0) -> ParseResult:
-    """The columns of ``_build_point`` rows."""
+def _columns(rows: list[tuple], refused: list[int]) -> ParseResult:
+    """The columns of ``_build_point`` rows and the ``refused`` lines, whose
+    reasons the row rule does not name (-1)."""
     user, *numbers = zip(*rows) if rows else [()] * 6
     return ParseResult(np.array(user, dtype=object),
-                       *np.array(numbers, dtype=np.float64), skipped)
+                       *np.array(numbers, dtype=np.float64),
+                       (np.full(len(refused), -1, np.int8),
+                        np.array(refused, np.int64)))
 
 
 def _parse_timestamp(raw) -> float:
@@ -428,7 +431,7 @@ def _build_rows(rows: Iterable[tuple[int, object]], record,
     ``record(raw)`` is the row's record, or raises ValueError. A row it or
     ``_build_point`` refuses is skipped and counted, or with ``strict``
     raises."""
-    points, lines, skipped = [], [], 0
+    points, lines, refused = [], [], []
     for line, raw in rows:
         try:
             try:
@@ -440,5 +443,5 @@ def _build_rows(rows: Iterable[tuple[int, object]], record,
         except PointParseError:
             if strict:
                 raise
-            skipped += 1
-    return _columns(points, skipped), lines
+            refused.append(line)
+    return _columns(points, refused), lines

@@ -7,6 +7,7 @@ from hypothesis import settings
 
 from mdemap import (ALL_TIME, AreaOfInterest, CombinedMap, MdeField, MeshId,
                     MovementBatch, ParseResult)
+from mdemap.ingest import REASONS
 from mdemap.mesh import inverse_project, LocalCoord, project_arrays
 
 # Per-example deadlines fail at random on a loaded machine; every property
@@ -21,9 +22,10 @@ def small_aoi():
     return AreaOfInterest.from_bounds(139.3, 139.35, 35.5, 35.53)
 
 
-def points_of(rows, skipped=0) -> ParseResult:
+def points_of(rows, refused=()) -> ParseResult:
     """A ``ParseResult`` from ``(user_id, t, lat, lon[, heading[, speed]])``
-    rows; a missing or None heading or speed is NaN."""
+    rows, a missing or None heading or speed NaN, and the ``(reason, line)``
+    of each ``refused`` row."""
     cols = [[] for _ in range(6)]
     for row in rows:
         row = tuple(row) + (None,) * (6 - len(row))
@@ -31,7 +33,9 @@ def points_of(rows, skipped=0) -> ParseResult:
             col.append(math.nan if v is None else v)
     return ParseResult(np.array(cols[0], dtype=object),
                        *(np.array(c, dtype=np.float64) for c in cols[1:]),
-                       skipped)
+                       (np.array([REASONS.index(r) for r, _ in refused],
+                                 np.int8),
+                        np.array([line for _, line in refused], np.int64)))
 
 
 def fixes(aoi, rows) -> ParseResult:

@@ -408,9 +408,9 @@ def test_parse_result_holds_columns():
     rows = [("a", 0.0, 35.5, 139.4, 3.14, 1.5),
             ("b", 1_600_000_000.0, 35.6, 139.5, None, 2.0)]
     # equal by value, NaN equal to NaN, skipped counts included
-    assert got == points_of(rows, skipped=1)
+    assert got == points_of(rows, refused=[("bad_timestamp", 3)])
     assert got != points_of(rows)
-    assert got != points_of(rows[:1], skipped=1)
+    assert got != points_of(rows[:1], refused=[("bad_timestamp", 3)])
     assert points_of([("a", -0.0, 35.5, 139.4)]) == points_of(
         [("a", 0.0, 35.5, 139.4)])
     assert points_of([("a", 0.0, 35.5, 139.4, None)]) != points_of(

@@ -302,11 +302,12 @@ def _by_count(stats: ingest.ExtractionStats) -> ingest.ExtractionStats:
 def test_a_block_back_in_time_leaves_the_carry_as_it_was(small_aoi):
     first = points_of([("a", 60.0, 35.51, 139.31),
                        ("a", 120.0, 35.511, 139.31),
-                       ("b", 60.0, 35.52, 139.32)], skipped=1)
+                       ("b", 60.0, 35.52, 139.32)],
+                      refused=[("bad_lat", 5)])
     # new users c and d, b going on, and a row of a before a's carried fix
     late = points_of([("c", 0.0, 35.51, 139.33), ("b", 180.0, 35.521, 139.32),
                       ("a", 90.0, 35.512, 139.31), ("d", 9.0, 35.5, 139.3)],
-                     skipped=2)
+                     refused=[("bad_lat", 2), ("empty_user_id", 7)])
     after = points_of([("b", 240.0, 35.522, 139.32), ("e", 0.0, 35.5, 139.3),
                        ("a", 180.0, 35.512, 139.31)])
     carry = ingest.Carry()
