@@ -226,9 +226,10 @@ def _check(line: np.ndarray, cells: dict, strict: bool,
     return part
 
 
-def _refuse(reason: np.ndarray, key: str, bad: np.ndarray) -> None:
-    """Refuses for ``key`` the rows ``bad`` marks that are not yet (-1)."""
-    reason[(reason < 0) & bad] = REASONS.index(key)
+def _refuse(reason: np.ndarray, key: str, bad: np.ndarray, keys=REASONS):
+    """Refuses for ``key`` of ``keys`` the unrefused rows ``bad`` marks."""
+    if np.count_nonzero(bad):       # most checks refuse no row
+        reason[(reason < 0) & bad] = keys.index(key)
 
 
 def _refusal(reason: int, cells: dict, row: int,
@@ -276,14 +277,6 @@ class _Block(NamedTuple):
     line: np.ndarray
     cells: list[str]
     others: list[tuple[int, list[str]]]
-
-    def rows(self, keep: np.ndarray) -> list[tuple[int, list[str]]]:
-        """``(line, cells)`` of the others and of the full records that
-        the mask ``keep`` leaves out, in file order."""
-        k, left = len(self.cells) // max(len(self.line), 1), ~keep
-        return sorted(self.others + [
-            (line, self.cells[i * k:i * k + k]) for i, line in zip(
-                np.flatnonzero(left).tolist(), self.line[left].tolist())])
 
     def padded(self, k: int) -> tuple[np.ndarray, list[str]]:
         """``line`` and ``cells`` of every record, the others last, padded
@@ -506,8 +499,7 @@ class ExtractSettings:
 @dataclass
 class ExtractionStats:
     n_points: int = 0
-    n_skipped: int = 0          # malformed rows: the blocks' ``skipped``
-    # their reasons: each one's "count" and "first_lines", the first five
+    # malformed rows by reason: "count" and "first_lines", the first five
     skipped_by_reason: dict = field(default_factory=dict)
     n_users: int = 0
     n_vectors: int = 0
@@ -515,6 +507,11 @@ class ExtractionStats:
     dropped_gap: int = 0
     dropped_short: int = 0
     dropped_no_heading: int = 0
+
+    @property
+    def n_skipped(self) -> int:
+        """Malformed rows: the blocks' ``skipped``, summed over reasons."""
+        return sum(r["count"] for r in self.skipped_by_reason.values())
 
 
 @dataclass
@@ -612,7 +609,6 @@ def extract_movements(points: ParseResult, aoi: AreaOfInterest,
     codes[~old] = recode[codes[~old] - held]
     stats = carry.stats
     stats.n_points += len(points)
-    stats.n_skipped += points.skipped
     for reason, line in zip(*(r.tolist() for r in points.refused)):
         had = stats.skipped_by_reason.setdefault(
             REASONS[reason], {"count": 0, "first_lines": []})

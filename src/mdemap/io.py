@@ -11,7 +11,7 @@ re-running a command yields byte-identical files on any platform.
 from __future__ import annotations
 
 import json
-import math
+from functools import partial
 from itertools import chain, repeat
 from typing import Iterable, Iterator, Sequence
 
@@ -22,7 +22,7 @@ from .evaluation import PrecisionCurve, RecallCurve, Station
 from .field import ALL_TIME, MAX_ENTROPY, MdeField
 from .fusion import CombinedMap
 from .ingest import (ParseResult, _REQUIRED, _Block, _concat, _coordinates,
-                     _csv_blocks, _floats_at, _header, _refusal)
+                     _csv_blocks, _floats_at, _header, _refusal, _refuse)
 from .mesh import AreaOfInterest, GeoPoint, mesh_centers, mesh_corners
 
 FIELD_HEADER = ("scale_m", "col", "row", "center_lat", "center_lon",
@@ -96,124 +96,127 @@ def write_field_csv(field: MdeField, path) -> None:
                                               _texts(h / MAX_ENTROPY, "")])
 
 
-def _field_values(n: str, h: str) -> tuple[int, float]:
-    n = int(n)
-    if not 0 <= n < 2**63:          # the range of int64 counts
-        raise ValueError(f"count {n} outside [0, 2**63)")
-    if not h:
-        return n, math.nan
-    if not 0.0 <= (h := float(h)) <= _MAX_READ:
-        raise ValueError(f"entropy {h!r} outside [0, ln 100]")
-    return n, h
+# Why a mesh row is refused, a key per check in the order they run, with the
+# message its values fill; a conversion's error (``_value``) is its own.
+_MESH_CHECKS = {
+    "short": "list index out of range",
+    "bad_scale_m": "{scale_m}", "bad_col": "{col}", "bad_row": "{row}",
+    "scale": "mesh scale {scale_m} is not positive",
+    "mixed_scales": "mixed scales in one {kind} file",
+    "off_grid": ("mesh col {col}, row {row} outside the {ncols} x {nrows} "
+                 "grid of {scale_m} m meshes"),
+    "bad_center_lat": "{center_lat}", "bad_center_lon": "{center_lon}",
+    "off_center": ("mesh col {col}, row {row} is centered at {center_lat!r}, "
+                   "{center_lon!r}; the given area of interest puts its "
+                   "center at {want[0]!r}, {want[1]!r}"),
+    "bad_count": "{count}", "count_range": "count {count} outside [0, 2**63)",
+    "bad_entropy_nats": "{entropy_nats}",
+    "entropy_range": "entropy {entropy_nats!r} outside [0, ln 100]",
+    "bad_score": "{score}", "score_range": "non-finite score {score!r}",
+}
+_INTS = ("scale_m", "col", "row", "count")      # the other columns: float
 
 
-def _field_bulk(ok: np.ndarray, n: list, h: list) -> tuple:
-    n = np.array(n, dtype=np.int64)
-    given = np.fromiter(map(len, h), np.int64, len(h)) > 0
-    h = _floats_at(h, given)[0]     # NaN where empty or refused
-    ok &= (n >= 0) & (~given | ((h >= 0.0) & (h <= _MAX_READ)))
-    return n, h
+def _value(convert, cell: str):
+    """``convert(cell)``, or the error it raises, whose text is the message."""
+    try:
+        return convert(cell)
+    except ValueError as exc:
+        return exc
 
 
-def _score(v: str) -> tuple[float]:
-    if not math.isfinite(v := float(v)):
-        raise ValueError(f"non-finite score {v!r}")
-    return (v,)
-
-
-def _score_bulk(ok: np.ndarray, v: list) -> tuple:
-    v = _floats_at(v, np.ones(len(v), dtype=bool))[0]
-    ok &= np.isfinite(v)
-    return (v,)
-
-
-# Value columns, per-row rule and bulk check (it clears ``ok``) by kind.
-_KINDS = {"field": (("count", "entropy_nats"), _field_values, _field_bulk),
-          "combined": (("score",), _score, _score_bulk)}
+def _ints(text: list) -> tuple[np.ndarray, np.ndarray]:
+    """``int`` of each cell and the mask of those it refuses: int64, else
+    an object array of Python ints (0 where refused), exact past int64."""
+    try:
+        return np.array(text, dtype=np.int64), np.zeros(len(text), bool)
+    except (ValueError, OverflowError):
+        v = np.array([_value(int, cell) for cell in text], dtype=object)
+        bad = np.fromiter(map(isinstance, v, repeat(ValueError)), bool, len(v))
+        return np.where(bad, 0, v), bad
 
 
 class _MeshRows:
-    """A mesh CSV's per-row rule, the one that words its errors (mixed
-    scales, meshes outside ``aoi``'s grid, centers off ``aoi``'s, bad
-    values), and the bulk checks, which pass only rows the rule accepts."""
+    """The one rule for a mesh CSV's rows: ``_MESH_CHECKS`` over a block's
+    records at a time. The file's first record sets the scale."""
 
     def __init__(self, header: list, aoi: AreaOfInterest, kind: str):
-        columns, self.values, self.bulk = _KINDS[kind]
-        names = FIELD_HEADER[:5] + columns
+        names = FIELD_HEADER[:5] + (("count", "entropy_nats")
+                                    if kind == "field" else ("score",))
         col = _header(header, names, kind)
-        self.pos = [col[name] for name in names]
+        self.pos = {name: col[name] for name in names}
         self.k, self.aoi, self.kind, self.scale = len(header), aoi, kind, None
 
-    def __call__(self, rec: list, line: int) -> tuple:
-        """(line, col, row, *values) of one record's cells."""
-        try:
-            s, c, r, la, lo, *rest = [rec[i] for i in self.pos]
-            s, c, r = int(s), int(c), int(r)
-            if self.scale is None:
-                if s <= 0:
-                    raise ValueError(f"mesh scale {s} is not positive")
-                self.scale, self.shape = s, self.aoi.grid_shape(s)
-            elif s != self.scale:
-                raise ValueError(f"mixed scales in one {self.kind} file")
-            ncols, nrows = self.shape
-            if not (0 <= c < ncols and 0 <= r < nrows):
-                raise ValueError(f"mesh col {c}, row {r} outside the {ncols} "
-                                 f"x {nrows} grid of {s} m meshes")
-            want_lat, want_lon = map(float, mesh_centers(s, c, r, self.aoi))
-            la, lo = float(la), float(lo)
-            if not (abs(la - want_lat) <= CENTER_TOLERANCE_DEG
-                    and abs(lo - want_lon) <= CENTER_TOLERANCE_DEG):
-                raise ValueError(
-                    f"mesh col {c}, row {r} is centered at {la!r}, {lo!r}; "
-                    f"the given area of interest puts its center at "
-                    f"{want_lat!r}, {want_lon!r}")
-            return (line, c, r, *self.values(*rest))
-        except (IndexError, ValueError) as exc:
-            raise PointParseError(str(exc), line_no=line) from exc
+    def block(self, block: _Block):
+        """Columns (line, col, row, *values) of ``block``'s records, or None
+        if it has none; the first line refused raises."""
+        line, cells = block.padded(self.k)
+        if not (n := len(line)):
+            return None
+        text = {name: cells[i::self.k] for name, i in self.pos.items()}
+        reason = np.full(n, -1, dtype=np.int8)     # -1: not refused
+        refuse = partial(_refuse, reason, keys=tuple(_MESH_CHECKS))
 
-    def block(self, block: _Block, rows: list):
-        """Columns (line, col, row, *values) of the full records of
-        ``block`` that pass the bulk checks, or None; the rule takes the
-        others. While no scale is set, the rule first checks the block's
-        first record, which sets it."""
+        def converted(name, convert, *rows):
+            v, bad = convert(text[name], *rows)
+            refuse(f"bad_{name}", bad)
+            return v
+
+        if block.others:        # padded pads these: refuse the short ones
+            refuse("short", np.r_[np.zeros(len(block.line), bool), [
+                len(o) <= max(self.pos.values()) for _, o in block.others]])
+        s, c, r = (converted(name, _ints) for name in _INTS[:3])
         if self.scale is None:
-            for line, cells in block.rows(np.arange(len(block.line)) > 0)[:1]:
-                self(cells, line)
-            if self.scale is None:      # no record
-                return None
-        text = [block.cells[i::self.k] for i in self.pos]
-        try:
-            s, c, r = (np.array(t, dtype=np.int64) for t in text[:3])
-            (ncols, nrows), scale = self.shape, self.scale
-            ok = (s == scale) & (c >= 0) & (c < ncols) & (r >= 0) & (r < nrows)
-            c, r = np.where(ok, c, 0), np.where(ok, r, 0)
-            # the center texts mdemap writes
-            for want, got in zip(mesh_centers(scale, c, r, self.aoi),
-                                 text[3:5]):
-                ok &= _texts(want) == np.array(got, dtype=object)
-            part = [v[ok] for v in (block.line, c, r,
-                                    *self.bulk(ok, *text[5:]))]
-        except (ValueError, OverflowError):
-            part, ok = None, np.zeros(len(block.line), bool)  # all to the rule
-        rows += [self(cells, line) for line, cells in block.rows(ok)]
-        return part
+            first = int(np.argmin(line))
+            refuse("scale", (line == line[first]) & (s[first] <= 0))
+            # if refused, the first record raises below, whatever the scale
+            self.scale = int(s[first]) if reason[first] < 0 else 1
+        refuse("mixed_scales", s != self.scale)
+        ncols, nrows = self.aoi.grid_shape(self.scale)
+        refuse("off_grid", ~((c >= 0) & (c < ncols) & (r >= 0) & (r < nrows)))
+        ok = reason < 0
+        c, r = np.where(ok, c, 0), np.where(ok, r, 0)
+        want = mesh_centers(self.scale, c, r, self.aoi)
+        off = np.zeros(n, bool)
+        for name, w in zip(("center_lat", "center_lon"), want):
+            # a cell that is not the text mdemap writes is read as a number
+            odd = ok & (_texts(w) != np.array(text[name], object))
+            if np.count_nonzero(odd):
+                off |= odd & ~(np.abs(converted(name, _floats_at, odd) - w)
+                               <= CENTER_TOLERANCE_DEG)
+        refuse("off_center", off)
+        if self.kind == "field":
+            count = converted("count", _ints)
+            refuse("count_range", ~((count >= 0) & (count < 2**63)))
+            given = np.array(text["entropy_nats"], object) != ""
+            h = converted("entropy_nats", _floats_at, given & (reason < 0))
+            refuse("entropy_range", given & ~((h >= 0.0) & (h <= _MAX_READ)))
+            values = [count, h]
+        else:
+            values = [converted("score", _floats_at, reason < 0)]
+            refuse("score_range", ~np.isfinite(values[0]))
+        if (bad := np.flatnonzero(reason >= 0)).size:
+            i = bad[np.argmin(line[bad])]
+            raise PointParseError([*_MESH_CHECKS.values()][reason[i]].format(
+                kind=self.kind, ncols=ncols, nrows=nrows,
+                want=[float(w[i]) for w in want], **{
+                    name: _value(int if name in _INTS else float, t[i])
+                    for name, t in text.items()}), line_no=int(line[i]))
+        # int64: each cell fits. line is copied: block.line would pin the heap
+        return [line.copy(), c, r, *values]
 
 
 def _read_mesh_csv(path, aoi: AreaOfInterest, kind: str):
-    """(scale, [col, row, *values]) of a mesh CSV, in (row, col) order.
-
-    The full records of each ``_Block`` are checked in bulk; the rule takes
-    the records those checks refuse, and the others. The first line
-    repeating a mesh is refused."""
+    """(scale, [col, row, *values]) of a mesh CSV, in (row, col) order; the
+    first line repeating a mesh is refused."""
     with open(path, "r", encoding="utf-8-sig", newline="") as f:
         blocks = _csv_blocks(f)
-        rule, rows = _MeshRows(next(blocks, []), aoi, kind), []
+        rule = _MeshRows(next(blocks, []), aoi, kind)
         # map holds no block while the next is read
-        parts = list(map(rule.block, blocks, repeat(rows)))
+        parts = list(filter(None, map(rule.block, blocks)))
     if rule.scale is None:
         raise PointParseError(f"{kind} file has no rows")
-    parts.append([np.array(c) for c in zip(*rows)])
-    line, col, row, *values = map(np.concatenate, zip(*filter(None, parts)))
+    line, col, row, *values = map(np.concatenate, zip(*parts))
     order = np.lexsort((line, col, row))
     c, r = col[order], row[order]
     later = order[1:][(c[1:] == c[:-1]) & (r[1:] == r[:-1])]

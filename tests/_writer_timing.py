@@ -1,4 +1,5 @@
-"""In-process timing of every writer of ``mdemap.io``, base against change.
+"""In-process timing of the mesh readers and every writer of ``mdemap.io``,
+base against change.
 
 Loads the ``mdemap`` package of two source trees into one process, the
 base under the name ``mdemap_base`` and the change under
@@ -7,8 +8,14 @@ keeps to its own modules). It builds the inputs once with the changed
 tree's commands: the seed-7 city of ``perfbench`` (``synth``,
 ``compute``, ``combine``), and the ``windows`` log of
 ``perfbench/inputs.py`` with ``compute --window 3600``. Each side then
-reads the tables back with its own readers and writes them with its own
-writers:
+reads the tables back with its own readers, timing these reads:
+
+- ``read city fields``: ``read_field_csv`` of the city's four fields;
+- ``read combined CSV``: ``read_combined_csv`` of its ``combined.csv``;
+- ``read windows fields``: ``read_field_csv`` of the 1,348 field CSVs of
+  the windows log;
+
+and writes the tables with its own writers:
 
 - ``windows fields``: the 1,348 field CSVs of the windows log;
 - the city's 100 m field CSV, combined CSV and peaks CSV;
@@ -17,17 +24,17 @@ writers:
 - ``evaluate``: stations, recall and precision CSVs of the four fields,
   and a summary.
 
-Every round times each writer once per side, the side that goes first
-alternating between rounds, by the wall clock and by the process's CPU
-time (on a shared host the CPU time moves less with other load). It
-prints, per writer and clock, both sides' median and quartiles in
+Every round times each read and writer once per side, the side that
+goes first alternating between rounds, by the wall clock and by the
+process's CPU time (on a shared host the CPU time moves less with other
+load). It prints, per job and clock, both sides' median and quartiles in
 milliseconds and the rounds the change won, and each side's
 ``tracemalloc`` peak from a separate untimed call. The two sides' files
-must be byte-identical; a difference stops the run. Both trees must
-take ``precision_curve`` of a ``top_k`` selection, one curve per
-threshold.
+must be byte-identical, and their reads must give equal scales and
+columns, bit for bit; a difference stops the run. Both trees must take
+``precision_curve`` of a ``top_k`` selection, one curve per threshold.
 
-    python tests/_writer_timing.py BASE_TREE CHANGED_TREE --rounds 7
+    python tests/_writer_timing.py BASE_TREE CHANGED_TREE --rounds 10
 
 Not a test: pytest does not collect it.
 """
@@ -79,6 +86,34 @@ def build_inputs(tree: Path, pkg, work: Path) -> None:
     if pkg.cli.main(["compute", str(windows / "log.csv"), "--window", "3600",
                      "--out", str(windows / "out")]):
         raise SystemExit("mdemap compute of the windows log failed")
+
+
+def tables(read, paths, aoi) -> list:
+    """Each table of ``paths`` as ``read`` gives it: its scale and each
+    column's dtype and bytes."""
+    out = []
+    for table in (read(path, aoi) for path in paths):
+        columns = [getattr(table, c) for c in (
+            "col", "row", "count", "entropy", "scores") if hasattr(table, c)]
+        out.append([getattr(table, "scale_m", None) or table.base_scale_m,
+                    *((c.dtype.str, c.tobytes()) for c in columns)])
+    return out
+
+
+def readers(pkg, work: Path) -> dict:
+    """Read name -> function(out_dir) that reads with ``pkg`` and returns
+    ``tables`` of what it read; the directory goes unused."""
+    io, aoi = pkg.io, pkg.DEFAULT_AOI
+    city = work / "city"
+    fields = [city / f"mde_{s}m.csv" for s in (100, 1000, 2000, 4000)]
+    windows = sorted((work / "windows" / "out").glob("mde_*.csv"))
+    return {
+        "read city fields": lambda out: tables(io.read_field_csv, fields, aoi),
+        "read combined CSV": lambda out: tables(
+            io.read_combined_csv, [city / "combined.csv"], aoi),
+        "read windows fields": lambda out: tables(io.read_field_csv, windows,
+                                                  aoi),
+    }
 
 
 def writers(pkg, work: Path) -> dict:
@@ -139,11 +174,12 @@ def digests(out: Path) -> dict:
             for p in sorted(out.iterdir())}
 
 
-def traced_peak(write, out: Path) -> int:
+def traced_peak(job, out: Path) -> tuple[int, object]:
+    """The ``tracemalloc`` peak of ``job(out)``, and what it returns."""
     tracemalloc.start()
     try:
-        write(out)
-        return tracemalloc.get_traced_memory()[1]
+        got = job(out)
+        return tracemalloc.get_traced_memory()[1], got
     finally:
         tracemalloc.stop()
 
@@ -166,18 +202,23 @@ def main() -> int:
     with tempfile.TemporaryDirectory(prefix="writer_timing_") as tmp:
         work = Path(tmp)
         build_inputs(trees["changed"], pkgs["changed"], work)
-        jobs = {side: writers(pkgs[side], work) for side in SIDES}
+        jobs = {side: readers(pkgs[side], work) | writers(pkgs[side], work)
+                for side in SIDES}
         times = {(name, clock): {side: [] for side in SIDES}
                  for name in jobs["base"] for clock in ("wall", "cpu")}
         peaks = {}
         for name in jobs["base"]:
             outs = {side: work / side / name.replace(" ", "_")
                     for side in SIDES}
+            got = {}
             for side in SIDES:
                 outs[side].mkdir(parents=True)
-                peaks[name, side] = traced_peak(jobs[side][name], outs[side])
+                peaks[name, side], got[side] = traced_peak(jobs[side][name],
+                                                           outs[side])
             if digests(outs["base"]) != digests(outs["changed"]):
                 raise SystemExit(f"{name}: the two sides' files differ")
+            if got["base"] != got["changed"]:
+                raise SystemExit(f"{name}: the two sides read unequal columns")
         for r in range(args.rounds):
             order = SIDES if r % 2 == 0 else SIDES[::-1]
             for name in jobs["base"]:
@@ -189,7 +230,7 @@ def main() -> int:
                     times[name, "wall"][side].append(
                         time.perf_counter() - wall)
             print(f"round {r + 1}/{args.rounds} done", file=sys.stderr)
-    print(f"{'writer':21s} {'clock':5s} {'base ms [q1-q3]':>24s} "
+    print(f"{'job':21s} {'clock':5s} {'base ms [q1-q3]':>24s} "
           f"{'changed ms [q1-q3]':>24s} {'won':>5s} {'peak MB base/chg':>17s}")
     for (name, clock), t in times.items():
         b, c = quartiles(t["base"]), quartiles(t["changed"])

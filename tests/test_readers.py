@@ -1,9 +1,11 @@
-"""The bulk mesh-CSV readers against the per-row readers they replaced.
+"""The columnar mesh-CSV readers against the per-row readers they replaced.
 
-The readers of ``mdemap.io`` check plain blocks of rows in bulk and send
-every row the bulk checks refuse to the per-row rule. ``_oracles`` keeps
-the per-row readers as they were; here both read the same files, written
-by hand and then damaged, and must agree on every outcome.
+The readers of ``mdemap.io`` run one check at a time over the columns of
+a block of records, and word the error of the first line refused from
+its cells. ``_oracles`` keeps the per-row readers as they were; here both
+read the same files, written by hand and then damaged, and must agree on
+every outcome. The reasons no other case names get one case each, which
+pins the line and the message.
 """
 
 import math
@@ -169,9 +171,7 @@ def test_bulk_readers_agree_with_per_row_readers(tmp_path_factory, table,
 
 @pytest.mark.parametrize("kind", sorted(KINDS))
 def test_a_quoted_mesh_file_takes_the_bulk_checks(tmp_path, kind):
-    """Every cell of a mesh file quoted, it reads as its plain copy does, and
-    only its first row goes through the per-row rule, which sets the
-    scale."""
+    """Every cell of a mesh file quoted, it reads as its plain copy does."""
     scale, (ncols, nrows) = 100, AOI.grid_shape(100)
     rows = [list(FIELD_HEADER) + (["score"] if kind == "combined" else [])]
     for r in range(nrows):
@@ -187,17 +187,59 @@ def test_a_quoted_mesh_file_takes_the_bulk_checks(tmp_path, kind):
     quoted.write_text("".join(",".join(f'"{c}"' for c in r) + "\n"
                               for r in rows))
     read, _, values = KINDS[kind]
-    rule, lines = mio._MeshRows.__call__, []
-
-    def counted(self, rec, line):
-        lines.append(line)
-        return rule(self, rec, line)
-
-    with mock.patch.object(ingest, "_BLOCK_CHARS", 4096), mock.patch.object(
-            mio._MeshRows, "__call__", counted):
+    with mock.patch.object(ingest, "_BLOCK_CHARS", 4096):
         got = _outcome(read, quoted, values)
-    assert lines == [2]
     assert got[0] == "read" and got == _outcome(read, plain, values)
+
+
+# A refusal per reason key that no other test pins: the line of the
+# record changed (2 is the first), the cell it takes ("short": it loses its
+# last two) and the message.
+_MESH_REFUSED = {
+    "short": (3, "short", "list index out of range"),
+    "bad_scale_m": (3, ("scale_m", "x"),
+                    "invalid literal for int() with base 10: 'x'"),
+    "bad_col": (3, ("col", "1.5"),
+                "invalid literal for int() with base 10: '1.5'"),
+    "bad_row": (3, ("row", ""), "invalid literal for int() with base 10: ''"),
+    "scale": (2, ("scale_m", "0"), "mesh scale 0 is not positive"),
+    "bad_center_lat": (3, ("center_lat", "north"),
+                       "could not convert string to float: 'north'"),
+    "bad_center_lon": (3, ("center_lon", "east"),
+                       "could not convert string to float: 'east'"),
+    "bad_count": (3, ("count", "2.5"),
+                  "invalid literal for int() with base 10: '2.5'"),
+    "count_range": (3, ("count", str(2**63)),
+                    "count 9223372036854775808 outside [0, 2**63)"),
+    "score_range": (3, ("score", "inf"), "non-finite score inf"),
+}
+# the reasons of one kind's value columns
+_KIND_OF = {"bad_count": "field", "count_range": "field",
+            "score_range": "combined"}
+
+
+@pytest.mark.parametrize("kind, reason", [
+    (kind, reason) for kind in sorted(KINDS) for reason in _MESH_REFUSED
+    if _KIND_OF.get(reason, kind) == kind])
+def test_each_mesh_refusal_names_its_line_and_cell(tmp_path, kind, reason):
+    line, change, message = _MESH_REFUSED[reason]
+    header = list(FIELD_HEADER) + (["score"] if kind == "combined" else [])
+    rows = [header]
+    for c in (3, 4):
+        lat, lon = mesh_centers(100, c, 1, AOI)
+        rows.append(["100", str(c), "1", repr(float(lat)), repr(float(lon))]
+                    + (["7", "1.5", "0.3"] if kind == "field"
+                       else ["", "", "", "0.5"]))
+    if change == "short":
+        del rows[line - 1][-2:]
+    else:
+        rows[line - 1][header.index(change[0])] = change[1]
+    path = tmp_path / "table.csv"
+    path.write_text("".join(",".join(r) + "\r\n" for r in rows))
+    with pytest.raises(PointParseError) as err:
+        KINDS[kind][0](path, AOI)
+    assert err.value.line_no == line
+    assert str(err.value) == f"line {line}: {message}"
 
 
 def test_block_boundaries_keep_line_numbers(tmp_path):
